@@ -240,7 +240,7 @@ pub fn ingest_stream(ranks: usize, transfers: usize) -> String {
 }
 
 /// Run the streaming-ingest probe: fold the synthetic stream once to warm
-/// the session (scopes, ranks, intern pool, ring allocations), then measure
+/// the session (scopes, ranks, intern pool), then measure
 /// a second pass of the same stream through the *same* session — the
 /// steady-state regime a long-lived server lives in.
 pub fn ingest_throughput(ranks: usize, transfers: usize) -> IngestBench {

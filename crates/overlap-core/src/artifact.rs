@@ -137,7 +137,7 @@ pub struct RankArtifactInput {
     /// Raw instrumentation events captured for this rank.
     pub events: u64,
     /// The rank's attribution (batch: [`crate::attribution::attribute`];
-    /// stream: [`crate::attribution::attribute_parts`]).
+    /// stream: the same fold over the parts the session maintains).
     pub attribution: RankAttribution,
 }
 

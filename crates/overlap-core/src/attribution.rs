@@ -35,12 +35,15 @@
 //!   the per-rank critical-path view, in flamegraph-collapsed format.
 //!
 //! All output is a pure function of the captured trace: byte-identical
-//! across runs and worker counts.
+//! across runs and worker counts. The top-level call spans both views cut
+//! come from `fold::CallSpans`, the one walker from events to spans; the
+//! stream fold holds one per rank and runs these same functions on it, so a
+//! served attribution is this computation, not a copy of it.
 
 use std::collections::BTreeMap;
 
 use crate::bins::SizeBins;
-use crate::event::EventKind;
+use crate::fold::CallSpans;
 use crate::metrics::{Histogram, MetricsRegistry};
 use crate::trace::{BoundRecord, RankTrace, TraceBundle};
 
@@ -204,57 +207,19 @@ impl RankAttribution {
     }
 }
 
-/// Top-level call spans `[start, end)` with the call name, replayed from the
-/// raw event stream. An unbalanced trailing `CALL_ENTER` closes at the last
-/// event's stamp. This is the span view [`attribute`] and [`collapsed_stack`]
-/// consume; the streaming server maintains the same spans incrementally and
-/// feeds them to [`attribute_parts`] / [`collapsed_weights`].
-pub fn call_spans_of(events: &[crate::event::Event]) -> Vec<(u64, u64, &'static str)> {
-    let mut spans = Vec::new();
-    let mut depth = 0usize;
-    let mut open: Option<(u64, &'static str)> = None;
-    let mut last_t = 0u64;
-    for e in events {
-        last_t = last_t.max(e.t);
-        match e.kind {
-            EventKind::CallEnter { name } => {
-                if depth == 0 {
-                    open = Some((e.t, name));
-                }
-                depth += 1;
-            }
-            EventKind::CallExit if depth > 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some((s, name)) = open.take() {
-                        spans.push((s, e.t, name));
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    if let Some((s, name)) = open {
-        if last_t > s {
-            spans.push((s, last_t, name));
-        }
-    }
-    spans
-}
-
 /// Atomic in-call segments: each top-level call span cut at wait-interval
 /// boundaries, labelled with the wait's cause and the transfer the wait was
 /// pinned on (gaps between waits are [`WaitCause::LibraryOverhead`] with no
 /// transfer). Returned in time order.
 fn call_atoms(
-    spans: &[(u64, u64, &'static str)],
+    calls: &CallSpans,
     all_waits: &[WaitInterval],
 ) -> Vec<(u64, u64, WaitCause, Option<u64>)> {
     let mut waits: Vec<&WaitInterval> = all_waits.iter().filter(|w| w.end > w.start).collect();
     waits.sort_by_key(|w| (w.start, w.end));
     let mut atoms = Vec::new();
     let mut wi = 0usize;
-    for &(s, e, _) in spans {
+    for (s, e, _) in calls.spans(calls.last_t()) {
         let mut cursor = s;
         // Skip waits that ended before this span.
         while wi < waits.len() && waits[wi].end <= s {
@@ -287,24 +252,23 @@ fn call_atoms(
 pub fn attribute(trace: &RankTrace) -> RankAttribution {
     attribute_parts(
         trace.rank,
-        &call_spans_of(&trace.events),
+        &CallSpans::replay(&trace.events),
         &trace.waits,
         &trace.bounds,
     )
 }
 
-/// [`attribute`] on pre-extracted parts: the rank's top-level call spans
-/// (see [`call_spans_of`]), its recorded wait intervals, and its bound
-/// records. The streaming server calls this with incrementally-maintained
-/// parts; byte-identical output to the batch path is by construction — both
-/// run this exact fold.
-pub fn attribute_parts(
+/// [`attribute`] on its parts: the rank's top-level call spans (a call still
+/// open closes at the rank's last stamp), its recorded wait intervals, and
+/// its bound records. The stream fold calls this with the parts it maintains
+/// line by line, so served and batch attributions are one computation.
+pub(crate) fn attribute_parts(
     rank: usize,
-    spans: &[(u64, u64, &'static str)],
+    calls: &CallSpans,
     waits: &[WaitInterval],
     bounds: &[BoundRecord],
 ) -> RankAttribution {
-    let atoms = call_atoms(spans, waits);
+    let atoms = call_atoms(calls, waits);
     let mut records = Vec::with_capacity(bounds.len());
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
     for b in bounds {
@@ -403,7 +367,7 @@ pub fn collapsed_stack(bundle: &TraceBundle) -> String {
         collapsed_weights(
             &bundle.scope,
             tr.rank,
-            &call_spans_of(&tr.events),
+            &CallSpans::replay(&tr.events),
             &tr.waits,
             &mut weights,
         );
@@ -412,13 +376,13 @@ pub fn collapsed_stack(bundle: &TraceBundle) -> String {
 }
 
 /// Accumulate one rank's collapsed-stack weights (see [`collapsed_stack`])
-/// into `weights`, keyed `scope;rank N;<call>;<cause>`. The streaming server
-/// calls this per rank with incrementally-maintained spans/waits and renders
-/// the scope's map with [`render_collapsed`].
-pub fn collapsed_weights(
+/// into `weights`, keyed `scope;rank N;<call>;<cause>`. The stream fold
+/// calls this per rank with the spans and waits it maintains and renders the
+/// scope's map with [`render_collapsed`].
+pub(crate) fn collapsed_weights(
     scope: &str,
     rank: usize,
-    spans: &[(u64, u64, &'static str)],
+    calls: &CallSpans,
     waits: &[WaitInterval],
     weights: &mut BTreeMap<String, u64>,
 ) {
@@ -426,10 +390,10 @@ pub fn collapsed_weights(
         if w.end <= w.start {
             continue;
         }
-        let call = spans
-            .iter()
-            .find(|&&(s, e, _)| s <= w.start && w.start < e)
-            .map(|&(_, _, name)| name)
+        let call = calls
+            .spans(calls.last_t())
+            .find(|&(s, e, _)| s <= w.start && w.start < e)
+            .map(|(_, _, name)| name)
             .unwrap_or("(outside-call)");
         let key = format!("{};rank {};{};{}", scope, rank, call, w.cause.label());
         *weights.entry(key).or_insert(0) += w.end - w.start;
@@ -438,7 +402,7 @@ pub fn collapsed_weights(
 
 /// Render accumulated collapsed-stack weights as `key weight\n` lines in map
 /// (lexical) order — the flamegraph-collapsed text format.
-pub fn render_collapsed(weights: &BTreeMap<String, u64>) -> String {
+pub(crate) fn render_collapsed(weights: &BTreeMap<String, u64>) -> String {
     let mut out = String::new();
     for (k, v) in weights {
         out.push_str(k);
@@ -453,8 +417,7 @@ pub fn render_collapsed(weights: &BTreeMap<String, u64>) -> String {
 mod tests {
     use super::*;
     use crate::bounds::XferCase;
-    use crate::event::Event;
-    use crate::trace::BoundRecord;
+    use crate::event::{Event, EventKind};
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)

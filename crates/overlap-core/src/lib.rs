@@ -95,6 +95,7 @@ pub mod bins;
 pub mod bounds;
 pub mod clock;
 pub mod event;
+mod fold;
 pub mod invariant;
 pub mod metrics;
 pub mod observer;
@@ -120,6 +121,6 @@ pub use observer::{EventObserver, TraceSink};
 pub use queue::{EventRing, RingFull};
 pub use recorder::{Recorder, RecorderOpts};
 pub use report::{CallStats, ClusterSummary, OverlapReport, OverlapStats, SectionReport};
-pub use stream::{FoldOpts, RankSummary, ScopeReport, ScopeSeries, SessionFold, StreamError};
+pub use stream::{ScopeReport, ScopeSeries, SessionFold, StreamError};
 pub use trace::{BoundRecord, ExtraEvent, RankTrace, TraceBundle, WindowRow};
 pub use xfer_table::XferTimeTable;

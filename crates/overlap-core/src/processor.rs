@@ -1,39 +1,26 @@
-//! The data processing module (paper Figure 2).
+//! The data processing module (paper Figure 2), as the in-process recorder
+//! drives it.
 //!
 //! Consumes time-ordered instrumentation events and maintains *running*
 //! overlap aggregates plus a small table of currently active transfers — no
-//! trace is ever stored. The sweep works as follows: between consecutive
-//! events, the process was either in user computation (call depth 0) or
-//! inside the library (depth > 0); that interval is credited to the global
-//! compute/call aggregates, to the innermost monitored section, and to the
-//! `computation_time` / `noncomputation_time` accumulators of every transfer
-//! whose `XFER_BEGIN` has been seen but whose `XFER_END` has not.
+//! trace is ever stored. The event-determined part of that (interval sweep,
+//! call statistics, anomaly counters, the active-transfer table, the
+//! aggregates and built-in metrics) is `fold::RankFold`, shared with the
+//! stream fold ([`crate::stream`]). This module adds what needs the a-priori
+//! transfer-time table or never rides the export: it turns each transfer the
+//! fold closes into overlap bounds (degrading them when the observed window
+//! contradicts the table), keeps the per-section accumulators, and captures
+//! the optional [`RankTrace`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use crate::bins::SizeBins;
 use crate::bounds::OverlapBounds;
 use crate::event::{Event, EventKind};
-use crate::metrics::{Histogram, MetricsRegistry};
-use crate::report::{Anomalies, CallStats, OverlapReport, OverlapStats, SectionReport};
+use crate::fold::{add_record, Closing, RankFold};
+use crate::report::{OverlapReport, OverlapStats, SectionReport};
 use crate::trace::{BoundRecord, RankTrace};
 use crate::xfer_table::XferTimeTable;
-
-#[derive(Debug)]
-struct ActiveXfer {
-    bytes: u64,
-    /// Top-level call sequence number at `XFER_BEGIN`, if it was stamped
-    /// inside a call (used for case-1 detection).
-    begin_call: Option<u64>,
-    /// Timestamp of the `XFER_BEGIN` stamp (for clamping bounds to the
-    /// observed window when the a-priori table diverges from reality).
-    begin_t: u64,
-    computation_time: u64,
-    noncomputation_time: u64,
-    /// The library reported this transfer fault-disturbed (`XFER_FLAG`).
-    flagged: bool,
-    section: Option<&'static str>,
-}
 
 #[derive(Debug, Default)]
 struct SectionAccum {
@@ -46,98 +33,20 @@ struct SectionAccum {
 /// Online overlap-bound processor.
 pub struct Processor {
     table: XferTimeTable,
-    bins: SizeBins,
-    depth: u32,
-    call_seq: u64,
-    cursor: u64,
-    first_event: Option<u64>,
-    active: HashMap<u64, ActiveXfer>,
-    user_compute: u64,
-    comm_call: u64,
-    total: OverlapStats,
-    by_bin: Vec<OverlapStats>,
-    section_stack: Vec<&'static str>,
+    fold: RankFold,
     sections: BTreeMap<&'static str, SectionAccum>,
-    call_stack: Vec<(&'static str, u64)>,
-    calls: BTreeMap<&'static str, CallStats>,
-    anomalies: Anomalies,
-    metrics: MetricsRegistry,
-    /// Built-in hot-path metrics as plain fields; folded into the
-    /// string-keyed `metrics` registry once, at finish. Keeping them out of
-    /// the `BTreeMap` means closing a transfer does no key allocation and no
-    /// map lookups.
-    builtin: BuiltinMetrics,
-    /// Precomputed per-bin histogram names (`overlap_min_ns/<label>`,
-    /// `overlap_max_ns/<label>`), so the fold path never formats strings.
-    bin_metric_names: Vec<(String, String)>,
     /// Time-resolved capture; `None` keeps the paper's no-tracing default.
     trace: Option<RankTrace>,
-}
-
-/// The registry entries the processor maintains itself, held as direct
-/// fields while events stream through. [`Processor::finish_traced`] folds
-/// them into the [`MetricsRegistry`] under the same names (and only when
-/// they fired), so the serialized report is identical to one produced by
-/// per-event registry calls.
-struct BuiltinMetrics {
-    xfers_closed: u64,
-    xfers_flagged: u64,
-    xfers_clamped: u64,
-    calls_completed: u64,
-    xfer_apriori_ns: Histogram,
-    xfer_wall_ns: Histogram,
-    call_latency_ns: Histogram,
-    /// `(overlap_min_ns, overlap_max_ns)` histograms per size bin.
-    by_bin: Vec<(Histogram, Histogram)>,
-}
-
-impl BuiltinMetrics {
-    fn new(nbins: usize) -> Self {
-        BuiltinMetrics {
-            xfers_closed: 0,
-            xfers_flagged: 0,
-            xfers_clamped: 0,
-            calls_completed: 0,
-            xfer_apriori_ns: Histogram::latency_default(),
-            xfer_wall_ns: Histogram::latency_default(),
-            call_latency_ns: Histogram::latency_default(),
-            by_bin: (0..nbins)
-                .map(|_| (Histogram::latency_default(), Histogram::latency_default()))
-                .collect(),
-        }
-    }
 }
 
 impl Processor {
     /// Create a processor using the a-priori transfer-time `table` and
     /// message-size `bins`.
     pub fn new(table: XferTimeTable, bins: SizeBins) -> Self {
-        let nbins = bins.count();
-        let bin_metric_names = bins
-            .labels()
-            .into_iter()
-            .map(|l| (format!("overlap_min_ns/{l}"), format!("overlap_max_ns/{l}")))
-            .collect();
         Processor {
             table,
-            bins,
-            depth: 0,
-            call_seq: 0,
-            cursor: 0,
-            first_event: None,
-            active: HashMap::new(),
-            user_compute: 0,
-            comm_call: 0,
-            total: OverlapStats::default(),
-            by_bin: vec![OverlapStats::default(); nbins],
-            section_stack: Vec::new(),
+            fold: RankFold::new(bins),
             sections: BTreeMap::new(),
-            call_stack: Vec::new(),
-            calls: BTreeMap::new(),
-            anomalies: Anomalies::default(),
-            metrics: MetricsRegistry::new(),
-            builtin: BuiltinMetrics::new(nbins),
-            bin_metric_names,
             trace: None,
         }
     }
@@ -151,42 +60,12 @@ impl Processor {
         }
     }
 
-    /// Number of transfers currently active (begun, not ended).
-    pub fn active_transfers(&self) -> usize {
-        self.active.len()
-    }
-
-    fn advance_to(&mut self, t: u64) {
-        if self.first_event.is_none() {
-            self.first_event = Some(t);
-            self.cursor = t;
+    /// Sweep to `t`, crediting the interval to the innermost open section.
+    fn sweep(&mut self, t: u64) {
+        let Some((dt, computing)) = self.fold.advance_to(t) else {
             return;
-        }
-        if t < self.cursor {
-            // Clock skew: the stamp runs behind the processing cursor. Real
-            // hardware clocks (and multi-source event streams) can do this;
-            // count it and drop the negative interval instead of panicking.
-            self.anomalies.clock_skew += 1;
-            return;
-        }
-        let dt = t.saturating_sub(self.cursor);
-        if dt == 0 {
-            return;
-        }
-        let computing = self.depth == 0;
-        if computing {
-            self.user_compute += dt;
-        } else {
-            self.comm_call += dt;
-        }
-        for ax in self.active.values_mut() {
-            if computing {
-                ax.computation_time += dt;
-            } else {
-                ax.noncomputation_time += dt;
-            }
-        }
-        if let Some(&name) = self.section_stack.last() {
+        };
+        if let Some(name) = self.fold.section() {
             let acc = self.sections.entry(name).or_default();
             if computing {
                 acc.compute_time += dt;
@@ -194,70 +73,71 @@ impl Processor {
                 acc.call_time += dt;
             }
         }
-        self.cursor = t;
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn close_transfer(
-        &mut self,
-        id: u64,
-        bytes: u64,
-        begin_t: Option<u64>,
-        end_t: u64,
-        bounds: OverlapBounds,
-        section: Option<&'static str>,
-        flagged: bool,
-        clamped: bool,
-    ) {
-        let xfer_time = self.table.lookup(bytes);
-        let note = |s: &mut OverlapStats| {
-            s.add_bounds(bytes, xfer_time, bounds);
-            if flagged {
-                s.note_flagged();
-            }
-            if clamped {
-                s.note_clamped();
+    /// Derive the bounds of a transfer the fold closed and fold them in.
+    fn close(&mut self, c: Closing) {
+        let xfer_time = self.table.lookup(c.bytes);
+        let (mut flagged, mut clamped) = (c.flagged, false);
+        let bounds = match c.window {
+            None => OverlapBounds::single_stamp(xfer_time),
+            Some(w) => {
+                let mut bounds = if w.same_call {
+                    OverlapBounds::same_call()
+                } else {
+                    OverlapBounds::split_calls(xfer_time, w.computation_time, w.noncomputation_time)
+                };
+                // Degrade gracefully when the observed window contradicts
+                // the a-priori model instead of reporting unsound overlap.
+                let wall = c.end_t.saturating_sub(c.begin_t.unwrap_or(c.end_t));
+                if bounds.min > wall {
+                    // The table's xfer_time exceeds the whole observed
+                    // begin→end window (possible under clock skew or a
+                    // stale table): no more than `wall` can have been
+                    // overlapped.
+                    bounds.min = wall.min(bounds.max);
+                    clamped = true;
+                }
+                if flagged {
+                    // The library told us the wire had to retransmit: the
+                    // a-priori time no longer describes the transfer, so
+                    // no overlap can be *guaranteed*.
+                    bounds.min = 0;
+                } else if !w.same_call && w.noncomputation_time > 2 * xfer_time.max(1) {
+                    // Heuristic: the process sat inside the library for
+                    // far longer than the wire needs — retransmission (or
+                    // severe contention) suspected even without an
+                    // explicit flag. Counted for the confidence measure;
+                    // the bounds themselves are already sound.
+                    flagged = true;
+                }
+                bounds
             }
         };
-        note(&mut self.total);
-        let bin = self.bins.index(bytes);
-        note(&mut self.by_bin[bin]);
-        if let Some(name) = section {
-            let nbins = self.bins.count();
+        let rec = BoundRecord {
+            id: Some(c.id),
+            bytes: c.bytes,
+            begin_t: c.begin_t,
+            end_t: c.end_t,
+            xfer_time,
+            min: bounds.min,
+            max: bounds.max,
+            case: bounds.case,
+            flagged,
+            clamped,
+        };
+        self.fold.close_transfer(&rec);
+        if let Some(name) = c.section {
+            let bins = self.fold.bins();
             let acc = self.sections.entry(name).or_default();
             if acc.by_bin.is_empty() {
-                acc.by_bin = vec![OverlapStats::default(); nbins];
+                acc.by_bin = vec![OverlapStats::default(); bins.count()];
             }
-            note(&mut acc.total);
-            note(&mut acc.by_bin[bin]);
+            add_record(&mut acc.total, &rec);
+            add_record(&mut acc.by_bin[bins.index(c.bytes)], &rec);
         }
-        self.builtin.xfers_closed += 1;
-        if flagged {
-            self.builtin.xfers_flagged += 1;
-        }
-        if clamped {
-            self.builtin.xfers_clamped += 1;
-        }
-        self.builtin.xfer_apriori_ns.observe(xfer_time);
-        if let Some(t0) = begin_t {
-            self.builtin.xfer_wall_ns.observe(end_t.saturating_sub(t0));
-        }
-        let (min_hist, max_hist) = &mut self.builtin.by_bin[bin];
-        min_hist.observe(bounds.min);
-        max_hist.observe(bounds.max);
         if let Some(tr) = &mut self.trace {
-            tr.bounds.push(BoundRecord {
-                id: Some(id),
-                bytes,
-                begin_t,
-                end_t,
-                xfer_time,
-                min: bounds.min,
-                max: bounds.max,
-                case: bounds.case,
-                flagged,
-                clamped,
-            });
+            tr.bounds.push(rec);
         }
     }
 
@@ -266,138 +146,13 @@ impl Processor {
         if let Some(tr) = &mut self.trace {
             tr.events.push(e);
         }
-        self.advance_to(e.t);
-        match e.kind {
-            EventKind::CallEnter { name } => {
-                if self.depth == 0 {
-                    self.call_seq += 1;
-                }
-                self.depth += 1;
-                self.call_stack.push((name, e.t));
-            }
-            EventKind::CallExit => {
-                if self.depth == 0 {
-                    self.anomalies.unbalanced_calls += 1;
-                } else {
-                    self.depth -= 1;
-                    if let Some((name, t0)) = self.call_stack.pop() {
-                        let c = self.calls.entry(name).or_default();
-                        c.count += 1;
-                        let dt = e.t.saturating_sub(t0);
-                        c.total_time += dt;
-                        self.builtin.calls_completed += 1;
-                        self.builtin.call_latency_ns.observe(dt);
-                    }
-                }
-            }
-            EventKind::XferBegin { id, bytes } => {
-                let begin_call = (self.depth > 0).then_some(self.call_seq);
-                let section = self.section_stack.last().copied();
-                let prev = self.active.insert(
-                    id,
-                    ActiveXfer {
-                        bytes,
-                        begin_call,
-                        begin_t: e.t,
-                        computation_time: 0,
-                        noncomputation_time: 0,
-                        flagged: false,
-                        section,
-                    },
-                );
-                if let Some(prev) = prev {
-                    // Duplicate XFER_BEGIN (id reuse without an end stamp):
-                    // close the orphaned earlier transfer as single-stamp so
-                    // its bounds stay sound, and count the irregularity.
-                    self.anomalies.duplicate_begin += 1;
-                    let bounds = OverlapBounds::single_stamp(self.table.lookup(prev.bytes));
-                    self.close_transfer(
-                        id,
-                        prev.bytes,
-                        Some(prev.begin_t),
-                        e.t,
-                        bounds,
-                        prev.section,
-                        prev.flagged,
-                        false,
-                    );
-                }
-            }
-            EventKind::XferEnd { id, bytes } => {
-                if let Some(ax) = self.active.remove(&id) {
-                    let same_call = self.depth > 0 && ax.begin_call == Some(self.call_seq);
-                    let xfer_time = self.table.lookup(ax.bytes);
-                    let mut bounds = if same_call {
-                        OverlapBounds::same_call()
-                    } else {
-                        OverlapBounds::split_calls(
-                            xfer_time,
-                            ax.computation_time,
-                            ax.noncomputation_time,
-                        )
-                    };
-                    // Degrade gracefully when the observed window contradicts
-                    // the a-priori model instead of reporting unsound overlap.
-                    let wall = e.t.saturating_sub(ax.begin_t);
-                    let mut clamped = false;
-                    if bounds.min > wall {
-                        // The table's xfer_time exceeds the whole observed
-                        // begin→end window (possible under clock skew or a
-                        // stale table): no more than `wall` can have been
-                        // overlapped.
-                        bounds.min = wall.min(bounds.max);
-                        clamped = true;
-                    }
-                    let mut flagged = ax.flagged;
-                    if flagged {
-                        // The library told us the wire had to retransmit: the
-                        // a-priori time no longer describes the transfer, so
-                        // no overlap can be *guaranteed*.
-                        bounds.min = 0;
-                    } else if !same_call && ax.noncomputation_time > 2 * xfer_time.max(1) {
-                        // Heuristic: the process sat inside the library for
-                        // far longer than the wire needs — retransmission (or
-                        // severe contention) suspected even without an
-                        // explicit flag. Counted for the confidence measure;
-                        // the bounds themselves are already sound.
-                        flagged = true;
-                    }
-                    self.close_transfer(
-                        id,
-                        ax.bytes,
-                        Some(ax.begin_t),
-                        e.t,
-                        bounds,
-                        ax.section,
-                        flagged,
-                        clamped,
-                    );
-                } else {
-                    // End-only stamp (case 3): e.g. the receive side of an
-                    // eager transfer, whose initiation this process never saw.
-                    let bounds = OverlapBounds::single_stamp(self.table.lookup(bytes));
-                    let section = self.section_stack.last().copied();
-                    self.close_transfer(id, bytes, None, e.t, bounds, section, false, false);
-                }
-            }
-            EventKind::XferFlag { id } => {
-                if let Some(ax) = self.active.get_mut(&id) {
-                    ax.flagged = true;
-                } else {
-                    // The transfer already closed (or never began) before the
-                    // library learned of the disturbance.
-                    self.anomalies.orphan_flags += 1;
-                }
-            }
-            EventKind::SectionBegin { name } => {
-                self.section_stack.push(name);
-                self.sections.entry(name).or_default();
-            }
-            EventKind::SectionEnd => {
-                if self.section_stack.pop().is_none() {
-                    self.anomalies.unbalanced_sections += 1;
-                }
-            }
+        self.sweep(e.t);
+        if let EventKind::SectionBegin { name } = e.kind {
+            // A section that closes no transfer still appears in the report.
+            self.sections.entry(name).or_default();
+        }
+        if let Some(c) = self.fold.apply(e) {
+            self.close(c);
         }
     }
 
@@ -426,95 +181,31 @@ impl Processor {
         events_recorded: u64,
         queue_flushes: u64,
     ) -> (OverlapReport, Option<RankTrace>) {
-        self.advance_to(end_time);
-        let mut leftovers: Vec<(u64, u64, u64, Option<&'static str>, bool)> = self
-            .active
-            .drain()
-            .map(|(id, ax)| (id, ax.bytes, ax.begin_t, ax.section, ax.flagged))
+        self.sweep(end_time);
+        for c in self.fold.drain_open(end_time) {
+            self.close(c);
+        }
+        let mut report = self.fold.report(rank, end_time, events_recorded);
+        report.queue_flushes = queue_flushes;
+        report.sections = self
+            .sections
+            .into_iter()
+            .map(|(name, acc)| {
+                (
+                    name.to_string(),
+                    SectionReport {
+                        total: acc.total,
+                        by_bin: acc.by_bin,
+                        compute_time: acc.compute_time,
+                        call_time: acc.call_time,
+                    },
+                )
+            })
             .collect();
-        // Drain order of the HashMap is arbitrary; sort so reports, metrics
-        // and traces are deterministic.
-        leftovers.sort_unstable_by_key(|&(id, ..)| id);
-        for (id, bytes, begin_t, section, flagged) in leftovers {
-            let bounds = OverlapBounds::single_stamp(self.table.lookup(bytes));
-            self.close_transfer(
-                id,
-                bytes,
-                Some(begin_t),
-                end_time,
-                bounds,
-                section,
-                flagged,
-                false,
-            );
-        }
-        let elapsed = end_time.saturating_sub(self.first_event.unwrap_or(end_time));
-        // Fold the built-in hot-path metrics into the registry, creating
-        // entries only for names that actually fired — exactly the set the
-        // old per-event registry calls would have created.
-        let b = self.builtin;
-        for (name, v) in [
-            ("xfers_closed", b.xfers_closed),
-            ("xfers_flagged", b.xfers_flagged),
-            ("xfers_clamped", b.xfers_clamped),
-            ("calls_completed", b.calls_completed),
-        ] {
-            if v > 0 {
-                self.metrics.inc(name, v);
-            }
-        }
-        let named = [
-            ("xfer_apriori_ns", b.xfer_apriori_ns),
-            ("xfer_wall_ns", b.xfer_wall_ns),
-            ("call_latency_ns", b.call_latency_ns),
-        ];
-        let bins = b.by_bin.into_iter().zip(&self.bin_metric_names).flat_map(
-            |((min_h, max_h), (min_name, max_name))| {
-                [(min_name.as_str(), min_h), (max_name.as_str(), max_h)]
-            },
-        );
-        for (name, h) in named.into_iter().chain(bins) {
-            if h.count() > 0 {
-                self.metrics.histograms.insert(name.to_string(), h);
-            }
-        }
-        let trace = self.trace.take().map(|mut tr| {
+        let trace = self.trace.map(|mut tr| {
             tr.rank = rank;
             tr
         });
-        let report = OverlapReport {
-            rank,
-            elapsed,
-            user_compute_time: self.user_compute,
-            comm_call_time: self.comm_call,
-            total: self.total,
-            bin_labels: self.bins.labels(),
-            by_bin: self.by_bin,
-            sections: self
-                .sections
-                .into_iter()
-                .map(|(name, acc)| {
-                    (
-                        name.to_string(),
-                        SectionReport {
-                            total: acc.total,
-                            by_bin: acc.by_bin,
-                            compute_time: acc.compute_time,
-                            call_time: acc.call_time,
-                        },
-                    )
-                })
-                .collect(),
-            calls: self
-                .calls
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
-            events_recorded,
-            queue_flushes,
-            anomalies: self.anomalies,
-            metrics: self.metrics,
-        };
         (report, trace)
     }
 }

@@ -9,24 +9,27 @@
 //! service (`overlapd`) can answer overlap questions while runs are still in
 //! flight.
 //!
-//! **Batch/stream equivalence.** For the same event stream, a
-//! [`SessionFold`]'s outputs reconcile byte-identically with the batch
-//! pipeline's: [`RankSummary`] carries the same totals, per-bin stats, call
-//! stats, anomaly counters and [`MetricsRegistry`] contents as the rank's
-//! [`crate::report::OverlapReport`]; the windowed series runs through
-//! [`crate::trace::windowed_parts`]; and attribution artifacts run through
-//! [`crate::artifact`] — the same constructors the batch CLI uses. Bound
-//! records are consumed from the stream's `xfer_bounds` lines (authoritative:
-//! the a-priori transfer-time table never leaves the instrumented process),
-//! wait intervals from its `wait` lines, and everything re-derivable from the
-//! raw events is re-derived by the exact processor fold.
+//! **Batch/stream equivalence.** Each rank's state is the same
+//! `fold::RankFold` the in-process [`crate::processor::Processor`] drives,
+//! fed here by event lines, so a served [`OverlapReport`] carries the totals,
+//! per-bin stats, call stats, anomaly counters and metrics registry of the
+//! rank's batch report because one fold computed both. What
+//! needs the a-priori transfer-time table is not re-derived (the table never
+//! leaves the instrumented process): bound records are consumed from the
+//! stream's `xfer_bounds` lines, wait intervals from its `wait` lines. The
+//! windowed series runs through the fold [`crate::trace::windowed`] runs,
+//! and the attribution artifacts through [`crate::artifact`] — the
+//! constructors the batch CLI uses. Two report fields never ride the export
+//! and stay empty on this side: `sections` and `queue_flushes`.
 //!
-//! **Memory model.** Raw events pass through a capped [`EventRing`] and are
-//! folded on overflow ([`FoldOpts::ring_capacity`]) — they are never
-//! retained, so memory is O(sessions × ranks × ring) plus the *derived*
-//! records the served artifacts require (one [`BoundRecord`] per transfer,
-//! one span per top-level call, one interval per recorded wait), never
-//! O(raw events).
+//! **Memory model.** Lines arrive in order and each folds in O(1) on
+//! arrival; raw events are never retained. A session holds, per
+//! `(scope, rank)`, the constant-size fold plus the *derived* records the
+//! served artifacts require: one [`BoundRecord`] per transfer, one span per
+//! top-level call, one interval per recorded wait. Reads take `&self`.
+//!
+//! **Size bins.** Ranks fold with [`SizeBins::default`], which is the layout
+//! every instrumented process in this repository uses.
 //!
 //! **Schema guard.** A stream must open with the
 //! `{"ev":"header","schema_version":N}` line written by the exporter; a
@@ -42,12 +45,13 @@ use serde::Serialize;
 use crate::artifact::{self, AttributionArtifact, RankArtifactInput, ScopeWaitStates};
 use crate::attribution::{self, RankAttribution, WaitCause, WaitInterval};
 use crate::bins::SizeBins;
-use crate::bounds::OverlapBounds;
 use crate::event::{Event, EventKind};
-use crate::metrics::{Histogram, MetricsRegistry};
-use crate::queue::EventRing;
-use crate::report::{Anomalies, CallStats, OverlapStats};
-use crate::trace::{case_from_label, BoundRecord, RankWindowParts, WindowRow, SCHEMA_VERSION};
+use crate::fold::{CallSpans, RankFold};
+use crate::report::OverlapReport;
+use crate::trace::{
+    case_from_label, default_width, windowed_parts, BoundRecord, TooManyWindows, WindowRow,
+    SCHEMA_VERSION,
+};
 
 /// Intern a call/section name into a `&'static str`.
 ///
@@ -314,468 +318,113 @@ pub fn parse_line(line: &str) -> Result<StreamLine, StreamError> {
     Ok(parsed)
 }
 
-/// Tuning knobs for a [`SessionFold`].
-#[derive(Debug, Clone)]
-pub struct FoldOpts {
-    /// Capacity of the per-(scope, rank) event ring; events fold into the
-    /// running aggregates whenever it fills. Minimum 2.
-    pub ring_capacity: usize,
-    /// Message-size bin layout; must match the instrumented process's layout
-    /// (the default, [`SizeBins::default`], always does in this repository).
-    pub bins: SizeBins,
-}
-
-impl Default for FoldOpts {
-    fn default() -> Self {
-        FoldOpts {
-            ring_capacity: 4096,
-            bins: SizeBins::default(),
-        }
-    }
-}
-
-/// One rank's streaming fold: the processor's interval sweep re-run on the
-/// replayed events, plus the folded bound aggregates and the derived records
-/// the read endpoints need.
-struct RankFold {
-    ring: EventRing,
-    /// Reusable drain buffer so steady-state folding never allocates.
-    scratch: Vec<Event>,
-    ring_folds: u64,
-    events_seen: u64,
-    /// Max event timestamp seen (what the batch trace calls the rank's last
-    /// stamp; closes a trailing open call span).
-    last_event_t: u64,
-    // --- interval sweep (mirrors Processor::advance_to) ---
-    depth: u32,
-    cursor: u64,
-    first_t: Option<u64>,
-    user_compute: u64,
-    comm_call: u64,
-    // --- per-call stats ---
-    call_stack: Vec<(&'static str, u64)>,
-    calls: BTreeMap<&'static str, CallStats>,
-    // --- top-level call spans + flags (windowed series, attribution) ---
-    closed_spans: Vec<(u64, u64, &'static str)>,
-    open_span: Option<(u64, &'static str)>,
-    flags: Vec<u64>,
-    // --- anomaly mirrors ---
-    active: BTreeSet<u64>,
-    section_depth: u32,
-    anomalies: Anomalies,
-    // --- folded bound aggregates ---
-    total: OverlapStats,
-    by_bin: Vec<OverlapStats>,
+/// One rank's stream state: the shared fold plus the derived records the
+/// read endpoints need.
+struct RankState {
+    fold: RankFold,
+    calls: CallSpans,
+    events: u64,
     bounds: Vec<BoundRecord>,
+    /// Latest bound close stamp: a transfer the batch finish sweep closed
+    /// carries the rank's finish time, which no event line does.
     bounds_hi: u64,
     waits: Vec<WaitInterval>,
-    // --- builtin metrics (same fields the batch processor maintains) ---
-    xfers_closed: u64,
-    xfers_flagged: u64,
-    xfers_clamped: u64,
-    calls_completed: u64,
-    xfer_apriori_ns: Histogram,
-    xfer_wall_ns: Histogram,
-    call_latency_ns: Histogram,
-    bin_hists: Vec<(Histogram, Histogram)>,
 }
 
-impl RankFold {
-    fn new(ring_capacity: usize, nbins: usize) -> Self {
-        RankFold {
-            ring: EventRing::new(ring_capacity),
-            scratch: Vec::with_capacity(ring_capacity),
-            ring_folds: 0,
-            events_seen: 0,
-            last_event_t: 0,
-            depth: 0,
-            cursor: 0,
-            first_t: None,
-            user_compute: 0,
-            comm_call: 0,
-            call_stack: Vec::new(),
-            calls: BTreeMap::new(),
-            closed_spans: Vec::new(),
-            open_span: None,
-            flags: Vec::new(),
-            active: BTreeSet::new(),
-            section_depth: 0,
-            anomalies: Anomalies::default(),
-            total: OverlapStats::default(),
-            by_bin: vec![OverlapStats::default(); nbins],
+impl RankState {
+    fn new() -> Self {
+        RankState {
+            fold: RankFold::new(SizeBins::default()),
+            calls: CallSpans::default(),
+            events: 0,
             bounds: Vec::new(),
             bounds_hi: 0,
             waits: Vec::new(),
-            xfers_closed: 0,
-            xfers_flagged: 0,
-            xfers_clamped: 0,
-            calls_completed: 0,
-            xfer_apriori_ns: Histogram::latency_default(),
-            xfer_wall_ns: Histogram::latency_default(),
-            call_latency_ns: Histogram::latency_default(),
-            bin_hists: (0..nbins)
-                .map(|_| (Histogram::latency_default(), Histogram::latency_default()))
-                .collect(),
         }
     }
 
     fn push_event(&mut self, e: Event) {
-        self.events_seen += 1;
-        self.last_event_t = self.last_event_t.max(e.t);
-        if let Err(rejected) = self.ring.push(e) {
-            self.ring_folds += 1;
-            self.flush_ring();
-            // Capacity >= 2, so the push cannot fail on an empty ring.
-            let _ = self.ring.push(rejected.0);
-        }
+        self.events += 1;
+        self.calls.fold_event(&e);
+        // The transfer an event closes reaches this side as an
+        // `xfer_bounds` line, derived where the table is.
+        let _ = self.fold.fold_event(e);
     }
 
-    fn flush_ring(&mut self) {
-        // fold_event needs `&mut self`, so stage the drained events in the
-        // reusable scratch buffer first (no steady-state allocation).
-        let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
-        scratch.extend(self.ring.drain());
-        for &e in &scratch {
-            self.fold_event(e);
-        }
-        self.scratch = scratch;
-    }
-
-    /// `Processor::advance_to`, minus the per-transfer and per-section time
-    /// accounting (the bound records arrive pre-derived on the stream, and
-    /// the streaming summary does not reproduce section reports).
-    fn advance_to(&mut self, t: u64) {
-        if self.first_t.is_none() {
-            self.first_t = Some(t);
-            self.cursor = t;
-            return;
-        }
-        if t < self.cursor {
-            self.anomalies.clock_skew += 1;
-            return;
-        }
-        let dt = t - self.cursor;
-        if dt == 0 {
-            return;
-        }
-        if self.depth == 0 {
-            self.user_compute += dt;
-        } else {
-            self.comm_call += dt;
-        }
-        self.cursor = t;
-    }
-
-    fn fold_event(&mut self, e: Event) {
-        self.advance_to(e.t);
-        match e.kind {
-            EventKind::CallEnter { name } => {
-                if self.depth == 0 {
-                    self.open_span = Some((e.t, name));
-                }
-                self.depth += 1;
-                self.call_stack.push((name, e.t));
-            }
-            EventKind::CallExit => {
-                if self.depth == 0 {
-                    self.anomalies.unbalanced_calls += 1;
-                } else {
-                    self.depth -= 1;
-                    if self.depth == 0 {
-                        if let Some((s, _)) = self.open_span.take() {
-                            self.closed_spans.push((
-                                s,
-                                e.t,
-                                // The span keeps the *outermost* call's name.
-                                self.call_stack
-                                    .first()
-                                    .map(|&(n, _)| n)
-                                    .unwrap_or("(unknown)"),
-                            ));
-                        }
-                    }
-                    if let Some((name, t0)) = self.call_stack.pop() {
-                        let c = self.calls.entry(name).or_default();
-                        c.count += 1;
-                        let dt = e.t.saturating_sub(t0);
-                        c.total_time += dt;
-                        self.calls_completed += 1;
-                        self.call_latency_ns.observe(dt);
-                    }
-                }
-            }
-            EventKind::XferBegin { id, .. } => {
-                if !self.active.insert(id) {
-                    self.anomalies.duplicate_begin += 1;
-                }
-            }
-            EventKind::XferEnd { id, .. } => {
-                self.active.remove(&id);
-            }
-            EventKind::XferFlag { id } => {
-                self.flags.push(e.t);
-                if !self.active.contains(&id) {
-                    self.anomalies.orphan_flags += 1;
-                }
-            }
-            EventKind::SectionBegin { .. } => {
-                self.section_depth += 1;
-            }
-            EventKind::SectionEnd => {
-                if self.section_depth == 0 {
-                    self.anomalies.unbalanced_sections += 1;
-                } else {
-                    self.section_depth -= 1;
-                }
-            }
-        }
-    }
-
-    /// `Processor::close_transfer`'s aggregate/metric effects, replayed from
-    /// the authoritative bound record on the stream.
-    fn fold_bound(&mut self, rec: BoundRecord, bins: &SizeBins) {
-        let b = OverlapBounds {
-            min: rec.min,
-            max: rec.max,
-            case: rec.case,
-        };
-        let bin = bins.index(rec.bytes);
-        for s in [&mut self.total, &mut self.by_bin[bin]] {
-            s.add_bounds(rec.bytes, rec.xfer_time, b);
-            if rec.flagged {
-                s.note_flagged();
-            }
-            if rec.clamped {
-                s.note_clamped();
-            }
-        }
-        self.xfers_closed += 1;
-        if rec.flagged {
-            self.xfers_flagged += 1;
-        }
-        if rec.clamped {
-            self.xfers_clamped += 1;
-        }
-        self.xfer_apriori_ns.observe(rec.xfer_time);
-        if let Some(t0) = rec.begin_t {
-            self.xfer_wall_ns.observe(rec.end_t.saturating_sub(t0));
-        }
-        let (min_h, max_h) = &mut self.bin_hists[bin];
-        min_h.observe(rec.min);
-        max_h.observe(rec.max);
+    fn push_bound(&mut self, rec: BoundRecord) {
+        self.fold.close_transfer(&rec);
         self.bounds_hi = self.bounds_hi.max(rec.end_t);
         self.bounds.push(rec);
     }
 
-    /// Call spans in the shape [`attribution::call_spans_of`] derives from a
-    /// captured trace: a trailing open call closes at the last event stamp.
-    fn attr_spans(&self) -> Vec<(u64, u64, &'static str)> {
-        let mut spans = self.closed_spans.clone();
-        if let Some((s, name)) = self.open_span {
-            if self.last_event_t > s {
-                spans.push((s, self.last_event_t, name));
-            }
-        }
-        spans
+    fn attribution(&self, rank: usize) -> RankAttribution {
+        attribution::attribute_parts(rank, &self.calls, &self.waits, &self.bounds)
     }
 
-    /// Call spans in the shape the windowed series consumes (trailing open
-    /// call closes at the scope span's end `t1`).
-    fn window_spans(&self, t1: u64) -> Vec<(u64, u64)> {
-        let mut spans: Vec<(u64, u64)> =
-            self.closed_spans.iter().map(|&(s, e, _)| (s, e)).collect();
-        if let Some((s, _)) = self.open_span {
-            spans.push((s, t1));
-        }
-        spans
-    }
-
-    fn attribution(&mut self, rank: usize) -> RankAttribution {
-        self.flush_ring();
-        attribution::attribute_parts(rank, &self.attr_spans(), &self.waits, &self.bounds)
-    }
-
-    fn summary(&mut self, rank: usize, bins: &SizeBins) -> RankSummary {
-        self.flush_ring();
-        // The batch pipeline finishes at the rank's final stamp; sweep the
-        // residual interval on the side so a live snapshot never perturbs
-        // the ongoing fold.
-        let end = self.last_event_t.max(self.bounds_hi);
-        let mut user = self.user_compute;
-        let mut comm = self.comm_call;
-        if self.first_t.is_some() && end > self.cursor {
-            let dt = end - self.cursor;
-            if self.depth == 0 {
-                user += dt;
-            } else {
-                comm += dt;
-            }
-        }
-        let elapsed = end.saturating_sub(self.first_t.unwrap_or(end));
-        let mut metrics = MetricsRegistry::new();
-        for (name, v) in [
-            ("xfers_closed", self.xfers_closed),
-            ("xfers_flagged", self.xfers_flagged),
-            ("xfers_clamped", self.xfers_clamped),
-            ("calls_completed", self.calls_completed),
-        ] {
-            if v > 0 {
-                metrics.inc(name, v);
-            }
-        }
-        for (name, h) in [
-            ("xfer_apriori_ns", &self.xfer_apriori_ns),
-            ("xfer_wall_ns", &self.xfer_wall_ns),
-            ("call_latency_ns", &self.call_latency_ns),
-        ] {
-            if h.count() > 0 {
-                metrics.histograms.insert(name.to_string(), h.clone());
-            }
-        }
-        let bin_labels = bins.labels();
-        for ((min_h, max_h), label) in self.bin_hists.iter().zip(&bin_labels) {
-            if min_h.count() > 0 {
-                metrics
-                    .histograms
-                    .insert(format!("overlap_min_ns/{label}"), min_h.clone());
-            }
-            if max_h.count() > 0 {
-                metrics
-                    .histograms
-                    .insert(format!("overlap_max_ns/{label}"), max_h.clone());
-            }
-        }
-        let attr =
-            attribution::attribute_parts(rank, &self.attr_spans(), &self.waits, &self.bounds);
-        attribution::fold_metrics(&attr, bins, &mut metrics);
-        RankSummary {
-            rank,
-            elapsed,
-            user_compute_time: user,
-            comm_call_time: comm,
-            total: self.total,
-            bin_labels,
-            by_bin: self.by_bin.clone(),
-            calls: self
-                .calls
-                .iter()
-                .map(|(&k, &v)| (k.to_string(), v))
-                .collect(),
-            events_seen: self.events_seen,
-            ring_folds: self.ring_folds,
-            anomalies: self.anomalies,
-            metrics,
-        }
+    /// The rank's report as of its final stamp, which is where the batch
+    /// pipeline finishes; attribution metrics folded in as the traced
+    /// recorder folds them.
+    fn report(&self, rank: usize) -> OverlapReport {
+        let end = self.calls.last_t().max(self.bounds_hi);
+        let mut report = self.fold.report(rank, end, self.events);
+        attribution::fold_metrics(
+            &self.attribution(rank),
+            self.fold.bins(),
+            &mut report.metrics,
+        );
+        report
     }
 }
 
-/// One scope's streaming fold: per-rank folds plus the scope-level span and
+/// One scope's streaming fold: per-rank states plus the scope-level span and
 /// fabric extras the windowed series needs.
 #[derive(Default)]
 struct ScopeFold {
-    ranks: BTreeMap<usize, RankFold>,
+    ranks: BTreeMap<usize, RankState>,
     extras_t: Vec<u64>,
-    lo: u64,
-    hi: u64,
-    any: bool,
+    /// `[first, last]` stamp covered, as [`crate::trace::TraceBundle::span`]
+    /// computes it: event stamps, bound close/begin stamps, and extras — not
+    /// waits.
+    span: Option<(u64, u64)>,
 }
 
 impl ScopeFold {
-    /// Track the covered span exactly as [`crate::trace::TraceBundle::span`]
-    /// does: event stamps, bound close/begin stamps, and extras — not waits.
     fn see(&mut self, t: u64) {
-        if !self.any {
-            self.lo = t;
-            self.hi = t;
-            self.any = true;
-        } else {
-            self.lo = self.lo.min(t);
-            self.hi = self.hi.max(t);
-        }
+        let (lo, hi) = self.span.unwrap_or((t, t));
+        self.span = Some((lo.min(t), hi.max(t)));
     }
 
-    fn rank_mut(&mut self, rank: usize, opts: &FoldOpts) -> &mut RankFold {
-        let nbins = opts.bins.count();
-        let cap = opts.ring_capacity;
-        self.ranks
-            .entry(rank)
-            .or_insert_with(|| RankFold::new(cap, nbins))
+    fn rank_mut(&mut self, rank: usize) -> &mut RankState {
+        self.ranks.entry(rank).or_insert_with(RankState::new)
     }
 
-    fn series(&mut self, scope: &str, width: Option<u64>) -> ScopeSeries {
-        if !self.any {
-            return ScopeSeries {
-                scope: scope.to_string(),
-                window_ns: width.unwrap_or(1).max(1),
-                windows: Vec::new(),
-            };
-        }
-        let (t0, t1) = (self.lo, self.hi);
-        let window_ns = width
-            .unwrap_or_else(|| (t1.saturating_sub(t0) / 16).max(1))
-            .max(1);
-        for rf in self.ranks.values_mut() {
-            rf.flush_ring();
-        }
-        let spans: Vec<Vec<(u64, u64)>> =
-            self.ranks.values().map(|rf| rf.window_spans(t1)).collect();
-        let parts: Vec<RankWindowParts<'_>> = self
+    fn series(&self, scope: &str, width: Option<u64>) -> Result<ScopeSeries, TooManyWindows> {
+        let window_ns = width.unwrap_or(default_width(self.span)).max(1);
+        let parts: Vec<(&[BoundRecord], &CallSpans)> = self
             .ranks
             .values()
-            .zip(&spans)
-            .map(|(rf, sp)| RankWindowParts {
-                bounds: &rf.bounds,
-                call_spans: sp,
-                flags: &rf.flags,
-            })
+            .map(|r| (r.bounds.as_slice(), &r.calls))
             .collect();
-        ScopeSeries {
+        Ok(ScopeSeries {
             scope: scope.to_string(),
             window_ns,
-            windows: crate::trace::windowed_parts((t0, t1), &parts, &self.extras_t, window_ns),
-        }
+            windows: match self.span {
+                Some(span) => windowed_parts(span, &parts, &self.extras_t, window_ns)?,
+                None => Vec::new(),
+            },
+        })
     }
 }
 
-/// One rank's live summary — the streaming analogue of
-/// [`crate::report::OverlapReport`] (minus section reports and the
-/// recorder-side queue counters, which never ride the export).
-#[derive(Debug, Clone, Serialize)]
-pub struct RankSummary {
-    /// Rank index.
-    pub rank: usize,
-    /// Time between the rank's first and last stamps, ns.
-    pub elapsed: u64,
-    /// Aggregate user computation time, ns.
-    pub user_compute_time: u64,
-    /// Aggregate communication call time, ns.
-    pub comm_call_time: u64,
-    /// Overall overlap measures.
-    pub total: OverlapStats,
-    /// Labels of the size bins, in order.
-    pub bin_labels: Vec<String>,
-    /// Per-size-bin overlap measures.
-    pub by_bin: Vec<OverlapStats>,
-    /// Per-call-name statistics.
-    pub calls: BTreeMap<String, CallStats>,
-    /// Raw event lines folded for this rank.
-    pub events_seen: u64,
-    /// Times the streaming ring filled and was folded.
-    pub ring_folds: u64,
-    /// Stream irregularities absorbed during the fold.
-    pub anomalies: Anomalies,
-    /// Metrics registry — byte-identical contents to the batch report's.
-    pub metrics: MetricsRegistry,
-}
-
-/// One scope's live report: per-rank summaries in rank order.
+/// One scope's live report: per-rank reports in rank order. Each is the
+/// [`OverlapReport`] the batch pipeline writes for the rank, with `sections`
+/// empty and `queue_flushes` 0 (neither rides the export).
 #[derive(Debug, Clone, Serialize)]
 pub struct ScopeReport {
     /// Scope label.
     pub scope: String,
-    /// Per-rank summaries.
-    pub ranks: Vec<RankSummary>,
+    /// Per-rank reports.
+    pub ranks: Vec<OverlapReport>,
 }
 
 /// One scope's live windowed series (the trace-window JSON shape).
@@ -792,8 +441,8 @@ pub struct ScopeSeries {
 /// A streaming session: one pushed event stream (one or more scopes), folded
 /// incrementally. See the module docs for the memory model and the
 /// batch/stream equivalence guarantee.
+#[derive(Default)]
 pub struct SessionFold {
-    opts: FoldOpts,
     header_seen: bool,
     scope_order: Vec<String>,
     scopes: BTreeMap<String, ScopeFold>,
@@ -801,25 +450,7 @@ pub struct SessionFold {
     lines: u64,
 }
 
-impl Default for SessionFold {
-    fn default() -> Self {
-        SessionFold::new(FoldOpts::default())
-    }
-}
-
 impl SessionFold {
-    /// Create an empty session fold.
-    pub fn new(opts: FoldOpts) -> Self {
-        SessionFold {
-            opts,
-            header_seen: false,
-            scope_order: Vec::new(),
-            scopes: BTreeMap::new(),
-            event_lines: 0,
-            lines: 0,
-        }
-    }
-
     /// True once a valid schema header has been accepted.
     pub fn header_seen(&self) -> bool {
         self.header_seen
@@ -866,33 +497,31 @@ impl SessionFold {
             return Err(StreamError::MissingHeader);
         }
         self.lines += 1;
-        let opts = &self.opts;
         match parsed {
             StreamLine::Header { .. } => unreachable!("handled above"),
             StreamLine::Event { scope, rank, event } => {
                 self.event_lines += 1;
-                let sf = scope_entry(&mut self.scope_order, &mut self.scopes, &scope);
+                let sf = self.scope_mut(&scope);
                 sf.see(event.t);
-                sf.rank_mut(rank, opts).push_event(event);
+                sf.rank_mut(rank).push_event(event);
             }
             StreamLine::Bound {
                 scope,
                 rank,
                 record,
             } => {
-                let sf = scope_entry(&mut self.scope_order, &mut self.scopes, &scope);
+                let sf = self.scope_mut(&scope);
                 sf.see(record.end_t);
                 if let Some(t0) = record.begin_t {
                     sf.see(t0);
                 }
-                sf.rank_mut(rank, opts).fold_bound(record, &opts.bins);
+                sf.rank_mut(rank).push_bound(record);
             }
             StreamLine::Wait { scope, rank, wait } => {
-                let sf = scope_entry(&mut self.scope_order, &mut self.scopes, &scope);
-                sf.rank_mut(rank, opts).waits.push(wait);
+                self.scope_mut(&scope).rank_mut(rank).waits.push(wait);
             }
             StreamLine::Fault { scope, t } => {
-                let sf = scope_entry(&mut self.scope_order, &mut self.scopes, &scope);
+                let sf = self.scope_mut(&scope);
                 sf.see(t);
                 sf.extras_t.push(t);
             }
@@ -908,57 +537,61 @@ impl SessionFold {
         Ok(())
     }
 
-    /// Per-scope, per-rank live summaries, scopes in stream order.
-    pub fn report(&mut self) -> Vec<ScopeReport> {
-        let order = self.scope_order.clone();
-        let bins = self.opts.bins.clone();
-        order
+    fn scope_mut(&mut self, scope: &str) -> &mut ScopeFold {
+        if !self.scopes.contains_key(scope) {
+            self.scope_order.push(scope.to_string());
+            self.scopes.insert(scope.to_string(), ScopeFold::default());
+        }
+        self.scopes.get_mut(scope).expect("just inserted")
+    }
+
+    /// The scopes in stream order.
+    fn scopes(&self) -> impl Iterator<Item = (&String, &ScopeFold)> {
+        self.scope_order
             .iter()
-            .map(|scope| {
-                let sf = self.scopes.get_mut(scope).expect("ordered scope exists");
-                let ranks = sf
-                    .ranks
-                    .iter_mut()
-                    .map(|(&rank, rf)| rf.summary(rank, &bins))
-                    .collect();
-                ScopeReport {
-                    scope: scope.clone(),
-                    ranks,
-                }
+            .map(|name| (name, &self.scopes[name]))
+    }
+
+    /// Per-scope, per-rank live reports, scopes in stream order.
+    pub fn report(&self) -> Vec<ScopeReport> {
+        self.scopes()
+            .map(|(scope, sf)| ScopeReport {
+                scope: scope.clone(),
+                ranks: sf.ranks.iter().map(|(&rank, r)| r.report(rank)).collect(),
             })
             .collect()
     }
 
     /// Per-scope live windowed series, scopes in stream order. `width` of
     /// `None` picks each scope's default (1/16th of its span, min 1 ns) —
-    /// the same default the batch trace export uses.
-    pub fn series(&mut self, width: Option<u64>) -> Vec<ScopeSeries> {
-        let order = self.scope_order.clone();
-        order
-            .iter()
-            .map(|scope| {
-                let sf = self.scopes.get_mut(scope).expect("ordered scope exists");
-                sf.series(scope, width)
-            })
+    /// the same default the batch trace export uses. A `width` that would
+    /// split some scope's span into more than
+    /// [`crate::trace::MAX_WINDOWS`] rows is refused; the default never is.
+    pub fn try_series(&self, width: Option<u64>) -> Result<Vec<ScopeSeries>, TooManyWindows> {
+        self.scopes()
+            .map(|(scope, sf)| sf.series(scope, width))
             .collect()
     }
 
+    /// [`SessionFold::try_series`] for a width the caller chose itself.
+    ///
+    /// # Panics
+    ///
+    /// When `try_series` refuses `width`.
+    pub fn series(&self, width: Option<u64>) -> Vec<ScopeSeries> {
+        self.try_series(width).unwrap_or_else(|e| panic!("{e}"))
+    }
+
     /// Per-scope wait-state breakdowns (the `--json` report shape).
-    pub fn wait_states(&mut self) -> Vec<ScopeWaitStates> {
-        let order = self.scope_order.clone();
-        order
-            .iter()
-            .map(|scope| {
-                let sf = self.scopes.get_mut(scope).expect("ordered scope exists");
-                let ranks = sf
+    pub fn wait_states(&self) -> Vec<ScopeWaitStates> {
+        self.scopes()
+            .map(|(scope, sf)| ScopeWaitStates {
+                scope: scope.clone(),
+                ranks: sf
                     .ranks
-                    .iter_mut()
-                    .map(|(&rank, rf)| artifact::rank_wait_states(&rf.attribution(rank)))
-                    .collect();
-                ScopeWaitStates {
-                    scope: scope.clone(),
-                    ranks,
-                }
+                    .iter()
+                    .map(|(&rank, r)| artifact::rank_wait_states(&r.attribution(rank)))
+                    .collect(),
             })
             .collect()
     }
@@ -966,18 +599,16 @@ impl SessionFold {
     /// The `<id>.attribution.json` artifact for everything folded so far —
     /// byte-identical to the batch `--critical-path` output for the same
     /// stream (same shared constructor, same inputs).
-    pub fn attribution(&mut self, id: &str) -> AttributionArtifact {
-        let order = self.scope_order.clone();
-        let scoped: Vec<(String, Vec<RankArtifactInput>)> = order
-            .iter()
-            .map(|scope| {
-                let sf = self.scopes.get_mut(scope).expect("ordered scope exists");
+    pub fn attribution(&self, id: &str) -> AttributionArtifact {
+        let scoped: Vec<(String, Vec<RankArtifactInput>)> = self
+            .scopes()
+            .map(|(scope, sf)| {
                 let inputs = sf
                     .ranks
-                    .iter_mut()
-                    .map(|(&rank, rf)| RankArtifactInput {
-                        events: rf.events_seen,
-                        attribution: rf.attribution(rank),
+                    .iter()
+                    .map(|(&rank, r)| RankArtifactInput {
+                        events: r.events,
+                        attribution: r.attribution(rank),
                     })
                     .collect();
                 (scope.clone(), inputs)
@@ -988,38 +619,17 @@ impl SessionFold {
 
     /// The `<id>.critpath.folded` flamegraph text for everything folded so
     /// far — byte-identical to the batch output for the same stream.
-    pub fn collapsed(&mut self) -> String {
-        let order = self.scope_order.clone();
+    pub fn collapsed(&self) -> String {
         let mut out = String::new();
-        for scope in &order {
-            let sf = self.scopes.get_mut(scope).expect("ordered scope exists");
+        for (scope, sf) in self.scopes() {
             let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-            for (&rank, rf) in sf.ranks.iter_mut() {
-                rf.flush_ring();
-                attribution::collapsed_weights(
-                    scope,
-                    rank,
-                    &rf.attr_spans(),
-                    &rf.waits,
-                    &mut weights,
-                );
+            for (&rank, r) in &sf.ranks {
+                attribution::collapsed_weights(scope, rank, &r.calls, &r.waits, &mut weights);
             }
             out.push_str(&attribution::render_collapsed(&weights));
         }
         out
     }
-}
-
-fn scope_entry<'a>(
-    order: &mut Vec<String>,
-    scopes: &'a mut BTreeMap<String, ScopeFold>,
-    scope: &str,
-) -> &'a mut ScopeFold {
-    if !scopes.contains_key(scope) {
-        order.push(scope.to_string());
-        scopes.insert(scope.to_string(), ScopeFold::default());
-    }
-    scopes.get_mut(scope).expect("just inserted")
 }
 
 #[cfg(test)]
@@ -1117,7 +727,7 @@ mod tests {
     #[test]
     fn stream_summary_matches_bound_aggregates() {
         let text = jsonl(&[sample_bundle()]);
-        let mut s = fold(&text);
+        let s = fold(&text);
         assert!(s.header_seen());
         assert_eq!(s.event_lines(), 7);
         let reports = s.report();
@@ -1141,7 +751,7 @@ mod tests {
     fn stream_series_matches_batch_windowed() {
         let b = sample_bundle();
         let text = jsonl(std::slice::from_ref(&b));
-        let mut s = fold(&text);
+        let s = fold(&text);
         for width in [1, 100, 500, 5_000] {
             let series = s.series(Some(width));
             assert_eq!(series.len(), 1);
@@ -1159,7 +769,7 @@ mod tests {
     fn stream_attribution_matches_batch_artifact() {
         let b = sample_bundle();
         let text = jsonl(std::slice::from_ref(&b));
-        let mut s = fold(&text);
+        let s = fold(&text);
         let batch_inputs: Vec<(String, Vec<RankArtifactInput>)> = vec![(
             b.scope.clone(),
             b.ranks
@@ -1196,30 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn tiny_ring_folds_at_capacity_without_changing_results() {
-        let b = sample_bundle();
-        let text = jsonl(std::slice::from_ref(&b));
-        let mut big = SessionFold::default();
-        big.push_text(&text).unwrap();
-        let mut tiny = SessionFold::new(FoldOpts {
-            ring_capacity: 2,
-            bins: SizeBins::default(),
-        });
-        tiny.push_text(&text).unwrap();
-        let (big_r, tiny_r) = (big.report(), tiny.report());
-        assert!(tiny_r[0].ranks[0].ring_folds > 0);
-        assert_eq!(
-            serde_json::to_string(&big_r[0].ranks[0].metrics).unwrap(),
-            serde_json::to_string(&tiny_r[0].ranks[0].metrics).unwrap()
-        );
-        assert_eq!(big_r[0].ranks[0].total, tiny_r[0].ranks[0].total);
-        assert_eq!(
-            big_r[0].ranks[0].user_compute_time,
-            tiny_r[0].ranks[0].user_compute_time
-        );
-    }
-
-    #[test]
     fn mid_stream_snapshot_does_not_perturb_final_state() {
         let b = sample_bundle();
         let text = jsonl(std::slice::from_ref(&b));
@@ -1235,10 +821,33 @@ mod tests {
         for l in &lines[5..] {
             s.push_line(l).unwrap();
         }
-        let mut clean = fold(&text);
+        let clean = fold(&text);
         assert_eq!(
             serde_json::to_string(&s.report()).unwrap(),
             serde_json::to_string(&clean.report()).unwrap()
         );
+    }
+
+    #[test]
+    fn series_refuses_more_than_max_windows_and_survives_the_top_of_u64() {
+        let mut s = SessionFold::default();
+        s.push_text(concat!(
+            "{\"ev\":\"header\",\"schema_version\":1}\n",
+            "{\"scope\":\"e\",\"rank\":0,\"t\":0,\"ev\":\"call_enter\",\"name\":\"MPI_Wait\"}\n",
+            "{\"scope\":\"e\",\"rank\":0,\"t\":18446744073709551615,\"ev\":\"call_exit\"}\n",
+        ))
+        .unwrap();
+        let err = s.try_series(Some(1)).unwrap_err();
+        assert_eq!((err.span_ns, err.window_ns), (u64::MAX, 1));
+        assert!(!err.to_string().contains('\n'));
+        // The widest refused width, and the narrowest served one.
+        let edge = u64::MAX / crate::trace::MAX_WINDOWS;
+        assert!(s.try_series(Some(edge)).is_err());
+        let rows = &s.try_series(Some(edge + 1)).unwrap()[0].windows;
+        assert_eq!(rows.len() as u64, crate::trace::MAX_WINDOWS);
+        assert_eq!(rows.iter().map(|r| r.wait_ns).sum::<u64>(), u64::MAX);
+        let rows = &s.series(None)[0].windows;
+        assert_eq!(rows.len(), 17);
+        assert_eq!(rows[16].end, u64::MAX);
     }
 }

@@ -18,7 +18,10 @@
 //!   offline analysis.
 //! * [`windowed`] — folds a bundle into per-virtual-time-window rows
 //!   (transfers, overlap bounds, in-call time, flags, faults): the
-//!   time-resolved series merged into machine-readable run reports.
+//!   time-resolved series merged into machine-readable run reports. The
+//!   stream fold serves its live series from the same fold, and both get
+//!   their call spans from `fold::CallSpans`; a series is capped at
+//!   [`MAX_WINDOWS`] rows.
 //!
 //! All output is a pure function of the captured traces: byte-identical
 //! across runs and across worker counts.
@@ -35,6 +38,7 @@ use serde::Serialize;
 
 use crate::bounds::XferCase;
 use crate::event::{Event, EventKind};
+use crate::fold::CallSpans;
 
 /// Version of the pinned trace-export schemas (JSONL lines and Chrome-trace
 /// metadata). Bumped whenever a line shape changes incompatibly; the
@@ -477,75 +481,63 @@ pub struct WindowRow {
     pub faults: u64,
 }
 
-/// One rank's inputs to [`windowed_parts`]: bound records, top-level in-call
-/// spans (a trailing open call already closed at the bundle span's end), and
-/// `XFER_FLAG` timestamps. The streaming server derives these incrementally;
-/// [`windowed`] derives them from a captured [`RankTrace`] — both feed the
-/// same fold, which is what makes the two series byte-identical.
-pub struct RankWindowParts<'a> {
-    /// Bound records of the rank's closed transfers.
-    pub bounds: &'a [BoundRecord],
-    /// Top-level call spans `[start, end)`.
-    pub call_spans: &'a [(u64, u64)],
-    /// Timestamps of `XFER_FLAG` events.
-    pub flags: &'a [u64],
+/// Most rows one windowed series may have. A width that would need more is
+/// refused ([`TooManyWindows`]) before anything is allocated: the rows of a
+/// served series are built under the session lock, and both the span (any
+/// `t` a client sends) and the width (any `window_ns` it asks for) come from
+/// outside the program.
+pub const MAX_WINDOWS: u64 = 1 << 16;
+
+/// A window width too narrow for the span it was asked to split.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TooManyWindows {
+    /// Length of the covered span, ns.
+    pub span_ns: u64,
+    /// The refused width, ns.
+    pub window_ns: u64,
 }
 
-/// Owned form of one rank's window inputs: `(call_spans, flag_stamps)`.
-pub(crate) type SpansAndFlags = (Vec<(u64, u64)>, Vec<u64>);
-
-/// Extract one rank's [`RankWindowParts`] span/flag vectors from its raw
-/// event stream; `t1` closes a trailing open call (the bundle span's end).
-pub(crate) fn rank_window_spans(events: &[Event], t1: u64) -> SpansAndFlags {
-    let mut spans = Vec::new();
-    let mut flags = Vec::new();
-    let mut depth = 0u32;
-    let mut span_start = 0u64;
-    for e in events {
-        match e.kind {
-            EventKind::CallEnter { .. } => {
-                if depth == 0 {
-                    span_start = e.t;
-                }
-                depth += 1;
-            }
-            EventKind::CallExit if depth > 0 => {
-                depth -= 1;
-                if depth == 0 {
-                    spans.push((span_start, e.t));
-                }
-            }
-            EventKind::XferFlag { .. } => flags.push(e.t),
-            _ => {}
-        }
+impl std::fmt::Display for TooManyWindows {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "window_ns {} splits a {} ns span into more than {MAX_WINDOWS} windows",
+            self.window_ns, self.span_ns
+        )
     }
-    if depth > 0 {
-        spans.push((span_start, t1));
-    }
-    (spans, flags)
 }
 
-/// Fold pre-extracted per-rank parts into fixed-width virtual-time windows
-/// covering `[t0, t1]`. `width` is clamped to at least 1 ns; `extras` are
-/// fabric-extra timestamps. This is the shared core of [`windowed`] and the
-/// streaming server's live series.
-pub fn windowed_parts(
+impl std::error::Error for TooManyWindows {}
+
+/// Fold per-rank bound records and call spans into fixed-width virtual-time
+/// windows covering `[t0, t1]`. `width` is clamped to at least 1 ns;
+/// `extras` are fabric-extra timestamps. This is the one windowed fold:
+/// [`windowed`] feeds it spans replayed from a captured [`RankTrace`], the
+/// stream fold the spans it maintains line by line.
+pub(crate) fn windowed_parts(
     (t0, t1): (u64, u64),
-    ranks: &[RankWindowParts<'_>],
+    ranks: &[(&[BoundRecord], &CallSpans)],
     extras: &[u64],
     width: u64,
-) -> Vec<WindowRow> {
+) -> Result<Vec<WindowRow>, TooManyWindows> {
     let width = width.max(1);
     let span = t1.saturating_sub(t0);
+    if span / width >= MAX_WINDOWS {
+        return Err(TooManyWindows {
+            span_ns: span,
+            window_ns: width,
+        });
+    }
     let n = (span / width + 1) as usize;
-    let mut rows: Vec<WindowRow> = (0..n)
+    // `i * width <= span`, so only the last row's end can pass `u64::MAX`.
+    let mut rows: Vec<WindowRow> = (0..n as u64)
         .map(|i| WindowRow {
-            start: t0 + i as u64 * width,
-            end: t0 + (i as u64 + 1) * width,
+            start: t0 + i * width,
+            end: (t0 + i * width).saturating_add(width),
             ..WindowRow::default()
         })
         .collect();
-    rows[n - 1].end = rows[n - 1].end.max(t1 + 1);
+    rows[n - 1].end = rows[n - 1].end.max(t1.saturating_add(1));
     let idx = |t: u64| (((t.saturating_sub(t0)) / width) as usize).min(n - 1);
     let credit = |from: u64, to: u64, rows: &mut Vec<WindowRow>| {
         let mut cur = from;
@@ -556,25 +548,26 @@ pub fn windowed_parts(
             cur = stop;
         }
     };
-    for r in ranks {
-        for b in r.bounds {
+    for &(bounds, calls) in ranks {
+        for b in bounds {
             let w = &mut rows[idx(b.end_t)];
             w.transfers += 1;
             w.min_overlap_ns += b.min;
             w.max_overlap_ns += b.max;
         }
-        // In-call time: split each top-level call span across windows.
-        for &(s, e) in r.call_spans {
+        // In-call time: split each top-level call span across windows; a
+        // call still open closes at the span's end.
+        for (s, e, _) in calls.spans(t1) {
             credit(s, e, &mut rows);
         }
-        for &t in r.flags {
+        for &t in calls.flags() {
             rows[idx(t)].flags += 1;
         }
     }
     for &t in extras {
         rows[idx(t)].faults += 1;
     }
-    rows
+    Ok(rows)
 }
 
 /// Fold a bundle into fixed-width virtual-time windows. Returns an empty
@@ -582,36 +575,40 @@ pub fn windowed_parts(
 ///
 /// Transfers are attributed to the window containing their close time;
 /// in-call (`wait`) time is split exactly across window boundaries.
+///
+/// # Panics
+///
+/// When `width` would split the bundle's span into more than
+/// [`MAX_WINDOWS`] rows; [`default_window_width`] never does.
 pub fn windowed(bundle: &TraceBundle, width: u64) -> Vec<WindowRow> {
-    let Some((t0, t1)) = bundle.span() else {
+    let Some(span) = bundle.span() else {
         return Vec::new();
     };
-    let parts: Vec<SpansAndFlags> = bundle
+    let calls: Vec<CallSpans> = bundle
         .ranks
         .iter()
-        .map(|r| rank_window_spans(&r.events, t1))
+        .map(|r| CallSpans::replay(&r.events))
         .collect();
-    let ranks: Vec<RankWindowParts<'_>> = bundle
+    let ranks: Vec<(&[BoundRecord], &CallSpans)> = bundle
         .ranks
         .iter()
-        .zip(&parts)
-        .map(|(r, (spans, flags))| RankWindowParts {
-            bounds: &r.bounds,
-            call_spans: spans,
-            flags,
-        })
+        .zip(&calls)
+        .map(|(r, c)| (r.bounds.as_slice(), c))
         .collect();
     let extras: Vec<u64> = bundle.extras.iter().map(|x| x.t).collect();
-    windowed_parts((t0, t1), &ranks, &extras, width)
+    windowed_parts(span, &ranks, &extras, width).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A reasonable default window width for a bundle: 1/16th of the covered
 /// span (at least 1 ns).
 pub fn default_window_width(bundle: &TraceBundle) -> u64 {
-    match bundle.span() {
-        Some((t0, t1)) => (t1.saturating_sub(t0) / 16).max(1),
-        None => 1,
-    }
+    default_width(bundle.span())
+}
+
+/// [`default_window_width`] of a `[first, last]` span (`None`: nothing
+/// captured).
+pub(crate) fn default_width(span: Option<(u64, u64)>) -> u64 {
+    span.map_or(1, |(t0, t1)| (t1.saturating_sub(t0) / 16).max(1))
 }
 
 #[cfg(test)]

@@ -21,17 +21,17 @@
 //! **Equivalence.** For the same event stream, every artifact this service
 //! serves is byte-identical to the batch pipeline's: the attribution JSON
 //! and collapsed flamegraph text come from the shared constructors in
-//! [`overlap_core::artifact`], the windowed series from
-//! [`overlap_core::trace::windowed_parts`], and the per-rank summaries from
-//! the same fold the in-process recorder runs.
+//! [`overlap_core::artifact`], the windowed series from the fold
+//! [`overlap_core::trace::windowed`] runs, and the per-rank reports from
+//! the fold the in-process recorder drives.
 //!
-//! **Memory.** Raw events are folded at ring capacity and never retained;
-//! server memory is O(sessions × ranks × ring) plus the derived records
-//! (bounds, call spans, waits) the served artifacts require — never
-//! O(raw events). Ingest applies frames under the session lock, so TCP flow
-//! control is the backpressure: a fast client blocks on a busy session
-//! instead of growing a queue, and no frame may exceed
-//! [`server::MAX_FRAME`].
+//! **Memory.** Each line folds as it arrives and raw events are never
+//! retained; server memory is a constant-size fold per (session, scope,
+//! rank) plus the derived records (bounds, call spans, waits) the served
+//! artifacts require — never O(raw events). Ingest applies frames under
+//! the session lock, so TCP flow control is the backpressure: a fast client
+//! blocks on a busy session instead of growing a queue, and no frame may
+//! exceed [`server::MAX_FRAME`].
 
 pub mod client;
 pub mod http;

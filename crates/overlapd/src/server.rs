@@ -268,25 +268,24 @@ fn serve_http<R: BufRead, W: Write>(
             let Some(session) = service.get(name) else {
                 return http::respond(writer, 404, Some("text/plain"), b"no such session\n");
             };
-            let mut s = session.lock().unwrap_or_else(|e| e.into_inner());
+            let s = session.lock().unwrap_or_else(|e| e.into_inner());
             match *what {
                 "report" => json(writer, &s.report()),
                 "series" => {
-                    let width = match req.query.get("window_ns") {
-                        Some(v) => match v.parse::<u64>() {
-                            Ok(n) if n > 0 => Some(n),
-                            _ => {
-                                return http::respond(
-                                    writer,
-                                    400,
-                                    Some("text/plain"),
-                                    b"window_ns must be a positive integer\n",
-                                )
-                            }
-                        },
-                        None => None,
+                    let series = match req.query.get("window_ns").map(|v| v.parse::<u64>()) {
+                        None => s.try_series(None).map_err(|e| e.to_string()),
+                        Some(Ok(n)) if n > 0 => s.try_series(Some(n)).map_err(|e| e.to_string()),
+                        Some(_) => Err("window_ns must be a positive integer".to_string()),
                     };
-                    json(writer, &s.series(width))
+                    match series {
+                        Ok(series) => json(writer, &series),
+                        Err(e) => http::respond(
+                            writer,
+                            400,
+                            Some("text/plain"),
+                            format!("{e}\n").as_bytes(),
+                        ),
+                    }
                 }
                 "waits" => json(writer, &s.wait_states()),
                 // The artifact endpoints serve the exact batch file bytes:

@@ -7,13 +7,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use overlap_core::stream::{FoldOpts, SessionFold};
+use overlap_core::stream::SessionFold;
 use overlap_core::{MetricsRegistry, OverlapStats};
 use serde::Serialize;
 
 /// The shared session registry behind the server.
+#[derive(Default)]
 pub struct Service {
-    opts: FoldOpts,
     sessions: Mutex<BTreeMap<String, Arc<Mutex<SessionFold>>>>,
 }
 
@@ -51,20 +51,10 @@ pub struct FleetView {
 }
 
 impl Service {
-    /// Create an empty registry; every session folds with `opts`.
-    pub fn new(opts: FoldOpts) -> Self {
-        Service {
-            opts,
-            sessions: Mutex::new(BTreeMap::new()),
-        }
-    }
-
     /// Fetch-or-create the named session.
     pub fn session(&self, name: &str) -> Arc<Mutex<SessionFold>> {
         let mut g = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-        g.entry(name.to_string())
-            .or_insert_with(|| Arc::new(Mutex::new(SessionFold::new(self.opts.clone()))))
-            .clone()
+        g.entry(name.to_string()).or_default().clone()
     }
 
     /// Fetch the named session if it exists.
@@ -114,23 +104,17 @@ impl Service {
         };
         for (name, s) in sessions {
             view.sessions.push(name);
-            let mut s = s.lock().unwrap_or_else(|e| e.into_inner());
+            let s = s.lock().unwrap_or_else(|e| e.into_inner());
             for scope in s.report() {
                 view.scopes += 1;
                 for rank in &scope.ranks {
                     view.ranks += 1;
-                    view.events += rank.events_seen;
+                    view.events += rank.events_recorded;
                     view.total.merge(&rank.total);
                     view.metrics.merge(&rank.metrics);
                 }
             }
         }
         view
-    }
-}
-
-impl Default for Service {
-    fn default() -> Self {
-        Service::new(FoldOpts::default())
     }
 }

@@ -249,6 +249,51 @@ fn refusals_are_one_line_and_leave_no_session_state() {
     join.join().unwrap();
 }
 
+/// `window_ns` and every `t` come from outside: a width that would need
+/// more rows than `trace::MAX_WINDOWS` is a one-line 400, not an allocation
+/// made under the session lock, and a stamp at the top of `u64` overflows
+/// nothing.
+#[test]
+fn series_refuses_hostile_window_counts_with_a_one_line_400() {
+    let (addr, handle, join) = start_server();
+    let refused = |path: &str| {
+        let (st, body) = http(&addr, "GET", path, b"");
+        let body = String::from_utf8(body).unwrap();
+        assert_eq!(st, 400, "{path}: {body}");
+        assert!(body.contains("windows"), "{path}: {body}");
+        assert_eq!(body.matches('\n').count(), 1, "{path}: {body}");
+        assert!(body.ends_with('\n'), "{path}: {body}");
+    };
+    let rows = |path: &str| {
+        let (st, body) = http(&addr, "GET", path, b"");
+        assert_eq!(st, 200, "{path}");
+        String::from_utf8(body)
+            .unwrap()
+            .matches("\"start\":")
+            .count()
+    };
+
+    // A five-second scope: 1 ns windows would be five billion rows.
+    let mut long = bundle("long/p0", 0);
+    long.extras[0].t = 5_000_000_000;
+    push_text(&addr, "long", &jsonl(&[long])).expect("long push");
+    refused("/v1/sessions/long/series?window_ns=1");
+    assert_eq!(rows("/v1/sessions/long/series?window_ns=100000"), 50_001);
+
+    // One stamp at u64::MAX: `span / width + 1` does not fit a u64.
+    let edge = concat!(
+        "{\"ev\":\"header\",\"schema_version\":1}\n",
+        "{\"scope\":\"e/x\",\"rank\":0,\"t\":0,\"ev\":\"call_enter\",\"name\":\"MPI_Wait\"}\n",
+        "{\"scope\":\"e/x\",\"rank\":0,\"t\":18446744073709551615,\"ev\":\"call_exit\"}\n",
+    );
+    push_text(&addr, "edge", edge).expect("edge push");
+    refused("/v1/sessions/edge/series?window_ns=1");
+    assert_eq!(rows("/v1/sessions/edge/series"), 17);
+
+    handle.shutdown();
+    join.join().unwrap();
+}
+
 #[test]
 fn shutdown_endpoint_stops_the_server() {
     let (addr, _handle, join) = start_server();

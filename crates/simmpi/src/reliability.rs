@@ -32,7 +32,7 @@
 //! would be retransmitted to forever after it exits (the two-generals
 //! corner). Data and protocol packets remain fully lossy.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use simcore::{Duration, EngineHandle, Time};
 use simnet::{Packet, World, XferId};
@@ -100,8 +100,10 @@ pub(crate) struct Reliability {
     max_retries: u32,
     ctrl_bytes: usize,
     handle: EngineHandle,
-    tx: HashMap<usize, TxPeer>,
-    rx: HashMap<usize, RxPeer>,
+    /// Per-peer state, peers ascending: a poll that retransmits to several
+    /// peers posts in that order, so faulted runs repeat.
+    tx: BTreeMap<usize, TxPeer>,
+    rx: BTreeMap<usize, RxPeer>,
     stats: RelStats,
 }
 
@@ -121,8 +123,8 @@ impl Reliability {
             max_retries,
             ctrl_bytes,
             handle,
-            tx: HashMap::new(),
-            rx: HashMap::new(),
+            tx: BTreeMap::new(),
+            rx: BTreeMap::new(),
             stats: RelStats::default(),
         }
     }
@@ -148,31 +150,21 @@ impl Reliability {
     pub(crate) fn first_pending_peer(&self) -> Option<usize> {
         self.tx
             .iter()
-            .filter(|(_, p)| !p.pending.is_empty())
+            .find(|(_, p)| !p.pending.is_empty())
             .map(|(&peer, _)| peer)
-            .min()
     }
 
     /// Transfer id of the oldest unacknowledged payload that has been
     /// retransmitted at least once. While this returns `Some`, the rank is
     /// in loss recovery: the bytes went out again and the ACK is still
     /// outstanding — the protocol state machine alone cannot explain a
-    /// stall. Ordered by `(peer, seq)` so the answer is independent of
-    /// `HashMap` iteration order.
+    /// stall. Oldest is by `(peer, seq)`, the order both maps iterate in.
     pub(crate) fn retrans_pending_xfer(&self) -> Option<u64> {
-        let mut best: Option<(usize, u64, u64)> = None;
-        for (&peer, tx) in &self.tx {
-            for (&seq, p) in &tx.pending {
-                if p.backoff == 0 {
-                    continue;
-                }
-                let Some(x) = p.xfer else { continue };
-                if best.is_none_or(|(bp, bs, _)| (peer, seq) < (bp, bs)) {
-                    best = Some((peer, seq, x));
-                }
-            }
-        }
-        best.map(|(_, _, x)| x)
+        self.tx
+            .values()
+            .flat_map(|tx| tx.pending.values())
+            .filter(|p| p.backoff > 0)
+            .find_map(|p| p.xfer)
     }
 
     /// Post a two-sided packet, sequencing it when the layer is active.

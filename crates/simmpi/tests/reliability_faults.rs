@@ -167,3 +167,60 @@ fn collectives_complete_under_loss() {
     .expect("collectives complete under faults");
     assert!(!out.faults.is_empty());
 }
+
+/// Every rank posts to every other rank and then computes past the
+/// retransmission timeout, so the next poll finds packets to several peers
+/// overdue at once. The order they are re-posted in decides what the NIC
+/// serializes first and which packets the fault plan hits next, so it must
+/// not depend on anything that differs between two runs in one process.
+#[test]
+fn retransmissions_to_several_peers_repeat_byte_for_byte() {
+    fn run() -> (String, String) {
+        let out = run_mpi(
+            5,
+            lossy_net(23, 0.30, 0.05),
+            MpiConfig {
+                retrans_timeout: Some(50_000),
+                ..MpiConfig::default()
+            },
+            RecorderOpts {
+                trace: true,
+                ..RecorderOpts::default()
+            },
+            |mpi| {
+                let (me, n) = (mpi.rank(), mpi.nranks());
+                for round in 0..4u64 {
+                    let data = payload(me, round as usize, 2 << 10);
+                    let sends: Vec<_> = (0..n)
+                        .filter(|&peer| peer != me)
+                        .map(|peer| mpi.isend(peer, round, &data))
+                        .collect();
+                    mpi.compute(200_000);
+                    for peer in (0..n).filter(|&peer| peer != me) {
+                        mpi.recv(Src::Rank(peer), TagSel::Is(round));
+                    }
+                    mpi.waitall(&sends);
+                }
+            },
+        )
+        .expect("run completes under faults");
+        assert!(
+            out.rel_stats.iter().all(|s| s.retransmissions >= 3),
+            "every rank should retransmit to several peers: {:?}",
+            out.rel_stats
+        );
+        let bundle = overlap_core::trace::TraceBundle {
+            scope: "all-to-all".to_string(),
+            ranks: out.traces,
+            extras: Vec::new(),
+        };
+        (
+            format!("{:?}", out.reports),
+            overlap_core::trace::jsonl(&[bundle]),
+        )
+    }
+    let first = run();
+    for again in 1..6 {
+        assert!(run() == first, "run {again} diverged from the first");
+    }
+}

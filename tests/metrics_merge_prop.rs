@@ -164,5 +164,5 @@ fn zero_event_session_and_zero_span_scope_serve_well_formed_views() {
     assert_eq!(report.len(), 1);
     assert_eq!(report[0].ranks.len(), 1);
     assert_eq!(report[0].ranks[0].elapsed, 0);
-    assert_eq!(report[0].ranks[0].events_seen, 2);
+    assert_eq!(report[0].ranks[0].events_recorded, 2);
 }

@@ -7,14 +7,13 @@
 //!   and `<id>.critpath.folded` flamegraph text),
 //! * the per-scope wait-state breakdowns merged into the `--json` report,
 //! * the windowed time-resolved series (`trace_windows` shape), at the
-//!   default width and at several explicit widths,
+//!   default width and at several explicit widths.
 //!
-//! and the result must not depend on the streaming ring capacity (a tiny
-//! ring that folds thousands of times yields the same bytes).
+//! Random streams, anomalies included, are `stream_fold_prop.rs`'s.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use overlap_core::stream::{FoldOpts, SessionFold};
+use overlap_core::stream::SessionFold;
 use overlap_core::trace::{default_window_width, jsonl, windowed, TraceBundle};
 
 /// Serialize tests: `tracecap` is process-global.
@@ -114,24 +113,4 @@ fn fig03_stream_artifacts_match_batch_byte_for_byte() {
             "series at width {width} diverges between stream and batch"
         );
     }
-
-    // Bounded memory must not change results: a tiny ring folds constantly
-    // yet produces the same artifact bytes.
-    let mut tiny = SessionFold::new(FoldOpts {
-        ring_capacity: 8,
-        ..FoldOpts::default()
-    });
-    tiny.push_text(&text).expect("tiny-ring fold");
-    assert_eq!(
-        serde_json::to_string_pretty(&tiny.attribution("fig03")).unwrap(),
-        serde_json::to_string_pretty(&batch_attr).unwrap(),
-        "ring capacity changed the attribution artifact"
-    );
-    assert_eq!(tiny.collapsed(), bench::critpath::collapsed(&scoped));
-    let folded: u64 = tiny
-        .report()
-        .iter()
-        .flat_map(|s| s.ranks.iter().map(|r| r.ring_folds))
-        .sum();
-    assert!(folded > 0, "an 8-slot ring over fig03 must have folded");
 }
