@@ -1,11 +1,11 @@
-//! A counting global allocator for the perf trajectory.
+//! A counting global allocator.
 //!
 //! The `repro` binary installs [`CountingAlloc`] as its `#[global_allocator]`
-//! so `--bench-json` can report how many heap allocations a run performed —
-//! the hot-path pooling work (scheduler tokens, the pending-message arena,
-//! cached diagnostics) shows up directly in this number. The counter is two
-//! relaxed atomic adds per allocation on top of the system allocator, cheap
-//! enough to leave on unconditionally.
+//! so the `--json` report can say how many heap allocations each harness
+//! performed — the hot-path pooling work (scheduler tokens, the
+//! pending-message arena, cached diagnostics) shows up directly in this
+//! number. The counter is two relaxed atomic adds per allocation on top of
+//! the system allocator, cheap enough to leave on unconditionally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -46,12 +46,11 @@ pub fn snapshot() -> (u64, u64) {
     )
 }
 
-/// `(calls, bytes)` allocated between two [`snapshot`] readings — the
-/// measured-region counters the perf trajectory records so one-time process
-/// setup (harness registries, CLI parsing, report serialization) is not
-/// attributed to the simulation being measured. The counters are process-wide:
-/// a region is attributable to a single harness only when nothing else runs
-/// concurrently (`--jobs 1`).
+/// `(calls, bytes)` allocated between two [`snapshot`] readings, so one-time
+/// process setup (harness registries, CLI parsing, report serialization) is
+/// not attributed to the simulation being measured. The counters are
+/// process-wide: a region is attributable to a single harness only when
+/// nothing else runs concurrently (`--jobs 1`).
 pub fn region(start: (u64, u64), end: (u64, u64)) -> (u64, u64) {
     (end.0.saturating_sub(start.0), end.1.saturating_sub(start.1))
 }

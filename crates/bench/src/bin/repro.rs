@@ -9,7 +9,6 @@
 //! repro --json report.json       # also write a machine-readable report
 //! repro fig03 --trace out/       # also export time-resolved traces
 //! repro fig03 --critical-path cp/  # also export wait-state attribution
-//! repro --bench-json BENCH.json  # also write the perf-trajectory record
 //! repro --topology fat-tree:k=8 fig03  # re-run under another fabric
 //! repro --progress async-rank fig03    # re-run under another progress model
 //! repro serve --addr 127.0.0.1:7077    # run the streaming analysis service
@@ -47,23 +46,14 @@
 //! report. Like traces, these artifacts are byte-identical across `--jobs`.
 //! Export failures (unwritable directory, path is a file) exit with code 2
 //! and a one-line message.
-//!
-//! With `--bench-json <path>`, the run additionally executes the scheduler
-//! hold-model comparison and engine throughput probe from
-//! [`bench::enginebench`] and writes a [`bench::enginebench::BenchReport`]
-//! (wall-clock per harness, events/sec, allocation counts) — the
-//! `BENCH_*.json` perf trajectory described in `docs/BENCHMARKS.md`.
-//! Allocation counts are reported both raw (cumulative) and steady-state
-//! (the harness-run region only), plus per-harness deltas that are
-//! attributable under `--jobs 1`. If `<path>` already holds a record with a
-//! different `schema` field, the run refuses to overwrite it and exits 2.
 
 use std::collections::BTreeMap;
 
 use bench::runner;
 use overlap_core::trace::{chrome_json, default_window_width, jsonl, windowed, TraceBundle};
 
-/// Counting allocator so `--bench-json` can report allocation pressure.
+/// Counting allocator behind the per-harness `alloc_calls` / `alloc_bytes`
+/// fields of the `--json` report.
 #[global_allocator]
 static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
@@ -119,24 +109,7 @@ fn main() {
         bench::tracecap::set_stream(addr.clone());
     }
 
-    // Refuse to clobber a bench record written under a different schema
-    // (e.g. regenerating over a committed BENCH_pr4.json) before any work
-    // runs — same exit-2 + one-line convention as the export failures.
-    if let Some(path) = &cli.bench_json {
-        if let Some(schema) = bench::enginebench::bench_json_overwrite_conflict(path) {
-            eprintln!(
-                "repro: refusing to overwrite {} (existing schema {:?} != {:?}); \
-                 pick a new path or delete it first",
-                path.display(),
-                schema,
-                bench::enginebench::BENCH_SCHEMA,
-            );
-            std::process::exit(2);
-        }
-    }
-
     runner::set_jobs(cli.jobs);
-    let alloc0 = bench::alloc::snapshot();
     let t0 = std::time::Instant::now();
     // A harness whose simulation deadlocks panics with the engine's
     // one-line diagnostic (including the wait-for cycle when known);
@@ -161,10 +134,6 @@ fn main() {
             std::panic::resume_unwind(payload);
         }
     };
-    // Steady-state region: the harness runs only, before the exporters and
-    // report assembly below allocate on top.
-    let run_region = bench::alloc::region(alloc0, bench::alloc::snapshot());
-
     // Drain the capture once; both exporters read from it. The store is
     // scope-ordered, so grouping and file contents are deterministic.
     let captured: Vec<(String, TraceBundle)> = if cli.trace.is_some() || cli.critical_path.is_some()
@@ -240,38 +209,6 @@ fn main() {
     }
 
     let total_wall_s = t0.elapsed().as_secs_f64();
-
-    if let Some(path) = &cli.bench_json {
-        let harnesses = runs
-            .iter()
-            .map(|r| bench::enginebench::HarnessSummary {
-                id: r.id,
-                ranks: r.ranks,
-                wall_s: r.wall_s,
-                alloc_calls: r.alloc_calls,
-                alloc_bytes: r.alloc_bytes,
-            })
-            .collect();
-        let report = bench::enginebench::bench_report(
-            cli.jobs,
-            total_wall_s,
-            harnesses,
-            bench::enginebench::AllocStats {
-                calls: run_region.0,
-                bytes: run_region.1,
-            },
-        );
-        let json = serde_json::to_string_pretty(&report).expect("bench report serializes");
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("repro: cannot write {path:?}: {e}");
-            std::process::exit(1);
-        }
-        eprintln!(
-            "wrote {} (sched speedup {:.2}x)",
-            path.display(),
-            report.engine.sched.speedup
-        );
-    }
 
     if let Some(path) = &cli.json {
         let report = runner::RunReport {

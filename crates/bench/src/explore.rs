@@ -39,6 +39,8 @@ use simmpi::{
 };
 use simnet::{FaultPlan, NetConfig};
 
+use crate::runner::{split_eq_flags, value};
+
 /// Version of the explorer's on-disk formats (counterexample tokens and the
 /// `--json` explore report). Replays refuse tokens from other versions.
 ///
@@ -811,35 +813,23 @@ pub fn cli_main(args: &[String]) -> i32 {
                  [--budget N] [--seed N] [--preemptions N] [--out DIR] [--json PATH] \
                  [--replay TOKEN.json]";
 
+    fn int<T: std::str::FromStr>(flag: &str, v: &str) -> Result<T, String> {
+        v.parse().map_err(|_| format!("{flag} expects an integer"))
+    }
+    let args = split_eq_flags(args);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        let mut take = |name: &str| -> Result<String, String> {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} requires a value"))
-        };
+        let mut val = || value(&mut it, arg, "a value");
         let r: Result<(), String> = (|| {
             match arg.as_str() {
                 "list" => list = true,
-                "--strategy" => strategy = take("--strategy")?,
-                "--budget" => {
-                    budget = take("--budget")?
-                        .parse()
-                        .map_err(|_| "--budget expects an integer".to_string())?
-                }
-                "--seed" => {
-                    seed = take("--seed")?
-                        .parse()
-                        .map_err(|_| "--seed expects an integer".to_string())?
-                }
-                "--preemptions" => {
-                    preemptions = take("--preemptions")?
-                        .parse()
-                        .map_err(|_| "--preemptions expects an integer".to_string())?
-                }
-                "--out" => out_dir = PathBuf::from(take("--out")?),
-                "--json" => json = Some(PathBuf::from(take("--json")?)),
-                "--replay" => replay = Some(PathBuf::from(take("--replay")?)),
+                "--strategy" => strategy = val()?.to_string(),
+                "--budget" => budget = int(arg, val()?)?,
+                "--seed" => seed = int(arg, val()?)?,
+                "--preemptions" => preemptions = int(arg, val()?)?,
+                "--out" => out_dir = PathBuf::from(val()?),
+                "--json" => json = Some(PathBuf::from(val()?)),
+                "--replay" => replay = Some(PathBuf::from(val()?)),
                 a if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
                 a => {
                     if scenario_set {

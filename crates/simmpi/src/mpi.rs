@@ -29,7 +29,7 @@ use std::sync::Arc;
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, Time};
-use simnet::{Completion, NetConfig, NicStats, Packet, RegionId, SharedWorld, XferId};
+use simnet::{CausalEdge, Completion, NetConfig, NicStats, Packet, RegionId, SharedWorld, XferId};
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
@@ -1396,6 +1396,13 @@ impl<'a> Mpi<'a> {
         self.rel.stats()
     }
 
+    /// Stamp the end of transfer `xfer`, then relabel the fabric-contention
+    /// share of the delivering `edge` out of its trailing wire-drain wait.
+    fn end_xfer(&mut self, xfer: u64, bytes: u64, edge: &CausalEdge) {
+        self.rec.xfer_end(xfer, bytes);
+        self.rec.note_contention(xfer, edge.contention_ns());
+    }
+
     fn handle_completion(&mut self, c: Completion) {
         let (kind, req_id) = proto::unpack_user(c.user);
         match kind {
@@ -1421,8 +1428,7 @@ impl<'a> Mpi<'a> {
                     }
                     let (xfer, bytes) = (*xfer, *bytes);
                     if xfer != NO_XFER {
-                        self.rec.xfer_end(xfer, bytes);
-                        self.rec.note_contention(xfer, c.edge.contention_ns());
+                        self.end_xfer(xfer, bytes, &c.edge);
                     }
                 }
                 if reap {
@@ -1431,7 +1437,6 @@ impl<'a> Mpi<'a> {
             }
             wr_kind::FRAG_WRITE => {
                 let mut finish: Option<(u64, u64)> = None;
-                let mut req_done = false;
                 if let Some(Req::SendRdvPipe {
                     done,
                     frags,
@@ -1445,14 +1450,11 @@ impl<'a> Mpi<'a> {
                     *remaining -= 1;
                     if *remaining == 0 && *all_posted {
                         *done = true;
-                        req_done = true;
                     }
                 }
                 if let Some((xfer, len)) = finish {
-                    self.rec.xfer_end(xfer, len);
-                    self.rec.note_contention(xfer, c.edge.contention_ns());
+                    self.end_xfer(xfer, len, &c.edge);
                 }
-                let _ = req_done;
             }
             wr_kind::RDMA_READ => {
                 let data = c.data.expect("RDMA read completion without data");
@@ -1466,8 +1468,7 @@ impl<'a> Mpi<'a> {
                     env = *matched;
                 }
                 let (xfer, len) = stamp.expect("read completion without reading state");
-                self.rec.xfer_end(xfer, len);
-                self.rec.note_contention(xfer, c.edge.contention_ns());
+                self.end_xfer(xfer, len, &c.edge);
                 let (src, tag) = env.expect("read completion on unmatched recv");
                 self.complete_recv(req_id, src, tag, data);
             }
@@ -1480,8 +1481,7 @@ impl<'a> Mpi<'a> {
                 let data = c.data.expect("hw recv completion without data");
                 let (src, tag, xfer) = (c.imm[0] as usize, c.imm[1], c.imm[2]);
                 if xfer != NO_XFER {
-                    self.rec.xfer_end(xfer, data.len() as u64);
-                    self.rec.note_contention(xfer, c.edge.contention_ns());
+                    self.end_xfer(xfer, data.len() as u64, &c.edge);
                 }
                 self.complete_recv(req_id, src, tag, data);
             }
@@ -1553,8 +1553,7 @@ impl<'a> Mpi<'a> {
                 let xfer = p.h[1];
                 let data = p.data.expect("eager packet without payload");
                 // End-only stamp: the receiver never saw the initiation.
-                self.rec.xfer_end(xfer, data.len() as u64);
-                self.rec.note_contention(xfer, p.edge.contention_ns());
+                self.end_xfer(xfer, data.len() as u64, &p.edge);
                 Arrival::Eager {
                     src: p.src,
                     tag: p.h[0],
@@ -1601,8 +1600,7 @@ impl<'a> Mpi<'a> {
             proto::PT_RTS_PIPE => {
                 let frag1 = p.data.expect("RTS_PIPE without fragment");
                 // Fragment 1 is observable only on arrival: end-only stamp.
-                self.rec.xfer_end(p.h[2], frag1.len() as u64);
-                self.rec.note_contention(p.h[2], p.edge.contention_ns());
+                self.end_xfer(p.h[2], frag1.len() as u64, &p.edge);
                 Arrival::RtsPipe {
                     src: p.src,
                     tag: p.h[0],
@@ -1662,11 +1660,9 @@ impl<'a> Mpi<'a> {
                     env = *matched;
                 }
                 let pipe = pipe_state.expect("FIN_PIPE without pipe state");
-                self.rec.xfer_end(pipe.rest_xfer, pipe.rest_len);
                 // The FIN rides as the final fragment's delivery notice, so
                 // its edge carries that fragment's fabric contention.
-                self.rec
-                    .note_contention(pipe.rest_xfer, p.edge.contention_ns());
+                self.end_xfer(pipe.rest_xfer, pipe.rest_len, &p.edge);
                 let data = {
                     let mut w = self.world.lock();
                     Bytes::from(w.deregister(self.rank, pipe.region))

@@ -88,11 +88,71 @@ fn line_chunks(text: &str, lines_per_chunk: usize) -> Vec<String> {
         .collect()
 }
 
+/// Deterministic synthetic event stream: `ranks` ranks each completing
+/// `transfers` isend/wait transfer pairs, with one bound and one wait line
+/// per transfer — the exact JSONL shape the batch exporter writes.
+fn ingest_stream(ranks: usize, transfers: usize) -> String {
+    use overlap_core::attribution::{WaitCause, WaitInterval};
+    use overlap_core::bounds::XferCase;
+    use overlap_core::trace::{BoundRecord, RankTrace, TraceBundle};
+    use overlap_core::{Event, EventKind};
+
+    let rank_trace = |rank: usize| {
+        let mut events = Vec::with_capacity(transfers * 6);
+        let mut bounds = Vec::with_capacity(transfers);
+        let mut waits = Vec::with_capacity(transfers);
+        let mut t = 0u64;
+        for i in 0..transfers {
+            let id = i as u64 + 1;
+            let bytes = 1u64 << (10 + (i % 6)); // walk the size bins
+            events.push(Event::new(t, EventKind::CallEnter { name: "MPI_Isend" }));
+            events.push(Event::new(t + 5, EventKind::XferBegin { id, bytes }));
+            events.push(Event::new(t + 10, EventKind::CallExit));
+            events.push(Event::new(
+                t + 600,
+                EventKind::CallEnter { name: "MPI_Wait" },
+            ));
+            events.push(Event::new(t + 900, EventKind::XferEnd { id, bytes }));
+            events.push(Event::new(t + 910, EventKind::CallExit));
+            bounds.push(BoundRecord {
+                id: Some(id),
+                bytes,
+                begin_t: Some(t + 5),
+                end_t: t + 900,
+                xfer_time: 250,
+                min: 0,
+                max: 250,
+                case: XferCase::SplitCalls,
+                flagged: false,
+                clamped: false,
+            });
+            waits.push(WaitInterval {
+                start: t + 600,
+                end: t + 900,
+                cause: WaitCause::LateSender,
+                xfer: Some(id),
+            });
+            t += 1_000;
+        }
+        RankTrace {
+            rank,
+            events,
+            bounds,
+            waits,
+        }
+    };
+    jsonl(&[TraceBundle {
+        scope: "ingest/probe".to_string(),
+        ranks: (0..ranks).map(rank_trace).collect(),
+        extras: vec![],
+    }])
+}
+
 #[test]
 fn interleaved_concurrent_pushes_match_serial_and_local_folds() {
     let _g = global_lock();
     let fig = fig03_stream();
-    let probe = bench::enginebench::ingest_stream(4, 300);
+    let probe = ingest_stream(4, 300);
 
     // Concurrent: each session arrives as many small pushes, the two client
     // threads racing each other connection-by-connection.
@@ -207,7 +267,7 @@ fn repro_push_cli_exit_codes() {
     // A well-formed stream exits 0 and lands in a session named after the
     // file (the trailing `.events` is stripped).
     let good = dir.join("probe.events.jsonl");
-    std::fs::write(&good, bench::enginebench::ingest_stream(2, 20)).unwrap();
+    std::fs::write(&good, ingest_stream(2, 20)).unwrap();
     let code =
         bench::serve::push_main(&[good.display().to_string(), "--to".to_string(), addr.clone()]);
     assert_eq!(code, 0, "well-formed stream must exit 0");
