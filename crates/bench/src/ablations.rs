@@ -1,9 +1,10 @@
 //! Ablation studies for the design choices called out in `DESIGN.md` §6.
 
 use overlap_core::{RecorderOpts, SizeBins, XferTimeTable};
-use simmpi::{default_xfer_table, run_mpi, run_mpi_with, MpiConfig, Src, TagSel};
+use simmpi::{default_xfer_table, MpiConfig, Src, TagSel};
 use simnet::NetConfig;
 
+use crate::sim::{self, Dim};
 use crate::{pct, Series};
 
 /// Eager-threshold sweep: the *receiver-side* overlap cliff for a fixed
@@ -19,10 +20,11 @@ pub fn ablation_eager_threshold() -> Series {
             eager_threshold: threshold,
             ..MpiConfig::open_mpi_leave_pinned()
         };
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             2,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply(cfg),
+            NetConfig::default(),
+            cfg,
             RecorderOpts::default(),
             move |mpi| {
                 for i in 0..50 {
@@ -36,8 +38,7 @@ pub fn ablation_eager_threshold() -> Series {
                     mpi.barrier();
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let r = &out.reports[1];
         rows.push(vec![
             (threshold >> 10).to_string(),
@@ -66,10 +67,11 @@ pub fn ablation_fragment_size() -> Series {
             fragment_size: frag,
             ..MpiConfig::open_mpi_pipelined()
         };
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             2,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply(cfg),
+            NetConfig::default(),
+            cfg,
             RecorderOpts::default(),
             move |mpi| {
                 for i in 0..20 {
@@ -83,8 +85,7 @@ pub fn ablation_fragment_size() -> Series {
                     mpi.barrier();
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         rows.push(vec![
             (frag >> 10).to_string(),
             pct(out.reports[0].total.max_pct()),
@@ -106,10 +107,11 @@ pub fn ablation_fragment_size() -> Series {
 pub fn ablation_iprobe_count() -> Series {
     let mut rows = Vec::new();
     for probes in [0usize, 1, 2, 4, 8, 16] {
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             2,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply(MpiConfig::mvapich2()),
+            NetConfig::default(),
+            MpiConfig::mvapich2(),
             RecorderOpts::default(),
             move |mpi| {
                 for i in 0..20 {
@@ -128,8 +130,7 @@ pub fn ablation_iprobe_count() -> Series {
                     mpi.barrier();
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let r = &out.reports[1];
         rows.push(vec![
             probes.to_string(),
@@ -151,26 +152,28 @@ pub fn ablation_iprobe_count() -> Series {
 /// Transfer-table resolution: bound tightness (max−min gap) against ground
 /// truth as the a-priori table gets coarser.
 pub fn ablation_table_resolution() -> Series {
-    let net = crate::topo::apply(NetConfig::default());
-    let dense = default_xfer_table(&net);
-    let sparse = XferTimeTable::from_points(vec![
-        (1, net.transfer_time(1)),
-        (1 << 20, net.transfer_time(1 << 20)),
-    ]);
-    let constant = XferTimeTable::from_points(vec![(1, net.transfer_time(64 << 10))]);
+    type TableOf = fn(&NetConfig) -> XferTimeTable;
+    let sparse: TableOf = |net| {
+        XferTimeTable::from_points(vec![
+            (1, net.transfer_time(1)),
+            (1 << 20, net.transfer_time(1 << 20)),
+        ])
+    };
+    let constant: TableOf =
+        |net| XferTimeTable::from_points(vec![(1, net.transfer_time(64 << 10))]);
     let mut rows = Vec::new();
     for (name, table) in [
-        ("dense", dense),
+        ("dense", default_xfer_table as TableOf),
         ("two-point", sparse),
         ("constant", constant),
     ] {
-        let out = run_mpi_with(
+        let out = sim::mpi_with_table(
+            None,
             2,
-            net.clone(),
-            crate::progress::apply(MpiConfig::open_mpi_leave_pinned()),
+            NetConfig::default(),
+            MpiConfig::open_mpi_leave_pinned(),
             RecorderOpts::default(),
             table,
-            simcore::SimOpts::default(),
             move |mpi| {
                 let mut shared = 1u64;
                 for i in 0..30 {
@@ -189,8 +192,7 @@ pub fn ablation_table_resolution() -> Series {
                     mpi.barrier();
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let r = &out.reports[0].total;
         let truth = out.true_overlap(0);
         rows.push(vec![
@@ -221,10 +223,11 @@ pub fn ablation_queue_capacity() -> Series {
             enabled: true,
             trace: false,
         };
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             2,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply(MpiConfig::default()),
+            NetConfig::default(),
+            MpiConfig::default(),
             rec,
             |mpi| {
                 for i in 0..200 {
@@ -237,8 +240,7 @@ pub fn ablation_queue_capacity() -> Series {
                     }
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let r = &out.reports[0];
         rows.push(vec![
             cap.to_string(),
@@ -267,14 +269,18 @@ pub fn ablation_incast() -> Series {
         .flat_map(|&c| [1usize, 3, 7].map(|s| (c, s)))
         .collect();
     let rows = crate::runner::par_map(&grid, |&(contention, senders)| {
-        let net = crate::topo::apply(simnet::NetConfig {
+        let net = NetConfig {
             model_ingress_contention: contention,
-            ..simnet::NetConfig::infiniband_2006()
-        });
-        let out = run_mpi(
+            ..NetConfig::infiniband_2006()
+        };
+        // The idle table knows nothing of the topology, so the harness's own
+        // config gives the same one the run used under any `--topology`.
+        let table = default_xfer_table(&net);
+        let out = sim::mpi(
+            None,
             senders + 1,
-            net.clone(),
-            crate::progress::apply(MpiConfig::mvapich2()),
+            net,
+            MpiConfig::mvapich2(),
             RecorderOpts::default(),
             move |mpi| {
                 if mpi.rank() == 0 {
@@ -288,9 +294,7 @@ pub fn ablation_incast() -> Series {
                     mpi.wait(r);
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
-        let table = default_xfer_table(&net);
+        );
         let slack: u64 = (1..=senders)
             .map(|r| out.congestion_excess(r, &table))
             .sum();
@@ -329,10 +333,11 @@ pub fn ablation_bandwidth() -> Series {
             MpiConfig::open_mpi_leave_pinned(),
         ] {
             let reps = 10usize;
-            let out = run_mpi(
+            let out = sim::mpi(
+                None,
                 2,
-                crate::topo::apply(NetConfig::default()),
-                crate::progress::apply(cfg),
+                NetConfig::default(),
+                cfg,
                 RecorderOpts::default(),
                 move |mpi| {
                     // Steady-state one-way stream with a closing ack.
@@ -348,8 +353,7 @@ pub fn ablation_bandwidth() -> Series {
                         mpi.send(0, 999, &[0u8; 8]);
                     }
                 },
-            )
-            .unwrap_or_else(|e| panic!("{}", e.one_line()));
+            );
             let bytes = (size * reps) as f64;
             // Exclude init/finalize sync by using the data-only span from
             // ground truth records. A run can complete zero transfers (e.g.
@@ -379,7 +383,7 @@ pub fn ablation_bandwidth() -> Series {
 /// but omitted "due to space considerations" (Sec. 4): per-bin min/max
 /// overlap for process 0 at class A, np = 4.
 pub fn extra_nas_bins() -> Series {
-    use nasbench::runner::{run_benchmark, NasBenchmark};
+    use nasbench::runner::NasBenchmark;
     use nasbench::Class;
     let mut rows = Vec::new();
     for bench in [
@@ -389,13 +393,7 @@ pub fn extra_nas_bins() -> Series {
         NasBenchmark::Ft,
         NasBenchmark::Sp,
     ] {
-        let art = run_benchmark(
-            bench,
-            Class::A,
-            4,
-            crate::topo::apply(NetConfig::default()),
-            RecorderOpts::default(),
-        );
+        let art = sim::nas(None, bench, Class::A, 4, RecorderOpts::default());
         let r = &art.reports()[0];
         for (label, b) in r.bin_labels.iter().zip(&r.by_bin) {
             if b.transfers == 0 {
@@ -429,13 +427,13 @@ pub fn extra_nas_bins() -> Series {
 /// and the bound gap is the measurement uncertainty NIC timestamps would
 /// remove.
 pub fn extra_nic_timestamps() -> Series {
-    let net = crate::topo::apply(NetConfig::default());
     let mut rows = Vec::new();
     for compute_us in [100u64, 400, 700, 1000, 1300] {
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             2,
-            net.clone(),
-            crate::progress::apply(MpiConfig::open_mpi_leave_pinned()),
+            NetConfig::default(),
+            MpiConfig::open_mpi_leave_pinned(),
             RecorderOpts::default(),
             move |mpi| {
                 for i in 0..30 {
@@ -449,8 +447,7 @@ pub fn extra_nic_timestamps() -> Series {
                     mpi.barrier();
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let r = &out.reports[0].total;
         let truth = out.true_overlap(0);
         let true_pct = 100.0 * truth as f64 / r.data_transfer_time as f64;
@@ -495,16 +492,17 @@ pub fn ablation_faults() -> Series {
                 ..FaultPlan::none()
             }
         };
-        let net = crate::topo::apply(NetConfig {
+        let net = NetConfig {
             faults,
             ..NetConfig::default()
-        });
+        };
         let rounds = 20usize;
-        let out = run_mpi(
+        let out = sim::mpi(
+            Some(format!("ablation-faults/loss{loss_pct}-{}K", size >> 10)),
             4,
             net,
-            crate::progress::apply(MpiConfig::default()),
-            crate::tracecap::rec_opts(),
+            MpiConfig::default(),
+            RecorderOpts::default(),
             move |mpi| {
                 let me = mpi.rank();
                 let n = mpi.nranks();
@@ -518,12 +516,6 @@ pub fn ablation_faults() -> Series {
                     mpi.wait(r);
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
-        crate::tracecap::record(
-            format!("ablation-faults/loss{loss_pct}-{}K", size >> 10),
-            out.traces.clone(),
-            &out.faults,
         );
         let r = &out.reports[0].total;
         let retrans: u64 = out.rel_stats.iter().map(|s| s.retransmissions).sum();
@@ -604,11 +596,12 @@ pub fn ablation_topology() -> Series {
             }),
             ..NetConfig::infiniband_2006()
         };
-        let out = run_mpi(
+        let out = sim::mpi(
+            Some(format!("ablation-topology/{}-bg-{bg_label}", spec.label())),
             ranks,
-            net,
-            crate::progress::apply(MpiConfig::open_mpi_leave_pinned()),
-            crate::tracecap::rec_opts(),
+            Dim::Pinned(net), // the fabric is this harness's swept variable
+            MpiConfig::open_mpi_leave_pinned(),
+            RecorderOpts::default(),
             move |mpi| {
                 let me = mpi.rank();
                 let n = mpi.nranks();
@@ -624,12 +617,6 @@ pub fn ablation_topology() -> Series {
                     mpi.wait(r);
                 }
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
-        crate::tracecap::record(
-            format!("ablation-topology/{}-bg-{}", spec.label(), bg_label),
-            out.traces.clone(),
-            &out.faults,
         );
         let r = &out.reports[0].total;
         vec![
@@ -679,10 +666,11 @@ pub fn halo_4k() -> Series {
         trace: true, // reconciliation is checked in-harness below
         ..RecorderOpts::default()
     };
-    let out = run_mpi(
+    let out = sim::mpi(
+        None,
         n,
-        net,
-        crate::progress::apply(MpiConfig::open_mpi_leave_pinned()),
+        Dim::Pinned(net), // the fitted fat-tree is what this harness measures
+        MpiConfig::open_mpi_leave_pinned(),
         rec,
         move |mpi| {
             let me = mpi.rank();
@@ -708,8 +696,7 @@ pub fn halo_4k() -> Series {
                 mpi.waitall(&recvs);
             }
         },
-    )
-    .unwrap_or_else(|e| panic!("{}", e.one_line()));
+    );
     let mut contention_ns = 0u64;
     let mut nonoverlap_ns = 0u64;
     let mut transfers = 0usize;
@@ -808,10 +795,11 @@ pub fn ablation_progress() -> Series {
             trace: true, // reconciliation is checked per cell below
             ..RecorderOpts::default()
         };
-        let out = run_mpi(
+        let out = sim::mpi(
+            None,
             n,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply(cfg),
+            NetConfig::default(),
+            Dim::Pinned(cfg), // the progress model is this harness's swept variable
             rec,
             move |mpi| match workload {
                 "halo" => {
@@ -868,8 +856,7 @@ pub fn ablation_progress() -> Series {
                 }
                 other => panic!("unknown workload {other}"),
             },
-        )
-        .unwrap_or_else(|e| panic!("{}", e.one_line()));
+        );
         let mut mismatches = 0usize;
         let mut transfers = 0usize;
         for tr in &out.traces {

@@ -16,28 +16,24 @@
 //! simulations and run concurrently on the `--jobs` worker pool (default:
 //! available cores). The resulting table is identical for any worker count.
 
-use std::sync::{Arc, Mutex};
-
 use overlap_core::XferTimeTable;
 use simcore::SimOpts;
 use simnet::{Cluster, NetConfig, RegionId};
 
 fn measure(net: NetConfig, sizes: Vec<usize>) -> Vec<(u64, u64)> {
-    let results: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let results_in = Arc::clone(&results);
-    let sizes_target = sizes.clone();
     let cluster = Cluster::new(2, net);
-    cluster
-        .run(SimOpts::default(), move |ctx, world| {
+    let (_, mut per_rank) = cluster
+        .run_collect(SimOpts::default(), move |ctx, world| {
+            let mut results = Vec::new();
             if ctx.rank() == 1 {
                 let mut w = world.lock();
-                for &sz in &sizes_target {
+                for &sz in &sizes {
                     w.register(1, vec![0u8; sz]);
                 }
-                return;
+                return results;
             }
             ctx.compute(1_000_000); // let the target register its regions
-            for (i, &sz) in sizes_target.iter().enumerate() {
+            for (i, &sz) in sizes.iter().enumerate() {
                 let t0 = ctx.now();
                 {
                     let mut w = world.lock();
@@ -58,11 +54,12 @@ fn measure(net: NetConfig, sizes: Vec<usize>) -> Vec<(u64, u64)> {
                     }
                     ctx.park();
                 }
-                results_in.lock().unwrap().push((sz as u64, ctx.now() - t0));
+                results.push((sz as u64, ctx.now() - t0));
             }
+            results
         })
         .expect("measurement run failed");
-    Arc::try_unwrap(results).unwrap().into_inner().unwrap()
+    per_rank.swap_remove(0) // rank 0 measured; rank 1 only registered
 }
 
 fn main() {

@@ -93,13 +93,7 @@ fn main() {
         return;
     }
 
-    if let Some(spec) = cli.topology {
-        bench::topo::set(spec);
-    }
-
-    if let Some(model) = cli.progress {
-        bench::progress::set(model);
-    }
+    bench::sim::set_overrides(cli.topology, cli.progress);
 
     if cli.trace.is_some() || cli.critical_path.is_some() {
         bench::tracecap::enable();

@@ -35,7 +35,7 @@ use simcore::{
     ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle, SimError, SimOpts,
 };
 use simmpi::{
-    default_xfer_table, run_mpi_explored, Mpi, MpiConfig, MpiRunOutcome, ProgressModel, Src, TagSel,
+    default_xfer_table, run_mpi_with, Mpi, MpiConfig, MpiRunOutcome, ProgressModel, Src, TagSel,
 };
 use simnet::{FaultPlan, NetConfig};
 
@@ -75,10 +75,6 @@ pub struct Scenario {
     body: fn(&mut Mpi),
 }
 
-fn eager2_net() -> NetConfig {
-    crate::topo::apply(NetConfig::default())
-}
-
 fn eager2_mpi() -> MpiConfig {
     MpiConfig::open_mpi_pipelined()
 }
@@ -102,7 +98,7 @@ fn fig03ish_net() -> NetConfig {
     // No loss: the reliability layer runs (sequencing + ACKs) and the
     // oracle may jitter every packet's arrival within a 300 ns window,
     // but every schedule must still complete cleanly.
-    crate::topo::apply(NetConfig {
+    NetConfig {
         faults: FaultPlan {
             seed: 11,
             explore_jitter_ns: 300,
@@ -110,7 +106,7 @@ fn fig03ish_net() -> NetConfig {
             ..FaultPlan::none()
         },
         ..NetConfig::default()
-    })
+    }
 }
 
 fn fig03ish_mpi() -> MpiConfig {
@@ -133,10 +129,6 @@ fn fig03ish_body(mpi: &mut Mpi) {
         }
         mpi.barrier();
     }
-}
-
-fn asyncrank2_net() -> NetConfig {
-    crate::topo::apply(NetConfig::default())
 }
 
 fn asyncrank2_mpi() -> MpiConfig {
@@ -170,7 +162,7 @@ fn asyncrank2_body(mpi: &mut Mpi) {
 fn deadlock_net() -> NetConfig {
     // Total loss: every two-sided packet (including the rendezvous RTS and
     // all its retransmissions) is dropped.
-    crate::topo::apply(NetConfig {
+    NetConfig {
         faults: FaultPlan {
             seed: 42,
             drop_prob: 1.0,
@@ -179,7 +171,7 @@ fn deadlock_net() -> NetConfig {
             ..FaultPlan::none()
         },
         ..NetConfig::default()
-    })
+    }
 }
 
 fn deadlock_mpi() -> MpiConfig {
@@ -215,7 +207,7 @@ pub fn scenarios() -> Vec<Scenario> {
             about: "2-rank eager exchange, fault-free (bounded-exhaustive target)",
             nranks: 2,
             fault_seed: 0,
-            net: eager2_net,
+            net: NetConfig::default,
             mpi: eager2_mpi,
             body: eager2_body,
         },
@@ -233,7 +225,7 @@ pub fn scenarios() -> Vec<Scenario> {
             about: "eager2 shape under the async progress rank (ProgressWake interleavings)",
             nranks: 2,
             fault_seed: 0,
-            net: asyncrank2_net,
+            net: NetConfig::default,
             mpi: asyncrank2_mpi,
             body: asyncrank2_body,
         },
@@ -356,7 +348,7 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
         trace: true,
         ..RecorderOpts::default()
     };
-    let res = run_mpi_explored(
+    let res = run_mpi_with(
         sc.nranks,
         net,
         (sc.mpi)(),

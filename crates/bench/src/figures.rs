@@ -2,15 +2,14 @@
 
 use std::time::Instant;
 
-use nasbench::runner::{run_benchmark_cfg, summarize, NasBenchmark};
+use nasbench::runner::{summarize, NasBenchmark};
 use nasbench::sp::SP_OVERLAP_SECTION;
 use nasbench::Class;
 use overlap_core::RecorderOpts;
 use simmpi::MpiConfig;
-use simnet::NetConfig;
 
 use crate::micro::{overlap_sweep_scoped, MicroPoint, Pairing};
-use crate::{f_ms, f_us, pct, Series};
+use crate::{f_ms, f_us, pct, sim, Series};
 
 /// Transfers per microbenchmark point (paper used 1000; percentages are
 /// per-transfer averages, so a few hundred suffice).
@@ -177,19 +176,8 @@ fn nas_series(
     cases: &[(Class, usize)],
 ) -> Series {
     let rows = crate::runner::par_map(cases, |&(class, np)| {
-        let art = run_benchmark_cfg(
-            bench,
-            class,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((bench).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        crate::tracecap::record(
-            format!("{id}/{class}np{np}"),
-            art.traces().to_vec(),
-            art.faults(),
-        );
+        let scope = format!("{id}/{class}np{np}");
+        let art = sim::nas(Some(scope), bench, class, np, RecorderOpts::default());
         let s = summarize(bench, class, np, &art);
         vec![
             class.to_string(),
@@ -290,32 +278,12 @@ pub fn fig13() -> Series {
 fn sp_compare(id: &'static str, title: &str, class: Class, whole_code: bool) -> Series {
     let cases: Vec<usize> = vec![4, 9, 16];
     let rows = crate::runner::par_map(&cases, |&np| {
-        let orig = run_benchmark_cfg(
-            NasBenchmark::Sp,
-            class,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::Sp).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        let modi = run_benchmark_cfg(
-            NasBenchmark::SpModified,
-            class,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::SpModified).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        crate::tracecap::record(
-            format!("{id}/np{np}/orig"),
-            orig.traces().to_vec(),
-            orig.faults(),
-        );
-        crate::tracecap::record(
-            format!("{id}/np{np}/mod"),
-            modi.traces().to_vec(),
-            modi.faults(),
-        );
+        let run = |bench, variant: &str| {
+            let scope = format!("{id}/np{np}/{variant}");
+            sim::nas(Some(scope), bench, class, np, RecorderOpts::default())
+        };
+        let orig = run(NasBenchmark::Sp, "orig");
+        let modi = run(NasBenchmark::SpModified, "mod");
         let stats = |art: &nasbench::runner::RunArtifacts| {
             let r = &art.reports()[0];
             if whole_code {
@@ -386,32 +354,12 @@ pub fn fig18() -> Series {
         .flat_map(|&class| [4usize, 9, 16].map(|np| (class, np)))
         .collect();
     let rows = crate::runner::par_map(&grid, |&(class, np)| {
-        let orig = run_benchmark_cfg(
-            NasBenchmark::Sp,
-            class,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::Sp).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        let modi = run_benchmark_cfg(
-            NasBenchmark::SpModified,
-            class,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::SpModified).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        crate::tracecap::record(
-            format!("fig18/{class}np{np}/orig"),
-            orig.traces().to_vec(),
-            orig.faults(),
-        );
-        crate::tracecap::record(
-            format!("fig18/{class}np{np}/mod"),
-            modi.traces().to_vec(),
-            modi.faults(),
-        );
+        let run = |bench, variant: &str| {
+            let scope = format!("fig18/{class}np{np}/{variant}");
+            sim::nas(Some(scope), bench, class, np, RecorderOpts::default())
+        };
+        let orig = run(NasBenchmark::Sp, "orig");
+        let modi = run(NasBenchmark::SpModified, "mod");
         let o = orig.reports()[0].comm_call_time as f64 / 1e6;
         let m = modi.reports()[0].comm_call_time as f64 / 1e6;
         vec![
@@ -436,32 +384,12 @@ pub fn fig18() -> Series {
 pub fn fig19() -> Series {
     let cases: Vec<usize> = vec![4, 8, 16];
     let rows = crate::runner::par_map(&cases, |&np| {
-        let bl = run_benchmark_cfg(
-            NasBenchmark::MgArmciBlocking,
-            Class::B,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::MgArmciBlocking).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        let nb = run_benchmark_cfg(
-            NasBenchmark::MgArmciNonBlocking,
-            Class::B,
-            np,
-            crate::topo::apply(NetConfig::default()),
-            crate::progress::apply((NasBenchmark::MgArmciNonBlocking).paper_env()),
-            crate::tracecap::rec_opts(),
-        );
-        crate::tracecap::record(
-            format!("fig19/np{np}/blocking"),
-            bl.traces().to_vec(),
-            bl.faults(),
-        );
-        crate::tracecap::record(
-            format!("fig19/np{np}/nonblocking"),
-            nb.traces().to_vec(),
-            nb.faults(),
-        );
+        let run = |bench, variant: &str| {
+            let scope = format!("fig19/np{np}/{variant}");
+            sim::nas(Some(scope), bench, Class::B, np, RecorderOpts::default())
+        };
+        let bl = run(NasBenchmark::MgArmciBlocking, "blocking");
+        let nb = run(NasBenchmark::MgArmciNonBlocking, "nonblocking");
         let b = &bl.reports()[0].total;
         let n = &nb.reports()[0].total;
         vec![
@@ -505,14 +433,7 @@ pub fn fig20() -> Series {
                 ..Default::default()
             };
             let t0 = Instant::now();
-            let art = run_benchmark_cfg(
-                bench,
-                Class::A,
-                4,
-                crate::topo::apply(NetConfig::default()),
-                crate::progress::apply(bench.paper_env()),
-                rec,
-            );
+            let art = sim::nas(None, bench, Class::A, 4, rec);
             let dt = t0.elapsed().as_secs_f64();
             (dt, art.end_time())
         };

@@ -17,10 +17,9 @@ pub mod critpath;
 pub mod explore;
 pub mod figures;
 pub mod micro;
-pub mod progress;
 pub mod runner;
 pub mod serve;
-pub mod topo;
+pub mod sim;
 pub mod tracecap;
 
 /// A named harness entry point producing one [`Series`].

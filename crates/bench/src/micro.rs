@@ -5,7 +5,7 @@
 //! side.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, Src, TagSel};
+use simmpi::{MpiConfig, Src, TagSel};
 use simnet::NetConfig;
 
 /// Which call combination the two processes use.
@@ -52,9 +52,9 @@ pub fn overlap_sweep(
     overlap_sweep_scoped("", cfg, bytes, reps, computes_ns, pairing)
 }
 
-/// [`overlap_sweep`], registering each point's traces under
-/// `"<scope>/c<ns>"` when [`crate::tracecap`] is armed. An empty `scope`
-/// disables capture for this sweep.
+/// [`overlap_sweep`], with each point's run scoped `"<scope>/c<ns>"` for
+/// trace capture (see [`crate::sim::mpi`]). An empty `scope` keeps the sweep
+/// out of capture.
 pub fn overlap_sweep_scoped(
     scope: &str,
     cfg: MpiConfig,
@@ -64,8 +64,7 @@ pub fn overlap_sweep_scoped(
     pairing: Pairing,
 ) -> Vec<MicroPoint> {
     crate::runner::par_map(computes_ns, |&c| {
-        let label =
-            (!scope.is_empty() && crate::tracecap::enabled()).then(|| format!("{scope}/c{c}"));
+        let label = (!scope.is_empty()).then(|| format!("{scope}/c{c}"));
         run_point(label, cfg.clone(), bytes, reps, c, pairing)
     })
 }
@@ -78,15 +77,12 @@ fn run_point(
     compute_ns: u64,
     pairing: Pairing,
 ) -> MicroPoint {
-    let rec = RecorderOpts {
-        trace: scope.is_some(),
-        ..Default::default()
-    };
-    let out = run_mpi(
+    let out = crate::sim::mpi(
+        scope,
         2,
-        crate::topo::apply(NetConfig::default()),
-        crate::progress::apply(cfg),
-        rec,
+        NetConfig::default(),
+        cfg,
+        RecorderOpts::default(),
         move |mpi| {
             let msg = vec![0x5Au8; bytes];
             for i in 0..reps as u64 {
@@ -128,11 +124,7 @@ fn run_point(
                 mpi.barrier();
             }
         },
-    )
-    .unwrap_or_else(|e| panic!("{}", e.one_line()));
-    if let Some(s) = scope {
-        crate::tracecap::record(s, out.traces.clone(), &out.faults);
-    }
+    );
 
     let wait_avg = |rank: usize| {
         out.reports[rank]

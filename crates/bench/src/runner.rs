@@ -275,12 +275,12 @@ pub struct Cli {
     /// merges per-rank wait-state breakdowns into the `--json` report.
     pub critical_path: Option<std::path::PathBuf>,
     /// Fabric topology override (`--topology <spec>`: `flat`,
-    /// `fat-tree:k=8`, `dragonfly:a=4,p=2,h=2`); applied process-wide via
-    /// [`crate::topo::set`] before any harness runs.
+    /// `fat-tree:k=8`, `dragonfly:a=4,p=2,h=2`); handed to
+    /// [`crate::sim::set_overrides`] before any harness runs.
     pub topology: Option<simnet::TopologySpec>,
     /// Progress-model override (`--progress <model>`: `polling`,
-    /// `async-rank[:interval=<ns>]`, `early-bird`, `hw-tag`); applied
-    /// process-wide via [`crate::progress::set`] before any harness runs.
+    /// `async-rank[:interval=<ns>]`, `early-bird`, `hw-tag`); handed to
+    /// [`crate::sim::set_overrides`] before any harness runs.
     pub progress: Option<simmpi::ProgressModel>,
     /// Tee captured traces to a running `overlapd` analysis service
     /// (`--stream <host:port>`); also arms trace capture. Push failures are

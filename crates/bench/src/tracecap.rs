@@ -2,9 +2,9 @@
 //!
 //! Harnesses are plain `fn() -> Series` entry points, so they cannot take a
 //! "capture traces" argument; instead the `repro` binary arms this module
-//! once (before any harness runs) and harnesses consult it when building
-//! their [`overlap_core::RecorderOpts`]. Each instrumented simulation run
-//! registers its per-rank traces under a unique scope label
+//! once (before any harness runs), and [`crate::sim`] — the one caller of
+//! [`enabled`] and [`record`] — switches tracing on for each scoped run and
+//! registers its per-rank traces under the run's unique scope label
 //! (`"<harness>/<point>"`); after all harnesses finish, `repro` drains the
 //! store and writes one Chrome-trace + JSONL file pair per harness.
 //!
@@ -18,7 +18,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use overlap_core::trace::{ExtraEvent, RankTrace, TraceBundle};
-use overlap_core::RecorderOpts;
 use simnet::FaultEvent;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
@@ -43,15 +42,6 @@ pub fn enabled() -> bool {
 pub fn set_stream(addr: impl Into<String>) {
     *STREAM_TO.lock().unwrap() = Some(addr.into());
     enable();
-}
-
-/// Recorder options for an instrumented harness run: the defaults, with
-/// trace capture switched on when this module is armed.
-pub fn rec_opts() -> RecorderOpts {
-    RecorderOpts {
-        trace: enabled(),
-        ..Default::default()
-    }
 }
 
 /// Register one simulation run's traces under `scope`. Fabric fault events

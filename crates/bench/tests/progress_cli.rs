@@ -106,18 +106,45 @@ fn overridden_model_stdout_is_byte_identical_across_jobs() {
     assert!(serial.contains("== ablation-queue"));
 }
 
+fn stdout_of(args: &[&str]) -> String {
+    let out = repro(args);
+    assert!(
+        out.status.success(),
+        "repro {args:?} failed: {:?}",
+        out.status
+    );
+    String::from_utf8(out.stdout).unwrap()
+}
+
 /// The override must actually reach the harnesses: the same selection under
-/// `--progress async-rank` differs from the default polling output (the
-/// progress fiber steals compute cycles, shifting the reported numbers).
+/// another model differs from the default polling output (the async progress
+/// fiber steals compute cycles; NIC matching moves the NAS kernels' bounds).
+/// `extra-bins` is the NAS path, which once ran on its bare paper
+/// environment and ignored the flag.
 #[test]
 fn progress_override_changes_harness_output() {
-    let base = repro(&["ablation-eager"]);
-    assert!(base.status.success());
-    let async_rank = repro(&["--progress", "async-rank", "ablation-eager"]);
-    assert!(async_rank.status.success());
-    assert_ne!(
-        String::from_utf8(base.stdout).unwrap(),
-        String::from_utf8(async_rank.stdout).unwrap(),
-        "--progress async-rank produced byte-identical output to polling"
-    );
+    for (model, id) in [("async-rank", "ablation-eager"), ("hw-tag", "extra-bins")] {
+        assert_ne!(
+            stdout_of(&[id]),
+            stdout_of(&["--progress", model, id]),
+            "--progress {model} {id} produced byte-identical output to polling"
+        );
+    }
+}
+
+/// A harness pins the dimension it sweeps: the flag must not clobber
+/// `ablation-progress`'s per-row model (it once printed four identical
+/// blocks under four labels) nor `ablation-topology`'s per-row fabric.
+#[test]
+fn a_harness_keeps_the_dimension_it_sweeps() {
+    for (flag, value, id) in [
+        ("--progress", "hw-tag", "ablation-progress"),
+        ("--topology", "fat-tree:k=8", "ablation-topology"),
+    ] {
+        assert_eq!(
+            stdout_of(&[id]),
+            stdout_of(&[flag, value, id]),
+            "{flag} {value} changed {id}, which sweeps that dimension itself"
+        );
+    }
 }

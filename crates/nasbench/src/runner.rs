@@ -2,7 +2,8 @@
 
 use overlap_core::{OverlapReport, RecorderOpts};
 use simarmci::{run_armci, ArmciRunOutcome};
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome};
+use simcore::SimError;
+use simmpi::{run_mpi, Mpi, MpiConfig, MpiRunOutcome};
 use simnet::NetConfig;
 
 use crate::class::Class;
@@ -120,11 +121,13 @@ pub fn run_benchmark(
     rec: RecorderOpts,
 ) -> RunArtifacts {
     run_benchmark_cfg(bench, class, np, net, bench.paper_env(), rec)
+        .unwrap_or_else(|e| panic!("{} run failed: {e:?}", bench.name()))
 }
 
-/// [`run_benchmark`] with an explicit MPI library configuration — the hook
-/// the bench runner uses to honor process-wide overrides (e.g. `repro
-/// --progress`) on top of each benchmark's paper environment.
+/// [`run_benchmark`] with an explicit MPI library configuration (ignored by
+/// the ARMCI variants) and the simulation error handed back — the entry the
+/// bench crate uses to put `repro --progress` on top of each benchmark's
+/// paper environment.
 pub fn run_benchmark_cfg(
     bench: NasBenchmark,
     class: Class,
@@ -132,99 +135,38 @@ pub fn run_benchmark_cfg(
     net: NetConfig,
     mpi_cfg: MpiConfig,
     rec: RecorderOpts,
-) -> RunArtifacts {
-    match bench {
-        NasBenchmark::Bt => {
-            let p = crate::bt::BtParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::bt::run_bt(mpi, &p))
-                    .expect("BT run failed"),
-            )
+) -> Result<RunArtifacts, SimError> {
+    use crate::{bt, cg, ep, ft, is, lu, mg, sp};
+    let body = match bench {
+        NasBenchmark::Bt => mpi_body(bt::BtParams::new(class), bt::run_bt),
+        NasBenchmark::Cg => mpi_body(cg::CgParams::new(class), cg::run_cg),
+        NasBenchmark::Lu => mpi_body(lu::LuParams::new(class), lu::run_lu),
+        NasBenchmark::Ft => mpi_body(ft::FtParams::new(class), ft::run_ft),
+        NasBenchmark::FtNb => mpi_body(ft::FtParams::nonblocking(class), ft::run_ft),
+        NasBenchmark::Sp => mpi_body(sp::SpParams::original(class), sp::run_sp),
+        NasBenchmark::SpModified => mpi_body(sp::SpParams::modified(class), sp::run_sp),
+        NasBenchmark::MgMpi => mpi_body(mg::MgParams::new(class), mg::run_mg_mpi),
+        NasBenchmark::MgArmciBlocking | NasBenchmark::MgArmciNonBlocking => {
+            let p = mg::MgParams::new(class);
+            let variant = match bench {
+                NasBenchmark::MgArmciBlocking => MgVariant::ArmciBlocking,
+                _ => MgVariant::ArmciNonBlocking,
+            };
+            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, &p, variant))
+                .map(RunArtifacts::Armci);
         }
-        NasBenchmark::Cg => {
-            let p = crate::cg::CgParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::cg::run_cg(mpi, &p))
-                    .expect("CG run failed"),
-            )
-        }
-        NasBenchmark::Lu => {
-            let p = crate::lu::LuParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::lu::run_lu(mpi, &p))
-                    .expect("LU run failed"),
-            )
-        }
-        NasBenchmark::Ft => {
-            let p = crate::ft::FtParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::ft::run_ft(mpi, &p))
-                    .expect("FT run failed"),
-            )
-        }
-        NasBenchmark::FtNb => {
-            let p = crate::ft::FtParams::nonblocking(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::ft::run_ft(mpi, &p))
-                    .expect("FT-nb run failed"),
-            )
-        }
-        NasBenchmark::Sp => {
-            let p = crate::sp::SpParams::original(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::sp::run_sp(mpi, &p))
-                    .expect("SP run failed"),
-            )
-        }
-        NasBenchmark::SpModified => {
-            let p = crate::sp::SpParams::modified(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::sp::run_sp(mpi, &p))
-                    .expect("SP-mod run failed"),
-            )
-        }
-        NasBenchmark::MgMpi => {
-            let p = crate::mg::MgParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| {
-                    crate::mg::run_mg_mpi(mpi, &p)
-                })
-                .expect("MG-mpi run failed"),
-            )
-        }
-        NasBenchmark::MgArmciBlocking => {
-            let p = crate::mg::MgParams::new(class);
-            RunArtifacts::Armci(
-                run_armci(np, net, rec, move |a| {
-                    crate::mg::run_mg_armci(a, &p, MgVariant::ArmciBlocking)
-                })
-                .expect("MG-armci-bl run failed"),
-            )
-        }
-        NasBenchmark::MgArmciNonBlocking => {
-            let p = crate::mg::MgParams::new(class);
-            RunArtifacts::Armci(
-                run_armci(np, net, rec, move |a| {
-                    crate::mg::run_mg_armci(a, &p, MgVariant::ArmciNonBlocking)
-                })
-                .expect("MG-armci-nb run failed"),
-            )
-        }
-        NasBenchmark::Ep => {
-            let p = crate::ep::EpParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::ep::run_ep(mpi, &p))
-                    .expect("EP run failed"),
-            )
-        }
-        NasBenchmark::Is => {
-            let p = crate::is::IsParams::new(class);
-            RunArtifacts::Mpi(
-                run_mpi(np, net, mpi_cfg, rec, move |mpi| crate::is::run_is(mpi, &p))
-                    .expect("IS run failed"),
-            )
-        }
-    }
+        NasBenchmark::Ep => mpi_body(ep::EpParams::new(class), ep::run_ep),
+        NasBenchmark::Is => mpi_body(is::IsParams::new(class), is::run_is),
+    };
+    run_mpi(np, net, mpi_cfg, rec, body).map(RunArtifacts::Mpi)
+}
+
+/// A kernel bound to its parameters, as the rank body [`run_mpi`] takes.
+fn mpi_body<P: Send + Sync + 'static>(
+    p: P,
+    kernel: fn(&mut Mpi, &P),
+) -> Box<dyn Fn(&mut Mpi) + Send + Sync> {
+    Box::new(move |mpi| kernel(mpi, &p))
 }
 
 /// Summary of one monitored section for process 0.

@@ -12,7 +12,7 @@
 
 use std::io::Write;
 
-use crate::event::{Event, EventKind};
+use crate::event::Event;
 
 /// Receives every event the recorder logs (PERUSE-style subscription).
 pub trait EventObserver {
@@ -57,32 +57,12 @@ impl<W: Write> TraceSink<W> {
 
 impl<W: Write> EventObserver for TraceSink<W> {
     fn on_event(&mut self, e: &Event) {
-        let line = match e.kind {
-            EventKind::CallEnter { name } => {
-                format!(r#"{{"t":{},"ev":"call_enter","name":"{}"}}"#, e.t, name)
-            }
-            EventKind::CallExit => format!(r#"{{"t":{},"ev":"call_exit"}}"#, e.t),
-            EventKind::XferBegin { id, bytes } => {
-                format!(
-                    r#"{{"t":{},"ev":"xfer_begin","id":{},"bytes":{}}}"#,
-                    e.t, id, bytes
-                )
-            }
-            EventKind::XferEnd { id, bytes } => {
-                format!(
-                    r#"{{"t":{},"ev":"xfer_end","id":{},"bytes":{}}}"#,
-                    e.t, id, bytes
-                )
-            }
-            EventKind::SectionBegin { name } => {
-                format!(r#"{{"t":{},"ev":"section_begin","name":"{}"}}"#, e.t, name)
-            }
-            EventKind::SectionEnd => format!(r#"{{"t":{},"ev":"section_end"}}"#, e.t),
-            EventKind::XferFlag { id } => {
-                format!(r#"{{"t":{},"ev":"xfer_flag","id":{}}}"#, e.t, id)
-            }
-        };
-        let _ = writeln!(self.out, "{line}");
+        let _ = writeln!(
+            self.out,
+            r#"{{"t":{},{}}}"#,
+            e.t,
+            crate::trace::event_body(&e.kind)
+        );
         self.events_written += 1;
     }
 }
@@ -90,6 +70,7 @@ impl<W: Write> EventObserver for TraceSink<W> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventKind;
 
     #[test]
     fn closures_observe() {
@@ -108,17 +89,20 @@ mod tests {
         sink.on_event(&Event::new(10, EventKind::CallEnter { name: "MPI_Isend" }));
         sink.on_event(&Event::new(20, EventKind::XferBegin { id: 7, bytes: 512 }));
         sink.on_event(&Event::new(30, EventKind::CallExit));
-        assert_eq!(sink.events_written(), 3);
+        sink.on_event(&Event::new(40, EventKind::SectionBegin { name: "a\"b" }));
+        assert_eq!(sink.events_written(), 4);
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
+        assert_eq!(lines.len(), 4);
         assert!(lines[0].contains(r#""ev":"call_enter""#));
         assert!(lines[0].contains("MPI_Isend"));
         assert!(lines[1].contains(r#""bytes":512"#));
         // Each line parses as JSON.
-        for l in lines {
+        for l in &lines {
             let v: serde_json::Value = serde_json::from_str(l).unwrap();
             assert!(v["t"].is_u64());
         }
+        let quoted: serde_json::Value = serde_json::from_str(lines[3]).unwrap();
+        assert_eq!(quoted["name"].as_str(), Some("a\"b"));
     }
 }

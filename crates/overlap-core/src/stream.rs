@@ -53,21 +53,39 @@ use crate::trace::{
     SCHEMA_VERSION,
 };
 
+/// Longest call/section name the reader accepts, in bytes.
+const MAX_NAME_BYTES: usize = 256;
+/// Most distinct call/section names the reader's pool will hold.
+const MAX_NAMES: usize = 4096;
+
 /// Intern a call/section name into a `&'static str`.
 ///
 /// The event model carries static names (the instrumented library passes
 /// string literals); a stream reader has to reconstruct them. Names are
-/// leaked once into a process-global pool — the set of distinct call names
-/// in any library is tiny and fixed, so the leak is bounded.
-fn intern(s: &str) -> &'static str {
-    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
-    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+/// leaked once into `pool`. An instrumented library has a tiny, fixed set of
+/// them, but a socket client can send anything, so the leak is bounded here:
+/// at most [`MAX_NAMES`] names of at most [`MAX_NAME_BYTES`] each; a name
+/// past either cap is refused with the reason.
+fn intern_in(pool: &mut BTreeSet<&'static str>, s: &str) -> Result<&'static str, String> {
     if let Some(&v) = pool.get(s) {
-        return v;
+        return Ok(v);
+    }
+    if s.len() > MAX_NAME_BYTES {
+        return Err(format!("`name` longer than {MAX_NAME_BYTES} bytes"));
+    }
+    if pool.len() >= MAX_NAMES {
+        return Err(format!("more than {MAX_NAMES} distinct `name`s"));
     }
     let v: &'static str = Box::leak(s.to_owned().into_boxed_str());
     pool.insert(v);
-    v
+    Ok(v)
+}
+
+/// [`intern_in`] the process-global pool, for the `name` field of `line`.
+fn intern_name(v: &serde_json::Value, line: &str) -> Result<&'static str, StreamError> {
+    static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
+    intern_in(&mut pool, req_str(v, "name", line)?).map_err(|what| bad(line, &what))
 }
 
 /// Why a stream line (or stream) was rejected. Every variant renders as a
@@ -222,7 +240,7 @@ pub fn parse_line(line: &str) -> Result<StreamLine, StreamError> {
             event: Event::new(
                 t,
                 EventKind::CallEnter {
-                    name: intern(req_str(&v, "name", line)?),
+                    name: intern_name(&v, line)?,
                 },
             ),
         },
@@ -259,7 +277,7 @@ pub fn parse_line(line: &str) -> Result<StreamLine, StreamError> {
             event: Event::new(
                 t,
                 EventKind::SectionBegin {
-                    name: intern(req_str(&v, "name", line)?),
+                    name: intern_name(&v, line)?,
                 },
             ),
         },
@@ -638,6 +656,33 @@ mod tests {
     use crate::attribution::attribute;
     use crate::bounds::XferCase;
     use crate::trace::{jsonl, windowed, ExtraEvent, RankTrace, TraceBundle};
+
+    #[test]
+    fn overlong_name_is_refused_with_one_line() {
+        for ev in ["call_enter", "section_begin"] {
+            let name = "n".repeat(MAX_NAME_BYTES + 1);
+            let line = format!(r#"{{"ev":"{ev}","scope":"s","rank":0,"t":1,"name":"{name}"}}"#);
+            let err = parse_line(&line).unwrap_err().to_string();
+            assert!(err.contains("longer than 256 bytes"), "{err}");
+            assert!(!err.contains('\n') && err.len() < 300, "{err}");
+            let ok = line.replace(&name, &name[1..]);
+            assert!(parse_line(&ok).is_ok());
+        }
+    }
+
+    #[test]
+    fn name_pool_stops_growing_at_its_cap() {
+        // A local pool: the process-wide one is shared with sibling tests.
+        let mut pool = BTreeSet::new();
+        for i in 0..MAX_NAMES {
+            intern_in(&mut pool, &format!("n{i}")).unwrap();
+        }
+        let err = intern_in(&mut pool, "one-too-many").unwrap_err();
+        assert!(err.contains("more than 4096 distinct"), "{err}");
+        assert_eq!(pool.len(), MAX_NAMES);
+        // Names already pooled keep resolving.
+        assert_eq!(intern_in(&mut pool, "n7"), Ok("n7"));
+    }
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)

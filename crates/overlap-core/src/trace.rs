@@ -200,6 +200,27 @@ fn esc(s: &str) -> String {
     out
 }
 
+/// The `"ev":…` members of one event's JSON line (no braces, no timestamp),
+/// names escaped — the one event→JSON mapping, shared by [`jsonl`] and
+/// [`crate::observer::TraceSink`].
+pub fn event_body(kind: &EventKind) -> String {
+    match *kind {
+        EventKind::CallEnter { name } => format!(r#""ev":"call_enter","name":"{}""#, esc(name)),
+        EventKind::CallExit => r#""ev":"call_exit""#.to_string(),
+        EventKind::XferBegin { id, bytes } => {
+            format!(r#""ev":"xfer_begin","id":{id},"bytes":{bytes}"#)
+        }
+        EventKind::XferEnd { id, bytes } => {
+            format!(r#""ev":"xfer_end","id":{id},"bytes":{bytes}"#)
+        }
+        EventKind::SectionBegin { name } => {
+            format!(r#""ev":"section_begin","name":"{}""#, esc(name))
+        }
+        EventKind::SectionEnd => r#""ev":"section_end""#.to_string(),
+        EventKind::XferFlag { id } => format!(r#""ev":"xfer_flag","id":{id}"#),
+    }
+}
+
 /// Nanoseconds → Chrome's microsecond `ts`, exact to the nanosecond.
 fn ts_us(t: u64) -> String {
     format!("{}.{:03}", t / 1_000, t % 1_000)
@@ -382,23 +403,7 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
         let scope = esc(&b.scope);
         for r in &b.ranks {
             for e in &r.events {
-                let body = match e.kind {
-                    EventKind::CallEnter { name } => {
-                        format!(r#""ev":"call_enter","name":"{}""#, esc(name))
-                    }
-                    EventKind::CallExit => r#""ev":"call_exit""#.to_string(),
-                    EventKind::XferBegin { id, bytes } => {
-                        format!(r#""ev":"xfer_begin","id":{id},"bytes":{bytes}"#)
-                    }
-                    EventKind::XferEnd { id, bytes } => {
-                        format!(r#""ev":"xfer_end","id":{id},"bytes":{bytes}"#)
-                    }
-                    EventKind::SectionBegin { name } => {
-                        format!(r#""ev":"section_begin","name":"{}""#, esc(name))
-                    }
-                    EventKind::SectionEnd => r#""ev":"section_end""#.to_string(),
-                    EventKind::XferFlag { id } => format!(r#""ev":"xfer_flag","id":{id}"#),
-                };
+                let body = event_body(&e.kind);
                 let _ = writeln!(
                     out,
                     r#"{{"scope":"{scope}","rank":{},"t":{},{body}}}"#,

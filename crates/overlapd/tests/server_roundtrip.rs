@@ -236,6 +236,22 @@ fn refusals_are_one_line_and_leave_no_session_state() {
         other => panic!("expected refusal, got {other}"),
     }
 
+    // A name no instrumented library would send: refused before it can
+    // grow the reader's name pool.
+    let hostile = format!(
+        "{{\"ev\":\"header\",\"schema_version\":{}}}\n\
+         {{\"ev\":\"call_enter\",\"scope\":\"x\",\"rank\":0,\"t\":0,\"name\":\"{}\"}}\n",
+        overlap_core::trace::SCHEMA_VERSION,
+        "n".repeat(257)
+    );
+    match push_text(&addr, "s3", &hostile).unwrap_err() {
+        PushError::Refused(msg) => {
+            assert!(msg.contains("`name` longer than 256 bytes"), "got: {msg}");
+            assert!(!msg.contains('\n'));
+        }
+        other => panic!("expected refusal, got {other}"),
+    }
+
     // A refused stream folds nothing: the session reports no events.
     let (st, body) = http(&addr, "GET", "/v1/sessions", b"");
     assert_eq!(st, 200);

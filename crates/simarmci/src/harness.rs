@@ -1,9 +1,6 @@
 //! Harness for ARMCI programs on the simulated cluster.
 
-use std::sync::Arc;
-
 use overlap_core::{OverlapReport, RecorderOpts, XferTimeTable};
-use parking_lot::Mutex;
 use simcore::{ActivityLog, SimError, SimOpts, Time};
 use simnet::{Cluster, NetConfig, TransferRecord};
 
@@ -69,46 +66,18 @@ where
     F: Fn(&mut Armci) + Send + Sync + 'static,
 {
     let table = simmpi::default_xfer_table(&net);
-    run_armci_with(nranks, net, rec_opts, table, SimOpts::default(), body)
-}
-
-/// Full-control variant of [`run_armci`].
-pub fn run_armci_with<F>(
-    nranks: usize,
-    net: NetConfig,
-    rec_opts: RecorderOpts,
-    table: XferTimeTable,
-    opts: SimOpts,
-    body: F,
-) -> Result<ArmciRunOutcome, SimError>
-where
-    F: Fn(&mut Armci) + Send + Sync + 'static,
-{
     let cluster = Cluster::new(nranks, net);
-    type PerRank = Vec<Option<(OverlapReport, Option<overlap_core::trace::RankTrace>)>>;
-    let collected: Arc<Mutex<PerRank>> = Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
-    let collected_in = Arc::clone(&collected);
-    let out = cluster.run(opts, move |ctx, world| {
-        let rank = ctx.rank();
+    let (out, per_rank) = cluster.run_collect(SimOpts::default(), move |ctx, world| {
         let mut armci = Armci::init(ctx, world.clone(), table.clone(), rec_opts.clone());
         body(&mut armci);
-        collected_in.lock()[rank] = Some(armci.finalize_traced());
+        armci.finalize_traced()
     })?;
-    let mut reports = Vec::with_capacity(nranks);
-    let mut traces = Vec::new();
-    for slot in Arc::try_unwrap(collected)
-        .expect("report collector uniquely owned after run")
-        .into_inner()
-    {
-        let (report, trace) = slot.expect("every rank produced a report");
-        reports.push(report);
-        traces.extend(trace);
-    }
+    let (reports, traces): (Vec<_>, Vec<_>) = per_rank.into_iter().unzip();
     Ok(ArmciRunOutcome {
         reports,
         transfers: out.transfers,
         activity: out.activity,
-        traces,
+        traces: traces.into_iter().flatten().collect(),
         end_time: out.end_time,
     })
 }

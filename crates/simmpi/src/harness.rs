@@ -1,10 +1,7 @@
 //! Top-level harness: run an MPI program on a simulated cluster and collect
 //! per-rank overlap reports plus fabric ground truth.
 
-use std::sync::Arc;
-
 use overlap_core::{OverlapReport, RecorderOpts, XferTimeTable};
-use parking_lot::Mutex;
 use simcore::{ActivityLog, SimError, SimOpts, Time};
 use simnet::{Cluster, FaultEvent, NetConfig, TransferRecord};
 
@@ -97,41 +94,18 @@ where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
     let table = default_xfer_table(&net);
-    run_mpi_with(
-        nranks,
-        net,
-        mpi_cfg,
-        rec_opts,
-        table,
-        SimOpts::default(),
-        body,
-    )
+    let opts = SimOpts::default();
+    run_mpi_with(nranks, net, mpi_cfg, rec_opts, table, opts, None, body)
 }
 
-/// Full-control variant of [`run_mpi`]: custom transfer-time table and
-/// engine limits.
-pub fn run_mpi_with<F>(
-    nranks: usize,
-    net: NetConfig,
-    mpi_cfg: MpiConfig,
-    rec_opts: RecorderOpts,
-    table: XferTimeTable,
-    opts: SimOpts,
-    body: F,
-) -> Result<MpiRunOutcome, SimError>
-where
-    F: Fn(&mut Mpi) + Send + Sync + 'static,
-{
-    run_mpi_explored(nranks, net, mpi_cfg, rec_opts, table, opts, None, body)
-}
-
-/// [`run_mpi_with`] plus an optional schedule oracle: when `oracle` is
-/// `Some`, every engine nondeterminism point (same-time event ties,
-/// progress-poll drain order, fault-timing jitter) is resolved by the
-/// oracle and recorded in its trace, so the schedule can be replayed or
-/// perturbed. `None` runs the untouched canonical path.
+/// Full-control variant of [`run_mpi`]: custom transfer-time table, engine
+/// limits and an optional schedule oracle. When `oracle` is `Some`, every
+/// engine nondeterminism point (same-time event ties, progress-poll drain
+/// order, fault-timing jitter) is resolved by the oracle and recorded in its
+/// trace, so the schedule can be replayed or perturbed. `None` runs the
+/// untouched canonical path.
 #[allow(clippy::too_many_arguments)]
-pub fn run_mpi_explored<F>(
+pub fn run_mpi_with<F>(
     nranks: usize,
     net: NetConfig,
     mpi_cfg: MpiConfig,
@@ -148,17 +122,7 @@ where
     if let Some(orc) = oracle {
         cluster.handle().set_oracle(orc);
     }
-    type PerRank = Vec<
-        Option<(
-            OverlapReport,
-            crate::RelStats,
-            Option<overlap_core::trace::RankTrace>,
-        )>,
-    >;
-    let collected: Arc<Mutex<PerRank>> = Arc::new(Mutex::new((0..nranks).map(|_| None).collect()));
-    let collected_in = Arc::clone(&collected);
-    let out = cluster.run(opts, move |ctx, world| {
-        let rank = ctx.rank();
+    let (out, per_rank) = cluster.run_collect(opts, move |ctx, world| {
         let mut mpi = Mpi::init(
             ctx,
             world.clone(),
@@ -167,16 +131,12 @@ where
             rec_opts.clone(),
         );
         body(&mut mpi);
-        collected_in.lock()[rank] = Some(mpi.finalize_full());
+        mpi.finalize_full()
     })?;
     let mut reports = Vec::with_capacity(nranks);
     let mut rel_stats = Vec::with_capacity(nranks);
     let mut traces = Vec::new();
-    for slot in Arc::try_unwrap(collected)
-        .expect("report collector uniquely owned after run")
-        .into_inner()
-    {
-        let (report, stats, trace) = slot.expect("every rank produced a report");
+    for (report, stats, trace) in per_rank {
         reports.push(report);
         rel_stats.push(stats);
         traces.extend(trace);

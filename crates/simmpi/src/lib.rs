@@ -61,7 +61,7 @@ pub mod types;
 
 pub use comm::Comm;
 pub use config::{MpiConfig, ProgressModel, RndvMode};
-pub use harness::{default_xfer_table, run_mpi, run_mpi_explored, run_mpi_with, MpiRunOutcome};
+pub use harness::{default_xfer_table, run_mpi, run_mpi_with, MpiRunOutcome};
 pub use icoll::{CollHandle, CollResult};
 pub use mpi::Mpi;
 pub use reliability::RelStats;

@@ -751,26 +751,17 @@ impl<'a> Mpi<'a> {
     ) -> Request {
         let req_id = self.alloc_req();
         let len = data.len();
-        if self.cfg.progress == ProgressModel::HwTag {
-            // NIC tag matching: every send — data and synchronization alike
-            // — goes through the hardware matching engine, so there is a
-            // single matching domain and the host never handles envelopes.
-            if !counted || len <= self.cfg.eager_threshold {
-                self.hw_send_eager(req_id, dst, tag, data, counted, sync);
-            } else {
-                // Both rendezvous modes collapse to a NIC-initiated pull.
-                self.hw_send_rndv(req_id, dst, tag, data);
-            }
-            return Request(req_id);
-        }
         if !counted || len <= self.cfg.eager_threshold {
             self.send_eager(req_id, dst, tag, data, counted, sync);
         } else {
             // Rendezvous completion already implies the receiver matched, so
-            // synchronous mode needs nothing extra.
+            // synchronous mode needs nothing extra. Under `hw-tag` both
+            // rendezvous modes collapse to a NIC-initiated pull.
             match self.cfg.rndv_mode {
-                RndvMode::DirectRead => self.send_rndv_read(req_id, dst, tag, data),
-                RndvMode::PipelinedWrite => self.send_rndv_pipe(req_id, dst, tag, data),
+                RndvMode::PipelinedWrite if self.cfg.progress != ProgressModel::HwTag => {
+                    self.send_rndv_pipe(req_id, dst, tag, data)
+                }
+                _ => self.send_rndv_read(req_id, dst, tag, data),
             }
         }
         Request(req_id)
@@ -802,25 +793,29 @@ impl<'a> Mpi<'a> {
                 None
             };
             xfer = xfer_id.map_or(NO_XFER, |x| x.0);
-            let ty = if counted {
-                proto::PT_EAGER
+            let done_user = proto::pack_user(wr_kind::EAGER_SEND, req_id);
+            let payload = Bytes::copy_from_slice(data);
+            if self.cfg.progress == ProgressModel::HwTag {
+                // NIC tag matching: every send — data and synchronization
+                // alike — goes through the hardware matching engine, so
+                // there is a single matching domain and the host never
+                // handles envelopes. A synchronous-mode ACK arrives as a
+                // [`wr_kind::HW_MATCHED`] completion scheduled by the
+                // matching NIC, not as a host-built packet.
+                let ack_user = sync.then(|| proto::pack_user(wr_kind::HW_MATCHED, req_id));
+                w.hw_send(
+                    self.rank, dst, tag, payload, wire, xfer, done_user, ack_user, xfer_id,
+                );
             } else {
-                proto::PT_BARRIER
-            };
-            let pkt = Packet::with_data(
-                self.rank,
-                wire,
-                ty,
-                [tag, xfer, sync as u64, req_id, 0, 0],
-                Bytes::copy_from_slice(data),
-            );
-            self.rel.post(
-                &mut w,
-                dst,
-                pkt,
-                proto::pack_user(wr_kind::EAGER_SEND, req_id),
-                xfer_id,
-            );
+                let ty = if counted {
+                    proto::PT_EAGER
+                } else {
+                    proto::PT_BARRIER
+                };
+                let meta = [tag, xfer, sync as u64, req_id, 0, 0];
+                let pkt = Packet::with_data(self.rank, wire, ty, meta, payload);
+                self.rel.post(&mut w, dst, pkt, done_user, xfer_id);
+            }
         }
         if counted {
             self.rec.xfer_begin(xfer, len as u64);
@@ -868,14 +863,29 @@ impl<'a> Mpi<'a> {
                 cached,
             );
             xfer = w.alloc_xfer_id().0;
-            let rts = Packet::control(
-                self.rank,
-                wire,
-                proto::PT_RTS_READ,
-                [tag, len as u64, region.0, xfer, req_id, 0],
-            );
-            self.rel
-                .post(&mut w, dst, rts, proto::pack_user(wr_kind::IGNORE, 0), None);
+            let user = proto::pack_user(wr_kind::IGNORE, 0);
+            if self.cfg.progress == ProgressModel::HwTag {
+                // The RTS is matched in the receiving NIC, which pulls the
+                // data itself and fires this FIN back — zero receiver-host
+                // involvement. The template reuses the classic direct-read
+                // FIN so the sender-side handler is identical; its `src` is
+                // the receiver (the pull initiator).
+                let fin = Packet::control(
+                    dst,
+                    wire,
+                    proto::PT_FIN_READ,
+                    [req_id, xfer, len as u64, 0, 0, 0],
+                );
+                w.hw_send_rndv(self.rank, dst, tag, len, region, XferId(xfer), user, fin);
+            } else {
+                let rts = Packet::control(
+                    self.rank,
+                    wire,
+                    proto::PT_RTS_READ,
+                    [tag, len as u64, region.0, xfer, req_id, 0],
+                );
+                self.rel.post(&mut w, dst, rts, user, None);
+            }
         }
         self.rec.xfer_begin(xfer, len as u64);
         self.reqs.insert(
@@ -933,132 +943,6 @@ impl<'a> Mpi<'a> {
             }
             r
         }
-    }
-
-    /// Eager send through the NIC tag matcher (`hw-tag` model). Host costs
-    /// match the classic eager path — the bounce-buffer copy and the post
-    /// are still host work — but matching and any synchronous-mode ACK are
-    /// NIC-side: the ACK arrives as a [`wr_kind::HW_MATCHED`] completion
-    /// scheduled by the matching NIC, not as a host-built packet.
-    fn hw_send_eager(
-        &mut self,
-        req_id: u64,
-        dst: usize,
-        tag: u64,
-        data: &[u8],
-        counted: bool,
-        sync: bool,
-    ) {
-        let len = data.len();
-        if counted {
-            self.lib_busy(self.net.copy_cost(len) + self.net.post_cost);
-        } else {
-            self.lib_busy(self.net.post_cost);
-        }
-        let wire = len + self.net.ctrl_packet_bytes;
-        let xfer;
-        {
-            let mut w = self.world.lock();
-            let xfer_id = if counted {
-                Some(w.alloc_xfer_id())
-            } else {
-                None
-            };
-            xfer = xfer_id.map_or(NO_XFER, |x| x.0);
-            let ack_user = sync.then(|| proto::pack_user(wr_kind::HW_MATCHED, req_id));
-            w.hw_send(
-                self.rank,
-                dst,
-                tag,
-                Bytes::copy_from_slice(data),
-                wire,
-                xfer,
-                proto::pack_user(wr_kind::EAGER_SEND, req_id),
-                ack_user,
-                xfer_id,
-            );
-        }
-        if counted {
-            self.rec.xfer_begin(xfer, len as u64);
-        }
-        self.reqs.insert(
-            req_id,
-            Req::SendEager {
-                done: false,
-                detached: false,
-                wire_done: false,
-                awaiting_ack: sync,
-                xfer,
-                bytes: len as u64,
-                peer: dst,
-                tag,
-            },
-        );
-    }
-
-    /// Rendezvous send through the NIC tag matcher: registration is still
-    /// host work, but the RTS is matched in the receiving NIC, which pulls
-    /// the data itself and fires the FIN back — zero receiver-host
-    /// involvement. The sender-side request state and FIN handling are
-    /// shared with the classic direct-read path.
-    fn hw_send_rndv(&mut self, req_id: u64, dst: usize, tag: u64, data: &[u8]) {
-        let len = data.len();
-        let cached = self.cfg.use_reg_cache
-            && self
-                .send_reg_cache
-                .iter()
-                .any(|&(cached_len, _, busy)| cached_len == len && !busy);
-        if !cached {
-            self.reg_busy(self.net.reg_cost(len));
-        }
-        self.lib_busy(self.net.post_cost);
-        let xfer;
-        let region;
-        {
-            let mut w = self.world.lock();
-            region = Self::acquire_send_region(
-                &mut self.send_reg_cache,
-                &self.cfg,
-                self.rank,
-                &mut w,
-                len,
-                data,
-                cached,
-            );
-            xfer = w.alloc_xfer_id().0;
-            // FIN template the pulling NIC sends us on completion; it reuses
-            // the classic direct-read FIN so the sender-side handler is
-            // identical. Its `src` is the receiver (the pull initiator).
-            let fin = Packet::control(
-                dst,
-                self.net.ctrl_packet_bytes,
-                proto::PT_FIN_READ,
-                [req_id, xfer, len as u64, 0, 0, 0],
-            );
-            w.hw_send_rndv(
-                self.rank,
-                dst,
-                tag,
-                len,
-                region,
-                XferId(xfer),
-                proto::pack_user(wr_kind::IGNORE, 0),
-                fin,
-            );
-        }
-        self.rec.xfer_begin(xfer, len as u64);
-        self.reqs.insert(
-            req_id,
-            Req::SendRdvRead {
-                done: false,
-                xfer,
-                bytes: len as u64,
-                region,
-                keep_region: self.cfg.use_reg_cache,
-                peer: dst,
-                tag,
-            },
-        );
     }
 
     fn send_rndv_pipe(&mut self, req_id: u64, dst: usize, tag: u64, data: &[u8]) {
@@ -1485,24 +1369,29 @@ impl<'a> Mpi<'a> {
                 }
                 self.complete_recv(req_id, src, tag, data);
             }
-            wr_kind::HW_MATCHED => {
-                // NIC match notification for a synchronous hw-tag send.
-                if let Some(Req::SendEager {
-                    done,
-                    detached,
-                    wire_done,
-                    awaiting_ack,
-                    ..
-                }) = self.reqs.get_mut(&req_id)
-                {
-                    *awaiting_ack = false;
-                    if *wire_done {
-                        *done = true;
-                        debug_assert!(!*detached, "synchronous sends are always waited");
-                    }
-                }
-            }
+            // NIC match notification for a synchronous hw-tag send.
+            wr_kind::HW_MATCHED => self.ssend_acked(req_id),
             other => panic!("unknown completion kind {other}"),
+        }
+    }
+
+    /// The receiver matched synchronous eager send `req_id` (a host-built
+    /// `PT_SSEND_ACK`, or the NIC's match notification under `hw-tag`): the
+    /// send completes once its wire transfer has too.
+    fn ssend_acked(&mut self, req_id: u64) {
+        if let Some(Req::SendEager {
+            done,
+            detached,
+            wire_done,
+            awaiting_ack,
+            ..
+        }) = self.reqs.get_mut(&req_id)
+        {
+            *awaiting_ack = false;
+            if *wire_done {
+                *done = true;
+                debug_assert!(!*detached, "synchronous sends are always waited");
+            }
         }
     }
 
@@ -1571,24 +1460,7 @@ impl<'a> Mpi<'a> {
                 ack_req: None,
                 copied: false,
             },
-            proto::PT_SSEND_ACK => {
-                let sender_req = p.h[0];
-                if let Some(Req::SendEager {
-                    done,
-                    detached,
-                    wire_done,
-                    awaiting_ack,
-                    ..
-                }) = self.reqs.get_mut(&sender_req)
-                {
-                    *awaiting_ack = false;
-                    if *wire_done {
-                        *done = true;
-                        debug_assert!(!*detached, "synchronous sends are always waited");
-                    }
-                }
-                return;
-            }
+            proto::PT_SSEND_ACK => return self.ssend_acked(p.h[0]),
             proto::PT_RTS_READ => Arrival::RtsRead {
                 src: p.src,
                 tag: p.h[0],

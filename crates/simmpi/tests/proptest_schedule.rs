@@ -12,7 +12,7 @@
 use overlap_core::RecorderOpts;
 use proptest::prelude::*;
 use simcore::{OracleHandle, RandomOracle, SimOpts};
-use simmpi::{default_xfer_table, run_mpi_explored, MpiConfig, Src, TagSel};
+use simmpi::{default_xfer_table, run_mpi_with, MpiConfig, Src, TagSel};
 use simnet::{FaultPlan, NetConfig};
 
 const MAX_RETRIES: u32 = 32;
@@ -43,7 +43,7 @@ proptest! {
             ..SimOpts::default()
         };
         let oracle = OracleHandle::new(Box::new(RandomOracle::new(seed)));
-        let out = run_mpi_explored(
+        let out = run_mpi_with(
             2,
             net,
             cfg,

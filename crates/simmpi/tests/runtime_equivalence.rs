@@ -12,7 +12,7 @@
 use overlap_core::RecorderOpts;
 use proptest::prelude::*;
 use simcore::{OracleHandle, RandomOracle, RankRuntime, SimOpts};
-use simmpi::{default_xfer_table, run_mpi_explored, MpiConfig, ProgressModel, Src, TagSel};
+use simmpi::{default_xfer_table, run_mpi_with, MpiConfig, ProgressModel, Src, TagSel};
 use simnet::{FaultPlan, NetConfig};
 
 fn payload(rank: usize, round: usize, len: usize) -> Vec<u8> {
@@ -68,7 +68,7 @@ fn fingerprint_model(
         progress: model,
         ..MpiConfig::default()
     };
-    let out = run_mpi_explored(
+    let out = run_mpi_with(
         4,
         net.clone(),
         cfg,

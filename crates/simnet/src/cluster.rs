@@ -1,5 +1,8 @@
 //! Convenience wrapper tying a [`simcore::Simulation`] to a [`World`].
 
+use std::sync::Arc;
+
+use parking_lot::Mutex;
 use simcore::{ActivityLog, RankCtx, SimError, SimOpts, Simulation};
 
 use crate::config::NetConfig;
@@ -66,6 +69,32 @@ impl Cluster {
             faults,
             events_processed: out.events_processed,
         })
+    }
+
+    /// [`Cluster::run`] for bodies that hand something back: `body`'s return
+    /// values come out ordered by rank, next to the outcome. This is how the
+    /// communication libraries collect each rank's finalized report.
+    pub fn run_collect<T, F>(
+        self,
+        opts: SimOpts,
+        body: F,
+    ) -> Result<(ClusterOutcome, Vec<T>), SimError>
+    where
+        T: Send + 'static,
+        F: Fn(&mut RankCtx, &SharedWorld) -> T + Send + Sync + 'static,
+    {
+        let slots: Arc<Mutex<Vec<Option<T>>>> =
+            Arc::new(Mutex::new((0..self.sim.nranks()).map(|_| None).collect()));
+        let sink = Arc::clone(&slots);
+        let out = self.run(opts, move |ctx, world| {
+            let v = body(ctx, world);
+            sink.lock()[ctx.rank()] = Some(v);
+        })?;
+        let per_rank = std::mem::take(&mut *slots.lock())
+            .into_iter()
+            .map(|slot| slot.expect("every rank ran to completion"))
+            .collect();
+        Ok((out, per_rank))
     }
 }
 

@@ -170,6 +170,31 @@ impl Nic {
         start + busy
     }
 
+    /// Queue a completion for the host and count it.
+    pub(crate) fn complete(
+        &mut self,
+        wr_id: WrId,
+        user: u64,
+        data: Option<Bytes>,
+        imm: [u64; 3],
+        edge: CausalEdge,
+    ) {
+        self.cq.push_back(Completion {
+            wr_id,
+            user,
+            data,
+            imm,
+            edge,
+        });
+        self.completions_generated += 1;
+    }
+
+    /// Queue a received packet for the host and count it.
+    pub(crate) fn deliver(&mut self, packet: Packet) {
+        self.rx.push_back(packet);
+        self.packets_delivered += 1;
+    }
+
     /// True if the host would observe anything on a poll.
     pub fn has_host_events(&self) -> bool {
         !self.cq.is_empty() || !self.rx.is_empty()

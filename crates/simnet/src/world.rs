@@ -299,17 +299,9 @@ impl World {
                     // matching engine, never surfaced to the host rx queue.
                     w.hw_deliver(dst, packet);
                 } else {
-                    w.nics[dst].rx.push_back(packet);
-                    w.nics[dst].packets_delivered += 1;
+                    w.nics[dst].deliver(packet);
                 }
-                w.nics[src].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: None,
-                    imm: [0; 3],
-                    edge,
-                });
-                w.nics[src].completions_generated += 1;
+                w.nics[src].complete(wr, user, None, [0; 3], edge);
                 drop(w);
                 h.wake_rank(dst);
                 h.wake_rank(src);
@@ -320,20 +312,12 @@ impl World {
                 user,
                 edge,
             } => {
-                w.nics[src].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: None,
-                    imm: [0; 3],
-                    edge,
-                });
-                w.nics[src].completions_generated += 1;
+                w.nics[src].complete(wr, user, None, [0; 3], edge);
                 drop(w);
                 h.wake_rank(src);
             }
             Pending::DupDeliver { dst, packet } => {
-                w.nics[dst].rx.push_back(packet);
-                w.nics[dst].packets_delivered += 1;
+                w.nics[dst].deliver(packet);
                 drop(w);
                 h.wake_rank(dst);
             }
@@ -352,18 +336,10 @@ impl World {
                     .get_mut(region)
                     .expect("RDMA write to unknown region");
                 mem[off..off + data.len()].copy_from_slice(&data);
-                w.nics[src].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: None,
-                    imm: [0; 3],
-                    edge,
-                });
-                w.nics[src].completions_generated += 1;
+                w.nics[src].complete(wr, user, None, [0; 3], edge);
                 let wake_dst = if let Some(mut p) = notify {
                     p.edge = edge;
-                    w.nics[dst].rx.push_back(p);
-                    w.nics[dst].packets_delivered += 1;
+                    w.nics[dst].deliver(p);
                     true
                 } else {
                     false
@@ -392,14 +368,7 @@ impl World {
                     let cur = f64::from_le_bytes(mem[o..o + 8].try_into().unwrap());
                     mem[o..o + 8].copy_from_slice(&(cur + v).to_le_bytes());
                 }
-                w.nics[src].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: None,
-                    imm: [0; 3],
-                    edge,
-                });
-                w.nics[src].completions_generated += 1;
+                w.nics[src].complete(wr, user, None, [0; 3], edge);
                 drop(w);
                 h.wake_rank(src);
             }
@@ -447,14 +416,13 @@ impl World {
                 old,
                 edge,
             } => {
-                w.nics[initiator].cq.push_back(Completion {
-                    wr_id: wr,
+                w.nics[initiator].complete(
+                    wr,
                     user,
-                    data: Some(Bytes::copy_from_slice(&old.to_le_bytes())),
-                    imm: [0; 3],
+                    Some(Bytes::copy_from_slice(&old.to_le_bytes())),
+                    [0; 3],
                     edge,
-                });
-                w.nics[initiator].completions_generated += 1;
+                );
                 drop(w);
                 h.wake_rank(initiator);
             }
@@ -525,18 +493,10 @@ impl World {
                 notify,
                 edge,
             } => {
-                w.nics[initiator].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: Some(snapshot),
-                    imm,
-                    edge,
-                });
-                w.nics[initiator].completions_generated += 1;
+                w.nics[initiator].complete(wr, user, Some(snapshot), imm, edge);
                 let wake_target = if let Some(mut p) = notify {
                     p.edge = edge;
-                    w.nics[target].rx.push_back(p);
-                    w.nics[target].packets_delivered += 1;
+                    w.nics[target].deliver(p);
                     true
                 } else {
                     false
@@ -553,14 +513,7 @@ impl World {
                 wr,
                 user,
             } => {
-                w.nics[to].cq.push_back(Completion {
-                    wr_id: wr,
-                    user,
-                    data: None,
-                    imm: [0; 3],
-                    edge: CausalEdge::default(),
-                });
-                w.nics[to].completions_generated += 1;
+                w.nics[to].complete(wr, user, None, [0; 3], CausalEdge::default());
                 drop(w);
                 h.wake_rank(to);
             }
@@ -924,28 +877,28 @@ impl World {
         let mut dup_arrival = None;
         if self.faulty && src != dst && !packet.protected {
             let plan = &self.cfg.faults;
-            if self.fault_rng.chance(plan.drop_prob) {
-                deliver = false;
-                self.fault_events.push(FaultEvent {
+            let (events, ty) = (&mut self.fault_events, packet.ty);
+            // Record one fault decision in the ground truth; `extra` ns of
+            // injected delay push the arrival out and are charged to the edge.
+            let mut inject = |arrival: &mut Time, extra: u64, kind: FaultKind| {
+                *arrival += extra;
+                edge.fault_extra_ns += extra;
+                events.push(FaultEvent {
                     at: now,
                     src,
                     dst,
-                    packet_ty: packet.ty,
-                    kind: FaultKind::Dropped,
+                    packet_ty: ty,
+                    kind,
                 });
+            };
+            if self.fault_rng.chance(plan.drop_prob) {
+                deliver = false;
+                inject(&mut arrival, 0, FaultKind::Dropped);
             } else {
                 if self.fault_rng.chance(plan.delay_prob) {
                     let extra = self.fault_rng.below_inclusive(plan.max_extra_delay);
                     if extra > 0 {
-                        arrival += extra;
-                        edge.fault_extra_ns += extra;
-                        self.fault_events.push(FaultEvent {
-                            at: now,
-                            src,
-                            dst,
-                            packet_ty: packet.ty,
-                            kind: FaultKind::Delayed { extra },
-                        });
+                        inject(&mut arrival, extra, FaultKind::Delayed { extra });
                     }
                 }
                 if plan.explore_jitter_ns > 0 {
@@ -961,54 +914,23 @@ impl World {
                         });
                         let extra = plan.jitter_delay(step as u32);
                         if extra > 0 {
-                            arrival += extra;
-                            edge.fault_extra_ns += extra;
-                            self.fault_events.push(FaultEvent {
-                                at: now,
-                                src,
-                                dst,
-                                packet_ty: packet.ty,
-                                kind: FaultKind::Delayed { extra },
-                            });
+                            inject(&mut arrival, extra, FaultKind::Delayed { extra });
                         }
                     }
                 }
                 let deg = plan.degradation_delay(src, dst, dma_start);
                 if deg > 0 {
-                    arrival += deg;
-                    edge.fault_extra_ns += deg;
-                    self.fault_events.push(FaultEvent {
-                        at: now,
-                        src,
-                        dst,
-                        packet_ty: packet.ty,
-                        kind: FaultKind::LinkDegraded { extra: deg },
-                    });
+                    inject(&mut arrival, deg, FaultKind::LinkDegraded { extra: deg });
                 }
-                let released = plan.stall_release(dst, arrival);
-                if released > arrival {
-                    edge.fault_extra_ns += released - arrival;
-                    arrival = released;
-                    self.fault_events.push(FaultEvent {
-                        at: now,
-                        src,
-                        dst,
-                        packet_ty: packet.ty,
-                        kind: FaultKind::NicStalled {
-                            released_at: released,
-                        },
-                    });
+                let released_at = plan.stall_release(dst, arrival);
+                if released_at > arrival {
+                    let stall = released_at - arrival;
+                    inject(&mut arrival, stall, FaultKind::NicStalled { released_at });
                 }
                 if self.fault_rng.chance(plan.duplicate_prob) {
                     // The copy trails the original by one serialization slot.
                     dup_arrival = Some(arrival + busy.max(1));
-                    self.fault_events.push(FaultEvent {
-                        at: now,
-                        src,
-                        dst,
-                        packet_ty: packet.ty,
-                        kind: FaultKind::Duplicated,
-                    });
+                    inject(&mut arrival, 0, FaultKind::Duplicated);
                 }
             }
         }
@@ -1476,14 +1398,7 @@ impl World {
         imm: [u64; 3],
     ) {
         let wr = self.alloc_wr();
-        self.nics[node].cq.push_back(Completion {
-            wr_id: wr,
-            user,
-            data: Some(data),
-            imm,
-            edge,
-        });
-        self.nics[node].completions_generated += 1;
+        self.nics[node].complete(wr, user, Some(data), imm, edge);
     }
 
     /// Schedule the synchronous-send match notification from the matching
