@@ -10,6 +10,7 @@
 //! strictly optional, so the default path keeps the paper's constant-memory,
 //! no-tracing property.
 
+use std::fmt::Write as _;
 use std::io::Write;
 
 use crate::event::Event;
@@ -31,6 +32,8 @@ impl<F: FnMut(&Event)> EventObserver for F {
 /// which is exactly the overhead the paper's design avoids.
 pub struct TraceSink<W: Write> {
     out: W,
+    /// The line being built, reused from event to event.
+    line: String,
     events_written: u64,
 }
 
@@ -39,6 +42,7 @@ impl<W: Write> TraceSink<W> {
     pub fn new(out: W) -> Self {
         TraceSink {
             out,
+            line: String::new(),
             events_written: 0,
         }
     }
@@ -57,12 +61,11 @@ impl<W: Write> TraceSink<W> {
 
 impl<W: Write> EventObserver for TraceSink<W> {
     fn on_event(&mut self, e: &Event) {
-        let _ = writeln!(
-            self.out,
-            r#"{{"t":{},{}}}"#,
-            e.t,
-            crate::trace::event_body(&e.kind)
-        );
+        self.line.clear();
+        let _ = write!(self.line, r#"{{"t":{},"#, e.t);
+        let _ = crate::trace::event_body(&mut self.line, &e.kind);
+        self.line.push_str("}\n");
+        let _ = self.out.write_all(self.line.as_bytes());
         self.events_written += 1;
     }
 }

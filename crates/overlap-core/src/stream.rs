@@ -35,7 +35,16 @@
 //! `{"ev":"header","schema_version":N}` line written by the exporter; a
 //! missing or mismatched header is rejected with a one-line
 //! [`StreamError`] before any state is touched.
+//!
+//! **Line grammar.** [`parse_line`] takes any JSON object: members in any
+//! order, whitespace between tokens, escapes in strings and keys, the first
+//! occurrence of a repeated key deciding. Members the schema does not name
+//! are syntax-checked and skipped, nested at most 32 deep. It is one scan of
+//! the line's bytes into a fixed set of typed slots — no JSON tree, no
+//! recursion, time linear in the line's length — and allocates only for a
+//! string written with an escape and for a `name` not seen before.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
@@ -82,10 +91,10 @@ fn intern_in(pool: &mut BTreeSet<&'static str>, s: &str) -> Result<&'static str,
 }
 
 /// [`intern_in`] the process-global pool, for the `name` field of `line`.
-fn intern_name(v: &serde_json::Value, line: &str) -> Result<&'static str, StreamError> {
+fn intern_name(name: &str, line: &str) -> Result<&'static str, StreamError> {
     static POOL: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
     let mut pool = POOL.lock().unwrap_or_else(|e| e.into_inner());
-    intern_in(&mut pool, req_str(v, "name", line)?).map_err(|what| bad(line, &what))
+    intern_in(&mut pool, name).map_err(|what| bad(line, &what))
 }
 
 /// Why a stream line (or stream) was rejected. Every variant renders as a
@@ -142,38 +151,10 @@ fn bad(line: &str, what: &str) -> StreamError {
     }
 }
 
-fn req_u64(v: &serde_json::Value, key: &str, line: &str) -> Result<u64, StreamError> {
-    v.get(key)
-        .and_then(|x| x.as_u64())
-        .ok_or_else(|| bad(line, &format!("missing or non-numeric `{key}`")))
-}
-
-fn opt_u64(v: &serde_json::Value, key: &str, line: &str) -> Result<Option<u64>, StreamError> {
-    match v.get(key) {
-        None => Ok(None),
-        Some(x) if x.is_null() => Ok(None),
-        Some(x) => x
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| bad(line, &format!("non-numeric `{key}`"))),
-    }
-}
-
-fn req_bool(v: &serde_json::Value, key: &str, line: &str) -> Result<bool, StreamError> {
-    v.get(key)
-        .and_then(|x| x.as_bool())
-        .ok_or_else(|| bad(line, &format!("missing or non-boolean `{key}`")))
-}
-
-fn req_str<'v>(v: &'v serde_json::Value, key: &str, line: &str) -> Result<&'v str, StreamError> {
-    v.get(key)
-        .and_then(|x| x.as_str())
-        .ok_or_else(|| bad(line, &format!("missing or non-string `{key}`")))
-}
-
-/// One parsed line of the JSONL stream.
+/// One parsed line of the JSONL stream. `scope` borrows from the line it was
+/// parsed from, unless the label was written with a JSON escape.
 #[derive(Debug, Clone, PartialEq)]
-pub enum StreamLine {
+pub enum StreamLine<'a> {
     /// The schema header line (always first in an export).
     Header {
         /// Declared schema version.
@@ -182,7 +163,7 @@ pub enum StreamLine {
     /// A raw instrumentation event.
     Event {
         /// Scope label the line belongs to.
-        scope: String,
+        scope: Cow<'a, str>,
         /// Rank within the scope.
         rank: usize,
         /// The reconstructed event.
@@ -191,7 +172,7 @@ pub enum StreamLine {
     /// A derived per-transfer bound record (`"ev":"xfer_bounds"`).
     Bound {
         /// Scope label the line belongs to.
-        scope: String,
+        scope: Cow<'a, str>,
         /// Rank within the scope.
         rank: usize,
         /// The reconstructed record.
@@ -200,7 +181,7 @@ pub enum StreamLine {
     /// A classified wait interval (`"ev":"wait"`).
     Wait {
         /// Scope label the line belongs to.
-        scope: String,
+        scope: Cow<'a, str>,
         /// Rank within the scope.
         rank: usize,
         /// The reconstructed interval.
@@ -210,130 +191,533 @@ pub enum StreamLine {
     /// the fold (the windowed series counts faults per window).
     Fault {
         /// Scope label the line belongs to.
-        scope: String,
+        scope: Cow<'a, str>,
         /// Virtual timestamp, ns.
         t: u64,
     },
 }
 
-/// Parse one JSONL line into a [`StreamLine`]. Rejects unknown `ev` kinds
-/// and malformed fields with a one-line [`StreamError`].
-pub fn parse_line(line: &str) -> Result<StreamLine, StreamError> {
-    let v: serde_json::Value =
-        serde_json::from_str(line).map_err(|e| bad(line, &format!("not JSON ({e})")))?;
-    let ev = req_str(&v, "ev", line)?;
-    if ev == "header" {
-        return Ok(StreamLine::Header {
-            schema_version: req_u64(&v, "schema_version", line)?,
-        });
+/// Deepest array/object nesting the reader follows inside one line (the
+/// refusal past it spells the number out). The schema has none; this bounds
+/// the work spent skipping an unknown member or refusing a hostile one.
+const MAX_NESTING: u32 = 32;
+
+/// A JSON syntax error: what was wrong and at which byte of the line.
+struct Syntax {
+    what: &'static str,
+    at: usize,
+}
+
+type Scan<T> = Result<T, Syntax>;
+
+/// The four hex digits of a `\u` escape.
+fn hex4(digits: Option<&[u8]>) -> Option<u32> {
+    digits?
+        .iter()
+        .try_fold(0, |acc, &d| Some(acc << 4 | (d as char).to_digit(16)?))
+}
+
+/// A scanned string literal: what stood between its quotes, escapes checked
+/// but not yet replaced.
+struct RawStr<'a> {
+    raw: &'a str,
+    escaped: bool,
+}
+
+impl<'a> RawStr<'a> {
+    /// The string's value: the line's own bytes unless an escape forces a
+    /// copy.
+    fn decode(self) -> Cow<'a, str> {
+        if !self.escaped {
+            return Cow::Borrowed(self.raw);
+        }
+        let mut out = String::with_capacity(self.raw.len());
+        let mut rest = self.raw;
+        while let Some(i) = rest.find('\\') {
+            out.push_str(&rest[..i]);
+            let bytes = rest.as_bytes();
+            let (c, len) = match bytes[i + 1] {
+                b'n' => ('\n', 2),
+                b't' => ('\t', 2),
+                b'r' => ('\r', 2),
+                b'b' => ('\u{8}', 2),
+                b'f' => ('\u{c}', 2),
+                b'u' => (
+                    hex4(bytes.get(i + 2..i + 6))
+                        .and_then(char::from_u32)
+                        .expect("escape checked by the scan"),
+                    6,
+                ),
+                // `"`, `\` and `/` stand for themselves.
+                other => (other as char, 2),
+            };
+            out.push(c);
+            rest = &rest[i + len..];
+        }
+        out.push_str(rest);
+        Cow::Owned(out)
     }
-    let scope = req_str(&v, "scope", line)?.to_string();
-    let t = req_u64(&v, "t", line)?;
-    if ev == "fault" {
-        return Ok(StreamLine::Fault { scope, t });
+}
+
+/// One member value as far as the line schema cares: scalars typed, strings
+/// still raw, anything nested only syntax-checked.
+enum Val<'a> {
+    Null,
+    Bool(bool),
+    U64(u64),
+    /// A well-formed number that is negative or not an integer.
+    OtherNumber,
+    Str(RawStr<'a>),
+    Nested,
+}
+
+/// Single-pass scanner over one line's bytes. Every byte is visited a bounded
+/// number of times and nothing recurses, so a line costs time linear in its
+/// length whatever it holds.
+struct Scanner<'a> {
+    line: &'a str,
+    pos: usize,
+}
+
+impl<'a> Scanner<'a> {
+    fn peek(&self) -> Option<u8> {
+        self.line.as_bytes().get(self.pos).copied()
     }
-    let rank = req_u64(&v, "rank", line)? as usize;
-    let parsed = match ev {
-        "call_enter" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(
-                t,
-                EventKind::CallEnter {
-                    name: intern_name(&v, line)?,
-                },
-            ),
-        },
-        "call_exit" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(t, EventKind::CallExit),
-        },
-        "xfer_begin" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(
-                t,
-                EventKind::XferBegin {
-                    id: req_u64(&v, "id", line)?,
-                    bytes: req_u64(&v, "bytes", line)?,
-                },
-            ),
-        },
-        "xfer_end" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(
-                t,
-                EventKind::XferEnd {
-                    id: req_u64(&v, "id", line)?,
-                    bytes: req_u64(&v, "bytes", line)?,
-                },
-            ),
-        },
-        "section_begin" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(
-                t,
-                EventKind::SectionBegin {
-                    name: intern_name(&v, line)?,
-                },
-            ),
-        },
-        "section_end" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(t, EventKind::SectionEnd),
-        },
-        "xfer_flag" => StreamLine::Event {
-            scope,
-            rank,
-            event: Event::new(
-                t,
-                EventKind::XferFlag {
-                    id: req_u64(&v, "id", line)?,
-                },
-            ),
-        },
-        "xfer_bounds" => {
-            let case_s = req_str(&v, "case", line)?;
-            let case = case_from_label(case_s).ok_or_else(|| bad(line, "unknown bound `case`"))?;
-            StreamLine::Bound {
-                scope,
-                rank,
-                record: BoundRecord {
-                    id: opt_u64(&v, "id", line)?,
-                    bytes: req_u64(&v, "bytes", line)?,
-                    begin_t: opt_u64(&v, "begin_t", line)?,
+
+    fn err<T>(&self, what: &'static str) -> Scan<T> {
+        Err(Syntax { what, at: self.pos })
+    }
+
+    fn skip_ws(&mut self) {
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
+        }
+    }
+
+    fn eat(&mut self, b: u8, what: &'static str) -> Scan<()> {
+        if self.peek() != Some(b) {
+            return self.err(what);
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    /// A string literal, `pos` at its opening quote.
+    fn string(&mut self) -> Scan<RawStr<'a>> {
+        self.eat(b'"', "expected '\"'")?;
+        let bytes = self.line.as_bytes();
+        let start = self.pos;
+        let mut escaped = false;
+        loop {
+            match bytes.get(self.pos) {
+                None => return self.err("unterminated string"),
+                Some(b'"') => {
+                    let raw = &self.line[start..self.pos];
+                    self.pos += 1;
+                    return Ok(RawStr { raw, escaped });
+                }
+                Some(b'\\') => {
+                    escaped = true;
+                    self.pos += match bytes.get(self.pos + 1) {
+                        Some(b'"' | b'\\' | b'/' | b'n' | b't' | b'r' | b'b' | b'f') => 2,
+                        Some(b'u') => {
+                            let code = hex4(bytes.get(self.pos + 2..self.pos + 6));
+                            // A surrogate half is not a code point.
+                            if code.and_then(char::from_u32).is_none() {
+                                return self.err("bad \\u escape");
+                            }
+                            6
+                        }
+                        _ => return self.err("bad escape"),
+                    };
+                }
+                Some(_) => self.pos += 1,
+            }
+        }
+    }
+
+    /// A number token: `-`? then digits, or whatever `f64` parses. An integer
+    /// must fit `u64` (`i64` when negative).
+    fn number(&mut self) -> Scan<Val<'a>> {
+        let start = self.pos;
+        let negative = self.peek() == Some(b'-');
+        if negative {
+            self.pos += 1;
+        }
+        let mut integer = true;
+        let mut value = Some(0u64);
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {
+                    value = value
+                        .and_then(|v| v.checked_mul(10))
+                        .and_then(|v| v.checked_add(u64::from(b - b'0')));
+                }
+                b'.' | b'e' | b'E' | b'+' | b'-' => integer = false,
+                _ => break,
+            }
+            self.pos += 1;
+        }
+        let text = &self.line[start..self.pos];
+        let val = if !integer {
+            text.parse::<f64>().ok().map(|_| Val::OtherNumber)
+        } else if negative {
+            value
+                .filter(|&v| text.len() > 1 && v <= i64::MAX as u64)
+                .map(|_| Val::OtherNumber)
+        } else {
+            value.map(Val::U64)
+        };
+        val.ok_or(Syntax {
+            what: "bad number",
+            at: start,
+        })
+    }
+
+    fn keyword(&mut self, word: &'static str, val: Val<'a>) -> Scan<Val<'a>> {
+        if !self.line.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            return self.err("invalid keyword");
+        }
+        self.pos += word.len();
+        Ok(val)
+    }
+
+    /// Any value, `pos` at its first byte.
+    fn value(&mut self) -> Scan<Val<'a>> {
+        match self.peek() {
+            Some(b'"') => self.string().map(Val::Str),
+            Some(b'-' | b'0'..=b'9') => self.number(),
+            Some(b'[' | b'{') => self.skip_nested().map(|()| Val::Nested),
+            Some(b't') => self.keyword("true", Val::Bool(true)),
+            Some(b'f') => self.keyword("false", Val::Bool(false)),
+            Some(b'n') => self.keyword("null", Val::Null),
+            Some(_) => self.err("unexpected character"),
+            None => self.err("unexpected end of line"),
+        }
+    }
+
+    /// Syntax-check an array or object, `pos` at its opener, building
+    /// nothing. A stack of at most [`MAX_NESTING`] bits (set = object) stands
+    /// in for recursion.
+    fn skip_nested(&mut self) -> Scan<()> {
+        let mut objects = 0u32;
+        let mut depth = 0u32;
+        loop {
+            // `pos` is at an opener.
+            if depth == MAX_NESTING {
+                return self.err("nesting deeper than 32");
+            }
+            objects = objects << 1 | u32::from(self.peek() == Some(b'{'));
+            depth += 1;
+            self.pos += 1;
+            self.skip_ws();
+            // Walk the innermost open container until a member opens another.
+            let mut after_value = false;
+            loop {
+                let object = objects & 1 == 1;
+                let closer = if object { b'}' } else { b']' };
+                let closes = if after_value {
+                    self.skip_ws();
+                    match self.peek() {
+                        Some(b',') => {
+                            self.pos += 1;
+                            self.skip_ws();
+                            false
+                        }
+                        Some(b) if b == closer => true,
+                        _ if object => return self.err("bad object"),
+                        _ => return self.err("bad array"),
+                    }
+                } else {
+                    self.peek() == Some(closer)
+                };
+                after_value = true;
+                if closes {
+                    self.pos += 1;
+                    objects >>= 1;
+                    depth -= 1;
+                    if depth == 0 {
+                        return Ok(());
+                    }
+                    continue;
+                }
+                if object {
+                    self.string()?;
+                    self.skip_ws();
+                    self.eat(b':', "expected ':'")?;
+                    self.skip_ws();
+                }
+                if let Some(b'[' | b'{') = self.peek() {
+                    break;
+                }
+                self.value()?;
+            }
+        }
+    }
+
+    /// The line's own object, `pos` at its `{`: every member's value goes to
+    /// the slot its key names, if any.
+    fn members(&mut self, fields: &mut Fields<'a>) -> Scan<()> {
+        self.pos += 1;
+        self.skip_ws();
+        if self.peek() == Some(b'}') {
+            self.pos += 1;
+            return Ok(());
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.skip_ws();
+            self.eat(b':', "expected ':'")?;
+            self.skip_ws();
+            let val = self.value()?;
+            fields.put(&key.decode(), val);
+            self.skip_ws();
+            match self.peek() {
+                Some(b',') => self.pos += 1,
+                Some(b'}') => {
+                    self.pos += 1;
+                    return Ok(());
+                }
+                _ => return self.err("bad object"),
+            }
+        }
+    }
+}
+
+/// What a line said about one schema key. The first occurrence of a key
+/// decides; later duplicates are syntax-checked and dropped.
+#[derive(Default)]
+enum Slot<T> {
+    #[default]
+    Absent,
+    Null,
+    /// Present with a value of another type (or out of range).
+    Mistyped,
+    Is(T),
+}
+
+/// How a slot's type reads a scanned value.
+trait FromVal<'a>: Sized {
+    fn from_val(val: Val<'a>) -> Option<Self>;
+}
+
+impl<'a> FromVal<'a> for u64 {
+    fn from_val(val: Val<'a>) -> Option<u64> {
+        match val {
+            Val::U64(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> FromVal<'a> for bool {
+    fn from_val(val: Val<'a>) -> Option<bool> {
+        match val {
+            Val::Bool(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+impl<'a> FromVal<'a> for Cow<'a, str> {
+    fn from_val(val: Val<'a>) -> Option<Cow<'a, str>> {
+        match val {
+            Val::Str(s) => Some(s.decode()),
+            _ => None,
+        }
+    }
+}
+
+impl<T> Slot<T> {
+    fn put<'a>(&mut self, val: Val<'a>)
+    where
+        T: FromVal<'a>,
+    {
+        if let Slot::Absent = self {
+            *self = match val {
+                Val::Null => Slot::Null,
+                val => T::from_val(val).map_or(Slot::Mistyped, Slot::Is),
+            };
+        }
+    }
+
+    /// A required field; `kind` names its type in the refusal.
+    fn req(self, key: &str, kind: &str, line: &str) -> Result<T, StreamError> {
+        match self {
+            Slot::Is(v) => Ok(v),
+            _ => Err(bad(line, &format!("missing or non-{kind} `{key}`"))),
+        }
+    }
+}
+
+impl Slot<u64> {
+    /// An optional id: absent and `null` both read as none.
+    fn opt(self, key: &str, line: &str) -> Result<Option<u64>, StreamError> {
+        match self {
+            Slot::Absent | Slot::Null => Ok(None),
+            Slot::Is(v) => Ok(Some(v)),
+            Slot::Mistyped => Err(bad(line, &format!("non-numeric `{key}`"))),
+        }
+    }
+}
+
+/// Every key the line schema has, one typed slot each.
+#[derive(Default)]
+struct Fields<'a> {
+    ev: Slot<Cow<'a, str>>,
+    scope: Slot<Cow<'a, str>>,
+    name: Slot<Cow<'a, str>>,
+    case: Slot<Cow<'a, str>>,
+    cause: Slot<Cow<'a, str>>,
+    schema_version: Slot<u64>,
+    t: Slot<u64>,
+    rank: Slot<u64>,
+    id: Slot<u64>,
+    bytes: Slot<u64>,
+    begin_t: Slot<u64>,
+    xfer_time: Slot<u64>,
+    min: Slot<u64>,
+    max: Slot<u64>,
+    end: Slot<u64>,
+    xfer: Slot<u64>,
+    flagged: Slot<bool>,
+    clamped: Slot<bool>,
+}
+
+impl<'a> Fields<'a> {
+    fn put(&mut self, key: &str, val: Val<'a>) {
+        match key {
+            "scope" => self.scope.put(val),
+            "rank" => self.rank.put(val),
+            "t" => self.t.put(val),
+            "ev" => self.ev.put(val),
+            "id" => self.id.put(val),
+            "bytes" => self.bytes.put(val),
+            "name" => self.name.put(val),
+            "begin_t" => self.begin_t.put(val),
+            "xfer_time" => self.xfer_time.put(val),
+            "min" => self.min.put(val),
+            "max" => self.max.put(val),
+            "case" => self.case.put(val),
+            "flagged" => self.flagged.put(val),
+            "clamped" => self.clamped.put(val),
+            "end" => self.end.put(val),
+            "cause" => self.cause.put(val),
+            "xfer" => self.xfer.put(val),
+            "schema_version" => self.schema_version.put(val),
+            _ => {}
+        }
+    }
+
+    /// The typed line these fields spell, or what is missing from it.
+    fn build(self, line: &str) -> Result<StreamLine<'a>, StreamError> {
+        let num = |slot: Slot<u64>, key| slot.req(key, "numeric", line);
+        let flag = |slot: Slot<bool>, key| slot.req(key, "boolean", line);
+        let text = |slot: Slot<Cow<'a, str>>, key| slot.req(key, "string", line);
+        let name = |slot| intern_name(&text(slot, "name")?, line);
+
+        let ev = text(self.ev, "ev")?;
+        if ev == "header" {
+            return Ok(StreamLine::Header {
+                schema_version: num(self.schema_version, "schema_version")?,
+            });
+        }
+        let scope = text(self.scope, "scope")?;
+        let t = num(self.t, "t")?;
+        if ev == "fault" {
+            return Ok(StreamLine::Fault { scope, t });
+        }
+        let rank = num(self.rank, "rank")? as usize;
+        let kind = match &*ev {
+            "call_enter" => EventKind::CallEnter {
+                name: name(self.name)?,
+            },
+            "call_exit" => EventKind::CallExit,
+            "xfer_begin" => EventKind::XferBegin {
+                id: num(self.id, "id")?,
+                bytes: num(self.bytes, "bytes")?,
+            },
+            "xfer_end" => EventKind::XferEnd {
+                id: num(self.id, "id")?,
+                bytes: num(self.bytes, "bytes")?,
+            },
+            "section_begin" => EventKind::SectionBegin {
+                name: name(self.name)?,
+            },
+            "section_end" => EventKind::SectionEnd,
+            "xfer_flag" => EventKind::XferFlag {
+                id: num(self.id, "id")?,
+            },
+            "xfer_bounds" => {
+                let case = case_from_label(&text(self.case, "case")?)
+                    .ok_or_else(|| bad(line, "unknown bound `case`"))?;
+                let record = BoundRecord {
+                    id: self.id.opt("id", line)?,
+                    bytes: num(self.bytes, "bytes")?,
+                    begin_t: self.begin_t.opt("begin_t", line)?,
                     end_t: t,
-                    xfer_time: req_u64(&v, "xfer_time", line)?,
-                    min: req_u64(&v, "min", line)?,
-                    max: req_u64(&v, "max", line)?,
+                    xfer_time: num(self.xfer_time, "xfer_time")?,
+                    min: num(self.min, "min")?,
+                    max: num(self.max, "max")?,
                     case,
-                    flagged: req_bool(&v, "flagged", line)?,
-                    clamped: req_bool(&v, "clamped", line)?,
-                },
+                    flagged: flag(self.flagged, "flagged")?,
+                    clamped: flag(self.clamped, "clamped")?,
+                };
+                return Ok(StreamLine::Bound {
+                    scope,
+                    rank,
+                    record,
+                });
             }
-        }
-        "wait" => {
-            let cause_s = req_str(&v, "cause", line)?;
-            let cause =
-                WaitCause::from_label(cause_s).ok_or_else(|| bad(line, "unknown wait `cause`"))?;
-            StreamLine::Wait {
-                scope,
-                rank,
-                wait: WaitInterval {
+            "wait" => {
+                let cause = WaitCause::from_label(&text(self.cause, "cause")?)
+                    .ok_or_else(|| bad(line, "unknown wait `cause`"))?;
+                let wait = WaitInterval {
                     start: t,
-                    end: req_u64(&v, "end", line)?,
+                    end: num(self.end, "end")?,
                     cause,
-                    xfer: opt_u64(&v, "xfer", line)?,
-                },
+                    xfer: self.xfer.opt("xfer", line)?,
+                };
+                return Ok(StreamLine::Wait { scope, rank, wait });
             }
+            other => return Err(bad(line, &format!("unknown `ev` kind \"{other}\""))),
+        };
+        Ok(StreamLine::Event {
+            scope,
+            rank,
+            event: Event::new(t, kind),
+        })
+    }
+}
+
+/// Parse one JSONL line into a [`StreamLine`] (see the module's line
+/// grammar). Rejects unknown `ev` kinds and malformed fields with a one-line
+/// [`StreamError`].
+pub fn parse_line(line: &str) -> Result<StreamLine<'_>, StreamError> {
+    scan_line(line)
+        .map_err(|e| bad(line, &format!("not JSON ({} at byte {})", e.what, e.at)))?
+        .build(line)
+}
+
+/// The scanning half of [`parse_line`]: the whole line checked as JSON, its
+/// schema members in their slots.
+fn scan_line(line: &str) -> Scan<Fields<'_>> {
+    let mut scan = Scanner { line, pos: 0 };
+    let mut fields = Fields::default();
+    scan.skip_ws();
+    match scan.peek() {
+        Some(b'{') => scan.members(&mut fields)?,
+        // Any other JSON value is well-formed, and has no `ev`.
+        _ => {
+            scan.value()?;
         }
-        other => return Err(bad(line, &format!("unknown `ev` kind \"{other}\""))),
-    };
-    Ok(parsed)
+    }
+    scan.skip_ws();
+    if scan.pos != line.len() {
+        return scan.err("trailing characters");
+    }
+    Ok(fields)
 }
 
 /// One rank's stream state: the shared fold plus the derived records the
@@ -894,5 +1278,484 @@ mod tests {
         let rows = &s.series(None)[0].windows;
         assert_eq!(rows.len(), 17);
         assert_eq!(rows[16].end, u64::MAX);
+    }
+
+    /// The decoder this module had before the scanner: the vendored JSON
+    /// parser builds a `Value` tree, then members are looked up by key. Kept
+    /// as the reference [`parse_line`] is compared against.
+    mod oracle {
+        use super::super::*;
+        use serde_json::Value;
+
+        fn req_u64(v: &Value, key: &str, line: &str) -> Result<u64, StreamError> {
+            v.get(key)
+                .and_then(|x| x.as_u64())
+                .ok_or_else(|| bad(line, &format!("missing or non-numeric `{key}`")))
+        }
+
+        fn opt_u64(v: &Value, key: &str, line: &str) -> Result<Option<u64>, StreamError> {
+            match v.get(key) {
+                None => Ok(None),
+                Some(x) if x.is_null() => Ok(None),
+                Some(x) => x
+                    .as_u64()
+                    .map(Some)
+                    .ok_or_else(|| bad(line, &format!("non-numeric `{key}`"))),
+            }
+        }
+
+        fn req_bool(v: &Value, key: &str, line: &str) -> Result<bool, StreamError> {
+            v.get(key)
+                .and_then(|x| x.as_bool())
+                .ok_or_else(|| bad(line, &format!("missing or non-boolean `{key}`")))
+        }
+
+        fn req_str<'v>(v: &'v Value, key: &str, line: &str) -> Result<&'v str, StreamError> {
+            v.get(key)
+                .and_then(|x| x.as_str())
+                .ok_or_else(|| bad(line, &format!("missing or non-string `{key}`")))
+        }
+
+        pub fn parse_line(line: &str) -> Result<StreamLine<'static>, StreamError> {
+            let v: Value =
+                serde_json::from_str(line).map_err(|e| bad(line, &format!("not JSON ({e})")))?;
+            let ev = req_str(&v, "ev", line)?;
+            if ev == "header" {
+                return Ok(StreamLine::Header {
+                    schema_version: req_u64(&v, "schema_version", line)?,
+                });
+            }
+            let scope = Cow::Owned(req_str(&v, "scope", line)?.to_string());
+            let t = req_u64(&v, "t", line)?;
+            if ev == "fault" {
+                return Ok(StreamLine::Fault { scope, t });
+            }
+            let rank = req_u64(&v, "rank", line)? as usize;
+            let name = || intern_name(req_str(&v, "name", line)?, line);
+            let kind = match ev {
+                "call_enter" => EventKind::CallEnter { name: name()? },
+                "call_exit" => EventKind::CallExit,
+                "xfer_begin" => EventKind::XferBegin {
+                    id: req_u64(&v, "id", line)?,
+                    bytes: req_u64(&v, "bytes", line)?,
+                },
+                "xfer_end" => EventKind::XferEnd {
+                    id: req_u64(&v, "id", line)?,
+                    bytes: req_u64(&v, "bytes", line)?,
+                },
+                "section_begin" => EventKind::SectionBegin { name: name()? },
+                "section_end" => EventKind::SectionEnd,
+                "xfer_flag" => EventKind::XferFlag {
+                    id: req_u64(&v, "id", line)?,
+                },
+                "xfer_bounds" => {
+                    let case = case_from_label(req_str(&v, "case", line)?)
+                        .ok_or_else(|| bad(line, "unknown bound `case`"))?;
+                    let record = BoundRecord {
+                        id: opt_u64(&v, "id", line)?,
+                        bytes: req_u64(&v, "bytes", line)?,
+                        begin_t: opt_u64(&v, "begin_t", line)?,
+                        end_t: t,
+                        xfer_time: req_u64(&v, "xfer_time", line)?,
+                        min: req_u64(&v, "min", line)?,
+                        max: req_u64(&v, "max", line)?,
+                        case,
+                        flagged: req_bool(&v, "flagged", line)?,
+                        clamped: req_bool(&v, "clamped", line)?,
+                    };
+                    return Ok(StreamLine::Bound {
+                        scope,
+                        rank,
+                        record,
+                    });
+                }
+                "wait" => {
+                    let cause = WaitCause::from_label(req_str(&v, "cause", line)?)
+                        .ok_or_else(|| bad(line, "unknown wait `cause`"))?;
+                    let wait = WaitInterval {
+                        start: t,
+                        end: req_u64(&v, "end", line)?,
+                        cause,
+                        xfer: opt_u64(&v, "xfer", line)?,
+                    };
+                    return Ok(StreamLine::Wait { scope, rank, wait });
+                }
+                other => return Err(bad(line, &format!("unknown `ev` kind \"{other}\""))),
+            };
+            Ok(StreamLine::Event {
+                scope,
+                rank,
+                event: Event::new(t, kind),
+            })
+        }
+    }
+
+    /// `parse_line` and the oracle accept the same lines, decode them to the
+    /// same value and refuse the rest for the same reason (a syntax error is
+    /// worded by whichever parser met it), always on one line.
+    fn agree(line: &str) -> Result<(), String> {
+        let got = parse_line(line);
+        let want = oracle::parse_line(line);
+        let same = match (&got, &want) {
+            (Ok(g), Ok(w)) => g == w,
+            (Err(g), Err(w)) => {
+                let (g, w) = (g.to_string(), w.to_string());
+                let syntax = "bad stream line: not JSON (";
+                !g.contains('\n') && (g == w || (g.starts_with(syntax) && w.starts_with(syntax)))
+            }
+            _ => false,
+        };
+        if same {
+            Ok(())
+        } else {
+            Err(format!(
+                "on {line:?}\n  scanner: {got:?}\n  oracle:  {want:?}"
+            ))
+        }
+    }
+
+    /// Random stream lines: every `ev` kind, then spoiled in the ways a
+    /// foreign writer could spoil them.
+    struct LineGen(proptest::TestRng);
+
+    impl LineGen {
+        fn below(&mut self, n: usize) -> usize {
+            self.0.below(n as u64) as usize
+        }
+
+        fn pick<T: Copy>(&mut self, of: &[T]) -> T {
+            of[self.below(of.len())]
+        }
+
+        /// Inter-token whitespace (never a newline: a line is one line).
+        fn ws(&mut self) -> &'static str {
+            self.pick(&["", "", "", " ", "\t", "\r", "  "])
+        }
+
+        /// `s` as a JSON string literal, each character written plainly, as
+        /// its short escape or as `\uXXXX`, at random.
+        fn lit(&mut self, s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                let short = match c {
+                    '"' => Some("\\\""),
+                    '\\' => Some("\\\\"),
+                    '/' => Some("\\/"),
+                    '\n' => Some("\\n"),
+                    '\t' => Some("\\t"),
+                    _ => None,
+                };
+                match (self.below(8), short) {
+                    (0, _) if (c as u32) < 0x1_0000 => {
+                        out.push_str(&format!("\\u{:04x}", c as u32));
+                    }
+                    (_, Some(esc)) => out.push_str(esc),
+                    _ => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        }
+
+        fn number(&mut self) -> String {
+            match self.below(12) {
+                0 => "18446744073709551615".into(),
+                1 => "18446744073709551616".into(),
+                2 => format!("-{}", self.below(50)),
+                3 => self.pick(&["1.5", "2e3", "7E-2", "0.0", "-0.25"]).into(),
+                4 => self
+                    .pick(&["007", "-", "1e", "1.2.3", "+4", ".5", "0x10"])
+                    .into(),
+                _ => self.below(100_000).to_string(),
+            }
+        }
+
+        /// A value no schema key wants here: any scalar, or nested junk.
+        fn junk(&mut self, depth: usize) -> String {
+            match self.below(if depth < 3 { 7 } else { 5 }) {
+                0 => "null".into(),
+                1 => self.pick(&["true", "false"]).into(),
+                2 | 3 => self.number(),
+                4 => {
+                    let s = self.pick(&["", "x", "call_exit", "q\"uo\\te", "caf\u{e9} \u{1F600}"]);
+                    self.lit(s)
+                }
+                5 => {
+                    let items: Vec<String> =
+                        (0..self.below(3)).map(|_| self.junk(depth + 1)).collect();
+                    format!("[{}{}]", self.ws(), items.join(&format!("{},", self.ws())))
+                }
+                _ => {
+                    let items: Vec<String> = (0..self.below(3))
+                        .map(|_| {
+                            let key = self.pick(&["a", "t", "ev", "k\"ey"]);
+                            format!("{}{}:{}", self.lit(key), self.ws(), self.junk(depth + 1))
+                        })
+                        .collect();
+                    format!("{{{}{}}}", items.join(","), self.ws())
+                }
+            }
+        }
+
+        fn line(&mut self) -> String {
+            const KINDS: [&str; 12] = [
+                "header",
+                "call_enter",
+                "call_exit",
+                "xfer_begin",
+                "xfer_end",
+                "section_begin",
+                "section_end",
+                "xfer_flag",
+                "xfer_bounds",
+                "wait",
+                "fault",
+                "mystery",
+            ];
+            // A small fixed set: names are interned into a capped pool.
+            const NAMES: [&str; 5] = [
+                "MPI_Isend",
+                "MPI_Wait",
+                "we\"ird\\",
+                "tab\there",
+                "caf\u{e9}",
+            ];
+            let ev = self.pick(&KINDS);
+            let scope = self.pick(&["s", "fig03/np4", "a\"b\\c/d", "sc\u{f6}pe\n2", ""]);
+            let mut members: Vec<(&str, String)> = vec![("ev", self.lit(ev))];
+            let mut num = |g: &mut Self, key| members.push((key, g.below(1_000_000).to_string()));
+            if ev == "header" {
+                num(self, "schema_version");
+            } else {
+                num(self, "t");
+                if ev != "fault" {
+                    num(self, "rank");
+                }
+            }
+            match ev {
+                "xfer_begin" | "xfer_end" => {
+                    num(self, "id");
+                    num(self, "bytes");
+                }
+                "xfer_flag" => num(self, "id"),
+                "xfer_bounds" => {
+                    for key in ["id", "bytes", "begin_t", "xfer_time", "min", "max"] {
+                        num(self, key);
+                    }
+                }
+                "wait" => {
+                    num(self, "end");
+                    num(self, "xfer");
+                }
+                _ => {}
+            }
+            if ev != "header" {
+                members.push(("scope", self.lit(scope)));
+            }
+            match ev {
+                "call_enter" | "section_begin" => {
+                    let name = self.pick(&NAMES);
+                    members.push(("name", self.lit(name)));
+                }
+                "xfer_bounds" => {
+                    let case = self.pick(&["same_call", "split_calls", "single_stamp", "other"]);
+                    members.push(("case", self.lit(case)));
+                    members.push(("flagged", self.pick(&["true", "false"]).into()));
+                    members.push(("clamped", self.pick(&["true", "false"]).into()));
+                }
+                "wait" => {
+                    let cause = self.pick(&["late_sender", "late_receiver", "nope"]);
+                    members.push(("cause", self.lit(cause)));
+                }
+                "fault" => {
+                    members.push(("name", self.lit("fault.dropped")));
+                    members.push(("detail", self.lit("src 0 -> dst 1")));
+                }
+                _ => {}
+            }
+            // Spoil it: optionals nulled or dropped, values mistyped or out
+            // of range, members missing, keys repeated, strangers added.
+            for _ in 0..self.below(4) {
+                let i = self.below(members.len());
+                match self.below(6) {
+                    0 => members[i].1 = "null".into(),
+                    1 => members[i].1 = self.number(),
+                    2 => members[i].1 = self.junk(0),
+                    3 => {
+                        members.remove(i);
+                    }
+                    4 => {
+                        let dup = (members[i].0, self.junk(2));
+                        let at = self.below(members.len() + 1);
+                        members.insert(at, dup);
+                    }
+                    _ => {
+                        let extra = (self.pick(&["x", "detail", "T", "ranks"]), self.junk(0));
+                        let at = self.below(members.len() + 1);
+                        members.insert(at, extra);
+                    }
+                }
+                if members.is_empty() {
+                    break;
+                }
+            }
+            for i in (1..members.len()).rev() {
+                members.swap(i, self.below(i + 1));
+            }
+            let mut out = format!("{}{{", self.ws());
+            for (i, (key, val)) in members.iter().enumerate() {
+                let sep = if i == 0 { "" } else { "," };
+                let key = self.lit(key);
+                out.push_str(&format!(
+                    "{sep}{}{key}{}:{}{val}{}",
+                    self.ws(),
+                    self.ws(),
+                    self.ws(),
+                    self.ws()
+                ));
+            }
+            out.push('}');
+            out.push_str(self.ws());
+            out
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn scanner_agrees_with_the_value_tree_decoder(seed in proptest::any::<u64>()) {
+            let line = LineGen(proptest::TestRng::from_seed(seed)).line();
+            if let Err(diff) = agree(&line) {
+                proptest::prop_assert!(false, "{diff}");
+            }
+            // Cut short at every byte offset.
+            for cut in (0..line.len()).filter(|&i| line.is_char_boundary(i)) {
+                if let Err(diff) = agree(&line[..cut]) {
+                    proptest::prop_assert!(false, "{diff}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn generated_lines_reach_every_outcome() {
+        // The differential test is only as good as its inputs: most lines
+        // must decode, and each refusal family must occur.
+        let mut accepted = 0;
+        let mut reasons = BTreeSet::new();
+        for seed in 0..2_000 {
+            let line = LineGen(proptest::TestRng::from_seed(seed)).line();
+            match parse_line(&line) {
+                Ok(_) => accepted += 1,
+                Err(e) => {
+                    let e = e.to_string();
+                    let family = ["not JSON", "missing or non-", "non-numeric", "unknown"]
+                        .into_iter()
+                        .find(|f| e.contains(f))
+                        .unwrap_or_else(|| panic!("unexpected refusal {e}"));
+                    reasons.insert(family);
+                }
+            }
+        }
+        assert!(
+            (600..1_800).contains(&accepted),
+            "{accepted} of 2000 accepted"
+        );
+        assert_eq!(reasons.len(), 4, "{reasons:?}");
+    }
+
+    #[test]
+    fn token_edge_cases_agree_with_the_value_tree_decoder() {
+        #[rustfmt::skip]
+        let values = [
+            "0", "-0", "007", "-", "--1", "+1", ".5", "-.5", "1.", "1.e5", "1e5", "1e", "1e+",
+            "1.2.3", "1-2", "18446744073709551615", "18446744073709551616", "-9223372036854775807",
+            "-9223372036854775808", "1e999", "nul", "nulll", "tru", "truex", "falsey", "True",
+            r#""\u0041""#, r#""\u00e9""#, r#""é""#, r#""\u+041""#, r#""\u00""#, r#""\u00g1""#,
+            r#""😀""#, r#""\ud83d\ude00""#, r#""\ud800""#, r#""\x""#, r#""\"#, r#""a"#,
+            "\"raw\ttab\"", "[]", "[ ]", "[1,]", "[,1]", "[1 2]", "{}", r#"{"a"}"#, r#"{"a":}"#,
+            r#"{"a":1,}"#, r#"{a:1}"#, r#"{"a":1 "b":2}"#, "[[],{}]", "'x'", "",
+        ];
+        for val in values {
+            // As the value of a numeric key, of a string key, of a key the
+            // schema does not have, and as the whole line.
+            for line in [
+                format!(r#"{{"ev":"fault","scope":"s","t":{val}}}"#),
+                format!(r#"{{"ev":"fault","t":1,"scope":{val}}}"#),
+                format!(r#"{{"ev":"fault","scope":"s","t":1,"zz":{val}}}"#),
+                format!(r#"{{"ev":"fault","scope":"s","t":1}}{val}"#),
+                val.to_string(),
+            ] {
+                agree(&line).unwrap_or_else(|diff| panic!("{diff}"));
+            }
+        }
+        // Escaped keys name the same members; the first duplicate decides.
+        let line = r#"{"ev":"fault","scope":"s","\u0074":3,"t":"later","ev":7}"#;
+        agree(line).unwrap();
+        assert!(matches!(
+            parse_line(line),
+            Ok(StreamLine::Fault { t: 3, .. })
+        ));
+        agree(r#"{"ev":"fault","scope":"s","t":"first","t":3}"#).unwrap();
+        assert!(parse_line(r#"{"ev":"fault","scope":"s","t":"first","t":3}"#).is_err());
+    }
+
+    #[test]
+    fn scope_borrows_from_the_line_unless_escaped() {
+        let plain = r#"{"ev":"fault","scope":"fig03/np4","t":1}"#;
+        let Ok(StreamLine::Fault { scope, .. }) = parse_line(plain) else {
+            panic!("plain line decodes");
+        };
+        assert!(matches!(scope, Cow::Borrowed("fig03/np4")));
+        let escaped = r#"{"ev":"fault","scope":"a\"b\u00e9\/","t":1}"#;
+        let Ok(StreamLine::Fault { scope, .. }) = parse_line(escaped) else {
+            panic!("escaped line decodes");
+        };
+        assert_eq!(scope, "a\"b\u{e9}/");
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_deep_lines_are_refused_not_fatal() {
+        let nested = |depth: usize| {
+            format!(
+                r#"{{"ev":"fault","scope":"s","t":1,"x":{}1{}}}"#,
+                "[{\"k\":".repeat(depth / 2),
+                "}]".repeat(depth / 2)
+            )
+        };
+        assert!(parse_line(&nested(MAX_NESTING as usize)).is_ok());
+        let err = parse_line(&nested(MAX_NESTING as usize + 2)).unwrap_err();
+        assert!(err.to_string().contains("nesting deeper than 32"), "{err}");
+        // Either of these overflowed the stack of the recursive parser and
+        // took the process down with it.
+        for opener in ["[", "{\"a\":"] {
+            let err = parse_line(&opener.repeat(200_000)).unwrap_err().to_string();
+            assert!(
+                err.starts_with("bad stream line: not JSON (nesting deeper than 32"),
+                "{err}"
+            );
+            assert!(!err.contains('\n') && err.len() < 300, "{err}");
+        }
+    }
+
+    #[test]
+    fn a_megabyte_string_costs_linear_time() {
+        // Re-validating the rest of the line per character made this 13 s.
+        let body = "x\u{e9}\\n".repeat(250_000);
+        let start = std::time::Instant::now();
+        // Decoded as the scope, then skipped as a stranger.
+        for (key, decoded) in [("scope", 1_000_000), ("detail", 1)] {
+            let line = format!(r#"{{"ev":"fault","t":1,"{key}":"{body}","scope":"s"}}"#);
+            assert!(line.len() > 1_000_000);
+            let Ok(StreamLine::Fault { scope, .. }) = parse_line(&line) else {
+                panic!("long {key} decodes");
+            };
+            assert_eq!(scope.len(), decoded);
+        }
+        // As a name it is refused by the cap, as fast.
+        let line = format!(r#"{{"ev":"call_enter","t":1,"rank":0,"scope":"s","name":"{body}"}}"#);
+        assert!(parse_line(&line).is_err());
+        assert!(start.elapsed().as_secs() < 2, "{:?}", start.elapsed());
     }
 }

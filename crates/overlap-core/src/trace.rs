@@ -32,7 +32,7 @@
 //! (notably the `overlapd` ingest reader, [`crate::stream`]) can refuse
 //! files written by an incompatible exporter instead of misfolding them.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use serde::Serialize;
 
@@ -181,43 +181,66 @@ pub fn case_from_label(s: &str) -> Option<XferCase> {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+/// A string as the inside of a JSON string literal, escaped as it is
+/// written.
+struct Esc<'a>(&'a str);
+
+impl fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // Everything escaped is one ASCII byte; the runs between are copied
+        // whole.
+        let mut plain = 0;
+        for (i, b) in self.0.bytes().enumerate() {
+            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
+                continue;
             }
-            c => out.push(c),
+            f.write_str(&self.0[plain..i])?;
+            match b {
+                b'"' => f.write_str("\\\""),
+                b'\\' => f.write_str("\\\\"),
+                b'\n' => f.write_str("\\n"),
+                b'\r' => f.write_str("\\r"),
+                b'\t' => f.write_str("\\t"),
+                _ => write!(f, "\\u{b:04x}"),
+            }?;
+            plain = i + 1;
         }
+        f.write_str(&self.0[plain..])
     }
-    out
 }
 
-/// The `"ev":…` members of one event's JSON line (no braces, no timestamp),
-/// names escaped — the one event→JSON mapping, shared by [`jsonl`] and
-/// [`crate::observer::TraceSink`].
-pub fn event_body(kind: &EventKind) -> String {
+/// An optional id as JSON: the number, or `null`.
+struct OrNull(Option<u64>);
+
+impl fmt::Display for OrNull {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(v) => write!(f, "{v}"),
+            None => f.write_str("null"),
+        }
+    }
+}
+
+/// Write the `"ev":…` members of one event's JSON line (no braces, no
+/// timestamp), names escaped — the one event→JSON mapping, shared by
+/// [`jsonl`] and [`crate::observer::TraceSink`].
+pub fn event_body(out: &mut impl fmt::Write, kind: &EventKind) -> fmt::Result {
     match *kind {
-        EventKind::CallEnter { name } => format!(r#""ev":"call_enter","name":"{}""#, esc(name)),
-        EventKind::CallExit => r#""ev":"call_exit""#.to_string(),
+        EventKind::CallEnter { name } => {
+            write!(out, r#""ev":"call_enter","name":"{}""#, Esc(name))
+        }
+        EventKind::CallExit => out.write_str(r#""ev":"call_exit""#),
         EventKind::XferBegin { id, bytes } => {
-            format!(r#""ev":"xfer_begin","id":{id},"bytes":{bytes}"#)
+            write!(out, r#""ev":"xfer_begin","id":{id},"bytes":{bytes}"#)
         }
         EventKind::XferEnd { id, bytes } => {
-            format!(r#""ev":"xfer_end","id":{id},"bytes":{bytes}"#)
+            write!(out, r#""ev":"xfer_end","id":{id},"bytes":{bytes}"#)
         }
         EventKind::SectionBegin { name } => {
-            format!(r#""ev":"section_begin","name":"{}""#, esc(name))
+            write!(out, r#""ev":"section_begin","name":"{}""#, Esc(name))
         }
-        EventKind::SectionEnd => r#""ev":"section_end""#.to_string(),
-        EventKind::XferFlag { id } => format!(r#""ev":"xfer_flag","id":{id}"#),
+        EventKind::SectionEnd => out.write_str(r#""ev":"section_end""#),
+        EventKind::XferFlag { id } => write!(out, r#""ev":"xfer_flag","id":{id}"#),
     }
 }
 
@@ -252,7 +275,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
             &mut out,
             format!(
                 r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{}"}}}}"#,
-                esc(&b.scope)
+                Esc(&b.scope)
             ),
         );
         let fabric_tid = 2 * b.ranks.len();
@@ -284,7 +307,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                             format!(
                                 r#"{{"ph":"B","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"call","name":"{}"}}"#,
                                 ts_us(e.t),
-                                esc(name)
+                                Esc(name)
                             ),
                         );
                     }
@@ -295,7 +318,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                             format!(
                                 r#"{{"ph":"B","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"section","name":"{}"}}"#,
                                 ts_us(e.t),
-                                esc(name)
+                                Esc(name)
                             ),
                         );
                     }
@@ -306,7 +329,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                                 format!(
                                     r#"{{"ph":"E","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"{cat}","name":"{}"}}"#,
                                     ts_us(e.t),
-                                    esc(name)
+                                    Esc(name)
                                 ),
                             );
                         }
@@ -374,8 +397,8 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                     format!(
                         r#"{{"ph":"i","s":"p","pid":{pid},"tid":{fabric_tid},"ts":{},"cat":"fault","name":"{}","args":{{"detail":"{}"}}}}"#,
                         ts_us(x.t),
-                        esc(&x.name),
-                        esc(&x.detail)
+                        Esc(&x.name),
+                        Esc(&x.detail)
                     ),
                 );
             }
@@ -400,31 +423,22 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
         r#"{{"ev":"header","schema_version":{SCHEMA_VERSION}}}"#
     );
     for b in bundles {
-        let scope = esc(&b.scope);
+        let scope = Esc(&b.scope).to_string();
         for r in &b.ranks {
             for e in &r.events {
-                let body = event_body(&e.kind);
-                let _ = writeln!(
-                    out,
-                    r#"{{"scope":"{scope}","rank":{},"t":{},{body}}}"#,
-                    r.rank, e.t
-                );
+                let _ = write!(out, r#"{{"scope":"{scope}","rank":{},"t":{},"#, r.rank, e.t);
+                let _ = event_body(&mut out, &e.kind);
+                out.push_str("}\n");
             }
             for bd in &r.bounds {
-                let id = bd
-                    .id
-                    .map(|i| i.to_string())
-                    .unwrap_or_else(|| "null".to_string());
-                let begin = bd
-                    .begin_t
-                    .map(|t| t.to_string())
-                    .unwrap_or_else(|| "null".to_string());
                 let _ = writeln!(
                     out,
-                    r#"{{"scope":"{scope}","rank":{},"t":{},"ev":"xfer_bounds","id":{id},"bytes":{},"begin_t":{begin},"xfer_time":{},"min":{},"max":{},"case":"{}","flagged":{},"clamped":{}}}"#,
+                    r#"{{"scope":"{scope}","rank":{},"t":{},"ev":"xfer_bounds","id":{},"bytes":{},"begin_t":{},"xfer_time":{},"min":{},"max":{},"case":"{}","flagged":{},"clamped":{}}}"#,
                     r.rank,
                     bd.end_t,
+                    OrNull(bd.id),
                     bd.bytes,
+                    OrNull(bd.begin_t),
                     bd.xfer_time,
                     bd.min,
                     bd.max,
@@ -434,17 +448,14 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
                 );
             }
             for w in &r.waits {
-                let xfer = w
-                    .xfer
-                    .map(|i| i.to_string())
-                    .unwrap_or_else(|| "null".to_string());
                 let _ = writeln!(
                     out,
-                    r#"{{"scope":"{scope}","rank":{},"t":{},"ev":"wait","end":{},"cause":"{}","xfer":{xfer}}}"#,
+                    r#"{{"scope":"{scope}","rank":{},"t":{},"ev":"wait","end":{},"cause":"{}","xfer":{}}}"#,
                     r.rank,
                     w.start,
                     w.end,
-                    w.cause.label()
+                    w.cause.label(),
+                    OrNull(w.xfer)
                 );
             }
         }
@@ -453,8 +464,8 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
                 out,
                 r#"{{"scope":"{scope}","t":{},"ev":"fault","name":"{}","detail":"{}"}}"#,
                 x.t,
-                esc(&x.name),
-                esc(&x.detail)
+                Esc(&x.name),
+                Esc(&x.detail)
             );
         }
     }
@@ -747,12 +758,22 @@ mod tests {
     #[test]
     fn json_strings_are_escaped() {
         let mut b = sample_bundle();
-        b.scope = "we\"ird\\scope\n".to_string();
-        for text in [chrome_json(&[b.clone()]), jsonl(&[b])] {
+        b.scope = "we\"ird\\sc\u{f6}pe\n\r\t\u{1}".to_string();
+        assert_eq!(
+            Esc(&b.scope).to_string(),
+            "we\\\"ird\\\\sc\u{f6}pe\\n\\r\\t\\u0001"
+        );
+        for text in [chrome_json(&[b.clone()]), jsonl(std::slice::from_ref(&b))] {
+            let mut seen = 0;
             for l in text.lines().filter(|l| l.contains("ird")) {
-                let _: serde_json::Value =
+                let v: serde_json::Value =
                     serde_json::from_str(l.trim_end_matches(',')).expect("escaped line parses");
+                // Chrome names the process after the scope.
+                let back = v.get("scope").unwrap_or(&v["args"]["name"]);
+                assert_eq!(back.as_str(), Some(b.scope.as_str()));
+                seen += 1;
             }
+            assert!(seen > 0);
         }
     }
 

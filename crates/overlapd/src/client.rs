@@ -6,9 +6,9 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::Path;
 
-/// Target frame size; lines are never split across frames, so actual frames
-/// may exceed this by one line's length (still far below the server's
-/// limit).
+/// Target frame size; lines are never split across frames, so a frame
+/// exceeds this only when a single line does (the server's limit is far
+/// above it).
 const FRAME_TARGET: usize = 60 << 10;
 
 /// Why a push failed.
@@ -46,17 +46,22 @@ pub fn push_text(addr: &str, session: &str, text: &str) -> Result<u64, PushError
     let mut writer = stream;
     writer.write_all(format!("OVLP1 {session}\n").as_bytes())?;
 
-    let mut frame = String::with_capacity(FRAME_TARGET + 1024);
-    for line in text.lines() {
-        frame.push_str(line);
-        frame.push('\n');
-        if frame.len() >= FRAME_TARGET {
-            write_frame(&mut writer, frame.as_bytes())?;
-            frame.clear();
-        }
-    }
-    if !frame.is_empty() {
-        write_frame(&mut writer, frame.as_bytes())?;
+    // Frames are slices of `text`, each cut after the last newline within
+    // the target, or after the first one past it when one line is longer.
+    let mut rest = text.as_bytes();
+    while !rest.is_empty() {
+        let newline = |b: &u8| *b == b'\n';
+        let cut = if rest.len() <= FRAME_TARGET {
+            rest.len()
+        } else if let Some(i) = rest[..FRAME_TARGET].iter().rposition(newline) {
+            i + 1
+        } else {
+            let long = rest[FRAME_TARGET..].iter().position(newline);
+            long.map_or(rest.len(), |i| FRAME_TARGET + i + 1)
+        };
+        let (frame, tail) = rest.split_at(cut);
+        write_frame(&mut writer, frame)?;
+        rest = tail;
     }
     write_frame(&mut writer, b"")?; // zero frame: end of stream
     writer.flush()?;

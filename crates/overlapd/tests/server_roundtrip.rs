@@ -252,6 +252,26 @@ fn refusals_are_one_line_and_leave_no_session_state() {
         other => panic!("expected refusal, got {other}"),
     }
 
+    // Nesting no schema line has, deep enough to overflow the stack of a
+    // recursive parser: one refused line, and the process is still there.
+    let deep = format!(
+        "{{\"ev\":\"header\",\"schema_version\":{}}}\n{}\n",
+        overlap_core::trace::SCHEMA_VERSION,
+        "[".repeat(200_000)
+    );
+    match push_text(&addr, "s4", &deep).unwrap_err() {
+        PushError::Refused(msg) => {
+            assert!(
+                msg.starts_with("bad stream line: not JSON (nesting deeper than 32"),
+                "got: {msg}"
+            );
+            assert!(!msg.contains('\n') && msg.len() < 300, "got: {msg}");
+        }
+        other => panic!("expected refusal, got {other}"),
+    }
+    let (st, body) = http(&addr, "GET", "/healthz", b"");
+    assert_eq!((st, body.as_slice()), (200, &b"ok\n"[..]));
+
     // A refused stream folds nothing: the session reports no events.
     let (st, body) = http(&addr, "GET", "/v1/sessions", b"");
     assert_eq!(st, 200);
@@ -261,6 +281,90 @@ fn refusals_are_one_line_and_leave_no_session_state() {
         assert_eq!(s.field("events").as_u64(), Some(0));
     }
 
+    handle.shutdown();
+    join.join().unwrap();
+}
+
+/// Several frames' worth of stream with one line longer than a frame in it,
+/// ending in a newline, in a partial line, and with `\r\n` line ends.
+fn framing_texts() -> Vec<String> {
+    let bundles: Vec<TraceBundle> = (0..120)
+        .map(|i| bundle(&format!("fr/p{i}"), i * 10_000))
+        .collect();
+    let text = jsonl(&bundles);
+    let at = text[..30_000].rfind('\n').unwrap() + 1;
+    let long = format!(
+        "{{\"scope\":\"fr/p0\",\"t\":1,\"ev\":\"fault\",\"name\":\"x\",\"detail\":\"{}\"}}\n",
+        "d".repeat(70_000)
+    );
+    let text = format!("{}{long}{}", &text[..at], &text[at..]);
+    assert!(text.len() > 4 * (60 << 10));
+    vec![
+        text.trim_end().to_string(),
+        text.replace('\n', "\r\n"),
+        text,
+    ]
+}
+
+#[test]
+fn client_frames_are_slices_of_the_text_cut_at_newlines() {
+    for text in framing_texts() {
+        // A sink that keeps the frames instead of folding them.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let sink = std::thread::spawn(move || {
+            let (mut conn, _) = listener.accept().unwrap();
+            let mut greeting = [0u8; 9];
+            conn.read_exact(&mut greeting).unwrap();
+            assert_eq!(&greeting, b"OVLP1 fr\n");
+            let mut frames: Vec<Vec<u8>> = Vec::new();
+            loop {
+                let mut len = [0u8; 4];
+                conn.read_exact(&mut len).unwrap();
+                let mut frame = vec![0u8; u32::from_be_bytes(len) as usize];
+                conn.read_exact(&mut frame).unwrap();
+                if frame.is_empty() {
+                    break;
+                }
+                frames.push(frame);
+            }
+            conn.write_all(b"ok events=0\n").unwrap();
+            frames
+        });
+        assert_eq!(push_text(&addr, "fr", &text).unwrap(), 0);
+        let frames = sink.join().unwrap();
+        assert!(frames.len() >= 5, "{} frames", frames.len());
+        assert_eq!(frames.concat(), text.as_bytes());
+        let (last, full) = frames.split_last().unwrap();
+        for frame in full {
+            assert_eq!(frame.last(), Some(&b'\n'), "a frame split a line");
+        }
+        for frame in &frames {
+            let one_line = !frame[..frame.len() - 1].contains(&b'\n');
+            assert!(frame.len() <= 60 << 10 || one_line, "{} bytes", frame.len());
+        }
+        assert_eq!(last.last() == Some(&b'\n'), text.ends_with('\n'));
+    }
+}
+
+#[test]
+fn multi_frame_pushes_fold_like_the_local_text() {
+    let (addr, handle, join) = start_server();
+    for (i, text) in framing_texts().iter().enumerate() {
+        let session = format!("fr{i}");
+        let mut local = SessionFold::default();
+        local.push_text(text).unwrap();
+        assert_eq!(
+            push_text(&addr, &session, text).unwrap(),
+            local.event_lines()
+        );
+        let (st, body) = http(&addr, "GET", &format!("/v1/sessions/{session}/report"), b"");
+        assert_eq!(st, 200);
+        assert_eq!(
+            body,
+            serde_json::to_string(&local.report()).unwrap().into_bytes()
+        );
+    }
     handle.shutdown();
     join.join().unwrap();
 }
