@@ -50,7 +50,8 @@
 use std::collections::BTreeMap;
 
 use bench::runner;
-use overlap_core::trace::{chrome_json, default_window_width, jsonl, windowed, TraceBundle};
+use overlap_core::artifact::{self, ScopeView};
+use overlap_core::trace::{chrome_json, jsonl, TraceBundle};
 
 /// Counting allocator behind the per-harness `alloc_calls` / `alloc_bytes`
 /// fields of the `--json` report.
@@ -137,21 +138,23 @@ fn main() {
         Vec::new()
     };
 
+    // One view per captured scope (each rank's events replayed into call
+    // spans once); every windowed and critical-path artifact reads these.
+    let views: Vec<ScopeView> = captured
+        .iter()
+        .map(|(scope, bundle)| ScopeView::of(scope, bundle))
+        .collect();
+    let id_of = |scope: &str| scope.split('/').next().unwrap_or(scope).to_string();
+
     let mut trace_windows = Vec::new();
     if let Some(dir) = &cli.trace {
         ensure_dir(dir);
+        trace_windows = artifact::series(&views, None).expect("the default width never refuses");
         // Group captured scopes by harness id (the part before the first
         // '/'): one Chrome-trace + JSONL file pair per harness.
         let mut by_id: BTreeMap<String, Vec<TraceBundle>> = BTreeMap::new();
         for (scope, bundle) in &captured {
-            let width = default_window_width(bundle);
-            trace_windows.push(runner::ScopeWindows {
-                scope: scope.clone(),
-                window_ns: width,
-                windows: windowed(bundle, width),
-            });
-            let id = scope.split('/').next().unwrap_or(scope).to_string();
-            by_id.entry(id).or_default().push(bundle.clone());
+            by_id.entry(id_of(scope)).or_default().push(bundle.clone());
         }
         for (id, bundles) in &by_id {
             for (suffix, contents) in [
@@ -172,22 +175,21 @@ fn main() {
     if let Some(dir) = &cli.critical_path {
         ensure_dir(dir);
         let cp0 = std::time::Instant::now();
-        let mut by_id: BTreeMap<String, Vec<(String, &TraceBundle)>> = BTreeMap::new();
-        for (scope, bundle) in &captured {
-            wait_states.push(bench::critpath::wait_states(scope, bundle));
-            let id = scope.split('/').next().unwrap_or(scope).to_string();
-            by_id.entry(id).or_default().push((scope.clone(), bundle));
+        wait_states = artifact::wait_states(&views);
+        let mut by_id: BTreeMap<String, Vec<ScopeView>> = BTreeMap::new();
+        for view in views {
+            by_id.entry(id_of(view.scope)).or_default().push(view);
         }
         let mut intervals = 0u64;
         for (id, scoped) in &by_id {
-            let artifact = bench::critpath::attribution_artifact(id, scoped);
+            let artifact = artifact::attribution_artifact(id, scoped);
             intervals += artifact.overhead.wait_intervals;
             let json =
                 serde_json::to_string_pretty(&artifact).expect("attribution artifact serializes");
             write_or_die(&dir.join(format!("{id}.attribution.json")), &json);
             write_or_die(
                 &dir.join(format!("{id}.critpath.folded")),
-                &bench::critpath::collapsed(scoped),
+                &artifact::collapsed(scoped),
             );
         }
         // Self-overhead: wall-clock is nondeterministic, so it goes to

@@ -1,7 +1,7 @@
 //! Critical-path artifacts for `repro --critical-path <dir>`.
 //!
 //! Folds captured [`TraceBundle`]s through `overlap-core`'s
-//! [attribution] layer into the three artifacts
+//! [attribution](overlap_core::attribution) layer into the three artifacts
 //! the CLI exports per harness:
 //!
 //! * a per-rank **wait-state breakdown** ([`ScopeWaitStates`]) merged into
@@ -16,16 +16,15 @@
 //! The artifact *types* and construction live in
 //! [`overlap_core::artifact`], shared with the streaming server
 //! (`overlapd`) so batch and stream emit byte-identical files; this module
-//! re-exports them and adapts captured [`TraceBundle`]s into the shared
-//! builders.
+//! re-exports the types and lends captured [`TraceBundle`]s to the shared
+//! builders as [`ScopeView`]s.
 //!
 //! Everything here is a pure function of the captured traces (virtual time
 //! only), so all artifacts are byte-identical across runs and `--jobs`
 //! values. Host wall-clock — the one nondeterministic quantity — is
 //! reported by the CLI on stderr only.
 
-use overlap_core::artifact::{self, RankArtifactInput};
-use overlap_core::attribution;
+use overlap_core::artifact::{self, ScopeView};
 use overlap_core::trace::TraceBundle;
 
 pub use overlap_core::artifact::{
@@ -33,50 +32,27 @@ pub use overlap_core::artifact::{
     ScopeAttributionJson, ScopeWaitStates, SliceJson, TransferJson,
 };
 
+fn views<'a>(scoped: &'a [(String, &'a TraceBundle)]) -> Vec<ScopeView<'a>> {
+    scoped.iter().map(|(s, b)| ScopeView::of(s, b)).collect()
+}
+
 /// Summarize one scope's bundle into the per-rank wait-state breakdown for
 /// the `--json` report.
 pub fn wait_states(scope: &str, bundle: &TraceBundle) -> ScopeWaitStates {
-    ScopeWaitStates {
-        scope: scope.to_string(),
-        ranks: bundle
-            .ranks
-            .iter()
-            .map(|tr| artifact::rank_wait_states(&attribution::attribute(tr)))
-            .collect(),
-    }
+    artifact::wait_states(&[ScopeView::of(scope, bundle)]).remove(0)
 }
 
 /// Build the attribution artifact for one harness from its scope bundles
 /// (scope order), accumulating the self-overhead meter as it goes.
 pub fn attribution_artifact(id: &str, scoped: &[(String, &TraceBundle)]) -> AttributionArtifact {
-    let inputs: Vec<(String, Vec<RankArtifactInput>)> = scoped
-        .iter()
-        .map(|(scope, bundle)| {
-            (
-                scope.clone(),
-                bundle
-                    .ranks
-                    .iter()
-                    .map(|tr| RankArtifactInput {
-                        events: tr.events.len() as u64,
-                        attribution: attribution::attribute(tr),
-                    })
-                    .collect(),
-            )
-        })
-        .collect();
-    artifact::attribution_artifact(id, &inputs)
+    artifact::attribution_artifact(id, &views(scoped))
 }
 
 /// Collapsed-stack (flamegraph) text for one harness: each scope's dominant
 /// wait chains concatenated in scope order. Lines are
 /// `scope;rank N;<call>;<cause> <ns>`.
 pub fn collapsed(scoped: &[(String, &TraceBundle)]) -> String {
-    let mut out = String::new();
-    for (_, bundle) in scoped {
-        out.push_str(&attribution::collapsed_stack(bundle));
-    }
-    out
+    artifact::collapsed(&views(scoped))
 }
 
 #[cfg(test)]

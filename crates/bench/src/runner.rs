@@ -175,18 +175,9 @@ pub struct RunReport {
     pub wait_states: Vec<crate::critpath::ScopeWaitStates>,
 }
 
-/// Time-resolved summary of one traced scope: the scope's virtual-time span
-/// cut into fixed windows, each with transfer counts, summed overlap
-/// bounds, in-call (wait) time, and fault/flag counts.
-#[derive(Debug, Clone, serde::Serialize)]
-pub struct ScopeWindows {
-    /// Scope label (`"<harness>/<point>"`).
-    pub scope: String,
-    /// Window width, virtual ns.
-    pub window_ns: u64,
-    /// The windows, in time order.
-    pub windows: Vec<overlap_core::trace::WindowRow>,
-}
+/// Time-resolved summary of one traced scope (scope, window width, windows):
+/// the shape the streaming server serves as its live series.
+pub use overlap_core::stream::ScopeSeries as ScopeWindows;
 
 /// Run `harnesses` on the global worker budget, invoking `on_done` for each
 /// **in canonical (input) order** as soon as that harness and all its

@@ -42,10 +42,11 @@
 
 use std::collections::BTreeMap;
 
+use crate::artifact::{self, RankView, ScopeView};
 use crate::bins::SizeBins;
 use crate::fold::CallSpans;
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::trace::{BoundRecord, RankTrace, TraceBundle};
+use crate::trace::{RankTrace, TraceBundle};
 
 /// Why a rank was not overlapping a transfer at some moment.
 ///
@@ -250,25 +251,16 @@ fn call_atoms(
 /// [`CauseRecord`]s. See the module docs for the algorithm and the exact
 /// reconciliation invariant.
 pub fn attribute(trace: &RankTrace) -> RankAttribution {
-    attribute_parts(
-        trace.rank,
-        &CallSpans::replay(&trace.events),
-        &trace.waits,
-        &trace.bounds,
-    )
+    attribute_view(&RankView::of(trace))
 }
 
-/// [`attribute`] on its parts: the rank's top-level call spans (a call still
-/// open closes at the rank's last stamp), its recorded wait intervals, and
-/// its bound records. The stream fold calls this with the parts it maintains
-/// line by line, so served and batch attributions are one computation.
-pub(crate) fn attribute_parts(
-    rank: usize,
-    calls: &CallSpans,
-    waits: &[WaitInterval],
-    bounds: &[BoundRecord],
-) -> RankAttribution {
-    let atoms = call_atoms(calls, waits);
+/// [`attribute`] on a rank view: its top-level call spans (a call still open
+/// closes at the rank's last stamp), its recorded wait intervals, and its
+/// bound records. The stream fold lends the parts it maintains line by line,
+/// so served and batch attributions are one computation.
+pub(crate) fn attribute_view(view: &RankView<'_>) -> RankAttribution {
+    let (rank, waits, bounds) = (view.rank, view.waits, view.bounds);
+    let atoms = call_atoms(&view.calls, waits);
     let mut records = Vec::with_capacity(bounds.len());
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
     for b in bounds {
@@ -356,61 +348,10 @@ pub fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRe
     }
 }
 
-/// Render one bundle's dominant wait chains in flamegraph-collapsed format:
-/// one `frame;frame;... weight` line per chain, weight in nanoseconds,
-/// lines sorted lexically. Frames are `scope;rank N;<call>;<cause>` — each
-/// blocked nanosecond counted once (the critical-path view; see the module
-/// docs for how this differs from the per-transfer records).
+/// Render one bundle's dominant wait chains in flamegraph-collapsed format
+/// ([`crate::artifact::collapsed`] of the bundle alone).
 pub fn collapsed_stack(bundle: &TraceBundle) -> String {
-    let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-    for tr in &bundle.ranks {
-        collapsed_weights(
-            &bundle.scope,
-            tr.rank,
-            &CallSpans::replay(&tr.events),
-            &tr.waits,
-            &mut weights,
-        );
-    }
-    render_collapsed(&weights)
-}
-
-/// Accumulate one rank's collapsed-stack weights (see [`collapsed_stack`])
-/// into `weights`, keyed `scope;rank N;<call>;<cause>`. The stream fold
-/// calls this per rank with the spans and waits it maintains and renders the
-/// scope's map with [`render_collapsed`].
-pub(crate) fn collapsed_weights(
-    scope: &str,
-    rank: usize,
-    calls: &CallSpans,
-    waits: &[WaitInterval],
-    weights: &mut BTreeMap<String, u64>,
-) {
-    for w in waits {
-        if w.end <= w.start {
-            continue;
-        }
-        let call = calls
-            .spans(calls.last_t())
-            .find(|&(s, e, _)| s <= w.start && w.start < e)
-            .map(|(_, _, name)| name)
-            .unwrap_or("(outside-call)");
-        let key = format!("{};rank {};{};{}", scope, rank, call, w.cause.label());
-        *weights.entry(key).or_insert(0) += w.end - w.start;
-    }
-}
-
-/// Render accumulated collapsed-stack weights as `key weight\n` lines in map
-/// (lexical) order — the flamegraph-collapsed text format.
-pub(crate) fn render_collapsed(weights: &BTreeMap<String, u64>) -> String {
-    let mut out = String::new();
-    for (k, v) in weights {
-        out.push_str(k);
-        out.push(' ');
-        out.push_str(&v.to_string());
-        out.push('\n');
-    }
-    out
+    artifact::collapsed(&[ScopeView::of(&bundle.scope, bundle)])
 }
 
 #[cfg(test)]
@@ -418,6 +359,7 @@ mod tests {
     use super::*;
     use crate::bounds::XferCase;
     use crate::event::{Event, EventKind};
+    use crate::trace::BoundRecord;
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)

@@ -422,7 +422,7 @@ impl RankFold {
 
 /// Top-level call spans and `XFER_FLAG` stamps of one rank, walked from its
 /// events one at a time. See the module docs for who holds one.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CallSpans {
     depth: u32,
     /// Start and name of the top-level call in progress.

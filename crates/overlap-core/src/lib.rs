@@ -55,11 +55,13 @@
 //!   cause breakdowns that reconcile exactly with the overlap bounds, plus
 //!   flamegraph-collapsed critical-path export,
 //! * [`stream`] — streaming ingest: folds an exported JSONL event stream
-//!   back into batch-identical aggregates with bounded memory
-//!   ([`stream::SessionFold`]); the substrate of the `overlapd` analysis
-//!   service,
-//! * [`artifact`] — the serialized attribution-artifact shapes shared by
-//!   the batch CLI and `overlapd`, so both emit byte-identical files.
+//!   back into batch-identical aggregates line by line, holding no raw
+//!   event ([`stream::SessionFold`]: a fixed-size fold per rank plus the
+//!   derived per-transfer records the artifacts need); the substrate of
+//!   the `overlapd` analysis service,
+//! * [`artifact`] — the serialized artifact shapes and their builders over
+//!   one borrowed input ([`artifact::ScopeView`]), shared by the batch CLI
+//!   and `overlapd` so both emit byte-identical files.
 //!
 //! See `docs/ARCHITECTURE.md` for how these layers fit together and
 //! `docs/BOUNDS.md` for the bound algorithm itself.

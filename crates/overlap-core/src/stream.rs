@@ -1,5 +1,5 @@
 //! Streaming JSONL ingest: fold an exported event stream back into
-//! batch-identical aggregates with bounded memory.
+//! batch-identical aggregates, line by line, holding no raw event.
 //!
 //! The batch pipeline folds events inside the instrumented process and reads
 //! the result out at finalize. This module is the same fold turned inside
@@ -17,16 +17,19 @@
 //! needs the a-priori transfer-time table is not re-derived (the table never
 //! leaves the instrumented process): bound records are consumed from the
 //! stream's `xfer_bounds` lines, wait intervals from its `wait` lines. The
-//! windowed series runs through the fold [`crate::trace::windowed`] runs,
-//! and the attribution artifacts through [`crate::artifact`] — the
-//! constructors the batch CLI uses. Two report fields never ride the export
+//! windowed series, wait states and attribution artifacts are the builders
+//! of [`crate::artifact`] run on this session's view — the ones the batch
+//! CLI runs on a captured bundle's. Two report fields never ride the export
 //! and stay empty on this side: `sections` and `queue_flushes`.
 //!
 //! **Memory model.** Lines arrive in order and each folds in O(1) on
 //! arrival; raw events are never retained. A session holds, per
-//! `(scope, rank)`, the constant-size fold plus the *derived* records the
+//! `(scope, rank)`, the fixed-size fold plus the *derived* records the
 //! served artifacts require: one [`BoundRecord`] per transfer, one span per
-//! top-level call, one interval per recorded wait. Reads take `&self`.
+//! top-level call, one interval per recorded wait — linear in transfers,
+//! not bounded, for the life of the session. Reads take `&self` and lend
+//! those parts to the builders in [`crate::artifact`] as
+//! [`ScopeView`]s.
 //!
 //! **Size bins.** Ranks fold with [`SizeBins::default`], which is the layout
 //! every instrumented process in this repository uses.
@@ -51,16 +54,15 @@ use std::sync::Mutex;
 
 use serde::Serialize;
 
-use crate::artifact::{self, AttributionArtifact, RankArtifactInput, ScopeWaitStates};
-use crate::attribution::{self, RankAttribution, WaitCause, WaitInterval};
+use crate::artifact::{self, AttributionArtifact, RankView, ScopeView, ScopeWaitStates};
+use crate::attribution::{self, WaitCause, WaitInterval};
 use crate::bins::SizeBins;
 use crate::event::{Event, EventKind};
 use crate::fold::{CallSpans, RankFold};
 use crate::report::OverlapReport;
-use crate::trace::{
-    case_from_label, default_width, windowed_parts, BoundRecord, TooManyWindows, WindowRow,
-    SCHEMA_VERSION,
-};
+use crate::trace::{case_from_label, BoundRecord, TooManyWindows, SCHEMA_VERSION};
+
+pub use crate::artifact::ScopeSeries;
 
 /// Longest call/section name the reader accepts, in bytes.
 const MAX_NAME_BYTES: usize = 256;
@@ -759,8 +761,14 @@ impl RankState {
         self.bounds.push(rec);
     }
 
-    fn attribution(&self, rank: usize) -> RankAttribution {
-        attribution::attribute_parts(rank, &self.calls, &self.waits, &self.bounds)
+    fn view(&self, rank: usize) -> RankView<'_> {
+        RankView {
+            rank,
+            events: self.events,
+            calls: Cow::Borrowed(&self.calls),
+            bounds: &self.bounds,
+            waits: &self.waits,
+        }
     }
 
     /// The rank's report as of its final stamp, which is where the batch
@@ -770,7 +778,7 @@ impl RankState {
         let end = self.calls.last_t().max(self.bounds_hi);
         let mut report = self.fold.report(rank, end, self.events);
         attribution::fold_metrics(
-            &self.attribution(rank),
+            &attribution::attribute_view(&self.view(rank)),
             self.fold.bins(),
             &mut report.metrics,
         );
@@ -799,23 +807,6 @@ impl ScopeFold {
     fn rank_mut(&mut self, rank: usize) -> &mut RankState {
         self.ranks.entry(rank).or_insert_with(RankState::new)
     }
-
-    fn series(&self, scope: &str, width: Option<u64>) -> Result<ScopeSeries, TooManyWindows> {
-        let window_ns = width.unwrap_or(default_width(self.span)).max(1);
-        let parts: Vec<(&[BoundRecord], &CallSpans)> = self
-            .ranks
-            .values()
-            .map(|r| (r.bounds.as_slice(), &r.calls))
-            .collect();
-        Ok(ScopeSeries {
-            scope: scope.to_string(),
-            window_ns,
-            windows: match self.span {
-                Some(span) => windowed_parts(span, &parts, &self.extras_t, window_ns)?,
-                None => Vec::new(),
-            },
-        })
-    }
 }
 
 /// One scope's live report: per-rank reports in rank order. Each is the
@@ -827,17 +818,6 @@ pub struct ScopeReport {
     pub scope: String,
     /// Per-rank reports.
     pub ranks: Vec<OverlapReport>,
-}
-
-/// One scope's live windowed series (the trace-window JSON shape).
-#[derive(Debug, Clone, Serialize)]
-pub struct ScopeSeries {
-    /// Scope label.
-    pub scope: String,
-    /// Window width, ns.
-    pub window_ns: u64,
-    /// The windows, in time order.
-    pub windows: Vec<WindowRow>,
 }
 
 /// A streaming session: one pushed event stream (one or more scopes), folded
@@ -964,15 +944,25 @@ impl SessionFold {
             .collect()
     }
 
-    /// Per-scope live windowed series, scopes in stream order. `width` of
-    /// `None` picks each scope's default (1/16th of its span, min 1 ns) —
-    /// the same default the batch trace export uses. A `width` that would
-    /// split some scope's span into more than
-    /// [`crate::trace::MAX_WINDOWS`] rows is refused; the default never is.
-    pub fn try_series(&self, width: Option<u64>) -> Result<Vec<ScopeSeries>, TooManyWindows> {
+    /// What every artifact below is built from: one view per scope, stream
+    /// order.
+    fn views(&self) -> Vec<ScopeView<'_>> {
         self.scopes()
-            .map(|(scope, sf)| sf.series(scope, width))
+            .map(|(scope, sf)| ScopeView {
+                scope,
+                span: sf.span,
+                extras: Cow::Borrowed(&sf.extras_t),
+                ranks: sf.ranks.iter().map(|(&rank, r)| r.view(rank)).collect(),
+            })
             .collect()
+    }
+
+    /// Per-scope live windowed series, scopes in stream order
+    /// ([`artifact::series`]: `None` picks each scope's default width, as
+    /// the batch trace export does; a `width` too narrow for some scope's
+    /// span is refused).
+    pub fn try_series(&self, width: Option<u64>) -> Result<Vec<ScopeSeries>, TooManyWindows> {
+        artifact::series(&self.views(), width)
     }
 
     /// [`SessionFold::try_series`] for a width the caller chose itself.
@@ -986,58 +976,26 @@ impl SessionFold {
 
     /// Per-scope wait-state breakdowns (the `--json` report shape).
     pub fn wait_states(&self) -> Vec<ScopeWaitStates> {
-        self.scopes()
-            .map(|(scope, sf)| ScopeWaitStates {
-                scope: scope.clone(),
-                ranks: sf
-                    .ranks
-                    .iter()
-                    .map(|(&rank, r)| artifact::rank_wait_states(&r.attribution(rank)))
-                    .collect(),
-            })
-            .collect()
+        artifact::wait_states(&self.views())
     }
 
     /// The `<id>.attribution.json` artifact for everything folded so far —
     /// byte-identical to the batch `--critical-path` output for the same
-    /// stream (same shared constructor, same inputs).
+    /// stream.
     pub fn attribution(&self, id: &str) -> AttributionArtifact {
-        let scoped: Vec<(String, Vec<RankArtifactInput>)> = self
-            .scopes()
-            .map(|(scope, sf)| {
-                let inputs = sf
-                    .ranks
-                    .iter()
-                    .map(|(&rank, r)| RankArtifactInput {
-                        events: r.events,
-                        attribution: r.attribution(rank),
-                    })
-                    .collect();
-                (scope.clone(), inputs)
-            })
-            .collect();
-        artifact::attribution_artifact(id, &scoped)
+        artifact::attribution_artifact(id, &self.views())
     }
 
     /// The `<id>.critpath.folded` flamegraph text for everything folded so
     /// far — byte-identical to the batch output for the same stream.
     pub fn collapsed(&self) -> String {
-        let mut out = String::new();
-        for (scope, sf) in self.scopes() {
-            let mut weights: BTreeMap<String, u64> = BTreeMap::new();
-            for (&rank, r) in &sf.ranks {
-                attribution::collapsed_weights(scope, rank, &r.calls, &r.waits, &mut weights);
-            }
-            out.push_str(&attribution::render_collapsed(&weights));
-        }
-        out
+        artifact::collapsed(&self.views())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attribution::attribute;
     use crate::bounds::XferCase;
     use crate::trace::{jsonl, windowed, ExtraEvent, RankTrace, TraceBundle};
 
@@ -1199,17 +1157,7 @@ mod tests {
         let b = sample_bundle();
         let text = jsonl(std::slice::from_ref(&b));
         let s = fold(&text);
-        let batch_inputs: Vec<(String, Vec<RankArtifactInput>)> = vec![(
-            b.scope.clone(),
-            b.ranks
-                .iter()
-                .map(|tr| RankArtifactInput {
-                    events: tr.events.len() as u64,
-                    attribution: attribute(tr),
-                })
-                .collect(),
-        )];
-        let batch = artifact::attribution_artifact("test", &batch_inputs);
+        let batch = artifact::attribution_artifact("test", &[ScopeView::of(&b.scope, &b)]);
         let stream = s.attribution("test");
         assert_eq!(
             serde_json::to_string_pretty(&stream).unwrap(),

@@ -36,9 +36,9 @@ use std::fmt::{self, Write as _};
 
 use serde::Serialize;
 
+use crate::artifact::ScopeView;
 use crate::bounds::XferCase;
 use crate::event::{Event, EventKind};
-use crate::fold::CallSpans;
 
 /// Version of the pinned trace-export schemas (JSONL lines and Chrome-trace
 /// metadata). Bumped whenever a line shape changes incompatibly; the
@@ -525,17 +525,21 @@ impl std::fmt::Display for TooManyWindows {
 
 impl std::error::Error for TooManyWindows {}
 
-/// Fold per-rank bound records and call spans into fixed-width virtual-time
-/// windows covering `[t0, t1]`. `width` is clamped to at least 1 ns;
-/// `extras` are fabric-extra timestamps. This is the one windowed fold:
-/// [`windowed`] feeds it spans replayed from a captured [`RankTrace`], the
-/// stream fold the spans it maintains line by line.
-pub(crate) fn windowed_parts(
-    (t0, t1): (u64, u64),
-    ranks: &[(&[BoundRecord], &CallSpans)],
-    extras: &[u64],
+/// Fold a scope's bound records, call spans and fabric extras into
+/// fixed-width virtual-time windows covering its span (no rows when nothing
+/// was captured). `width` is clamped to at least 1 ns. This is the one
+/// windowed fold: [`windowed`] runs it on a captured bundle's view, the
+/// stream fold on the view of what it maintains line by line.
+///
+/// Transfers are attributed to the window containing their close time;
+/// in-call (`wait`) time is split exactly across window boundaries.
+pub(crate) fn windows_of(
+    view: &ScopeView<'_>,
     width: u64,
 ) -> Result<Vec<WindowRow>, TooManyWindows> {
+    let Some((t0, t1)) = view.span else {
+        return Ok(Vec::new());
+    };
     let width = width.max(1);
     let span = t1.saturating_sub(t0);
     if span / width >= MAX_WINDOWS {
@@ -564,8 +568,8 @@ pub(crate) fn windowed_parts(
             cur = stop;
         }
     };
-    for &(bounds, calls) in ranks {
-        for b in bounds {
+    for rank in &view.ranks {
+        for b in rank.bounds {
             let w = &mut rows[idx(b.end_t)];
             w.transfers += 1;
             w.min_overlap_ns += b.min;
@@ -573,14 +577,14 @@ pub(crate) fn windowed_parts(
         }
         // In-call time: split each top-level call span across windows; a
         // call still open closes at the span's end.
-        for (s, e, _) in calls.spans(t1) {
+        for (s, e, _) in rank.calls.spans(t1) {
             credit(s, e, &mut rows);
         }
-        for &t in calls.flags() {
+        for &t in rank.calls.flags() {
             rows[idx(t)].flags += 1;
         }
     }
-    for &t in extras {
+    for &t in view.extras.iter() {
         rows[idx(t)].faults += 1;
     }
     Ok(rows)
@@ -589,30 +593,12 @@ pub(crate) fn windowed_parts(
 /// Fold a bundle into fixed-width virtual-time windows. Returns an empty
 /// vector for an empty bundle; `width` is clamped to at least 1 ns.
 ///
-/// Transfers are attributed to the window containing their close time;
-/// in-call (`wait`) time is split exactly across window boundaries.
-///
 /// # Panics
 ///
 /// When `width` would split the bundle's span into more than
 /// [`MAX_WINDOWS`] rows; [`default_window_width`] never does.
 pub fn windowed(bundle: &TraceBundle, width: u64) -> Vec<WindowRow> {
-    let Some(span) = bundle.span() else {
-        return Vec::new();
-    };
-    let calls: Vec<CallSpans> = bundle
-        .ranks
-        .iter()
-        .map(|r| CallSpans::replay(&r.events))
-        .collect();
-    let ranks: Vec<(&[BoundRecord], &CallSpans)> = bundle
-        .ranks
-        .iter()
-        .zip(&calls)
-        .map(|(r, c)| (r.bounds.as_slice(), c))
-        .collect();
-    let extras: Vec<u64> = bundle.extras.iter().map(|x| x.t).collect();
-    windowed_parts(span, &ranks, &extras, width).unwrap_or_else(|e| panic!("{e}"))
+    windows_of(&ScopeView::of(&bundle.scope, bundle), width).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A reasonable default window width for a bundle: 1/16th of the covered

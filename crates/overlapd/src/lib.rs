@@ -5,8 +5,8 @@
 //! A single-binary server (exposed through `repro serve`) that accepts
 //! concurrent **event streams** — the same JSONL schema the batch pipeline
 //! exports as `<id>.events.jsonl` — and computes overlap bounds and
-//! wait-state attribution *incrementally*, with bounded memory, while runs
-//! are still in flight. See `docs/SERVICE.md` for the wire protocol, the
+//! wait-state attribution *incrementally*, line by line as the bytes
+//! arrive, while runs are still in flight. See `docs/SERVICE.md` for the wire protocol, the
 //! memory model, and the equivalence guarantee.
 //!
 //! * [`service::Service`] — the multi-session registry: one
@@ -25,13 +25,16 @@
 //! [`overlap_core::trace::windowed`] runs, and the per-rank reports from
 //! the fold the in-process recorder drives.
 //!
-//! **Memory.** Each line folds as it arrives and raw events are never
-//! retained; server memory is a constant-size fold per (session, scope,
-//! rank) plus the derived records (bounds, call spans, waits) the served
-//! artifacts require — never O(raw events). Ingest applies frames under
-//! the session lock, so TCP flow control is the backpressure: a fast client
-//! blocks on a busy session instead of growing a queue, and no frame may
-//! exceed [`server::MAX_FRAME`].
+//! **Memory.** What is bounded: per connection, one socket buffer and one
+//! partial line (no line may exceed [`server::MAX_FRAME`]) on every
+//! transport — no buffer grows with upload size; per (session, scope,
+//! rank), a fixed-size fold, and raw events are never retained. What is
+//! not, yet: the derived records (bounds, call spans, waits) the served
+//! artifacts require grow with the session's transfers, and sessions and
+//! connections are uncapped. Ingest folds under the session lock before
+//! the next read, so TCP flow control is the backpressure: a fast client
+//! blocks on a busy session instead of growing a queue. The lock guards the
+//! fold and the build of a read's artifact, never I/O.
 
 pub mod client;
 pub mod http;

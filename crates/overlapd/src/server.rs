@@ -12,24 +12,28 @@
 //!   endpoints for live reports, windowed series, fleet view, and the
 //!   on-demand artifacts.
 //!
-//! Frames and uploads are folded under the session lock before the next
-//! read, so TCP flow control is the ingest backpressure — the server never
-//! queues unbounded data behind a slow fold.
+//! Whatever the transport, received bytes reach a session through `ingest`
+//! and leave it through `serve_read`; the session lock is held to fold or to
+//! build, never across I/O.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
+use std::time::Duration;
 
-use overlap_core::stream::StreamError;
+use overlap_core::stream::SessionFold;
 
 use crate::http;
 use crate::service::Service;
 
-/// Largest accepted ingest frame, bytes. Bounds per-connection buffering;
-/// clients split at line boundaries well below this.
+/// Largest accepted ingest frame and longest accepted line, bytes. Bounds
+/// per-connection buffering on every transport; clients split at line
+/// boundaries well below this.
 pub const MAX_FRAME: usize = 1 << 20;
+
+/// Longest the server waits on one read from, or one write to, a peer.
+const IO_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// The listening server. Construct with [`Server::bind`], then either call
 /// [`Server::run`] on a dedicated thread or integrate
@@ -38,7 +42,9 @@ pub struct Server {
     listener: TcpListener,
     service: Arc<Service>,
     shutdown: Arc<AtomicBool>,
-    active: Arc<(Mutex<usize>, Condvar)>,
+    /// Every connection thread holds a clone of the sender until it returns
+    /// or unwinds, so the receiver disconnects when the last one is gone.
+    conns: (mpsc::Sender<()>, mpsc::Receiver<()>),
 }
 
 /// A cheap clonable handle for stopping a running server from another
@@ -68,7 +74,7 @@ impl Server {
             listener,
             service,
             shutdown: Arc::new(AtomicBool::new(false)),
-            active: Arc::new((Mutex::new(0), Condvar::new())),
+            conns: mpsc::channel(),
         })
     }
 
@@ -101,41 +107,105 @@ impl Server {
             }
             let service = self.service.clone();
             let conn_handle = handle.clone();
-            let active = self.active.clone();
-            {
-                let (lock, _) = &*active;
-                *lock.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-            }
-            std::thread::spawn(move || {
+            self.spawn(move || {
                 let _ = handle_conn(stream, &service, &conn_handle);
-                let (lock, cv) = &*active;
-                *lock.lock().unwrap_or_else(|e| e.into_inner()) -= 1;
-                cv.notify_all();
             });
         }
-        // Graceful drain: give in-flight connections a bounded window.
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let (lock, cv) = &*self.active;
-        let mut g = lock.lock().unwrap_or_else(|e| e.into_inner());
-        while *g > 0 && Instant::now() < deadline {
-            let (ng, _) = cv
-                .wait_timeout(g, Duration::from_millis(100))
-                .unwrap_or_else(|e| e.into_inner());
-            g = ng;
-        }
+        self.drain(Duration::from_secs(10));
         Ok(())
+    }
+
+    /// Run one connection on a thread of its own.
+    fn spawn(&self, conn: impl FnOnce() + Send + 'static) {
+        let alive = self.conns.0.clone();
+        std::thread::spawn(move || {
+            conn();
+            drop(alive);
+        });
+    }
+
+    /// Graceful drain: give in-flight connections `window` to end; whether
+    /// they all did.
+    fn drain(self, window: Duration) -> bool {
+        let (alive, ended) = self.conns;
+        drop(alive);
+        ended.recv_timeout(window) == Err(mpsc::RecvTimeoutError::Disconnected)
     }
 }
 
 fn handle_conn(stream: TcpStream, service: &Service, handle: &ServerHandle) -> io::Result<()> {
-    stream.set_read_timeout(Some(Duration::from_secs(60)))?;
+    stream.set_read_timeout(Some(IO_TIMEOUT))?;
+    stream.set_write_timeout(Some(IO_TIMEOUT))?;
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
+    serve(&mut reader, &mut writer, service, handle)
+}
+
+/// One connection, whatever carries it: sniff the protocol, serve it.
+fn serve<R: BufRead, W: Write>(
+    reader: &mut R,
+    writer: &mut W,
+    service: &Service,
+    handle: &ServerHandle,
+) -> io::Result<()> {
     let head = reader.fill_buf()?;
     if head.starts_with(b"OVLP1 ") || (head.len() < 6 && b"OVLP1 ".starts_with(head)) {
-        serve_framed(&mut reader, &mut writer, service)
+        serve_framed(reader, writer, service)
     } else {
-        serve_http(&mut reader, &mut writer, service, handle)
+        serve_http(reader, writer, service, handle)
+    }
+}
+
+fn lock(session: &Mutex<SessionFold>) -> MutexGuard<'_, SessionFold> {
+    session.lock().unwrap_or_else(|e| e.into_inner())
+}
+
+/// The one way received bytes reach a session. `transport` (`OVLP1` frames,
+/// a `Content-Length` body, a chunked body) hands the sink pieces as they
+/// arrive; complete lines are folded under the session lock before the next
+/// read — that synchronous apply is the backpressure — and at most one
+/// partial line is carried, refused once it passes [`MAX_FRAME`]. Lines
+/// before a refusal stay folded. Returns the event lines folded, or the
+/// one-line reason: the refusal itself, or the transport failure under
+/// `truncated`.
+fn ingest(
+    session: &Mutex<SessionFold>,
+    truncated: &str,
+    transport: impl FnOnce(&mut dyn FnMut(&[u8]) -> io::Result<()>) -> io::Result<()>,
+) -> Result<u64, String> {
+    let (mut partial, mut events) = (Vec::new(), 0u64);
+    let mut feed = |piece: &[u8]| -> io::Result<()> {
+        let cut = piece.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+        if cut > 0 {
+            let lines = if partial.is_empty() {
+                &piece[..cut]
+            } else {
+                partial.extend_from_slice(&piece[..cut]);
+                &partial
+            };
+            let text = std::str::from_utf8(lines)
+                .map_err(|e| http::bad(format!("stream is not UTF-8: {e}")))?;
+            let mut s = lock(session);
+            let before = s.event_lines();
+            let folded = s.push_text(text);
+            events += s.event_lines() - before;
+            folded.map_err(|e| http::bad(e.to_string()))?;
+            partial.clear();
+        }
+        partial.extend_from_slice(&piece[cut..]);
+        if partial.len() > MAX_FRAME {
+            return Err(http::bad(format!(
+                "line exceeds the {MAX_FRAME} byte limit"
+            )));
+        }
+        Ok(())
+    };
+    // A last line without its newline is a line.
+    let fed = transport(&mut feed).and_then(|()| feed(b"\n"));
+    match fed {
+        Ok(()) => Ok(events),
+        Err(e) if e.kind() == io::ErrorKind::InvalidData => Err(e.to_string()),
+        Err(e) => Err(format!("{truncated}: {e}")),
     }
 }
 
@@ -145,79 +215,58 @@ fn serve_framed<R: BufRead, W: Write>(
     writer: &mut W,
     service: &Service,
 ) -> io::Result<()> {
-    let mut greeting = String::new();
-    reader.read_line(&mut greeting)?;
-    let session_name = match greeting.trim_end().strip_prefix("OVLP1 ") {
-        Some(name) if !name.is_empty() => name.to_string(),
-        _ => {
-            writer.write_all(b"err malformed greeting (want `OVLP1 <session>`)\n")?;
-            return writer.flush();
+    let greeting = http::read_line(reader).unwrap_or_default();
+    let reply = match greeting.trim_end().strip_prefix("OVLP1 ") {
+        Some(name) if !name.is_empty() => {
+            let frames = |sink: &mut dyn FnMut(&[u8]) -> io::Result<()>| loop {
+                let mut len = [0u8; 4];
+                reader.read_exact(&mut len)?;
+                match u32::from_be_bytes(len) as usize {
+                    0 => return Ok(()),
+                    len if len > MAX_FRAME => {
+                        let limit =
+                            format!("frame of {len} bytes exceeds the {MAX_FRAME} byte limit");
+                        return Err(http::bad(limit));
+                    }
+                    len => http::copy_n(reader, len as u64, sink)?,
+                }
+            };
+            match ingest(&service.session(name), "stream truncated mid-frame", frames) {
+                Ok(events) => format!("ok events={events}\n"),
+                Err(reason) => format!("err {reason}\n"),
+            }
         }
+        _ => "err malformed greeting (want `OVLP1 <session>`)\n".to_string(),
     };
-    let session = service.session(&session_name);
-    let before = session
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .event_lines();
-    let mut carry: Vec<u8> = Vec::new();
-    loop {
-        let mut len_buf = [0u8; 4];
-        if let Err(e) = reader.read_exact(&mut len_buf) {
-            writer.write_all(format!("err stream truncated mid-frame: {e}\n").as_bytes())?;
-            return writer.flush();
-        }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len == 0 {
-            break;
-        }
-        if len > MAX_FRAME {
-            writer.write_all(
-                format!("err frame of {len} bytes exceeds the {MAX_FRAME} byte limit\n").as_bytes(),
-            )?;
-            return writer.flush();
-        }
-        let start = carry.len();
-        carry.resize(start + len, 0);
-        if let Err(e) = reader.read_exact(&mut carry[start..]) {
-            writer.write_all(format!("err stream truncated mid-frame: {e}\n").as_bytes())?;
-            return writer.flush();
-        }
-        // Fold every complete line; keep the partial tail for the next
-        // frame. The fold runs under the session lock *before* the next
-        // read — that synchronous apply is the backpressure.
-        let cut = match carry.iter().rposition(|&b| b == b'\n') {
-            Some(i) => i + 1,
-            None => continue,
-        };
-        if let Err(e) = push_bytes(&session, &carry[..cut]) {
-            writer.write_all(format!("err {e}\n").as_bytes())?;
-            return writer.flush();
-        }
-        carry.drain(..cut);
-    }
-    if !carry.is_empty() {
-        if let Err(e) = push_bytes(&session, &carry) {
-            writer.write_all(format!("err {e}\n").as_bytes())?;
-            return writer.flush();
-        }
-    }
-    let after = session
-        .lock()
-        .unwrap_or_else(|e| e.into_inner())
-        .event_lines();
-    writer.write_all(format!("ok events={}\n", after - before).as_bytes())?;
+    writer.write_all(reply.as_bytes())?;
     writer.flush()
 }
 
-/// Fold a block of complete lines into the session. Returns the one-line
-/// reason on refusal.
-fn push_bytes(
-    session: &Mutex<overlap_core::stream::SessionFold>,
-    bytes: &[u8],
-) -> Result<(), String> {
-    let text = std::str::from_utf8(bytes).map_err(|e| format!("stream is not UTF-8: {e}"))?;
-    let mut s = session.lock().unwrap_or_else(|e| e.into_inner());
-    s.push_text(text).map_err(|e: StreamError| e.to_string())
+fn text<W: Write>(writer: &mut W, status: u16, line: &str) -> io::Result<()> {
+    let body = format!("{line}\n");
+    http::respond(writer, status, Some("text/plain"), body.as_bytes())
+}
+
+fn json<W: Write, T: serde::Serialize>(writer: &mut W, value: &T) -> io::Result<()> {
+    let body = serde_json::to_string(value).expect("endpoint value serializes");
+    http::respond(writer, 200, None, body.as_bytes())
+}
+
+/// The one way out of a session: `build` the owned artifact under the
+/// session lock and nothing else; `send` serialises and writes it after the
+/// lock is released. Lock hold time is build time, and a client that stops
+/// reading parks its own connection thread only.
+fn serve_read<W: Write, T>(
+    session: &Mutex<SessionFold>,
+    writer: &mut W,
+    build: impl FnOnce(&SessionFold) -> Result<T, String>,
+    send: impl FnOnce(&mut W, &T) -> io::Result<()>,
+) -> io::Result<()> {
+    let built = build(&lock(session)); // the guard lives for this statement
+    match built {
+        Ok(artifact) => send(writer, &artifact),
+        Err(reason) => text(writer, 400, &reason),
+    }
 }
 
 /// The HTTP path: one request, one response.
@@ -227,89 +276,401 @@ fn serve_http<R: BufRead, W: Write>(
     service: &Service,
     handle: &ServerHandle,
 ) -> io::Result<()> {
-    let req = match http::read_request(reader) {
-        Ok(Some(req)) => req,
+    let head = match http::read_head(reader) {
+        Ok(Some(head)) => head,
         Ok(None) => return Ok(()),
-        Err(e) => {
-            return http::respond(writer, 400, Some("text/plain"), format!("{e}\n").as_bytes())
-        }
+        Err(e) => return text(writer, 400, &e.to_string()),
     };
-    let segs: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method.as_str(), segs.as_slice()) {
-        ("GET", ["healthz"]) => http::respond(writer, 200, Some("text/plain"), b"ok\n"),
+    let segs: Vec<&str> = head.path.split('/').filter(|s| !s.is_empty()).collect();
+    match (head.method.as_str(), segs.as_slice()) {
+        ("GET", ["healthz"]) => text(writer, 200, "ok"),
         ("GET", ["v1", "sessions"]) => json(writer, &service.list()),
         ("GET", ["v1", "fleet"]) => json(writer, &service.fleet()),
         ("POST", ["v1", "shutdown"]) => {
-            let r = http::respond(writer, 200, Some("text/plain"), b"shutting down\n");
+            let r = text(writer, 200, "shutting down");
             handle.shutdown();
             r
         }
+        // The one route that reads a body, and it never holds it.
         ("POST", ["v1", "sessions", name]) => {
             let session = service.session(name);
-            match push_bytes(&session, &req.body) {
-                Ok(()) => {
-                    let events = session
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .event_lines();
-                    http::respond(
-                        writer,
-                        200,
-                        Some("text/plain"),
-                        format!("ok events={events}\n").as_bytes(),
-                    )
+            match ingest(&session, "body truncated", |sink| {
+                head.read_body(reader, sink)
+            }) {
+                Ok(_) => {
+                    let events = lock(&session).event_lines();
+                    text(writer, 200, &format!("ok events={events}"))
                 }
-                Err(e) => {
-                    http::respond(writer, 400, Some("text/plain"), format!("{e}\n").as_bytes())
-                }
+                Err(reason) => text(writer, 400, &reason),
             }
         }
         ("GET", ["v1", "sessions", name, what]) => {
             let Some(session) = service.get(name) else {
-                return http::respond(writer, 404, Some("text/plain"), b"no such session\n");
+                return text(writer, 404, "no such session");
             };
-            let s = session.lock().unwrap_or_else(|e| e.into_inner());
             match *what {
-                "report" => json(writer, &s.report()),
-                "series" => {
-                    let series = match req.query.get("window_ns").map(|v| v.parse::<u64>()) {
+                "report" => serve_read(&session, writer, |s| Ok(s.report()), json),
+                "series" => serve_read(
+                    &session,
+                    writer,
+                    |s| match head.query.get("window_ns").map(|v| v.parse::<u64>()) {
                         None => s.try_series(None).map_err(|e| e.to_string()),
                         Some(Ok(n)) if n > 0 => s.try_series(Some(n)).map_err(|e| e.to_string()),
                         Some(_) => Err("window_ns must be a positive integer".to_string()),
-                    };
-                    match series {
-                        Ok(series) => json(writer, &series),
-                        Err(e) => http::respond(
-                            writer,
-                            400,
-                            Some("text/plain"),
-                            format!("{e}\n").as_bytes(),
-                        ),
-                    }
-                }
-                "waits" => json(writer, &s.wait_states()),
+                    },
+                    json,
+                ),
+                "waits" => serve_read(&session, writer, |s| Ok(s.wait_states()), json),
                 // The artifact endpoints serve the exact batch file bytes:
                 // pretty JSON for the attribution artifact, plain text for
                 // the collapsed stacks.
-                "attribution.json" => {
-                    let art = s.attribution(name);
-                    let body = serde_json::to_string_pretty(&art).expect("artifact serializes");
-                    http::respond(writer, 200, None, body.as_bytes())
-                }
-                "critpath.folded" => {
-                    http::respond(writer, 200, Some("text/plain"), s.collapsed().as_bytes())
-                }
-                _ => http::respond(writer, 404, Some("text/plain"), b"unknown endpoint\n"),
+                "attribution.json" => serve_read(
+                    &session,
+                    writer,
+                    |s| Ok(s.attribution(name)),
+                    |w, art| {
+                        let body = serde_json::to_string_pretty(art).expect("artifact serializes");
+                        http::respond(w, 200, None, body.as_bytes())
+                    },
+                ),
+                "critpath.folded" => serve_read(
+                    &session,
+                    writer,
+                    |s| Ok(s.collapsed()),
+                    |w, folded| http::respond(w, 200, Some("text/plain"), folded.as_bytes()),
+                ),
+                _ => text(writer, 404, "unknown endpoint"),
             }
         }
-        (_, ["healthz" | "v1", ..]) => {
-            http::respond(writer, 405, Some("text/plain"), b"method not allowed\n")
-        }
-        _ => http::respond(writer, 404, Some("text/plain"), b"unknown endpoint\n"),
+        (_, ["healthz" | "v1", ..]) => text(writer, 405, "method not allowed"),
+        _ => text(writer, 404, "unknown endpoint"),
     }
 }
 
-fn json<W: Write, T: serde::Serialize>(writer: &mut W, value: &T) -> io::Result<()> {
-    let body = serde_json::to_string(value).expect("endpoint value serializes");
-    http::respond(writer, 200, None, body.as_bytes())
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use overlap_core::attribution::{WaitCause, WaitInterval};
+    use overlap_core::bounds::XferCase;
+    use overlap_core::trace::{jsonl, BoundRecord, ExtraEvent, RankTrace, TraceBundle};
+    use overlap_core::{Event, EventKind};
+    use proptest::prelude::*;
+
+    const HEADER: &str = "{\"ev\":\"header\",\"schema_version\":1}\n";
+
+    fn handle() -> ServerHandle {
+        ServerHandle {
+            addr: "127.0.0.1:9".parse().unwrap(),
+            shutdown: Arc::new(AtomicBool::new(false)),
+        }
+    }
+
+    /// One connection over in-memory transports; `cap` is the reader's
+    /// buffer, so also the largest piece the feeder sees.
+    fn talk(service: &Service, request: &[u8], cap: usize) -> Vec<u8> {
+        let mut reply = Vec::new();
+        let mut reader = BufReader::with_capacity(cap, request);
+        serve(&mut reader, &mut reply, service, &handle()).expect("in-memory I/O");
+        reply
+    }
+
+    /// Status and body of an HTTP reply.
+    fn parsed(reply: &[u8]) -> (u16, String) {
+        let text = String::from_utf8(reply.to_vec()).expect("UTF-8 reply");
+        let (head, body) = text.split_once("\r\n\r\n").expect("head/body separator");
+        let status = head.split(' ').nth(1).expect("status").parse().unwrap();
+        (status, body.to_string())
+    }
+
+    fn get(service: &Service, path: &str) -> (u16, String) {
+        let request = format!("GET {path} HTTP/1.1\r\nHost: t\r\n\r\n");
+        parsed(&talk(service, request.as_bytes(), 512))
+    }
+
+    /// `text` cut at `cuts` (byte offsets, any order), empty pieces dropped:
+    /// an empty frame or chunk would end the stream.
+    fn pieces<'a>(text: &'a [u8], cuts: &[usize]) -> Vec<&'a [u8]> {
+        let mut at: Vec<usize> = cuts.iter().map(|c| c % (text.len() + 1)).collect();
+        at.extend([0, text.len()]);
+        at.sort_unstable();
+        at.windows(2)
+            .map(|w| &text[w[0]..w[1]])
+            .filter(|p| !p.is_empty())
+            .collect()
+    }
+
+    fn framed(session: &str, pieces: &[&[u8]]) -> Vec<u8> {
+        let mut out = format!("OVLP1 {session}\n").into_bytes();
+        for p in pieces.iter().chain(&[&b""[..]]) {
+            out.extend((p.len() as u32).to_be_bytes());
+            out.extend_from_slice(p);
+        }
+        out
+    }
+
+    fn with_length(session: &str, body: &[u8]) -> Vec<u8> {
+        let head = format!(
+            "POST /v1/sessions/{session} HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            body.len()
+        );
+        [head.as_bytes(), body].concat()
+    }
+
+    fn chunked(session: &str, pieces: &[&[u8]]) -> Vec<u8> {
+        let mut out =
+            format!("POST /v1/sessions/{session} HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n")
+                .into_bytes();
+        for p in pieces.iter().chain(&[&b""[..]]) {
+            out.extend(format!("{:x}\r\n", p.len()).into_bytes());
+            out.extend_from_slice(p);
+            out.extend(b"\r\n");
+        }
+        out
+    }
+
+    /// The three transports' requests for one stream.
+    fn deliveries(text: &[u8], cuts: &[usize]) -> [Vec<u8>; 3] {
+        let cut = pieces(text, cuts);
+        [
+            framed("s", &cut),
+            with_length("s", text),
+            chunked("s", &cut),
+        ]
+    }
+
+    /// The acknowledgement line of either protocol's reply.
+    fn ack(reply: &[u8]) -> String {
+        if reply.starts_with(b"HTTP/") {
+            parsed(reply).1
+        } else {
+            String::from_utf8(reply.to_vec()).expect("UTF-8 reply")
+        }
+    }
+
+    /// A small two-rank scope with transfers, waits and a fault whose text
+    /// is not ASCII, so cuts land inside UTF-8 sequences too.
+    fn bundle(scope: &str, shift: u64, iters: u64) -> TraceBundle {
+        let rank = |r: usize| {
+            let mut tr = RankTrace {
+                rank: r,
+                ..RankTrace::default()
+            };
+            for i in 0..iters {
+                let (t, id) = (shift + i * 2_000, i * 2 + r as u64);
+                tr.events.extend([
+                    Event::new(t, EventKind::CallEnter { name: "MPI_Isend" }),
+                    Event::new(t + 5, EventKind::XferBegin { id, bytes: 2048 }),
+                    Event::new(t + 10, EventKind::CallExit),
+                    Event::new(t + 900, EventKind::CallEnter { name: "MPI_Wait" }),
+                    Event::new(t + 1_400, EventKind::XferEnd { id, bytes: 2048 }),
+                    Event::new(t + 1_410, EventKind::CallExit),
+                ]);
+                tr.bounds.push(BoundRecord {
+                    id: Some(id),
+                    bytes: 2048,
+                    begin_t: Some(t + 5),
+                    end_t: t + 1_400,
+                    xfer_time: 300 + i,
+                    min: 0,
+                    max: 200,
+                    case: XferCase::SplitCalls,
+                    flagged: false,
+                    clamped: false,
+                });
+                tr.waits.push(WaitInterval {
+                    start: t + 900,
+                    end: t + 1_400,
+                    cause: WaitCause::LateSender,
+                    xfer: Some(id),
+                });
+            }
+            tr
+        };
+        TraceBundle {
+            scope: scope.to_string(),
+            ranks: vec![rank(0), rank(1)],
+            extras: vec![ExtraEvent {
+                t: shift + 700,
+                name: "fault.dropped".to_string(),
+                detail: "src 0 → dst 1 ✓".to_string(),
+            }],
+        }
+    }
+
+    const VIEWS: [&str; 5] = [
+        "report",
+        "series",
+        "waits",
+        "attribution.json",
+        "critpath.folded",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// One stream, three transports, any cuts, any buffer size: the same
+        /// acknowledgement and byte-identical views.
+        #[test]
+        fn every_transport_folds_the_same_stream_the_same_way(
+            shifts in prop::collection::vec((0u64..50_000, 1u64..6), 1..4),
+            cuts in prop::collection::vec(any::<usize>(), 0..12),
+            cap in prop_oneof![Just(1usize), Just(7), Just(64), Just(8192)],
+        ) {
+            let bundles: Vec<TraceBundle> = shifts
+                .iter()
+                .enumerate()
+                .map(|(i, &(shift, iters))| bundle(&format!("π/p{i}"), shift, iters))
+                .collect();
+            let text = jsonl(&bundles);
+            let events: u64 = shifts.iter().map(|&(_, iters)| 12 * iters).sum();
+
+            let served: Vec<Vec<String>> = deliveries(text.as_bytes(), &cuts)
+                .into_iter()
+                .map(|request| {
+                    let service = Service::default();
+                    let ack = ack(&talk(&service, &request, cap));
+                    assert_eq!(ack, format!("ok events={events}\n"));
+                    VIEWS
+                        .iter()
+                        .map(|what| {
+                            let (status, body) = get(&service, &format!("/v1/sessions/s/{what}"));
+                            assert_eq!(status, 200, "{what}: {body}");
+                            body
+                        })
+                        .collect()
+                })
+                .collect();
+            prop_assert_eq!(&served[0], &served[1]);
+            prop_assert_eq!(&served[0], &served[2]);
+        }
+    }
+
+    /// A carried line may reach `MAX_FRAME` bytes and not one more, on every
+    /// transport; what was folded before the refusal stays.
+    #[test]
+    fn the_line_limit_is_the_same_on_every_transport() {
+        for (len, fits) in [(MAX_FRAME, true), (MAX_FRAME + 1, false)] {
+            let unfinished = format!(
+                "{}{}",
+                HEADER.trim_end(),
+                " ".repeat(len - HEADER.len() + 1)
+            );
+            let stream = format!("{HEADER}{unfinished}");
+            let cuts = [MAX_FRAME / 2, MAX_FRAME];
+            let sent = deliveries(stream.as_bytes(), &cuts);
+            for (i, request) in sent.into_iter().enumerate() {
+                let service = Service::default();
+                let ack = ack(&talk(&service, &request, 8192));
+                let lines = lock(&service.get("s").expect("session")).lines();
+                if fits {
+                    assert_eq!((ack.as_str(), lines), ("ok events=0\n", 2), "transport {i}");
+                } else {
+                    let want = format!("line exceeds the {MAX_FRAME} byte limit\n");
+                    assert!(
+                        ack.ends_with(&want) && ack.matches('\n').count() == 1,
+                        "{i}: {ack}"
+                    );
+                    assert_eq!(lines, 1, "transport {i}");
+                }
+            }
+        }
+    }
+
+    /// A length the peer never honours costs what it sent, not what it
+    /// promised: the three lines fold as they arrive, then the truncation is
+    /// named.
+    #[test]
+    fn a_quarter_gigabyte_promise_with_three_lines_behind_it() {
+        let service = Service::default();
+        let body = HEADER.repeat(3);
+        let request =
+            format!("POST /v1/sessions/s HTTP/1.1\r\nContent-Length: 268435456\r\n\r\n{body}");
+        let (status, reply) = parsed(&talk(&service, request.as_bytes(), 64));
+        let short = 268_435_456 - body.len();
+        assert_eq!(status, 400);
+        assert_eq!(
+            reply,
+            format!("body truncated: peer closed with {short} bytes still to come\n")
+        );
+        assert_eq!(lock(&service.get("s").expect("session")).lines(), 3);
+    }
+
+    #[test]
+    fn a_greeting_that_never_ends_is_malformed() {
+        let request = [&b"OVLP1 "[..], &vec![b'a'; 1 << 20]].concat();
+        let reply = talk(&Service::default(), &request, 8192);
+        assert_eq!(reply, b"err malformed greeting (want `OVLP1 <session>`)\n");
+    }
+
+    /// A writer that reports when the response reaches it, then blocks until
+    /// told to go on: a client that has stopped reading.
+    struct Parked {
+        entered: mpsc::Sender<()>,
+        release: mpsc::Receiver<()>,
+    }
+
+    impl Write for Parked {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.entered.send(()).is_ok() {
+                self.release.recv().expect("the test releases the writer");
+            }
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_stalled_reader_does_not_hold_the_session_lock() {
+        let service = Service::default();
+        let text = jsonl(&[bundle("a/p0", 0, 3)]);
+        talk(&service, &framed("s", &[text.as_bytes()]), 8192);
+
+        let (entered, has_entered) = mpsc::channel();
+        let (go_on, release) = mpsc::channel();
+        std::thread::scope(|sc| {
+            let reader = sc.spawn(|| {
+                let request = b"GET /v1/sessions/s/report HTTP/1.1\r\n\r\n";
+                let mut writer = Parked { entered, release };
+                serve(&mut &request[..], &mut writer, &service, &handle())
+            });
+            has_entered.recv().expect("the response reaches the writer");
+            // Mid-write, the session is free: to look at, and to push to.
+            assert!(service.get("s").expect("session").try_lock().is_ok());
+            let more = jsonl(&[bundle("a/p1", 9_000, 2)]);
+            let ack = talk(&service, &framed("s", &[more.as_bytes()]), 8192);
+            assert_eq!(ack, b"ok events=24\n");
+            drop(has_entered);
+            go_on.send(()).expect("the writer is parked");
+            reader
+                .join()
+                .expect("reader thread")
+                .expect("response written");
+        });
+    }
+
+    /// A writer whose first write panics.
+    struct Exploding;
+
+    impl Write for Exploding {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            panic!("the transport blew up");
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_counted_out() {
+        let service = Arc::new(Service::default());
+        let server = Server::bind("127.0.0.1:0", service.clone()).expect("bind loopback");
+        let handle = server.handle().unwrap();
+        server.spawn(move || {
+            let request = b"GET /healthz HTTP/1.1\r\n\r\n";
+            let _ = serve(&mut &request[..], &mut Exploding, &service, &handle);
+        });
+        assert!(server.drain(Duration::from_secs(5)), "a connection leaked");
+    }
 }

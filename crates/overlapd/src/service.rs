@@ -66,13 +66,15 @@ impl Service {
             .cloned()
     }
 
+    /// Every session, name order, with the registry lock released.
+    fn sessions(&self) -> Vec<(String, Arc<Mutex<SessionFold>>)> {
+        let g = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
+        g.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
     /// Listing rows for every session, name order.
     pub fn list(&self) -> Vec<SessionInfo> {
-        let sessions: Vec<(String, Arc<Mutex<SessionFold>>)> = {
-            let g = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            g.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
-        sessions
+        self.sessions()
             .into_iter()
             .map(|(name, s)| {
                 let s = s.lock().unwrap_or_else(|e| e.into_inner());
@@ -90,10 +92,6 @@ impl Service {
     /// order), so it is consistent per session, not across sessions — the
     /// right trade for a live endpoint.
     pub fn fleet(&self) -> FleetView {
-        let sessions: Vec<(String, Arc<Mutex<SessionFold>>)> = {
-            let g = self.sessions.lock().unwrap_or_else(|e| e.into_inner());
-            g.iter().map(|(k, v)| (k.clone(), v.clone())).collect()
-        };
         let mut view = FleetView {
             sessions: Vec::new(),
             scopes: 0,
@@ -102,7 +100,7 @@ impl Service {
             total: OverlapStats::default(),
             metrics: MetricsRegistry::new(),
         };
-        for (name, s) in sessions {
+        for (name, s) in self.sessions() {
             view.sessions.push(name);
             let s = s.lock().unwrap_or_else(|e| e.into_inner());
             for scope in s.report() {

@@ -84,15 +84,10 @@ fn start_server() -> (
     (addr, handle, join)
 }
 
-/// Tiny HTTP client: one request, returns (status, body bytes).
-fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+/// One raw request, returns (status, body bytes).
+fn raw(addr: &str, request: &[u8]) -> (u16, Vec<u8>) {
     let mut s = TcpStream::connect(addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
-        body.len()
-    );
-    s.write_all(head.as_bytes()).unwrap();
-    s.write_all(body).unwrap();
+    s.write_all(request).unwrap();
     let mut raw = Vec::new();
     s.read_to_end(&mut raw).unwrap();
     let text = String::from_utf8_lossy(&raw);
@@ -107,6 +102,15 @@ fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
         .position(|w| w == b"\r\n\r\n")
         .expect("header/body separator");
     (status, raw[sep + 4..].to_vec())
+}
+
+/// Tiny HTTP client: one request with a `Content-Length` body.
+fn http(addr: &str, method: &str, path: &str, body: &[u8]) -> (u16, Vec<u8>) {
+    let head = format!(
+        "{method} {path} HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    raw(addr, &[head.as_bytes(), body].concat())
 }
 
 #[test]
@@ -198,16 +202,48 @@ fn http_upload_equals_framed_push() {
     let (st, body) = http(&addr, "POST", "/v1/sessions/posted", text.as_bytes());
     assert_eq!(st, 200);
     assert!(String::from_utf8_lossy(&body).starts_with("ok events=12"));
+    // Chunked, as `curl -T` sends it: chunks that split lines anywhere.
+    let mut request =
+        b"POST /v1/sessions/chunked HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n".to_vec();
+    for chunk in text.as_bytes().chunks(333).chain([&b""[..]]) {
+        request.extend(format!("{:x}\r\n", chunk.len()).into_bytes());
+        request.extend_from_slice(chunk);
+        request.extend(b"\r\n");
+    }
+    let (st, body) = raw(&addr, &request);
+    assert_eq!((st, body.as_slice()), (200, &b"ok events=12\n"[..]));
 
     let (_, framed) = http(&addr, "GET", "/v1/sessions/framed/report", b"");
     let (_, posted) = http(&addr, "GET", "/v1/sessions/posted/report", b"");
-    // Same stream, either transport: identical scope contents.
-    let f: serde_json::Value = serde_json::from_str(std::str::from_utf8(&framed).unwrap()).unwrap();
-    let p: serde_json::Value = serde_json::from_str(std::str::from_utf8(&posted).unwrap()).unwrap();
-    assert_eq!(f, p);
+    let (_, chunked) = http(&addr, "GET", "/v1/sessions/chunked/report", b"");
+    // Same stream, any transport: identical scope contents.
+    assert_eq!(framed, posted);
+    assert_eq!(framed, chunked);
 
     handle.shutdown();
     join.join().unwrap();
+}
+
+/// The second chunk-size line used to overflow `body.len() + size` and take
+/// the connection thread down, uncounted, so shutdown then waited out its
+/// whole drain window.
+#[test]
+fn a_chunk_size_no_body_can_have_is_a_one_line_400() {
+    let (addr, handle, join) = start_server();
+    let (st, body) = raw(
+        &addr,
+        b"POST /v1/sessions/s HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\nffffffffffffffff\r\n",
+    );
+    assert_eq!((st, body.as_slice()), (400, &b"bad chunk size line\n"[..]));
+    let (st, body) = http(&addr, "GET", "/healthz", b"");
+    assert_eq!((st, body.as_slice()), (200, &b"ok\n"[..]));
+    let asked = std::time::Instant::now();
+    handle.shutdown();
+    join.join().unwrap();
+    assert!(
+        asked.elapsed() < std::time::Duration::from_secs(5),
+        "a connection leaked"
+    );
 }
 
 #[test]
