@@ -28,8 +28,8 @@ use overlap_core::artifact::{self, ScopeView};
 use overlap_core::trace::TraceBundle;
 
 pub use overlap_core::artifact::{
-    AttributionArtifact, CauseTotal, OverheadMeter, RankAttributionJson, RankWaitStates,
-    ScopeAttributionJson, ScopeWaitStates, SliceJson, TransferJson,
+    AttributionArtifact, OverheadMeter, RankAttributionJson, RankWaitStates, ScopeAttributionJson,
+    ScopeWaitStates,
 };
 
 fn views<'a>(scoped: &'a [(String, &'a TraceBundle)]) -> Vec<ScopeView<'a>> {
@@ -105,7 +105,7 @@ mod tests {
         assert_eq!(r.nonoverlap_ns, 300);
         let total: u64 = r.causes.iter().map(|c| c.ns).sum();
         assert_eq!(total, r.nonoverlap_ns);
-        assert!(r.causes.iter().any(|c| c.cause == "late_sender"));
+        assert!(r.causes.iter().any(|c| c.cause == WaitCause::LateSender));
     }
 
     #[test]

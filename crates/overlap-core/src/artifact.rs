@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use serde::Serialize;
 
-use crate::attribution::{self, RankAttribution, WaitCause, WaitInterval};
+use crate::attribution::{self, CauseRecord, CauseSlice, RankAttribution, WaitCause, WaitInterval};
 use crate::fold::CallSpans;
 use crate::trace::{
     default_width, windows_of, BoundRecord, RankTrace, TooManyWindows, TraceBundle, WindowRow,
@@ -90,16 +90,6 @@ pub struct ScopeSeries {
     pub windows: Vec<WindowRow>,
 }
 
-/// Total attributed nanoseconds for one cause (stable label from
-/// [`WaitCause::label`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct CauseTotal {
-    /// Cause label (e.g. `"late_sender"`).
-    pub cause: String,
-    /// Attributed nanoseconds.
-    pub ns: u64,
-}
-
 /// One rank's wait-state summary within a scope.
 #[derive(Debug, Clone, Serialize)]
 pub struct RankWaitStates {
@@ -112,7 +102,7 @@ pub struct RankWaitStates {
     pub nonoverlap_ns: u64,
     /// Per-cause attributed totals in canonical cause order, zero causes
     /// omitted. Sums to `nonoverlap_ns`.
-    pub causes: Vec<CauseTotal>,
+    pub causes: Vec<CauseSlice>,
 }
 
 /// Per-rank wait-state breakdown of one traced scope, as merged into the
@@ -125,35 +115,6 @@ pub struct ScopeWaitStates {
     pub ranks: Vec<RankWaitStates>,
 }
 
-/// One cause slice of a transfer's breakdown (serialized form).
-#[derive(Debug, Clone, Serialize)]
-pub struct SliceJson {
-    /// Cause label.
-    pub cause: String,
-    /// Attributed nanoseconds.
-    pub ns: u64,
-}
-
-/// One per-transfer cause record (serialized form of
-/// [`crate::attribution::CauseRecord`]).
-#[derive(Debug, Clone, Serialize)]
-pub struct TransferJson {
-    /// Transfer id, if the instrumentation saw one.
-    pub id: Option<u64>,
-    /// Payload bytes.
-    pub bytes: u64,
-    /// A-priori wire time, ns.
-    pub xfer_time: u64,
-    /// Upper overlap bound, ns.
-    pub max_overlap: u64,
-    /// Non-overlapped time the breakdown explains, ns.
-    pub nonoverlap: u64,
-    /// Fault-disturbed transfer.
-    pub flagged: bool,
-    /// Cause breakdown; sums to `nonoverlap` exactly.
-    pub breakdown: Vec<SliceJson>,
-}
-
 /// One rank's full attribution inside the artifact file.
 #[derive(Debug, Clone, Serialize)]
 pub struct RankAttributionJson {
@@ -162,7 +123,7 @@ pub struct RankAttributionJson {
     /// Blocking intervals the library classified.
     pub wait_intervals: usize,
     /// Per-transfer records, close order.
-    pub transfers: Vec<TransferJson>,
+    pub transfers: Vec<CauseRecord>,
 }
 
 /// One scope's section of the artifact file.
@@ -244,11 +205,9 @@ pub fn wait_states(views: &[ScopeView<'_>]) -> Vec<ScopeWaitStates> {
 fn rank_wait_states(attr: &RankAttribution) -> RankWaitStates {
     let causes = WaitCause::ALL
         .iter()
-        .filter_map(|c| {
-            attr.totals.get(c.label()).map(|&ns| CauseTotal {
-                cause: c.label().to_string(),
-                ns,
-            })
+        .filter_map(|&cause| {
+            let ns = *attr.totals.get(cause.label())?;
+            Some(CauseSlice { cause, ns })
         })
         .collect();
     RankWaitStates {
@@ -256,33 +215,6 @@ fn rank_wait_states(attr: &RankAttribution) -> RankWaitStates {
         wait_intervals: attr.wait_intervals,
         nonoverlap_ns: attr.total_nonoverlap(),
         causes,
-    }
-}
-
-fn rank_attribution_json(attr: &RankAttribution) -> RankAttributionJson {
-    RankAttributionJson {
-        rank: attr.rank,
-        wait_intervals: attr.wait_intervals,
-        transfers: attr
-            .records
-            .iter()
-            .map(|r| TransferJson {
-                id: r.id,
-                bytes: r.bytes,
-                xfer_time: r.xfer_time,
-                max_overlap: r.max_overlap,
-                nonoverlap: r.nonoverlap,
-                flagged: r.flagged,
-                breakdown: r
-                    .breakdown
-                    .iter()
-                    .map(|s| SliceJson {
-                        cause: s.cause.label().to_string(),
-                        ns: s.ns,
-                    })
-                    .collect(),
-            })
-            .collect(),
     }
 }
 
@@ -304,7 +236,11 @@ pub fn attribution_artifact(id: &str, views: &[ScopeView<'_>]) -> AttributionArt
                     overhead.bound_records += attr.records.len() as u64;
                     overhead.wait_intervals += attr.wait_intervals as u64;
                     overhead.attributed_ns += attr.total_nonoverlap();
-                    rank_attribution_json(&attr)
+                    RankAttributionJson {
+                        rank: attr.rank,
+                        wait_intervals: attr.wait_intervals,
+                        transfers: attr.records,
+                    }
                 })
                 .collect();
             ScopeAttributionJson {

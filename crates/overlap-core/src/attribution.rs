@@ -30,7 +30,7 @@
 //!   two transfers in flight during the same blocked interval each charge
 //!   it, exactly as the bound model charges `noncomp` against every active
 //!   transfer. This is the reconciliation view.
-//! * **collapsed stacks** ([`collapsed_stack`]) count each blocked
+//! * **collapsed stacks** ([`crate::artifact::collapsed`]) count each blocked
 //!   nanosecond once, keyed by the enclosing library call and its cause —
 //!   the per-rank critical-path view, in flamegraph-collapsed format.
 //!
@@ -42,11 +42,13 @@
 
 use std::collections::BTreeMap;
 
-use crate::artifact::{self, RankView, ScopeView};
+use serde::Serialize;
+
+use crate::artifact::RankView;
 use crate::bins::SizeBins;
 use crate::fold::CallSpans;
 use crate::metrics::{Histogram, MetricsRegistry};
-use crate::trace::{RankTrace, TraceBundle};
+use crate::trace::RankTrace;
 
 /// Why a rank was not overlapping a transfer at some moment.
 ///
@@ -141,6 +143,13 @@ impl WaitCause {
     }
 }
 
+/// A cause serializes as its [`WaitCause::label`].
+impl Serialize for WaitCause {
+    fn to_value(&self) -> serde::Value {
+        serde::Value::Str(self.label().to_string())
+    }
+}
+
 /// One classified blocking (or registration) interval, recorded by the
 /// instrumented library while a time-resolved trace is being captured.
 /// Rides on [`RankTrace::waits`]; serialized by the JSONL export as `"wait"`
@@ -158,8 +167,8 @@ pub struct WaitInterval {
     pub xfer: Option<u64>,
 }
 
-/// One cause's share of a transfer's non-overlapped time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One cause's share of a transfer's (or a rank's) non-overlapped time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CauseSlice {
     /// The cause.
     pub cause: WaitCause,
@@ -168,8 +177,9 @@ pub struct CauseSlice {
 }
 
 /// Per-transfer attribution: where the non-overlapped part of the transfer's
-/// wire time went. `breakdown` sums to `nonoverlap` exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// wire time went. `breakdown` sums to `nonoverlap` exactly. Serialized as is
+/// into the attribution artifact, so field names and order are its schema.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct CauseRecord {
     /// Transfer id (`None` for synthetic closes without one).
     pub id: Option<u64>,
@@ -348,18 +358,13 @@ pub fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRe
     }
 }
 
-/// Render one bundle's dominant wait chains in flamegraph-collapsed format
-/// ([`crate::artifact::collapsed`] of the bundle alone).
-pub fn collapsed_stack(bundle: &TraceBundle) -> String {
-    artifact::collapsed(&[ScopeView::of(&bundle.scope, bundle)])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::artifact::{self, ScopeView};
     use crate::bounds::XferCase;
     use crate::event::{Event, EventKind};
-    use crate::trace::BoundRecord;
+    use crate::trace::{BoundRecord, TraceBundle};
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)
@@ -547,7 +552,7 @@ mod tests {
             }],
             extras: vec![],
         };
-        let s = collapsed_stack(&bundle);
+        let s = artifact::collapsed(&[ScopeView::of(&bundle.scope, &bundle)]);
         assert_eq!(
             s,
             "t/x;rank 0;MPI_Recv;late_sender 80\nt/x;rank 0;MPI_Wait;late_receiver 50\n"

@@ -48,8 +48,6 @@
 //!   ([`trace::chrome_json`], loadable in Perfetto), JSON lines
 //!   ([`trace::jsonl`]), and windowed time-resolved series
 //!   ([`trace::windowed`]),
-//! * [`observer`] — PERUSE-style synchronous observer hook on the raw
-//!   stream (predates the trace module; still useful for live filtering),
 //! * [`attribution`] — wait-state attribution: folds library-classified
 //!   blocking intervals ([`attribution::WaitInterval`]) into per-transfer
 //!   cause breakdowns that reconcile exactly with the overlap bounds, plus
@@ -100,7 +98,6 @@ pub mod event;
 mod fold;
 pub mod invariant;
 pub mod metrics;
-pub mod observer;
 pub mod processor;
 pub mod queue;
 pub mod recorder;
@@ -111,7 +108,7 @@ pub mod xfer_table;
 
 pub use advice::{analyze, AdviceOpts, Finding, Severity};
 pub use attribution::{
-    attribute, collapsed_stack, CauseRecord, CauseSlice, RankAttribution, WaitCause, WaitInterval,
+    attribute, CauseRecord, CauseSlice, RankAttribution, WaitCause, WaitInterval,
 };
 pub use bins::SizeBins;
 pub use bounds::{OverlapBounds, XferCase};
@@ -119,7 +116,6 @@ pub use clock::{Clock, ManualClock};
 pub use event::{Event, EventKind};
 pub use invariant::{check_report, check_reports, Violation};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use observer::{EventObserver, TraceSink};
 pub use queue::{EventRing, RingFull};
 pub use recorder::{Recorder, RecorderOpts};
 pub use report::{CallStats, ClusterSummary, OverlapReport, OverlapStats, SectionReport};

@@ -12,7 +12,6 @@ use crate::attribution::{self, WaitCause, WaitInterval};
 use crate::bins::SizeBins;
 use crate::clock::Clock;
 use crate::event::{Event, EventKind};
-use crate::observer::EventObserver;
 use crate::processor::Processor;
 use crate::queue::EventRing;
 use crate::report::OverlapReport;
@@ -56,7 +55,6 @@ pub struct Recorder {
     rank: usize,
     events: u64,
     flushes: u64,
-    observer: Option<Box<dyn EventObserver>>,
     bins: SizeBins,
     waits: Vec<WaitInterval>,
 }
@@ -84,21 +82,9 @@ impl Recorder {
             rank,
             events: 0,
             flushes: 0,
-            observer: None,
             bins,
             waits: Vec::new(),
         }
-    }
-
-    /// Subscribe an external observer to the raw event stream (PERUSE-style;
-    /// see [`crate::observer`]). At most one observer; replaces any prior.
-    pub fn set_observer(&mut self, obs: Box<dyn EventObserver>) {
-        self.observer = Some(obs);
-    }
-
-    /// Remove and return the observer (e.g. to recover a `TraceSink`).
-    pub fn take_observer(&mut self) -> Option<Box<dyn EventObserver>> {
-        self.observer.take()
     }
 
     /// Whether instrumentation is active.
@@ -133,9 +119,6 @@ impl Recorder {
         }
         let t = self.clock.now();
         let e = Event::new(t, kind);
-        if let Some(obs) = &mut self.observer {
-            obs.on_event(&e);
-        }
         if let Err(crate::queue::RingFull(e)) = self.ring.push(e) {
             // Ring at capacity: fold the backlog into the processor and
             // retry. Capacity is at least 2, so the retry cannot fail.
@@ -421,48 +404,5 @@ mod tests {
         r.section_end();
         let report = r.finish();
         assert_eq!(report.sections["x_solve"].total.transfers, 1);
-    }
-}
-
-#[cfg(test)]
-mod observer_tests {
-    use super::*;
-    use crate::clock::ManualClock;
-    use crate::observer::TraceSink;
-    use std::cell::RefCell;
-    use std::rc::Rc;
-
-    #[test]
-    fn observer_sees_events_in_order() {
-        let clock = ManualClock::new();
-        let table = XferTimeTable::from_points(vec![(1, 100)]);
-        let mut rec = Recorder::new(0, Box::new(clock.clone()), table, RecorderOpts::default());
-        let seen: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-        let seen_in = Rc::clone(&seen);
-        rec.set_observer(Box::new(move |e: &crate::event::Event| {
-            seen_in.borrow_mut().push(e.t);
-        }));
-        rec.call_enter("X");
-        clock.advance(5);
-        rec.xfer_end(1, 10);
-        clock.advance(5);
-        rec.call_exit();
-        let _ = rec.finish();
-        assert_eq!(&*seen.borrow(), &[0, 5, 10]);
-    }
-
-    #[test]
-    fn trace_sink_recoverable_after_run() {
-        let clock = ManualClock::new();
-        let table = XferTimeTable::from_points(vec![(1, 100)]);
-        let mut rec = Recorder::new(0, Box::new(clock.clone()), table, RecorderOpts::default());
-        rec.set_observer(Box::new(TraceSink::new(Vec::new())));
-        rec.call_enter("Y");
-        rec.call_exit();
-        let obs = rec.take_observer().unwrap();
-        // The report still aggregates normally alongside the trace.
-        let report = rec.finish();
-        assert_eq!(report.events_recorded, 2);
-        drop(obs);
     }
 }

@@ -1165,7 +1165,7 @@ mod tests {
             "attribution artifacts must be byte-identical"
         );
         // And the collapsed flamegraph text.
-        let batch_folded = attribution::collapsed_stack(&b);
+        let batch_folded = artifact::collapsed(&[ScopeView::of(&b.scope, &b)]);
         assert_eq!(s.collapsed(), batch_folded);
     }
 

@@ -222,9 +222,8 @@ impl fmt::Display for OrNull {
 }
 
 /// Write the `"ev":…` members of one event's JSON line (no braces, no
-/// timestamp), names escaped — the one event→JSON mapping, shared by
-/// [`jsonl`] and [`crate::observer::TraceSink`].
-pub fn event_body(out: &mut impl fmt::Write, kind: &EventKind) -> fmt::Result {
+/// timestamp), names escaped — the one event→JSON mapping.
+fn event_body(out: &mut impl fmt::Write, kind: &EventKind) -> fmt::Result {
     match *kind {
         EventKind::CallEnter { name } => {
             write!(out, r#""ev":"call_enter","name":"{}""#, Esc(name))

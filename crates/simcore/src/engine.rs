@@ -20,20 +20,19 @@
 //!
 //! The pending-event set lives in a hierarchical [`TimingWheel`] owned by
 //! the run loop itself — popping takes no lock. Producers (rank
-//! continuations and event callbacks) append to one of a small number of
-//! sharded insertion buffers, picked per thread, and flag the shard in an
-//! atomic occupancy mask. Before each pop the engine drains exactly the
-//! flagged shards into the wheel, so a shard lock is taken once per drain
-//! batch rather than once per event, and an idle shard costs nothing. In
-//! coroutine mode every producer shares the engine thread, so exactly one
-//! shard is ever touched and its lock is never contended. Global
-//! `(time, seq)` order is restored inside the wheel no matter which shard
-//! an entry travelled through, because sequence numbers are allocated in
-//! program order at push time.
+//! continuations and event callbacks) append to one mutex-guarded insertion
+//! buffer and raise its flag; before each pop the engine moves the buffer
+//! into the wheel, taking the lock once per batch rather than once per
+//! event and only reading the flag when nothing was produced. One buffer is
+//! enough because at most one producer runs at a time, so the lock is never
+//! contended during a run; the one moment several producers exist —
+//! thread-hosted ranks unwinding in parallel at teardown — is what the
+//! mutex is for. Global `(time, seq)` order is restored inside the wheel,
+//! because sequence numbers are allocated in program order at push time.
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering as AtomicOrdering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtomicOrdering};
 use std::sync::Arc;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
@@ -77,11 +76,9 @@ const PH_SLEEPING: u8 = 2;
 const PH_PARKED: u8 = 3;
 const PH_DONE: u8 = 4;
 
-/// Per-rank scheduling state. One cache line each so wakes of different
-/// ranks never false-share; plain atomics with relaxed ordering because the
-/// strict engine↔rank handoff already serializes every access (in threaded
-/// mode the rendezvous channel provides the happens-before edge).
-#[repr(align(64))]
+/// Per-rank scheduling state. Plain atomics with relaxed ordering because
+/// the strict engine↔rank handoff already serializes every access (in
+/// threaded mode the rendezvous channel provides the happens-before edge).
 struct RankCell {
     phase: AtomicU8,
     /// True while a wake-up entry for this rank is in flight (idempotence).
@@ -145,30 +142,13 @@ impl<T> SeqCell<T> {
     }
 }
 
-/// Number of insertion-buffer shards. Power of two; at most 64 so the
-/// occupancy mask fits one `u64`.
-const INBOX_SHARDS: usize = 16;
-
-/// One insertion buffer, padded to its own cache line so producers on
-/// different shards never false-share.
-#[repr(align(64))]
-struct InboxShard {
-    buf: Mutex<Vec<Entry>>,
-}
-
-/// Global producer counter used to spread threads across inbox shards.
-static PRODUCER_IDS: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// This thread's inbox shard index.
-    static MY_SHARD: usize =
-        PRODUCER_IDS.fetch_add(1, AtomicOrdering::Relaxed) % INBOX_SHARDS;
-}
-
 pub(crate) struct EngineShared {
-    inbox: Box<[InboxShard]>,
-    /// Bit `s` set ⇒ shard `s` may hold entries; swapped to zero on drain.
-    inbox_mask: AtomicU64,
+    /// The insertion buffer: everything scheduled since the last drain.
+    inbox: Mutex<Vec<Entry>>,
+    /// False ⇒ `inbox` is empty. The lock is what publishes the entries;
+    /// the flag, raised by a producer while it holds the lock, only lets an
+    /// idle drain skip it.
+    inbox_dirty: AtomicBool,
     now: AtomicU64,
     seq: AtomicU64,
     cells: Box<[RankCell]>,
@@ -188,26 +168,22 @@ impl EngineShared {
     }
 
     fn push_with_seq(&self, time: Time, seq: u64, action: Action) {
-        let shard = MY_SHARD.with(|s| *s);
-        self.inbox[shard]
-            .buf
-            .lock()
-            .push(Entry { time, seq, action });
-        self.inbox_mask
-            .fetch_or(1 << shard, AtomicOrdering::Release);
+        let mut buf = self.inbox.lock();
+        buf.push(Entry { time, seq, action });
+        // Release pairs with the Acquire load in `drain_inbox`.
+        self.inbox_dirty.store(true, AtomicOrdering::Release);
     }
 
-    /// Move every buffered entry into the wheel. Only shards flagged in the
-    /// occupancy mask are visited (and locked), once per drain.
+    /// Move every buffered entry into the wheel; a load and nothing else
+    /// when no producer ran since the last drain.
     fn drain_inbox(&self, wheel: &mut TimingWheel<Action>) {
-        let mut mask = self.inbox_mask.swap(0, AtomicOrdering::Acquire);
-        while mask != 0 {
-            let s = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let mut buf = self.inbox[s].buf.lock();
-            for e in buf.drain(..) {
-                wheel.push(e.time, e.seq, e.action);
-            }
+        if !self.inbox_dirty.load(AtomicOrdering::Acquire) {
+            return;
+        }
+        let mut buf = self.inbox.lock();
+        self.inbox_dirty.store(false, AtomicOrdering::Relaxed);
+        for e in buf.drain(..) {
+            wheel.push(e.time, e.seq, e.action);
         }
     }
 }
@@ -596,12 +572,8 @@ impl Simulation {
         assert!(nranks > 0, "simulation needs at least one rank");
         Simulation {
             shared: Arc::new(EngineShared {
-                inbox: (0..INBOX_SHARDS)
-                    .map(|_| InboxShard {
-                        buf: Mutex::new(Vec::new()),
-                    })
-                    .collect(),
-                inbox_mask: AtomicU64::new(0),
+                inbox: Mutex::new(Vec::new()),
+                inbox_dirty: AtomicBool::new(false),
                 now: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 cells: (0..nranks).map(|_| RankCell::new()).collect(),
@@ -644,10 +616,10 @@ impl Simulation {
     /// alive or leave a stale wake/diag entry behind for a handle that
     /// outlives the run.
     fn drain_reset(&self) {
-        self.shared.inbox_mask.store(0, AtomicOrdering::Relaxed);
-        for shard in self.shared.inbox.iter() {
-            shard.buf.lock().clear();
-        }
+        self.shared.inbox.lock().clear();
+        self.shared
+            .inbox_dirty
+            .store(false, AtomicOrdering::Relaxed);
         for cell in self.shared.cells.iter() {
             cell.phase.store(PH_DONE, AtomicOrdering::Relaxed);
             cell.wake_pending.store(false, AtomicOrdering::Relaxed);

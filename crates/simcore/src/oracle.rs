@@ -2,8 +2,8 @@
 //! points.
 //!
 //! The simulator is byte-for-byte deterministic: every tie the timing wheel
-//! could break arbitrarily — same-timestamp event order, sharded-inbox drain
-//! order, token dispatch order — is resolved by a fixed `(time, seq)` policy.
+//! could break arbitrarily — same-timestamp event order, inbox drain order,
+//! token dispatch order — is resolved by a fixed `(time, seq)` policy.
 //! That fixed policy is *one* schedule out of many a real system could
 //! exhibit. A [`ScheduleOracle`] turns each such tie-break into an explicit
 //! choice point: the engine (and the network/MPI layers built on it) ask the
@@ -15,9 +15,9 @@
 //!
 //! * **Event ties** — several queue entries are due at the same virtual
 //!   time; the oracle picks which runs next. Choice `0` is the canonical
-//!   `seq` order, so inbox-shard routing and token-vs-callback interleaving
+//!   `seq` order, so inbox drain order and token-vs-callback interleaving
 //!   are all covered by this one point: any same-time permutation is
-//!   reachable, whatever buffer an entry travelled through.
+//!   reachable.
 //! * **Progress polls** — a library progress engine has more than one event
 //!   source ready (e.g. a NIC completion queue and an RX queue) and the
 //!   oracle picks which to drain first.

@@ -1,26 +1,21 @@
-//! Priority schedulers for `(time, seq)`-ordered discrete events.
+//! The priority scheduler for `(time, seq)`-ordered discrete events.
 //!
 //! The engine needs one operation: pop the pending entry with the smallest
-//! `(time, seq)` key. Two implementations live here:
+//! `(time, seq)` key. [`TimingWheel`] is a hierarchical timing wheel (64-slot
+//! levels, 6 bits per level, 11 levels covering the full `u64` nanosecond
+//! range). Push and pop are O(1) amortized: an entry is dropped into the
+//! slot that matches the highest bit in which its deadline differs from the
+//! current virtual time, and cascades toward level 0 as the wheel advances.
+//! Within one tick, entries pop in `seq` order regardless of insertion
+//! order, so the pop sequence is *exactly* the `(time, seq)` order a binary
+//! heap would produce — `tests/proptest_scheduler.rs` holds that heap as
+//! the reference model and asserts the equivalence.
 //!
-//! * [`TimingWheel`] — a hierarchical timing wheel (64-slot levels, 6 bits
-//!   per level, 11 levels covering the full `u64` nanosecond range). Push
-//!   and pop are O(1) amortized: an entry is dropped into the slot that
-//!   matches the highest bit in which its deadline differs from the current
-//!   virtual time, and cascades toward level 0 as the wheel advances. Within
-//!   one tick, entries pop in `seq` order regardless of insertion order, so
-//!   the pop sequence is *exactly* the `(time, seq)` order a binary heap
-//!   would produce. This is the production scheduler behind
-//!   [`crate::Simulation`].
-//! * [`BinaryHeapSched`] — the textbook `BinaryHeap` scheduler the engine
-//!   used before the wheel landed. Kept as the reference model for the
-//!   equivalence property tests (`tests/proptest_scheduler.rs`).
-//!
-//! Neither structure is internally synchronized: the engine owns its wheel
-//! on the run loop's stack and feeds it from sharded insertion buffers (see
-//! `engine.rs`), taking no lock on the pop path at all.
+//! The wheel is not internally synchronized: the engine owns it on the run
+//! loop's stack and feeds it from its insertion buffer (see `engine.rs`),
+//! taking no lock on the pop path at all.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// Bits per wheel level: each level has `2^BITS = 64` slots.
 const BITS: u32 = 6;
@@ -217,75 +212,6 @@ impl<T> TimingWheel<T> {
     }
 }
 
-#[derive(Debug)]
-struct HeapEntry<T> {
-    time: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T> PartialEq for HeapEntry<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl<T> Eq for HeapEntry<T> {}
-impl<T> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for HeapEntry<T> {
-    // Reversed so the max-heap pops the smallest `(time, seq)` first.
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-
-/// The pre-wheel reference scheduler: a `BinaryHeap` keyed on `(time, seq)`.
-///
-/// Functionally identical to [`TimingWheel`] (the property tests assert it);
-/// kept as the equivalence model and the benchmark baseline.
-#[derive(Default)]
-pub struct BinaryHeapSched<T> {
-    heap: BinaryHeap<HeapEntry<T>>,
-}
-
-impl<T> BinaryHeapSched<T> {
-    /// An empty heap scheduler.
-    pub fn new() -> Self {
-        BinaryHeapSched {
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Number of pending entries.
-    pub fn len(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
-    }
-
-    /// Insert an entry.
-    pub fn push(&mut self, time: u64, seq: u64, item: T) {
-        self.heap.push(HeapEntry { time, seq, item });
-    }
-
-    /// Remove and return the entry with the smallest `(time, seq)`. Unlike
-    /// the wheel, past deadlines are reported as-is, not clamped; the engine
-    /// never schedules into the past, so the two never diverge in practice
-    /// (the property tests only generate monotonic-safe workloads).
-    pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        self.heap.pop().map(|e| (e.time, e.seq, e.item))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -409,25 +335,5 @@ mod tests {
         w.pop();
         assert!(w.is_empty());
         assert_eq!(w.pop(), None);
-    }
-
-    #[test]
-    fn heap_reference_matches_wheel_on_fixed_workload() {
-        let mut w = TimingWheel::new();
-        let mut h = BinaryHeapSched::new();
-        for (i, t) in [500u64, 3, 3, 80_000, 500, 0, 1 << 40, 63, 64, 65]
-            .into_iter()
-            .enumerate()
-        {
-            w.push(t, i as u64, ());
-            h.push(t, i as u64, ());
-        }
-        loop {
-            let (a, b) = (w.pop(), h.pop());
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
-            }
-        }
     }
 }

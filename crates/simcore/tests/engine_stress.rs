@@ -2,9 +2,9 @@
 //! event cascades, and scheduling corner cases.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier, Mutex, Weak};
 
-use simcore::{Activity, EngineHandle, SimError, SimOpts, Simulation};
+use simcore::{Activity, EngineHandle, RankRuntime, SimError, SimOpts, Simulation};
 
 #[test]
 fn many_ranks_interleave_deterministically() {
@@ -173,4 +173,80 @@ fn outcome_reports_event_counts() {
         .unwrap();
     // 2 initial wakes + 2 sleeps each = at least 6 entries.
     assert!(out.events_processed >= 6);
+}
+
+/// Teardown is the one moment the engine has more than one producer: under
+/// `OsThreads`, `shutdown` releases every parked rank thread at once and they
+/// unwind in parallel. Each rank holds a guard whose `Drop` schedules a
+/// callback (capturing an `Arc`) and wakes its neighbour, i.e. pushes into
+/// the engine's insertion buffer; the barrier holds the parked ranks inside
+/// `Drop` until all of them are there, so the pushes really are concurrent.
+/// (Fibers unwind one after another on the engine thread: no barrier.)
+fn teardown_producers_are_drained(runtime: RankRuntime) {
+    const PARKED: usize = 64;
+
+    struct Guard {
+        handle: EngineHandle,
+        wake: usize,
+        gate: Option<Arc<Barrier>>,
+        captured: Arc<Mutex<Vec<Weak<()>>>>,
+    }
+    impl Drop for Guard {
+        fn drop(&mut self) {
+            if let Some(gate) = &self.gate {
+                gate.wait();
+            }
+            let payload = Arc::new(());
+            let weak = Arc::downgrade(&payload);
+            self.handle.schedule_at(1_000, move |_| drop(payload));
+            self.handle.wake_rank(self.wake);
+            self.captured.lock().unwrap().push(weak);
+        }
+    }
+
+    let gate = (runtime == RankRuntime::OsThreads).then(|| Arc::new(Barrier::new(PARKED)));
+    let captured = Arc::new(Mutex::new(Vec::new()));
+    let captured2 = Arc::clone(&captured);
+    let sim = Simulation::new(PARKED + 1);
+    let err = sim
+        .run(
+            SimOpts {
+                runtime,
+                ..Default::default()
+            },
+            move |ctx| {
+                let panics = ctx.rank() == PARKED;
+                let _guard = Guard {
+                    handle: ctx.handle(),
+                    wake: (ctx.rank() + 1) % PARKED,
+                    gate: if panics { None } else { gate.clone() },
+                    captured: Arc::clone(&captured2),
+                };
+                if panics {
+                    ctx.compute(5);
+                    panic!("boom");
+                }
+                ctx.park(); // never woken; torn down by the panic
+            },
+        )
+        .unwrap_err();
+    assert!(matches!(err, SimError::RankPanic { rank: PARKED, .. }));
+    // `run` joins every rank thread before it returns, so all guards have
+    // dropped by now, and `drain_reset` has released what they scheduled.
+    let captured = captured.lock().unwrap();
+    assert_eq!(captured.len(), PARKED + 1, "a rank's guard never dropped");
+    assert!(
+        captured.iter().all(|w| w.upgrade().is_none()),
+        "a callback scheduled during teardown outlived the run"
+    );
+}
+
+#[test]
+fn teardown_producers_are_drained_threads() {
+    teardown_producers_are_drained(RankRuntime::OsThreads);
+}
+
+#[test]
+fn teardown_producers_are_drained_coroutine() {
+    teardown_producers_are_drained(RankRuntime::Coroutine);
 }

@@ -1,5 +1,7 @@
 //! Property-based equivalence between the hierarchical timing wheel and the
-//! reference `BinaryHeapSched`.
+//! reference `BinaryHeapSched` — the textbook scheduler the engine used
+//! before the wheel landed, kept here because these tests are its only
+//! consumer.
 //!
 //! The engine only ever schedules at or after the current virtual time (its
 //! monotonicity invariant), so the workloads here maintain a pop floor and
@@ -8,13 +10,41 @@
 //! among entries that share a timestamp, which is what makes the scheduler
 //! swap invisible in `repro` output.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use proptest::prelude::*;
-use simcore::sched::{BinaryHeapSched, TimingWheel};
+use simcore::sched::TimingWheel;
+
+/// The reference model: a max-heap of reversed `(time, seq, item)` pops the
+/// smallest `(time, seq)` first (`seq` is unique, so `item` never decides).
+/// Unlike the wheel it reports past deadlines as-is rather than clamped; the
+/// engine never schedules into the past, and neither do these workloads.
+#[derive(Default)]
+struct BinaryHeapSched(BinaryHeap<Reverse<(u64, u64, u64)>>);
+
+impl BinaryHeapSched {
+    fn new() -> Self {
+        Self::default()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn push(&mut self, time: u64, seq: u64, item: u64) {
+        self.0.push(Reverse((time, seq, item)));
+    }
+
+    fn pop(&mut self) -> Option<(u64, u64, u64)> {
+        self.0.pop().map(|Reverse(e)| e)
+    }
+}
 
 /// Pop both schedulers until empty, requiring identical results.
 fn drain_matches(
     wheel: &mut TimingWheel<u64>,
-    heap: &mut BinaryHeapSched<u64>,
+    heap: &mut BinaryHeapSched,
 ) -> Result<(), proptest::TestCaseError> {
     loop {
         let w = wheel.pop();
@@ -25,6 +55,20 @@ fn drain_matches(
             return Ok(());
         }
     }
+}
+
+#[test]
+fn heap_reference_matches_wheel_on_fixed_workload() {
+    let mut w = TimingWheel::new();
+    let mut h = BinaryHeapSched::new();
+    for (i, t) in [500u64, 3, 3, 80_000, 500, 0, 1 << 40, 63, 64, 65]
+        .into_iter()
+        .enumerate()
+    {
+        w.push(t, i as u64, i as u64);
+        h.push(t, i as u64, i as u64);
+    }
+    drain_matches(&mut w, &mut h).expect("wheel and heap pop the same sequence");
 }
 
 proptest! {

@@ -371,18 +371,6 @@ impl<'a> Mpi<'a> {
         self.rec.resume();
     }
 
-    /// Subscribe a PERUSE-style observer to the raw instrumentation event
-    /// stream (see `overlap_core::observer`); e.g. a `TraceSink` writing a
-    /// JSON-lines trace file.
-    pub fn set_event_observer(&mut self, obs: Box<dyn overlap_core::EventObserver>) {
-        self.rec.set_observer(obs);
-    }
-
-    /// Detach and return the current event observer.
-    pub fn take_event_observer(&mut self) -> Option<Box<dyn overlap_core::EventObserver>> {
-        self.rec.take_observer()
-    }
-
     /// Elapsed virtual time in seconds (the `MPI_Wtime` analogue).
     pub fn wtime(&self) -> f64 {
         self.now() as f64 / 1e9

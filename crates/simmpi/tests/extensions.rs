@@ -178,33 +178,3 @@ fn ssend_overlap_bounds_still_bracket_truth() {
         assert!(truth <= rep.max_overlap + out.congestion_excess(rank, &table));
     }
 }
-
-#[test]
-fn event_observer_traces_library_activity() {
-    use std::sync::{Arc, Mutex};
-    let trace: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
-    let trace_in = Arc::clone(&trace);
-    run_mpi(
-        2,
-        NetConfig::default(),
-        MpiConfig::default(),
-        RecorderOpts::default(),
-        move |mpi| {
-            if mpi.rank() == 0 {
-                let trace = Arc::clone(&trace_in);
-                mpi.set_event_observer(Box::new(move |e: &overlap_core::Event| {
-                    trace.lock().unwrap().push(format!("{:?}", e.kind));
-                }));
-                mpi.send(1, 1, &[1u8; 256]);
-                let obs = mpi.take_event_observer();
-                assert!(obs.is_some());
-            } else {
-                mpi.recv(Src::Rank(0), TagSel::Is(1));
-            }
-        },
-    )
-    .unwrap();
-    let t = trace.lock().unwrap();
-    assert!(t.iter().any(|l| l.contains("CallEnter")), "trace: {t:?}");
-    assert!(t.iter().any(|l| l.contains("XferBegin")), "trace: {t:?}");
-}

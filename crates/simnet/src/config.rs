@@ -1,6 +1,5 @@
 //! Fabric cost-model configuration.
 
-use serde::{Deserialize, Serialize};
 use simcore::{us, Duration};
 
 use crate::fault::FaultPlan;
@@ -153,74 +152,6 @@ impl NetConfig {
     /// microbenchmark (the paper's `perf_main`) observes per direction.
     pub fn transfer_time(&self, bytes: usize) -> Duration {
         self.serialize(bytes) + self.wire_latency
-    }
-}
-
-// Manual serde impls (the FaultPlan precedent): explicit on-disk shape,
-// and configs written before the topology fields existed still load with
-// the fields at their defaults.
-impl Serialize for NetConfig {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("wire_latency".into(), self.wire_latency.to_value()),
-            ("loopback_latency".into(), self.loopback_latency.to_value()),
-            (
-                "bandwidth_bytes_per_ns".into(),
-                self.bandwidth_bytes_per_ns.to_value(),
-            ),
-            (
-                "ctrl_packet_bytes".into(),
-                self.ctrl_packet_bytes.to_value(),
-            ),
-            ("post_cost".into(), self.post_cost.to_value()),
-            ("poll_cost".into(), self.poll_cost.to_value()),
-            (
-                "copy_bytes_per_ns".into(),
-                self.copy_bytes_per_ns.to_value(),
-            ),
-            ("reg_base".into(), self.reg_base.to_value()),
-            ("reg_per_page".into(), self.reg_per_page.to_value()),
-            ("page_size".into(), self.page_size.to_value()),
-            (
-                "model_ingress_contention".into(),
-                self.model_ingress_contention.to_value(),
-            ),
-            ("switch_radix".into(), self.switch_radix.to_value()),
-            (
-                "inter_switch_extra".into(),
-                self.inter_switch_extra.to_value(),
-            ),
-            ("topology".into(), self.topology.to_value()),
-            ("hop_latency".into(), self.hop_latency.to_value()),
-            ("background".into(), self.background.to_value()),
-            ("faults".into(), self.faults.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for NetConfig {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(NetConfig {
-            wire_latency: Deserialize::from_value(v.field("wire_latency"))?,
-            loopback_latency: Deserialize::from_value(v.field("loopback_latency"))?,
-            bandwidth_bytes_per_ns: Deserialize::from_value(v.field("bandwidth_bytes_per_ns"))?,
-            ctrl_packet_bytes: Deserialize::from_value(v.field("ctrl_packet_bytes"))?,
-            post_cost: Deserialize::from_value(v.field("post_cost"))?,
-            poll_cost: Deserialize::from_value(v.field("poll_cost"))?,
-            copy_bytes_per_ns: Deserialize::from_value(v.field("copy_bytes_per_ns"))?,
-            reg_base: Deserialize::from_value(v.field("reg_base"))?,
-            reg_per_page: Deserialize::from_value(v.field("reg_per_page"))?,
-            page_size: Deserialize::from_value(v.field("page_size"))?,
-            model_ingress_contention: Deserialize::from_value(v.field("model_ingress_contention"))?,
-            switch_radix: Deserialize::from_value(v.field("switch_radix"))?,
-            inter_switch_extra: Deserialize::from_value(v.field("inter_switch_extra"))?,
-            // Absent in pre-topology configs: flat fabric, default hop cost.
-            topology: Deserialize::from_value(v.field("topology"))?,
-            hop_latency: Deserialize::from_value(v.field("hop_latency"))
-                .unwrap_or_else(|_| default_hop_latency()),
-            background: Deserialize::from_value(v.field("background"))?,
-            faults: Deserialize::from_value(v.field("faults"))?,
-        })
     }
 }
 

@@ -12,7 +12,6 @@
 //! that alters delivery, so fault-free runs are byte-identical to a build
 //! without this module.
 
-use serde::{Deserialize, Serialize};
 use simcore::Time;
 
 /// A transient window during which one directed link is degraded: every
@@ -267,98 +266,6 @@ impl FaultRng {
     }
 }
 
-// Manual serde impls: the derive in the vendored `serde_derive` handles flat
-// structs, but spelling these out keeps the on-disk shape explicit and stable
-// for configs checked into experiment scripts.
-impl Serialize for FaultPlan {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("seed".into(), self.seed.to_value()),
-            ("drop_prob".into(), self.drop_prob.to_value()),
-            ("duplicate_prob".into(), self.duplicate_prob.to_value()),
-            ("delay_prob".into(), self.delay_prob.to_value()),
-            ("max_extra_delay".into(), self.max_extra_delay.to_value()),
-            ("degraded_links".into(), self.degraded_links.to_value()),
-            ("nic_stalls".into(), self.nic_stalls.to_value()),
-            (
-                "explore_jitter_ns".into(),
-                self.explore_jitter_ns.to_value(),
-            ),
-            (
-                "explore_jitter_steps".into(),
-                self.explore_jitter_steps.to_value(),
-            ),
-        ])
-    }
-}
-
-impl Deserialize for FaultPlan {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        // Configs written before fault injection existed have no `faults`
-        // key; treat its absence as the empty plan.
-        if v.is_null() {
-            return Ok(FaultPlan::none());
-        }
-        Ok(FaultPlan {
-            seed: Deserialize::from_value(v.field("seed"))?,
-            drop_prob: Deserialize::from_value(v.field("drop_prob"))?,
-            duplicate_prob: Deserialize::from_value(v.field("duplicate_prob"))?,
-            delay_prob: Deserialize::from_value(v.field("delay_prob"))?,
-            max_extra_delay: Deserialize::from_value(v.field("max_extra_delay"))?,
-            degraded_links: Deserialize::from_value(v.field("degraded_links"))?,
-            nic_stalls: Deserialize::from_value(v.field("nic_stalls"))?,
-            // Absent in configs written before the schedule explorer: 0.
-            explore_jitter_ns: Deserialize::from_value(v.field("explore_jitter_ns")).unwrap_or(0),
-            explore_jitter_steps: Deserialize::from_value(v.field("explore_jitter_steps"))
-                .unwrap_or(0),
-        })
-    }
-}
-
-impl Serialize for LinkDegradation {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("src".into(), self.src.to_value()),
-            ("dst".into(), self.dst.to_value()),
-            ("from".into(), self.from.to_value()),
-            ("until".into(), self.until.to_value()),
-            ("extra_delay".into(), self.extra_delay.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for LinkDegradation {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(LinkDegradation {
-            src: Deserialize::from_value(v.field("src"))?,
-            dst: Deserialize::from_value(v.field("dst"))?,
-            from: Deserialize::from_value(v.field("from"))?,
-            until: Deserialize::from_value(v.field("until"))?,
-            extra_delay: Deserialize::from_value(v.field("extra_delay"))?,
-        })
-    }
-}
-
-impl Serialize for NicStall {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("node".into(), self.node.to_value()),
-            ("from".into(), self.from.to_value()),
-            ("until".into(), self.until.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for NicStall {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(NicStall {
-            node: Deserialize::from_value(v.field("node"))?,
-            from: Deserialize::from_value(v.field("from"))?,
-            until: Deserialize::from_value(v.field("until"))?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,34 +340,6 @@ mod tests {
         assert_eq!(FaultRng::new(0).below_inclusive(0), 0);
         let d = FaultRng::new(3).below_inclusive(10);
         assert!(d <= 10);
-    }
-
-    #[test]
-    fn plan_roundtrips_through_json() {
-        let plan = FaultPlan {
-            seed: 9,
-            drop_prob: 0.05,
-            duplicate_prob: 0.01,
-            delay_prob: 0.1,
-            max_extra_delay: 2_000,
-            degraded_links: vec![LinkDegradation {
-                src: 0,
-                dst: 3,
-                from: 10,
-                until: 20,
-                extra_delay: 7,
-            }],
-            nic_stalls: vec![NicStall {
-                node: 1,
-                from: 5,
-                until: 6,
-            }],
-            explore_jitter_ns: 500,
-            explore_jitter_steps: 3,
-        };
-        let json = serde_json::to_string(&plan).unwrap();
-        let back: FaultPlan = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, plan);
     }
 
     #[test]

@@ -27,7 +27,6 @@
 //! traffic generator whose flows occupy shared links on a deterministic
 //! periodic schedule without simulating any extra ranks (see the type docs).
 
-use serde::{Deserialize, Serialize};
 use simcore::Duration;
 
 /// Link index marking a dedicated (never-contended) hop: the crossbar
@@ -634,8 +633,7 @@ pub(crate) fn mix64(x: u64) -> u64 {
 
 /// Parsed topology selection, storable in a `NetConfig` and buildable into
 /// a concrete [`Topology`]. `Flat` is the default and reproduces the
-/// pre-topology fabric byte-identically. Serializes as its
-/// [`TopologySpec::label`] string.
+/// pre-topology fabric byte-identically.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TopologySpec {
     /// Ideal crossbar (the paper's testbed model).
@@ -799,8 +797,7 @@ impl TopologySpec {
     }
 }
 
-/// Spatial pattern of a background tenant's traffic. Serializes as
-/// `"uniform"`, `"incast:<victim>"`, or `"permutation"`.
+/// Spatial pattern of a background tenant's traffic.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TrafficPattern {
     /// Every rank injects at unit rate to uniformly spread destinations.
@@ -907,73 +904,6 @@ impl BackgroundJobBuilder {
     /// Finish the builder.
     pub fn build(self) -> BackgroundJob {
         self.job
-    }
-}
-
-// Manual serde impls: the vendored `serde_derive` handles flat structs and
-// unit enums only, and the string forms keep experiment configs readable.
-impl Serialize for TopologySpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label())
-    }
-}
-
-impl Deserialize for TopologySpec {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        // Configs written before the topology layer have no such key.
-        if v.is_null() {
-            return Ok(TopologySpec::Flat);
-        }
-        let s: String = Deserialize::from_value(v)?;
-        TopologySpec::parse(&s).map_err(serde::DeError::custom)
-    }
-}
-
-impl Serialize for TrafficPattern {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(match *self {
-            TrafficPattern::Incast { victim } => format!("incast:{victim}"),
-            other => other.label().to_string(),
-        })
-    }
-}
-
-impl Deserialize for TrafficPattern {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let s: String = Deserialize::from_value(v)?;
-        match s.as_str() {
-            "uniform" => Ok(TrafficPattern::Uniform),
-            "permutation" => Ok(TrafficPattern::Permutation),
-            other => other
-                .strip_prefix("incast:")
-                .and_then(|n| n.parse().ok())
-                .map(|victim| TrafficPattern::Incast { victim })
-                .ok_or_else(|| {
-                    serde::DeError::custom(format!("unknown traffic pattern {other:?}"))
-                }),
-        }
-    }
-}
-
-impl Serialize for BackgroundJob {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("pattern".into(), self.pattern.to_value()),
-            ("msg_bytes".into(), self.msg_bytes.to_value()),
-            ("period_ns".into(), self.period_ns.to_value()),
-            ("seed".into(), self.seed.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for BackgroundJob {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        Ok(BackgroundJob {
-            pattern: Deserialize::from_value(v.field("pattern"))?,
-            msg_bytes: Deserialize::from_value(v.field("msg_bytes"))?,
-            period_ns: Deserialize::from_value(v.field("period_ns"))?,
-            seed: Deserialize::from_value(v.field("seed"))?,
-        })
     }
 }
 

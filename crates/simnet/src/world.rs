@@ -201,6 +201,14 @@ struct LinkChan {
     bg_busy: u64,
 }
 
+/// What [`World::launch`] decided for one payload: when it left the source
+/// DMA, when it lands, and why it took that long.
+struct Launch {
+    dma_start: Time,
+    arrival: Time,
+    edge: CausalEdge,
+}
+
 /// All fabric state: NICs, registered memory, ground-truth transfer log.
 pub struct World {
     cfg: NetConfig,
@@ -438,39 +446,17 @@ impl World {
                 notify,
                 xfer,
             } => {
-                let busy = w.cfg.serialize(len);
-                let now = h.now();
-                let dma_start = w.nics[target].reserve_dma(now, busy);
+                // The response stream is subject to the initiator's ingress
+                // contention, like any other inbound data.
+                let l = w.launch(target, initiator, len, true);
                 let snapshot = Bytes::copy_from_slice(
                     &w.mem[target]
                         .get(region)
                         .expect("RDMA read of unknown region")[off..off + len],
                 );
-                // The response stream is subject to the initiator's ingress
-                // contention, like any other inbound data.
-                let (arrival, ingress_queue, hop_queue) =
-                    w.fabric_arrival(target, initiator, dma_start, len, true);
-                let edge = CausalEdge {
-                    dma_queue_ns: dma_start - now,
-                    serialize_ns: busy,
-                    ingress_queue_ns: ingress_queue,
-                    hop_queue_ns: hop_queue,
-                    fault_extra_ns: 0,
-                };
-                if let Some(id) = xfer {
-                    w.transfers.push(TransferRecord {
-                        xfer_id: id.0,
-                        src: target,
-                        dst: initiator,
-                        bytes: len,
-                        phys_start: dma_start,
-                        phys_end: arrival,
-                        kind: TransferKind::RdmaRead,
-                        edge,
-                    });
-                }
+                w.record_transfer(xfer, TransferKind::RdmaRead, target, initiator, len, &l);
                 w.schedule_pending(
-                    arrival,
+                    l.arrival,
                     Pending::ReadReply {
                         initiator,
                         target,
@@ -479,7 +465,7 @@ impl World {
                         imm,
                         snapshot,
                         notify,
-                        edge,
+                        edge: l.edge,
                     },
                 );
             }
@@ -710,9 +696,10 @@ impl World {
         }
     }
 
-    /// Arrival (placement) time for `bytes` that left `src`'s DMA at
-    /// `dma_start`, heading to `dst` across the topology, plus the queuing
-    /// split the causal edge carries: `(arrival, ingress_queue, hop_queue)`.
+    /// Put `bytes` on the wire from `src` to `dst` now: reserve `src`'s
+    /// egress DMA, walk the topology to the arrival (placement) time, and
+    /// account every wait on the way in the causal edge. The one launch
+    /// sequence behind sends, RDMA writes, accumulates and read responses.
     ///
     /// The route is walked hop-by-hop (virtual cut-through: serialization is
     /// paid once, at the tail; each hop adds propagation latency plus any
@@ -721,38 +708,71 @@ impl World {
     /// dedicated hops never queue. Ingress contention (`apply_ingress` and
     /// the config model both set) then serializes concurrent streams into
     /// the destination NIC, as before.
-    fn fabric_arrival(
-        &mut self,
-        src: usize,
-        dst: usize,
-        dma_start: Time,
-        bytes: usize,
-        apply_ingress: bool,
-    ) -> (Time, u64, u64) {
+    fn launch(&mut self, src: usize, dst: usize, bytes: usize, apply_ingress: bool) -> Launch {
+        let now = self.now();
         let busy = self.cfg.serialize(bytes);
+        let dma_start = self.nics[src].reserve_dma(now, busy);
+        let mut edge = CausalEdge {
+            dma_queue_ns: dma_start - now,
+            serialize_ns: busy,
+            ..CausalEdge::default()
+        };
         if src == dst {
-            return (dma_start + busy + self.cfg.loopback_latency, 0, 0);
+            let arrival = dma_start + busy + self.cfg.loopback_latency;
+            return Launch {
+                dma_start,
+                arrival,
+                edge,
+            };
         }
         let choice = self.route_choice(src, dst);
         let mut route = std::mem::take(&mut self.route_buf);
         self.topo.route_into(src, dst, choice, &mut route);
         let mut head = dma_start;
-        let mut hop_queue = 0u64;
         for hop in &route {
             if hop.link != LINK_DEDICATED {
                 let start = self.reserve_link(hop.link, head, busy);
-                hop_queue += start - head;
+                edge.hop_queue_ns += start - head;
                 head = start;
             }
             head += hop.latency;
         }
         self.route_buf = route;
-        let wire = head + busy;
+        let mut arrival = head + busy;
         if apply_ingress && self.cfg.model_ingress_contention {
-            let arrival = self.nics[dst].reserve_ingress(head, busy).max(wire);
-            (arrival, arrival - wire, hop_queue)
-        } else {
-            (wire, 0, hop_queue)
+            let wire = arrival;
+            arrival = self.nics[dst].reserve_ingress(head, busy).max(wire);
+            edge.ingress_queue_ns = arrival - wire;
+        }
+        Launch {
+            dma_start,
+            arrival,
+            edge,
+        }
+    }
+
+    /// Record a launched payload movement in the ground truth, if the
+    /// caller named it as a data transfer.
+    fn record_transfer(
+        &mut self,
+        xfer: Option<XferId>,
+        kind: TransferKind,
+        src: usize,
+        dst: usize,
+        bytes: usize,
+        l: &Launch,
+    ) {
+        if let Some(id) = xfer {
+            self.transfers.push(TransferRecord {
+                xfer_id: id.0,
+                src,
+                dst,
+                bytes,
+                phys_start: l.dma_start,
+                phys_end: l.arrival,
+                kind,
+                edge: l.edge,
+            });
         }
     }
 
@@ -862,17 +882,7 @@ impl World {
     ) -> WrId {
         let wr = self.alloc_wr();
         let now = self.now();
-        let busy = self.cfg.serialize(packet.wire_bytes);
-        let dma_start = self.nics[src].reserve_dma(now, busy);
-        let (mut arrival, ingress_queue, hop_queue) =
-            self.fabric_arrival(src, dst, dma_start, packet.wire_bytes, true);
-        let mut edge = CausalEdge {
-            dma_queue_ns: dma_start - now,
-            serialize_ns: busy,
-            ingress_queue_ns: ingress_queue,
-            hop_queue_ns: hop_queue,
-            fault_extra_ns: 0,
-        };
+        let mut l = self.launch(src, dst, packet.wire_bytes, true);
         let mut deliver = true;
         let mut dup_arrival = None;
         if self.faulty && src != dst && !packet.protected {
@@ -882,7 +892,7 @@ impl World {
             // injected delay push the arrival out and are charged to the edge.
             let mut inject = |arrival: &mut Time, extra: u64, kind: FaultKind| {
                 *arrival += extra;
-                edge.fault_extra_ns += extra;
+                l.edge.fault_extra_ns += extra;
                 events.push(FaultEvent {
                     at: now,
                     src,
@@ -893,12 +903,12 @@ impl World {
             };
             if self.fault_rng.chance(plan.drop_prob) {
                 deliver = false;
-                inject(&mut arrival, 0, FaultKind::Dropped);
+                inject(&mut l.arrival, 0, FaultKind::Dropped);
             } else {
                 if self.fault_rng.chance(plan.delay_prob) {
                     let extra = self.fault_rng.below_inclusive(plan.max_extra_delay);
                     if extra > 0 {
-                        inject(&mut arrival, extra, FaultKind::Delayed { extra });
+                        inject(&mut l.arrival, extra, FaultKind::Delayed { extra });
                     }
                 }
                 if plan.explore_jitter_ns > 0 {
@@ -914,39 +924,28 @@ impl World {
                         });
                         let extra = plan.jitter_delay(step as u32);
                         if extra > 0 {
-                            inject(&mut arrival, extra, FaultKind::Delayed { extra });
+                            inject(&mut l.arrival, extra, FaultKind::Delayed { extra });
                         }
                     }
                 }
-                let deg = plan.degradation_delay(src, dst, dma_start);
+                let deg = plan.degradation_delay(src, dst, l.dma_start);
                 if deg > 0 {
-                    inject(&mut arrival, deg, FaultKind::LinkDegraded { extra: deg });
+                    inject(&mut l.arrival, deg, FaultKind::LinkDegraded { extra: deg });
                 }
-                let released_at = plan.stall_release(dst, arrival);
-                if released_at > arrival {
-                    let stall = released_at - arrival;
-                    inject(&mut arrival, stall, FaultKind::NicStalled { released_at });
+                let released_at = plan.stall_release(dst, l.arrival);
+                if released_at > l.arrival {
+                    let stall = released_at - l.arrival;
+                    inject(&mut l.arrival, stall, FaultKind::NicStalled { released_at });
                 }
                 if self.fault_rng.chance(plan.duplicate_prob) {
                     // The copy trails the original by one serialization slot.
-                    dup_arrival = Some(arrival + busy.max(1));
-                    inject(&mut arrival, 0, FaultKind::Duplicated);
+                    dup_arrival = Some(l.arrival + l.edge.serialize_ns.max(1));
+                    inject(&mut l.arrival, 0, FaultKind::Duplicated);
                 }
             }
         }
         if deliver {
-            if let Some(id) = xfer {
-                self.transfers.push(TransferRecord {
-                    xfer_id: id.0,
-                    src,
-                    dst,
-                    bytes: packet.payload_len(),
-                    phys_start: dma_start,
-                    phys_end: arrival,
-                    kind: TransferKind::Send,
-                    edge,
-                });
-            }
+            self.record_transfer(xfer, TransferKind::Send, src, dst, packet.payload_len(), &l);
         }
         if let Some(dup_at) = dup_arrival {
             let copy = packet.clone();
@@ -954,25 +953,25 @@ impl World {
         }
         if deliver {
             self.schedule_pending(
-                arrival,
+                l.arrival,
                 Pending::SendDeliver {
                     src,
                     dst,
                     wr,
                     user,
                     packet,
-                    edge,
+                    edge: l.edge,
                 },
             );
         } else {
             // Dropped in the fabric: the send still completes locally.
             self.schedule_pending(
-                arrival,
+                l.arrival,
                 Pending::SendDropComplete {
                     src,
                     wr,
                     user,
-                    edge,
+                    edge: l.edge,
                 },
             );
         }
@@ -998,33 +997,11 @@ impl World {
         xfer: Option<XferId>,
     ) -> WrId {
         let wr = self.alloc_wr();
-        let now = self.now();
         let len = data.len();
-        let busy = self.cfg.serialize(len);
-        let dma_start = self.nics[src].reserve_dma(now, busy);
-        let (arrival, ingress_queue, hop_queue) =
-            self.fabric_arrival(src, dst, dma_start, len, true);
-        let edge = CausalEdge {
-            dma_queue_ns: dma_start - now,
-            serialize_ns: busy,
-            ingress_queue_ns: ingress_queue,
-            hop_queue_ns: hop_queue,
-            fault_extra_ns: 0,
-        };
-        if let Some(id) = xfer {
-            self.transfers.push(TransferRecord {
-                xfer_id: id.0,
-                src,
-                dst,
-                bytes: len,
-                phys_start: dma_start,
-                phys_end: arrival,
-                kind: TransferKind::RdmaWrite,
-                edge,
-            });
-        }
+        let l = self.launch(src, dst, len, true);
+        self.record_transfer(xfer, TransferKind::RdmaWrite, src, dst, len, &l);
         self.schedule_pending(
-            arrival,
+            l.arrival,
             Pending::WriteApply {
                 src,
                 dst,
@@ -1034,7 +1011,7 @@ impl World {
                 wr,
                 user,
                 notify,
-                edge,
+                edge: l.edge,
             },
         );
         wr
@@ -1057,33 +1034,13 @@ impl World {
         xfer: Option<XferId>,
     ) -> WrId {
         let wr = self.alloc_wr();
-        let now = self.now();
         let len = data.len() * 8;
-        let busy = self.cfg.serialize(len);
-        let dma_start = self.nics[src].reserve_dma(now, busy);
         // NIC-atomic streams contend on fabric links but bypass the ingress
         // engine (they terminate in the remote NIC, not host memory paths).
-        let (arrival, _, hop_queue) = self.fabric_arrival(src, dst, dma_start, len, false);
-        let edge = CausalEdge {
-            dma_queue_ns: dma_start - now,
-            serialize_ns: busy,
-            hop_queue_ns: hop_queue,
-            ..CausalEdge::default()
-        };
-        if let Some(id) = xfer {
-            self.transfers.push(TransferRecord {
-                xfer_id: id.0,
-                src,
-                dst,
-                bytes: len,
-                phys_start: dma_start,
-                phys_end: arrival,
-                kind: TransferKind::RdmaWrite,
-                edge,
-            });
-        }
+        let l = self.launch(src, dst, len, false);
+        self.record_transfer(xfer, TransferKind::RdmaWrite, src, dst, len, &l);
         self.schedule_pending(
-            arrival,
+            l.arrival,
             Pending::AccApply {
                 src,
                 dst,
@@ -1092,7 +1049,7 @@ impl World {
                 data,
                 wr,
                 user,
-                edge,
+                edge: l.edge,
             },
         );
         wr

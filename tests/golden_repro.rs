@@ -11,7 +11,10 @@
 //!   (`fig03.trace.fnv` — the raw exports are several MB, so the golden
 //!   stores digests; re-blessed when the export schema intentionally
 //!   changes, most recently for the `schema_version` header and the
-//!   wait/fault lines that ride the JSONL stream),
+//!   wait/fault lines that ride the JSONL stream) and of the three
+//!   `--critical-path` artifacts built from the same capture (the batch ==
+//!   stream tests share the builders, so only a digest notices a reordered
+//!   field),
 //! * job-count invariance: the concatenated `--jobs 4` output equals the
 //!   serial goldens.
 //!
@@ -120,6 +123,9 @@ fn fig03_trace_exports_match_golden_checksums() {
     }
     let bundles = by_id.get("fig03").expect("fig03 produced traced scopes");
 
+    let scoped: Vec<(String, &TraceBundle)> =
+        bundles.iter().map(|b| (b.scope.clone(), b)).collect();
+
     let golden = include_str!("goldens/fig03.trace.fnv");
     let mut checked = 0;
     for line in golden.lines() {
@@ -132,6 +138,18 @@ fn fig03_trace_exports_match_golden_checksums() {
         let contents = match name {
             "fig03.trace.json" => chrome_json(bundles),
             "fig03.events.jsonl" => jsonl(bundles),
+            "fig03.attribution.json" => serde_json::to_string_pretty(
+                &bench::critpath::attribution_artifact("fig03", &scoped),
+            )
+            .expect("attribution artifact serializes"),
+            "fig03.critpath.folded" => bench::critpath::collapsed(&scoped),
+            "fig03.wait_states.json" => {
+                let waits: Vec<_> = scoped
+                    .iter()
+                    .map(|(scope, b)| bench::critpath::wait_states(scope, b))
+                    .collect();
+                serde_json::to_string(&waits).expect("wait states serialize")
+            }
             other => panic!("unexpected golden entry {other}"),
         };
         assert_eq!(
@@ -146,5 +164,8 @@ fn fig03_trace_exports_match_golden_checksums() {
         );
         checked += 1;
     }
-    assert_eq!(checked, 2, "golden checksum file should list both exports");
+    assert_eq!(
+        checked, 5,
+        "golden checksum file should list all five exports"
+    );
 }
