@@ -218,14 +218,15 @@ impl RankAttribution {
     }
 }
 
+/// One atomic in-call segment: `(start, end, cause, pinned transfer)` with
+/// `end > start`.
+type Atom = (u64, u64, WaitCause, Option<u64>);
+
 /// Atomic in-call segments: each top-level call span cut at wait-interval
 /// boundaries, labelled with the wait's cause and the transfer the wait was
 /// pinned on (gaps between waits are [`WaitCause::LibraryOverhead`] with no
-/// transfer). Returned in time order.
-fn call_atoms(
-    calls: &CallSpans,
-    all_waits: &[WaitInterval],
-) -> Vec<(u64, u64, WaitCause, Option<u64>)> {
+/// transfer). Returned in time order when the rank's stamps are.
+fn call_atoms(calls: &CallSpans, all_waits: &[WaitInterval]) -> Vec<Atom> {
     let mut waits: Vec<&WaitInterval> = all_waits.iter().filter(|w| w.end > w.start).collect();
     waits.sort_by_key(|w| (w.start, w.end));
     let mut atoms = Vec::new();
@@ -264,13 +265,69 @@ pub fn attribute(trace: &RankTrace) -> RankAttribution {
     attribute_view(&RankView::of(trace))
 }
 
+/// Finds, for a transfer window, the run of a rank's atoms outside which no
+/// atom can meet it, so that attributing a transfer costs what its window
+/// holds, not what the rank recorded. Nothing is assumed about the order of
+/// the atoms (a skewed clock or a hostile stream breaks any): the running
+/// maximum of atom ends and the running-from-the-back minimum of atom starts
+/// are monotone whatever the atoms are, so both cuts are binary searches and
+/// both are exact.
+struct AtomWindows {
+    atoms: Vec<Atom>,
+    /// `max_end[i]`: the latest end among `atoms[..=i]`.
+    max_end: Vec<u64>,
+    /// `min_start[i]`: the earliest start among `atoms[i..]`.
+    min_start: Vec<u64>,
+}
+
+impl AtomWindows {
+    fn new(atoms: Vec<Atom>) -> Self {
+        let mut max_end = Vec::with_capacity(atoms.len());
+        let mut latest = 0;
+        for a in &atoms {
+            latest = a.1.max(latest);
+            max_end.push(latest);
+        }
+        let mut min_start = vec![u64::MAX; atoms.len()];
+        let mut earliest = u64::MAX;
+        for (m, a) in min_start.iter_mut().zip(&atoms).rev() {
+            earliest = a.0.min(earliest);
+            *m = earliest;
+        }
+        AtomWindows {
+            atoms,
+            max_end,
+            min_start,
+        }
+    }
+
+    /// The atoms between the first that ends after `win_s` and the last
+    /// that starts before `win_e`: every atom left out ends at or before
+    /// the window's start or starts at or after its end.
+    fn meeting(&self, win_s: u64, win_e: u64) -> &[Atom] {
+        let lo = self.max_end.partition_point(|&end| end <= win_s);
+        let hi = self.min_start.partition_point(|&start| start < win_e);
+        &self.atoms[lo..hi.max(lo)]
+    }
+}
+
 /// [`attribute`] on a rank view: its top-level call spans (a call still open
 /// closes at the rank's last stamp), its recorded wait intervals, and its
 /// bound records. The stream fold lends the parts it maintains line by line,
 /// so served and batch attributions are one computation.
 pub(crate) fn attribute_view(view: &RankView<'_>) -> RankAttribution {
+    let windows = AtomWindows::new(call_atoms(&view.calls, view.waits));
+    attribute_over(view, |win_s, win_e| windows.meeting(win_s, win_e))
+}
+
+/// The attribution walk. `atoms_for(win_s, win_e)` lends the atoms to walk
+/// for a transfer with that window, in index order; leaving out atoms that
+/// do not meet the window changes nothing, since the walk skips them.
+fn attribute_over<'a>(
+    view: &RankView<'_>,
+    atoms_for: impl Fn(u64, u64) -> &'a [Atom],
+) -> RankAttribution {
     let (rank, waits, bounds) = (view.rank, view.waits, view.bounds);
-    let atoms = call_atoms(&view.calls, waits);
     let mut records = Vec::with_capacity(bounds.len());
     let mut totals: BTreeMap<&'static str, u64> = BTreeMap::new();
     for b in bounds {
@@ -279,6 +336,7 @@ pub(crate) fn attribute_view(view: &RankView<'_>) -> RankAttribution {
         if nonoverlap > 0 {
             let win_s = b.begin_t.unwrap_or(b.end_t);
             let win_e = b.end_t;
+            let atoms = atoms_for(win_s, win_e);
             let mut remaining = nonoverlap;
             // Waits pinned on *this* transfer are its proximate cause, so
             // they are charged first; any rest is consumed latest-first:
@@ -365,9 +423,17 @@ mod tests {
     use crate::bounds::XferCase;
     use crate::event::{Event, EventKind};
     use crate::trace::{BoundRecord, TraceBundle};
+    use proptest::prelude::*;
 
     fn ev(t: u64, kind: EventKind) -> Event {
         Event::new(t, kind)
+    }
+
+    /// The walk as it was before [`AtomWindows`]: every transfer scans every
+    /// atom of its rank. Kept as the oracle the windowed walk must equal.
+    fn attribute_full_scan(view: &RankView<'_>) -> RankAttribution {
+        let atoms = call_atoms(&view.calls, view.waits);
+        attribute_over(view, |_, _| &atoms)
     }
 
     fn record(
@@ -593,5 +659,133 @@ mod tests {
             reg.histogram("attr_ns_hist/late_sender").unwrap().count(),
             1
         );
+    }
+
+    /// Stamps land on a small grid, so window, span and wait edges coincide
+    /// as often as they cross.
+    const HORIZON: u64 = 160;
+
+    /// Call spans as `(advance, turn the clock back, length)` steps from a
+    /// cursor: a skewed span starts before spans already recorded, so the
+    /// atoms come out of order.
+    fn arb_spans() -> impl Strategy<Value = Vec<(u64, u64, u64)>> {
+        prop::collection::vec(
+            (
+                0u64..8,
+                prop_oneof![Just(0u64), Just(0u64), 1u64..30],
+                0u64..8,
+            ),
+            0..40,
+        )
+    }
+
+    /// `(start, length, cause, pinned transfer)`: zero-length, overlapping,
+    /// pinned and unpinned waits.
+    fn arb_waits() -> impl Strategy<Value = Vec<(u64, u64, usize, Option<u64>)>> {
+        prop::collection::vec(
+            (
+                0u64..HORIZON,
+                0u64..12,
+                0usize..WaitCause::ALL.len(),
+                prop::option::of(0u64..8),
+            ),
+            0..40,
+        )
+    }
+
+    /// `(id, begin stamp, end stamp, table time, max bound)`: a missing
+    /// begin is an end-only bound, and nothing orders begin before end.
+    fn arb_bounds() -> impl Strategy<Value = Vec<(u64, Option<u64>, u64, u64, u64)>> {
+        prop::collection::vec(
+            (
+                0u64..8,
+                prop::option::of(0u64..HORIZON),
+                0u64..HORIZON,
+                0u64..80,
+                0u64..40,
+            ),
+            0..30,
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn windowed_walk_agrees_with_the_full_scan(
+            spans in arb_spans(),
+            waits in arb_waits(),
+            bounds in arb_bounds(),
+        ) {
+            let mut events = Vec::new();
+            let mut cursor = 0u64;
+            for (advance, back, len) in spans {
+                cursor = (cursor + advance).saturating_sub(back);
+                events.push(ev(cursor, EventKind::CallEnter { name: "MPI_Wait" }));
+                events.push(ev(cursor + len, EventKind::CallExit));
+                cursor += len;
+            }
+            let trace = RankTrace {
+                rank: 3,
+                events,
+                bounds: bounds
+                    .into_iter()
+                    .map(|(id, begin_t, end_t, xfer_time, max)| {
+                        record(id, begin_t, end_t, xfer_time, max, XferCase::SplitCalls)
+                    })
+                    .collect(),
+                waits: waits
+                    .into_iter()
+                    .map(|(start, len, cause, xfer)| WaitInterval {
+                        start,
+                        end: start + len,
+                        cause: WaitCause::ALL[cause],
+                        xfer,
+                    })
+                    .collect(),
+            };
+            let view = RankView::of(&trace);
+            let (got, want) = (attribute_view(&view), attribute_full_scan(&view));
+            prop_assert_eq!(got.rank, want.rank);
+            prop_assert_eq!(got.records, want.records);
+            prop_assert_eq!(got.totals, want.totals);
+            prop_assert_eq!(got.wait_intervals, want.wait_intervals);
+        }
+    }
+
+    /// 20 000 isend/compute/wait cycles whose table time the window cannot
+    /// host, so no walk ends early: a walk that visits every atom for every
+    /// transfer is 1.6e9 steps here, the windowed one 80 000.
+    #[test]
+    fn attribution_is_linear_in_transfers() {
+        const XFERS: u64 = 20_000;
+        let mut trace = RankTrace {
+            rank: 0,
+            events: Vec::new(),
+            bounds: Vec::new(),
+            waits: Vec::new(),
+        };
+        for id in 0..XFERS {
+            let t = id * 1_000;
+            trace.events.extend([
+                ev(t, EventKind::CallEnter { name: "MPI_Isend" }),
+                ev(t + 10, EventKind::CallExit),
+                ev(t + 510, EventKind::CallEnter { name: "MPI_Wait" }),
+                ev(t + 520, EventKind::CallExit),
+            ]);
+            trace
+                .bounds
+                .push(record(id, Some(t), t + 520, 800, 500, XferCase::SplitCalls));
+        }
+        let started = std::time::Instant::now();
+        let attr = attribute(&trace);
+        let took = started.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(5),
+            "attributing {XFERS} transfers took {took:?}"
+        );
+        assert_eq!(attr.records.len() as u64, XFERS);
+        assert_eq!(attr.totals["library_overhead"], 20 * XFERS);
+        assert_eq!(attr.totals["table_excess"], 280 * XFERS);
     }
 }

@@ -155,27 +155,12 @@ impl Histogram {
 /// deterministic. Built-in metrics are populated by the processor; user code
 /// may add its own through [`MetricsRegistry::inc`] /
 /// [`MetricsRegistry::observe`].
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     /// Monotonic named counters.
     pub counters: BTreeMap<String, u64>,
     /// Named fixed-bucket histograms.
     pub histograms: BTreeMap<String, Histogram>,
-}
-
-// Manual impl so that reports written before the registry existed (no
-// `metrics` member → `Null` in the value tree) deserialize as an empty
-// registry instead of erroring.
-impl serde::Deserialize for MetricsRegistry {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        if v.is_null() {
-            return Ok(MetricsRegistry::default());
-        }
-        Ok(MetricsRegistry {
-            counters: Deserialize::from_value(v.field("counters"))?,
-            histograms: Deserialize::from_value(v.field("histograms"))?,
-        })
-    }
 }
 
 impl MetricsRegistry {

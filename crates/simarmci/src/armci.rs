@@ -125,14 +125,10 @@ impl<'a> Armci<'a> {
         self.rec.section_end();
     }
 
-    /// Shut down and emit the per-process overlap report.
-    pub fn finalize(self) -> OverlapReport {
-        self.finalize_traced().0
-    }
-
-    /// [`Armci::finalize`], additionally returning the time-resolved trace
-    /// when `RecorderOpts::trace` was set on init (`None` otherwise).
-    pub fn finalize_traced(mut self) -> (OverlapReport, Option<overlap_core::trace::RankTrace>) {
+    /// Shut down and emit the per-process overlap report and, when
+    /// `RecorderOpts::trace` was set on init, the time-resolved trace
+    /// (`None` otherwise).
+    pub fn finalize(mut self) -> (OverlapReport, Option<overlap_core::trace::RankTrace>) {
         self.rec.call_enter("ARMCI_Finalize");
         self.barrier_inner();
         self.rec.call_exit();

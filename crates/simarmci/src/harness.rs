@@ -70,7 +70,7 @@ where
     let (out, per_rank) = cluster.run_collect(SimOpts::default(), move |ctx, world| {
         let mut armci = Armci::init(ctx, world.clone(), table.clone(), rec_opts.clone());
         body(&mut armci);
-        armci.finalize_traced()
+        armci.finalize()
     })?;
     let (reports, traces): (Vec<_>, Vec<_>) = per_rank.into_iter().unzip();
     Ok(ArmciRunOutcome {

@@ -30,7 +30,6 @@
 //! mutex is for. Global `(time, seq)` order is restored inside the wheel,
 //! because sequence numbers are allocated in program order at push time.
 
-use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtomicOrdering};
 use std::sync::Arc;
@@ -38,7 +37,7 @@ use std::sync::Arc;
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
 
-use crate::error::SimError;
+use crate::error::{RankDiag, SimError};
 use crate::oracle::{ChoicePoint, OracleHandle};
 use crate::rank::{RankCtx, YieldPort};
 use crate::sched::TimingWheel;
@@ -94,54 +93,6 @@ impl RankCell {
     }
 }
 
-/// Library-supplied diagnostic notes for one rank, dumped on deadlock.
-///
-/// Updated on the rank's hot yield path, so the fields are designed to be
-/// cheap to refresh: the blocked-on note is a shared `Arc<str>` the library
-/// re-clones only when its state fingerprint changes, and the last-call name
-/// is a `&'static str` stored by pointer.
-#[derive(Default)]
-pub(crate) struct DiagSlot {
-    pub(crate) blocked_on: Option<Arc<str>>,
-    pub(crate) last_call: Option<&'static str>,
-    /// Structured wait-for edge: the rank this one is waiting on, if the
-    /// library can name a single peer (used for deadlock cycle reports).
-    pub(crate) waits_on_rank: Option<usize>,
-    /// The library-level request id the rank is blocked in, if any.
-    pub(crate) waits_on_req: Option<u64>,
-}
-
-/// A cell whose accesses are serialized by the engine's strict handoff
-/// rather than by a lock: at any instant exactly one continuation (the
-/// engine or one rank) is running, and in threaded mode the rendezvous
-/// channels carry the happens-before edges between them. Diag slots sit on
-/// the park hot path, so they use this instead of a `Mutex` — a write is a
-/// plain store, not an atomic RMW.
-pub(crate) struct SeqCell<T>(UnsafeCell<T>);
-
-// SAFETY: see the type docs — the engine's handoff discipline guarantees
-// exclusive, synchronized access; `with` is `unsafe` to make each access
-// site restate that obligation.
-unsafe impl<T: Send> Sync for SeqCell<T> {}
-
-impl<T> SeqCell<T> {
-    fn new(v: T) -> Self {
-        SeqCell(UnsafeCell::new(v))
-    }
-
-    /// Run `f` with exclusive access to the value.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the sole running continuation (a rank touching its
-    /// own slot while the engine is suspended in `resume`, or the engine
-    /// while every rank is suspended).
-    pub(crate) unsafe fn with<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        // SAFETY: exclusivity per the caller contract above.
-        unsafe { f(&mut *self.0.get()) }
-    }
-}
-
 pub(crate) struct EngineShared {
     /// The insertion buffer: everything scheduled since the last drain.
     inbox: Mutex<Vec<Entry>>,
@@ -152,7 +103,6 @@ pub(crate) struct EngineShared {
     now: AtomicU64,
     seq: AtomicU64,
     cells: Box<[RankCell]>,
-    pub(crate) diags: Box<[SeqCell<DiagSlot>]>,
     token_handler: Mutex<Option<TokenHandler>>,
     oracle: Mutex<Option<OracleHandle>>,
 }
@@ -338,6 +288,21 @@ pub(crate) enum YieldMsg {
     Park,
     Done(ActivityLog),
     Panicked(String),
+    /// The answer to a [`Resume::Explain`]: the rank stays parked.
+    Explained(Box<RankDiag>),
+}
+
+/// Why the engine hands control to a suspended rank: the one value a rank
+/// reads after every yield.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Resume {
+    /// Carry on: the sleep is over, or a wake-up arrived.
+    Run,
+    /// The wheel drained with this rank still parked: say what it is blocked
+    /// on (see [`RankCtx::park_with`]) and park again.
+    Explain,
+    /// The run is over: unwind out of the rank body so its destructors run.
+    Abort,
 }
 
 /// Hosts the rank continuations for one run and resumes them on demand.
@@ -372,17 +337,17 @@ impl Driver {
     }
 
     /// Hand control to rank `r` until it yields; returns its message.
-    fn resume(&mut self, r: usize) -> Result<YieldMsg, SimError> {
+    fn resume(&mut self, r: usize, why: Resume) -> Result<YieldMsg, SimError> {
         match self {
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-            Driver::Fibers(d) => d.resume(r),
-            Driver::Threads(d) => d.resume(r),
+            Driver::Fibers(d) => d.resume(r, why),
+            Driver::Threads(d) => d.resume(r, why),
         }
     }
 
     /// Tear down every continuation that has not finished: suspended bodies
-    /// observe the designed `"simulation aborted"` unwind so their
-    /// destructors run, exactly as on the success path.
+    /// are resumed with [`Resume::Abort`] and unwind, so their destructors
+    /// run exactly as on the success path.
     fn shutdown(self) {
         match self {
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
@@ -438,8 +403,8 @@ impl FiberDriver {
         Ok(FiberDriver { fibers })
     }
 
-    fn resume(&mut self, r: usize) -> Result<YieldMsg, SimError> {
-        match self.fibers[r].resume() {
+    fn resume(&mut self, r: usize, why: Resume) -> Result<YieldMsg, SimError> {
+        match self.fibers[r].resume(why) {
             Some(m) => Ok(m),
             None => Err(SimError::RankPanic {
                 rank: r,
@@ -452,7 +417,8 @@ impl FiberDriver {
 /// Thread-hosted ranks: the original rendezvous-channel design, kept as the
 /// portable fallback and the equivalence-test reference model.
 struct ThreadDriver {
-    resume_txs: Vec<Sender<()>>,
+    /// Dropping a sender is this driver's [`Resume::Abort`].
+    resume_txs: Vec<Sender<Resume>>,
     yield_rxs: Vec<Receiver<YieldMsg>>,
     joins: Vec<std::thread::JoinHandle<()>>,
 }
@@ -464,11 +430,11 @@ impl ThreadDriver {
         body: &RankBody,
         fail_spawn: Option<usize>,
     ) -> Result<ThreadDriver, SimError> {
-        let mut resume_txs: Vec<Sender<()>> = Vec::with_capacity(n);
+        let mut resume_txs: Vec<Sender<Resume>> = Vec::with_capacity(n);
         let mut yield_rxs: Vec<Receiver<YieldMsg>> = Vec::with_capacity(n);
         let mut joins = Vec::with_capacity(n);
         for r in 0..n {
-            let (resume_tx, resume_rx) = bounded::<()>(1);
+            let (resume_tx, resume_rx) = bounded::<Resume>(1);
             let (yield_tx, yield_rx) = bounded::<YieldMsg>(1);
             resume_txs.push(resume_tx);
             yield_rxs.push(yield_rx);
@@ -531,8 +497,8 @@ impl ThreadDriver {
         })
     }
 
-    fn resume(&mut self, r: usize) -> Result<YieldMsg, SimError> {
-        if self.resume_txs[r].send(()).is_err() {
+    fn resume(&mut self, r: usize, why: Resume) -> Result<YieldMsg, SimError> {
+        if self.resume_txs[r].send(why).is_err() {
             return Err(SimError::RankPanic {
                 rank: r,
                 message: "rank thread exited unexpectedly".into(),
@@ -577,9 +543,6 @@ impl Simulation {
                 now: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 cells: (0..nranks).map(|_| RankCell::new()).collect(),
-                diags: (0..nranks)
-                    .map(|_| SeqCell::new(DiagSlot::default()))
-                    .collect(),
                 token_handler: Mutex::new(None),
                 oracle: Mutex::new(None),
             }),
@@ -613,7 +576,7 @@ impl Simulation {
     /// Runs on **every** exit from [`Simulation::run`] — success, error, and
     /// the partial-spawn-failure path — so teardown is deterministic: a
     /// callback scheduled before an aborted run cannot keep its captures
-    /// alive or leave a stale wake/diag entry behind for a handle that
+    /// alive or leave a stale wake entry behind for a handle that
     /// outlives the run.
     fn drain_reset(&self) {
         self.shared.inbox.lock().clear();
@@ -624,11 +587,6 @@ impl Simulation {
             cell.phase.store(PH_DONE, AtomicOrdering::Relaxed);
             cell.wake_pending.store(false, AtomicOrdering::Relaxed);
         }
-        for d in self.shared.diags.iter() {
-            // SAFETY: no rank continuation is live (the driver was shut down
-            // or never constructed), so the engine is the sole accessor.
-            unsafe { d.with(|d| *d = DiagSlot::default()) };
-        }
     }
 
     /// Run `body` once per rank to completion. Returns the outcome or the
@@ -637,7 +595,6 @@ impl Simulation {
     where
         F: Fn(&mut RankCtx) + Send + Sync + 'static,
     {
-        install_abort_hook();
         let n = self.nranks;
         let body: RankBody = Arc::new(body);
         let mut driver = match Driver::spawn(opts.runtime, n, &self.shared, &body, self.fail_spawn)
@@ -687,23 +644,20 @@ impl Simulation {
                 if stuck.is_empty() {
                     break Ok(());
                 }
-                let diags = stuck
-                    .iter()
-                    .map(|&r| {
-                        // SAFETY: every rank is suspended (the queue is
-                        // empty, so none is mid-resume); the engine is the
-                        // sole accessor.
-                        unsafe {
-                            self.shared.diags[r].with(|d| crate::error::RankDiag {
-                                rank: r,
-                                blocked_on: d.blocked_on.as_ref().map(|s| s.to_string()),
-                                last_call: d.last_call.map(|s| s.to_string()),
-                                waits_on_rank: d.waits_on_rank,
-                                waits_on_req: d.waits_on_req,
-                            })
+                // Ask each stuck rank, on its own stack, what it is blocked
+                // on. Not an event: no clock, no counter, no log moves, and
+                // the rank stays parked for the teardown below.
+                let mut diags = Vec::with_capacity(stuck.len());
+                for &r in &stuck {
+                    match driver.resume(r, Resume::Explain) {
+                        Ok(YieldMsg::Explained(d)) => diags.push(*d),
+                        Ok(YieldMsg::Panicked(message)) => {
+                            break 'main Err(SimError::RankPanic { rank: r, message });
                         }
-                    })
-                    .collect();
+                        Ok(other) => unreachable!("rank {r} answered explain with {other:?}"),
+                        Err(e) => break 'main Err(e),
+                    }
+                }
                 break Err(SimError::Deadlock {
                     parked: stuck,
                     at: handle.now(),
@@ -749,7 +703,7 @@ impl Simulation {
                     if !should_run {
                         continue;
                     }
-                    match driver.resume(r) {
+                    match driver.resume(r, Resume::Run) {
                         Ok(YieldMsg::Sleep(t)) => {
                             cell.phase.store(PH_SLEEPING, AtomicOrdering::Relaxed);
                             // Engine-local: straight into the wheel, skipping
@@ -766,6 +720,9 @@ impl Simulation {
                         }
                         Ok(YieldMsg::Panicked(message)) => {
                             break 'main Err(SimError::RankPanic { rank: r, message });
+                        }
+                        Ok(YieldMsg::Explained(_)) => {
+                            unreachable!("rank {r} explained without being asked")
                         }
                         Err(e) => break Err(e),
                     }
@@ -832,29 +789,6 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "<non-string panic payload>".to_string()
     }
-}
-
-/// Silence the designed `"simulation aborted"` unwind that tears rank
-/// continuations down when the engine stops early (deadlock, limit, another
-/// rank's panic): it is control flow, not an error, and the default hook
-/// would print one message-plus-backtrace per parked rank. Every other
-/// panic still reaches the previously installed hook. Installed once,
-/// process-wide, on first engine run.
-fn install_abort_hook() {
-    static ONCE: std::sync::Once = std::sync::Once::new();
-    ONCE.call_once(|| {
-        let prev = std::panic::take_hook();
-        std::panic::set_hook(Box::new(move |info| {
-            let is_abort = info
-                .payload()
-                .downcast_ref::<&str>()
-                .map(|s| *s == "simulation aborted")
-                .unwrap_or(false);
-            if !is_abort {
-                prev(info);
-            }
-        }));
-    });
 }
 
 #[cfg(test)]

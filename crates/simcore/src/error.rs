@@ -2,22 +2,23 @@
 
 use std::fmt;
 
-/// Per-rank diagnostic snapshot taken when a deadlock is detected.
+/// Per-rank diagnostic taken when a deadlock is detected.
 ///
-/// The notes are provided by the library running on the rank (via
-/// [`crate::RankCtx::note_blocked_on`] / [`crate::RankCtx::note_call`]); a
-/// rank that never set them reports `None`.
+/// Built at that moment, not before: the engine asks each stuck rank once,
+/// and the library running on it answers through the closure it parked with
+/// ([`crate::RankCtx::park_with`]). A rank parked with plain
+/// [`crate::RankCtx::park`] reports `None` everywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankDiag {
-    /// The stuck rank.
+    /// The stuck rank (filled in by [`crate::RankCtx::park_with`]).
     pub rank: usize,
-    /// What the rank reported it was blocked on when it last parked.
+    /// What the rank says it is blocked on.
     pub blocked_on: Option<String>,
     /// The last library call the rank entered.
     pub last_call: Option<String>,
     /// Structured wait-for edge: the peer rank this one is waiting on, if
-    /// the library could name a single one (via
-    /// [`crate::RankCtx::note_waiting_on`]).
+    /// the library could name a single one. [`deadlock_cycle`] walks these
+    /// into a `rank -> request -> rank` cycle report.
     pub waits_on_rank: Option<usize>,
     /// The library-level request id the rank is blocked in, if any.
     pub waits_on_req: Option<u64>,

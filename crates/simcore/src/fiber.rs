@@ -18,30 +18,31 @@
 //! * The context switch saves the sysv64 callee-saved registers plus the
 //!   stack pointer and restores the peer's; everything else is handled by
 //!   the compiler around the `extern` call boundary.
-//! * A fiber's entry point wraps the rank body in [`catch_unwind`], so a
-//!   panic (including the engine's designed `"simulation aborted"` teardown
-//!   unwind) never crosses the switch boundary: it is converted into a
+//! * A fiber's entry point wraps the rank body in [`catch_unwind`], so an
+//!   unwind (a panic, or the hook-free teardown unwind a [`Resume::Abort`]
+//!   starts) never crosses the switch boundary: it is converted into a
 //!   [`YieldMsg::Panicked`] handoff and the fiber parks itself as finished.
 //! * Communication with the engine goes through the fiber's [`FiberData`]
-//!   cell: the fiber writes a [`YieldMsg`] and switches out; the engine
-//!   reads it after the switch returns. Exactly one side runs at a time, so
-//!   the cell needs no synchronization.
+//!   cell: the fiber writes a [`YieldMsg`] and switches out, the engine
+//!   reads it after the switch returns; the engine writes a [`Resume`]
+//!   reason before switching in, the fiber reads it after its yield
+//!   returns. Exactly one side runs at a time, so the cell needs no
+//!   synchronization.
 //!
 //! This module is x86_64-Linux-only (see the `cfg` in `lib.rs`); on other
 //! targets the engine falls back to the OS-thread driver, which is also kept
 //! as the reference model for the runtime-equivalence property tests.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
 
 use parking_lot::Mutex;
 
-use crate::engine::YieldMsg;
+use crate::engine::{Resume, YieldMsg};
 
-/// Default fiber stack size (including the one-page guard). Virtual memory
-/// only — pages are committed on first touch, so a 4k-rank fleet does not
-/// pay 4k × stack in RSS. Override with `SIMCORE_FIBER_STACK_KB`.
-const DEFAULT_STACK_BYTES: usize = 2 * 1024 * 1024;
+/// Fiber stack size (including the one-page guard). Virtual memory only —
+/// pages are committed on first touch, so a 4k-rank fleet does not pay
+/// 4k × stack in RSS.
+const STACK_BYTES: usize = 2 * 1024 * 1024;
 
 const PAGE: usize = 4096;
 
@@ -67,19 +68,6 @@ mod sys {
         pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
         pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
     }
-}
-
-/// Stack size from `SIMCORE_FIBER_STACK_KB` (clamped to ≥ 64 KiB), read once.
-fn stack_bytes() -> usize {
-    static SIZE: OnceLock<usize> = OnceLock::new();
-    *SIZE.get_or_init(|| {
-        std::env::var("SIMCORE_FIBER_STACK_KB")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .map(|kb| (kb * 1024).max(64 * 1024))
-            .unwrap_or(DEFAULT_STACK_BYTES)
-            .next_multiple_of(PAGE)
-    })
 }
 
 /// An owned `mmap`ed stack with a guard page at its low end.
@@ -139,17 +127,15 @@ static STACK_POOL: Mutex<Vec<RawStack>> = Mutex::new(Vec::new());
 const POOL_CAP: usize = 1024;
 
 fn acquire_stack() -> std::io::Result<RawStack> {
-    let want = stack_bytes();
     if let Some(s) = STACK_POOL.lock().pop() {
-        debug_assert_eq!(s.len, want);
         return Ok(s);
     }
-    RawStack::alloc(want)
+    RawStack::alloc(STACK_BYTES)
 }
 
 fn release_stack(s: RawStack) {
     let mut pool = STACK_POOL.lock();
-    if pool.len() < POOL_CAP && s.len == stack_bytes() {
+    if pool.len() < POOL_CAP {
         pool.push(s);
     }
 }
@@ -165,9 +151,9 @@ pub(crate) struct FiberData {
     fiber_sp: usize,
     /// Handoff slot: written by the fiber before switching to the engine.
     pub(crate) msg: Option<YieldMsg>,
-    /// Set by the engine before an abort-resume: the fiber's next yield
-    /// turns into the designed `"simulation aborted"` teardown unwind.
-    pub(crate) abort: bool,
+    /// Why the engine resumed the fiber: written by the engine before each
+    /// switch in, read by the fiber when its yield returns.
+    pub(crate) resume: Resume,
     /// The rank body, consumed on first entry.
     entry: Option<Box<dyn FnOnce(*mut FiberData)>>,
     started: bool,
@@ -190,7 +176,7 @@ impl Fiber {
             engine_sp: 0,
             fiber_sp: 0,
             msg: None,
-            abort: false,
+            resume: Resume::Run,
             entry: Some(entry),
             started: false,
             finished: false,
@@ -224,15 +210,16 @@ impl Fiber {
         unsafe { (*self.data).finished }
     }
 
-    /// Switch into the fiber until it yields or finishes; returns the
-    /// message it left in the handoff slot.
-    pub(crate) fn resume(&mut self) -> Option<YieldMsg> {
+    /// Switch into the fiber, telling it `why`, until it yields or finishes;
+    /// returns the message it left in the handoff slot.
+    pub(crate) fn resume(&mut self, why: Resume) -> Option<YieldMsg> {
         // SAFETY: the cell is ours while the fiber is suspended; the switch
         // transfers control to exactly one other continuation which switches
         // back here before the engine continues.
         unsafe {
             debug_assert!(!(*self.data).finished, "resume of finished fiber");
             (*self.data).started = true;
+            (*self.data).resume = why;
             raw_switch(
                 &mut (*self.data).engine_sp,
                 std::ptr::addr_of!((*self.data).fiber_sp),
@@ -242,17 +229,17 @@ impl Fiber {
     }
 
     /// Force a started-but-unfinished fiber to completion by resuming it
-    /// with the abort flag set: its next yield unwinds the rank body (so
-    /// destructors on the fiber stack run), the unwind is caught at the
-    /// entry point, and the fiber finishes. No-op for new/finished fibers.
+    /// with [`Resume::Abort`]: the yield it is suspended in unwinds the rank
+    /// body (so destructors on the fiber stack run), the unwind is caught at
+    /// the entry point, and the fiber finishes. No-op for new/finished
+    /// fibers.
     pub(crate) fn abort(&mut self) {
         // SAFETY: engine side runs; sole access to the cell.
         unsafe {
             if !(*self.data).started || (*self.data).finished {
                 return;
             }
-            (*self.data).abort = true;
-            self.resume();
+            self.resume(Resume::Abort);
             debug_assert!((*self.data).finished, "aborted fiber failed to finish");
         }
     }
@@ -365,20 +352,20 @@ mod tests {
         }))
         .unwrap();
         for i in 0..3u64 {
-            match f.resume() {
+            match f.resume(Resume::Run) {
                 Some(YieldMsg::Sleep(t)) => assert_eq!(t, i),
                 other => panic!("unexpected yield {other:?}"),
             }
             assert!(!f.is_finished());
         }
-        assert!(f.resume().is_none());
+        assert!(f.resume(Resume::Run).is_none());
         assert!(f.is_finished());
     }
 
     #[test]
     fn fiber_panic_is_contained() {
         let mut f = Fiber::new(Box::new(|_| panic!("kaboom"))).unwrap();
-        match f.resume() {
+        match f.resume(Resume::Run) {
             Some(YieldMsg::Panicked(m)) => assert!(m.contains("kaboom")),
             other => panic!("unexpected yield {other:?}"),
         }
@@ -404,14 +391,14 @@ mod tests {
                 unsafe {
                     (*data).msg = Some(YieldMsg::Park);
                     yield_to_engine(data);
-                    if (*data).abort {
-                        panic!("simulation aborted");
+                    if (*data).resume == Resume::Abort {
+                        std::panic::resume_unwind(Box::new(()));
                     }
                 }
             }
         }))
         .unwrap();
-        assert!(matches!(f.resume(), Some(YieldMsg::Park)));
+        assert!(matches!(f.resume(Resume::Run), Some(YieldMsg::Park)));
         assert!(!dropped.load(std::sync::atomic::Ordering::SeqCst));
         f.abort();
         assert!(dropped.load(std::sync::atomic::Ordering::SeqCst));
@@ -445,6 +432,6 @@ mod tests {
             }
         }))
         .unwrap();
-        assert!(matches!(f.resume(), Some(YieldMsg::Sleep(2000))));
+        assert!(matches!(f.resume(Resume::Run), Some(YieldMsg::Sleep(2000))));
     }
 }

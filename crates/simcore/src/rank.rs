@@ -4,7 +4,8 @@ use std::sync::Arc;
 
 use crossbeam::channel::{Receiver, Sender};
 
-use crate::engine::{EngineHandle, EngineShared, YieldMsg};
+use crate::engine::{EngineHandle, EngineShared, Resume, YieldMsg};
+use crate::error::RankDiag;
 use crate::time::{Duration, Time};
 use crate::truth::{Activity, ActivityLog};
 
@@ -20,9 +21,15 @@ pub(crate) enum YieldPort {
     /// Thread-hosted rank: rendezvous with the engine over a channel pair.
     Thread {
         yield_tx: Sender<YieldMsg>,
-        resume_rx: Receiver<()>,
+        resume_rx: Receiver<Resume>,
     },
 }
+
+/// Payload of the teardown unwind that [`Resume::Abort`] starts in a
+/// suspended rank. Raised with [`std::panic::resume_unwind`], which by
+/// contract never calls the panic hook: the unwind is the engine's control
+/// flow, caught at the continuation's entry point, and nothing is printed.
+struct Aborted;
 
 /// Handle through which a simulated process interacts with virtual time.
 ///
@@ -94,70 +101,39 @@ impl RankCtx {
         let start = self.now();
         let end = start.saturating_add(d);
         self.log.record(start, end, kind);
-        self.yield_to_engine(YieldMsg::Sleep(end));
+        // A sleeping rank has its wake-up in the queue: it is never stuck.
+        let why = self.yield_to_engine(YieldMsg::Sleep(end));
+        debug_assert_eq!(why, Resume::Run);
     }
 
     /// Block until an event handler calls [`EngineHandle::wake_rank`] for
     /// this rank. The blocked interval is attributed to
-    /// [`Activity::LibraryWait`] in the ground-truth log. On wake-up the
-    /// blocked-on note (if any) is cleared: the rank is no longer blocked.
+    /// [`Activity::LibraryWait`] in the ground-truth log. A rank stuck here
+    /// when the simulation deadlocks reports no note; a library that can say
+    /// what it is blocked on parks with [`RankCtx::park_with`].
     pub fn park(&mut self) {
+        self.park_with(RankDiag::default);
+    }
+
+    /// [`RankCtx::park`], able to say what the rank is blocked on. `explain`
+    /// runs only if the event queue drains with this rank still parked — at
+    /// most once, on this rank's own stack, before the run is torn down —
+    /// and its answer (with `rank` filled in here) becomes this rank's entry
+    /// in [`crate::SimError::Deadlock`]. A run that completes never calls
+    /// it, so it may render whatever it likes from the state it borrows:
+    /// nothing the rank owns can change while the rank is parked.
+    pub fn park_with(&mut self, mut explain: impl FnMut() -> RankDiag) {
         let start = self.now();
-        self.yield_to_engine(YieldMsg::Park);
+        let mut why = self.yield_to_engine(YieldMsg::Park);
+        while why == Resume::Explain {
+            let diag = RankDiag {
+                rank: self.rank,
+                ..explain()
+            };
+            why = self.yield_to_engine(YieldMsg::Explained(Box::new(diag)));
+        }
         let end = self.now();
         self.log.record(start, end, Activity::LibraryWait);
-        // SAFETY: this rank is the running continuation and touches only its
-        // own diag slot; the engine is suspended in `resume`.
-        unsafe {
-            self.shared.diags[self.rank].with(|d| {
-                d.blocked_on = None;
-                d.waits_on_rank = None;
-                d.waits_on_req = None;
-            });
-        }
-    }
-
-    /// Describe what this rank is about to block on. Dumped per rank in
-    /// [`crate::SimError::Deadlock`] if the simulation wedges; cleared
-    /// automatically when [`RankCtx::park`] returns.
-    ///
-    /// This sits on the park hot path, so the note is shared, not copied:
-    /// pass a cached `Arc<str>` (re-rendered only when the underlying state
-    /// actually changes) and the call is a refcount bump plus a store into
-    /// this rank's own diagnostic slot. Plain `&str` / `String` arguments
-    /// still work and allocate once here.
-    pub fn note_blocked_on(&self, what: impl Into<Arc<str>>) {
-        let what = what.into();
-        // SAFETY: running continuation, own slot only (see `park`).
-        unsafe {
-            self.shared.diags[self.rank].with(|d| d.blocked_on = Some(what));
-        }
-    }
-
-    /// Record a structured wait-for edge alongside the free-text note: the
-    /// peer rank whose action this rank is blocked on (when the library can
-    /// name a single one) and the library-level request id it is blocked in.
-    /// On deadlock these edges are walked into a `rank -> request -> rank`
-    /// cycle report (see [`crate::deadlock_cycle`]); like the blocked-on
-    /// note they are cleared when [`RankCtx::park`] returns.
-    pub fn note_waiting_on(&self, peer: Option<usize>, req: Option<u64>) {
-        // SAFETY: running continuation, own slot only (see `park`).
-        unsafe {
-            self.shared.diags[self.rank].with(|d| {
-                d.waits_on_rank = peer;
-                d.waits_on_req = req;
-            });
-        }
-    }
-
-    /// Record the name of the library call the rank just entered (also
-    /// dumped in the deadlock diagnostic). Stored by pointer — no
-    /// allocation or copy.
-    pub fn note_call(&self, name: &'static str) {
-        // SAFETY: running continuation, own slot only (see `park`).
-        unsafe {
-            self.shared.diags[self.rank].with(|d| d.last_call = Some(name));
-        }
     }
 
     /// Ground-truth log recorded so far (read-only).
@@ -169,38 +145,37 @@ impl RankCtx {
         std::mem::take(&mut self.log)
     }
 
-    fn yield_to_engine(&mut self, msg: YieldMsg) {
-        match &mut self.port {
+    /// Hand `msg` to the engine and suspend; returns why the engine resumed
+    /// this rank, or unwinds if the reason is [`Resume::Abort`] (the run
+    /// ended early: another rank panicked, a limit was hit, a deadlock).
+    fn yield_to_engine(&mut self, msg: YieldMsg) -> Resume {
+        let why = match &mut self.port {
             #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
             YieldPort::Fiber(data) => {
                 let data = *data;
                 // SAFETY: we are the running fiber for this cell; the engine
                 // (suspended in `resume`) reads the message after the switch
-                // and owns the cell until it resumes us again.
+                // and owns the cell until it resumes us again, having stored
+                // the reason first.
                 unsafe {
                     (*data).msg = Some(msg);
                     crate::fiber::yield_to_engine(data);
-                    if (*data).abort {
-                        // The engine tore down mid-run (another rank
-                        // panicked, limit hit, ...). Unwind out of the rank
-                        // body; the fiber entry wrapper swallows this.
-                        panic!("simulation aborted");
-                    }
+                    (*data).resume
                 }
             }
+            // The engine aborts a thread-hosted rank by dropping its end of
+            // the resume channel.
             YieldPort::Thread {
                 yield_tx,
                 resume_rx,
-            } => {
-                yield_tx
-                    .send(msg)
-                    .unwrap_or_else(|_| panic!("simulation aborted"));
-                if resume_rx.recv().is_err() {
-                    // Same teardown unwind as the fiber path, triggered by
-                    // the engine dropping the resume senders.
-                    panic!("simulation aborted");
-                }
-            }
+            } => match yield_tx.send(msg) {
+                Ok(()) => resume_rx.recv().unwrap_or(Resume::Abort),
+                Err(_) => Resume::Abort,
+            },
+        };
+        if why == Resume::Abort {
+            std::panic::resume_unwind(Box::new(Aborted));
         }
+        why
     }
 }

@@ -4,7 +4,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex, Weak};
 
-use simcore::{Activity, EngineHandle, RankRuntime, SimError, SimOpts, Simulation};
+use simcore::{Activity, EngineHandle, RankDiag, RankRuntime, SimError, SimOpts, Simulation};
 
 #[test]
 fn many_ranks_interleave_deterministically() {
@@ -249,4 +249,136 @@ fn teardown_producers_are_drained_threads() {
 #[test]
 fn teardown_producers_are_drained_coroutine() {
     teardown_producers_are_drained(RankRuntime::Coroutine);
+}
+
+/// A successful run never asks a rank what it is blocked on: 64 ranks park
+/// 100 times each with a counting `explain`, every park is woken, and the
+/// closure runs zero times. The clock and the event count are the ones the
+/// same program produced when `park` took no closure at all.
+fn explain_is_not_run_on_a_clean_run(runtime: RankRuntime) {
+    let explained = Arc::new(AtomicU64::new(0));
+    let explained2 = Arc::clone(&explained);
+    let sim = Simulation::new(64);
+    let out = sim
+        .run(
+            SimOpts {
+                runtime,
+                ..Default::default()
+            },
+            move |ctx| {
+                let me = ctx.rank();
+                for _ in 0..100 {
+                    ctx.handle()
+                        .schedule_in((me as u64 % 7 + 1) * 10, move |h| h.wake_rank(me));
+                    ctx.park_with(|| {
+                        explained2.fetch_add(1, Ordering::Relaxed);
+                        RankDiag::default()
+                    });
+                }
+            },
+        )
+        .unwrap();
+    assert_eq!(explained.load(Ordering::Relaxed), 0);
+    assert_eq!(out.end_time, 7_000);
+    assert_eq!(out.events_processed, 12_864);
+    for log in &out.activity {
+        assert_eq!(log.total(Activity::LibraryWait), log.end_time());
+    }
+}
+
+#[test]
+fn explain_is_not_run_on_a_clean_run_coroutine() {
+    explain_is_not_run_on_a_clean_run(RankRuntime::Coroutine);
+}
+
+#[test]
+fn explain_is_not_run_on_a_clean_run_threads() {
+    explain_is_not_run_on_a_clean_run(RankRuntime::OsThreads);
+}
+
+/// On a deadlock every stuck rank is asked exactly once, after the clock has
+/// stopped, and answers from its own state; the engine fills in the rank. A
+/// rank parked with plain `park()` has nothing to say.
+fn explain_runs_once_per_stuck_rank(runtime: RankRuntime) {
+    let explained = Arc::new(Mutex::new(Vec::new()));
+    let explained2 = Arc::clone(&explained);
+    let sim = Simulation::new(8);
+    let handle = sim.handle();
+    let err = sim
+        .run(
+            SimOpts {
+                runtime,
+                ..Default::default()
+            },
+            move |ctx| {
+                let me = ctx.rank();
+                ctx.compute(10 * (me as u64 + 1));
+                match me {
+                    0..=4 => {
+                        let parks = me + 1; // earlier parks are woken: not stuck then
+                        for left in (0..parks).rev() {
+                            if left > 0 {
+                                ctx.handle().schedule_in(5, move |h| h.wake_rank(me));
+                            }
+                            let handle = ctx.handle();
+                            ctx.park_with(|| {
+                                explained2.lock().unwrap().push((me, handle.now()));
+                                RankDiag {
+                                    blocked_on: Some(format!("token {me} after {parks} parks")),
+                                    waits_on_rank: Some((me + 1) % 5),
+                                    waits_on_req: Some(me as u64),
+                                    ..Default::default()
+                                }
+                            });
+                        }
+                    }
+                    5 => ctx.park(),
+                    _ => {}
+                }
+            },
+        )
+        .unwrap_err();
+    let SimError::Deadlock { parked, at, diags } = &err else {
+        panic!("expected deadlock, got {err}");
+    };
+    assert_eq!(parked, &[0, 1, 2, 3, 4, 5]);
+    assert_eq!(*at, 80, "rank 7 finishes its compute last");
+    assert_eq!(handle.now(), 80, "explaining costs no virtual time");
+    let mut asked = explained.lock().unwrap().clone();
+    asked.sort_unstable();
+    assert_eq!(asked, [(0, 80), (1, 80), (2, 80), (3, 80), (4, 80)]);
+    assert_eq!(diags.len(), 6);
+    for (r, d) in diags.iter().enumerate() {
+        assert_eq!(d.rank, r, "the engine names the rank, not the closure");
+    }
+    assert_eq!(
+        diags[2].blocked_on.as_deref(),
+        Some("token 2 after 3 parks")
+    );
+    assert_eq!(
+        diags[5],
+        RankDiag {
+            rank: 5,
+            ..Default::default()
+        }
+    );
+    let msg = err.to_string();
+    assert!(msg.contains("\n  rank 5: blocked on <no note>"), "{msg}");
+    assert!(
+        msg.contains(
+            "wait-for cycle: rank 0 -> req 0 -> rank 1 -> req 1 -> rank 2 -> req 2 -> \
+             rank 3 -> req 3 -> rank 4 -> req 4 -> rank 0"
+        ),
+        "{msg}"
+    );
+}
+
+#[test]
+fn explain_runs_once_per_stuck_rank_coroutine() {
+    explain_runs_once_per_stuck_rank(RankRuntime::Coroutine);
+}
+
+#[test]
+fn explain_runs_once_per_stuck_rank_threads() {
+    explain_runs_once_per_stuck_rank(RankRuntime::OsThreads);
 }

@@ -131,7 +131,7 @@ where
             rec_opts.clone(),
         );
         body(&mut mpi);
-        mpi.finalize_full()
+        mpi.finalize()
     })?;
     let mut reports = Vec::with_capacity(nranks);
     let mut rel_stats = Vec::with_capacity(nranks);

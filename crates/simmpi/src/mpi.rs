@@ -24,12 +24,11 @@
 //! `simnet::world` module docs for why this is load-bearing).
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
-use simcore::{Activity, Duration, RankCtx, Time};
-use simnet::{CausalEdge, Completion, NetConfig, NicStats, Packet, RegionId, SharedWorld, XferId};
+use simcore::{Activity, Duration, RankCtx, RankDiag, Time};
+use simnet::{CausalEdge, Completion, NetConfig, Packet, RegionId, SharedWorld, XferId};
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
@@ -192,13 +191,9 @@ pub struct Mpi<'a> {
     /// Blocking on one of these classifies as an ACK/retransmit wait rather
     /// than a protocol wait. Only filled while wait tracing is on.
     retrans_xfers: HashSet<u64>,
-    /// Rendered blocked-on notes keyed by the state fingerprint each one
-    /// describes. `wait_for_event` parks on every poll miss, and a steady
-    /// communication pattern cycles through a small set of fingerprints, so
-    /// the cache keeps every note it has rendered (bounded: cleared in the
-    /// unlikely event it grows past a few dozen entries) and a park is
-    /// normally just a linear probe plus an `Arc` clone.
-    blocked_note_cache: Vec<(BlockedFingerprint, Arc<str>)>,
+    /// The library call this rank entered last; read only by the deadlock
+    /// diagnostic.
+    last_call: Option<&'static str>,
     /// Schedule oracle snapshot (taken at init). When present, the progress
     /// engine's CQ-vs-RX drain preference becomes an explicit choice point;
     /// when absent the canonical CQ-first policy applies unconditionally.
@@ -208,10 +203,6 @@ pub struct Mpi<'a> {
     /// harnesses) never reallocates the member list.
     pub(crate) world_comm: crate::comm::Comm,
 }
-
-/// The pieces of per-rank state the blocked-on diagnostic renders. Two equal
-/// fingerprints produce the same note text.
-type BlockedFingerprint = (usize, usize, usize, usize, usize, usize);
 
 impl<'a> Mpi<'a> {
     /// Initialize the library on this rank (the `MPI_Init` analogue: loads
@@ -270,7 +261,7 @@ impl<'a> Mpi<'a> {
             next_icoll: 0,
             rel,
             retrans_xfers: HashSet::new(),
-            blocked_note_cache: Vec::new(),
+            last_call: None,
             oracle,
             world_comm: crate::comm::Comm::world(nranks, rank),
         };
@@ -376,22 +367,11 @@ impl<'a> Mpi<'a> {
         self.now() as f64 / 1e9
     }
 
-    /// Shut down: synchronize, then emit this process's overlap report.
-    pub fn finalize(self) -> OverlapReport {
-        self.finalize_with_stats().0
-    }
-
-    /// [`Mpi::finalize`], additionally returning the reliability-layer
-    /// counters (final values: the teardown flush may still bump them).
-    pub fn finalize_with_stats(self) -> (OverlapReport, RelStats) {
-        let (report, stats, _) = self.finalize_full();
-        (report, stats)
-    }
-
-    /// [`Mpi::finalize_with_stats`], additionally returning the
-    /// time-resolved trace when `RecorderOpts::trace` was set on init
-    /// (`None` otherwise).
-    pub fn finalize_full(
+    /// Shut down: synchronize, then emit this process's overlap report, the
+    /// reliability-layer counters (final values: the teardown flush may still
+    /// bump them) and, when `RecorderOpts::trace` was set on init, the
+    /// time-resolved trace (`None` otherwise).
+    pub fn finalize(
         mut self,
     ) -> (
         OverlapReport,
@@ -1674,33 +1654,24 @@ impl<'a> Mpi<'a> {
         })
     }
 
-    /// Record a library-call entry both in the overlap event stream and in
-    /// the engine's deadlock diagnostic (last call per rank).
+    /// Record a library-call entry in the overlap event stream, and keep its
+    /// name for the deadlock diagnostic (last call per rank).
     pub(crate) fn call_enter(&mut self, name: &'static str) {
         self.rec.call_enter(name);
-        self.ctx.note_call(name);
+        self.last_call = Some(name);
     }
 
     /// Park until the NIC has something for us (unless it already does).
-    /// Before parking, leave a blocked-on note so a deadlock dump can say
-    /// what this rank was waiting for.
     fn wait_for_event(&mut self) {
-        let (has, nic) = {
-            let w = self.world.lock();
-            (w.has_host_events(self.rank), w.nic_stats(self.rank))
-        };
+        let has = self.world.lock().has_host_events(self.rank);
         if !has {
-            let note = self.blocked_note(nic);
-            self.ctx.note_blocked_on(note);
-            let (peer, req) = self.blocking_edge();
-            self.ctx.note_waiting_on(peer, req);
             if self.rec.wait_tracing() {
                 // Classify *before* parking: the open-request state at block
                 // time is what explains the wait. Recording adds zero
                 // virtual time, so traced runs stay time-identical.
                 let (mut cause, xfer) = self.classify_block();
                 let t0 = self.ctx.handle().now();
-                self.ctx.park();
+                self.park();
                 let t1 = self.ctx.handle().now();
                 // The reliability layer runs while the rank is parked: if the
                 // very transfer this wait was pinned on got retransmitted in
@@ -1713,9 +1684,38 @@ impl<'a> Mpi<'a> {
                 }
                 self.rec.wait_state(t0, t1, cause, xfer);
             } else {
-                self.ctx.park();
+                self.park();
             }
         }
+    }
+
+    /// Park, ready to tell a deadlock dump what this rank is waiting for.
+    /// The diagnostic is rendered only if the run wedges with this rank
+    /// parked here, from state that cannot change while it is: a summary of
+    /// the pending communication state, the last call entered, and the
+    /// wait-for edge of [`Mpi::blocking_edge`].
+    fn park(&mut self) {
+        self.ctx.park_with(|| {
+            let nic = self.world.lock().nic_stats(self.rank);
+            let (waits_on_rank, waits_on_req) =
+                Self::blocking_edge(&self.reqs, &self.posted, &self.rel);
+            RankDiag {
+                rank: self.rank,
+                blocked_on: Some(format!(
+                    "{} incomplete requests ({} posted recvs, {} unexpected arrivals, \
+                     {} un-ACKed sends); NIC backlog rx={} cq={}",
+                    self.reqs.values().filter(|r| !r.is_done()).count(),
+                    self.posted.len(),
+                    self.unexpected.len(),
+                    self.rel.pending_packets(),
+                    nic.rx_backlog,
+                    nic.cq_backlog,
+                )),
+                last_call: self.last_call.map(str::to_string),
+                waits_on_rank,
+                waits_on_req,
+            }
+        });
     }
 
     /// Classify why this rank is about to block, from its open-request
@@ -1791,9 +1791,13 @@ impl<'a> Mpi<'a> {
     /// names its matched or posted-source peer, `MPI_ANY_SOURCE` receives
     /// name none. With no open data request the edge falls back to the
     /// reliability layer's first un-ACKed peer.
-    fn blocking_edge(&self) -> (Option<usize>, Option<u64>) {
+    fn blocking_edge(
+        reqs: &HashMap<u64, Req>,
+        posted: &[Posted],
+        rel: &Reliability,
+    ) -> (Option<usize>, Option<u64>) {
         let mut best: Option<(u64, Option<usize>)> = None;
-        for (&req_id, req) in &self.reqs {
+        for (&req_id, req) in reqs {
             if req.is_done() {
                 continue;
             }
@@ -1809,7 +1813,7 @@ impl<'a> Mpi<'a> {
                     ..
                 } => Some(*src),
                 Req::Recv { .. } => {
-                    self.posted
+                    posted
                         .iter()
                         .find(|p| p.req == req_id)
                         .and_then(|p| match p.src {
@@ -1822,7 +1826,7 @@ impl<'a> Mpi<'a> {
         }
         match best {
             Some((id, peer)) => (peer, Some(id)),
-            None => (self.rel.first_pending_peer(), None),
+            None => (rel.first_pending_peer(), None),
         }
     }
 
@@ -1857,38 +1861,6 @@ impl<'a> Mpi<'a> {
             Req::Recv { pipe: Some(pr), .. } => Some(pr.rest_xfer),
             Req::Recv { .. } => None,
         }
-    }
-
-    /// Snapshot of this rank's pending communication state, for the
-    /// per-rank deadlock diagnostic. Cached: the text is re-rendered only
-    /// when the state fingerprint differs from the previous park, which on
-    /// the poll-park hot path almost never happens.
-    fn blocked_note(&mut self, nic: NicStats) -> Arc<str> {
-        let open_reqs = self.reqs.values().filter(|r| !r.is_done()).count();
-        let fp: BlockedFingerprint = (
-            open_reqs,
-            self.posted.len(),
-            self.unexpected.len(),
-            self.rel.pending_packets(),
-            nic.rx_backlog,
-            nic.cq_backlog,
-        );
-        if let Some((_, note)) = self.blocked_note_cache.iter().find(|(c, _)| *c == fp) {
-            return Arc::clone(note);
-        }
-        let note: Arc<str> = format!(
-            "{} incomplete requests ({} posted recvs, {} unexpected arrivals, \
-             {} un-ACKed sends); NIC backlog rx={} cq={}",
-            fp.0, fp.1, fp.2, fp.3, fp.4, fp.5,
-        )
-        .into();
-        // A run that keeps visiting new fingerprints (e.g. an ever-growing
-        // backlog) must not hoard notes; past the cap, restart the cache.
-        if self.blocked_note_cache.len() >= 64 {
-            self.blocked_note_cache.clear();
-        }
-        self.blocked_note_cache.push((fp, Arc::clone(&note)));
-        note
     }
 
     // ---- synchronization helpers (used by collectives) --------------------

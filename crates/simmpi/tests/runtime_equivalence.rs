@@ -7,7 +7,9 @@
 //! [`FaultPlan`]s, collective trees, rendezvous handshakes, and
 //! [`RandomOracle`]-permuted schedules — and compares the complete
 //! [`MpiRunOutcome`] (reports, transfers, activity, faults, reliability
-//! counters) plus the recorded choice trace between the two runtimes.
+//! counters) plus the recorded choice trace between the two runtimes. A run
+//! that deadlocks must fail identically too: the diagnostics each stuck rank
+//! renders when asked are the same bytes on a fiber and on a thread.
 
 use overlap_core::RecorderOpts;
 use proptest::prelude::*;
@@ -81,6 +83,65 @@ fn fingerprint_model(
     .expect("run completes under both runtimes");
     let choices = oracle.map(|o| o.trace()).unwrap_or_default();
     format!("{out:?} choices={choices:?}")
+}
+
+/// The rendered failure of a deadlocking program, long and short form.
+fn deadlock_text(
+    runtime: RankRuntime,
+    cfg: MpiConfig,
+    body: fn(&mut simmpi::Mpi),
+) -> (String, String) {
+    let net = NetConfig::default();
+    let err = run_mpi_with(
+        2,
+        net.clone(),
+        cfg,
+        RecorderOpts::default(),
+        default_xfer_table(&net),
+        SimOpts {
+            runtime,
+            ..SimOpts::default()
+        },
+        None,
+        body,
+    )
+    .expect_err("the program deadlocks");
+    (err.to_string(), err.one_line())
+}
+
+/// Both runtimes render the same bytes, and they are the diagnostics:
+/// `expect` is there, and so is the note every stuck `simmpi` rank renders.
+fn deadlock_text_agrees(cfg: MpiConfig, body: fn(&mut simmpi::Mpi), expect: &str) {
+    let fibers = deadlock_text(RankRuntime::Coroutine, cfg.clone(), body);
+    let threads = deadlock_text(RankRuntime::OsThreads, cfg, body);
+    assert_eq!(fibers, threads);
+    assert!(fibers.0.contains(expect), "{}", fibers.0);
+    assert!(fibers.0.contains("NIC backlog rx=0 cq=0"), "{}", fibers.0);
+}
+
+/// The two programs of `deadlock_diagnostics.rs`: a receive nobody sends to
+/// (no cycle: rank 1 is stuck in the finalize barrier), and head-to-head
+/// blocking rendezvous sends (a two-rank cycle).
+#[test]
+fn deadlock_diagnostics_agree_between_runtimes() {
+    deadlock_text_agrees(
+        MpiConfig::default(),
+        |mpi| {
+            if mpi.rank() == 0 {
+                let _ = mpi.recv(Src::Rank(1), TagSel::Is(77));
+            }
+        },
+        "last call MPI_Finalize",
+    );
+    deadlock_text_agrees(
+        MpiConfig::mvapich2(),
+        |mpi| {
+            let other = 1 - mpi.rank();
+            mpi.send(other, 1, &vec![0u8; 1 << 20]);
+            let _ = mpi.recv(Src::Rank(other), TagSel::Is(1));
+        },
+        "wait-for cycle: rank 0 -> ",
+    );
 }
 
 /// Probabilities are drawn as integer percentage points so the vendored
