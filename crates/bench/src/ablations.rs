@@ -1,5 +1,6 @@
 //! Ablation studies for the design choices called out in `DESIGN.md` §6.
 
+use bytes::Bytes;
 use overlap_core::{RecorderOpts, SizeBins, XferTimeTable};
 use simmpi::{default_xfer_table, MpiConfig, Src, TagSel};
 use simnet::NetConfig;
@@ -27,9 +28,10 @@ pub fn ablation_eager_threshold() -> Series {
             cfg,
             RecorderOpts::default(),
             move |mpi| {
+                let msg = Bytes::from(vec![1u8; bytes]);
                 for i in 0..50 {
                     if mpi.rank() == 0 {
-                        mpi.send(1, i, &vec![1u8; bytes]);
+                        mpi.send(1, i, &msg);
                     } else {
                         let r = mpi.irecv(Src::Rank(0), TagSel::Is(i));
                         mpi.compute(200_000);
@@ -74,9 +76,10 @@ pub fn ablation_fragment_size() -> Series {
             cfg,
             RecorderOpts::default(),
             move |mpi| {
+                let msg = Bytes::from(vec![1u8; bytes]);
                 for i in 0..20 {
                     if mpi.rank() == 0 {
-                        let r = mpi.isend(1, i, &vec![1u8; bytes]);
+                        let r = mpi.isend(1, i, &msg);
                         mpi.compute(2_000_000);
                         mpi.wait(r);
                     } else {
@@ -114,9 +117,10 @@ pub fn ablation_iprobe_count() -> Series {
             MpiConfig::mvapich2(),
             RecorderOpts::default(),
             move |mpi| {
+                let msg = Bytes::from(vec![1u8; 1 << 20]);
                 for i in 0..20 {
                     if mpi.rank() == 0 {
-                        mpi.send(1, i, &vec![1u8; 1 << 20]);
+                        mpi.send(1, i, &msg);
                     } else {
                         let r = mpi.irecv(Src::Rank(0), TagSel::Is(i));
                         let chunk = 1_500_000 / (probes as u64 + 1);
@@ -176,11 +180,12 @@ pub fn ablation_table_resolution() -> Series {
             table,
             move |mpi| {
                 let mut shared = 1u64;
+                let msg = Bytes::from(vec![1u8; 512 << 10]);
                 for i in 0..30 {
                     let bytes = [4 << 10, 64 << 10, 512 << 10][(shared % 3) as usize];
                     shared = shared.wrapping_mul(6364136223846793005).wrapping_add(1);
                     if mpi.rank() == 0 {
-                        let r = mpi.isend(1, i, &vec![1u8; bytes]);
+                        let r = mpi.isend(1, i, msg.slice(..bytes));
                         mpi.compute(800_000);
                         mpi.wait(r);
                     } else {
@@ -289,7 +294,7 @@ pub fn ablation_incast() -> Series {
                         .collect();
                     mpi.waitall(&reqs);
                 } else {
-                    let r = mpi.isend(0, 7, &vec![1u8; 256 << 10]);
+                    let r = mpi.isend(0, 7, vec![1u8; 256 << 10]);
                     mpi.compute(600_000);
                     mpi.wait(r);
                 }
@@ -342,8 +347,9 @@ pub fn ablation_bandwidth() -> Series {
                 move |mpi| {
                     // Steady-state one-way stream with a closing ack.
                     if mpi.rank() == 0 {
+                        let msg = Bytes::from(vec![1u8; size]);
                         for i in 0..reps {
-                            mpi.send(1, i as u64, &vec![1u8; size]);
+                            mpi.send(1, i as u64, &msg);
                         }
                         mpi.recv(Src::Rank(1), TagSel::Is(999));
                     } else {
@@ -436,9 +442,10 @@ pub fn extra_nic_timestamps() -> Series {
             MpiConfig::open_mpi_leave_pinned(),
             RecorderOpts::default(),
             move |mpi| {
+                let msg = Bytes::from(vec![1u8; 1 << 20]);
                 for i in 0..30 {
                     if mpi.rank() == 0 {
-                        let r = mpi.isend(1, i, &vec![1u8; 1 << 20]);
+                        let r = mpi.isend(1, i, &msg);
                         mpi.compute(compute_us * 1_000);
                         mpi.wait(r);
                     } else {
@@ -508,9 +515,10 @@ pub fn ablation_faults() -> Series {
                 let n = mpi.nranks();
                 let dst = (me + 1) % n;
                 let src = (me + n - 1) % n;
+                let msg = Bytes::from(vec![1u8; size]);
                 for i in 0..rounds {
                     let r = mpi.irecv(Src::Rank(src), TagSel::Is(i as u64));
-                    let s = mpi.isend(dst, i as u64, &vec![1u8; size]);
+                    let s = mpi.isend(dst, i as u64, &msg);
                     mpi.compute(300_000);
                     mpi.wait(s);
                     mpi.wait(r);
@@ -609,9 +617,10 @@ pub fn ablation_topology() -> Series {
                 // routes cross switch boundaries on hierarchical fabrics.
                 let dst = (me + n / 4) % n;
                 let src = (me + n - n / 4) % n;
+                let msg = Bytes::from(vec![1u8; bytes]);
                 for i in 0..6u64 {
                     let r = mpi.irecv(Src::Rank(src), TagSel::Is(i));
-                    let s = mpi.isend(dst, i, &vec![1u8; bytes]);
+                    let s = mpi.isend(dst, i, &msg);
                     mpi.compute(200_000);
                     mpi.wait(s);
                     mpi.wait(r);
@@ -682,6 +691,7 @@ pub fn halo_4k() -> Series {
                 at(x, y + 1),
                 at(x, y + side - 1),
             ];
+            let msg = Bytes::from(vec![1u8; bytes]);
             for iter in 0..2u64 {
                 let recvs: Vec<_> = neighbors
                     .iter()
@@ -689,7 +699,7 @@ pub fn halo_4k() -> Series {
                     .collect();
                 let sends: Vec<_> = neighbors
                     .iter()
-                    .map(|&nb| mpi.isend(nb, iter, &vec![1u8; bytes]))
+                    .map(|&nb| mpi.isend(nb, iter, &msg))
                     .collect();
                 mpi.compute(150_000);
                 mpi.waitall(&sends);
@@ -806,14 +816,15 @@ pub fn ablation_progress() -> Series {
                     let me = mpi.rank();
                     let left = (me + n - 1) % n;
                     let right = (me + 1) % n;
+                    let msgs = [1u8, 2].map(|b| Bytes::from(vec![b; bytes]));
                     for iter in 0..4u64 {
                         let recvs = [
                             mpi.irecv(Src::Rank(left), TagSel::Is(iter)),
                             mpi.irecv(Src::Rank(right), TagSel::Is(iter)),
                         ];
                         let sends = [
-                            mpi.isend(left, iter, &vec![1u8; bytes]),
-                            mpi.isend(right, iter, &vec![2u8; bytes]),
+                            mpi.isend(left, iter, &msgs[0]),
+                            mpi.isend(right, iter, &msgs[1]),
                         ];
                         mpi.compute(300_000);
                         for r in sends.into_iter().chain(recvs) {
@@ -833,10 +844,11 @@ pub fn ablation_progress() -> Series {
                     let me = mpi.rank();
                     let left = (me + n - 1) % n;
                     let right = (me + 1) % n;
+                    let msgs = [1u8, 2].map(|b| Bytes::from(vec![b; bytes]));
                     for iter in 0..4u64 {
                         let sends = [
-                            mpi.isend(left, iter, &vec![1u8; bytes]),
-                            mpi.isend(right, iter, &vec![2u8; bytes]),
+                            mpi.isend(left, iter, &msgs[0]),
+                            mpi.isend(right, iter, &msgs[1]),
                         ];
                         mpi.compute(300_000);
                         mpi.barrier();

@@ -4,6 +4,7 @@
 //! calls. Reports min/max overlap percentage and average wait time for each
 //! side.
 
+use bytes::Bytes;
 use overlap_core::RecorderOpts;
 use simmpi::{MpiConfig, Src, TagSel};
 use simnet::NetConfig;
@@ -84,7 +85,7 @@ fn run_point(
         cfg,
         RecorderOpts::default(),
         move |mpi| {
-            let msg = vec![0x5Au8; bytes];
+            let msg = Bytes::from(vec![0x5Au8; bytes]);
             for i in 0..reps as u64 {
                 if mpi.rank() == 0 {
                     match pairing {

@@ -72,7 +72,7 @@ fn ring_metrics(rounds: usize) -> MetricsRegistry {
                 // most of each transfer non-overlapped, so the attribution
                 // fold has real wait states to count.
                 let r = mpi.irecv(Src::Rank((me + n - 1) % n), TagSel::Is(i as u64));
-                let s = mpi.isend((me + 1) % n, i as u64, &vec![1u8; 256 << 10]);
+                let s = mpi.isend((me + 1) % n, i as u64, vec![1u8; 256 << 10]);
                 mpi.compute(20_000);
                 mpi.wait(s);
                 mpi.wait(r);

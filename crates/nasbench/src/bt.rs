@@ -7,7 +7,7 @@
 //! (receive → compute → send), the NPB BT pattern. The paper runs BT under
 //! Open MPI's pipelined RDMA mode (Figure 10).
 
-use simmpi::{Mpi, Src, TagSel};
+use simmpi::{Bytes, Mpi, Src, TagSel};
 
 use crate::class::Class;
 use crate::grid::square_side;
@@ -65,8 +65,8 @@ pub fn run_bt(mpi: &mut Mpi, p: &BtParams) {
     let down = ((row + 1) % q) * q + col;
     let up = ((row + q - 1) % q) * q + col;
 
-    let face = vec![me as u8; face_bytes];
-    let plane = vec![(me as u8).wrapping_add(1); plane_bytes];
+    let face = Bytes::from(vec![me as u8; face_bytes]);
+    let plane = Bytes::from(vec![(me as u8).wrapping_add(1); plane_bytes]);
 
     for iter in 0..p.iterations {
         let tag_base = (iter as u64) << 32;

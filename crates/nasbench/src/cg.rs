@@ -8,7 +8,7 @@
 //! than BT (paper Sec. 4.1), which is why its overlap numbers come out
 //! higher under the same Open MPI pipelined configuration (Figure 11).
 
-use simmpi::{Mpi, Src, TagSel};
+use simmpi::{Bytes, Mpi, Src, TagSel};
 
 use crate::class::Class;
 use crate::grid::grid2;
@@ -78,7 +78,9 @@ pub fn run_cg(mpi: &mut Mpi, p: &CgParams) {
         (me + np / 2) % np
     };
     let exch_bytes = vec_elems * 8;
-    let exch = vec![me as u8; exch_bytes];
+    let exch = Bytes::from(vec![me as u8; exch_bytes]);
+    // The halving rounds send ever shorter prefixes of this one buffer.
+    let halving = Bytes::from(vec![3u8; exch_bytes.max(8)]);
 
     for outer in 0..p.iterations {
         for inner in 0..p.inner {
@@ -93,7 +95,7 @@ pub fn run_cg(mpi: &mut Mpi, p: &CgParams) {
             let mut seg = vec_elems * 8;
             while dist < ncols {
                 let peer = my_row * ncols + (my_col ^ dist);
-                let chunk = vec![3u8; seg.max(8)];
+                let chunk = halving.slice(..seg.max(8));
                 mpi.sendrecv(
                     peer,
                     tag + dist as u64,

@@ -9,7 +9,7 @@
 //! under MVAPICH2 (paper Figure 12): eager sends are buffered and complete
 //! under later computation, and short transfers are cheap to hide.
 
-use simmpi::{Mpi, Src, TagSel};
+use simmpi::{Bytes, Mpi, Src, TagSel};
 
 use crate::class::Class;
 use crate::grid::grid2;
@@ -57,8 +57,11 @@ pub fn run_lu(mpi: &mut Mpi, p: &LuParams) {
 
     let plane_ns = flops_ns((nx * ny) as f64 * LU_PLANE_FLOPS);
     // Pencil exchanged per k-plane: one row/column of 5 components.
-    let x_pencil = vec![1u8; ny * 5 * 8];
-    let y_pencil = vec![2u8; nx * 5 * 8];
+    let x_pencil = Bytes::from(vec![1u8; ny * 5 * 8]);
+    let y_pencil = Bytes::from(vec![2u8; nx * 5 * 8]);
+    // Full faces for the rhs halo exchange (exchange_3).
+    let face_x = Bytes::from(vec![3u8; ny * nz * 5 * 8]);
+    let face_y = Bytes::from(vec![4u8; nx * nz * 5 * 8]);
 
     let north = (my_y > 0).then(|| (my_y - 1) * px + my_x);
     let south = (my_y + 1 < py).then(|| (my_y + 1) * px + my_x);
@@ -70,8 +73,6 @@ pub fn run_lu(mpi: &mut Mpi, p: &LuParams) {
 
         // rhs evaluation with full-face halo exchanges (exchange_3): larger
         // messages, once per iteration.
-        let face_x = vec![3u8; ny * nz * 5 * 8];
-        let face_y = vec![4u8; nx * nz * 5 * 8];
         for (nbr_recv, nbr_send, buf, t) in [
             (west, east, &face_x, 1u64),
             (east, west, &face_x, 2),

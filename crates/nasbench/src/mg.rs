@@ -13,7 +13,7 @@
 //!   Tipparaju et al. \[29\] whose overlap the paper quantifies at ~99 %).
 
 use simarmci::Armci;
-use simmpi::{Mpi, Src, TagSel};
+use simmpi::{Bytes, Mpi, Src, TagSel};
 
 use crate::class::Class;
 use crate::grid::{grid3, neighbor3};
@@ -117,7 +117,7 @@ pub fn run_mg_mpi(mpi: &mut Mpi, p: &MgParams) {
                 let minus = neighbor3(me, g.dims, axis, -1);
                 let plus = neighbor3(me, g.dims, axis, 1);
                 let bytes = face_bytes(&g, axis, level);
-                let buf = vec![axis as u8; bytes];
+                let buf = Bytes::from(vec![axis as u8; bytes]);
                 let tag = tag_base + axis as u64 * 2;
                 if plus == me {
                     continue; // single process along this axis
@@ -179,7 +179,7 @@ pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
                             continue;
                         }
                         let bytes = face_bytes(&g, axis, level);
-                        let buf = vec![(axis + 1) as u8; bytes];
+                        let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
                         a.put(&mem, plus, ghost_offset(&g, axis, 0, level), &buf);
                         a.put(&mem, minus, ghost_offset(&g, axis, 1, level), &buf);
                         a.barrier();
@@ -195,7 +195,7 @@ pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
                         let plus = neighbor3(me, g.dims, axis, 1);
                         if plus != me {
                             let bytes = face_bytes(&g, axis, level);
-                            let buf = vec![(axis + 1) as u8; bytes];
+                            let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
                             pending.push(a.nb_put(
                                 &mem,
                                 plus,

@@ -17,7 +17,7 @@
 //! observes the rendezvous RTS early and starts the RDMA Read while
 //! computation continues.
 
-use simmpi::{Mpi, Src, TagSel};
+use simmpi::{Bytes, Mpi, Src, TagSel};
 
 use crate::class::Class;
 use crate::grid::square_side;
@@ -93,8 +93,9 @@ pub fn run_sp(mpi: &mut Mpi, p: &SpParams) {
     let down = ((row + 1) % q) * q + col;
     let up = ((row + q - 1) % q) * q + col;
 
-    let face = vec![me as u8; face_bytes];
-    let plane = vec![(me as u8).wrapping_add(1); plane_bytes];
+    // Built once per run; every send below passes a clone (`&Bytes`).
+    let face = Bytes::from(vec![me as u8; face_bytes]);
+    let plane = Bytes::from(vec![(me as u8).wrapping_add(1); plane_bytes]);
 
     for iter in 0..p.iterations {
         let tag_base = (iter as u64) << 32;

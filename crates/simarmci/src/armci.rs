@@ -5,6 +5,7 @@ use std::collections::{HashMap, VecDeque};
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, Time};
+use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload};
 use simnet::{Completion, NetConfig, Packet, RegionId, SharedWorld};
 
 /// Internal message packet (setup / sync / tiny collectives).
@@ -38,8 +39,8 @@ pub struct GlobalMem {
 
 struct HandleState {
     done: bool,
-    /// (xfer id, len) for the END stamp at completion.
-    stamp: (u64, u64),
+    /// (xfer id, len) for the END stamp at completion; `None` for atomics.
+    stamp: Option<(u64, u64)>,
     /// Fetched data for gets.
     data: Option<Bytes>,
     is_put: bool,
@@ -182,18 +183,25 @@ impl<'a> Armci<'a> {
     }
 
     /// Non-blocking one-sided put: RDMA Write `data` into `dst`'s segment at
-    /// `off`. Returns a handle for [`Armci::wait`].
-    pub fn nb_put(&mut self, mem: &GlobalMem, dst: usize, off: usize, data: &[u8]) -> NbHandle {
+    /// `off`. Returns a handle for [`Armci::wait`]. `data` is converted once,
+    /// here ([`IntoPayload`]), and placed into the target window on arrival.
+    pub fn nb_put(
+        &mut self,
+        mem: &GlobalMem,
+        dst: usize,
+        off: usize,
+        data: impl IntoPayload,
+    ) -> NbHandle {
         self.rec.call_enter("ARMCI_NbPut");
-        let h = self.put_inner(mem, dst, off, data);
+        let h = self.put_inner(mem, dst, off, data.into_payload());
         self.rec.call_exit();
         h
     }
 
     /// Blocking one-sided put (initiate + wait inside one call).
-    pub fn put(&mut self, mem: &GlobalMem, dst: usize, off: usize, data: &[u8]) {
+    pub fn put(&mut self, mem: &GlobalMem, dst: usize, off: usize, data: impl IntoPayload) {
         self.rec.call_enter("ARMCI_Put");
-        let h = self.put_inner(mem, dst, off, data);
+        let h = self.put_inner(mem, dst, off, data.into_payload());
         self.wait_inner(h);
         self.rec.call_exit();
     }
@@ -255,18 +263,9 @@ impl<'a> Armci<'a> {
                 pack(WK_RMW, h),
             );
         }
-        self.handles.insert(
-            h,
-            HandleState {
-                done: false,
-                stamp: (u64::MAX, 0),
-                data: None,
-                is_put: false,
-            },
-        );
-        let data = self
-            .wait_inner(NbHandle(h))
-            .expect("rmw returns the old value");
+        // Synchronization primitive, not a data transfer: no overlap stamps.
+        let h = self.track(h, None, false);
+        let data = self.wait_inner(h).expect("rmw returns the old value");
         self.rec.call_exit();
         u64::from_le_bytes(data[..8].try_into().unwrap())
     }
@@ -312,17 +311,12 @@ impl<'a> Armci<'a> {
                 if me & mask == 0 {
                     let src = me | mask;
                     if src < n {
-                        let (_, _, data) = self.msg_recv_tag(tag);
-                        let other: Vec<f64> = data
-                            .chunks_exact(8)
-                            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                            .collect();
+                        let other = bytes_to_f64s(&self.msg_recv_tag(tag).2);
                         acc.iter_mut().zip(&other).for_each(|(a, b)| *a += b);
                     }
                 } else {
                     let dst = me & !mask;
-                    let bytes: Vec<u8> = acc.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    self.msg_send(dst, tag, &bytes);
+                    self.msg_send(dst, tag, f64s_to_bytes(&acc));
                     break;
                 }
                 mask <<= 1;
@@ -332,11 +326,7 @@ impl<'a> Armci<'a> {
             let mut mask = 1usize;
             while mask < n {
                 if me & mask != 0 {
-                    let (_, _, data) = self.msg_recv_tag(tag2);
-                    acc = data
-                        .chunks_exact(8)
-                        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                        .collect();
+                    acc = bytes_to_f64s(&self.msg_recv_tag(tag2).2);
                     break;
                 }
                 mask <<= 1;
@@ -344,8 +334,7 @@ impl<'a> Armci<'a> {
             mask >>= 1;
             while mask > 0 {
                 if me + mask < n {
-                    let bytes: Vec<u8> = acc.iter().flat_map(|x| x.to_le_bytes()).collect();
-                    self.msg_send(me + mask, tag2, &bytes);
+                    self.msg_send(me + mask, tag2, f64s_to_bytes(&acc));
                 }
                 mask >>= 1;
             }
@@ -372,8 +361,9 @@ impl<'a> Armci<'a> {
         t
     }
 
-    fn put_inner(&mut self, mem: &GlobalMem, dst: usize, off: usize, data: &[u8]) -> NbHandle {
+    fn put_inner(&mut self, mem: &GlobalMem, dst: usize, off: usize, data: Bytes) -> NbHandle {
         self.progress();
+        let len = data.len() as u64;
         assert!(off + data.len() <= mem.seg_len, "put out of segment bounds");
         self.lib_busy(self.net.post_cost);
         let h = self.alloc_handle();
@@ -387,24 +377,13 @@ impl<'a> Armci<'a> {
                 dst,
                 mem.regions[dst],
                 off,
-                Bytes::copy_from_slice(data),
+                data,
                 pack(WK_PUT, h),
                 None,
                 Some(x),
             );
         }
-        self.rec.xfer_begin(xfer, data.len() as u64);
-        self.handles.insert(
-            h,
-            HandleState {
-                done: false,
-                stamp: (xfer, data.len() as u64),
-                data: None,
-                is_put: true,
-            },
-        );
-        self.outstanding_puts.push(NbHandle(h));
-        NbHandle(h)
+        self.track(h, Some((xfer, len)), true)
     }
 
     fn acc_inner(&mut self, mem: &GlobalMem, dst: usize, off: usize, vals: &[f64]) -> NbHandle {
@@ -430,18 +409,7 @@ impl<'a> Armci<'a> {
                 Some(x),
             );
         }
-        self.rec.xfer_begin(xfer, (vals.len() * 8) as u64);
-        self.handles.insert(
-            h,
-            HandleState {
-                done: false,
-                stamp: (xfer, (vals.len() * 8) as u64),
-                data: None,
-                is_put: true,
-            },
-        );
-        self.outstanding_puts.push(NbHandle(h));
-        NbHandle(h)
+        self.track(h, Some((xfer, (vals.len() * 8) as u64)), true)
     }
 
     fn get_inner(&mut self, mem: &GlobalMem, src: usize, off: usize, len: usize) -> NbHandle {
@@ -465,16 +433,26 @@ impl<'a> Armci<'a> {
                 Some(x),
             );
         }
-        self.rec.xfer_begin(xfer, len as u64);
-        self.handles.insert(
-            h,
-            HandleState {
-                done: false,
-                stamp: (xfer, len as u64),
-                data: None,
-                is_put: false,
-            },
-        );
+        self.track(h, Some((xfer, len as u64)), false)
+    }
+
+    /// Start tracking posted operation `h`: stamp the transfer's BEGIN (its
+    /// END is stamped from `stamp` at completion) and, for puts, queue it
+    /// for the next fence.
+    fn track(&mut self, h: u64, stamp: Option<(u64, u64)>, is_put: bool) -> NbHandle {
+        if let Some((xfer, len)) = stamp {
+            self.rec.xfer_begin(xfer, len);
+        }
+        let state = HandleState {
+            done: false,
+            stamp,
+            data: None,
+            is_put,
+        };
+        self.handles.insert(h, state);
+        if is_put {
+            self.outstanding_puts.push(NbHandle(h));
+        }
         NbHandle(h)
     }
 
@@ -520,25 +498,16 @@ impl<'a> Armci<'a> {
                     let (kind, h) = unpack(c.user);
                     match kind {
                         WK_IGNORE => {}
-                        WK_PUT | WK_GET => {
+                        WK_PUT | WK_GET | WK_RMW => {
                             let st = self
                                 .handles
                                 .get_mut(&h)
                                 .expect("completion for unknown handle");
                             st.done = true;
                             st.data = c.data;
-                            let (xfer, len) = st.stamp;
-                            self.rec.xfer_end(xfer, len);
-                        }
-                        WK_RMW => {
-                            // Synchronization primitive, not a data
-                            // transfer: no overlap stamps.
-                            let st = self
-                                .handles
-                                .get_mut(&h)
-                                .expect("completion for unknown handle");
-                            st.done = true;
-                            st.data = c.data;
+                            if let Some((xfer, len)) = st.stamp {
+                                self.rec.xfer_end(xfer, len);
+                            }
                         }
                         other => panic!("unknown ARMCI completion kind {other}"),
                     }
@@ -554,7 +523,8 @@ impl<'a> Armci<'a> {
 
     // ---- internal message layer (setup + sync, not data transfers) -------
 
-    fn msg_send(&mut self, dst: usize, tag: u64, data: &[u8]) {
+    fn msg_send(&mut self, dst: usize, tag: u64, data: impl IntoPayload) {
+        let data = data.into_payload();
         self.progress();
         self.lib_busy(self.net.post_cost);
         let mut w = self.world.lock();
@@ -563,7 +533,7 @@ impl<'a> Armci<'a> {
             data.len() + self.net.ctrl_packet_bytes,
             PT_MSG,
             [tag, 0, 0, 0, 0, 0],
-            Bytes::copy_from_slice(data),
+            data,
         );
         w.post_send(self.rank, dst, pkt, pack(WK_IGNORE, 0), None);
     }
@@ -589,7 +559,7 @@ impl<'a> Armci<'a> {
         while dist < n {
             let to = (self.rank + dist) % n;
             let from = (self.rank + n - dist) % n;
-            self.msg_send(to, base + (round << 32), &[]);
+            self.msg_send(to, base + (round << 32), Bytes::new());
             loop {
                 self.progress();
                 if let Some(pos) = self

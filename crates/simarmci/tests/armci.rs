@@ -96,7 +96,7 @@ fn blocking_put_is_case1_zero_overlap() {
         a.barrier();
         if a.rank() == 0 {
             for _ in 0..10 {
-                a.put(&mem, 1, 0, &vec![1u8; 512 << 10]);
+                a.put(&mem, 1, 0, vec![1u8; 512 << 10]);
                 a.compute(1_000_000);
             }
         } else {
@@ -120,7 +120,7 @@ fn nonblocking_put_overlaps_computation() {
         a.barrier();
         if a.rank() == 0 {
             for _ in 0..10 {
-                let h = a.nb_put(&mem, 1, 0, &vec![1u8; 512 << 10]);
+                let h = a.nb_put(&mem, 1, 0, vec![1u8; 512 << 10]);
                 a.compute(1_000_000); // > transfer time (~529 us)
                 a.wait(h);
             }

@@ -117,7 +117,7 @@ proptest! {
             a.barrier();
             if a.rank() == 0 {
                 for (i, &len) in lens_in.iter().enumerate() {
-                    let h = a.nb_put(&mem, 1, 0, &vec![i as u8; len]);
+                    let h = a.nb_put(&mem, 1, 0, vec![i as u8; len]);
                     a.compute(computes_in[i % computes_in.len()]);
                     a.wait(h);
                 }

@@ -15,7 +15,7 @@ use bytes::Bytes;
 
 use crate::comm::Comm;
 use crate::mpi::Mpi;
-use crate::types::{bytes_to_f64s, f64s_to_bytes, ReduceOp, Src, Status, TagSel};
+use crate::types::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Src, Status, TagSel};
 
 const COLL_TAG_BASE: u64 = 1 << 40;
 /// Tag block per communicator.
@@ -222,22 +222,6 @@ impl Mpi<'_> {
         out
     }
 
-    /// Allgather over a communicator.
-    pub fn allgather_comm(&mut self, comm: &Comm, mine: &[u8]) -> Vec<Vec<u8>> {
-        self.call_enter("MPI_Allgather");
-        let out = self.allgather_in(comm, mine);
-        self.rec.call_exit();
-        out
-    }
-
-    /// All-to-all over a communicator.
-    pub fn alltoall_comm(&mut self, comm: &Comm, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        self.call_enter("MPI_Alltoall");
-        let out = self.alltoall_in(comm, blocks);
-        self.rec.call_exit();
-        out
-    }
-
     // ---- algorithms -------------------------------------------------------
 
     fn bcast_in(&mut self, comm: &Comm, root: usize, data: &mut Vec<u8>) {
@@ -248,20 +232,25 @@ impl Mpi<'_> {
         let tag = self.coll_tag(comm);
         let vrank = (comm.rank() + n - root) % n;
         let unmap = |v: usize| comm.world_rank((v + root) % n);
+        // One `Bytes` per rank: the root's copy of its buffer, or the block
+        // as received; every child gets a clone of it.
+        let mut payload = None;
         let mut mask = 1usize;
         while mask < n {
             if vrank & mask != 0 {
                 let st = self.recv_internal(Src::Rank(unmap(vrank - mask)), TagSel::Is(tag));
-                *data = st.into_data().to_vec();
+                let got = st.into_data();
+                *data = got.to_vec();
+                payload = Some(got);
                 break;
             }
             mask <<= 1;
         }
+        let payload = payload.unwrap_or_else(|| data.as_slice().into_payload());
         mask >>= 1;
         while mask > 0 {
             if vrank + mask < n {
-                let d = data.clone();
-                self.send_internal(unmap(vrank + mask), tag, &d);
+                self.send_internal(unmap(vrank + mask), tag, &payload);
             }
             mask >>= 1;
         }
@@ -291,8 +280,7 @@ impl Mpi<'_> {
                     }
                 } else {
                     let dst = unmap(vrank & !mask);
-                    let bytes = f64s_to_bytes(&acc);
-                    self.send_internal(dst, tag, &bytes);
+                    self.send_internal(dst, tag, f64s_to_bytes(&acc));
                     break;
                 }
                 mask <<= 1;
@@ -319,7 +307,8 @@ impl Mpi<'_> {
             let to = comm.world_rank((me + k) % n);
             let from_idx = (me + n - k) % n;
             let from = comm.world_rank(from_idx);
-            let sr = self.isend_inner(to, tag + k as u64, &blocks[(me + k) % n], true);
+            let block = (&blocks[(me + k) % n]).into_payload();
+            let sr = self.isend_inner(to, tag + k as u64, block, true);
             let rr = self.irecv_inner(Src::Rank(from), TagSel::Is(tag + k as u64));
             self.wait_inner(sr);
             let st = self.wait_inner(rr);
@@ -337,15 +326,16 @@ impl Mpi<'_> {
             let tag = self.coll_tag(comm);
             let right = comm.world_rank((me + 1) % n);
             let left = comm.world_rank((me + n - 1) % n);
+            // The block received in one step is the block forwarded in the
+            // next, as the same `Bytes`.
+            let mut forward = mine.into_payload();
             for step in 0..n - 1 {
-                let send_block = (me + n - step) % n;
                 let recv_block = (me + n - step - 1) % n;
-                let payload = out[send_block].clone();
-                let sr = self.isend_inner(right, tag + step as u64, &payload, true);
+                let sr = self.isend_inner(right, tag + step as u64, forward, true);
                 let rr = self.irecv_inner(Src::Rank(left), TagSel::Is(tag + step as u64));
                 self.wait_inner(sr);
-                let st = self.wait_inner(rr);
-                out[recv_block] = st.into_data().to_vec();
+                forward = self.wait_inner(rr).into_data();
+                out[recv_block] = forward.to_vec();
             }
         }
         out
@@ -423,8 +413,7 @@ impl Mpi<'_> {
                 op.apply(&mut acc, &mine);
             }
             if me + 1 < n {
-                let bytes = f64s_to_bytes(&acc);
-                self.send_internal(comm.world_rank(me + 1), tag, &bytes);
+                self.send_internal(comm.world_rank(me + 1), tag, f64s_to_bytes(&acc));
             }
         }
         acc
@@ -444,7 +433,7 @@ impl Mpi<'_> {
             let to = comm.world_rank((comm.rank() + dist) % n);
             let from = comm.world_rank((comm.rank() + n - dist) % n);
             let tag = base + round;
-            let s = self.isend_inner(to, tag, &[], false);
+            let s = self.isend_inner(to, tag, Bytes::new(), false);
             let r = self.irecv_inner(Src::Rank(from), TagSel::Is(tag));
             self.wait_inner(s);
             self.wait_inner(r);
@@ -455,8 +444,8 @@ impl Mpi<'_> {
 
     // Internal blocking helpers without CALL events (the collective itself
     // is the library call).
-    fn send_internal(&mut self, dst: usize, tag: u64, data: &[u8]) {
-        let r = self.isend_inner(dst, tag, data, true);
+    fn send_internal(&mut self, dst: usize, tag: u64, data: impl IntoPayload) {
+        let r = self.isend_inner(dst, tag, data.into_payload(), true);
         self.wait_inner(r);
     }
 
@@ -464,13 +453,4 @@ impl Mpi<'_> {
         let r = self.irecv_inner(src, tag);
         self.wait_inner(r)
     }
-}
-
-/// Flatten helper used by benchmark kernels: concatenate received blocks.
-pub fn concat_blocks(blocks: &[Vec<u8>]) -> Bytes {
-    let mut out = Vec::with_capacity(blocks.iter().map(Vec::len).sum());
-    for b in blocks {
-        out.extend_from_slice(b);
-    }
-    Bytes::from(out)
 }

@@ -15,9 +15,11 @@
 //! Like blocking collectives, all members must initiate the same collectives
 //! in the same order per communicator.
 
+use bytes::Bytes;
+
 use crate::comm::Comm;
 use crate::mpi::Mpi;
-use crate::types::{bytes_to_f64s, f64s_to_bytes, ReduceOp, Request, Src, TagSel};
+use crate::types::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, TagSel};
 
 /// Handle to an in-flight non-blocking collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -86,7 +88,8 @@ enum Kind {
         comm: Comm,
         root: usize,
         tag: u64,
-        data: Option<Vec<u8>>,
+        /// The block, once this rank has it; children get clones.
+        data: Option<Bytes>,
         recv: Option<Request>,
         sends: Option<Vec<Request>>,
     },
@@ -145,7 +148,7 @@ impl Mpi<'_> {
                 comm,
                 root,
                 tag,
-                data,
+                data: data.map(Bytes::from),
                 recv: None,
                 sends: None,
             },
@@ -178,7 +181,8 @@ impl Mpi<'_> {
                 from_idx,
                 self.irecv_raw(Src::Rank(from), TagSel::Is(tag + k as u64)),
             ));
-            sends.push(self.isend_raw(to, tag + k as u64, &blocks[(me + k) % n], true, false));
+            let block = (&blocks[(me + k) % n]).into_payload();
+            sends.push(self.isend_raw(to, tag + k as u64, block, true, false));
         }
         let state = ICollState {
             done: n <= 1,
@@ -295,7 +299,7 @@ impl Mpi<'_> {
                     let to = comm.world_rank((comm.rank() + *dist) % n);
                     let from = comm.world_rank((comm.rank() + n - *dist) % n);
                     let t = *tag + *round;
-                    let s = self.isend_raw(to, t, &[], false, false);
+                    let s = self.isend_raw(to, t, Bytes::new(), false, false);
                     let r = self.irecv_raw(Src::Rank(from), TagSel::Is(t));
                     *inflight = Some((s, r));
                 }
@@ -321,11 +325,11 @@ impl Mpi<'_> {
                     if !self.req_done(r) {
                         return;
                     }
-                    *data = Some(self.take_status(r).into_data().to_vec());
+                    *data = Some(self.take_status(r).into_data());
                 }
                 // Phase 2: send to children.
                 if sends.is_none() {
-                    let payload = data.clone().unwrap();
+                    let payload = data.as_ref().unwrap();
                     let start_mask = if vrank == 0 {
                         n.next_power_of_two()
                     } else {
@@ -336,7 +340,7 @@ impl Mpi<'_> {
                     while mask > 0 {
                         if vrank + mask < n {
                             let child = comm.world_rank((vrank + mask + *root) % n);
-                            reqs.push(self.isend_raw(child, *tag, &payload, true, false));
+                            reqs.push(self.isend_raw(child, *tag, payload.clone(), true, false));
                         }
                         mask >>= 1;
                     }
@@ -348,7 +352,7 @@ impl Mpi<'_> {
                         self.take_status(s);
                     }
                     st.done = true;
-                    st.result = Some(CollResult::Data(data.take().unwrap()));
+                    st.result = Some(CollResult::Data(data.take().unwrap().to_vec()));
                 }
             }
             Kind::Alltoall { recvs, sends, out } => {
@@ -420,8 +424,8 @@ impl Mpi<'_> {
                         ((me + 1 + n - *step) % n, (me + n - *step) % n)
                     };
                     let t = *tag + (*phase as u64) * 1000 + *step as u64;
-                    let payload = f64s_to_bytes(&chunks[send_chunk]);
-                    let s = self.isend_raw(right, t, &payload, true, false);
+                    let payload = f64s_to_bytes(&chunks[send_chunk]).into();
+                    let s = self.isend_raw(right, t, payload, true, false);
                     let r = self.irecv_raw(Src::Rank(left), TagSel::Is(t));
                     *inflight = Some((s, r, recv_chunk));
                 }

@@ -59,6 +59,8 @@ pub mod proto;
 pub mod reliability;
 pub mod types;
 
+/// The payload type, re-exported for callers without a `bytes` dependency.
+pub use bytes::Bytes;
 pub use comm::Comm;
 pub use config::{MpiConfig, ProgressModel, RndvMode};
 pub use harness::{default_xfer_table, run_mpi, run_mpi_with, MpiRunOutcome};
@@ -66,5 +68,5 @@ pub use icoll::{CollHandle, CollResult};
 pub use mpi::Mpi;
 pub use reliability::RelStats;
 pub use types::{
-    bytes_to_f64s, f64s_to_bytes, PersistentOp, ReduceOp, Request, Src, Status, TagSel,
+    bytes_to_f64s, f64s_to_bytes, IntoPayload, PersistentOp, ReduceOp, Request, Src, Status, TagSel,
 };

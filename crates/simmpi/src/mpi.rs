@@ -33,7 +33,7 @@ use simnet::{CausalEdge, Completion, NetConfig, Packet, RegionId, SharedWorld, X
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
 use crate::reliability::{RelStats, Reliability};
-use crate::types::{PersistentOp, Request, Src, Status, TagSel};
+use crate::types::{IntoPayload, PersistentOp, Request, Src, Status, TagSel};
 
 /// Sentinel meaning "this message is not a data transfer" (zero-payload
 /// synchronization packets).
@@ -89,7 +89,6 @@ impl Arrival {
 
 struct PipeRecv {
     region: RegionId,
-    total_len: usize,
     rest_xfer: u64,
     rest_len: u64,
 }
@@ -113,7 +112,6 @@ enum Req {
         xfer: u64,
         bytes: u64,
         region: RegionId,
-        keep_region: bool,
         peer: usize,
         tag: u64,
     },
@@ -397,10 +395,11 @@ impl<'a> Mpi<'a> {
 
     // ---- public point-to-point API ------------------------------------
 
-    /// Non-blocking send.
-    pub fn isend(&mut self, dst: usize, tag: u64, data: &[u8]) -> Request {
+    /// Non-blocking send. The buffer is converted once, here (see
+    /// [`IntoPayload`]); from then on the library moves it by reference.
+    pub fn isend(&mut self, dst: usize, tag: u64, data: impl IntoPayload) -> Request {
         self.call_enter("MPI_Isend");
-        let r = self.isend_inner(dst, tag, data, true);
+        let r = self.isend_inner(dst, tag, data.into_payload(), true);
         self.rec.call_exit();
         r
     }
@@ -422,10 +421,12 @@ impl<'a> Mpi<'a> {
     /// "even with blocking operations, the system can transparently allow
     /// for overlap by copying data to internal message buffers"). Rendezvous
     /// sends block until the transfer completes.
-    pub fn send(&mut self, dst: usize, tag: u64, data: &[u8]) {
+    pub fn send(&mut self, dst: usize, tag: u64, data: impl IntoPayload) {
         self.call_enter("MPI_Send");
+        let data = data.into_payload();
+        let eager = data.len() <= self.cfg.eager_threshold;
         let r = self.isend_inner(dst, tag, data, true);
-        if data.len() <= self.cfg.eager_threshold {
+        if eager {
             self.detach(r);
         } else {
             self.wait_inner(r);
@@ -477,31 +478,31 @@ impl<'a> Mpi<'a> {
     pub fn waitsome(&mut self, reqs: &[Request]) -> Vec<(usize, Status)> {
         assert!(!reqs.is_empty(), "waitsome on empty request list");
         self.call_enter("MPI_Waitsome");
-        let out = loop {
-            self.progress();
-            let ready: Vec<usize> = reqs
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| self.reqs.get(&r.0).map(Req::is_done).unwrap_or(false))
-                .map(|(i, _)| i)
-                .collect();
-            if !ready.is_empty() {
-                break ready
-                    .into_iter()
-                    .map(|i| (i, self.try_take(reqs[i]).expect("just completed")))
-                    .collect();
-            }
-            self.wait_for_event();
-        };
+        let out = self.wait_ready(reqs, usize::MAX);
         self.rec.call_exit();
         out
+    }
+
+    /// Block until at least one of `reqs` is complete, then consume up to
+    /// `limit` completed ones, in request order.
+    fn wait_ready(&mut self, reqs: &[Request], limit: usize) -> Vec<(usize, Status)> {
+        loop {
+            self.progress();
+            let done = |r: &Request| self.reqs.get(&r.0).is_some_and(Req::is_done);
+            let ready: Vec<usize> = (0..reqs.len()).filter(|&i| done(&reqs[i])).collect();
+            if !ready.is_empty() {
+                let take = |i| (i, self.try_take(reqs[i]).expect("just completed"));
+                return ready.into_iter().take(limit).map(take).collect();
+            }
+            self.wait_for_event();
+        }
     }
 
     /// Non-blocking completion test.
     pub fn test(&mut self, req: Request) -> bool {
         self.call_enter("MPI_Test");
         self.progress();
-        let done = self.reqs.get(&req.0).map(Req::is_done).unwrap_or(true);
+        let done = self.req_done(req);
         self.rec.call_exit();
         done
     }
@@ -523,12 +524,12 @@ impl<'a> Mpi<'a> {
         &mut self,
         dst: usize,
         send_tag: u64,
-        data: &[u8],
+        data: impl IntoPayload,
         src: Src,
         recv_tag: TagSel,
     ) -> Status {
         self.call_enter("MPI_Sendrecv");
-        let sr = self.isend_inner(dst, send_tag, data, true);
+        let sr = self.isend_inner(dst, send_tag, data.into_payload(), true);
         let rr = self.irecv_inner(src, recv_tag);
         self.wait_inner(sr);
         let st = self.wait_inner(rr);
@@ -539,17 +540,19 @@ impl<'a> Mpi<'a> {
     /// Synchronous send: completes only once the receiver has matched the
     /// message (eager sends wait for a receiver ACK; rendezvous completion
     /// already implies a match).
-    pub fn ssend(&mut self, dst: usize, tag: u64, data: &[u8]) {
+    pub fn ssend(&mut self, dst: usize, tag: u64, data: impl IntoPayload) {
         self.call_enter("MPI_Ssend");
-        let r = self.isend_impl(dst, tag, data, true, true);
+        self.progress();
+        let r = self.isend_raw(dst, tag, data.into_payload(), true, true);
         self.wait_inner(r);
         self.rec.call_exit();
     }
 
     /// Non-blocking synchronous send.
-    pub fn issend(&mut self, dst: usize, tag: u64, data: &[u8]) -> Request {
+    pub fn issend(&mut self, dst: usize, tag: u64, data: impl IntoPayload) -> Request {
         self.call_enter("MPI_Issend");
-        let r = self.isend_impl(dst, tag, data, true, true);
+        self.progress();
+        let r = self.isend_raw(dst, tag, data.into_payload(), true, true);
         self.rec.call_exit();
         r
     }
@@ -587,17 +590,7 @@ impl<'a> Mpi<'a> {
     pub fn waitany(&mut self, reqs: &[Request]) -> (usize, Status) {
         assert!(!reqs.is_empty(), "waitany on empty request list");
         self.call_enter("MPI_Waitany");
-        let out = loop {
-            self.progress();
-            let ready = reqs
-                .iter()
-                .position(|r| self.reqs.get(&r.0).map(Req::is_done).unwrap_or(false));
-            if let Some(idx) = ready {
-                let st = self.try_take(reqs[idx]).expect("request just completed");
-                break (idx, st);
-            }
-            self.wait_for_event();
-        };
+        let out = self.wait_ready(reqs, 1).remove(0);
         self.rec.call_exit();
         out
     }
@@ -607,19 +600,17 @@ impl<'a> Mpi<'a> {
     pub fn testall(&mut self, reqs: &[Request]) -> bool {
         self.call_enter("MPI_Testall");
         self.progress();
-        let all = reqs
-            .iter()
-            .all(|r| self.reqs.get(&r.0).map(Req::is_done).unwrap_or(true));
+        let all = reqs.iter().all(|&r| self.req_done(r));
         self.rec.call_exit();
         all
     }
 
     /// Create a persistent send specification (`MPI_Send_init`).
-    pub fn send_init(&self, dst: usize, tag: u64, data: &[u8]) -> PersistentOp {
+    pub fn send_init(&self, dst: usize, tag: u64, data: impl IntoPayload) -> PersistentOp {
         PersistentOp::Send {
             dst,
             tag,
-            data: data.to_vec(),
+            data: data.into_payload(),
         }
     }
 
@@ -632,24 +623,24 @@ impl<'a> Mpi<'a> {
     /// [`Mpi::wait`] like any other request.
     pub fn start(&mut self, op: &PersistentOp) -> Request {
         self.call_enter("MPI_Start");
-        let r = match op {
-            PersistentOp::Send { dst, tag, data } => self.isend_inner(*dst, *tag, data, true),
-            PersistentOp::Recv { src, tag } => self.irecv_inner(*src, *tag),
-        };
+        let r = self.start_inner(op);
         self.rec.call_exit();
         r
+    }
+
+    fn start_inner(&mut self, op: &PersistentOp) -> Request {
+        match op {
+            PersistentOp::Send { dst, tag, data } => {
+                self.isend_inner(*dst, *tag, data.clone(), true)
+            }
+            PersistentOp::Recv { src, tag } => self.irecv_inner(*src, *tag),
+        }
     }
 
     /// Start a set of persistent operations (`MPI_Startall`).
     pub fn startall(&mut self, ops: &[PersistentOp]) -> Vec<Request> {
         self.call_enter("MPI_Startall");
-        let rs = ops
-            .iter()
-            .map(|op| match op {
-                PersistentOp::Send { dst, tag, data } => self.isend_inner(*dst, *tag, data, true),
-                PersistentOp::Recv { src, tag } => self.irecv_inner(*src, *tag),
-            })
-            .collect();
+        let rs = ops.iter().map(|op| self.start_inner(op)).collect();
         self.rec.call_exit();
         rs
     }
@@ -688,22 +679,11 @@ impl<'a> Mpi<'a> {
         &mut self,
         dst: usize,
         tag: u64,
-        data: &[u8],
+        data: Bytes,
         counted: bool,
-    ) -> Request {
-        self.isend_impl(dst, tag, data, counted, false)
-    }
-
-    fn isend_impl(
-        &mut self,
-        dst: usize,
-        tag: u64,
-        data: &[u8],
-        counted: bool,
-        sync: bool,
     ) -> Request {
         self.progress();
-        self.isend_raw(dst, tag, data, counted, sync)
+        self.isend_raw(dst, tag, data, counted, false)
     }
 
     /// Post a send without invoking the progress engine (used by the
@@ -713,7 +693,7 @@ impl<'a> Mpi<'a> {
         &mut self,
         dst: usize,
         tag: u64,
-        data: &[u8],
+        data: Bytes,
         counted: bool,
         sync: bool,
     ) -> Request {
@@ -740,11 +720,11 @@ impl<'a> Mpi<'a> {
         req_id: u64,
         dst: usize,
         tag: u64,
-        data: &[u8],
+        payload: Bytes,
         counted: bool,
         sync: bool,
     ) {
-        let len = data.len();
+        let len = payload.len();
         if counted {
             // Copy into the pre-registered bounce buffer, then post.
             self.lib_busy(self.net.copy_cost(len) + self.net.post_cost);
@@ -762,7 +742,6 @@ impl<'a> Mpi<'a> {
             };
             xfer = xfer_id.map_or(NO_XFER, |x| x.0);
             let done_user = proto::pack_user(wr_kind::EAGER_SEND, req_id);
-            let payload = Bytes::copy_from_slice(data);
             if self.cfg.progress == ProgressModel::HwTag {
                 // NIC tag matching: every send — data and synchronization
                 // alike — goes through the hardware matching engine, so
@@ -803,16 +782,18 @@ impl<'a> Mpi<'a> {
         );
     }
 
-    fn send_rndv_read(&mut self, req_id: u64, dst: usize, tag: u64, data: &[u8]) {
+    /// Direct-read rendezvous: pin a read-only region that *is* `data` (or
+    /// re-point an idle cached pin of the same length at it) and advertise
+    /// it; the receiver's RDMA Read returns a slice of this very buffer.
+    fn send_rndv_read(&mut self, req_id: u64, dst: usize, tag: u64, data: Bytes) {
         let len = data.len();
         // A cache hit must be an *idle* entry: busy regions back in-flight
         // sends whose data the receiver has not pulled yet.
-        let cached = self.cfg.use_reg_cache
-            && self
-                .send_reg_cache
-                .iter()
-                .any(|&(cached_len, _, busy)| cached_len == len && !busy);
-        if !cached {
+        let hit = self
+            .send_reg_cache
+            .iter()
+            .position(|&(cached_len, _, busy)| cached_len == len && !busy);
+        if hit.is_none() {
             self.reg_busy(self.net.reg_cost(len));
         }
         self.lib_busy(self.net.post_cost);
@@ -821,15 +802,28 @@ impl<'a> Mpi<'a> {
         let region;
         {
             let mut w = self.world.lock();
-            region = Self::acquire_send_region(
-                &mut self.send_reg_cache,
-                &self.cfg,
-                self.rank,
-                &mut w,
-                len,
-                data,
-                cached,
-            );
+            region = match hit {
+                // Zero-copy either way, so no host copy cost.
+                Some(pos) => {
+                    let (_, r, _) = self.send_reg_cache.remove(pos).unwrap();
+                    w.mem_mut(self.rank).replace(r, data);
+                    r
+                }
+                None => w.register(self.rank, data),
+            };
+            if self.cfg.use_reg_cache {
+                if hit.is_none() && self.send_reg_cache.len() >= self.cfg.reg_cache_entries {
+                    // Make room: evict the least-recently-used *idle* entry;
+                    // if all are busy the cache temporarily exceeds capacity.
+                    let idle = self.send_reg_cache.iter().rposition(|e| !e.2);
+                    if let Some((_, evicted, _)) = idle.and_then(|i| self.send_reg_cache.remove(i))
+                    {
+                        w.deregister(self.rank, evicted);
+                    }
+                }
+                // MRU: most recent in front, busy until the FIN.
+                self.send_reg_cache.push_front((len, region, true));
+            }
             xfer = w.alloc_xfer_id().0;
             let user = proto::pack_user(wr_kind::IGNORE, 0);
             if self.cfg.progress == ProgressModel::HwTag {
@@ -863,61 +857,16 @@ impl<'a> Mpi<'a> {
                 xfer,
                 bytes: len as u64,
                 region,
-                keep_region: self.cfg.use_reg_cache,
                 peer: dst,
                 tag,
             },
         );
     }
 
-    /// Pin (or reuse from the MRU cache) a registered region holding `data`
-    /// for a rendezvous send. `cached` is the pre-computed hit flag (whose
-    /// host cost the caller has already charged or skipped).
-    fn acquire_send_region(
-        send_reg_cache: &mut VecDeque<(usize, RegionId, bool)>,
-        cfg: &MpiConfig,
-        rank: usize,
-        w: &mut simnet::World,
-        len: usize,
-        data: &[u8],
-        cached: bool,
-    ) -> RegionId {
-        if cached {
-            let pos = send_reg_cache
-                .iter()
-                .position(|&(l, _, busy)| l == len && !busy)
-                .unwrap();
-            let (_, r, _) = send_reg_cache.remove(pos).unwrap();
-            // MRU: move to front, mark busy; refresh contents (it *is*
-            // the user buffer — zero-copy, so no host copy cost).
-            send_reg_cache.push_front((len, r, true));
-            w.mem_mut(rank)
-                .get_mut(r)
-                .expect("cached region vanished")
-                .copy_from_slice(data);
-            r
-        } else {
-            let r = w.register(rank, data.to_vec());
-            if cfg.use_reg_cache {
-                send_reg_cache.push_front((len, r, true));
-                if send_reg_cache.len() > cfg.reg_cache_entries {
-                    // Evict the least-recently-used *idle* entry; if all
-                    // are busy the cache temporarily exceeds capacity.
-                    if let Some(pos) = send_reg_cache.iter().rposition(|&(_, _, busy)| !busy) {
-                        let (_, evicted, _) = send_reg_cache.remove(pos).unwrap();
-                        w.deregister(rank, evicted);
-                    }
-                }
-            }
-            r
-        }
-    }
-
-    fn send_rndv_pipe(&mut self, req_id: u64, dst: usize, tag: u64, data: &[u8]) {
+    fn send_rndv_pipe(&mut self, req_id: u64, dst: usize, tag: u64, data: Bytes) {
         let len = data.len();
         let frag1_len = len.min(self.cfg.fragment_size);
         self.lib_busy(self.net.copy_cost(frag1_len) + self.net.post_cost);
-        let data = Bytes::copy_from_slice(data);
         let frag1_xfer;
         {
             let mut w = self.world.lock();
@@ -1057,18 +1006,15 @@ impl<'a> Mpi<'a> {
     }
 
     fn complete_recv(&mut self, req_id: u64, src: usize, tag: u64, data: Bytes) {
-        let req = self.reqs.get_mut(&req_id).expect("unknown recv request");
-        match req {
-            Req::Recv { done, result, .. } => {
-                *done = true;
-                *result = Some(Status {
-                    source: src,
-                    tag,
-                    data: Some(data),
-                });
-            }
-            _ => unreachable!("completing non-recv request"),
-        }
+        let Some(Req::Recv { done, result, .. }) = self.reqs.get_mut(&req_id) else {
+            unreachable!("completing a request that is not a receive");
+        };
+        *done = true;
+        *result = Some(Status {
+            source: src,
+            tag,
+            data: Some(data),
+        });
     }
 
     /// Direct-read rendezvous: the receiver pulls the advertised buffer.
@@ -1161,7 +1107,6 @@ impl<'a> Mpi<'a> {
             if let Some(Req::Recv { pipe, matched, .. }) = self.reqs.get_mut(&req_id) {
                 *pipe = Some(PipeRecv {
                     region,
-                    total_len,
                     rest_xfer,
                     rest_len,
                 });
@@ -1187,36 +1132,23 @@ impl<'a> Mpi<'a> {
             }
             let item = {
                 let mut w = self.world.lock();
-                match &self.oracle {
-                    // Exploration: when both the completion queue and the
-                    // receive queue are non-empty, which to drain first is a
-                    // real interleaving choice. Choice 0 is the canonical
-                    // CQ-first policy.
-                    Some(orc) => {
-                        let st = w.nic_stats(self.rank);
-                        if st.cq_backlog > 0 && st.rx_backlog > 0 {
-                            let pick = orc.choose(simcore::ChoicePoint::ProgressPoll {
-                                rank: self.rank,
-                                n: 2,
-                            });
-                            if pick == 1 {
-                                w.poll_rx(self.rank).map(Item::P)
-                            } else {
-                                w.poll_cq(self.rank).map(Item::C)
-                            }
-                        } else if st.cq_backlog > 0 {
-                            w.poll_cq(self.rank).map(Item::C)
-                        } else {
-                            w.poll_rx(self.rank).map(Item::P)
-                        }
-                    }
-                    None => {
-                        if let Some(c) = w.poll_cq(self.rank) {
-                            Some(Item::C(c))
-                        } else {
-                            w.poll_rx(self.rank).map(Item::P)
-                        }
-                    }
+                // Exploration: when both the completion queue and the
+                // receive queue are non-empty, which to drain first is a
+                // real interleaving choice. Choice 0 is the canonical
+                // CQ-first policy, which also applies with no oracle.
+                let rx_first = self.oracle.as_ref().is_some_and(|orc| {
+                    let st = w.nic_stats(self.rank);
+                    st.cq_backlog > 0
+                        && st.rx_backlog > 0
+                        && orc.choose(simcore::ChoicePoint::ProgressPoll {
+                            rank: self.rank,
+                            n: 2,
+                        }) == 1
+                });
+                let completion = if rx_first { None } else { w.poll_cq(self.rank) };
+                match completion {
+                    Some(c) => Some(Item::C(c)),
+                    None => w.poll_rx(self.rank).map(Item::P),
                 }
             };
             match item {
@@ -1231,15 +1163,19 @@ impl<'a> Mpi<'a> {
                 self.rel.check_timeouts(&mut w)
             };
             for xfer in flagged {
-                // The wire had to carry this transfer again; its a-priori
-                // time no longer bounds the observed window.
-                self.rec.xfer_flag(xfer);
-                if self.rec.wait_tracing() {
-                    self.retrans_xfers.insert(xfer);
-                }
+                self.flag_retransmitted(xfer);
             }
         }
         self.advance_collectives();
+    }
+
+    /// The wire had to carry `xfer` again (timeout or NACK): its a-priori
+    /// time no longer bounds the observed window.
+    fn flag_retransmitted(&mut self, xfer: u64) {
+        self.rec.xfer_flag(xfer);
+        if self.rec.wait_tracing() {
+            self.retrans_xfers.insert(xfer);
+        }
     }
 
     /// Reliability-layer counters for this rank (all zero on a loss-free
@@ -1309,19 +1245,19 @@ impl<'a> Mpi<'a> {
                 }
             }
             wr_kind::RDMA_READ => {
+                // The sender's own buffer, by reference (see `simnet::memory`).
                 let data = c.data.expect("RDMA read completion without data");
-                let mut stamp: Option<(u64, u64)> = None;
-                let mut env: Option<(usize, u64)> = None;
-                if let Some(Req::Recv {
+                let Some(Req::Recv {
                     reading, matched, ..
                 }) = self.reqs.get_mut(&req_id)
-                {
-                    stamp = reading.take();
-                    env = *matched;
-                }
-                let (xfer, len) = stamp.expect("read completion without reading state");
+                else {
+                    panic!("read completion for a non-receive request");
+                };
+                let (xfer, len) = reading
+                    .take()
+                    .expect("read completion without reading state");
+                let (src, tag) = matched.expect("read completion on unmatched recv");
                 self.end_xfer(xfer, len, &c.edge);
-                let (src, tag) = env.expect("read completion on unmatched recv");
                 self.complete_recv(req_id, src, tag, data);
             }
             wr_kind::HW_RECV => {
@@ -1380,10 +1316,7 @@ impl<'a> Mpi<'a> {
                         self.rel.on_nack(&mut w, p.src, p.h[0])
                     };
                     if let Some(xfer) = flagged {
-                        self.rec.xfer_flag(xfer);
-                        if self.rec.wait_tracing() {
-                            self.retrans_xfers.insert(xfer);
-                        }
+                        self.flag_retransmitted(xfer);
                     }
                     return;
                 }
@@ -1454,61 +1387,40 @@ impl<'a> Mpi<'a> {
                 return;
             }
             proto::PT_FIN_READ => {
-                let sender_req = p.h[0];
-                let mut dereg: Option<RegionId> = None;
-                let mut stamp: Option<(u64, u64)> = None;
-                if let Some(Req::SendRdvRead {
+                let Some(Req::SendRdvRead {
                     done,
                     xfer,
                     bytes,
                     region,
-                    keep_region,
                     ..
-                }) = self.reqs.get_mut(&sender_req)
-                {
-                    *done = true;
-                    stamp = Some((*xfer, *bytes));
-                    if !*keep_region {
-                        dereg = Some(*region);
-                    }
-                }
-                let (xfer, bytes) = stamp.expect("FIN for unknown rendezvous send");
+                }) = self.reqs.get_mut(&p.h[0])
+                else {
+                    panic!("FIN for unknown rendezvous send");
+                };
+                *done = true;
+                let (xfer, bytes, region) = (*xfer, *bytes, *region);
                 debug_assert_eq!(xfer, p.h[1]);
                 self.rec.xfer_end(xfer, bytes);
-                if let Some(r) = dereg {
-                    self.world.lock().deregister(self.rank, r);
-                } else if let Some(Req::SendRdvRead { region, .. }) = self.reqs.get(&sender_req) {
-                    // Cached mode: the region's data has been pulled — its
-                    // cache entry becomes reusable.
-                    let region = *region;
-                    if let Some(e) = self
-                        .send_reg_cache
-                        .iter_mut()
-                        .find(|(_, r, _)| *r == region)
-                    {
-                        e.2 = false;
-                    }
+                // The receiver holds the payload now: a cached registration
+                // becomes reusable, an uncached one is unpinned.
+                match self.send_reg_cache.iter_mut().find(|e| e.1 == region) {
+                    Some(e) => e.2 = false,
+                    None => drop(self.world.lock().deregister(self.rank, region)),
                 }
                 return;
             }
             proto::PT_FIN_PIPE => {
                 let recv_req = p.h[0];
-                let mut pipe_state: Option<PipeRecv> = None;
-                let mut env: Option<(usize, u64)> = None;
-                if let Some(Req::Recv { pipe, matched, .. }) = self.reqs.get_mut(&recv_req) {
-                    pipe_state = pipe.take();
-                    env = *matched;
-                }
-                let pipe = pipe_state.expect("FIN_PIPE without pipe state");
+                let Some(Req::Recv { pipe, matched, .. }) = self.reqs.get_mut(&recv_req) else {
+                    panic!("FIN_PIPE for a non-receive request");
+                };
+                let pipe = pipe.take().expect("FIN_PIPE without pipe state");
+                let (src, tag) = matched.expect("FIN_PIPE on unmatched recv");
                 // The FIN rides as the final fragment's delivery notice, so
                 // its edge carries that fragment's fabric contention.
                 self.end_xfer(pipe.rest_xfer, pipe.rest_len, &p.edge);
-                let data = {
-                    let mut w = self.world.lock();
-                    Bytes::from(w.deregister(self.rank, pipe.region))
-                };
-                debug_assert_eq!(data.len(), pipe.total_len);
-                let (src, tag) = env.expect("FIN_PIPE on unmatched recv");
+                // The landing buffer becomes the receive status as is.
+                let data = self.world.lock().deregister(self.rank, pipe.region);
                 self.complete_recv(recv_req, src, tag, data);
                 return;
             }

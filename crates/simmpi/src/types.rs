@@ -62,6 +62,55 @@ impl Status {
     }
 }
 
+/// A send buffer, converted once at the API boundary into the [`Bytes`] that
+/// travels — by reference, never copied again on the host — through the
+/// library and the fabric to the receiver's [`Status::data`].
+///
+/// `Bytes`, `&Bytes` and `Vec<u8>` convert without copying. A borrowed slice
+/// pays exactly one copy: the caller may reuse it once the send returns, and
+/// a borrow cannot outlive the call. Virtual-time copy costs
+/// (`NetConfig::copy_cost`) are charged identically for every buffer type.
+pub trait IntoPayload {
+    /// Perform the conversion.
+    fn into_payload(self) -> Bytes;
+}
+
+impl IntoPayload for Bytes {
+    fn into_payload(self) -> Bytes {
+        self
+    }
+}
+
+impl IntoPayload for &Bytes {
+    fn into_payload(self) -> Bytes {
+        self.clone()
+    }
+}
+
+impl IntoPayload for Vec<u8> {
+    fn into_payload(self) -> Bytes {
+        Bytes::from(self)
+    }
+}
+
+impl IntoPayload for &[u8] {
+    fn into_payload(self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
+impl IntoPayload for &Vec<u8> {
+    fn into_payload(self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
+impl<const N: usize> IntoPayload for &[u8; N] {
+    fn into_payload(self) -> Bytes {
+        Bytes::copy_from_slice(self)
+    }
+}
+
 /// A reusable communication specification — the analogue of MPI's
 /// persistent requests (`MPI_Send_init` / `MPI_Recv_init`). Build once with
 /// [`crate::Mpi::send_init`] / [`crate::Mpi::recv_init`], then fire with
@@ -74,8 +123,8 @@ pub enum PersistentOp {
         dst: usize,
         /// Message tag.
         tag: u64,
-        /// Payload sent on every start.
-        data: Vec<u8>,
+        /// Payload sent on every start (by reference: starts copy nothing).
+        data: Bytes,
     },
     /// A persistent receive.
     Recv {

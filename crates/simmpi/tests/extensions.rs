@@ -60,7 +60,7 @@ fn issend_completes_after_match_for_rendezvous_too() {
     for cfg in [MpiConfig::mvapich2(), MpiConfig::open_mpi_pipelined()] {
         run(2, cfg, |mpi| {
             if mpi.rank() == 0 {
-                let r = mpi.issend(1, 1, &vec![2u8; 512 << 10]);
+                let r = mpi.issend(1, 1, vec![2u8; 512 << 10]);
                 let st_time_before = mpi.now();
                 mpi.wait(r);
                 assert!(mpi.now() > st_time_before);

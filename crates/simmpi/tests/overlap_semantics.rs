@@ -281,7 +281,7 @@ fn buffered_eager_send_overlaps_following_computation() {
     let out = run(2, MpiConfig::default(), |mpi| {
         for i in 0..20 {
             if mpi.rank() == 0 {
-                mpi.send(1, i, &vec![3u8; 2048]);
+                mpi.send(1, i, vec![3u8; 2048]);
                 mpi.compute(100_000); // >> 7 us transfer time
             } else {
                 mpi.recv(Src::Rank(0), TagSel::Is(i));

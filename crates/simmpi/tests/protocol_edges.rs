@@ -88,7 +88,7 @@ fn wildcard_recv_matches_rendezvous() {
     for cfg in [MpiConfig::mvapich2(), MpiConfig::open_mpi_pipelined()] {
         run(2, cfg, |mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, 77, &vec![6u8; 700 << 10]);
+                mpi.send(1, 77, vec![6u8; 700 << 10]);
             } else {
                 let st = mpi.recv(Src::Any, TagSel::Any);
                 assert_eq!(st.source, 0);
@@ -144,8 +144,8 @@ fn cache_disabled_mode_still_correct_under_concurrency() {
         },
         |mpi| {
             if mpi.rank() == 0 {
-                let s1 = mpi.isend(1, 1, &vec![0x11; 100 << 10]);
-                let s2 = mpi.isend(2, 2, &vec![0x22; 100 << 10]);
+                let s1 = mpi.isend(1, 1, vec![0x11; 100 << 10]);
+                let s2 = mpi.isend(2, 2, vec![0x22; 100 << 10]);
                 mpi.waitall(&[s1, s2]);
             } else {
                 mpi.compute(500_000);
@@ -166,7 +166,7 @@ fn many_small_messages_interleaved_with_one_huge() {
             for i in 0..5u8 {
                 mpi.send(1, 9, &[i; 128]);
             }
-            mpi.send(1, 9, &vec![99u8; 900 << 10]);
+            mpi.send(1, 9, vec![99u8; 900 << 10]);
             for i in 5..10u8 {
                 mpi.send(1, 9, &[i; 128]);
             }

@@ -119,7 +119,7 @@ fn wildcard_source_and_tag_match() {
             sources.sort_unstable();
             assert_eq!(sources, vec![1, 2]);
         }
-        r => mpi.send(0, 100 + r as u64, &pattern(64, r as u8)),
+        r => mpi.send(0, 100 + r as u64, pattern(64, r as u8)),
     });
 }
 
@@ -314,8 +314,8 @@ fn concurrent_same_size_cached_sends_do_not_alias() {
         if mpi.rank() == 0 {
             // Two simultaneous in-flight sends of the same size with
             // distinct contents.
-            let s1 = mpi.isend(1, 1, &vec![0xAA; size]);
-            let s2 = mpi.isend(2, 2, &vec![0xBB; size]);
+            let s1 = mpi.isend(1, 1, vec![0xAA; size]);
+            let s2 = mpi.isend(2, 2, vec![0xBB; size]);
             mpi.waitall(&[s1, s2]);
         } else {
             // Receivers delay so both RTSes are in flight together.

@@ -137,7 +137,7 @@ fn deadlock_diagnostics_agree_between_runtimes() {
         MpiConfig::mvapich2(),
         |mpi| {
             let other = 1 - mpi.rank();
-            mpi.send(other, 1, &vec![0u8; 1 << 20]);
+            mpi.send(other, 1, vec![0u8; 1 << 20]);
             let _ = mpi.recv(Src::Rank(other), TagSel::Is(1));
         },
         "wait-for cycle: rank 0 -> ",

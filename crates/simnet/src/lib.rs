@@ -32,7 +32,7 @@ pub mod world;
 pub use cluster::{Cluster, ClusterOutcome};
 pub use config::NetConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkDegradation, NicStall};
-pub use memory::RegionId;
+pub use memory::{Region, RegionId};
 pub use nic::{CausalEdge, Completion, WrId};
 pub use packet::Packet;
 pub use topology::{

@@ -20,7 +20,7 @@ use simcore::{EngineHandle, Time};
 use crate::arena::Slab;
 use crate::config::NetConfig;
 use crate::fault::{FaultEvent, FaultKind, FaultRng};
-use crate::memory::{NodeMemory, RegionId};
+use crate::memory::{NodeMemory, Region, RegionId};
 use crate::nic::{CausalEdge, Completion, HwPosted, HwUnexpected, Nic, WrId};
 use crate::packet::Packet;
 use crate::topology::{Hop, Topology, TrafficPattern, LINK_DEDICATED};
@@ -119,8 +119,8 @@ enum Pending {
         old: u64,
         edge: CausalEdge,
     },
-    /// RDMA Read request arriving at the target NIC; snapshots the region
-    /// and schedules the response leg.
+    /// RDMA Read request arriving at the target NIC; takes the region's bytes
+    /// as of now ([`NodeMemory::read`]) and schedules the response leg.
     ReadRequest {
         initiator: usize,
         target: usize,
@@ -345,13 +345,7 @@ impl World {
                     .expect("RDMA write to unknown region");
                 mem[off..off + data.len()].copy_from_slice(&data);
                 w.nics[src].complete(wr, user, None, [0; 3], edge);
-                let wake_dst = if let Some(mut p) = notify {
-                    p.edge = edge;
-                    w.nics[dst].deliver(p);
-                    true
-                } else {
-                    false
-                };
+                let wake_dst = w.deliver_notify(dst, notify, edge);
                 drop(w);
                 h.wake_rank(src);
                 if wake_dst {
@@ -449,11 +443,9 @@ impl World {
                 // The response stream is subject to the initiator's ingress
                 // contention, like any other inbound data.
                 let l = w.launch(target, initiator, len, true);
-                let snapshot = Bytes::copy_from_slice(
-                    &w.mem[target]
-                        .get(region)
-                        .expect("RDMA read of unknown region")[off..off + len],
-                );
+                let snapshot = w.mem[target]
+                    .read(region, off, len)
+                    .expect("RDMA read of unknown region");
                 w.record_transfer(xfer, TransferKind::RdmaRead, target, initiator, len, &l);
                 w.schedule_pending(
                     l.arrival,
@@ -480,13 +472,7 @@ impl World {
                 edge,
             } => {
                 w.nics[initiator].complete(wr, user, Some(snapshot), imm, edge);
-                let wake_target = if let Some(mut p) = notify {
-                    p.edge = edge;
-                    w.nics[target].deliver(p);
-                    true
-                } else {
-                    false
-                };
+                let wake_target = w.deliver_notify(target, notify, edge);
                 drop(w);
                 h.wake_rank(initiator);
                 if wake_target {
@@ -504,6 +490,15 @@ impl World {
                 h.wake_rank(to);
             }
         }
+    }
+
+    /// Deliver the notify packet riding behind an RDMA operation, if any;
+    /// true when `to`'s host has something new to see.
+    fn deliver_notify(&mut self, to: usize, notify: Option<Packet>, edge: CausalEdge) -> bool {
+        let Some(mut p) = notify else { return false };
+        p.edge = edge;
+        self.nics[to].deliver(p);
+        true
     }
 
     /// Fabric configuration.
@@ -534,17 +529,19 @@ impl World {
         id
     }
 
-    /// Register (pin) a memory region on `node`. The *host cost* of pinning
+    /// Register (pin) a memory region on `node`: a `Vec<u8>` becomes a
+    /// writable window, a `Bytes` a read-only payload served by reference
+    /// (see [`crate::memory`]). The *host cost* of pinning
     /// (`cfg().reg_cost`) must be charged by the caller.
-    pub fn register(&mut self, node: usize, data: Vec<u8>) -> RegionId {
+    pub fn register(&mut self, node: usize, data: impl Into<Region>) -> RegionId {
         let id = RegionId(self.next_region);
         self.next_region += 1;
-        self.mem[node].insert(id, data);
+        self.mem[node].insert(id, data.into());
         id
     }
 
     /// Deregister a region, returning its contents.
-    pub fn deregister(&mut self, node: usize, id: RegionId) -> Vec<u8> {
+    pub fn deregister(&mut self, node: usize, id: RegionId) -> Bytes {
         self.mem[node]
             .remove(id)
             .expect("deregister of unknown region")
@@ -1558,7 +1555,7 @@ mod tests {
             if ctx.rank() == 1 {
                 // Target registers data at a deterministic region id (0) and
                 // idles; its host never participates in the read.
-                w2.lock().register(1, (0u8..200).collect());
+                w2.lock().register(1, (0u8..200).collect::<Vec<u8>>());
                 ctx.compute(1_000_000);
             } else {
                 ctx.compute(10_000); // let target register first
@@ -1670,6 +1667,97 @@ mod tests {
             }
         })
         .unwrap();
+    }
+}
+
+#[cfg(test)]
+mod region_tests {
+    use super::*;
+    use simcore::{RankCtx, SimOpts, Simulation};
+
+    /// Run `body` on rank 0 of a two-node fabric; rank 1 is a passive target.
+    fn on_rank0(body: impl Fn(&mut RankCtx, &SharedWorld) + Send + Sync + 'static) {
+        let sim = Simulation::new(2);
+        let world = World::new_shared(NetConfig::infiniband_2006(), sim.handle(), 2);
+        sim.run(SimOpts::default(), move |ctx| {
+            if ctx.rank() == 0 {
+                body(ctx, &world);
+            }
+        })
+        .unwrap();
+    }
+
+    /// Block until rank 0's next completion and return its payload.
+    fn complete(ctx: &mut RankCtx, world: &SharedWorld) -> Option<Bytes> {
+        loop {
+            if let Some(c) = world.lock().poll_cq(0) {
+                return c.data;
+            }
+            ctx.park();
+        }
+    }
+
+    #[test]
+    fn read_of_a_bytes_region_shares_the_senders_allocation() {
+        on_rank0(|ctx, world| {
+            let payload = Bytes::from((0u8..200).collect::<Vec<u8>>());
+            {
+                let mut w = world.lock();
+                let region = w.register(1, payload.clone());
+                w.post_rdma_read(0, 1, region, 50, 100, 7, None, None);
+            }
+            let data = complete(ctx, world).unwrap();
+            assert_eq!(data.as_ptr(), payload[50..].as_ptr(), "reply must not copy");
+            assert_eq!((data.len(), data[0], data[99]), (100, 50, 149));
+        });
+    }
+
+    #[test]
+    fn writable_window_read_twice_around_a_put_sees_both_states() {
+        on_rank0(|ctx, world| {
+            let window = world.lock().register(1, vec![1u8; 16]);
+            let read = |ctx: &mut RankCtx| {
+                world
+                    .lock()
+                    .post_rdma_read(0, 1, window, 0, 16, 0, None, None);
+                complete(ctx, world).unwrap()
+            };
+            let before = read(ctx);
+            let put = Bytes::from(vec![2u8; 16]);
+            world
+                .lock()
+                .post_rdma_write(0, 1, window, 0, put, 0, None, None);
+            complete(ctx, world);
+            let after = read(ctx);
+            assert_eq!(&before[..], &[1u8; 16][..], "snapshot predates the put");
+            assert_eq!(&after[..], &[2u8; 16][..]);
+        });
+    }
+
+    #[test]
+    fn bytes_region_refuses_write_accumulate_and_fetch_add() {
+        let ops: [fn(&mut World, RegionId) -> WrId; 3] = [
+            |w, r| w.post_rdma_write(0, 1, r, 0, Bytes::from(vec![1u8; 8]), 0, None, None),
+            |w, r| w.post_rdma_acc_f64(0, 1, r, 0, vec![1.0], 0, None),
+            |w, r| w.post_rdma_fetch_add(0, 1, r, 0, 1, 0),
+        ];
+        for op in ops {
+            let run = || {
+                on_rank0(move |ctx, world| {
+                    {
+                        let mut w = world.lock();
+                        let region = w.register(1, Bytes::from(vec![0u8; 64]));
+                        op(&mut w, region);
+                    }
+                    complete(ctx, world);
+                })
+            };
+            let err = std::panic::catch_unwind(run)
+                .expect_err("a write into a read-only region must fail");
+            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+            assert!(msg.contains("region 0 is read-only"), "got: {msg}");
+            assert_eq!(msg.lines().count(), 1, "one line: {msg}");
+        }
     }
 }
 

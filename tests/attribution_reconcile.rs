@@ -117,7 +117,7 @@ fn faulted_run_attribution_respects_ground_truth() {
             let src = (me + n - 1) % n;
             for i in 0..rounds {
                 let r = mpi.irecv(Src::Rank(src), TagSel::Is(i as u64));
-                let s = mpi.isend(dst, i as u64, &vec![1u8; size]);
+                let s = mpi.isend(dst, i as u64, vec![1u8; size]);
                 mpi.compute(300_000);
                 mpi.wait(s);
                 mpi.wait(r);

@@ -64,7 +64,7 @@ fn bounds_hold_for_armci_workloads() {
         a.barrier();
         let next = (a.rank() + 1) % a.nranks();
         for k in 0..10 {
-            let h = a.nb_put(&mem, next, 0, &vec![k as u8; 256 << 10]);
+            let h = a.nb_put(&mem, next, 0, vec![k as u8; 256 << 10]);
             a.compute(us(300));
             a.wait(h);
             let g = a.nb_get(&mem, next, 0, 64 << 10);
@@ -111,7 +111,7 @@ fn bounds_hold_under_heavy_random_traffic() {
                     let compute = rng.gen_range(0..2_000_000u64);
                     let right = (me + 1) % n;
                     let left = (me + n - 1) % n;
-                    let s = mpi.isend(right, round, &vec![me as u8; bytes]);
+                    let s = mpi.isend(right, round, vec![me as u8; bytes]);
                     let r = mpi.irecv(Src::Rank(left), TagSel::Is(round));
                     mpi.compute(compute);
                     if rng.gen_bool(0.5) {
@@ -142,7 +142,7 @@ fn bounds_hold_on_a_faster_fabric() {
         |mpi| {
             for i in 0..20 {
                 if mpi.rank() == 0 {
-                    let r = mpi.isend(1, i, &vec![1u8; 1 << 20]);
+                    let r = mpi.isend(1, i, vec![1u8; 1 << 20]);
                     mpi.compute(us(400));
                     mpi.wait(r);
                 } else {

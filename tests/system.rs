@@ -88,7 +88,7 @@ fn reports_roundtrip_through_json_files() {
             mpi.section_begin("solve");
             for i in 0..10 {
                 if mpi.rank() == 0 {
-                    let r = mpi.isend(1, i, &vec![2u8; 64 << 10]);
+                    let r = mpi.isend(1, i, vec![2u8; 64 << 10]);
                     mpi.compute(us(100));
                     mpi.wait(r);
                 } else {
@@ -160,7 +160,7 @@ fn identical_runs_are_bit_identical() {
                 for i in 0..8 {
                     let next = (mpi.rank() + 1) % n;
                     let prev = (mpi.rank() + n - 1) % n;
-                    let s = mpi.isend(next, i, &vec![5u8; 150 << 10]);
+                    let s = mpi.isend(next, i, vec![5u8; 150 << 10]);
                     let r = mpi.irecv(Src::Rank(prev), TagSel::Is(i));
                     mpi.compute(us(321));
                     mpi.waitall(&[s, r]);
@@ -199,7 +199,7 @@ fn mpi_and_armci_agree_on_fabric_accounting() {
         move |mpi| {
             for i in 0..reps {
                 if mpi.rank() == 0 {
-                    mpi.send(1, i as u64, &vec![1u8; volume]);
+                    mpi.send(1, i as u64, vec![1u8; volume]);
                 } else {
                     mpi.recv(Src::Rank(0), TagSel::Is(i as u64));
                 }
@@ -212,7 +212,7 @@ fn mpi_and_armci_agree_on_fabric_accounting() {
         a.barrier();
         if a.rank() == 0 {
             for _ in 0..reps {
-                a.put(&mem, 1, 0, &vec![1u8; volume]);
+                a.put(&mem, 1, 0, vec![1u8; volume]);
             }
         }
         a.barrier();
