@@ -117,7 +117,7 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         for (src, b) in got.iter().enumerate() {
             assert_eq!(b.len(), block_bytes);
             assert!(
-                b.iter().all(|&x| x == (src * np + me) as u8),
+                crate::filled_with(b, (src * np + me) as u8),
                 "transpose corrupted"
             );
         }

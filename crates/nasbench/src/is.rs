@@ -64,7 +64,7 @@ pub fn run_is(mpi: &mut Mpi, p: &IsParams) {
         let key_blocks: Vec<Vec<u8>> = (0..np).map(|d| vec![(me + d) as u8; key_block]).collect();
         let got = mpi.alltoall(&key_blocks);
         for (src, b) in got.iter().enumerate() {
-            assert!(b.iter().all(|&x| x == (src + me) as u8));
+            assert!(crate::filled_with(b, (src + me) as u8));
         }
         // Local re-ranking of received keys.
         mpi.compute(rank_ns / 2);

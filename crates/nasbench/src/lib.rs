@@ -42,3 +42,9 @@ pub mod sp;
 
 pub use class::Class;
 pub use runner::{NasSummary, SectionSummary};
+
+/// True when every byte of a received block is `v`. No early exit, so the
+/// loop vectorises: this check is most of what FT and IS cost the host.
+fn filled_with(block: &[u8], v: u8) -> bool {
+    block.iter().fold(0u8, |diff, &x| diff | (x ^ v)) == 0
+}

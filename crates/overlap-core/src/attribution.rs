@@ -229,9 +229,11 @@ type Atom = (u64, u64, WaitCause, Option<u64>);
 fn call_atoms(calls: &CallSpans, all_waits: &[WaitInterval]) -> Vec<Atom> {
     let mut waits: Vec<&WaitInterval> = all_waits.iter().filter(|w| w.end > w.start).collect();
     waits.sort_by_key(|w| (w.start, w.end));
-    let mut atoms = Vec::new();
+    let spans = calls.spans(calls.last_t());
+    // Per wait: the gap before it and itself; per span: its trailing gap.
+    let mut atoms = Vec::with_capacity(2 * waits.len() + spans.size_hint().0);
     let mut wi = 0usize;
-    for (s, e, _) in calls.spans(calls.last_t()) {
+    for (s, e, _) in spans {
         let mut cursor = s;
         // Skip waits that ended before this span.
         while wi < waits.len() && waits[wi].end <= s {

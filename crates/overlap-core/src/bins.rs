@@ -7,12 +7,13 @@
 
 use serde::{Deserialize, Serialize};
 
-/// A partition of message sizes into contiguous bins.
+/// A partition of message sizes into contiguous bins. Immutable, so the
+/// copy each process's recorder and fold hold is a refcount bump.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq, Eq)]
 pub struct SizeBins {
     /// Upper edges (exclusive) of all but the last bin, strictly increasing.
     /// Bin `i` covers `[edges[i-1], edges[i])`; the final bin is unbounded.
-    edges: Vec<u64>,
+    edges: std::sync::Arc<[u64]>,
 }
 
 impl Default for SizeBins {
@@ -25,14 +26,14 @@ impl SizeBins {
     /// Default ladder: <1K, 1K–8K, 8K–64K, 64K–512K, 512K–4M, ≥4M.
     pub fn log_default() -> Self {
         SizeBins {
-            edges: vec![1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20],
+            edges: [1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20].into(),
         }
     }
 
     /// Coarse short/long split at an eager-threshold-like boundary.
     pub fn short_long(threshold: u64) -> Self {
         SizeBins {
-            edges: vec![threshold],
+            edges: [threshold].into(),
         }
     }
 
@@ -43,7 +44,9 @@ impl SizeBins {
             edges.windows(2).all(|w| w[0] < w[1]),
             "bin edges must be strictly increasing"
         );
-        SizeBins { edges }
+        SizeBins {
+            edges: edges.into(),
+        }
     }
 
     /// Number of bins (edges + 1).

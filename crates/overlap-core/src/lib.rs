@@ -20,7 +20,7 @@
 //! ## Structure (paper Figure 2)
 //!
 //! * [`recorder::Recorder`] — the per-process facade a communication library
-//!   calls into; owns a fixed-size circular **event queue**
+//!   calls into; owns a bounded circular **event queue**
 //!   ([`queue::EventRing`], the *data collection module*),
 //! * [`processor::Processor`] — the *data processing module*: folds events
 //!   into running overlap aggregates whenever the queue fills (no tracing,

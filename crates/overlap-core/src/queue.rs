@@ -1,10 +1,15 @@
-//! The fixed-size circular event queue (paper Figure 2, data collection
+//! The bounded circular event queue (paper Figure 2, data collection
 //! module).
 //!
-//! Events are logged into a statically sized ring; when it fills, the data
+//! Events are logged into a ring of fixed capacity; when it fills, the data
 //! processing module drains it and the head pointer resets. No tracing is
-//! performed and memory use is constant regardless of run length — the
+//! performed and memory use is bounded regardless of run length — the
 //! property that makes the approach scalable and low-overhead.
+//!
+//! The bound is a ceiling, not a reservation: the buffer is grown on demand
+//! (64 events, then doubling: at most seven steps to the default 4096, none
+//! after the first fill), so a process that logs a few hundred events holds
+//! a few KiB. Where the ring folds depends on `capacity` alone.
 
 use crate::event::Event;
 
@@ -14,37 +19,22 @@ use crate::event::Event;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RingFull(pub Event);
 
-/// Fixed-capacity event ring.
+/// Bounded event ring.
 #[derive(Debug)]
 pub struct EventRing {
+    /// Grown on demand; `buf.capacity() <= capacity` always.
     buf: Vec<Event>,
     capacity: usize,
 }
 
 impl EventRing {
     /// Create a ring holding at most `capacity` events (min 2: a call-enter /
-    /// call-exit pair must fit).
+    /// call-exit pair must fit). Allocates nothing until the first push.
     pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(2);
         EventRing {
-            buf: Vec::with_capacity(capacity),
-            capacity,
+            buf: Vec::new(),
+            capacity: capacity.max(2),
         }
-    }
-
-    /// Capacity in events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of events currently queued.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if no events are queued.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 
     /// True if the next push would overflow.
@@ -53,8 +43,8 @@ impl EventRing {
     }
 
     /// Append an event. When the ring is full the event is handed back in
-    /// [`RingFull`] instead of growing the buffer — the constant-memory
-    /// invariant holds in every build profile, not just under
+    /// [`RingFull`] instead of growing the buffer past `capacity` — the
+    /// bounded-memory invariant holds in every build profile, not just under
     /// `debug_assertions`. Callers drain (or fold) and retry.
     #[inline]
     #[must_use = "a rejected event must be folded or dropped explicitly"]
@@ -62,8 +52,20 @@ impl EventRing {
         if self.is_full() {
             return Err(RingFull(e));
         }
+        if self.buf.len() == self.buf.capacity() {
+            self.grow();
+        }
         self.buf.push(e);
         Ok(())
+    }
+
+    /// One growth step: 64 slots, then double, clipped to `capacity`
+    /// (`reserve_exact`: `Vec`'s own growth would round the bound up).
+    #[cold]
+    fn grow(&mut self) {
+        let have = self.buf.capacity();
+        let want = (have * 2).max(64).min(self.capacity);
+        self.buf.reserve_exact(want - have);
     }
 
     /// Drain all queued events in insertion order, resetting the head
@@ -91,13 +93,13 @@ mod tests {
         assert!(q.is_full());
         let times: Vec<u64> = q.drain().map(|e| e.t).collect();
         assert_eq!(times, vec![1, 2, 3]);
-        assert!(q.is_empty());
+        assert!(q.buf.is_empty());
         // Reusable after drain.
         q.push(ev(4)).unwrap();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.buf.len(), 1);
     }
 
-    /// The constant-memory bound must hold in *release* builds too (this
+    /// The memory bound must hold in *release* builds too (this
     /// test is profile-independent by design; CI runs it under
     /// `cargo test --release`): a push into a full ring is rejected and
     /// hands the event back rather than growing the Vec.
@@ -110,18 +112,88 @@ mod tests {
         let rejected = q.push(ev(3)).unwrap_err();
         assert_eq!(rejected, RingFull(ev(3)));
         // Still exactly at capacity; queued events untouched.
-        assert_eq!(q.len(), q.capacity());
+        assert_eq!(q.buf.len(), q.capacity);
         let times: Vec<u64> = q.drain().map(|e| e.t).collect();
         assert_eq!(times, vec![1, 2]);
         // Usable again after the drain.
         q.push(ev(4)).unwrap();
-        assert_eq!(q.len(), 1);
+        assert_eq!(q.buf.len(), 1);
+    }
+
+    #[test]
+    fn a_new_ring_has_allocated_nothing() {
+        let mut q = EventRing::new(4096);
+        assert_eq!(q.buf.capacity(), 0);
+        q.push(ev(1)).unwrap();
+        assert_eq!(q.buf.capacity(), 64);
+    }
+
+    /// The buffer grows in steps but never past the bound, also where the
+    /// bound is not a power of two (amortised `Vec` growth would overshoot).
+    #[test]
+    fn buffer_never_exceeds_a_non_power_of_two_capacity() {
+        for capacity in [3, 100, 1000] {
+            let mut q = EventRing::new(capacity);
+            let mut steps = 0;
+            for i in 0..capacity as u64 {
+                let before = q.buf.capacity();
+                q.push(ev(i)).unwrap();
+                assert!(q.buf.capacity() <= capacity);
+                steps += usize::from(q.buf.capacity() != before);
+            }
+            assert!(q.is_full());
+            assert_eq!(q.buf.capacity(), capacity);
+            assert!(steps <= 5, "{steps} growth steps to {capacity} slots");
+            assert_eq!(q.push(ev(0)).unwrap_err(), RingFull(ev(0)));
+            assert_eq!(q.buf.capacity(), capacity);
+        }
+    }
+
+    /// Growing on demand moves no fold point: the same event stream through
+    /// a ring reserved up front and through a grown one is rejected at the
+    /// same pushes, so `flushes` and the report are the same bytes.
+    #[test]
+    fn a_grown_ring_folds_where_a_presized_one_does() {
+        use crate::{processor::Processor, SizeBins, XferTimeTable};
+        let run = |mut ring: EventRing| {
+            let table = XferTimeTable::from_points(vec![(1, 400)]);
+            let mut proc = Processor::new(table, SizeBins::default());
+            let (mut t, mut events, mut flushes) = (0u64, 0u64, 0u64);
+            let mut log = |kind: EventKind, dt: u64| {
+                t += dt;
+                if let Err(RingFull(e)) = ring.push(Event::new(t, kind)) {
+                    ring.drain().for_each(|e| proc.process(e));
+                    flushes += 1;
+                    ring.push(e).unwrap();
+                }
+                events += 1;
+            };
+            for id in 0..300u64 {
+                log(EventKind::CallEnter { name: "Isend" }, 50);
+                log(EventKind::XferBegin { id, bytes: 100 }, 1);
+                log(EventKind::CallExit, 5);
+                log(EventKind::CallEnter { name: "Wait" }, 500);
+                log(EventKind::XferEnd { id, bytes: 100 }, 10);
+                log(EventKind::CallExit, 1);
+            }
+            ring.drain().for_each(|e| proc.process(e));
+            let report = proc.finish(t, 0, events, flushes + 1);
+            (flushes, serde_json::to_string(&report).unwrap())
+        };
+        let capacity = 100;
+        let grown = run(EventRing::new(capacity));
+        let presized = run(EventRing {
+            buf: Vec::with_capacity(capacity),
+            capacity,
+        });
+        assert_eq!(grown.0, 1800 / 100 - 1);
+        assert_eq!(grown, presized);
     }
 
     #[test]
     fn minimum_capacity_is_two() {
         let q = EventRing::new(0);
-        assert_eq!(q.capacity(), 2);
+        assert_eq!(q.capacity, 2);
     }
 
     #[test]
@@ -134,6 +206,6 @@ mod tests {
             assert!(q.is_full());
             assert_eq!(q.drain().count(), 8);
         }
-        assert_eq!(q.capacity(), 8);
+        assert_eq!(q.capacity, 8);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! A communication library owns one [`Recorder`] per process and calls into
 //! it from its instrumented entry points. The recorder stamps events with its
-//! [`Clock`], logs them into the fixed-size [`crate::queue::EventRing`], and
+//! [`Clock`], logs them into the bounded [`crate::queue::EventRing`], and
 //! folds the ring into the [`crate::processor::Processor`] whenever it fills
 //! — mirroring the paper's data collection / data processing split. With
 //! `enabled = false` every operation is a branch-and-return, which is how the

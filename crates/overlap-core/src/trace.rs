@@ -9,7 +9,7 @@
 //! * [`RankTrace`] — the per-process capture: the raw four-event stream plus
 //!   one derived [`BoundRecord`] per closed transfer. It is filled by the
 //!   processor *at fold time* (when the event ring drains), so the
-//!   instrumented library still only pushes into the fixed-size ring.
+//!   instrumented library still only pushes into the bounded ring.
 //! * [`TraceBundle`] — one scope's worth of rank traces plus fabric-side
 //!   [`ExtraEvent`]s (e.g. injected faults), labelled for grouping.
 //! * [`chrome_json`] — serializes bundles into the Chrome trace event format

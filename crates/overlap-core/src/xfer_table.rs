@@ -9,11 +9,12 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Piecewise-linear message-size → transfer-time table.
+/// Piecewise-linear message-size → transfer-time table. Immutable, so the
+/// copy each process of a run holds is a refcount bump.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct XferTimeTable {
     /// `(bytes, ns)` points, strictly increasing in bytes.
-    points: Vec<(u64, u64)>,
+    points: std::sync::Arc<[(u64, u64)]>,
 }
 
 impl XferTimeTable {
@@ -23,7 +24,9 @@ impl XferTimeTable {
         assert!(!points.is_empty(), "xfer table needs at least one point");
         points.sort_unstable_by_key(|&(b, _)| b);
         points.dedup_by_key(|&mut (b, _)| b);
-        XferTimeTable { points }
+        XferTimeTable {
+            points: points.into(),
+        }
     }
 
     /// Build by sampling a cost function at power-of-two sizes from
@@ -44,21 +47,6 @@ impl XferTimeTable {
             points.push((max_bytes, f(max_bytes)));
         }
         XferTimeTable::from_points(points)
-    }
-
-    /// Number of stored points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// True if the table has no points (never: construction requires one).
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-
-    /// The raw points.
-    pub fn points(&self) -> &[(u64, u64)] {
-        &self.points
     }
 
     /// Look up the transfer time for a `bytes`-sized message.

@@ -50,7 +50,7 @@ struct HandleState {
 pub struct Armci<'a> {
     ctx: &'a mut RankCtx,
     world: SharedWorld,
-    net: NetConfig,
+    net: std::sync::Arc<NetConfig>,
     rec: Recorder,
     rank: usize,
     nranks: usize,

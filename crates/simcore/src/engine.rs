@@ -108,6 +108,11 @@ pub(crate) struct EngineShared {
 }
 
 impl EngineShared {
+    /// Current virtual time.
+    pub(crate) fn now(&self) -> Time {
+        self.now.load(AtomicOrdering::Relaxed)
+    }
+
     fn next_seq(&self) -> u64 {
         self.seq.fetch_add(1, AtomicOrdering::Relaxed)
     }
@@ -149,7 +154,7 @@ pub struct EngineHandle {
 impl EngineHandle {
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        self.shared.now.load(AtomicOrdering::Relaxed)
+        self.shared.now()
     }
 
     /// Schedule `f` to run at absolute virtual time `t` (clamped to `now`).

@@ -72,10 +72,7 @@ impl RankCtx {
 
     /// Current virtual time.
     pub fn now(&self) -> Time {
-        EngineHandle {
-            shared: Arc::clone(&self.shared),
-        }
-        .now()
+        self.shared.now()
     }
 
     /// Engine handle (for scheduling events / waking other ranks from

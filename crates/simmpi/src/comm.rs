@@ -18,10 +18,12 @@ pub struct Comm {
 }
 
 impl Comm {
-    pub(crate) fn world(nranks: usize, my_rank: usize) -> Self {
+    /// The world communicator over `ranks`, the identity list `0..nranks`
+    /// that the harness builds once per run and every rank shares.
+    pub(crate) fn world(ranks: std::sync::Arc<[usize]>, my_rank: usize) -> Self {
         Comm {
             id: 0,
-            ranks: (0..nranks).collect(),
+            ranks,
             my_idx: my_rank,
         }
     }
@@ -53,7 +55,7 @@ mod tests {
 
     #[test]
     fn world_comm_is_identity() {
-        let c = Comm::world(4, 2);
+        let c = Comm::world((0..4).collect(), 2);
         assert_eq!(c.size(), 4);
         assert_eq!(c.rank(), 2);
         assert_eq!(c.world_rank(3), 3);

@@ -1,6 +1,8 @@
 //! Top-level harness: run an MPI program on a simulated cluster and collect
 //! per-rank overlap reports plus fabric ground truth.
 
+use std::sync::Arc;
+
 use overlap_core::{OverlapReport, RecorderOpts, XferTimeTable};
 use simcore::{ActivityLog, SimError, SimOpts, Time};
 use simnet::{Cluster, FaultEvent, NetConfig, TransferRecord};
@@ -58,9 +60,7 @@ impl MpiRunOutcome {
         }
         m
     }
-}
 
-impl MpiRunOutcome {
     /// Write every rank's report to `dir` as `overlap.rank<N>.json` — the
     /// paper's "output file is generated for each process" behaviour.
     pub fn write_reports(&self, dir: &std::path::Path) -> std::io::Result<Vec<std::path::PathBuf>> {
@@ -122,6 +122,9 @@ where
     if let Some(orc) = oracle {
         cluster.handle().set_oracle(orc);
     }
+    // Per-run values, built once; each rank's clone is a refcount bump.
+    let mpi_cfg = Arc::new(mpi_cfg);
+    let world_ranks: Arc<[usize]> = (0..nranks).collect();
     let (out, per_rank) = cluster.run_collect(opts, move |ctx, world| {
         let mut mpi = Mpi::init(
             ctx,
@@ -129,6 +132,7 @@ where
             mpi_cfg.clone(),
             table.clone(),
             rec_opts.clone(),
+            world_ranks.clone(),
         );
         body(&mut mpi);
         mpi.finalize()

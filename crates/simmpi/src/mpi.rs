@@ -24,6 +24,7 @@
 //! `simnet::world` module docs for why this is load-bearing).
 
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
@@ -159,8 +160,8 @@ impl Req {
 pub struct Mpi<'a> {
     ctx: &'a mut RankCtx,
     world: SharedWorld,
-    cfg: MpiConfig,
-    net: NetConfig,
+    cfg: Arc<MpiConfig>,
+    net: Arc<NetConfig>,
     pub(crate) rec: Recorder,
     rank: usize,
     nranks: usize,
@@ -205,13 +206,15 @@ pub struct Mpi<'a> {
 impl<'a> Mpi<'a> {
     /// Initialize the library on this rank (the `MPI_Init` analogue: loads
     /// the a-priori transfer-time table into the recorder and synchronizes
-    /// all ranks with a barrier).
+    /// all ranks with a barrier). Every argument after `ctx` is a per-run
+    /// value (`world_ranks` is `0..nranks`) whose clone is a refcount bump.
     pub fn init(
         ctx: &'a mut RankCtx,
         world: SharedWorld,
-        cfg: MpiConfig,
+        cfg: Arc<MpiConfig>,
         table: XferTimeTable,
         rec_opts: RecorderOpts,
+        world_ranks: Arc<[usize]>,
     ) -> Self {
         let rank = ctx.rank();
         let nranks = ctx.nranks();
@@ -261,7 +264,7 @@ impl<'a> Mpi<'a> {
             retrans_xfers: HashSet::new(),
             last_call: None,
             oracle,
-            world_comm: crate::comm::Comm::world(nranks, rank),
+            world_comm: crate::comm::Comm::world(world_ranks, rank),
         };
         mpi.call_enter("MPI_Init");
         mpi.barrier_inner();
@@ -326,7 +329,7 @@ impl<'a> Mpi<'a> {
             }
         }
         self.call_enter("MPI_Progress");
-        let t0 = self.ctx.handle().now();
+        let t0 = self.ctx.now();
         self.progress();
         if self.rec.wait_tracing() && self.net.poll_cost > 0 {
             // Exactly the poll quantum charged first inside `progress`, so
@@ -655,10 +658,10 @@ impl<'a> Mpi<'a> {
     /// (identical virtual time), but recorded as a registration wait so
     /// attribution can separate pinning cost from generic library overhead.
     fn reg_busy(&mut self, d: Duration) {
-        let t0 = self.ctx.handle().now();
+        let t0 = self.ctx.now();
         self.lib_busy(d);
         if self.rec.wait_tracing() {
-            let t1 = self.ctx.handle().now();
+            let t1 = self.ctx.now();
             self.rec.wait_state(t0, t1, WaitCause::Registration, None);
         }
     }
@@ -1178,12 +1181,6 @@ impl<'a> Mpi<'a> {
         }
     }
 
-    /// Reliability-layer counters for this rank (all zero on a loss-free
-    /// fabric).
-    pub fn reliability_stats(&self) -> RelStats {
-        self.rel.stats()
-    }
-
     /// Stamp the end of transfer `xfer`, then relabel the fabric-contention
     /// share of the delivering `edge` out of its trailing wire-drain wait.
     fn end_xfer(&mut self, xfer: u64, bytes: u64, edge: &CausalEdge) {
@@ -1582,9 +1579,9 @@ impl<'a> Mpi<'a> {
                 // time is what explains the wait. Recording adds zero
                 // virtual time, so traced runs stay time-identical.
                 let (mut cause, xfer) = self.classify_block();
-                let t0 = self.ctx.handle().now();
+                let t0 = self.ctx.now();
                 self.park();
-                let t1 = self.ctx.handle().now();
+                let t1 = self.ctx.now();
                 // The reliability layer runs while the rank is parked: if the
                 // very transfer this wait was pinned on got retransmitted in
                 // the meantime, loss recovery — not the pre-park protocol

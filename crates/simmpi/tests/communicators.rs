@@ -15,13 +15,22 @@ fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) {
     .expect("run failed");
 }
 
+/// The world communicator is the identity, and its member list is one
+/// allocation per run that every rank shares — not one per rank.
 #[test]
 fn comm_world_matches_world() {
-    run(4, |mpi| {
+    let lists = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen = lists.clone();
+    run(4, move |mpi| {
         let w = mpi.comm_world();
         assert_eq!(w.size(), 4);
         assert_eq!(w.rank(), mpi.rank());
+        assert_eq!(w.members(), &[0, 1, 2, 3]);
+        seen.lock().unwrap().push(w.members().as_ptr() as usize);
     });
+    let lists = lists.lock().unwrap();
+    assert_eq!(lists.len(), 4);
+    assert!(lists.iter().all(|&p| p == lists[0]), "{lists:x?}");
 }
 
 #[test]

@@ -62,10 +62,6 @@ pub struct NetConfig {
     pub faults: FaultPlan,
 }
 
-fn default_hop_latency() -> Duration {
-    us(1)
-}
-
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig::infiniband_2006()
@@ -90,7 +86,7 @@ impl NetConfig {
             switch_radix: None,
             inter_switch_extra: us(2),
             topology: TopologySpec::Flat,
-            hop_latency: default_hop_latency(),
+            hop_latency: us(1),
             background: None,
             faults: FaultPlan::none(),
         }

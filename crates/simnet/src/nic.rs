@@ -38,11 +38,6 @@ pub struct CausalEdge {
 }
 
 impl CausalEdge {
-    /// Total causal delay beyond the unloaded path, ns.
-    pub fn queued_ns(&self) -> u64 {
-        self.dma_queue_ns + self.ingress_queue_ns + self.hop_queue_ns + self.fault_extra_ns
-    }
-
     /// Fabric-contention share of the delay: time spent queued behind
     /// *other flows* in the network (shared links + ingress engine), as
     /// opposed to the local DMA queue or injected faults. This is what the

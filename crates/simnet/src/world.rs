@@ -211,7 +211,7 @@ struct Launch {
 
 /// All fabric state: NICs, registered memory, ground-truth transfer log.
 pub struct World {
-    cfg: NetConfig,
+    cfg: Arc<NetConfig>,
     handle: EngineHandle,
     nics: Vec<Nic>,
     mem: Vec<NodeMemory>,
@@ -255,7 +255,7 @@ impl World {
         let topo = cfg.build_topology(nnodes);
         let chans = Self::init_link_chans(&cfg, topo.as_ref(), nnodes);
         let world = Arc::new(Mutex::new(World {
-            cfg,
+            cfg: Arc::new(cfg),
             handle: handle.clone(),
             nics: (0..nnodes).map(|_| Nic::new()).collect(),
             mem: (0..nnodes).map(|_| NodeMemory::new()).collect(),
@@ -264,7 +264,9 @@ impl World {
             next_xfer: 0,
             transfers: Vec::new(),
             pending: Slab::new(),
-            links: std::collections::HashMap::new(),
+            // One entry per talking rank pair. The fabric's link count (the
+            // crossbar: 0) is a floor that skips a large job's early rehashes.
+            links: std::collections::HashMap::with_capacity(topo.links()),
             topo,
             chans,
             route_buf: Vec::new(),
@@ -501,8 +503,8 @@ impl World {
         true
     }
 
-    /// Fabric configuration.
-    pub fn cfg(&self) -> &NetConfig {
+    /// Fabric configuration (one per run: `clone()` is a refcount bump).
+    pub fn cfg(&self) -> &Arc<NetConfig> {
         &self.cfg
     }
 
