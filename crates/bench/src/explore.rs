@@ -31,6 +31,7 @@
 use std::path::{Path, PathBuf};
 
 use overlap_core::RecorderOpts;
+use simcore::oracle::splitmix64;
 use simcore::{
     ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle, SimError, SimOpts,
 };
@@ -511,15 +512,6 @@ pub fn explore_random(sc: &Scenario, budget: usize, seed: u64) -> ExploreStats {
     stats
 }
 
-/// splitmix64 for the guided strategy's mutation choices.
-fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Guided min/max-overlap search: hill-climb from the canonical schedule,
 /// mutating one choice of the best-known schedule per step. The first half
 /// of the budget *minimizes* the summed min-overlap bound (hunting
@@ -558,10 +550,10 @@ pub fn explore_guided(sc: &Scenario, budget: usize, seed: u64) -> ExploreStats {
                 break; // no choice points: nothing to mutate
             }
             let mut mutated = best_choices.clone();
-            let pos = (splitmix(&mut rng) % mutated.len() as u64) as usize;
+            let pos = (splitmix64(&mut rng) % mutated.len() as u64) as usize;
             let rec = &mut mutated[pos];
             if rec.arity > 1 {
-                let shift = 1 + (splitmix(&mut rng) % u64::from(rec.arity - 1)) as u32;
+                let shift = 1 + (splitmix64(&mut rng) % u64::from(rec.arity - 1)) as u32;
                 rec.choice = (rec.choice + shift) % rec.arity;
             }
             mutated.truncate(pos + 1); // canonical tail past the mutation

@@ -119,10 +119,6 @@ impl EngineShared {
 
     fn push(&self, time: Time, action: Action) {
         let seq = self.next_seq();
-        self.push_with_seq(time, seq, action);
-    }
-
-    fn push_with_seq(&self, time: Time, seq: u64, action: Action) {
         let mut buf = self.inbox.lock();
         buf.push(Entry { time, seq, action });
         // Release pairs with the Acquire load in `drain_inbox`.
@@ -192,27 +188,6 @@ impl EngineHandle {
     pub fn schedule_token(&self, t: Time, token: u64) {
         let t = t.max(self.now());
         self.shared.push(t, Action::Token(token));
-    }
-
-    /// Allocate the next global sequence number without scheduling anything.
-    ///
-    /// Entries are dispatched in `(time, seq)` order, so a model that wants
-    /// to *defer* inserting an event (e.g. simnet's per-link delivery
-    /// batching) can claim its place in program order now and hand the seq
-    /// back later via [`EngineHandle::schedule_token_seq`]; the dispatch
-    /// order is then byte-identical to scheduling eagerly, as long as the
-    /// entry is inserted before its due time is reached.
-    pub fn alloc_seq(&self) -> u64 {
-        self.shared.next_seq()
-    }
-
-    /// Schedule a token with a sequence number previously claimed via
-    /// [`EngineHandle::alloc_seq`] (`t` is clamped to `now`). Reusing or
-    /// fabricating sequence numbers does not break memory safety but does
-    /// destroy the deterministic total order — use only as documented.
-    pub fn schedule_token_seq(&self, t: Time, seq: u64, token: u64) {
-        let t = t.max(self.now());
-        self.shared.push_with_seq(t, seq, Action::Token(token));
     }
 
     /// Install a schedule oracle controlling the engine's nondeterminism
@@ -1027,28 +1002,6 @@ mod tests {
         // finishes, so the run completes cleanly.
         err.unwrap();
         assert_eq!(&*seen.lock(), &[1, -1, 2]);
-    }
-
-    #[test]
-    fn deferred_seq_tokens_keep_program_order() {
-        // A token scheduled late with a pre-allocated seq must dispatch in
-        // the order the seq was claimed, not the order it reached the queue.
-        let sim = Simulation::new(1);
-        let handle = sim.handle();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        handle.set_token_handler(move |h, tok| {
-            seen2.lock().push(tok);
-            if tok == 3 {
-                h.wake_rank(0);
-            }
-        });
-        let early = handle.alloc_seq(); // claimed first...
-        handle.schedule_token(50, 2); // ...but inserted second
-        handle.schedule_token_seq(50, early, 1);
-        handle.schedule_token(50, 3);
-        sim.run(SimOpts::default(), |ctx| ctx.park()).unwrap();
-        assert_eq!(&*seen.lock(), &[1, 2, 3]);
     }
 
     fn spawn_failure_drains(runtime: RankRuntime) {

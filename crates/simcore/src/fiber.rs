@@ -12,9 +12,10 @@
 //!
 //! * Stacks are `mmap`ed with a `PROT_NONE` guard page at the low end, so a
 //!   rank body that overruns its stack faults loudly instead of silently
-//!   corrupting the heap. Released stacks park in a process-global pool and
-//!   are reused by later simulations — steady-state runs allocate no stack
-//!   memory at all.
+//!   corrupting the heap. Up to `POOL_CAP` released stacks park in a
+//!   process-global pool and are reused by later simulations, so a run of
+//!   at most that many ranks maps no stack after the first; a larger fleet
+//!   (`halo-4k` spawns 4096) maps and unmaps the excess on every run.
 //! * The context switch saves the sysv64 callee-saved registers plus the
 //!   stack pointer and restores the peer's; everything else is handled by
 //!   the compiler around the `extern` call boundary.
@@ -77,7 +78,8 @@ struct RawStack {
 }
 
 // SAFETY: a `RawStack` is just an owned memory range; the pool moves it
-// between threads while no fiber is running on it.
+// between threads while no fiber is running on it. (`STACK_POOL` is the only
+// reason this impl exists: a `static` must be `Sync`.)
 unsafe impl Send for RawStack {}
 
 impl RawStack {
@@ -123,6 +125,12 @@ impl Drop for RawStack {
 
 /// Process-global pool of released stacks ("the fiber arena"): bounded so a
 /// one-off huge fleet cannot pin memory forever.
+///
+/// Kept on measurement, not on faith (PR 23: `benchmark/`, ten-second runs,
+/// alternating, with the pool → without): `serve-bulk` `peak_rss_mb`
+/// 77.9–82.9 → 87.3–93.7, worse in five of five pairs;
+/// `simcore.fiber.spawn_us` median 9.9 → 11.3 over three runs each, ranges
+/// overlapping; `suite` and `halo4k` `wall_s` unresolved.
 static STACK_POOL: Mutex<Vec<RawStack>> = Mutex::new(Vec::new());
 const POOL_CAP: usize = 1024;
 

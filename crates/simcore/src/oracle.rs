@@ -172,20 +172,25 @@ impl RandomOracle {
             state: seed ^ 0x9e37_79b9_7f4a_7c15,
         }
     }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 }
 
 impl ScheduleOracle for RandomOracle {
     fn choose(&mut self, point: ChoicePoint) -> usize {
-        (self.next_u64() % point.arity().max(1) as u64) as usize
+        (splitmix64(&mut self.state) % point.arity().max(1) as u64) as usize
     }
+}
+
+/// One step of the splitmix64 generator: advance `state` by the golden
+/// gamma and return its finalizer mix. The workspace's one copy — every
+/// seeded stream (schedules, fault draws, ECMP spread, background
+/// de-phasing) is a sequence of these; as a stateless hash of `x`, step a
+/// throwaway copy of `x`.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
 }
 
 /// Replays a recorded decision prefix, then falls back to canonical choice

@@ -20,6 +20,7 @@ pub enum ProgressModel {
     /// compute slowdown and as the `progress_steal` wait cause.
     AsyncRank {
         /// Virtual-time distance between progress-fiber poll boundaries, ns.
+        /// Must be > 0: `Mpi::init` panics otherwise.
         poll_interval: simcore::Duration,
     },
     /// Unexpected eager messages are matched and copied into the library's

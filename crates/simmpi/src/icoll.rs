@@ -71,7 +71,7 @@ pub(crate) struct ICollState {
 }
 
 impl ICollState {
-    pub(crate) fn take_result(mut self) -> CollResult {
+    fn take_result(mut self) -> CollResult {
         self.result.take().expect("collective incomplete")
     }
 }
@@ -247,25 +247,45 @@ impl Mpi<'_> {
             if self.icoll_done(h) {
                 break;
             }
-            self.icoll_park();
+            self.wait_for_event();
         }
-        let result = self.icoll_take(h);
+        let result = self
+            .icolls
+            .remove(&h.0)
+            .expect("collective already taken")
+            .take_result();
         self.rec.call_exit();
         result
     }
 
+    fn icoll_insert(&mut self, st: ICollState) -> CollHandle {
+        let id = self.next_icoll;
+        self.next_icoll += 1;
+        self.icolls.insert(id, st);
+        CollHandle(id)
+    }
+
+    fn icoll_done(&self, h: CollHandle) -> bool {
+        self.icolls.get(&h.0).map(|s| s.done).unwrap_or(true)
+    }
+
     // ---- machine advancement (called from `progress`) ---------------------
 
-    pub(crate) fn advance_collectives_impl(&mut self) {
-        let ids = self.icoll_ids();
+    pub(crate) fn advance_collectives(&mut self) {
+        if self.icolls.is_empty() {
+            return;
+        }
+        let mut ids: Vec<u64> = self.icolls.keys().copied().collect();
+        ids.sort_unstable();
         for id in ids {
-            let Some(mut st) = self.icoll_remove(id) else {
+            // Out of the map while it advances: `advance_one` needs `&mut self`.
+            let Some(mut st) = self.icolls.remove(&id) else {
                 continue;
             };
             if !st.done {
                 self.advance_one(&mut st);
             }
-            self.icoll_put_back(id, st);
+            self.icolls.insert(id, st);
         }
     }
 

@@ -182,8 +182,8 @@ pub struct Mpi<'a> {
     /// Count of `comm_split` calls (world-collective, so all ranks agree).
     split_seq: u64,
     /// Active non-blocking collectives, advanced by the progress engine.
-    icolls: HashMap<u64, crate::icoll::ICollState>,
-    next_icoll: u64,
+    pub(crate) icolls: HashMap<u64, crate::icoll::ICollState>,
+    pub(crate) next_icoll: u64,
     /// Sequence/ACK/retransmission layer; pass-through on loss-free fabrics.
     rel: Reliability,
     /// Transfers the reliability layer had to retransmit (timeout or NACK).
@@ -216,6 +216,12 @@ impl<'a> Mpi<'a> {
         rec_opts: RecorderOpts,
         world_ranks: Arc<[usize]>,
     ) -> Self {
+        // A zero interval never shrinks `compute`'s remaining time, so the
+        // run would spin on progress wakes forever.
+        assert!(
+            !matches!(cfg.progress, ProgressModel::AsyncRank { poll_interval: 0 }),
+            "ProgressModel::AsyncRank: poll_interval must be > 0"
+        );
         let rank = ctx.rank();
         let nranks = ctx.nranks();
         let handle = ctx.handle();
@@ -1571,7 +1577,7 @@ impl<'a> Mpi<'a> {
     }
 
     /// Park until the NIC has something for us (unless it already does).
-    fn wait_for_event(&mut self) {
+    pub(crate) fn wait_for_event(&mut self) {
         let has = self.world.lock().has_host_events(self.rank);
         if !has {
             if self.rec.wait_tracing() {
@@ -1795,53 +1801,6 @@ impl<'a> Mpi<'a> {
         let s = self.split_seq;
         self.split_seq += 1;
         s
-    }
-
-    // ---- non-blocking collective plumbing (see `icoll`) -------------------
-
-    pub(crate) fn advance_collectives(&mut self) {
-        if !self.icolls.is_empty() {
-            self.advance_collectives_impl();
-        }
-    }
-
-    pub(crate) fn icoll_insert(
-        &mut self,
-        st: crate::icoll::ICollState,
-    ) -> crate::icoll::CollHandle {
-        let id = self.next_icoll;
-        self.next_icoll += 1;
-        self.icolls.insert(id, st);
-        crate::icoll::CollHandle(id)
-    }
-
-    pub(crate) fn icoll_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.icolls.keys().copied().collect();
-        ids.sort_unstable();
-        ids
-    }
-
-    pub(crate) fn icoll_remove(&mut self, id: u64) -> Option<crate::icoll::ICollState> {
-        self.icolls.remove(&id)
-    }
-
-    pub(crate) fn icoll_put_back(&mut self, id: u64, st: crate::icoll::ICollState) {
-        self.icolls.insert(id, st);
-    }
-
-    pub(crate) fn icoll_done(&self, h: crate::icoll::CollHandle) -> bool {
-        self.icolls.get(&h.0).map(|s| s.done).unwrap_or(true)
-    }
-
-    pub(crate) fn icoll_take(&mut self, h: crate::icoll::CollHandle) -> crate::icoll::CollResult {
-        self.icolls
-            .remove(&h.0)
-            .expect("collective already taken")
-            .take_result()
-    }
-
-    pub(crate) fn icoll_park(&mut self) {
-        self.wait_for_event();
     }
 }
 

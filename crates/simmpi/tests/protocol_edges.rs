@@ -184,3 +184,34 @@ fn many_small_messages_interleaved_with_one_huge() {
         }
     });
 }
+
+#[test]
+fn zero_poll_interval_is_refused_not_spun_on() {
+    // `ProgressModel::parse` refuses `interval=0`; a struct literal reaches
+    // the library. The event limit bounds the run if the refusal is lost.
+    let net = NetConfig::default();
+    let err = simmpi::run_mpi_with(
+        2,
+        net.clone(),
+        MpiConfig {
+            progress: simmpi::ProgressModel::AsyncRank { poll_interval: 0 },
+            ..MpiConfig::default()
+        },
+        RecorderOpts::default(),
+        simmpi::default_xfer_table(&net),
+        simcore::SimOpts {
+            max_events: Some(200_000),
+            ..Default::default()
+        },
+        None,
+        |mpi| mpi.compute(1_000),
+    )
+    .expect_err("a zero poll interval must be refused");
+    match err {
+        simcore::SimError::RankPanic { message, .. } => {
+            assert!(message.contains("poll_interval must be > 0"), "{message}");
+            assert!(!message.contains('\n'), "{message}");
+        }
+        other => panic!("expected a rank panic, got {other}"),
+    }
+}

@@ -622,13 +622,10 @@ fn flow_hash(src: u64, dst: u64) -> u64 {
     mix64(src << 32 | dst)
 }
 
-/// splitmix64 finalizer — shared by flow hashing and the background
-/// tenant's per-link schedule de-phasing.
-pub(crate) fn mix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// splitmix64 as a stateless hash — shared by flow hashing and the
+/// background tenant's per-link schedule de-phasing.
+pub(crate) fn mix64(mut x: u64) -> u64 {
+    simcore::oracle::splitmix64(&mut x)
 }
 
 /// Parsed topology selection, storable in a `NetConfig` and buildable into

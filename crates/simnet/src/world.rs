@@ -113,7 +113,6 @@ enum Pending {
     /// Fetch-and-add reply delivering the previous value to the initiator.
     FetchAddReply {
         initiator: usize,
-        target: usize,
         wr: WrId,
         user: u64,
         old: u64,
@@ -147,40 +146,8 @@ enum Pending {
     },
     /// NIC-side match notification (hw tag matching): a bare completion
     /// delivered to `to`'s CQ one control latency after the matching NIC
-    /// (`from`) resolved a synchronous send.
-    HwAck {
-        from: usize,
-        to: usize,
-        wr: WrId,
-        user: u64,
-    },
-}
-
-/// Per-directed-link delivery batching state (see [`World::schedule_pending`]).
-///
-/// At most one *time-cohort* of a link's events sits in the engine wheel at
-/// once; the rest wait here in a time-sorted queue with their sequence
-/// numbers already claimed, and are promoted cohort-by-cohort as the link's
-/// in-wheel events dispatch. A burst of back-to-back sends therefore costs
-/// one wheel insertion at a time — each entering close to its due tick, so
-/// it lands in a low wheel level and never cascades — instead of scattering
-/// the whole burst across high wheel levels up front.
-///
-/// Determinism invariant: every deferred time is strictly greater than
-/// `wheel_max` (the latest in-wheel time of this link), so a promotion —
-/// which happens while dispatching an in-wheel event — always inserts
-/// entries *before* their due tick, and the engine's `(time, seq)` dispatch
-/// order (including event-tie candidate sets seen by the schedule oracle) is
-/// byte-identical to eager scheduling.
-#[derive(Default)]
-struct LinkState {
-    /// This link's entries currently in the engine wheel.
-    in_wheel: u32,
-    /// Latest due time among the in-wheel entries.
-    wheel_max: Time,
-    /// Deferred `(time, seq, token)` entries, sorted by time (stable for
-    /// equal times, which preserves program-order seq within a cohort).
-    deferred: std::collections::VecDeque<(Time, u64, u64)>,
+    /// resolved a synchronous send.
+    HwAck { to: usize, wr: WrId, user: u64 },
 }
 
 /// Per-shared-link channel: virtual-time occupancy reservations plus the
@@ -221,9 +188,6 @@ pub struct World {
     transfers: Vec<TransferRecord>,
     /// Free-list arena of in-flight operations, keyed by scheduling token.
     pending: Slab<Pending>,
-    /// Delivery batching per directed `(src, dst)` link; sparse, since most
-    /// rank pairs never talk.
-    links: std::collections::HashMap<(usize, usize), LinkState>,
     /// The fabric topology, shared (`Arc`) so per-rank state stays lean.
     topo: Arc<dyn Topology>,
     /// Per-shared-link occupancy channels, indexed by topology link id.
@@ -264,9 +228,6 @@ impl World {
             next_xfer: 0,
             transfers: Vec::new(),
             pending: Slab::new(),
-            // One entry per talking rank pair. The fabric's link count (the
-            // crossbar: 0) is a floor that skips a large job's early rehashes.
-            links: std::collections::HashMap::with_capacity(topo.links()),
             topo,
             chans,
             route_buf: Vec::new(),
@@ -292,9 +253,7 @@ impl World {
     /// ordering rule), in the same order the closure-based paths used.
     fn dispatch(world: &SharedWorld, h: &EngineHandle, token: u64) {
         let mut w = world.lock();
-        let op = w.pending.remove(token as usize);
-        w.link_dispatched(Self::link_of(&op));
-        match op {
+        match w.pending.remove(token as usize) {
             Pending::SendDeliver {
                 src,
                 dst,
@@ -404,7 +363,6 @@ impl World {
                     arrival,
                     Pending::FetchAddReply {
                         initiator,
-                        target,
                         wr,
                         user,
                         old,
@@ -414,7 +372,6 @@ impl World {
             }
             Pending::FetchAddReply {
                 initiator,
-                target: _,
                 wr,
                 user,
                 old,
@@ -481,12 +438,7 @@ impl World {
                     h.wake_rank(target);
                 }
             }
-            Pending::HwAck {
-                from: _,
-                to,
-                wr,
-                user,
-            } => {
+            Pending::HwAck { to, wr, user } => {
                 w.nics[to].complete(wr, user, None, [0; 3], CausalEdge::default());
                 drop(w);
                 h.wake_rank(to);
@@ -775,87 +727,11 @@ impl World {
         }
     }
 
-    /// The directed link an operation's scheduled event travels, used as the
-    /// delivery-batching key. Local-only events (e.g. a drop's completion)
-    /// use the self-link.
-    fn link_of(op: &Pending) -> (usize, usize) {
-        match op {
-            Pending::SendDeliver { src, dst, .. } => (*src, *dst),
-            Pending::SendDropComplete { src, .. } => (*src, *src),
-            Pending::DupDeliver { dst, packet } => (packet.src, *dst),
-            Pending::WriteApply { src, dst, .. } => (*src, *dst),
-            Pending::AccApply { src, dst, .. } => (*src, *dst),
-            Pending::FetchAddRequest {
-                initiator, target, ..
-            } => (*initiator, *target),
-            Pending::FetchAddReply {
-                initiator, target, ..
-            } => (*target, *initiator),
-            Pending::ReadRequest {
-                initiator, target, ..
-            } => (*initiator, *target),
-            Pending::ReadReply {
-                initiator, target, ..
-            } => (*target, *initiator),
-            Pending::HwAck { from, to, .. } => (*from, *to),
-        }
-    }
-
-    /// Park `op` in the pending arena and schedule its token for `at` —
-    /// either straight into the engine wheel or, when every in-wheel event
-    /// of its link is strictly earlier, into the link's deferred queue with
-    /// its sequence number pre-claimed (see [`LinkState`] for why dispatch
-    /// order is unchanged).
+    /// Park `op` in the pending arena and put its token on the engine wheel
+    /// for `at`: one slab write and one wheel entry, at post time.
     fn schedule_pending(&mut self, at: Time, op: Pending) {
-        let link = Self::link_of(&op);
         let token = self.pending.insert(op) as u64;
-        // Claim the entry's place in the global program order now; whether
-        // it reaches the wheel eagerly or via a later promotion, it
-        // dispatches at the same point.
-        let seq = self.handle.alloc_seq();
-        let st = self.links.entry(link).or_default();
-        if st.in_wheel > 0 && at > st.wheel_max {
-            // Time-sorted insert, from the back: arrivals on a link are
-            // monotone except under fault delays, so this is O(1) appends in
-            // the common case. Equal times keep insertion (= seq) order.
-            let mut pos = st.deferred.len();
-            while pos > 0 && st.deferred[pos - 1].0 > at {
-                pos -= 1;
-            }
-            st.deferred.insert(pos, (at, seq, token));
-        } else {
-            st.in_wheel += 1;
-            st.wheel_max = st.wheel_max.max(at);
-            self.handle.schedule_token_seq(at, seq, token);
-        }
-    }
-
-    /// Account for one of `link`'s in-wheel events having dispatched; once
-    /// the link's wheel occupancy drains, promote the next deferred
-    /// time-cohort (every entry sharing the earliest deferred time enters
-    /// together, so event-tie candidate sets match eager scheduling).
-    fn link_dispatched(&mut self, link: (usize, usize)) {
-        let Some(st) = self.links.get_mut(&link) else {
-            return;
-        };
-        debug_assert!(st.in_wheel > 0, "dispatch for link with empty wheel share");
-        st.in_wheel -= 1;
-        if st.in_wheel > 0 {
-            return;
-        }
-        let Some(&(t0, _, _)) = st.deferred.front() else {
-            st.wheel_max = 0;
-            return;
-        };
-        st.wheel_max = t0;
-        while let Some(&(t, seq, tok)) = st.deferred.front() {
-            if t != t0 {
-                break;
-            }
-            st.deferred.pop_front();
-            st.in_wheel += 1;
-            self.handle.schedule_token_seq(t, seq, tok);
-        }
+        self.handle.schedule_token(at, token);
     }
 
     /// Post a two-sided send. The packet lands in `dst`'s receive queue and a
@@ -1362,7 +1238,7 @@ impl World {
     fn hw_schedule_ack(&mut self, from: usize, to: usize, user: u64) {
         let wr = self.alloc_wr();
         let at = self.now() + self.latency(from, to);
-        self.schedule_pending(at, Pending::HwAck { from, to, wr, user });
+        self.schedule_pending(at, Pending::HwAck { to, wr, user });
     }
 
     /// Start the NIC-initiated rendezvous pull for a matched RTS.
