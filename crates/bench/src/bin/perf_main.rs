@@ -104,8 +104,9 @@ fn main() {
         println!("{sz:>10}  {t:>12}");
     }
     let table = XferTimeTable::from_points(points);
-    table
-        .save(std::path::Path::new(&out_path))
-        .expect("failed to write table");
+    if let Err(e) = table.save(std::path::Path::new(&out_path)) {
+        eprintln!("perf_main: cannot write {out_path}: {e}");
+        std::process::exit(1);
+    }
     println!("wrote {out_path}");
 }

@@ -63,10 +63,18 @@ fn main() {
             })
         })
         .unwrap_or(Class::A);
-    let np: usize = args
-        .get(2)
-        .map(|s| s.parse().expect("np must be a number"))
-        .unwrap_or(4);
+    let np = match args.get(2).map(|s| s.parse::<usize>()) {
+        None => 4,
+        Some(Ok(np)) => np,
+        Some(Err(_)) => {
+            eprintln!("np must be a number, got '{}'", args[2]);
+            std::process::exit(2);
+        }
+    };
+    if let Err(e) = bench.check_np(np) {
+        eprintln!("{e}");
+        std::process::exit(2);
+    }
 
     eprintln!("running {} class {class} on {np} ranks...", bench.name());
     let art = run_benchmark(

@@ -3,9 +3,13 @@
 /// Side of the square process grid required by BT/SP. Panics if `np` is not
 /// a perfect square (matching NPB's requirement).
 pub fn square_side(np: usize) -> usize {
+    try_square_side(np).unwrap_or_else(|| panic!("BT/SP require a square process count, got {np}"))
+}
+
+/// [`square_side`], or `None` when `np` is not a perfect square.
+pub(crate) fn try_square_side(np: usize) -> Option<usize> {
     let q = (np as f64).sqrt().round() as usize;
-    assert_eq!(q * q, np, "BT/SP require a square process count, got {np}");
-    q
+    (q * q == np).then_some(q)
 }
 
 /// Near-square 2-D factorization for power-of-two counts (CG/LU style):

@@ -57,6 +57,29 @@ impl NasBenchmark {
         }
     }
 
+    /// Whether `np` ranks can run this benchmark: at least one, and of the
+    /// shape its decomposition in [`crate::grid`] asserts. The error names
+    /// the requirement in one line.
+    pub fn check_np(&self, np: usize) -> Result<(), String> {
+        use NasBenchmark::*;
+        let name = self.name();
+        if np == 0 {
+            return Err(format!("{name} requires at least one process, got 0"));
+        }
+        let (ok, shape) = match self {
+            Bt | Sp | SpModified => (crate::grid::try_square_side(np).is_some(), "a square"),
+            Cg | Lu | MgMpi | MgArmciBlocking | MgArmciNonBlocking => {
+                (np.is_power_of_two(), "a power-of-two")
+            }
+            Ft | FtNb | Ep | Is => return Ok(()),
+        };
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("{name} requires {shape} process count, got {np}"))
+        }
+    }
+
     /// The communication environment the paper characterized this benchmark
     /// in (Sec. 4): BT and CG under Open MPI's pipelined mode; LU, FT and SP
     /// under MVAPICH2; MG under ARMCI.

@@ -58,8 +58,7 @@ use crate::trace::RankTrace;
 pub enum WaitCause {
     /// Receiver blocked before the matching send arrived (unmatched recv).
     LateSender,
-    /// Sender blocked on the receiver: rendezvous data not yet pulled, or a
-    /// synchronous send's receiver-matched ACK outstanding.
+    /// Sender blocked on the receiver: rendezvous data not yet pulled.
     LateReceiver,
     /// Rendezvous control handshake in flight (RTS posted, CTS not back).
     RendezvousHandshake,

@@ -87,26 +87,6 @@ impl Recorder {
         }
     }
 
-    /// Whether instrumentation is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Suspend event recording (the paper's application-level control over
-    /// which code regions are monitored). While paused, the gap in the event
-    /// stream is indistinguishable from user computation, so pause/resume
-    /// must bracket whole call-free regions — pausing *inside* a library
-    /// call would corrupt depth tracking (debug-asserted by the processor on
-    /// the next event).
-    pub fn pause(&mut self) {
-        self.enabled = false;
-    }
-
-    /// Resume event recording after [`Recorder::pause`].
-    pub fn resume(&mut self) {
-        self.enabled = true;
-    }
-
     /// Current time from the recorder's clock.
     pub fn now(&self) -> u64 {
         self.clock.now()
@@ -364,32 +344,6 @@ mod tests {
         let report = r.finish();
         assert_eq!(report.events_recorded, 0);
         assert_eq!(report.total.transfers, 0);
-    }
-
-    #[test]
-    fn pause_excludes_a_region_from_monitoring() {
-        let clock = ManualClock::new();
-        let mut r = recorder(&clock, 64);
-        // Monitored exchange.
-        r.call_enter("Recv");
-        clock.advance(10);
-        r.xfer_end(1, 100);
-        r.call_exit();
-        // Unmonitored exchange.
-        r.pause();
-        r.call_enter("Recv");
-        clock.advance(10);
-        r.xfer_end(2, 100);
-        r.call_exit();
-        r.resume();
-        // Monitored again.
-        r.call_enter("Recv");
-        clock.advance(10);
-        r.xfer_end(3, 100);
-        r.call_exit();
-        let report = r.finish();
-        assert_eq!(report.total.transfers, 2, "paused transfer must not count");
-        assert_eq!(report.calls["Recv"].count, 2);
     }
 
     #[test]

@@ -15,7 +15,6 @@ const PT_MSG: u16 = 20;
 const WK_IGNORE: u64 = 0;
 const WK_PUT: u64 = 1;
 const WK_GET: u64 = 2;
-const WK_RMW: u64 = 3;
 
 fn pack(kind: u64, h: u64) -> u64 {
     (kind << 56) | h
@@ -39,11 +38,10 @@ pub struct GlobalMem {
 
 struct HandleState {
     done: bool,
-    /// (xfer id, len) for the END stamp at completion; `None` for atomics.
-    stamp: Option<(u64, u64)>,
+    /// (xfer id, len) for the END stamp at completion.
+    stamp: (u64, u64),
     /// Fetched data for gets.
     data: Option<Bytes>,
-    is_put: bool,
 }
 
 /// The per-rank ARMCI library endpoint.
@@ -56,8 +54,6 @@ pub struct Armci<'a> {
     nranks: usize,
     handles: HashMap<u64, HandleState>,
     next_handle: u64,
-    /// Implicit-handle puts not yet fenced.
-    outstanding_puts: Vec<NbHandle>,
     /// Internal message layer receive buffer.
     msgs: VecDeque<(usize, u64, Bytes)>,
     coll_seq: u64,
@@ -86,7 +82,6 @@ impl<'a> Armci<'a> {
             nranks,
             handles: HashMap::new(),
             next_handle: 0,
-            outstanding_puts: Vec::new(),
             msgs: VecDeque::new(),
             coll_seq: 0,
         };
@@ -163,23 +158,13 @@ impl<'a> Armci<'a> {
         GlobalMem { regions, seg_len }
     }
 
-    /// Direct access to this rank's own segment (local load/store).
+    /// Read from this rank's own segment (local load).
     pub fn local_read(&mut self, mem: &GlobalMem, off: usize, len: usize) -> Vec<u8> {
         let w = self.world.lock();
         w.mem(self.rank)
             .get(mem.regions[self.rank])
             .expect("segment")[off..off + len]
             .to_vec()
-    }
-
-    /// Write into this rank's own segment.
-    pub fn local_write(&mut self, mem: &GlobalMem, off: usize, data: &[u8]) {
-        let mut w = self.world.lock();
-        let seg = w
-            .mem_mut(self.rank)
-            .get_mut(mem.regions[self.rank])
-            .expect("segment");
-        seg[off..off + data.len()].copy_from_slice(data);
     }
 
     /// Non-blocking one-sided put: RDMA Write `data` into `dst`'s segment at
@@ -224,70 +209,12 @@ impl<'a> Armci<'a> {
         data.expect("get returns data")
     }
 
-    /// One-sided accumulate: elementwise `f64` addition into `dst`'s
-    /// segment (`ARMCI_Acc` with `ARMCI_ACC_DBL`). Blocking.
-    pub fn acc(&mut self, mem: &GlobalMem, dst: usize, off: usize, vals: &[f64]) {
-        self.rec.call_enter("ARMCI_Acc");
-        let h = self.acc_inner(mem, dst, off, vals);
-        self.wait_inner(h);
-        self.rec.call_exit();
-    }
-
-    /// Non-blocking accumulate.
-    pub fn nb_acc(&mut self, mem: &GlobalMem, dst: usize, off: usize, vals: &[f64]) -> NbHandle {
-        self.rec.call_enter("ARMCI_NbAcc");
-        let h = self.acc_inner(mem, dst, off, vals);
-        self.rec.call_exit();
-        h
-    }
-
-    /// Atomic fetch-and-add on a `u64` in `dst`'s segment (`ARMCI_Rmw`
-    /// with `ARMCI_FETCH_AND_ADD_LONG`): adds `delta` and returns the
-    /// previous value. Blocking; the update is performed at the target NIC
-    /// without host involvement.
-    pub fn rmw_fetch_add(&mut self, mem: &GlobalMem, dst: usize, off: usize, delta: u64) -> u64 {
-        self.rec.call_enter("ARMCI_Rmw");
-        self.progress();
-        assert!(off + 8 <= mem.seg_len, "rmw out of segment bounds");
-        assert!(off.is_multiple_of(8), "rmw offset must be 8-aligned");
-        self.lib_busy(self.net.post_cost);
-        let h = self.alloc_handle();
-        {
-            let mut w = self.world.lock();
-            w.post_rdma_fetch_add(
-                self.rank,
-                dst,
-                mem.regions[dst],
-                off,
-                delta,
-                pack(WK_RMW, h),
-            );
-        }
-        // Synchronization primitive, not a data transfer: no overlap stamps.
-        let h = self.track(h, None, false);
-        let data = self.wait_inner(h).expect("rmw returns the old value");
-        self.rec.call_exit();
-        u64::from_le_bytes(data[..8].try_into().unwrap())
-    }
-
     /// Wait for one non-blocking operation; returns fetched data for gets.
     pub fn wait(&mut self, h: NbHandle) -> Option<Bytes> {
         self.rec.call_enter("ARMCI_Wait");
         let d = self.wait_inner(h);
         self.rec.call_exit();
         d
-    }
-
-    /// Complete every outstanding put to every target (`ARMCI_AllFence`).
-    pub fn all_fence(&mut self) {
-        self.rec.call_enter("ARMCI_AllFence");
-        let pending = std::mem::take(&mut self.outstanding_puts);
-        for h in pending {
-            if self.handles.contains_key(&h.0) {
-                self.wait_inner(h);
-            }
-        }
-        self.rec.call_exit();
     }
 
     /// Global synchronization (`armci_msg_barrier`).
@@ -383,33 +310,7 @@ impl<'a> Armci<'a> {
                 Some(x),
             );
         }
-        self.track(h, Some((xfer, len)), true)
-    }
-
-    fn acc_inner(&mut self, mem: &GlobalMem, dst: usize, off: usize, vals: &[f64]) -> NbHandle {
-        self.progress();
-        assert!(
-            off + vals.len() * 8 <= mem.seg_len,
-            "acc out of segment bounds"
-        );
-        self.lib_busy(self.net.post_cost);
-        let h = self.alloc_handle();
-        let xfer;
-        {
-            let mut w = self.world.lock();
-            let x = w.alloc_xfer_id();
-            xfer = x.0;
-            w.post_rdma_acc_f64(
-                self.rank,
-                dst,
-                mem.regions[dst],
-                off,
-                vals.to_vec(),
-                pack(WK_PUT, h),
-                Some(x),
-            );
-        }
-        self.track(h, Some((xfer, (vals.len() * 8) as u64)), true)
+        self.track(h, xfer, len)
     }
 
     fn get_inner(&mut self, mem: &GlobalMem, src: usize, off: usize, len: usize) -> NbHandle {
@@ -433,26 +334,19 @@ impl<'a> Armci<'a> {
                 Some(x),
             );
         }
-        self.track(h, Some((xfer, len as u64)), false)
+        self.track(h, xfer, len as u64)
     }
 
     /// Start tracking posted operation `h`: stamp the transfer's BEGIN (its
-    /// END is stamped from `stamp` at completion) and, for puts, queue it
-    /// for the next fence.
-    fn track(&mut self, h: u64, stamp: Option<(u64, u64)>, is_put: bool) -> NbHandle {
-        if let Some((xfer, len)) = stamp {
-            self.rec.xfer_begin(xfer, len);
-        }
+    /// END is stamped at completion).
+    fn track(&mut self, h: u64, xfer: u64, len: u64) -> NbHandle {
+        self.rec.xfer_begin(xfer, len);
         let state = HandleState {
             done: false,
-            stamp,
+            stamp: (xfer, len),
             data: None,
-            is_put,
         };
         self.handles.insert(h, state);
-        if is_put {
-            self.outstanding_puts.push(NbHandle(h));
-        }
         NbHandle(h)
     }
 
@@ -460,11 +354,7 @@ impl<'a> Armci<'a> {
         loop {
             self.progress();
             if self.handles.get(&h.0).expect("unknown handle").done {
-                let st = self.handles.remove(&h.0).unwrap();
-                if st.is_put {
-                    self.outstanding_puts.retain(|&p| p != h);
-                }
-                return st.data;
+                return self.handles.remove(&h.0).unwrap().data;
             }
             self.wait_for_event();
         }
@@ -498,16 +388,15 @@ impl<'a> Armci<'a> {
                     let (kind, h) = unpack(c.user);
                     match kind {
                         WK_IGNORE => {}
-                        WK_PUT | WK_GET | WK_RMW => {
+                        WK_PUT | WK_GET => {
                             let st = self
                                 .handles
                                 .get_mut(&h)
                                 .expect("completion for unknown handle");
                             st.done = true;
                             st.data = c.data;
-                            if let Some((xfer, len)) = st.stamp {
-                                self.rec.xfer_end(xfer, len);
-                            }
+                            let (xfer, len) = st.stamp;
+                            self.rec.xfer_end(xfer, len);
                         }
                         other => panic!("unknown ARMCI completion kind {other}"),
                     }

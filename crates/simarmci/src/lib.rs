@@ -5,7 +5,7 @@
 //! Models the ARMCI (Aggregate Remote Memory Copy Interface) system the
 //! paper instrumented: one-sided `Put`/`Get` operations over collectively
 //! allocated global memory, in blocking and non-blocking (explicit-handle)
-//! flavors, plus fences and a barrier.
+//! flavors, plus a barrier.
 //!
 //! One-sided transfers map directly onto the fabric's RDMA operations — the
 //! remote host is never involved in the data path, which is why the

@@ -1,4 +1,4 @@
-//! ARMCI semantics: one-sided data movement, handles, fences, and the
+//! ARMCI semantics: one-sided data movement, handles, and the
 //! blocking-vs-nonblocking overlap contrast of paper Figure 19.
 
 use overlap_core::RecorderOpts;
@@ -33,7 +33,7 @@ fn get_fetches_remote_segment() {
     run(2, |a| {
         let mem = a.malloc(4096);
         if a.rank() == 1 {
-            a.local_write(&mem, 0, &(0u8..=255).collect::<Vec<_>>());
+            a.put(&mem, 1, 0, (0u8..=255).collect::<Vec<_>>());
         }
         a.barrier();
         if a.rank() == 0 {
@@ -58,25 +58,6 @@ fn nb_put_wait_and_fence() {
             a.barrier();
             let v = a.local_read(&mem, 0, 128);
             assert_eq!(v, vec![a.rank() as u8; 128]);
-        }
-    });
-}
-
-#[test]
-fn all_fence_completes_implicit_puts() {
-    run(2, |a| {
-        let mem = a.malloc(64);
-        if a.rank() == 0 {
-            for i in 0..5u8 {
-                a.nb_put(&mem, 1, i as usize * 8, &[i + 1; 8]);
-            }
-            a.all_fence();
-            a.barrier();
-        } else {
-            a.barrier();
-            for i in 0..5u8 {
-                assert_eq!(a.local_read(&mem, i as usize * 8, 8), vec![i + 1; 8]);
-            }
         }
     });
 }
@@ -146,7 +127,7 @@ fn nb_get_returns_data_after_overlapped_wait() {
     run(2, |a| {
         let mem = a.malloc(8192);
         if a.rank() == 1 {
-            a.local_write(&mem, 0, &[42u8; 8192]);
+            a.put(&mem, 1, 0, &[42u8; 8192]);
         }
         a.barrier();
         if a.rank() == 0 {
@@ -180,7 +161,7 @@ fn malloc_segments_are_independent_per_rank() {
     run(4, |a| {
         let mem = a.malloc(128);
         let me = a.rank() as u8;
-        a.local_write(&mem, 0, &[me; 128]);
+        a.put(&mem, a.rank(), 0, &[me; 128]);
         a.barrier();
         // Everyone reads everyone: segment r must hold r everywhere.
         for r in 0..a.nranks() {
@@ -191,101 +172,5 @@ fn malloc_segments_are_independent_per_rank() {
             };
             assert_eq!(&data[..], &[r as u8; 128][..]);
         }
-    });
-}
-
-#[test]
-fn accumulate_adds_elementwise_at_target() {
-    run(3, |a| {
-        let mem = a.malloc(64);
-        if a.rank() == 1 {
-            // Seed the target values.
-            let seed: Vec<u8> = [1.0f64, 2.0, 3.0]
-                .iter()
-                .flat_map(|v| v.to_le_bytes())
-                .collect();
-            a.local_write(&mem, 0, &seed);
-        }
-        a.barrier();
-        if a.rank() != 1 {
-            // Both other ranks accumulate concurrently; sums must compose.
-            a.acc(&mem, 1, 0, &[10.0, 20.0, 30.0]);
-        }
-        a.barrier();
-        if a.rank() == 1 {
-            let raw = a.local_read(&mem, 0, 24);
-            let vals: Vec<f64> = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-                .collect();
-            assert_eq!(vals, vec![21.0, 42.0, 63.0]);
-        }
-    });
-}
-
-#[test]
-fn nb_acc_overlaps_and_counts_as_transfer() {
-    let out = run(2, |a| {
-        let mem = a.malloc(8192);
-        a.barrier();
-        if a.rank() == 0 {
-            for _ in 0..5 {
-                let h = a.nb_acc(&mem, 1, 0, &vec![1.0f64; 1024]);
-                a.compute(100_000);
-                a.wait(h);
-            }
-        } else {
-            a.compute(1_000_000);
-        }
-        a.barrier();
-    });
-    assert_eq!(out.reports[0].total.transfers, 5);
-    assert!(
-        out.reports[0].total.max_pct() > 90.0,
-        "nb_acc should overlap"
-    );
-    let w = out.transfers.iter().filter(|t| t.bytes == 8192).count();
-    assert_eq!(w, 5);
-    // Target sees the accumulated sum.
-}
-
-#[test]
-fn rmw_fetch_add_is_atomic_across_ranks() {
-    // All ranks increment a shared counter concurrently; the final value and
-    // the set of observed "old" values must both be exact.
-    use std::sync::Mutex;
-    static OLDS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-    OLDS.lock().unwrap().clear();
-    run(4, |a| {
-        let mem = a.malloc(64);
-        a.barrier();
-        for _ in 0..5 {
-            let old = a.rmw_fetch_add(&mem, 0, 0, 1);
-            OLDS.lock().unwrap().push(old);
-        }
-        a.barrier();
-        if a.rank() == 0 {
-            let raw = a.local_read(&mem, 0, 8);
-            let total = u64::from_le_bytes(raw.try_into().unwrap());
-            assert_eq!(total, 20, "4 ranks x 5 increments");
-        }
-    });
-    let mut olds = OLDS.lock().unwrap().clone();
-    olds.sort_unstable();
-    assert_eq!(
-        olds,
-        (0..20).collect::<Vec<u64>>(),
-        "each ticket issued once"
-    );
-}
-
-#[test]
-fn rmw_serves_as_a_ticket_lock() {
-    run(3, |a| {
-        let mem = a.malloc(16);
-        a.barrier();
-        let ticket = a.rmw_fetch_add(&mem, 0, 0, 1);
-        assert!(ticket < 3);
-        a.barrier();
     });
 }

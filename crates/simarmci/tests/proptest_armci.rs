@@ -20,41 +20,26 @@ enum OneSided {
         off: usize,
         len: usize,
     },
-    AccOne {
-        dst: usize,
-        slot: usize,
-        val: u8,
-    },
-    Fence,
     Barrier,
 }
 
 const SEG: usize = 4096;
 
 fn arb_op(nranks: usize) -> impl Strategy<Value = OneSided> {
-    // Puts stay in the lower half; accumulate slots own the upper half
-    // (mixing raw-byte puts into f64 accumulate slots would make the local
-    // model meaningless).
     prop_oneof![
-        (0..nranks, 0usize..SEG / 2, 1usize..SEG / 2, any::<u8>()).prop_map(
-            |(dst, off, len, val)| OneSided::Put {
+        (0..nranks, 0usize..SEG, 1usize..SEG, any::<u8>()).prop_map(|(dst, off, len, val)| {
+            OneSided::Put {
                 dst,
                 off,
-                len: len.min(SEG / 2 - off),
-                val
+                len: len.min(SEG - off),
+                val,
             }
-        ),
-        (0..nranks, 0usize..SEG / 2, 1usize..SEG / 2).prop_map(|(src, off, len)| OneSided::Get {
+        }),
+        (0..nranks, 0usize..SEG, 1usize..SEG).prop_map(|(src, off, len)| OneSided::Get {
             src,
             off,
-            len: len.min(SEG / 2 - off)
+            len: len.min(SEG - off)
         }),
-        (0..nranks, 0usize..8, 1u8..10).prop_map(|(dst, slot, val)| OneSided::AccOne {
-            dst,
-            slot,
-            val
-        }),
-        Just(OneSided::Fence),
         Just(OneSided::Barrier),
     ]
 }
@@ -69,13 +54,10 @@ proptest! {
     fn single_writer_sequences_match_model(ops in prop::collection::vec(arb_op(3), 1..25)) {
         let ops_in = ops.clone();
         run_armci(3, NetConfig::default(), RecorderOpts::default(), move |a| {
-            // Accumulate slots live in the upper half of each segment.
-            let acc_base = SEG / 2;
             let mem = a.malloc(SEG);
             a.barrier();
             if a.rank() == 0 {
                 let mut model = vec![vec![0u8; SEG]; a.nranks()];
-                let mut accs = vec![[0f64; 8]; a.nranks()];
                 for op in &ops_in {
                     match *op {
                         OneSided::Put { dst, off, len, val } => {
@@ -87,13 +69,6 @@ proptest! {
                             let got = a.get(&mem, src, off, len);
                             assert_eq!(&got[..], &model[src][off..off + len], "get mismatch");
                         }
-                        OneSided::AccOne { dst, slot, val } => {
-                            a.acc(&mem, dst, acc_base + slot * 8, &[val as f64]);
-                            accs[dst][slot] += val as f64;
-                            model[dst][acc_base + slot * 8..acc_base + slot * 8 + 8]
-                                .copy_from_slice(&accs[dst][slot].to_le_bytes());
-                        }
-                        OneSided::Fence => a.all_fence(),
                         OneSided::Barrier => {}
                     }
                 }

@@ -124,7 +124,6 @@ where
     }
     // Per-run values, built once; each rank's clone is a refcount bump.
     let mpi_cfg = Arc::new(mpi_cfg);
-    let world_ranks: Arc<[usize]> = (0..nranks).collect();
     let (out, per_rank) = cluster.run_collect(opts, move |ctx, world| {
         let mut mpi = Mpi::init(
             ctx,
@@ -132,7 +131,6 @@ where
             mpi_cfg.clone(),
             table.clone(),
             rec_opts.clone(),
-            world_ranks.clone(),
         );
         body(&mut mpi);
         mpi.finalize()

@@ -9,15 +9,12 @@
 //! whose rounds post ordinary (instrumented) point-to-point operations, so
 //! the overlap framework observes their transfers exactly like any others.
 //!
-//! Implemented: [`Mpi::ibarrier`], [`Mpi::ibcast`], [`Mpi::ialltoall`],
-//! [`Mpi::iallreduce`] (ring algorithm: reduce-scatter + allgather).
+//! Implemented: [`Mpi::ialltoall`] and [`Mpi::iallreduce`] (ring algorithm:
+//! reduce-scatter + allgather).
 //!
-//! Like blocking collectives, all members must initiate the same collectives
-//! in the same order per communicator.
+//! Like blocking collectives, all ranks must initiate the same collectives
+//! in the same order.
 
-use bytes::Bytes;
-
-use crate::comm::Comm;
 use crate::mpi::Mpi;
 use crate::types::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, TagSel};
 
@@ -28,25 +25,13 @@ pub struct CollHandle(pub(crate) u64);
 /// Result of a completed non-blocking collective.
 #[derive(Debug)]
 pub enum CollResult {
-    /// Barrier: nothing.
-    Empty,
-    /// Broadcast: the propagated payload.
-    Data(Vec<u8>),
-    /// Alltoall: one block per communicator rank.
+    /// Alltoall: one block per rank.
     Blocks(Vec<Vec<u8>>),
     /// Allreduce: the reduced vector.
     Vals(Vec<f64>),
 }
 
 impl CollResult {
-    /// Unwrap a broadcast payload.
-    pub fn into_data(self) -> Vec<u8> {
-        match self {
-            CollResult::Data(d) => d,
-            other => panic!("expected Data, got {other:?}"),
-        }
-    }
-
     /// Unwrap alltoall blocks.
     pub fn into_blocks(self) -> Vec<Vec<u8>> {
         match self {
@@ -77,29 +62,12 @@ impl ICollState {
 }
 
 enum Kind {
-    Barrier {
-        comm: Comm,
-        tag: u64,
-        dist: usize,
-        round: u64,
-        inflight: Option<(Request, Request)>,
-    },
-    Bcast {
-        comm: Comm,
-        root: usize,
-        tag: u64,
-        /// The block, once this rank has it; children get clones.
-        data: Option<Bytes>,
-        recv: Option<Request>,
-        sends: Option<Vec<Request>>,
-    },
     Alltoall {
         recvs: Vec<(usize, Request)>,
         sends: Vec<Request>,
         out: Vec<Option<Vec<u8>>>,
     },
     Allreduce {
-        comm: Comm,
         tag: u64,
         op: ReduceOp,
         chunks: Vec<Vec<f64>>,
@@ -111,78 +79,28 @@ enum Kind {
 }
 
 impl Mpi<'_> {
-    /// Non-blocking barrier.
-    pub fn ibarrier(&mut self) -> CollHandle {
-        self.rec.call_enter("MPI_Ibarrier");
-        let comm = self.comm_world();
-        let tag = self.coll_tag(&comm);
-        let state = ICollState {
-            done: comm.size() <= 1,
-            result: Some(CollResult::Empty),
-            kind: Kind::Barrier {
-                comm,
-                tag,
-                dist: 1,
-                round: 0,
-                inflight: None,
-            },
-        };
-        let h = self.icoll_insert(state);
-        self.progress();
-        self.rec.call_exit();
-        h
-    }
-
-    /// Non-blocking broadcast from `root` (binomial tree). The root passes
-    /// the payload; other ranks pass `None`.
-    pub fn ibcast(&mut self, root: usize, data: Option<Vec<u8>>) -> CollHandle {
-        self.rec.call_enter("MPI_Ibcast");
-        let comm = self.comm_world();
-        let tag = self.coll_tag(&comm);
-        let me = comm.rank();
-        assert_eq!(me == root, data.is_some(), "exactly the root supplies data");
-        let state = ICollState {
-            done: false,
-            result: None,
-            kind: Kind::Bcast {
-                comm,
-                root,
-                tag,
-                data: data.map(Bytes::from),
-                recv: None,
-                sends: None,
-            },
-        };
-        let h = self.icoll_insert(state);
-        self.progress();
-        self.rec.call_exit();
-        h
-    }
-
     /// Non-blocking all-to-all: all sends and receives are posted
     /// immediately (single round), so the transfers proceed while the
     /// application computes — the cure for FT's blocking transpose.
     pub fn ialltoall(&mut self, blocks: &[Vec<u8>]) -> CollHandle {
         self.rec.call_enter("MPI_Ialltoall");
-        let comm = self.comm_world();
-        let n = comm.size();
+        let n = self.nranks();
         assert_eq!(blocks.len(), n, "ialltoall needs one block per rank");
-        let me = comm.rank();
-        let tag = self.coll_tag(&comm);
+        let me = self.rank();
+        let tag = self.coll_tag();
         let mut out: Vec<Option<Vec<u8>>> = vec![None; n];
         out[me] = Some(blocks[me].clone());
         let mut recvs = Vec::with_capacity(n - 1);
         let mut sends = Vec::with_capacity(n - 1);
         for k in 1..n {
-            let to = comm.world_rank((me + k) % n);
-            let from_idx = (me + n - k) % n;
-            let from = comm.world_rank(from_idx);
+            let to = (me + k) % n;
+            let from = (me + n - k) % n;
             recvs.push((
-                from_idx,
+                from,
                 self.irecv_raw(Src::Rank(from), TagSel::Is(tag + k as u64)),
             ));
-            let block = (&blocks[(me + k) % n]).into_payload();
-            sends.push(self.isend_raw(to, tag + k as u64, block, true, false));
+            let block = (&blocks[to]).into_payload();
+            sends.push(self.isend_raw(to, tag + k as u64, block, true));
         }
         let state = ICollState {
             done: n <= 1,
@@ -199,9 +117,8 @@ impl Mpi<'_> {
     /// followed by an allgather ring, `2(n−1)` rounds).
     pub fn iallreduce(&mut self, vals: &[f64], op: ReduceOp) -> CollHandle {
         self.rec.call_enter("MPI_Iallreduce");
-        let comm = self.comm_world();
-        let n = comm.size();
-        let tag = self.coll_tag(&comm);
+        let n = self.nranks();
+        let tag = self.coll_tag();
         // Split into n chunks (possibly empty at the tail).
         let per = vals.len().div_ceil(n.max(1)).max(1);
         let chunks: Vec<Vec<f64>> = (0..n)
@@ -215,7 +132,6 @@ impl Mpi<'_> {
             done: n <= 1,
             result: (n <= 1).then(|| CollResult::Vals(vals.to_vec())),
             kind: Kind::Allreduce {
-                comm,
                 tag,
                 op,
                 chunks,
@@ -230,21 +146,12 @@ impl Mpi<'_> {
         h
     }
 
-    /// Non-blocking test of a collective.
-    pub fn icoll_test(&mut self, h: CollHandle) -> bool {
-        self.rec.call_enter("MPI_Test");
-        self.progress();
-        let done = self.icoll_done(h);
-        self.rec.call_exit();
-        done
-    }
-
     /// Complete a non-blocking collective and return its result.
     pub fn icoll_wait(&mut self, h: CollHandle) -> CollResult {
         self.rec.call_enter("MPI_Wait");
         loop {
             self.progress();
-            if self.icoll_done(h) {
+            if self.icolls.get(&h.0).is_none_or(|s| s.done) {
                 break;
             }
             self.wait_for_event();
@@ -263,10 +170,6 @@ impl Mpi<'_> {
         self.next_icoll += 1;
         self.icolls.insert(id, st);
         CollHandle(id)
-    }
-
-    fn icoll_done(&self, h: CollHandle) -> bool {
-        self.icolls.get(&h.0).map(|s| s.done).unwrap_or(true)
     }
 
     // ---- machine advancement (called from `progress`) ---------------------
@@ -291,90 +194,6 @@ impl Mpi<'_> {
 
     fn advance_one(&mut self, st: &mut ICollState) {
         match &mut st.kind {
-            Kind::Barrier {
-                comm,
-                tag,
-                dist,
-                round,
-                inflight,
-            } => {
-                let n = comm.size();
-                loop {
-                    if let Some((s, r)) = *inflight {
-                        if self.req_done(s) && self.req_done(r) {
-                            self.take_status(s);
-                            self.take_status(r);
-                            *inflight = None;
-                            *dist *= 2;
-                            *round += 1;
-                        } else {
-                            return;
-                        }
-                    }
-                    if *dist >= n {
-                        st.done = true;
-                        st.result = Some(CollResult::Empty);
-                        return;
-                    }
-                    let to = comm.world_rank((comm.rank() + *dist) % n);
-                    let from = comm.world_rank((comm.rank() + n - *dist) % n);
-                    let t = *tag + *round;
-                    let s = self.isend_raw(to, t, Bytes::new(), false, false);
-                    let r = self.irecv_raw(Src::Rank(from), TagSel::Is(t));
-                    *inflight = Some((s, r));
-                }
-            }
-            Kind::Bcast {
-                comm,
-                root,
-                tag,
-                data,
-                recv,
-                sends,
-            } => {
-                let n = comm.size();
-                let vrank = (comm.rank() + n - *root) % n;
-                // Phase 1: non-roots receive from their parent.
-                if data.is_none() {
-                    if recv.is_none() {
-                        let parent_v = vrank - lowest_set_bit(vrank);
-                        let parent = comm.world_rank((parent_v + *root) % n);
-                        *recv = Some(self.irecv_raw(Src::Rank(parent), TagSel::Is(*tag)));
-                    }
-                    let r = recv.unwrap();
-                    if !self.req_done(r) {
-                        return;
-                    }
-                    *data = Some(self.take_status(r).into_data());
-                }
-                // Phase 2: send to children.
-                if sends.is_none() {
-                    let payload = data.as_ref().unwrap();
-                    let start_mask = if vrank == 0 {
-                        n.next_power_of_two()
-                    } else {
-                        lowest_set_bit(vrank)
-                    };
-                    let mut reqs = Vec::new();
-                    let mut mask = start_mask >> 1;
-                    while mask > 0 {
-                        if vrank + mask < n {
-                            let child = comm.world_rank((vrank + mask + *root) % n);
-                            reqs.push(self.isend_raw(child, *tag, payload.clone(), true, false));
-                        }
-                        mask >>= 1;
-                    }
-                    *sends = Some(reqs);
-                }
-                let all_sent = sends.as_ref().unwrap().iter().all(|&s| self.req_done(s));
-                if all_sent {
-                    for s in sends.take().unwrap() {
-                        self.take_status(s);
-                    }
-                    st.done = true;
-                    st.result = Some(CollResult::Data(data.take().unwrap().to_vec()));
-                }
-            }
             Kind::Alltoall { recvs, sends, out } => {
                 recvs.retain(|&(idx, r)| {
                     if self.req_done(r) {
@@ -401,7 +220,6 @@ impl Mpi<'_> {
                 }
             }
             Kind::Allreduce {
-                comm,
                 tag,
                 op,
                 chunks,
@@ -409,10 +227,10 @@ impl Mpi<'_> {
                 step,
                 inflight,
             } => {
-                let n = comm.size();
-                let me = comm.rank();
-                let right = comm.world_rank((me + 1) % n);
-                let left = comm.world_rank((me + n - 1) % n);
+                let n = self.nranks();
+                let me = self.rank();
+                let right = (me + 1) % n;
+                let left = (me + n - 1) % n;
                 loop {
                     if let Some((s, r, recv_chunk)) = *inflight {
                         if self.req_done(s) && self.req_done(r) {
@@ -445,15 +263,11 @@ impl Mpi<'_> {
                     };
                     let t = *tag + (*phase as u64) * 1000 + *step as u64;
                     let payload = f64s_to_bytes(&chunks[send_chunk]).into();
-                    let s = self.isend_raw(right, t, payload, true, false);
+                    let s = self.isend_raw(right, t, payload, true);
                     let r = self.irecv_raw(Src::Rank(left), TagSel::Is(t));
                     *inflight = Some((s, r, recv_chunk));
                 }
             }
         }
     }
-}
-
-fn lowest_set_bit(v: usize) -> usize {
-    v & v.wrapping_neg()
 }

@@ -25,6 +25,12 @@
 //! pipelined scheme, and the `MPI_Iprobe` tuning opportunity exploited for
 //! NAS SP).
 //!
+//! The API is what the figure harnesses, the NAS kernels, the examples and
+//! the benchmark call and no more (`DESIGN.md` §4b): `isend` / `irecv` /
+//! `send` / `recv` / `wait` / `waitall` / `iprobe` / `sendrecv`, the
+//! collectives `barrier` / `bcast` / `reduce` / `allreduce` / `alltoall`
+//! over all ranks, and the non-blocking `ialltoall` / `iallreduce`.
+//!
 //! Every entry point is instrumented with the `overlap-core` recorder —
 //! the library-internal placement of `XFER_BEGIN` / `XFER_END` stamps follows
 //! the table in `DESIGN.md`.
@@ -50,7 +56,6 @@
 //! ```
 
 pub mod collectives;
-pub mod comm;
 pub mod config;
 pub mod harness;
 pub mod icoll;
@@ -61,12 +66,11 @@ pub mod types;
 
 /// The payload type, re-exported for callers without a `bytes` dependency.
 pub use bytes::Bytes;
-pub use comm::Comm;
 pub use config::{MpiConfig, ProgressModel, RndvMode};
 pub use harness::{default_xfer_table, run_mpi, run_mpi_with, MpiRunOutcome};
 pub use icoll::{CollHandle, CollResult};
 pub use mpi::Mpi;
 pub use reliability::RelStats;
 pub use types::{
-    bytes_to_f64s, f64s_to_bytes, IntoPayload, PersistentOp, ReduceOp, Request, Src, Status, TagSel,
+    bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, Status, TagSel,
 };

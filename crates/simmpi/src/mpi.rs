@@ -34,7 +34,7 @@ use simnet::{CausalEdge, Completion, NetConfig, Packet, RegionId, SharedWorld, X
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
 use crate::reliability::{RelStats, Reliability};
-use crate::types::{IntoPayload, PersistentOp, Request, Src, Status, TagSel};
+use crate::types::{IntoPayload, Request, Src, Status, TagSel};
 
 /// Sentinel meaning "this message is not a data transfer" (zero-payload
 /// synchronization packets).
@@ -55,8 +55,6 @@ enum Arrival {
         tag: u64,
         xfer: u64,
         data: Bytes,
-        /// Sender request to ACK on match (synchronous sends).
-        ack_req: Option<u64>,
         /// Payload already copied out of the bounce buffer (early-bird
         /// delivery paid the copy at arrival-processing time).
         copied: bool,
@@ -99,10 +97,6 @@ enum Req {
         done: bool,
         /// Reap on completion without an explicit wait (buffered MPI_Send).
         detached: bool,
-        /// Local wire completion observed.
-        wire_done: bool,
-        /// Receiver-matched ACK still outstanding (synchronous sends).
-        awaiting_ack: bool,
         xfer: u64,
         bytes: u64,
         peer: usize,
@@ -177,10 +171,9 @@ pub struct Mpi<'a> {
     send_reg_cache: VecDeque<(usize, RegionId, bool)>,
     /// Lengths whose receive-side pinning cost has been paid (cache mode).
     recv_pin_cache: VecDeque<usize>,
-    /// Per-communicator collective sequence numbers (tag scoping).
-    comm_seqs: HashMap<u64, u64>,
-    /// Count of `comm_split` calls (world-collective, so all ranks agree).
-    split_seq: u64,
+    /// Collective sequence number (tag scoping; every rank calls the
+    /// collectives in the same order, so these agree).
+    pub(crate) coll_seq: u64,
     /// Active non-blocking collectives, advanced by the progress engine.
     pub(crate) icolls: HashMap<u64, crate::icoll::ICollState>,
     pub(crate) next_icoll: u64,
@@ -197,24 +190,19 @@ pub struct Mpi<'a> {
     /// engine's CQ-vs-RX drain preference becomes an explicit choice point;
     /// when absent the canonical CQ-first policy applies unconditionally.
     oracle: Option<simcore::OracleHandle>,
-    /// The world communicator, built once so `comm_world()` (called by every
-    /// collective, including the per-iteration barriers of the micro
-    /// harnesses) never reallocates the member list.
-    pub(crate) world_comm: crate::comm::Comm,
 }
 
 impl<'a> Mpi<'a> {
     /// Initialize the library on this rank (the `MPI_Init` analogue: loads
     /// the a-priori transfer-time table into the recorder and synchronizes
     /// all ranks with a barrier). Every argument after `ctx` is a per-run
-    /// value (`world_ranks` is `0..nranks`) whose clone is a refcount bump.
+    /// value whose clone is a refcount bump.
     pub fn init(
         ctx: &'a mut RankCtx,
         world: SharedWorld,
         cfg: Arc<MpiConfig>,
         table: XferTimeTable,
         rec_opts: RecorderOpts,
-        world_ranks: Arc<[usize]>,
     ) -> Self {
         // A zero interval never shrinks `compute`'s remaining time, so the
         // run would spin on progress wakes forever.
@@ -262,15 +250,13 @@ impl<'a> Mpi<'a> {
             unexpected: VecDeque::new(),
             send_reg_cache: VecDeque::new(),
             recv_pin_cache: VecDeque::new(),
-            comm_seqs: HashMap::new(),
-            split_seq: 0,
+            coll_seq: 0,
             icolls: HashMap::new(),
             next_icoll: 0,
             rel,
             retrans_xfers: HashSet::new(),
             last_call: None,
             oracle,
-            world_comm: crate::comm::Comm::world(world_ranks, rank),
         };
         mpi.call_enter("MPI_Init");
         mpi.barrier_inner();
@@ -356,22 +342,6 @@ impl<'a> Mpi<'a> {
     /// End the innermost monitored section.
     pub fn section_end(&mut self) {
         self.rec.section_end();
-    }
-
-    /// Suspend overlap monitoring (must be called between, not inside,
-    /// library calls). See `overlap_core::Recorder::pause`.
-    pub fn monitoring_pause(&mut self) {
-        self.rec.pause();
-    }
-
-    /// Resume overlap monitoring.
-    pub fn monitoring_resume(&mut self) {
-        self.rec.resume();
-    }
-
-    /// Elapsed virtual time in seconds (the `MPI_Wtime` analogue).
-    pub fn wtime(&self) -> f64 {
-        self.now() as f64 / 1e9
     }
 
     /// Shut down: synchronize, then emit this process's overlap report, the
@@ -482,40 +452,6 @@ impl<'a> Mpi<'a> {
         out
     }
 
-    /// Wait until at least one request completes; returns all completed
-    /// `(index, status)` pairs (`MPI_Waitsome`).
-    pub fn waitsome(&mut self, reqs: &[Request]) -> Vec<(usize, Status)> {
-        assert!(!reqs.is_empty(), "waitsome on empty request list");
-        self.call_enter("MPI_Waitsome");
-        let out = self.wait_ready(reqs, usize::MAX);
-        self.rec.call_exit();
-        out
-    }
-
-    /// Block until at least one of `reqs` is complete, then consume up to
-    /// `limit` completed ones, in request order.
-    fn wait_ready(&mut self, reqs: &[Request], limit: usize) -> Vec<(usize, Status)> {
-        loop {
-            self.progress();
-            let done = |r: &Request| self.reqs.get(&r.0).is_some_and(Req::is_done);
-            let ready: Vec<usize> = (0..reqs.len()).filter(|&i| done(&reqs[i])).collect();
-            if !ready.is_empty() {
-                let take = |i| (i, self.try_take(reqs[i]).expect("just completed"));
-                return ready.into_iter().take(limit).map(take).collect();
-            }
-            self.wait_for_event();
-        }
-    }
-
-    /// Non-blocking completion test.
-    pub fn test(&mut self, req: Request) -> bool {
-        self.call_enter("MPI_Test");
-        self.progress();
-        let done = self.req_done(req);
-        self.rec.call_exit();
-        done
-    }
-
     /// Non-blocking probe for a matching unexpected message. Crucially, this
     /// *invokes the progress engine* — which is why sprinkling `MPI_Iprobe`
     /// through a computation region improves overlap (the paper's NAS SP
@@ -523,7 +459,16 @@ impl<'a> Mpi<'a> {
     pub fn iprobe(&mut self, src: Src, tag: TagSel) -> bool {
         self.call_enter("MPI_Iprobe");
         self.progress();
-        let found = self.probe_hit(src, tag).is_some();
+        // The host unexpected queue under software matching, the NIC's
+        // under `hw-tag`.
+        let found = if self.cfg.progress == ProgressModel::HwTag {
+            let (s, t) = hw_selector(src, tag);
+            self.world.lock().hw_probe(self.rank, s, t)
+        } else {
+            self.unexpected
+                .iter()
+                .any(|a| envelope_matches(a.envelope(), src, tag))
+        };
         self.rec.call_exit();
         found
     }
@@ -544,114 +489,6 @@ impl<'a> Mpi<'a> {
         let st = self.wait_inner(rr);
         self.rec.call_exit();
         st
-    }
-
-    /// Synchronous send: completes only once the receiver has matched the
-    /// message (eager sends wait for a receiver ACK; rendezvous completion
-    /// already implies a match).
-    pub fn ssend(&mut self, dst: usize, tag: u64, data: impl IntoPayload) {
-        self.call_enter("MPI_Ssend");
-        self.progress();
-        let r = self.isend_raw(dst, tag, data.into_payload(), true, true);
-        self.wait_inner(r);
-        self.rec.call_exit();
-    }
-
-    /// Non-blocking synchronous send.
-    pub fn issend(&mut self, dst: usize, tag: u64, data: impl IntoPayload) -> Request {
-        self.call_enter("MPI_Issend");
-        self.progress();
-        let r = self.isend_raw(dst, tag, data.into_payload(), true, true);
-        self.rec.call_exit();
-        r
-    }
-
-    /// Blocking probe: waits until a matching message is available (without
-    /// receiving it) and returns its envelope `(source, tag)`.
-    pub fn probe(&mut self, src: Src, tag: TagSel) -> (usize, u64) {
-        self.call_enter("MPI_Probe");
-        let env = loop {
-            self.progress();
-            if let Some(env) = self.probe_hit(src, tag) {
-                break env;
-            }
-            self.wait_for_event();
-        };
-        self.rec.call_exit();
-        env
-    }
-
-    /// Envelope of the first probeable unexpected message, if any: the host
-    /// unexpected queue under software matching, the NIC unexpected queue
-    /// under `hw-tag`.
-    fn probe_hit(&self, src: Src, tag: TagSel) -> Option<(usize, u64)> {
-        if self.cfg.progress == ProgressModel::HwTag {
-            let (s, t) = hw_selector(src, tag);
-            return self.world.lock().hw_probe(self.rank, s, t);
-        }
-        self.unexpected
-            .iter()
-            .find(|a| envelope_matches(a.envelope(), src, tag))
-            .map(|a| a.envelope())
-    }
-
-    /// Wait for any one of the given requests; returns its index and status.
-    pub fn waitany(&mut self, reqs: &[Request]) -> (usize, Status) {
-        assert!(!reqs.is_empty(), "waitany on empty request list");
-        self.call_enter("MPI_Waitany");
-        let out = self.wait_ready(reqs, 1).remove(0);
-        self.rec.call_exit();
-        out
-    }
-
-    /// Non-blocking test of a whole set: true iff every request is complete
-    /// (no request is consumed either way).
-    pub fn testall(&mut self, reqs: &[Request]) -> bool {
-        self.call_enter("MPI_Testall");
-        self.progress();
-        let all = reqs.iter().all(|&r| self.req_done(r));
-        self.rec.call_exit();
-        all
-    }
-
-    /// Create a persistent send specification (`MPI_Send_init`).
-    pub fn send_init(&self, dst: usize, tag: u64, data: impl IntoPayload) -> PersistentOp {
-        PersistentOp::Send {
-            dst,
-            tag,
-            data: data.into_payload(),
-        }
-    }
-
-    /// Create a persistent receive specification (`MPI_Recv_init`).
-    pub fn recv_init(&self, src: Src, tag: TagSel) -> PersistentOp {
-        PersistentOp::Recv { src, tag }
-    }
-
-    /// Start one persistent operation (`MPI_Start`); complete it with
-    /// [`Mpi::wait`] like any other request.
-    pub fn start(&mut self, op: &PersistentOp) -> Request {
-        self.call_enter("MPI_Start");
-        let r = self.start_inner(op);
-        self.rec.call_exit();
-        r
-    }
-
-    fn start_inner(&mut self, op: &PersistentOp) -> Request {
-        match op {
-            PersistentOp::Send { dst, tag, data } => {
-                self.isend_inner(*dst, *tag, data.clone(), true)
-            }
-            PersistentOp::Recv { src, tag } => self.irecv_inner(*src, *tag),
-        }
-    }
-
-    /// Start a set of persistent operations (`MPI_Startall`).
-    pub fn startall(&mut self, ops: &[PersistentOp]) -> Vec<Request> {
-        self.call_enter("MPI_Startall");
-        let rs = ops.iter().map(|op| self.start_inner(op)).collect();
-        self.rec.call_exit();
-        rs
     }
 
     // ---- internals ------------------------------------------------------
@@ -692,7 +529,7 @@ impl<'a> Mpi<'a> {
         counted: bool,
     ) -> Request {
         self.progress();
-        self.isend_raw(dst, tag, data, counted, false)
+        self.isend_raw(dst, tag, data, counted)
     }
 
     /// Post a send without invoking the progress engine (used by the
@@ -704,16 +541,14 @@ impl<'a> Mpi<'a> {
         tag: u64,
         data: Bytes,
         counted: bool,
-        sync: bool,
     ) -> Request {
         let req_id = self.alloc_req();
         let len = data.len();
         if !counted || len <= self.cfg.eager_threshold {
-            self.send_eager(req_id, dst, tag, data, counted, sync);
+            self.send_eager(req_id, dst, tag, data, counted);
         } else {
-            // Rendezvous completion already implies the receiver matched, so
-            // synchronous mode needs nothing extra. Under `hw-tag` both
-            // rendezvous modes collapse to a NIC-initiated pull.
+            // Under `hw-tag` both rendezvous modes collapse to a
+            // NIC-initiated pull.
             match self.cfg.rndv_mode {
                 RndvMode::PipelinedWrite if self.cfg.progress != ProgressModel::HwTag => {
                     self.send_rndv_pipe(req_id, dst, tag, data)
@@ -724,15 +559,7 @@ impl<'a> Mpi<'a> {
         Request(req_id)
     }
 
-    fn send_eager(
-        &mut self,
-        req_id: u64,
-        dst: usize,
-        tag: u64,
-        payload: Bytes,
-        counted: bool,
-        sync: bool,
-    ) {
+    fn send_eager(&mut self, req_id: u64, dst: usize, tag: u64, payload: Bytes, counted: bool) {
         let len = payload.len();
         if counted {
             // Copy into the pre-registered bounce buffer, then post.
@@ -755,20 +582,15 @@ impl<'a> Mpi<'a> {
                 // NIC tag matching: every send — data and synchronization
                 // alike — goes through the hardware matching engine, so
                 // there is a single matching domain and the host never
-                // handles envelopes. A synchronous-mode ACK arrives as a
-                // [`wr_kind::HW_MATCHED`] completion scheduled by the
-                // matching NIC, not as a host-built packet.
-                let ack_user = sync.then(|| proto::pack_user(wr_kind::HW_MATCHED, req_id));
-                w.hw_send(
-                    self.rank, dst, tag, payload, wire, xfer, done_user, ack_user, xfer_id,
-                );
+                // handles envelopes.
+                w.hw_send(self.rank, dst, tag, payload, wire, xfer, done_user, xfer_id);
             } else {
                 let ty = if counted {
                     proto::PT_EAGER
                 } else {
                     proto::PT_BARRIER
                 };
-                let meta = [tag, xfer, sync as u64, req_id, 0, 0];
+                let meta = [tag, xfer, 0, 0, 0, 0];
                 let pkt = Packet::with_data(self.rank, wire, ty, meta, payload);
                 self.rel.post(&mut w, dst, pkt, done_user, xfer_id);
             }
@@ -781,8 +603,6 @@ impl<'a> Mpi<'a> {
             Req::SendEager {
                 done: false,
                 detached: false,
-                wire_done: false,
-                awaiting_ack: sync,
                 xfer,
                 bytes: len as u64,
                 peer: dst,
@@ -971,24 +791,11 @@ impl<'a> Mpi<'a> {
                 tag,
                 xfer,
                 data,
-                ack_req,
                 copied,
             } => {
                 if xfer != NO_XFER && !copied {
                     // Copy out of the library bounce buffer.
                     self.lib_busy(self.net.copy_cost(data.len()));
-                }
-                if let Some(sender_req) = ack_req {
-                    // Synchronous send: tell the sender we matched.
-                    let mut w = self.world.lock();
-                    let ack = Packet::control(
-                        self.rank,
-                        self.net.ctrl_packet_bytes,
-                        proto::PT_SSEND_ACK,
-                        [sender_req, 0, 0, 0, 0, 0],
-                    );
-                    self.rel
-                        .post(&mut w, src, ack, proto::pack_user(wr_kind::IGNORE, 0), None);
                 }
                 self.complete_recv(req_id, src, tag, data);
             }
@@ -1203,20 +1010,13 @@ impl<'a> Mpi<'a> {
                 if let Some(Req::SendEager {
                     done,
                     detached,
-                    wire_done,
-                    awaiting_ack,
                     xfer,
                     bytes,
                     ..
                 }) = self.reqs.get_mut(&req_id)
                 {
-                    *wire_done = true;
-                    // Synchronous sends additionally wait for the
-                    // receiver-matched ACK.
-                    if !*awaiting_ack {
-                        *done = true;
-                        reap = *detached;
-                    }
+                    *done = true;
+                    reap = *detached;
                     let (xfer, bytes) = (*xfer, *bytes);
                     if xfer != NO_XFER {
                         self.end_xfer(xfer, bytes, &c.edge);
@@ -1276,29 +1076,7 @@ impl<'a> Mpi<'a> {
                 }
                 self.complete_recv(req_id, src, tag, data);
             }
-            // NIC match notification for a synchronous hw-tag send.
-            wr_kind::HW_MATCHED => self.ssend_acked(req_id),
             other => panic!("unknown completion kind {other}"),
-        }
-    }
-
-    /// The receiver matched synchronous eager send `req_id` (a host-built
-    /// `PT_SSEND_ACK`, or the NIC's match notification under `hw-tag`): the
-    /// send completes once its wire transfer has too.
-    fn ssend_acked(&mut self, req_id: u64) {
-        if let Some(Req::SendEager {
-            done,
-            detached,
-            wire_done,
-            awaiting_ack,
-            ..
-        }) = self.reqs.get_mut(&req_id)
-        {
-            *awaiting_ack = false;
-            if *wire_done {
-                *done = true;
-                debug_assert!(!*detached, "synchronous sends are always waited");
-            }
         }
     }
 
@@ -1352,7 +1130,6 @@ impl<'a> Mpi<'a> {
                     tag: p.h[0],
                     xfer,
                     data,
-                    ack_req: (p.h[2] != 0).then_some(p.h[3]),
                     copied: false,
                 }
             }
@@ -1361,10 +1138,8 @@ impl<'a> Mpi<'a> {
                 tag: p.h[0],
                 xfer: NO_XFER,
                 data: p.data.unwrap_or_default(),
-                ack_req: None,
                 copied: false,
             },
-            proto::PT_SSEND_ACK => return self.ssend_acked(p.h[0]),
             proto::PT_RTS_READ => Arrival::RtsRead {
                 src: p.src,
                 tag: p.h[0],
@@ -1670,20 +1445,14 @@ impl<'a> Mpi<'a> {
                     all_posted: false, ..
                 } => (2, WaitCause::RendezvousHandshake, None),
                 Req::SendRdvRead { xfer, .. } => (3, WaitCause::LateReceiver, Some(*xfer)),
-                Req::SendEager {
-                    awaiting_ack: true,
-                    wire_done: true,
-                    xfer,
-                    ..
-                } => (4, WaitCause::LateReceiver, Some(*xfer)),
                 Req::Recv {
                     reading: Some((xfer, _)),
                     ..
-                } => (5, WaitCause::WireDrain, Some(*xfer)),
-                Req::Recv { pipe: Some(pr), .. } => (5, WaitCause::WireDrain, Some(pr.rest_xfer)),
-                Req::SendRdvPipe { .. } => (6, WaitCause::WireDrain, None),
-                Req::SendEager { xfer, .. } => (7, WaitCause::EagerCopy, Some(*xfer)),
-                Req::Recv { .. } => (5, WaitCause::WireDrain, None),
+                } => (4, WaitCause::WireDrain, Some(*xfer)),
+                Req::Recv { pipe: Some(pr), .. } => (4, WaitCause::WireDrain, Some(pr.rest_xfer)),
+                Req::SendRdvPipe { .. } => (5, WaitCause::WireDrain, None),
+                Req::SendEager { xfer, .. } => (6, WaitCause::EagerCopy, Some(*xfer)),
+                Req::Recv { .. } => (4, WaitCause::WireDrain, None),
             };
             let key = (prio, req_id);
             if best.as_ref().is_none_or(|(k, _)| key < *k) {
@@ -1776,31 +1545,6 @@ impl<'a> Mpi<'a> {
             Req::Recv { pipe: Some(pr), .. } => Some(pr.rest_xfer),
             Req::Recv { .. } => None,
         }
-    }
-
-    // ---- synchronization helpers (used by collectives) --------------------
-
-    /// Dissemination barrier over zero-payload packets (not counted as data
-    /// transfers). World-scoped; used by init/finalize.
-    pub(crate) fn barrier_inner(&mut self) {
-        let world = self.comm_world();
-        self.barrier_comm_inner(&world);
-    }
-
-    /// Next collective sequence number for `comm_id` (members call the
-    /// communicator's collectives in the same order, so these agree).
-    pub(crate) fn next_comm_seq(&mut self, comm_id: u64) -> u64 {
-        let seq = self.comm_seqs.entry(comm_id).or_insert(0);
-        let s = *seq;
-        *seq += 1;
-        s
-    }
-
-    /// Next `comm_split` sequence number (split is world-collective).
-    pub(crate) fn next_split_seq(&mut self) -> u64 {
-        let s = self.split_seq;
-        self.split_seq += 1;
-        s
     }
 }
 

@@ -37,9 +37,6 @@ pub const PT_FIN_PIPE: u16 = 6;
 /// Zero-payload synchronization packet (barrier and friends); matched like a
 /// normal message but never counted as a data transfer.
 pub const PT_BARRIER: u16 = 7;
-/// Receiver-matched acknowledgment for synchronous eager sends
-/// (`MPI_Ssend`): h\[0\] = sender request id.
-pub const PT_SSEND_ACK: u16 = 8;
 /// Reliability-layer cumulative acknowledgment: h\[0\] = next sequence number
 /// the receiver expects from this sender (everything below is delivered).
 pub const PT_ACK: u16 = 9;
@@ -61,8 +58,6 @@ pub mod wr_kind {
     /// Completion of a NIC-matched receive (hw-tag progress model): matched
     /// payload attached, `(src, tag, xfer word)` in the immediate data.
     pub const HW_RECV: u64 = 4;
-    /// NIC match notification for a synchronous hw-tag eager send.
-    pub const HW_MATCHED: u64 = 5;
 }
 
 /// Pack a completion correlation word: kind in the top byte, request id in
@@ -89,7 +84,6 @@ mod tests {
             wr_kind::FRAG_WRITE,
             wr_kind::RDMA_READ,
             wr_kind::HW_RECV,
-            wr_kind::HW_MATCHED,
         ] {
             let u = pack_user(kind, 123_456);
             assert_eq!(unpack_user(u), (kind, 123_456));
@@ -106,7 +100,6 @@ mod tests {
             PT_FIN_READ,
             PT_FIN_PIPE,
             PT_BARRIER,
-            PT_SSEND_ACK,
             PT_ACK,
             PT_NACK,
         ];

@@ -111,30 +111,6 @@ impl<const N: usize> IntoPayload for &[u8; N] {
     }
 }
 
-/// A reusable communication specification — the analogue of MPI's
-/// persistent requests (`MPI_Send_init` / `MPI_Recv_init`). Build once with
-/// [`crate::Mpi::send_init`] / [`crate::Mpi::recv_init`], then fire with
-/// [`crate::Mpi::start`] each iteration.
-#[derive(Debug, Clone)]
-pub enum PersistentOp {
-    /// A persistent send of a fixed payload.
-    Send {
-        /// Destination rank.
-        dst: usize,
-        /// Message tag.
-        tag: u64,
-        /// Payload sent on every start (by reference: starts copy nothing).
-        data: Bytes,
-    },
-    /// A persistent receive.
-    Recv {
-        /// Source selector.
-        src: Src,
-        /// Tag selector.
-        tag: TagSel,
-    },
-}
-
 /// Reduction operators for `reduce` / `allreduce` over `f64` payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceOp {

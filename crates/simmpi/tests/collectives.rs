@@ -104,38 +104,6 @@ fn alltoall_permutes_blocks() {
 }
 
 #[test]
-fn allgather_collects_in_rank_order() {
-    run(6, |mpi| {
-        let mine = vec![mpi.rank() as u8; 32];
-        let all = mpi.allgather(&mine);
-        for (r, block) in all.iter().enumerate() {
-            assert_eq!(block, &vec![r as u8; 32]);
-        }
-    });
-}
-
-#[test]
-fn gather_and_scatter_roundtrip() {
-    run(4, |mpi| {
-        let me = mpi.rank();
-        let gathered = mpi.gather(2, &[me as u8; 16]);
-        if me == 2 {
-            let g = gathered.unwrap();
-            for (r, b) in g.iter().enumerate() {
-                assert_eq!(b, &vec![r as u8; 16]);
-            }
-            let blocks: Vec<Vec<u8>> = (0..4).map(|r| vec![(r + 100) as u8; 8]).collect();
-            let mine = mpi.scatter(2, Some(&blocks));
-            assert_eq!(mine, vec![102u8; 8]);
-        } else {
-            assert!(gathered.is_none());
-            let mine = mpi.scatter(2, None);
-            assert_eq!(mine, vec![(me + 100) as u8; 8]);
-        }
-    });
-}
-
-#[test]
 fn alltoall_long_blocks_use_rendezvous() {
     // FT-style: long alltoall payloads become rendezvous transfers.
     let out = run_mpi(

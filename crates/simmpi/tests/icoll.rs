@@ -21,31 +21,6 @@ fn run(
 }
 
 #[test]
-fn ibarrier_synchronizes() {
-    run(5, MpiConfig::default(), |mpi| {
-        mpi.compute(1_000 * (mpi.rank() as u64 + 1) * 50);
-        let h = mpi.ibarrier();
-        mpi.icoll_wait(h);
-        assert!(mpi.now() >= 250_000, "rank {} left early", mpi.rank());
-    });
-}
-
-#[test]
-fn ibcast_delivers_from_every_root() {
-    for nranks in [2usize, 4, 7] {
-        run(nranks, MpiConfig::default(), move |mpi| {
-            for root in 0..mpi.nranks() {
-                let payload = (root == mpi.rank()).then(|| vec![root as u8; 2000]);
-                let h = mpi.ibcast(root, payload);
-                mpi.compute(10_000);
-                let data = mpi.icoll_wait(h).into_data();
-                assert_eq!(data, vec![root as u8; 2000]);
-            }
-        });
-    }
-}
-
-#[test]
 fn ialltoall_permutes_blocks() {
     for nranks in [2usize, 4, 5] {
         run(nranks, MpiConfig::default(), move |mpi| {
@@ -74,22 +49,6 @@ fn iallreduce_matches_blocking() {
             assert_eq!(nb, blocking, "nranks {nranks}");
         });
     }
-}
-
-#[test]
-fn icoll_test_is_nonblocking() {
-    run(2, MpiConfig::default(), |mpi| {
-        // Eager-sized blocks: the wire moves them without any peer
-        // handshake, so compute alone suffices for completion.
-        let blocks = vec![vec![1u8; 4 << 10]; 2];
-        let h = mpi.ialltoall(&blocks);
-        // Immediately after initiation nothing has crossed the wire yet.
-        assert!(!mpi.icoll_test(h));
-        mpi.compute(5_000_000);
-        assert!(mpi.icoll_test(h), "should complete under ample compute");
-        let got = mpi.icoll_wait(h).into_blocks();
-        assert_eq!(got[0].len(), 4 << 10);
-    });
 }
 
 #[test]
@@ -130,19 +89,13 @@ fn mixed_icolls_in_flight_concurrently() {
     run(4, MpiConfig::default(), |mpi| {
         let me = mpi.rank();
         let n = mpi.nranks();
-        let hb = mpi.ibarrier();
-        let payload = (me == 1).then(|| vec![9u8; 300]);
-        let hbc = mpi.ibcast(1, payload);
         let har = mpi.iallreduce(&[me as f64], ReduceOp::Sum);
         let blocks: Vec<Vec<u8>> = (0..n).map(|d| vec![(me + d) as u8; 64]).collect();
         let ha = mpi.ialltoall(&blocks);
         mpi.compute(100_000);
-        // Complete in arbitrary order.
+        // Complete in the opposite order of initiation.
         let a = mpi.icoll_wait(ha).into_blocks();
         let r = mpi.icoll_wait(har).into_vals();
-        let d = mpi.icoll_wait(hbc).into_data();
-        mpi.icoll_wait(hb);
-        assert_eq!(d, vec![9u8; 300]);
         assert_eq!(r, vec![(0..n).map(|x| x as f64).sum::<f64>()]);
         for (src, b) in a.iter().enumerate() {
             assert_eq!(b, &vec![(src + me) as u8; 64]);

@@ -332,3 +332,17 @@ fn concurrent_same_size_cached_sends_do_not_alias() {
         }
     });
 }
+
+#[test]
+fn plain_send_does_not_block_on_late_receiver() {
+    run(2, MpiConfig::default(), |mpi| {
+        if mpi.rank() == 0 {
+            let t0 = mpi.now();
+            mpi.send(1, 1, &[1u8; 256]); // buffered semantics
+            assert!(mpi.now() - t0 < 1_000_000, "buffered send blocked");
+        } else {
+            mpi.compute(5_000_000);
+            mpi.recv(Src::Rank(0), TagSel::Is(1));
+        }
+    });
+}

@@ -11,11 +11,11 @@
 //! RDMA Read of it replies with a `Bytes::slice` of that same allocation: the
 //! receiver ends up holding the sender's buffer, and nothing is copied on the
 //! host. A **writable** region is an owned `Vec<u8>` that remote operations
-//! mutate in place (pipelined landing buffers, ARMCI windows, accumulate and
-//! fetch-add targets); a read of one copies the range out, because a later
-//! put may change it. Writing into a read-only region is a bug in the caller
-//! and fails loudly. None of this costs virtual time: `NetConfig::copy_cost`
-//! and `reg_cost` are charged by the libraries, whatever the host does.
+//! mutate in place (pipelined landing buffers, ARMCI windows); a read of one
+//! copies the range out, because a later put may change it. Writing into a
+//! read-only region is a bug in the caller and fails loudly. None of this
+//! costs virtual time: `NetConfig::copy_cost` and `reg_cost` are charged by
+//! the libraries, whatever the host does.
 
 use std::collections::HashMap;
 
@@ -30,7 +30,7 @@ pub struct RegionId(pub u64);
 pub enum Region {
     /// An immutable payload, shared by reference with whoever reads it.
     ReadOnly(Bytes),
-    /// Owned memory that remote writes and atomics mutate in place.
+    /// Owned memory that remote writes mutate in place.
     Writable(Vec<u8>),
 }
 
@@ -112,8 +112,8 @@ impl NodeMemory {
         match self.regions.get_mut(&id.0)? {
             Region::Writable(v) => Some(v.as_mut_slice()),
             Region::ReadOnly(_) => panic!(
-                "region {} is read-only (registered from Bytes): RDMA write, \
-                 accumulate and fetch-add need a writable Vec<u8> region",
+                "region {} is read-only (registered from Bytes): an RDMA write \
+                 needs a writable Vec<u8> region",
                 id.0
             ),
         }

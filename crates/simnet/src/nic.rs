@@ -87,9 +87,6 @@ pub(crate) enum HwUnexpected {
         xfer: u64,
         data: Bytes,
         edge: CausalEdge,
-        /// Match-notification correlation word to complete back at the
-        /// sender once matched (synchronous sends).
-        ack: Option<u64>,
     },
     /// Rendezvous RTS: the pull starts when a receive matches.
     Rndv {
@@ -105,17 +102,10 @@ pub(crate) enum HwUnexpected {
 }
 
 impl HwUnexpected {
-    pub(crate) fn envelope(&self) -> (usize, u64) {
-        match self {
-            HwUnexpected::Eager { src, tag, .. } | HwUnexpected::Rndv { src, tag, .. } => {
-                (*src, *tag)
-            }
-        }
-    }
-
     pub(crate) fn matches(&self, src: Option<usize>, tag: Option<u64>) -> bool {
-        let (s, t) = self.envelope();
-        src.is_none_or(|v| v == s) && tag.is_none_or(|v| v == t)
+        let (HwUnexpected::Eager { src: s, tag: t, .. }
+        | HwUnexpected::Rndv { src: s, tag: t, .. }) = self;
+        src.is_none_or(|v| v == *s) && tag.is_none_or(|v| v == *t)
     }
 }
 

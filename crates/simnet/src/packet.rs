@@ -41,7 +41,7 @@ pub mod hw {
     /// First reserved type value.
     pub const TY_BASE: u16 = 0xFF00;
     /// NIC-matched eager data.
-    /// `h = [tag, xfer word, has_ack, ack user, 0, 0]`, payload in `data`.
+    /// `h = [tag, xfer word, 0, 0, 0, 0]`, payload in `data`.
     pub const EAGER: u16 = 0xFF01;
     /// NIC-matched rendezvous request-to-send.
     /// `h = [tag, len, region, xfer, fin meta id, 0]`.

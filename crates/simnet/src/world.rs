@@ -88,36 +88,6 @@ enum Pending {
         notify: Option<Packet>,
         edge: CausalEdge,
     },
-    /// NIC-atomic elementwise `f64` accumulate into `dst`'s memory.
-    AccApply {
-        src: usize,
-        dst: usize,
-        region: RegionId,
-        off: usize,
-        data: Vec<f64>,
-        wr: WrId,
-        user: u64,
-        edge: CausalEdge,
-    },
-    /// Fetch-and-add request arriving at the target NIC; performs the atomic
-    /// and schedules the reply leg.
-    FetchAddRequest {
-        initiator: usize,
-        target: usize,
-        region: RegionId,
-        off: usize,
-        delta: u64,
-        wr: WrId,
-        user: u64,
-    },
-    /// Fetch-and-add reply delivering the previous value to the initiator.
-    FetchAddReply {
-        initiator: usize,
-        wr: WrId,
-        user: u64,
-        old: u64,
-        edge: CausalEdge,
-    },
     /// RDMA Read request arriving at the target NIC; takes the region's bytes
     /// as of now ([`NodeMemory::read`]) and schedules the response leg.
     ReadRequest {
@@ -144,10 +114,6 @@ enum Pending {
         notify: Option<Packet>,
         edge: CausalEdge,
     },
-    /// NIC-side match notification (hw tag matching): a bare completion
-    /// delivered to `to`'s CQ one control latency after the matching NIC
-    /// resolved a synchronous send.
-    HwAck { to: usize, wr: WrId, user: u64 },
 }
 
 /// Per-shared-link channel: virtual-time occupancy reservations plus the
@@ -313,80 +279,6 @@ impl World {
                     h.wake_rank(dst);
                 }
             }
-            Pending::AccApply {
-                src,
-                dst,
-                region,
-                off,
-                data,
-                wr,
-                user,
-                edge,
-            } => {
-                let mem = w.mem[dst]
-                    .get_mut(region)
-                    .expect("RDMA accumulate into unknown region");
-                for (i, v) in data.iter().enumerate() {
-                    let o = off + i * 8;
-                    let cur = f64::from_le_bytes(mem[o..o + 8].try_into().unwrap());
-                    mem[o..o + 8].copy_from_slice(&(cur + v).to_le_bytes());
-                }
-                w.nics[src].complete(wr, user, None, [0; 3], edge);
-                drop(w);
-                h.wake_rank(src);
-            }
-            Pending::FetchAddRequest {
-                initiator,
-                target,
-                region,
-                off,
-                delta,
-                wr,
-                user,
-            } => {
-                let busy = w.cfg.serialize(8);
-                let now = h.now();
-                let dma_start = w.nics[target].reserve_dma(now, busy);
-                let mem = w.mem[target]
-                    .get_mut(region)
-                    .expect("fetch-add on unknown region");
-                let old = u64::from_le_bytes(mem[off..off + 8].try_into().unwrap());
-                mem[off..off + 8].copy_from_slice(&(old.wrapping_add(delta)).to_le_bytes());
-                let back = w.latency(target, initiator);
-                let arrival = dma_start + busy + back;
-                let edge = CausalEdge {
-                    dma_queue_ns: dma_start - now,
-                    serialize_ns: busy,
-                    ..CausalEdge::default()
-                };
-                w.schedule_pending(
-                    arrival,
-                    Pending::FetchAddReply {
-                        initiator,
-                        wr,
-                        user,
-                        old,
-                        edge,
-                    },
-                );
-            }
-            Pending::FetchAddReply {
-                initiator,
-                wr,
-                user,
-                old,
-                edge,
-            } => {
-                w.nics[initiator].complete(
-                    wr,
-                    user,
-                    Some(Bytes::copy_from_slice(&old.to_le_bytes())),
-                    [0; 3],
-                    edge,
-                );
-                drop(w);
-                h.wake_rank(initiator);
-            }
             Pending::ReadRequest {
                 initiator,
                 target,
@@ -401,7 +293,7 @@ impl World {
             } => {
                 // The response stream is subject to the initiator's ingress
                 // contention, like any other inbound data.
-                let l = w.launch(target, initiator, len, true);
+                let l = w.launch(target, initiator, len);
                 let snapshot = w.mem[target]
                     .read(region, off, len)
                     .expect("RDMA read of unknown region");
@@ -438,11 +330,6 @@ impl World {
                     h.wake_rank(target);
                 }
             }
-            Pending::HwAck { to, wr, user } => {
-                w.nics[to].complete(wr, user, None, [0; 3], CausalEdge::default());
-                drop(w);
-                h.wake_rank(to);
-            }
         }
     }
 
@@ -463,11 +350,6 @@ impl World {
     /// Current virtual time.
     pub fn now(&self) -> Time {
         self.handle.now()
-    }
-
-    /// Number of nodes.
-    pub fn nnodes(&self) -> usize {
-        self.nics.len()
     }
 
     /// Allocate a transfer id for an upcoming data operation.
@@ -650,16 +532,16 @@ impl World {
     /// Put `bytes` on the wire from `src` to `dst` now: reserve `src`'s
     /// egress DMA, walk the topology to the arrival (placement) time, and
     /// account every wait on the way in the causal edge. The one launch
-    /// sequence behind sends, RDMA writes, accumulates and read responses.
+    /// sequence behind sends, RDMA writes and read responses.
     ///
     /// The route is walked hop-by-hop (virtual cut-through: serialization is
     /// paid once, at the tail; each hop adds propagation latency plus any
     /// wait for its shared link). On the flat crossbar this reduces exactly
     /// to the pre-topology `dma_start + serialize + latency` formula —
-    /// dedicated hops never queue. Ingress contention (`apply_ingress` and
-    /// the config model both set) then serializes concurrent streams into
-    /// the destination NIC, as before.
-    fn launch(&mut self, src: usize, dst: usize, bytes: usize, apply_ingress: bool) -> Launch {
+    /// dedicated hops never queue. Ingress contention (when the config
+    /// models it) then serializes concurrent streams into the destination
+    /// NIC, as before.
+    fn launch(&mut self, src: usize, dst: usize, bytes: usize) -> Launch {
         let now = self.now();
         let busy = self.cfg.serialize(bytes);
         let dma_start = self.nics[src].reserve_dma(now, busy);
@@ -690,7 +572,7 @@ impl World {
         }
         self.route_buf = route;
         let mut arrival = head + busy;
-        if apply_ingress && self.cfg.model_ingress_contention {
+        if self.cfg.model_ingress_contention {
             let wire = arrival;
             arrival = self.nics[dst].reserve_ingress(head, busy).max(wire);
             edge.ingress_queue_ns = arrival - wire;
@@ -757,7 +639,7 @@ impl World {
     ) -> WrId {
         let wr = self.alloc_wr();
         let now = self.now();
-        let mut l = self.launch(src, dst, packet.wire_bytes, true);
+        let mut l = self.launch(src, dst, packet.wire_bytes);
         let mut deliver = true;
         let mut dup_arrival = None;
         if self.faulty && src != dst && !packet.protected {
@@ -873,7 +755,7 @@ impl World {
     ) -> WrId {
         let wr = self.alloc_wr();
         let len = data.len();
-        let l = self.launch(src, dst, len, true);
+        let l = self.launch(src, dst, len);
         self.record_transfer(xfer, TransferKind::RdmaWrite, src, dst, len, &l);
         self.schedule_pending(
             l.arrival,
@@ -887,76 +769,6 @@ impl World {
                 user,
                 notify,
                 edge: l.edge,
-            },
-        );
-        wr
-    }
-
-    /// Post a one-sided accumulate: elementwise `f64` addition of `data`
-    /// into `(dst, dst_region)` at byte offset `dst_off`, performed at the
-    /// destination NIC without host involvement (the NIC-atomic model used
-    /// by one-sided libraries for `ARMCI_Acc`-style operations). Timing and
-    /// completion semantics match [`World::post_rdma_write`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn post_rdma_acc_f64(
-        &mut self,
-        src: usize,
-        dst: usize,
-        dst_region: RegionId,
-        dst_off: usize,
-        data: Vec<f64>,
-        user: u64,
-        xfer: Option<XferId>,
-    ) -> WrId {
-        let wr = self.alloc_wr();
-        let len = data.len() * 8;
-        // NIC-atomic streams contend on fabric links but bypass the ingress
-        // engine (they terminate in the remote NIC, not host memory paths).
-        let l = self.launch(src, dst, len, false);
-        self.record_transfer(xfer, TransferKind::RdmaWrite, src, dst, len, &l);
-        self.schedule_pending(
-            l.arrival,
-            Pending::AccApply {
-                src,
-                dst,
-                region: dst_region,
-                off: dst_off,
-                data,
-                wr,
-                user,
-                edge: l.edge,
-            },
-        );
-        wr
-    }
-
-    /// Post a one-sided fetch-and-add on a `u64` at byte offset `off` of
-    /// `(target, region)`: atomically adds `delta` at the target NIC and
-    /// returns the *previous* value in the completion's data (8 LE bytes).
-    /// The model for `ARMCI_Rmw` / network atomics. Timing matches an RDMA
-    /// Read of 8 bytes.
-    pub fn post_rdma_fetch_add(
-        &mut self,
-        initiator: usize,
-        target: usize,
-        region: RegionId,
-        off: usize,
-        delta: u64,
-        user: u64,
-    ) -> WrId {
-        let wr = self.alloc_wr();
-        let now = self.now();
-        let request_at = now + self.latency(initiator, target);
-        self.schedule_pending(
-            request_at,
-            Pending::FetchAddRequest {
-                initiator,
-                target,
-                region,
-                off,
-                delta,
-                wr,
-                user,
             },
         );
         wr
@@ -1037,9 +849,7 @@ impl World {
     /// ground-truth record under `xfer`), but at arrival the NIC matches it
     /// against [`World::hw_post_recv`] descriptors and completes the matched
     /// receive directly — the destination host never sees a packet. The
-    /// local wire completion carries `wire_user`. When `ack_user` is given
-    /// (synchronous sends), the matching NIC schedules a bare completion
-    /// with that word back to this node one control latency after the match.
+    /// local wire completion carries `wire_user`.
     ///
     /// Offload traffic rides the fabric's reliable transport: it is exempt
     /// from fault injection, like reliability-layer control traffic.
@@ -1053,21 +863,13 @@ impl World {
         wire_bytes: usize,
         xfer_word: u64,
         wire_user: u64,
-        ack_user: Option<u64>,
         xfer: Option<XferId>,
     ) -> WrId {
         let pkt = Packet::with_data(
             src,
             wire_bytes,
             crate::packet::hw::EAGER,
-            [
-                tag,
-                xfer_word,
-                ack_user.is_some() as u64,
-                ack_user.unwrap_or(0),
-                0,
-                0,
-            ],
+            [tag, xfer_word, 0, 0, 0, 0],
             data,
         )
         .protect();
@@ -1129,13 +931,7 @@ impl World {
                 xfer,
                 data,
                 edge,
-                ack,
-            } => {
-                self.hw_complete_recv(node, user, data, edge, [s as u64, t, xfer]);
-                if let Some(u) = ack {
-                    self.hw_schedule_ack(node, s, u);
-                }
-            }
+            } => self.hw_complete_recv(node, user, data, edge, [s as u64, t, xfer]),
             HwUnexpected::Rndv {
                 src: s,
                 tag: t,
@@ -1149,20 +945,14 @@ impl World {
         }
     }
 
-    /// Envelope of the first arrival in `node`'s NIC unexpected queue
-    /// matching the selectors, if any (the hw analogue of scanning the
-    /// host-side unexpected queue for `MPI_Probe`).
-    pub fn hw_probe(
-        &self,
-        node: usize,
-        src: Option<usize>,
-        tag: Option<u64>,
-    ) -> Option<(usize, u64)> {
+    /// Does an arrival in `node`'s NIC unexpected queue match the selectors
+    /// (the hw analogue of scanning the host-side unexpected queue for
+    /// `MPI_Iprobe`)?
+    pub fn hw_probe(&self, node: usize, src: Option<usize>, tag: Option<u64>) -> bool {
         self.nics[node]
             .hw_unexpected
             .iter()
-            .find(|u| u.matches(src, tag))
-            .map(|u| u.envelope())
+            .any(|u| u.matches(src, tag))
     }
 
     /// NIC-side resolution of an offload packet at delivery time.
@@ -1174,14 +964,10 @@ impl World {
             t if t == crate::packet::hw::EAGER => {
                 let tag = packet.h[0];
                 let xfer_word = packet.h[1];
-                let ack = (packet.h[2] != 0).then_some(packet.h[3]);
                 let data = packet.data.unwrap_or_default();
                 if let Some(pos) = self.nics[dst].hw_match(src, tag) {
                     let e = self.nics[dst].hw_posted.remove(pos).unwrap();
                     self.hw_complete_recv(dst, e.user, data, edge, [src as u64, tag, xfer_word]);
-                    if let Some(u) = ack {
-                        self.hw_schedule_ack(dst, src, u);
-                    }
                 } else {
                     self.nics[dst].hw_unexpected.push_back(HwUnexpected::Eager {
                         src,
@@ -1189,7 +975,6 @@ impl World {
                         xfer: xfer_word,
                         data,
                         edge,
-                        ack,
                     });
                 }
             }
@@ -1231,14 +1016,6 @@ impl World {
     ) {
         let wr = self.alloc_wr();
         self.nics[node].complete(wr, user, Some(data), imm, edge);
-    }
-
-    /// Schedule the synchronous-send match notification from the matching
-    /// NIC (`from`) back to the sender (`to`).
-    fn hw_schedule_ack(&mut self, from: usize, to: usize, user: u64) {
-        let wr = self.alloc_wr();
-        let at = self.now() + self.latency(from, to);
-        self.schedule_pending(at, Pending::HwAck { to, wr, user });
     }
 
     /// Start the NIC-initiated rendezvous pull for a matched RTS.
@@ -1303,11 +1080,6 @@ impl World {
     /// Take ownership of the transfer records (e.g. at end of run).
     pub fn take_transfers(&mut self) -> Vec<TransferRecord> {
         std::mem::take(&mut self.transfers)
-    }
-
-    /// Ground-truth fault events injected so far.
-    pub fn fault_events(&self) -> &[FaultEvent] {
-        &self.fault_events
     }
 
     /// Take ownership of the fault events (e.g. at end of run).
@@ -1613,29 +1385,22 @@ mod region_tests {
     }
 
     #[test]
-    fn bytes_region_refuses_write_accumulate_and_fetch_add() {
-        let ops: [fn(&mut World, RegionId) -> WrId; 3] = [
-            |w, r| w.post_rdma_write(0, 1, r, 0, Bytes::from(vec![1u8; 8]), 0, None, None),
-            |w, r| w.post_rdma_acc_f64(0, 1, r, 0, vec![1.0], 0, None),
-            |w, r| w.post_rdma_fetch_add(0, 1, r, 0, 1, 0),
-        ];
-        for op in ops {
-            let run = || {
-                on_rank0(move |ctx, world| {
-                    {
-                        let mut w = world.lock();
-                        let region = w.register(1, Bytes::from(vec![0u8; 64]));
-                        op(&mut w, region);
-                    }
-                    complete(ctx, world);
-                })
-            };
-            let err = std::panic::catch_unwind(run)
-                .expect_err("a write into a read-only region must fail");
-            let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
-            assert!(msg.contains("region 0 is read-only"), "got: {msg}");
-            assert_eq!(msg.lines().count(), 1, "one line: {msg}");
-        }
+    fn bytes_region_refuses_write() {
+        let run = || {
+            on_rank0(|ctx, world| {
+                {
+                    let mut w = world.lock();
+                    let region = w.register(1, Bytes::from(vec![0u8; 64]));
+                    w.post_rdma_write(0, 1, region, 0, Bytes::from(vec![1u8; 8]), 0, None, None);
+                }
+                complete(ctx, world);
+            })
+        };
+        let err =
+            std::panic::catch_unwind(run).expect_err("a write into a read-only region must fail");
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.contains("region 0 is read-only"), "got: {msg}");
+        assert_eq!(msg.lines().count(), 1, "one line: {msg}");
     }
 }
 
