@@ -8,13 +8,14 @@
 //! the little overlap it does report comes from the short `Reduce`/`Bcast`
 //! messages of the checksum step.
 //!
-//! Memory substitution: class payloads are generated per message at
+//! Memory substitution: class payloads are generated once per run at
 //! `1/vol_scale` of the true volume (the true class-A array alone is 134 MB
-//! per transpose); the *compute model* uses the unscaled point counts. The
-//! scaled messages remain deep in the rendezvous regime, so the overlap
-//! behaviour is unchanged (see `DESIGN.md`).
+//! per transpose) and every transpose sends them by reference; the *compute
+//! model* uses the unscaled point counts. The scaled messages remain deep in
+//! the rendezvous regime, so the overlap behaviour is unchanged (see
+//! `DESIGN.md`).
 
-use simmpi::{Mpi, ReduceOp};
+use simmpi::{Bytes, Mpi, ReduceOp};
 
 use crate::class::Class;
 use crate::model::{flops_ns, FT_EVOLVE_FLOPS, FT_FFT_FLOPS_PER_POINT};
@@ -89,8 +90,14 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
     let evolve_ns = flops_ns(local_points as f64 * FT_EVOLVE_FLOPS);
 
     // Setup: distribute the roots-of-unity table.
-    let mut twiddle = if me == 0 { vec![1u8; 4096] } else { Vec::new() };
+    let mut twiddle = Bytes::from(if me == 0 { vec![1u8; 4096] } else { Vec::new() });
     mpi.bcast(0, &mut twiddle);
+
+    // The transpose's blocks, built once per run; every alltoall sends them
+    // by reference.
+    let blocks: Vec<Bytes> = (0..np)
+        .map(|d| Bytes::from(vec![(me * np + d) as u8; block_bytes]))
+        .collect();
 
     for _ in 0..p.iterations {
         // evolve: pointwise exponential factors.
@@ -98,9 +105,6 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         // Local FFT passes over the owned slab.
         mpi.compute(fft_ns);
         // Global transpose.
-        let blocks: Vec<Vec<u8>> = (0..np)
-            .map(|d| vec![(me * np + d) as u8; block_bytes])
-            .collect();
         let got = if p.nonblocking {
             // Initiate the transpose, overlap the next FFT pass against it
             // (probing to drive the progress engine), then complete.
@@ -128,12 +132,7 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         }
         // Checksum: short reduction + broadcast of the verification value.
         let sum = mpi.reduce(0, &[me as f64, 1.0], ReduceOp::Sum);
-        let mut chk = if me == 0 {
-            let s = sum.unwrap();
-            s[0].to_le_bytes().to_vec()
-        } else {
-            Vec::new()
-        };
+        let mut chk = Bytes::from(sum.map_or_else(Vec::new, |s| s[0].to_le_bytes().to_vec()));
         mpi.bcast(0, &mut chk);
         assert_eq!(chk.len(), 8);
     }

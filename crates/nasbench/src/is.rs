@@ -7,7 +7,7 @@
 //! blocking collective transfers with no computation to hide them — which
 //! this kernel reproduces.
 
-use simmpi::{Mpi, ReduceOp};
+use simmpi::{Bytes, Mpi, ReduceOp};
 
 use crate::class::Class;
 use crate::model::{flops_ns, IS_KEY_FLOPS};
@@ -53,15 +53,18 @@ pub fn run_is(mpi: &mut Mpi, p: &IsParams) {
     let rank_ns = flops_ns(local_keys as f64 * IS_KEY_FLOPS);
     // Key redistribution block: local keys split over all ranks, 4 B keys.
     let key_block = ((local_keys as usize / np) * 4) / p.vol_scale;
+    // Both exchanges' blocks, built once per run and sent by reference.
+    let size_blocks = vec![Bytes::from(vec![0u8; np * 4]); np];
+    let key_blocks: Vec<Bytes> = (0..np)
+        .map(|d| Bytes::from(vec![(me + d) as u8; key_block]))
+        .collect();
 
     for _ in 0..p.iterations {
         // Local key counting/ranking.
         mpi.compute(rank_ns);
         // Bucket-size exchange: one tiny block per rank.
-        let size_blocks: Vec<Vec<u8>> = (0..np).map(|_| vec![0u8; np * 4]).collect();
         let _sizes = mpi.alltoall(&size_blocks);
         // Key exchange: medium blocks.
-        let key_blocks: Vec<Vec<u8>> = (0..np).map(|d| vec![(me + d) as u8; key_block]).collect();
         let got = mpi.alltoall(&key_blocks);
         for (src, b) in got.iter().enumerate() {
             assert!(crate::filled_with(b, (src + me) as u8));

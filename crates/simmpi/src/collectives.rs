@@ -36,8 +36,9 @@ impl Mpi<'_> {
         self.rec.call_exit();
     }
 
-    /// Broadcast `data` from `root` to every rank (binomial tree).
-    pub fn bcast(&mut self, root: usize, data: &mut Vec<u8>) {
+    /// Broadcast `data` from `root` to every rank (binomial tree). Elsewhere
+    /// `data` is replaced by the payload as received, by reference.
+    pub fn bcast(&mut self, root: usize, data: &mut Bytes) {
         self.call_enter("MPI_Bcast");
         self.bcast_in(root, data);
         self.rec.call_exit();
@@ -57,7 +58,7 @@ impl Mpi<'_> {
     pub fn allreduce(&mut self, data: &[f64], op: ReduceOp) -> Vec<f64> {
         self.call_enter("MPI_Allreduce");
         let reduced = self.reduce_in(0, data, op);
-        let mut buf = reduced.map(|v| f64s_to_bytes(&v)).unwrap_or_default();
+        let mut buf = reduced.map_or_else(Bytes::new, |v| f64s_to_bytes(&v).into());
         self.bcast_in(0, &mut buf);
         self.rec.call_exit();
         bytes_to_f64s(&buf)
@@ -68,23 +69,22 @@ impl Mpi<'_> {
     /// schedule (`n`−1 rounds of `sendrecv`), the classic long-message
     /// algorithm whose transfers dominate NAS FT. Blocks may have different
     /// lengths.
-    pub fn alltoall(&mut self, blocks: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    pub fn alltoall(&mut self, blocks: &[Bytes]) -> Vec<Bytes> {
         self.call_enter("MPI_Alltoall");
         let n = self.nranks();
         assert_eq!(blocks.len(), n, "alltoall needs one block per rank");
         let me = self.rank();
-        let mut out: Vec<Vec<u8>> = vec![Vec::new(); n];
+        let mut out: Vec<Bytes> = vec![Bytes::new(); n];
         out[me] = blocks[me].clone();
         let tag = self.coll_tag();
         for k in 1..n {
             let to = (me + k) % n;
             let from = (me + n - k) % n;
-            let block = (&blocks[to]).into_payload();
-            let sr = self.isend_inner(to, tag + k as u64, block, true);
+            let sr = self.isend_inner(to, tag + k as u64, blocks[to].clone(), true);
             let rr = self.irecv_inner(Src::Rank(from), TagSel::Is(tag + k as u64));
             self.wait_inner(sr);
             let st = self.wait_inner(rr);
-            out[from] = st.into_data().to_vec();
+            out[from] = st.into_data();
         }
         self.rec.call_exit();
         out
@@ -92,7 +92,7 @@ impl Mpi<'_> {
 
     // ---- algorithms -------------------------------------------------------
 
-    fn bcast_in(&mut self, root: usize, data: &mut Vec<u8>) {
+    fn bcast_in(&mut self, root: usize, data: &mut Bytes) {
         let n = self.nranks();
         if n <= 1 {
             return;
@@ -100,25 +100,21 @@ impl Mpi<'_> {
         let tag = self.coll_tag();
         let vrank = (self.rank() + n - root) % n;
         let unmap = |v: usize| (v + root) % n;
-        // One `Bytes` per rank: the root's copy of its buffer, or the block
-        // as received; every child gets a clone of it.
-        let mut payload = None;
+        // One `Bytes` per rank: the root's buffer, or the block as
+        // received; every child gets a clone of it.
         let mut mask = 1usize;
         while mask < n {
             if vrank & mask != 0 {
                 let st = self.recv_internal(Src::Rank(unmap(vrank - mask)), TagSel::Is(tag));
-                let got = st.into_data();
-                *data = got.to_vec();
-                payload = Some(got);
+                *data = st.into_data();
                 break;
             }
             mask <<= 1;
         }
-        let payload = payload.unwrap_or_else(|| data.as_slice().into_payload());
         mask >>= 1;
         while mask > 0 {
             if vrank + mask < n {
-                self.send_internal(unmap(vrank + mask), tag, &payload);
+                self.send_internal(unmap(vrank + mask), tag, &*data);
             }
             mask >>= 1;
         }

@@ -15,8 +15,10 @@
 //! Like blocking collectives, all ranks must initiate the same collectives
 //! in the same order.
 
+use bytes::Bytes;
+
 use crate::mpi::Mpi;
-use crate::types::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, TagSel};
+use crate::types::{bytes_to_f64s, f64s_to_bytes, ReduceOp, Request, Src, TagSel};
 
 /// Handle to an in-flight non-blocking collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -26,14 +28,14 @@ pub struct CollHandle(pub(crate) u64);
 #[derive(Debug)]
 pub enum CollResult {
     /// Alltoall: one block per rank.
-    Blocks(Vec<Vec<u8>>),
+    Blocks(Vec<Bytes>),
     /// Allreduce: the reduced vector.
     Vals(Vec<f64>),
 }
 
 impl CollResult {
     /// Unwrap alltoall blocks.
-    pub fn into_blocks(self) -> Vec<Vec<u8>> {
+    pub fn into_blocks(self) -> Vec<Bytes> {
         match self {
             CollResult::Blocks(b) => b,
             other => panic!("expected Blocks, got {other:?}"),
@@ -65,7 +67,7 @@ enum Kind {
     Alltoall {
         recvs: Vec<(usize, Request)>,
         sends: Vec<Request>,
-        out: Vec<Option<Vec<u8>>>,
+        out: Vec<Option<Bytes>>,
     },
     Allreduce {
         tag: u64,
@@ -82,13 +84,13 @@ impl Mpi<'_> {
     /// Non-blocking all-to-all: all sends and receives are posted
     /// immediately (single round), so the transfers proceed while the
     /// application computes — the cure for FT's blocking transpose.
-    pub fn ialltoall(&mut self, blocks: &[Vec<u8>]) -> CollHandle {
+    pub fn ialltoall(&mut self, blocks: &[Bytes]) -> CollHandle {
         self.rec.call_enter("MPI_Ialltoall");
         let n = self.nranks();
         assert_eq!(blocks.len(), n, "ialltoall needs one block per rank");
         let me = self.rank();
         let tag = self.coll_tag();
-        let mut out: Vec<Option<Vec<u8>>> = vec![None; n];
+        let mut out: Vec<Option<Bytes>> = vec![None; n];
         out[me] = Some(blocks[me].clone());
         let mut recvs = Vec::with_capacity(n - 1);
         let mut sends = Vec::with_capacity(n - 1);
@@ -99,8 +101,7 @@ impl Mpi<'_> {
                 from,
                 self.irecv_raw(Src::Rank(from), TagSel::Is(tag + k as u64)),
             ));
-            let block = (&blocks[to]).into_payload();
-            sends.push(self.isend_raw(to, tag + k as u64, block, true));
+            sends.push(self.isend_raw(to, tag + k as u64, blocks[to].clone(), true));
         }
         let state = ICollState {
             done: n <= 1,
@@ -175,19 +176,15 @@ impl Mpi<'_> {
     // ---- machine advancement (called from `progress`) ---------------------
 
     pub(crate) fn advance_collectives(&mut self) {
-        if self.icolls.is_empty() {
-            return;
-        }
-        let mut ids: Vec<u64> = self.icolls.keys().copied().collect();
-        ids.sort_unstable();
-        for id in ids {
-            // Out of the map while it advances: `advance_one` needs `&mut self`.
-            let Some(mut st) = self.icolls.remove(&id) else {
+        let mut next = 0;
+        while let Some((&id, st)) = self.icolls.range(next..).next() {
+            next = id + 1;
+            if st.done {
                 continue;
-            };
-            if !st.done {
-                self.advance_one(&mut st);
             }
+            // Out of the map while it advances: `advance_one` needs `&mut self`.
+            let mut st = self.icolls.remove(&id).expect("id just seen");
+            self.advance_one(&mut st);
             self.icolls.insert(id, st);
         }
     }
@@ -198,7 +195,7 @@ impl Mpi<'_> {
                 recvs.retain(|&(idx, r)| {
                     if self.req_done(r) {
                         let st = self.take_status(r);
-                        out[idx] = Some(st.into_data().to_vec());
+                        out[idx] = Some(st.into_data());
                         false
                     } else {
                         true

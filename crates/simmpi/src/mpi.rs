@@ -23,13 +23,13 @@
 //! (`RankCtx::busy`) and parks happen with the lock released (see
 //! `simnet::world` module docs for why this is load-bearing).
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, RankDiag, Time};
-use simnet::{CausalEdge, Completion, NetConfig, Packet, RegionId, SharedWorld, XferId};
+use simnet::{CausalEdge, Completion, NetConfig, Packet, Region, RegionId, SharedWorld, XferId};
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
@@ -174,8 +174,9 @@ pub struct Mpi<'a> {
     /// Collective sequence number (tag scoping; every rank calls the
     /// collectives in the same order, so these agree).
     pub(crate) coll_seq: u64,
-    /// Active non-blocking collectives, advanced by the progress engine.
-    pub(crate) icolls: HashMap<u64, crate::icoll::ICollState>,
+    /// Active non-blocking collectives, advanced by the progress engine in
+    /// id (initiation) order.
+    pub(crate) icolls: BTreeMap<u64, crate::icoll::ICollState>,
     pub(crate) next_icoll: u64,
     /// Sequence/ACK/retransmission layer; pass-through on loss-free fabrics.
     rel: Reliability,
@@ -251,7 +252,7 @@ impl<'a> Mpi<'a> {
             send_reg_cache: VecDeque::new(),
             recv_pin_cache: VecDeque::new(),
             coll_seq: 0,
-            icolls: HashMap::new(),
+            icolls: BTreeMap::new(),
             next_icoll: 0,
             rel,
             retrans_xfers: HashSet::new(),
@@ -910,8 +911,13 @@ impl<'a> Mpi<'a> {
         let rest_xfer = self.alloc_local_xfer();
         {
             let mut w = self.world.lock();
-            let region = w.register(self.rank, vec![0u8; total_len]);
-            w.mem_mut(self.rank).get_mut(region).unwrap()[..frag1_len].copy_from_slice(&frag1);
+            // Fragment 1 now; the sender's whole buffer once the RDMA
+            // Writes have tiled it in order.
+            let landing = Region::Landing {
+                run: frag1,
+                len: total_len,
+            };
+            let region = w.register(self.rank, landing);
             let cts = Packet::control(
                 self.rank,
                 self.net.ctrl_packet_bytes,
@@ -1197,7 +1203,8 @@ impl<'a> Mpi<'a> {
                 // The FIN rides as the final fragment's delivery notice, so
                 // its edge carries that fragment's fabric contention.
                 self.end_xfer(pipe.rest_xfer, pipe.rest_len, &p.edge);
-                // The landing buffer becomes the receive status as is.
+                // The landing region becomes the receive status as is: the
+                // sender's buffer itself when its fragments tiled it.
                 let data = self.world.lock().deregister(self.rank, pipe.region);
                 self.complete_recv(recv_req, src, tag, data);
                 return;

@@ -1,7 +1,7 @@
 //! Collective correctness against sequential references.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, ReduceOp};
+use simmpi::{run_mpi, Bytes, MpiConfig, ReduceOp};
 use simnet::NetConfig;
 
 fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) {
@@ -32,9 +32,9 @@ fn bcast_from_every_root() {
         run(nranks, move |mpi| {
             for root in 0..mpi.nranks() {
                 let mut data = if mpi.rank() == root {
-                    vec![root as u8; 1000]
+                    Bytes::from(vec![root as u8; 1000])
                 } else {
-                    Vec::new()
+                    Bytes::new()
                 };
                 mpi.bcast(root, &mut data);
                 assert_eq!(data, vec![root as u8; 1000]);
@@ -94,7 +94,9 @@ fn alltoall_permutes_blocks() {
         run(nranks, move |mpi| {
             let me = mpi.rank();
             let n = mpi.nranks();
-            let blocks: Vec<Vec<u8>> = (0..n).map(|dst| vec![(me * n + dst) as u8; 64]).collect();
+            let blocks: Vec<Bytes> = (0..n)
+                .map(|dst| Bytes::from(vec![(me * n + dst) as u8; 64]))
+                .collect();
             let got = mpi.alltoall(&blocks);
             for (src, b) in got.iter().enumerate() {
                 assert_eq!(b, &vec![(src * n + me) as u8; 64], "block from {src}");
@@ -113,7 +115,7 @@ fn alltoall_long_blocks_use_rendezvous() {
         RecorderOpts::default(),
         |mpi| {
             let n = mpi.nranks();
-            let blocks: Vec<Vec<u8>> = (0..n).map(|_| vec![7u8; 256 << 10]).collect();
+            let blocks = vec![Bytes::from(vec![7u8; 256 << 10]); n];
             let got = mpi.alltoall(&blocks);
             assert!(got.iter().all(|b| b.iter().all(|&x| x == 7)));
         },
@@ -149,9 +151,9 @@ fn collectives_count_payload_transfers_but_barrier_does_not() {
         RecorderOpts::default(),
         |mpi| {
             let mut data = if mpi.rank() == 0 {
-                vec![1u8; 2048]
+                Bytes::from(vec![1u8; 2048])
             } else {
-                Vec::new()
+                Bytes::new()
             };
             mpi.bcast(0, &mut data);
         },

@@ -2,7 +2,7 @@
 //! progress engine.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, ReduceOp, Src, TagSel};
+use simmpi::{run_mpi, Bytes, MpiConfig, MpiRunOutcome, ReduceOp, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
@@ -26,7 +26,9 @@ fn ialltoall_permutes_blocks() {
         run(nranks, MpiConfig::default(), move |mpi| {
             let me = mpi.rank();
             let n = mpi.nranks();
-            let blocks: Vec<Vec<u8>> = (0..n).map(|d| vec![(me * n + d) as u8; 512]).collect();
+            let blocks: Vec<Bytes> = (0..n)
+                .map(|d| Bytes::from(vec![(me * n + d) as u8; 512]))
+                .collect();
             let h = mpi.ialltoall(&blocks);
             mpi.compute(50_000);
             let got = mpi.icoll_wait(h).into_blocks();
@@ -57,14 +59,14 @@ fn ialltoall_overlaps_what_alltoall_cannot() {
     // the same computation available for hiding.
     let volume = 512usize << 10;
     let blocking = run(4, MpiConfig::mvapich2(), move |mpi| {
-        let blocks: Vec<Vec<u8>> = vec![vec![1u8; volume]; 4];
+        let blocks = vec![Bytes::from(vec![1u8; volume]); 4];
         for _ in 0..5 {
             mpi.alltoall(&blocks);
             mpi.compute(4_000_000);
         }
     });
     let nonblocking = run(4, MpiConfig::mvapich2(), move |mpi| {
-        let blocks: Vec<Vec<u8>> = vec![vec![1u8; volume]; 4];
+        let blocks = vec![Bytes::from(vec![1u8; volume]); 4];
         for _ in 0..5 {
             let h = mpi.ialltoall(&blocks);
             // Probe-free: the waits inside icoll_wait plus the periodic
@@ -90,7 +92,9 @@ fn mixed_icolls_in_flight_concurrently() {
         let me = mpi.rank();
         let n = mpi.nranks();
         let har = mpi.iallreduce(&[me as f64], ReduceOp::Sum);
-        let blocks: Vec<Vec<u8>> = (0..n).map(|d| vec![(me + d) as u8; 64]).collect();
+        let blocks: Vec<Bytes> = (0..n)
+            .map(|d| Bytes::from(vec![(me + d) as u8; 64]))
+            .collect();
         let ha = mpi.ialltoall(&blocks);
         mpi.compute(100_000);
         // Complete in the opposite order of initiation.
@@ -107,7 +111,7 @@ fn mixed_icolls_in_flight_concurrently() {
 fn icoll_bounds_respect_truth() {
     let net = NetConfig::default();
     let out = run(4, MpiConfig::mvapich2(), |mpi| {
-        let blocks: Vec<Vec<u8>> = vec![vec![3u8; 128 << 10]; 4];
+        let blocks = vec![Bytes::from(vec![3u8; 128 << 10]); 4];
         for _ in 0..4 {
             let h = mpi.ialltoall(&blocks);
             mpi.compute(1_500_000);

@@ -1,9 +1,10 @@
 //! Payload integrity under aliasing.
 //!
 //! Payloads move through the library by reference: a rendezvous send
-//! registers the very `Bytes` it was given and the receiver's `Status` ends
-//! up holding a slice of it. These tests pin the two properties that make
-//! this safe and worthwhile, on every protocol path: a *borrowed* send buffer is
+//! registers (direct read) or writes out (pipelined) the very `Bytes` it was
+//! given, and the receiver's `Status` ends up holding that allocation. These
+//! tests pin the two properties that make this safe and worthwhile, on every
+//! protocol path and through the collectives: a *borrowed* send buffer is
 //! the caller's again the moment the call returns (MPI buffer semantics —
 //! the one copy at the boundary), and an *owned* one is never copied at all.
 
@@ -95,14 +96,16 @@ fn same_length_sends_each_deliver_their_own_contents() {
 }
 
 #[test]
-fn owned_buffer_under_direct_read_is_delivered_without_a_copy() {
+fn owned_buffer_under_rendezvous_is_delivered_without_a_copy() {
     for (name, cfg) in [
+        ("pipelined", MpiConfig::open_mpi_pipelined()),
         ("direct", direct(false)),
         ("direct + reg cache", direct(true)),
         ("hw-tag rendezvous", hw_tag()),
     ] {
-        // Both ranks' closures capture this one allocation.
-        let msg = Bytes::from(pattern(7, 256 << 10));
+        // Both ranks' closures capture this one allocation (three
+        // fragments when pipelined).
+        let msg = Bytes::from(pattern(7, 300 << 10));
         run(cfg, move |mpi| {
             // Twice, so the cached configuration also takes its hit path.
             for tag in 0..2 {
@@ -119,5 +122,49 @@ fn owned_buffer_under_direct_read_is_delivered_without_a_copy() {
                 }
             }
         });
+    }
+}
+
+#[test]
+fn alltoall_blocks_are_the_senders_allocations() {
+    const N: usize = 4;
+    for (name, cfg, len) in [
+        ("eager", MpiConfig::open_mpi_pipelined(), 4 << 10),
+        ("pipelined", MpiConfig::open_mpi_pipelined(), 300 << 10),
+        ("direct", direct(true), 256 << 10),
+    ] {
+        // Block `d` of rank `r` is `all[r][d]`; every rank's closure
+        // captures all of them, so a receiver can tell whose allocation it
+        // holds.
+        let all: Vec<Vec<Bytes>> = (0..N)
+            .map(|r| {
+                (0..N)
+                    .map(|d| Bytes::from(pattern((r * N + d) as u8, len)))
+                    .collect()
+            })
+            .collect();
+        run_mpi(
+            N,
+            NetConfig::default(),
+            cfg,
+            RecorderOpts::default(),
+            move |mpi| {
+                let me = mpi.rank();
+                let blocking = mpi.alltoall(&all[me]);
+                let h = mpi.ialltoall(&all[me]);
+                let nonblocking = mpi.icoll_wait(h).into_blocks();
+                for got in [blocking, nonblocking] {
+                    for (src, block) in got.iter().enumerate() {
+                        assert_eq!(
+                            block.as_ptr(),
+                            all[src][me].as_ptr(),
+                            "{name}: block from {src} must be the sender's allocation"
+                        );
+                        assert_eq!(block.len(), len);
+                    }
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("{}", e.one_line()));
     }
 }

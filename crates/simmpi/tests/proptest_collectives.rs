@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, ReduceOp};
+use simmpi::{run_mpi, Bytes, MpiConfig, ReduceOp};
 use simnet::NetConfig;
 
 #[derive(Debug, Clone, Copy)]
@@ -46,9 +46,9 @@ proptest! {
                         Op::Barrier => mpi.barrier(),
                         Op::Bcast { root, len } => {
                             let mut data = if me == root {
-                                vec![(root + i) as u8; len]
+                                Bytes::from(vec![(root + i) as u8; len])
                             } else {
-                                Vec::new()
+                                Bytes::new()
                             };
                             mpi.bcast(root, &mut data);
                             assert_eq!(data, vec![(root + i) as u8; len], "bcast {i}");
@@ -60,8 +60,9 @@ proptest! {
                             assert!(out.iter().all(|&v| v == expect), "allreduce {i}");
                         }
                         Op::Alltoall { len } => {
-                            let blocks: Vec<Vec<u8>> =
-                                (0..n).map(|d| vec![(me * n + d) as u8; len]).collect();
+                            let blocks: Vec<Bytes> = (0..n)
+                                .map(|d| Bytes::from(vec![(me * n + d) as u8; len]))
+                                .collect();
                             let got = mpi.alltoall(&blocks);
                             for (src, b) in got.iter().enumerate() {
                                 assert_eq!(b, &vec![(src * n + me) as u8; len], "alltoall {i}");

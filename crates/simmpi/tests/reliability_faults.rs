@@ -151,9 +151,9 @@ fn collectives_complete_under_loss() {
                 mpi.barrier();
                 let root = (round % 4) as usize;
                 let mut buf = if mpi.rank() == root {
-                    payload(root, round as usize, 2048)
+                    payload(root, round as usize, 2048).into()
                 } else {
-                    vec![0u8; 2048]
+                    simmpi::Bytes::from(vec![0u8; 2048])
                 };
                 mpi.bcast(root, &mut buf);
                 assert_eq!(

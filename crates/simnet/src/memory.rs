@@ -6,16 +6,22 @@
 //! buffers and landing buffers here so the simulation delivers real bytes end
 //! to end (payloads are checksum-verified by the NAS kernels).
 //!
-//! A region is one of two things ([`Region`]). A **read-only** region *is*
+//! A region is one of three things ([`Region`]). A **read-only** region *is*
 //! the sender's payload — a `Bytes` registered by a rendezvous send — and an
 //! RDMA Read of it replies with a `Bytes::slice` of that same allocation: the
 //! receiver ends up holding the sender's buffer, and nothing is copied on the
-//! host. A **writable** region is an owned `Vec<u8>` that remote operations
-//! mutate in place (pipelined landing buffers, ARMCI windows); a read of one
-//! copies the range out, because a later put may change it. Writing into a
-//! read-only region is a bug in the caller and fails loudly. None of this
-//! costs virtual time: `NetConfig::copy_cost` and `reg_cost` are charged by
-//! the libraries, whatever the host does.
+//! host. A **landing** region is a pipelined receive buffer that remembers
+//! what was written into it by reference: while each write continues the
+//! run so far in the same allocation (the sender's fragments, in order) the
+//! run just grows, and a region whose run covers it deregisters as the
+//! sender's buffer. Any other write turns it, once, into the zero-filled
+//! owned buffer it stands for. A **writable** region is that owned
+//! `Vec<u8>`, which remote operations mutate in place (ARMCI windows, and
+//! landing regions after the fallback); a read of one copies the range out,
+//! because a later put may change it. Writing into a read-only region is a
+//! bug in the caller and fails loudly. None of this costs virtual time:
+//! `NetConfig::copy_cost` and `reg_cost` are charged by the libraries,
+//! whatever the host does.
 
 use std::collections::HashMap;
 
@@ -32,6 +38,13 @@ pub enum Region {
     ReadOnly(Bytes),
     /// Owned memory that remote writes mutate in place.
     Writable(Vec<u8>),
+    /// A `len`-byte receive buffer whose bytes are `run`, then zeros.
+    Landing {
+        /// What the writes so far have tiled from offset 0, by reference.
+        run: Bytes,
+        /// The region's length.
+        len: usize,
+    },
 }
 
 impl From<Bytes> for Region {
@@ -47,12 +60,33 @@ impl From<Vec<u8>> for Region {
 }
 
 impl Region {
+    fn len(&self) -> usize {
+        match self {
+            Region::ReadOnly(b) => b.len(),
+            Region::Writable(v) => v.len(),
+            Region::Landing { len, .. } => *len,
+        }
+    }
+
+    /// The region's bytes in place. Nothing reads a landing region before
+    /// its writes have tiled it, so one that has a gap panics.
     fn as_slice(&self) -> &[u8] {
         match self {
             Region::ReadOnly(b) => b,
             Region::Writable(v) => v,
+            Region::Landing { run, len } => {
+                assert_eq!(run.len(), *len, "landing region read before it was filled");
+                run
+            }
         }
     }
+}
+
+/// The owned buffer a landing region stands for: `run`, zero-filled to `len`.
+fn zero_filled(run: &Bytes, len: usize) -> Vec<u8> {
+    let mut v = vec![0u8; len];
+    v[..run.len()].copy_from_slice(run);
+    v
 }
 
 /// Registered memory of one node.
@@ -68,18 +102,21 @@ impl NodeMemory {
     }
 
     pub(crate) fn insert(&mut self, id: RegionId, data: Region) {
-        self.pinned_bytes += data.as_slice().len();
+        self.pinned_bytes += data.len();
         let prev = self.regions.insert(id.0, data);
         assert!(prev.is_none(), "region id reused");
     }
 
-    /// Unpin a region and hand its contents over (free for either kind).
+    /// Unpin a region and hand its contents over: free for every kind but
+    /// a landing region its writes did not cover, which is zero-filled.
     pub(crate) fn remove(&mut self, id: RegionId) -> Option<Bytes> {
         let data = self.regions.remove(&id.0)?;
-        self.pinned_bytes -= data.as_slice().len();
+        self.pinned_bytes -= data.len();
         Some(match data {
             Region::ReadOnly(b) => b,
             Region::Writable(v) => Bytes::from(v),
+            Region::Landing { run, len } if run.len() == len => run,
+            Region::Landing { run, len } => Bytes::from(zero_filled(&run, len)),
         })
     }
 
@@ -98,20 +135,35 @@ impl NodeMemory {
     }
 
     /// What an RDMA Read of `off..off + len` returns: a slice of the shared
-    /// payload for a read-only region, a snapshot copy for a writable one.
+    /// payload for a read-only or landing region, a snapshot copy for a
+    /// writable one.
     pub fn read(&self, id: RegionId, off: usize, len: usize) -> Option<Bytes> {
         Some(match self.regions.get(&id.0)? {
-            Region::ReadOnly(b) => b.slice(off..off + len),
+            Region::ReadOnly(b) | Region::Landing { run: b, .. } => b.slice(off..off + len),
             Region::Writable(v) => Bytes::copy_from_slice(&v[off..off + len]),
         })
     }
 
-    /// Write access to a region. Panics on a read-only one: nothing may
-    /// change a payload that receivers hold by reference.
-    pub fn get_mut(&mut self, id: RegionId) -> Option<&mut [u8]> {
-        match self.regions.get_mut(&id.0)? {
-            Region::Writable(v) => Some(v.as_mut_slice()),
-            Region::ReadOnly(_) => panic!(
+    /// Place an RDMA Write of `data` at `off` (see the module docs for what
+    /// a landing region keeps by reference). Panics on a read-only region:
+    /// nothing may change a payload that receivers hold by reference.
+    pub fn write(&mut self, id: RegionId, off: usize, data: &Bytes) {
+        let region = self
+            .regions
+            .get_mut(&id.0)
+            .expect("RDMA write to unknown region");
+        if let Region::Landing { run, len } = region {
+            if off == run.len() && off + data.len() <= *len {
+                if let Some(joined) = run.try_unsplit(data) {
+                    *run = joined;
+                    return;
+                }
+            }
+            *region = Region::Writable(zero_filled(run, *len));
+        }
+        match region {
+            Region::Writable(v) => v[off..off + data.len()].copy_from_slice(data),
+            _ => panic!(
                 "region {} is read-only (registered from Bytes): an RDMA write \
                  needs a writable Vec<u8> region",
                 id.0
@@ -142,11 +194,11 @@ mod tests {
     }
 
     #[test]
-    fn get_mut_mutates_in_place() {
+    fn write_mutates_a_writable_region_in_place() {
         let mut mem = NodeMemory::new();
         mem.insert(RegionId(7), vec![0; 4].into());
-        mem.get_mut(RegionId(7)).unwrap()[2] = 9;
-        assert_eq!(mem.get(RegionId(7)).unwrap()[2], 9);
+        mem.write(RegionId(7), 2, &Bytes::from(vec![9u8]));
+        assert_eq!(mem.get(RegionId(7)).unwrap(), &[0, 0, 9, 0]);
     }
 
     #[test]
@@ -181,7 +233,7 @@ mod tests {
         let mut mem = NodeMemory::new();
         mem.insert(RegionId(3), vec![1u8; 8].into());
         let before = mem.read(RegionId(3), 0, 8).unwrap();
-        mem.get_mut(RegionId(3)).unwrap()[0] = 9;
+        mem.write(RegionId(3), 0, &Bytes::from(vec![9u8]));
         assert_eq!(before[0], 1);
         assert_eq!(mem.read(RegionId(3), 0, 8).unwrap()[0], 9);
     }
@@ -191,6 +243,135 @@ mod tests {
     fn read_only_region_refuses_writes() {
         let mut mem = NodeMemory::new();
         mem.insert(RegionId(4), Bytes::from(vec![0u8; 8]).into());
-        mem.get_mut(RegionId(4));
+        mem.write(RegionId(4), 0, &Bytes::from(vec![1u8]));
+    }
+
+    /// A pipelined send's payload: 40 distinct bytes, fragments of 10.
+    fn payload() -> Bytes {
+        Bytes::from((1u8..=40).collect::<Vec<u8>>())
+    }
+
+    /// Land `writes` (offset, fragment) in a region that starts as
+    /// `payload[..10]`; return what deregistering it hands over.
+    fn land(writes: &[(usize, Bytes)]) -> Bytes {
+        let p = payload();
+        let mut mem = NodeMemory::new();
+        mem.insert(
+            RegionId(5),
+            Region::Landing {
+                run: p.slice(..10),
+                len: 40,
+            },
+        );
+        assert_eq!(mem.pinned_bytes(), 40);
+        for (off, data) in writes {
+            mem.write(RegionId(5), *off, data);
+        }
+        let out = mem.remove(RegionId(5)).unwrap();
+        assert_eq!(mem.pinned_bytes(), 0);
+        out
+    }
+
+    /// What today's zero-filled copy path gives for the same writes: a
+    /// `vec![0; 40]` with fragment 1 and then every write copied in.
+    fn copied(writes: &[(usize, Bytes)]) -> Vec<u8> {
+        let mut v = vec![0u8; 40];
+        v[..10].copy_from_slice(&payload()[..10]);
+        for (off, data) in writes {
+            v[*off..off + data.len()].copy_from_slice(data);
+        }
+        v
+    }
+
+    #[test]
+    fn fragments_that_tile_the_payload_in_order_land_as_the_senders_allocation() {
+        let p = payload();
+        let mut mem = NodeMemory::new();
+        mem.insert(
+            RegionId(6),
+            Region::Landing {
+                run: p.slice(..10),
+                len: 40,
+            },
+        );
+        for off in [10, 20, 30] {
+            mem.write(RegionId(6), off, &p.slice(off..off + 10));
+        }
+        assert_eq!(mem.get(RegionId(6)).unwrap(), &p[..]);
+        assert_eq!(
+            mem.read(RegionId(6), 5, 10).unwrap().as_ptr(),
+            p[5..].as_ptr()
+        );
+        let out = mem.remove(RegionId(6)).unwrap();
+        assert_eq!(out.as_ptr(), p.as_ptr(), "no landing buffer, no copy");
+        assert_eq!(out.len(), 40);
+    }
+
+    #[test]
+    fn every_other_write_gives_the_bytes_of_the_zero_filled_copy_path() {
+        let p = payload();
+        let twin = payload(); // same bytes, another allocation
+        let other = Bytes::from(vec![0xAAu8; 10]);
+        let cases: Vec<(&str, Vec<(usize, Bytes)>)> = vec![
+            (
+                "out of order",
+                vec![
+                    (30, p.slice(30..)),
+                    (10, p.slice(10..20)),
+                    (20, p.slice(20..30)),
+                ],
+            ),
+            (
+                "another allocation",
+                vec![
+                    (10, twin.slice(10..20)),
+                    (20, p.slice(20..30)),
+                    (30, p.slice(30..)),
+                ],
+            ),
+            (
+                "foreign bytes",
+                vec![
+                    (10, other.clone()),
+                    (20, p.slice(20..30)),
+                    (30, p.slice(30..)),
+                ],
+            ),
+            (
+                "duplicate",
+                vec![
+                    (10, p.slice(10..20)),
+                    (10, p.slice(10..20)),
+                    (20, p.slice(20..)),
+                ],
+            ),
+            (
+                "overlapping",
+                vec![
+                    (10, p.slice(10..25)),
+                    (20, p.slice(20..30)),
+                    (30, p.slice(30..)),
+                ],
+            ),
+            ("deregistered early", vec![(10, p.slice(10..20))]),
+            ("gap", vec![(10, p.slice(10..20)), (30, p.slice(30..))]),
+        ];
+        for (name, writes) in cases {
+            assert_eq!(land(&writes), copied(&writes), "{name}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "landing region read before it was filled")]
+    fn a_landing_region_with_a_gap_is_not_readable_in_place() {
+        let mut mem = NodeMemory::new();
+        mem.insert(
+            RegionId(8),
+            Region::Landing {
+                run: payload().slice(..10),
+                len: 40,
+            },
+        );
+        mem.get(RegionId(8));
     }
 }

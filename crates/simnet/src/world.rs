@@ -267,10 +267,7 @@ impl World {
                 notify,
                 edge,
             } => {
-                let mem = w.mem[dst]
-                    .get_mut(region)
-                    .expect("RDMA write to unknown region");
-                mem[off..off + data.len()].copy_from_slice(&data);
+                w.mem[dst].write(region, off, &data);
                 w.nics[src].complete(wr, user, None, [0; 3], edge);
                 let wake_dst = w.deliver_notify(dst, notify, edge);
                 drop(w);
@@ -366,8 +363,8 @@ impl World {
     }
 
     /// Register (pin) a memory region on `node`: a `Vec<u8>` becomes a
-    /// writable window, a `Bytes` a read-only payload served by reference
-    /// (see [`crate::memory`]). The *host cost* of pinning
+    /// writable window, a `Bytes` a read-only payload served by reference,
+    /// a [`Region::Landing`] a receive buffer (see [`crate::memory`]). The *host cost* of pinning
     /// (`cfg().reg_cost`) must be charged by the caller.
     pub fn register(&mut self, node: usize, data: impl Into<Region>) -> RegionId {
         let id = RegionId(self.next_region);

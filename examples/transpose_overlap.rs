@@ -7,6 +7,7 @@
 //! ```
 
 use overlap_suite::prelude::*;
+use overlap_suite::simmpi::Bytes;
 
 const NP: usize = 4;
 const BLOCK: usize = 512 << 10; // per-destination transpose block
@@ -14,7 +15,7 @@ const FFT_NS: u64 = 4_000_000; // local FFT pass to hide the transpose under
 const ITERS: usize = 5;
 
 fn blocking(mpi: &mut Mpi) {
-    let blocks: Vec<Vec<u8>> = vec![vec![1u8; BLOCK]; NP];
+    let blocks = vec![Bytes::from(vec![1u8; BLOCK]); NP];
     for _ in 0..ITERS {
         mpi.alltoall(&blocks);
         mpi.compute(FFT_NS);
@@ -22,7 +23,7 @@ fn blocking(mpi: &mut Mpi) {
 }
 
 fn nonblocking(mpi: &mut Mpi) {
-    let blocks: Vec<Vec<u8>> = vec![vec![1u8; BLOCK]; NP];
+    let blocks = vec![Bytes::from(vec![1u8; BLOCK]); NP];
     for _ in 0..ITERS {
         let h = mpi.ialltoall(&blocks);
         // The FFT pass, chunked with probes so the progress engine keeps
