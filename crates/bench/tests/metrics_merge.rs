@@ -19,42 +19,46 @@ fn disjoint_counters_union_and_shared_counters_add() {
     b.inc("events_recorded", 5);
     b.inc("bounds_flagged", 1);
     a.merge(&b);
-    assert_eq!(a.counter("events_recorded"), 8);
-    assert_eq!(a.counter("xfers_completed"), 2);
-    assert_eq!(a.counter("bounds_flagged"), 1);
-    assert_eq!(a.counter("absent"), 0);
+    assert_eq!(a.counters["events_recorded"], 8);
+    assert_eq!(a.counters["xfers_completed"], 2);
+    assert_eq!(a.counters["bounds_flagged"], 1);
+    assert!(!a.counters.contains_key("absent"));
 }
 
 #[test]
 fn aligned_histograms_merge_per_bucket() {
     let mut a = MetricsRegistry::new();
     let mut b = MetricsRegistry::new();
-    a.observe("lat", 5, || Histogram::new(vec![10, 100]));
-    a.observe("lat", 50, || Histogram::new(vec![10, 100]));
-    b.observe("lat", 500, || Histogram::new(vec![10, 100]));
+    let mut all = MetricsRegistry::new();
+    for ns in [50, 500] {
+        a.observe("lat", ns, Histogram::latency_default);
+        all.observe("lat", ns, Histogram::latency_default);
+    }
+    b.observe("lat", 5_000, Histogram::latency_default);
+    all.observe("lat", 5_000, Histogram::latency_default);
     b.observe("only_b", 1, Histogram::latency_default);
     a.merge(&b);
-    let h = a.histogram("lat").expect("merged histogram");
-    assert_eq!(h.counts(), &[1, 1, 1]);
-    assert_eq!(h.count(), 3);
-    assert_eq!(h.min(), Some(5));
-    assert_eq!(h.max(), Some(500));
+    // Merging per bucket is observing every sample into one histogram.
+    assert_eq!(a.histograms["lat"], all.histograms["lat"]);
     // A histogram only one side has is adopted wholesale.
-    assert_eq!(a.histogram("only_b").map(Histogram::count), Some(1));
+    assert_eq!(a.histograms["only_b"], b.histograms["only_b"]);
 }
 
 #[test]
 #[should_panic(expected = "histogram bucket layouts differ")]
 fn mismatched_bucket_layouts_refuse_to_merge() {
     let mut a = MetricsRegistry::new();
-    let mut b = MetricsRegistry::new();
-    a.observe("lat", 5, || Histogram::new(vec![10, 100]));
-    b.observe("lat", 5, || Histogram::new(vec![10, 1000]));
+    a.observe("lat", 5, Histogram::latency_default);
+    // A registry read back from a report written with another layout.
+    let b: MetricsRegistry = serde_json::from_str(
+        r#"{"counters": {}, "histograms": {"lat": {"edges": [10, 1000],
+            "counts": [1, 0, 0], "count": 1, "sum": 5, "min": 5, "max": 5}}}"#,
+    )
+    .expect("registry parses");
     a.merge(&b);
 }
 
-/// One instrumented ring run; returns every rank's registry folded into one
-/// (the cross-rank merge `MpiRunOutcome::metrics` performs).
+/// One instrumented ring run; returns every rank's registry folded into one.
 fn ring_metrics(rounds: usize) -> MetricsRegistry {
     let out = run_mpi(
         4,
@@ -80,7 +84,11 @@ fn ring_metrics(rounds: usize) -> MetricsRegistry {
         },
     )
     .expect("ring run failed");
-    out.metrics()
+    let mut m = MetricsRegistry::new();
+    for r in &out.reports {
+        m.merge(&r.metrics);
+    }
+    m
 }
 
 #[test]
@@ -121,5 +129,8 @@ fn cross_rank_merge_is_deterministic_across_worker_counts() {
         .find(|(k, _)| k.starts_with("attr_ns_hist/"))
         .map(|(_, h)| h)
         .expect("attribution histograms should be populated");
-    assert_eq!(hist.edges(), Histogram::latency_default().edges());
+    assert_eq!(
+        serde_json::to_value(hist)["edges"],
+        serde_json::to_value(&Histogram::latency_default())["edges"]
+    );
 }

@@ -51,7 +51,7 @@ fn one_way(cfg: MpiConfig) -> f64 {
                 let s = mpi.isend(1, i, &msg);
                 mpi.wait(s);
             } else {
-                let got = mpi.recv(Src::Rank(0), TagSel::Is(i)).into_data();
+                let got = mpi.recv(Src::Rank(0), TagSel::Is(i)).data.unwrap();
                 assert_eq!((got.len(), got[0], got[LEN - 1]), (LEN, 0x5A, 0x5A));
             }
         }

@@ -172,6 +172,17 @@ fn cli_flags_parse_and_default() {
     )
     .is_err());
     assert!(runner::parse_cli(&["--topology".to_string()], &figures, &ablations).is_err());
+    // So is a fabric too large to build, before anything allocates.
+    let err = runner::parse_cli(
+        &["--topology=fat-tree:k=100000".to_string()],
+        &figures,
+        &ablations,
+    )
+    .unwrap_err();
+    assert!(
+        err.contains("fat-tree:k=100000"),
+        "error must name the spec: {err}"
+    );
 
     assert!(runner::parse_cli(&["--critical-path".to_string()], &figures, &ablations).is_err());
     assert!(runner::parse_cli(&["--jobs".to_string()], &figures, &ablations).is_err());

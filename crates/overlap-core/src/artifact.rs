@@ -41,7 +41,7 @@ pub(crate) struct RankView<'a> {
 
 impl<'a> RankView<'a> {
     /// A captured rank trace, its events replayed into call spans.
-    pub fn of(trace: &'a RankTrace) -> Self {
+    pub(crate) fn of(trace: &'a RankTrace) -> Self {
         RankView {
             rank: trace.rank,
             events: trace.events.len() as u64,

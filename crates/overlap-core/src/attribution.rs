@@ -111,12 +111,12 @@ impl WaitCause {
     ];
 
     /// Inverse of [`WaitCause::label`] (used by the streaming JSONL reader).
-    pub fn from_label(s: &str) -> Option<WaitCause> {
+    pub(crate) fn from_label(s: &str) -> Option<WaitCause> {
         WaitCause::ALL.iter().copied().find(|c| c.label() == s)
     }
 
     /// Stable lowercase label (export/metric naming).
-    pub fn label(self) -> &'static str {
+    pub(crate) fn label(self) -> &'static str {
         match self {
             WaitCause::LateSender => "late_sender",
             WaitCause::LateReceiver => "late_receiver",
@@ -142,7 +142,7 @@ impl WaitCause {
     }
 }
 
-/// A cause serializes as its [`WaitCause::label`].
+/// A cause serializes as its stable lowercase label (`late_sender`, ...).
 impl Serialize for WaitCause {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.label().to_string())
@@ -402,7 +402,7 @@ fn attribute_over<'a>(
 /// * counter `attr_xfers/<cause>` — transfers with a nonzero slice,
 /// * histogram `attr_ns_hist/<cause>` — per-transfer slice sizes on the
 ///   default latency ladder.
-pub fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRegistry) {
+pub(crate) fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRegistry) {
     for r in &attr.records {
         let bin = bins.label(bins.index(r.bytes));
         for s in &r.breakdown {
@@ -653,13 +653,10 @@ mod tests {
         };
         let mut reg = MetricsRegistry::new();
         fold_metrics(&attr, &SizeBins::default(), &mut reg);
-        assert_eq!(reg.counter("attr_ns/late_sender/1K-8K"), 300);
-        assert_eq!(reg.counter("attr_ns/library_overhead/1K-8K"), 100);
-        assert_eq!(reg.counter("attr_xfers/late_sender"), 1);
-        assert_eq!(
-            reg.histogram("attr_ns_hist/late_sender").unwrap().count(),
-            1
-        );
+        assert_eq!(reg.counters["attr_ns/late_sender/1K-8K"], 300);
+        assert_eq!(reg.counters["attr_ns/library_overhead/1K-8K"], 100);
+        assert_eq!(reg.counters["attr_xfers/late_sender"], 1);
+        assert_eq!(reg.histograms["attr_ns_hist/late_sender"].count(), 1);
     }
 
     /// Stamps land on a small grid, so window, span and wait edges coincide

@@ -24,43 +24,24 @@ impl Default for SizeBins {
 
 impl SizeBins {
     /// Default ladder: <1K, 1K–8K, 8K–64K, 64K–512K, 512K–4M, ≥4M.
-    pub fn log_default() -> Self {
+    pub(crate) fn log_default() -> Self {
         SizeBins {
             edges: [1 << 10, 8 << 10, 64 << 10, 512 << 10, 4 << 20].into(),
         }
     }
 
-    /// Coarse short/long split at an eager-threshold-like boundary.
-    pub fn short_long(threshold: u64) -> Self {
-        SizeBins {
-            edges: [threshold].into(),
-        }
-    }
-
-    /// Custom edges (must be strictly increasing and non-empty).
-    pub fn from_edges(edges: Vec<u64>) -> Self {
-        assert!(!edges.is_empty(), "bins need at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "bin edges must be strictly increasing"
-        );
-        SizeBins {
-            edges: edges.into(),
-        }
-    }
-
     /// Number of bins (edges + 1).
-    pub fn count(&self) -> usize {
+    pub(crate) fn count(&self) -> usize {
         self.edges.len() + 1
     }
 
     /// Bin index for a message of `bytes`.
-    pub fn index(&self, bytes: u64) -> usize {
+    pub(crate) fn index(&self, bytes: u64) -> usize {
         self.edges.partition_point(|&e| e <= bytes)
     }
 
     /// Human-readable label for bin `i`.
-    pub fn label(&self, i: usize) -> String {
+    pub(crate) fn label(&self, i: usize) -> String {
         let fmt = |b: u64| -> String {
             if b >= 1 << 20 && b.is_multiple_of(1 << 20) {
                 format!("{}M", b >> 20)
@@ -80,7 +61,7 @@ impl SizeBins {
     }
 
     /// All labels in bin order.
-    pub fn labels(&self) -> Vec<String> {
+    pub(crate) fn labels(&self) -> Vec<String> {
         (0..self.count()).map(|i| self.label(i)).collect()
     }
 }
@@ -111,15 +92,11 @@ mod tests {
 
     #[test]
     fn short_long_split() {
-        let b = SizeBins::short_long(12 * 1024);
+        let b = SizeBins {
+            edges: [12 * 1024].into(),
+        };
         assert_eq!(b.count(), 2);
         assert_eq!(b.index(12 * 1024 - 1), 0);
         assert_eq!(b.index(12 * 1024), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn bad_edges_panic() {
-        SizeBins::from_edges(vec![10, 10]);
     }
 }

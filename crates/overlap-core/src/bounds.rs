@@ -23,21 +23,26 @@ pub enum XferCase {
 /// full derivation.
 ///
 /// ```
-/// use overlap_core::OverlapBounds;
+/// use overlap_core::{ManualClock, Recorder, RecorderOpts, XferTimeTable};
 ///
-/// // xfer 100 ns, 150 ns of user computation between the stamps, 20 ns of
-/// // in-library time: the transfer fits inside the computation (max = 100),
-/// // and at most 20 ns of it can hide in the library (min = 80).
-/// let b = OverlapBounds::split_calls(100, 150, 20);
-/// assert_eq!((b.min, b.max), (80, 100));
-///
-/// // Both stamps inside one call: no overlap was possible.
-/// assert_eq!(OverlapBounds::same_call().max, 0);
-///
-/// // Only one stamp observed: nothing conclusive, the bounds span
-/// // everything.
-/// assert_eq!(OverlapBounds::single_stamp(100).min, 0);
-/// assert_eq!(OverlapBounds::single_stamp(100).max, 100);
+/// // One 100 ns transfer, posted and completed in different calls.
+/// let clock = ManualClock::new();
+/// let table = XferTimeTable::from_points(vec![(1, 100)]);
+/// let mut rec = Recorder::new(0, Box::new(clock.clone()), table, RecorderOpts::default());
+/// rec.call_enter("MPI_Isend");
+/// rec.xfer_begin(1, 64);
+/// clock.advance(10);
+/// rec.call_exit();
+/// clock.advance(150); // user computation between the stamps
+/// rec.call_enter("MPI_Wait");
+/// clock.advance(10);
+/// rec.xfer_end(1, 64);
+/// rec.call_exit();
+/// let total = rec.finish_traced().0.total;
+/// // Case 2: the transfer fits inside the 150 ns of computation (max = 100),
+/// // and at most the 20 ns in the library can have hidden it (min = 80).
+/// assert_eq!(total.case_split_calls, 1);
+/// assert_eq!((total.min_overlap, total.max_overlap), (80, 100));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct OverlapBounds {
@@ -53,7 +58,7 @@ impl OverlapBounds {
     /// Case 1: `XFER_BEGIN` and `XFER_END` within the same communication
     /// call — the application was inside the library for the whole transfer,
     /// so both bounds are zero.
-    pub fn same_call() -> Self {
+    pub(crate) fn same_call() -> Self {
         OverlapBounds {
             min: 0,
             max: 0,
@@ -75,7 +80,11 @@ impl OverlapBounds {
     /// a-priori `xfer_time` exceeds the whole observed window (a table
     /// overestimate); the paper's formulas silently assume this cannot
     /// happen.
-    pub fn split_calls(xfer_time: u64, computation_time: u64, noncomputation_time: u64) -> Self {
+    pub(crate) fn split_calls(
+        xfer_time: u64,
+        computation_time: u64,
+        noncomputation_time: u64,
+    ) -> Self {
         let max = xfer_time.min(computation_time);
         let min = xfer_time.saturating_sub(noncomputation_time).min(max);
         OverlapBounds {
@@ -86,7 +95,7 @@ impl OverlapBounds {
     }
 
     /// Case 3: only one stamp observed — min 0, max `xfer_time`.
-    pub fn single_stamp(xfer_time: u64) -> Self {
+    pub(crate) fn single_stamp(xfer_time: u64) -> Self {
         OverlapBounds {
             min: 0,
             max: xfer_time,

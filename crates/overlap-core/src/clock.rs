@@ -31,12 +31,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// Set the absolute time (must not go backwards; debug-asserted).
-    pub fn set(&self, t: u64) {
-        debug_assert!(t >= self.t.get(), "ManualClock moved backwards");
-        self.t.set(t);
-    }
-
     /// Advance by `d` nanoseconds.
     pub fn advance(&self, d: u64) {
         self.t.set(self.t.get() + d);
@@ -58,7 +52,7 @@ mod tests {
         let c = ManualClock::new();
         assert_eq!(c.now(), 0);
         c.advance(10);
-        c.set(25);
+        c.advance(15);
         assert_eq!(c.now(), 25);
     }
 

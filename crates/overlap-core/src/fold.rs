@@ -188,7 +188,7 @@ pub(crate) struct RankFold {
 }
 
 impl RankFold {
-    pub fn new(bins: SizeBins) -> Self {
+    pub(crate) fn new(bins: SizeBins) -> Self {
         let nbins = bins.count();
         RankFold {
             bins,
@@ -209,18 +209,18 @@ impl RankFold {
         }
     }
 
-    pub fn bins(&self) -> &SizeBins {
+    pub(crate) fn bins(&self) -> &SizeBins {
         &self.bins
     }
 
     /// The innermost monitored section, if one is open.
-    pub fn section(&self) -> Option<&'static str> {
+    pub(crate) fn section(&self) -> Option<&'static str> {
         self.section_stack.last().copied()
     }
 
     /// Sweep the interval from the cursor to `t`. Returns the credited
     /// `(length, was user computation)`, or `None` when nothing was.
-    pub fn advance_to(&mut self, t: u64) -> Option<(u64, bool)> {
+    pub(crate) fn advance_to(&mut self, t: u64) -> Option<(u64, bool)> {
         if self.first_event.is_none() {
             self.first_event = Some(t);
             self.cursor = t;
@@ -249,7 +249,7 @@ impl RankFold {
 
     /// Apply an event whose stamp has been swept. Returns the transfer the
     /// event closed, if it closed one.
-    pub fn apply(&mut self, e: Event) -> Option<Closing> {
+    pub(crate) fn apply(&mut self, e: Event) -> Option<Closing> {
         match e.kind {
             EventKind::CallEnter { name } => {
                 if self.depth == 0 {
@@ -339,7 +339,7 @@ impl RankFold {
 
     /// Sweep to the event's stamp and apply it. Events must arrive in time
     /// order.
-    pub fn fold_event(&mut self, e: Event) -> Option<Closing> {
+    pub(crate) fn fold_event(&mut self, e: Event) -> Option<Closing> {
         self.advance_to(e.t);
         self.apply(e)
     }
@@ -347,7 +347,7 @@ impl RankFold {
     /// Close every still-open transfer as single-stamp at `end_time`, in id
     /// order (the table's own order is arbitrary; reports, metrics and
     /// traces must be deterministic).
-    pub fn drain_open(&mut self, end_time: u64) -> Vec<Closing> {
+    pub(crate) fn drain_open(&mut self, end_time: u64) -> Vec<Closing> {
         let mut left: Vec<Closing> = self
             .open
             .drain()
@@ -359,7 +359,7 @@ impl RankFold {
 
     /// Fold one closed transfer's bounds into the aggregates and the
     /// built-in metrics.
-    pub fn close_transfer(&mut self, rec: &BoundRecord) {
+    pub(crate) fn close_transfer(&mut self, rec: &BoundRecord) {
         let bin = self.bins.index(rec.bytes);
         add_record(&mut self.total, rec);
         add_record(&mut self.by_bin[bin], rec);
@@ -385,7 +385,7 @@ impl RankFold {
     /// `end_time` is swept on the side, so a mid-stream snapshot leaves the
     /// fold as it found it. `sections` is empty and `queue_flushes` 0: the
     /// driver that has them fills them in.
-    pub fn report(&self, rank: usize, end_time: u64, events_recorded: u64) -> OverlapReport {
+    pub(crate) fn report(&self, rank: usize, end_time: u64, events_recorded: u64) -> OverlapReport {
         let (mut user_compute_time, mut comm_call_time) = (self.user_compute, self.comm_call);
         if self.first_event.is_some() && end_time > self.cursor {
             let dt = end_time - self.cursor;
@@ -434,7 +434,7 @@ pub(crate) struct CallSpans {
 
 impl CallSpans {
     /// Walk a captured event stream.
-    pub fn replay(events: &[Event]) -> Self {
+    pub(crate) fn replay(events: &[Event]) -> Self {
         let mut spans = CallSpans::default();
         for e in events {
             spans.fold_event(e);
@@ -442,7 +442,7 @@ impl CallSpans {
         spans
     }
 
-    pub fn fold_event(&mut self, e: &Event) {
+    pub(crate) fn fold_event(&mut self, e: &Event) {
         self.last_t = self.last_t.max(e.t);
         match e.kind {
             EventKind::CallEnter { name } => {
@@ -465,18 +465,21 @@ impl CallSpans {
     }
 
     /// The largest stamp seen (0 before the first event).
-    pub fn last_t(&self) -> u64 {
+    pub(crate) fn last_t(&self) -> u64 {
         self.last_t
     }
 
     /// Stamps of the `XFER_FLAG` events, in stream order.
-    pub fn flags(&self) -> &[u64] {
+    pub(crate) fn flags(&self) -> &[u64] {
         &self.flags
     }
 
     /// Top-level call spans `[start, end)` with the outermost call's name,
     /// in stream order; a call still open closes at `end`.
-    pub fn spans(&self, end: u64) -> impl Iterator<Item = (u64, u64, &'static str)> + Clone + '_ {
+    pub(crate) fn spans(
+        &self,
+        end: u64,
+    ) -> impl Iterator<Item = (u64, u64, &'static str)> + Clone + '_ {
         self.closed
             .iter()
             .copied()

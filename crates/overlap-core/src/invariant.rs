@@ -69,18 +69,9 @@ fn check_stats(scope: &str, s: &OverlapStats, out: &mut Vec<Violation>) {
     }
 }
 
-/// Check every schedule-independent invariant of one per-rank report.
-///
-/// Returns all violations found (empty = the report is sound):
-///
-/// * `min_overlap <= max_overlap <= data_transfer_time` — for the totals
-///   and every size bin (the bounds must bracket the unknowable truth),
-/// * the three transfer cases partition the transfer count,
-/// * flagged transfers never exceed the transfer count,
-/// * confidence is finite and in `[0, 1]`,
-/// * per-bin aggregates sum to the totals (transfers, bytes, bounds),
-/// * compute/call time never exceed elapsed virtual time.
-pub fn check_report(r: &OverlapReport) -> Vec<Violation> {
+/// Check every schedule-independent invariant of one per-rank report (the
+/// list is on [`check_reports`]).
+pub(crate) fn check_report(r: &OverlapReport) -> Vec<Violation> {
     let mut out = Vec::new();
     check_stats(&format!("rank {} total", r.rank), &r.total, &mut out);
     let mut bin_sum = OverlapStats::default();
@@ -137,8 +128,17 @@ pub fn check_report(r: &OverlapReport) -> Vec<Violation> {
     out
 }
 
-/// [`check_report`] over a whole run: every rank's report, violations
-/// concatenated in rank order.
+/// Check every schedule-independent invariant of every rank's report.
+///
+/// Returns all violations found, in rank order (empty = the run is sound):
+///
+/// * `min_overlap <= max_overlap <= data_transfer_time` — for the totals
+///   and every size bin (the bounds must bracket the unknowable truth),
+/// * the three transfer cases partition the transfer count,
+/// * flagged transfers never exceed the transfer count,
+/// * confidence is finite and in `[0, 1]`,
+/// * per-bin aggregates sum to the totals (transfers, bytes, bounds),
+/// * compute/call time never exceed elapsed virtual time.
 pub fn check_reports(reports: &[OverlapReport]) -> Vec<Violation> {
     reports.iter().flat_map(check_report).collect()
 }

@@ -19,20 +19,20 @@
 //!
 //! ## Structure (paper Figure 2)
 //!
-//! * [`recorder::Recorder`] — the per-process facade a communication library
-//!   calls into; owns a bounded circular **event queue**
-//!   ([`queue::EventRing`], the *data collection module*),
+//! * [`Recorder`] — the per-process facade a communication library
+//!   calls into; owns a bounded circular **event queue** (the *data
+//!   collection module*),
 //! * [`processor::Processor`] — the *data processing module*: folds events
 //!   into running overlap aggregates whenever the queue fills (no tracing,
 //!   no growing buffers),
-//! * [`xfer_table::XferTimeTable`] — the disk-resident a-priori transfer
+//! * [`XferTimeTable`] — the disk-resident a-priori transfer
 //!   times loaded at init,
-//! * [`report::OverlapReport`] — the per-process output file contents:
+//! * [`OverlapReport`] — the per-process output file contents:
 //!   totals, message-size-bin breakdowns, and user-controlled monitored
 //!   sections.
 //!
 //! The framework is *library-agnostic*: it only needs a monotonic per-process
-//! [`clock::Clock`]. In this repository it instruments the simulated MPI
+//! [`Clock`]. In this repository it instruments the simulated MPI
 //! (`simmpi`) and ARMCI (`simarmci`) libraries, exactly as the paper
 //! instrumented Open MPI, MVAPICH2 and ARMCI.
 //!
@@ -41,7 +41,7 @@
 //! * [`metrics::MetricsRegistry`] — per-process named counters and
 //!   fixed-bucket histograms (call latency, transfer times, per-size-bin
 //!   overlap bounds), populated at fold time and carried in every
-//!   [`report::OverlapReport`],
+//!   [`OverlapReport`],
 //! * [`trace`] — optional time-resolved capture
 //!   ([`RecorderOpts::trace`]): the raw event stream plus one
 //!   [`trace::BoundRecord`] per transfer, exportable as Chrome-trace JSON
@@ -83,7 +83,7 @@
 //! clock.advance(10);
 //! rec.call_exit();
 //!
-//! let report = rec.finish();
+//! let report = rec.finish_traced().0;
 //! assert_eq!(report.total.max_overlap, 400);       // fully coverable
 //! assert_eq!(report.total.min_overlap, 400 - 10);  // all but in-library time
 //! ```
@@ -91,34 +91,33 @@
 pub mod advice;
 pub mod artifact;
 pub mod attribution;
-pub mod bins;
+mod bins;
 pub mod bounds;
-pub mod clock;
-pub mod event;
+mod clock;
+mod event;
 mod fold;
 pub mod invariant;
 pub mod metrics;
 pub mod processor;
-pub mod queue;
-pub mod recorder;
-pub mod report;
+mod queue;
+mod recorder;
+mod report;
 pub mod stream;
 pub mod trace;
-pub mod xfer_table;
+mod xfer_table;
 
-pub use advice::{analyze, AdviceOpts, Finding, Severity};
-pub use attribution::{
-    attribute, CauseRecord, CauseSlice, RankAttribution, WaitCause, WaitInterval,
-};
+pub use advice::{analyze, AdviceOpts, Finding};
+pub use attribution::{attribute, WaitCause, WaitInterval};
 pub use bins::SizeBins;
-pub use bounds::{OverlapBounds, XferCase};
+pub use bounds::XferCase;
 pub use clock::{Clock, ManualClock};
 pub use event::{Event, EventKind};
-pub use invariant::{check_report, check_reports, Violation};
+pub use invariant::{check_reports, Violation};
 pub use metrics::{Histogram, MetricsRegistry};
-pub use queue::{EventRing, RingFull};
 pub use recorder::{Recorder, RecorderOpts};
-pub use report::{CallStats, ClusterSummary, OverlapReport, OverlapStats, SectionReport};
-pub use stream::{ScopeReport, ScopeSeries, SessionFold, StreamError};
-pub use trace::{BoundRecord, ExtraEvent, RankTrace, TraceBundle, WindowRow};
+pub use report::{
+    Anomalies, CallStats, ClusterSummary, OverlapReport, OverlapStats, SectionReport,
+};
+pub use stream::{ScopeSeries, SessionFold};
+pub use trace::{BoundRecord, ExtraEvent, RankTrace, TraceBundle};
 pub use xfer_table::XferTimeTable;

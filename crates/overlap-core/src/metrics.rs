@@ -20,15 +20,22 @@ use serde::{Deserialize, Serialize};
 /// the last edge, so every sample lands somewhere (`counts.len() ==
 /// edges.len() + 1`).
 ///
-/// ```
-/// use overlap_core::metrics::Histogram;
+/// Histograms are read as part of a serialized report; two with the same
+/// layout merge bucket by bucket:
 ///
-/// let mut h = Histogram::new(vec![10, 100]);
-/// h.observe(9);    // bucket 0: < 10
-/// h.observe(10);   // bucket 1: [10, 100)
-/// h.observe(100);  // bucket 2: >= 100
-/// assert_eq!(h.counts(), &[1, 1, 1]);
-/// assert_eq!(h.count(), 3);
+/// ```
+/// use overlap_core::{Histogram, MetricsRegistry};
+///
+/// let mut a = MetricsRegistry::new();
+/// a.observe("lat_ns", 90, Histogram::latency_default); // bucket 0: < 100 ns
+/// let mut b = MetricsRegistry::new();
+/// b.observe("lat_ns", 2_500, Histogram::latency_default); // [1 µs, 10 µs)
+/// a.merge(&b);
+/// let mut both = MetricsRegistry::new();
+/// for ns in [90, 2_500] {
+///     both.observe("lat_ns", ns, Histogram::latency_default);
+/// }
+/// assert_eq!(a, both);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Histogram {
@@ -49,7 +56,7 @@ pub struct Histogram {
 impl Histogram {
     /// Create a histogram with the given bucket `edges` (strictly
     /// increasing, non-empty).
-    pub fn new(edges: Vec<u64>) -> Self {
+    pub(crate) fn new(edges: Vec<u64>) -> Self {
         assert!(!edges.is_empty(), "histogram needs at least one edge");
         assert!(
             edges.windows(2).all(|w| w[0] < w[1]),
@@ -68,7 +75,7 @@ impl Histogram {
 
     /// Exponential bucket ladder: `n` edges starting at `start`, each
     /// `factor`× the previous (`start`, `start*factor`, ...).
-    pub fn exponential(start: u64, factor: u64, n: usize) -> Self {
+    pub(crate) fn exponential(start: u64, factor: u64, n: usize) -> Self {
         assert!(start > 0 && factor > 1 && n > 0);
         let mut edges = Vec::with_capacity(n);
         let mut e = start;
@@ -86,7 +93,7 @@ impl Histogram {
     }
 
     /// Record one sample.
-    pub fn observe(&mut self, v: u64) {
+    pub(crate) fn observe(&mut self, v: u64) {
         let i = self.edges.partition_point(|&e| e <= v);
         self.counts[i] += 1;
         self.count += 1;
@@ -95,48 +102,14 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Bucket edges.
-    pub fn edges(&self) -> &[u64] {
-        &self.edges
-    }
-
-    /// Per-bucket counts (`edges.len() + 1` entries).
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total samples observed.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
-    }
-
-    /// Sum of all observed values (saturating).
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Smallest observed value, if any sample was recorded.
-    pub fn min(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.min)
-    }
-
-    /// Largest observed value, if any sample was recorded.
-    pub fn max(&self) -> Option<u64> {
-        (self.count > 0).then_some(self.max)
-    }
-
-    /// Arithmetic mean of the observed values (0 while empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
     }
 
     /// Fold another histogram with the *same bucket layout* into this one.
     /// Panics if the layouts differ.
-    pub fn merge(&mut self, o: &Histogram) {
+    pub(crate) fn merge(&mut self, o: &Histogram) {
         assert_eq!(self.edges, o.edges, "histogram bucket layouts differ");
         for (a, b) in self.counts.iter_mut().zip(&o.counts) {
             *a += b;
@@ -182,16 +155,6 @@ impl MetricsRegistry {
             .observe(v);
     }
 
-    /// Counter value (0 if absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Histogram by name.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
     /// Fold another registry into this one: counters add, histograms merge
     /// (same-layout requirement applies per name).
     pub fn merge(&mut self, o: &MetricsRegistry) {
@@ -206,11 +169,6 @@ impl MetricsRegistry {
                 std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
             }
         }
-    }
-
-    /// True when nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
     }
 }
 
@@ -230,10 +188,9 @@ mod tests {
         h.observe(999); // bucket 2
         h.observe(1000); // bucket 3 (last edge)
         h.observe(u64::MAX); // bucket 3 (overflow bucket)
-        assert_eq!(h.counts(), &[2, 2, 2, 2]);
+        assert_eq!(h.counts, [2, 2, 2, 2]);
         assert_eq!(h.count(), 8);
-        assert_eq!(h.min(), Some(0));
-        assert_eq!(h.max(), Some(u64::MAX));
+        assert_eq!((h.min, h.max), (0, u64::MAX));
     }
 
     #[test]
@@ -241,23 +198,23 @@ mod tests {
         let mut h = Histogram::new(vec![1]);
         h.observe(u64::MAX);
         h.observe(u64::MAX);
-        assert_eq!(h.sum(), u64::MAX);
+        assert_eq!(h.sum, u64::MAX);
     }
 
     #[test]
     fn empty_histogram_stats() {
         let h = Histogram::new(vec![10]);
         assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), None);
-        assert_eq!(h.max(), None);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.counts, [0, 0]);
+        // The sentinels any first sample replaces.
+        assert_eq!((h.min, h.max, h.sum), (u64::MAX, 0, 0));
     }
 
     #[test]
     fn exponential_ladder() {
         let h = Histogram::exponential(100, 10, 4);
-        assert_eq!(h.edges(), &[100, 1_000, 10_000, 100_000]);
-        assert_eq!(h.counts().len(), 5);
+        assert_eq!(h.edges, [100, 1_000, 10_000, 100_000]);
+        assert_eq!(h.counts.len(), 5);
     }
 
     #[test]
@@ -274,10 +231,9 @@ mod tests {
         b.observe(50);
         b.observe(500);
         a.merge(&b);
-        assert_eq!(a.counts(), &[1, 1, 1]);
+        assert_eq!(a.counts, [1, 1, 1]);
         assert_eq!(a.count(), 3);
-        assert_eq!(a.min(), Some(5));
-        assert_eq!(a.max(), Some(500));
+        assert_eq!((a.min, a.max), (5, 500));
     }
 
     #[test]
@@ -290,10 +246,10 @@ mod tests {
         b.inc("y", 1);
         b.observe("lat", 5_000, Histogram::latency_default);
         a.merge(&b);
-        assert_eq!(a.counter("x"), 5);
-        assert_eq!(a.counter("y"), 1);
-        assert_eq!(a.counter("absent"), 0);
-        assert_eq!(a.histogram("lat").unwrap().count(), 2);
+        assert_eq!(a.counters["x"], 5);
+        assert_eq!(a.counters["y"], 1);
+        assert!(!a.counters.contains_key("absent"));
+        assert_eq!(a.histograms["lat"].count(), 2);
     }
 
     #[test]

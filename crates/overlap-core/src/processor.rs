@@ -54,7 +54,7 @@ impl Processor {
     /// Capture a time-resolved [`RankTrace`] alongside the aggregates: raw
     /// events on every fold, one [`BoundRecord`] per closed transfer.
     /// Retrieve it via [`Processor::finish_traced`].
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         if self.trace.is_none() {
             self.trace = Some(RankTrace::default());
         }
@@ -174,7 +174,7 @@ impl Processor {
     /// [`RankTrace`] when [`Processor::enable_trace`] was called (`None`
     /// otherwise). The trace includes the bound records of transfers closed
     /// by the finish sweep itself.
-    pub fn finish_traced(
+    pub(crate) fn finish_traced(
         mut self,
         end_time: u64,
         rank: usize,

@@ -30,7 +30,7 @@ pub struct EventRing {
 impl EventRing {
     /// Create a ring holding at most `capacity` events (min 2: a call-enter /
     /// call-exit pair must fit). Allocates nothing until the first push.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         EventRing {
             buf: Vec::new(),
             capacity: capacity.max(2),
@@ -38,7 +38,7 @@ impl EventRing {
     }
 
     /// True if the next push would overflow.
-    pub fn is_full(&self) -> bool {
+    pub(crate) fn is_full(&self) -> bool {
         self.buf.len() == self.capacity
     }
 
@@ -48,7 +48,7 @@ impl EventRing {
     /// `debug_assertions`. Callers drain (or fold) and retry.
     #[inline]
     #[must_use = "a rejected event must be folded or dropped explicitly"]
-    pub fn push(&mut self, e: Event) -> Result<(), RingFull> {
+    pub(crate) fn push(&mut self, e: Event) -> Result<(), RingFull> {
         if self.is_full() {
             return Err(RingFull(e));
         }
@@ -70,7 +70,7 @@ impl EventRing {
 
     /// Drain all queued events in insertion order, resetting the head
     /// pointer. The allocation is retained.
-    pub fn drain(&mut self) -> std::vec::Drain<'_, Event> {
+    pub(crate) fn drain(&mut self) -> std::vec::Drain<'_, Event> {
         self.buf.drain(..)
     }
 }

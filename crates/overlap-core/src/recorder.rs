@@ -87,11 +87,6 @@ impl Recorder {
         }
     }
 
-    /// Current time from the recorder's clock.
-    pub fn now(&self) -> u64 {
-        self.clock.now()
-    }
-
     #[inline]
     fn push(&mut self, kind: EventKind) {
         if !self.enabled {
@@ -227,14 +222,9 @@ impl Recorder {
     }
 
     /// Finish instrumentation and produce the per-process report (written to
-    /// the per-process output file by the caller if desired).
-    pub fn finish(self) -> OverlapReport {
-        self.finish_traced().0
-    }
-
-    /// [`Recorder::finish`], additionally returning the time-resolved
-    /// [`crate::trace::RankTrace`] when [`RecorderOpts::trace`] was set
-    /// (`None` otherwise).
+    /// the per-process output file by the caller if desired), plus the
+    /// time-resolved [`crate::trace::RankTrace`] when [`RecorderOpts::trace`]
+    /// was set (`None` otherwise).
     /// The trace additionally carries the recorded wait-state intervals, and
     /// the report's metrics registry gains the per-cause attribution
     /// counters/histograms (`attr_ns/...`, `attr_ns_hist/...`).
@@ -285,7 +275,7 @@ mod tests {
         clock.advance(20);
         r.xfer_end(1, 100);
         r.call_exit();
-        let report = r.finish();
+        let report = r.finish_traced().0;
         assert_eq!(report.total.transfers, 1);
         assert_eq!(report.total.max_overlap, 400);
         assert_eq!(report.total.min_overlap, 400 - 30);
@@ -313,7 +303,7 @@ mod tests {
                 r.call_exit();
                 clock.advance(50);
             }
-            r.finish()
+            r.finish_traced().0
         };
         let small = run(2);
         let large = run(1 << 16);
@@ -341,7 +331,7 @@ mod tests {
         clock.advance(100);
         r.xfer_end(1, 100);
         r.call_exit();
-        let report = r.finish();
+        let report = r.finish_traced().0;
         assert_eq!(report.events_recorded, 0);
         assert_eq!(report.total.transfers, 0);
     }
@@ -356,7 +346,7 @@ mod tests {
         r.xfer_end(1, 64);
         r.call_exit();
         r.section_end();
-        let report = r.finish();
+        let report = r.finish_traced().0;
         assert_eq!(report.sections["x_solve"].total.transfers, 1);
     }
 }

@@ -39,7 +39,7 @@ pub struct OverlapStats {
 
 impl OverlapStats {
     /// Fold one transfer's bounds into the aggregate.
-    pub fn add_bounds(&mut self, bytes: u64, xfer_time: u64, b: OverlapBounds) {
+    pub(crate) fn add_bounds(&mut self, bytes: u64, xfer_time: u64, b: OverlapBounds) {
         self.transfers += 1;
         self.bytes += bytes;
         self.data_transfer_time += xfer_time;
@@ -67,12 +67,12 @@ impl OverlapStats {
     }
 
     /// Note that one of the folded transfers was flagged as fault-disturbed.
-    pub fn note_flagged(&mut self) {
+    pub(crate) fn note_flagged(&mut self) {
         self.flagged += 1;
     }
 
     /// Note that one of the folded transfers had its min bound clamped.
-    pub fn note_clamped(&mut self) {
+    pub(crate) fn note_clamped(&mut self) {
         self.clamped += 1;
     }
 
@@ -140,21 +140,12 @@ pub struct Anomalies {
 
 impl Anomalies {
     /// True if any irregularity was observed.
-    pub fn any(&self) -> bool {
+    pub(crate) fn any(&self) -> bool {
         self.duplicate_begin != 0
             || self.orphan_flags != 0
             || self.clock_skew != 0
             || self.unbalanced_calls != 0
             || self.unbalanced_sections != 0
-    }
-
-    /// Sum of all counters.
-    pub fn total(&self) -> u64 {
-        self.duplicate_begin
-            + self.orphan_flags
-            + self.clock_skew
-            + self.unbalanced_calls
-            + self.unbalanced_sections
     }
 }
 

@@ -1129,9 +1129,9 @@ mod tests {
         assert_eq!(r.comm_call_time, 10 + 510);
         assert_eq!(r.user_compute_time, 990);
         assert_eq!(r.calls["MPI_Wait"].count, 1);
-        assert_eq!(r.metrics.counter("xfers_closed"), 1);
-        assert_eq!(r.metrics.counter("xfers_flagged"), 1);
-        assert!(r.metrics.histogram("xfer_wall_ns").is_some());
+        assert_eq!(r.metrics.counters["xfers_closed"], 1);
+        assert_eq!(r.metrics.counters["xfers_flagged"], 1);
+        assert!(r.metrics.histograms.contains_key("xfer_wall_ns"));
     }
 
     #[test]

@@ -119,20 +119,6 @@ pub struct TraceBundle {
 }
 
 impl TraceBundle {
-    /// Total events across all ranks (raw + bounds + extras).
-    pub fn len(&self) -> usize {
-        self.ranks
-            .iter()
-            .map(|r| r.events.len() + r.bounds.len())
-            .sum::<usize>()
-            + self.extras.len()
-    }
-
-    /// True when nothing was captured.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// The `[first, last]` virtual-time span covered by any record, or
     /// `None` when empty.
     pub fn span(&self) -> Option<(u64, u64)> {
@@ -163,7 +149,7 @@ impl TraceBundle {
 }
 
 /// Stable short label for a bound case.
-pub fn case_label(c: XferCase) -> &'static str {
+pub(crate) fn case_label(c: XferCase) -> &'static str {
     match c {
         XferCase::SameCall => "same_call",
         XferCase::SplitCalls => "split_calls",
@@ -172,7 +158,7 @@ pub fn case_label(c: XferCase) -> &'static str {
 }
 
 /// Inverse of [`case_label`] (used by the streaming JSONL reader).
-pub fn case_from_label(s: &str) -> Option<XferCase> {
+pub(crate) fn case_from_label(s: &str) -> Option<XferCase> {
     match s {
         "same_call" => Some(XferCase::SameCall),
         "split_calls" => Some(XferCase::SplitCalls),
@@ -788,7 +774,7 @@ mod tests {
     #[test]
     fn empty_bundle_has_no_windows() {
         let b = TraceBundle::default();
-        assert!(b.is_empty());
+        assert_eq!(b.span(), None);
         assert!(windowed(&b, 100).is_empty());
         assert_eq!(default_window_width(&b), 1);
     }

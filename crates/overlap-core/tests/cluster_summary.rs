@@ -22,7 +22,7 @@ fn one_report(rank: usize, n_xfers: u64, compute_per: u64) -> overlap_core::Over
         r.xfer_end(i, 1000);
         r.call_exit();
     }
-    r.finish()
+    r.finish_traced().0
 }
 
 #[test]

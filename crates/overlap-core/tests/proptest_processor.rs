@@ -95,7 +95,7 @@ fn execute(actions: &[Action], queue_capacity: usize) -> OverlapReport {
         rec.section_end();
         section_depth -= 1;
     }
-    rec.finish()
+    rec.finish_traced().0
 }
 
 proptest! {

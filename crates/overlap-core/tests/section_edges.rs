@@ -26,7 +26,7 @@ fn transfer_attributed_to_section_at_begin() {
     r.call_enter("Wait");
     r.xfer_end(1, 100);
     r.call_exit();
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     assert_eq!(rep.sections["a"].total.transfers, 1);
     assert_eq!(rep.total.transfers, 1);
 }
@@ -43,7 +43,7 @@ fn end_only_transfer_attributed_to_section_at_end() {
     r.xfer_end(7, 64); // end-only (eager receive)
     r.call_exit();
     r.section_end();
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     assert_eq!(rep.sections["late"].total.transfers, 1);
 }
 
@@ -62,7 +62,7 @@ fn nested_sections_attribute_to_innermost() {
     r.section_end();
     clock.advance(25);
     r.section_end();
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     // Transfer belongs to the innermost active section.
     assert_eq!(rep.sections["inner"].total.transfers, 1);
     assert_eq!(rep.sections["outer"].total.transfers, 0);
@@ -85,7 +85,7 @@ fn repeated_section_accumulates() {
         r.section_end();
         clock.advance(100);
     }
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     let s = &rep.sections["solve"];
     assert_eq!(s.total.transfers, 3);
     assert_eq!(s.call_time, 30);
@@ -99,7 +99,7 @@ fn empty_section_appears_with_zero_stats() {
     let mut r = recorder(&clock);
     r.section_begin("idle");
     r.section_end();
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     assert!(rep.sections.contains_key("idle"));
     assert_eq!(rep.sections["idle"].total.transfers, 0);
 }
@@ -114,7 +114,7 @@ fn section_bins_match_section_total() {
     r.xfer_end(2, 100_000);
     r.call_exit();
     r.section_end();
-    let rep = r.finish();
+    let rep = r.finish_traced().0;
     let s = &rep.sections["s"];
     let bin_sum: u64 = s.by_bin.iter().map(|b| b.transfers).sum();
     assert_eq!(bin_sum, s.total.transfers);

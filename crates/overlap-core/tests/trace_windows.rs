@@ -7,8 +7,8 @@
 //! shutdown) must be pinned down.
 
 use overlap_core::bounds::XferCase;
-use overlap_core::event::{Event, EventKind};
 use overlap_core::trace::{default_window_width, windowed, BoundRecord, RankTrace, TraceBundle};
+use overlap_core::{Event, EventKind};
 
 fn ev(t: u64, kind: EventKind) -> Event {
     Event::new(t, kind)

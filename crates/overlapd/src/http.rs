@@ -75,7 +75,7 @@ pub(crate) fn copy_n<R: BufRead>(
 
 /// Read one request head off the stream. `Ok(None)` means the peer closed
 /// before sending a request line.
-pub fn read_head<R: BufRead>(r: &mut R) -> io::Result<Option<Head>> {
+pub(crate) fn read_head<R: BufRead>(r: &mut R) -> io::Result<Option<Head>> {
     let line = read_line(r)?;
     if line.is_empty() {
         return Ok(None);
@@ -134,7 +134,7 @@ pub fn read_head<R: BufRead>(r: &mut R) -> io::Result<Option<Head>> {
 impl Head {
     /// Stream this request's body off `r` into `sink`, piece by piece in
     /// stream order. A sink error stops the read where it is.
-    pub fn read_body<R: BufRead>(
+    pub(crate) fn read_body<R: BufRead>(
         &self,
         r: &mut R,
         sink: &mut dyn FnMut(&[u8]) -> io::Result<()>,
@@ -168,7 +168,7 @@ impl Head {
 
 /// Write one response and flush. `content_type` of `None` means
 /// `application/json`.
-pub fn respond<W: Write>(
+pub(crate) fn respond<W: Write>(
     w: &mut W,
     status: u16,
     content_type: Option<&str>,

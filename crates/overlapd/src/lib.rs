@@ -9,14 +9,14 @@
 //! arrive, while runs are still in flight. See `docs/SERVICE.md` for the wire protocol, the
 //! memory model, and the equivalence guarantee.
 //!
-//! * [`service::Service`] — the multi-session registry: one
+//! * [`Service`] — the multi-session registry: one
 //!   [`overlap_core::stream::SessionFold`] per pushed stream, plus the
 //!   merged cross-session fleet view,
-//! * [`server::Server`] — the TCP front end: length-framed ingest
+//! * [`Server`] — the TCP front end: length-framed ingest
 //!   (`OVLP1`) and a minimal HTTP/1.1 read side on one port, with graceful
 //!   shutdown,
-//! * [`client`] — the `repro push` / `--stream` client half of the framed
-//!   protocol.
+//! * [`push_file`] / [`push_text`] — the `repro push` / `--stream` client
+//!   half of the framed protocol.
 //!
 //! **Equivalence.** For the same event stream, every artifact this service
 //! serves is byte-identical to the batch pipeline's: the attribution JSON
@@ -36,11 +36,11 @@
 //! blocks on a busy session instead of growing a queue. The lock guards the
 //! fold and the build of a read's artifact, never I/O.
 
-pub mod client;
-pub mod http;
+mod client;
+mod http;
 pub mod server;
-pub mod service;
+mod service;
 
 pub use client::{push_file, push_text, PushError};
 pub use server::Server;
-pub use service::{FleetView, Service, SessionInfo};
+pub use service::{FleetView, Service};

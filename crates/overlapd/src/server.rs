@@ -7,7 +7,7 @@
 //!   frames of JSONL text (frames may split lines; the server carries the
 //!   partial line), a zero-length frame to finish, one reply line
 //!   (`ok events=<n>\n` or `err <one-line reason>\n`).
-//! * anything else — HTTP/1.1 ([`crate::http`]): `POST
+//! * anything else — HTTP/1.1 (the crate's `http` module): `POST
 //!   /v1/sessions/<name>` uploads (Content-Length or chunked), `GET`
 //!   endpoints for live reports, windowed series, fleet view, and the
 //!   on-demand artifacts.

@@ -58,7 +58,7 @@ impl Service {
     }
 
     /// Fetch the named session if it exists.
-    pub fn get(&self, name: &str) -> Option<Arc<Mutex<SessionFold>>> {
+    pub(crate) fn get(&self, name: &str) -> Option<Arc<Mutex<SessionFold>>> {
         self.sessions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -73,7 +73,7 @@ impl Service {
     }
 
     /// Listing rows for every session, name order.
-    pub fn list(&self) -> Vec<SessionInfo> {
+    pub(crate) fn list(&self) -> Vec<SessionInfo> {
         self.sessions()
             .into_iter()
             .map(|(name, s)| {

@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, XferTimeTable};
-use simcore::{Activity, Duration, RankCtx, Time};
+use simcore::{Activity, Duration, RankCtx};
 use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload};
 use simnet::{Completion, NetConfig, Packet, RegionId, SharedWorld};
 
@@ -61,7 +61,7 @@ pub struct Armci<'a> {
 
 impl<'a> Armci<'a> {
     /// Initialize ARMCI on this rank and synchronize.
-    pub fn init(
+    pub(crate) fn init(
         ctx: &'a mut RankCtx,
         world: SharedWorld,
         table: XferTimeTable,
@@ -101,30 +101,15 @@ impl<'a> Armci<'a> {
         self.nranks
     }
 
-    /// Current virtual time, ns.
-    pub fn now(&self) -> Time {
-        self.ctx.now()
-    }
-
     /// User computation for `d` ns.
     pub fn compute(&mut self, d: Duration) {
         self.ctx.compute(d);
     }
 
-    /// Begin a monitored section.
-    pub fn section_begin(&mut self, name: &'static str) {
-        self.rec.section_begin(name);
-    }
-
-    /// End the innermost monitored section.
-    pub fn section_end(&mut self) {
-        self.rec.section_end();
-    }
-
     /// Shut down and emit the per-process overlap report and, when
     /// `RecorderOpts::trace` was set on init, the time-resolved trace
     /// (`None` otherwise).
-    pub fn finalize(mut self) -> (OverlapReport, Option<overlap_core::trace::RankTrace>) {
+    pub(crate) fn finalize(mut self) -> (OverlapReport, Option<overlap_core::trace::RankTrace>) {
         self.rec.call_enter("ARMCI_Finalize");
         self.barrier_inner();
         self.rec.call_exit();

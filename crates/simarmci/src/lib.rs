@@ -45,5 +45,5 @@
 pub mod armci;
 pub mod harness;
 
-pub use armci::{Armci, GlobalMem, NbHandle};
+pub use armci::{Armci, NbHandle};
 pub use harness::{run_armci, ArmciRunOutcome};

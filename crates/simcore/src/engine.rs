@@ -41,7 +41,7 @@ use crate::error::{RankDiag, SimError};
 use crate::oracle::{ChoicePoint, OracleHandle};
 use crate::rank::{RankCtx, YieldPort};
 use crate::sched::TimingWheel;
-use crate::time::{Duration, Time};
+use crate::time::Time;
 use crate::truth::ActivityLog;
 
 /// A scheduled callback: runs at its time with access to the engine handle so
@@ -160,14 +160,6 @@ impl EngineHandle {
     {
         let t = t.max(self.now());
         self.shared.push(t, Action::Call(Box::new(f)));
-    }
-
-    /// Schedule `f` to run `delay` nanoseconds from now.
-    pub fn schedule_in<F>(&self, delay: Duration, f: F)
-    where
-        F: FnOnce(&EngineHandle) + Send + 'static,
-    {
-        self.schedule_at(self.now().saturating_add(delay), f);
     }
 
     /// Register the handler invoked for every token scheduled with
@@ -546,8 +538,8 @@ impl Simulation {
     /// Test hook: make spawning rank `rank`'s continuation fail as if the
     /// host refused it, exercising the partial-fleet teardown path. Both
     /// runtimes honor it.
-    #[doc(hidden)]
-    pub fn inject_spawn_failure(&mut self, rank: usize) {
+    #[cfg(test)]
+    pub(crate) fn inject_spawn_failure(&mut self, rank: usize) {
         self.fail_spawn = Some(rank);
     }
 
@@ -876,7 +868,7 @@ mod tests {
         let handle = sim.handle();
         handle.schedule_at(10, |h| {
             assert_eq!(h.now(), 10);
-            h.schedule_in(5, |h2| {
+            h.schedule_at(h.now() + 5, |h2| {
                 assert_eq!(h2.now(), 15);
                 h2.wake_rank(0);
             });
@@ -896,7 +888,7 @@ mod tests {
         let handle = sim.handle();
         // Self-perpetuating callback chain.
         fn again(h: &EngineHandle) {
-            h.schedule_in(1, again);
+            h.schedule_at(h.now() + 1, again);
         }
         handle.schedule_at(0, again);
         let err = sim

@@ -17,8 +17,8 @@ pub struct RankDiag {
     /// The last library call the rank entered.
     pub last_call: Option<String>,
     /// Structured wait-for edge: the peer rank this one is waiting on, if
-    /// the library could name a single one. [`deadlock_cycle`] walks these
-    /// into a `rank -> request -> rank` cycle report.
+    /// the library could name a single one. A [`SimError::Deadlock`] report
+    /// walks these into a `rank -> request -> rank` cycle.
     pub waits_on_rank: Option<usize>,
     /// The library-level request id the rank is blocked in, if any.
     pub waits_on_req: Option<u64>,
@@ -34,7 +34,7 @@ pub struct RankDiag {
 /// Returns `None` when the diagnostics carry no cycle — e.g. the library
 /// never reported structured edges, or a rank waits on a peer that is still
 /// making progress.
-pub fn deadlock_cycle(diags: &[RankDiag]) -> Option<Vec<usize>> {
+pub(crate) fn deadlock_cycle(diags: &[RankDiag]) -> Option<Vec<usize>> {
     use std::collections::BTreeMap;
     let edges: BTreeMap<usize, usize> = diags
         .iter()

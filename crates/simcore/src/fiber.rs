@@ -58,7 +58,7 @@ mod sys {
     pub const MAP_STACK: c_int = 0x20000;
 
     extern "C" {
-        pub fn mmap(
+        pub(super) fn mmap(
             addr: *mut c_void,
             len: usize,
             prot: c_int,
@@ -66,8 +66,8 @@ mod sys {
             fd: c_int,
             offset: i64,
         ) -> *mut c_void;
-        pub fn munmap(addr: *mut c_void, len: usize) -> c_int;
-        pub fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
+        pub(super) fn munmap(addr: *mut c_void, len: usize) -> c_int;
+        pub(super) fn mprotect(addr: *mut c_void, len: usize, prot: c_int) -> c_int;
     }
 }
 

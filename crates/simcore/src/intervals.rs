@@ -1,4 +1,4 @@
-//! Half-open time-interval sets with union / intersection / measure.
+//! Half-open time-interval sets and their measure.
 //!
 //! Used for ground-truth overlap computation: the true overlap of a data
 //! transfer with user computation is the measure of the intersection between
@@ -8,36 +8,21 @@
 use crate::time::Time;
 
 /// A set of disjoint, sorted, half-open intervals `[start, end)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IntervalSet {
+#[derive(Debug, Default)]
+pub(crate) struct IntervalSet {
     ivs: Vec<(Time, Time)>,
 }
 
 impl IntervalSet {
     /// The empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
-    }
-
-    /// Build from arbitrary (possibly overlapping, unsorted) intervals.
-    /// Empty intervals (`start >= end`) are dropped.
-    pub fn from_unsorted(mut raw: Vec<(Time, Time)>) -> Self {
-        raw.retain(|&(s, e)| s < e);
-        raw.sort_unstable();
-        let mut out: Vec<(Time, Time)> = Vec::with_capacity(raw.len());
-        for (s, e) in raw {
-            match out.last_mut() {
-                Some(last) if s <= last.1 => last.1 = last.1.max(e),
-                _ => out.push((s, e)),
-            }
-        }
-        Self { ivs: out }
     }
 
     /// Append an interval that must start at or after the end of the last one
     /// (amortized O(1); panics in debug builds if out of order). Adjacent
     /// intervals are coalesced.
-    pub fn push(&mut self, start: Time, end: Time) {
+    pub(crate) fn push(&mut self, start: Time, end: Time) {
         if start >= end {
             return;
         }
@@ -51,28 +36,8 @@ impl IntervalSet {
         self.ivs.push((start, end));
     }
 
-    /// Number of disjoint intervals.
-    pub fn len(&self) -> usize {
-        self.ivs.len()
-    }
-
-    /// True if the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ivs.is_empty()
-    }
-
-    /// Total measure (sum of lengths) in nanoseconds.
-    pub fn total(&self) -> u64 {
-        self.ivs.iter().map(|&(s, e)| e - s).sum()
-    }
-
-    /// Iterate over the disjoint intervals in order.
-    pub fn iter(&self) -> impl Iterator<Item = (Time, Time)> + '_ {
-        self.ivs.iter().copied()
-    }
-
     /// Measure of the intersection of this set with a single interval.
-    pub fn overlap_with(&self, start: Time, end: Time) -> u64 {
+    pub(crate) fn overlap_with(&self, start: Time, end: Time) -> u64 {
         if start >= end {
             return 0;
         }
@@ -87,35 +52,6 @@ impl IntervalSet {
         }
         acc
     }
-
-    /// Set intersection.
-    pub fn intersect(&self, other: &IntervalSet) -> IntervalSet {
-        let (mut i, mut j) = (0, 0);
-        let mut out = IntervalSet::new();
-        while i < self.ivs.len() && j < other.ivs.len() {
-            let (a_s, a_e) = self.ivs[i];
-            let (b_s, b_e) = other.ivs[j];
-            let s = a_s.max(b_s);
-            let e = a_e.min(b_e);
-            if s < e {
-                out.push(s, e);
-            }
-            if a_e <= b_e {
-                i += 1;
-            } else {
-                j += 1;
-            }
-        }
-        out
-    }
-
-    /// Set union.
-    pub fn union(&self, other: &IntervalSet) -> IntervalSet {
-        let mut raw: Vec<(Time, Time)> = Vec::with_capacity(self.ivs.len() + other.ivs.len());
-        raw.extend_from_slice(&self.ivs);
-        raw.extend_from_slice(&other.ivs);
-        IntervalSet::from_unsorted(raw)
-    }
 }
 
 #[cfg(test)]
@@ -123,61 +59,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn from_unsorted_merges_overlaps() {
-        let s = IntervalSet::from_unsorted(vec![(5, 10), (0, 3), (2, 6), (12, 12), (15, 20)]);
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![(0, 10), (15, 20)]);
-        assert_eq!(s.total(), 15);
-    }
-
-    #[test]
     fn push_coalesces_adjacent() {
         let mut s = IntervalSet::new();
         s.push(0, 5);
         s.push(5, 8);
         s.push(10, 12);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.total(), 10);
+        assert_eq!(s.ivs, [(0, 8), (10, 12)]);
+        assert_eq!(s.overlap_with(0, 12), 10);
     }
 
     #[test]
     fn push_ignores_empty() {
         let mut s = IntervalSet::new();
         s.push(4, 4);
-        assert!(s.is_empty());
+        assert!(s.ivs.is_empty());
     }
 
     #[test]
     fn overlap_with_single_interval() {
-        let s = IntervalSet::from_unsorted(vec![(0, 10), (20, 30)]);
+        let mut s = IntervalSet::new();
+        s.push(0, 10);
+        s.push(20, 30);
         assert_eq!(s.overlap_with(5, 25), 10); // 5..10 plus 20..25
         assert_eq!(s.overlap_with(10, 20), 0);
         assert_eq!(s.overlap_with(0, 40), 20);
         assert_eq!(s.overlap_with(7, 7), 0);
-    }
-
-    #[test]
-    fn intersect_basic() {
-        let a = IntervalSet::from_unsorted(vec![(0, 10), (20, 30)]);
-        let b = IntervalSet::from_unsorted(vec![(5, 25)]);
-        let c = a.intersect(&b);
-        assert_eq!(c.iter().collect::<Vec<_>>(), vec![(5, 10), (20, 25)]);
-    }
-
-    #[test]
-    fn union_basic() {
-        let a = IntervalSet::from_unsorted(vec![(0, 5)]);
-        let b = IntervalSet::from_unsorted(vec![(3, 8), (10, 12)]);
-        let u = a.union(&b);
-        assert_eq!(u.iter().collect::<Vec<_>>(), vec![(0, 8), (10, 12)]);
-    }
-
-    #[test]
-    fn intersect_commutes_and_bounds() {
-        let a = IntervalSet::from_unsorted(vec![(0, 4), (6, 9), (11, 15)]);
-        let b = IntervalSet::from_unsorted(vec![(2, 7), (8, 12)]);
-        let ab = a.intersect(&b);
-        let ba = b.intersect(&a);
-        assert_eq!(ab, ba);
-        assert!(ab.total() <= a.total().min(b.total()));
     }
 }

@@ -22,7 +22,7 @@
 //!   until "the next event that touches my NIC"; [`RankCtx::park_with`] also
 //!   takes a closure the engine runs only if the simulation deadlocks with
 //!   the rank still parked, to say what it was blocked on,
-//! * [`EngineHandle::schedule_in`] schedules a state-mutating callback at a
+//! * [`EngineHandle::schedule_at`] schedules a state-mutating callback at a
 //!   future virtual time (used by the network model for packet deliveries and
 //!   DMA completions).
 //!
@@ -67,20 +67,19 @@
 //! assert_eq!(out.end_time, 500);
 //! ```
 
-pub mod engine;
-pub mod error;
+mod engine;
+mod error;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) mod fiber;
-pub mod intervals;
+mod intervals;
 pub mod oracle;
-pub mod rank;
+mod rank;
 pub mod sched;
-pub mod time;
-pub mod truth;
+mod time;
+mod truth;
 
 pub use engine::{EngineHandle, RankRuntime, SimOpts, SimOutcome, Simulation};
-pub use error::{deadlock_cycle, RankDiag, SimError};
-pub use intervals::IntervalSet;
+pub use error::{RankDiag, SimError};
 pub use oracle::{
     Canonical, ChoicePoint, ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle,
 };

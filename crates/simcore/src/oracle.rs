@@ -100,7 +100,7 @@ pub enum ChoicePoint {
 
 impl ChoicePoint {
     /// Number of legal alternatives at this point.
-    pub fn arity(&self) -> usize {
+    pub(crate) fn arity(&self) -> usize {
         match *self {
             ChoicePoint::EventTie { n, .. }
             | ChoicePoint::ProgressPoll { n, .. }
@@ -112,7 +112,7 @@ impl ChoicePoint {
 
     /// Stable small integer tag identifying the kind of point (used in
     /// recorded traces and replay tokens).
-    pub fn kind(&self) -> u8 {
+    pub(crate) fn kind(&self) -> u8 {
         match self {
             ChoicePoint::EventTie { .. } => 0,
             ChoicePoint::ProgressPoll { .. } => 1,
@@ -128,7 +128,7 @@ impl ChoicePoint {
 /// can detect divergence from the run that produced the trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChoiceRec {
-    /// [`ChoicePoint::kind`] tag of the point.
+    /// Kind tag of the point (its variant's position in [`ChoicePoint`]).
     pub kind: u8,
     /// Number of alternatives that were available.
     pub arity: u32,
@@ -198,28 +198,17 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 ///
 /// If a presented point's kind or arity disagrees with the scripted record,
 /// the replay has diverged (the script was produced by a different
-/// configuration); the oracle answers canonically and counts the mismatch.
+/// configuration); the oracle answers canonically.
 #[derive(Debug, Clone)]
 pub struct ReplayOracle {
     script: Vec<ChoiceRec>,
     cursor: usize,
-    mismatches: u64,
 }
 
 impl ReplayOracle {
     /// Oracle replaying `script` from the start.
     pub fn new(script: Vec<ChoiceRec>) -> Self {
-        ReplayOracle {
-            script,
-            cursor: 0,
-            mismatches: 0,
-        }
-    }
-
-    /// Number of presented points whose kind/arity disagreed with the
-    /// script.
-    pub fn mismatches(&self) -> u64 {
-        self.mismatches
+        ReplayOracle { script, cursor: 0 }
     }
 }
 
@@ -230,7 +219,6 @@ impl ScheduleOracle for ReplayOracle {
         };
         self.cursor += 1;
         if rec.kind != point.kind() || rec.arity as usize != point.arity() {
-            self.mismatches += 1;
             return 0;
         }
         rec.choice as usize
@@ -266,11 +254,6 @@ impl OracleHandle {
         }
     }
 
-    /// A recording handle around the [`Canonical`] oracle.
-    pub fn canonical() -> Self {
-        Self::new(Box::new(Canonical))
-    }
-
     /// Present `point` to the wrapped oracle, record the decision, and
     /// return it (clamped to the point's arity).
     pub fn choose(&self, point: ChoicePoint) -> usize {
@@ -292,11 +275,6 @@ impl OracleHandle {
     pub fn trace(&self) -> Vec<ChoiceRec> {
         self.cell.lock().trace.clone()
     }
-
-    /// Number of decisions recorded so far.
-    pub fn decisions(&self) -> usize {
-        self.cell.lock().trace.len()
-    }
 }
 
 #[cfg(test)]
@@ -305,20 +283,20 @@ mod tests {
 
     #[test]
     fn canonical_always_picks_zero() {
-        let h = OracleHandle::canonical();
+        let h = OracleHandle::new(Box::new(Canonical));
         for n in 2..6 {
             assert_eq!(h.choose(ChoicePoint::EventTie { time: 7, n }), 0);
         }
-        assert_eq!(h.decisions(), 4);
+        assert_eq!(h.trace().len(), 4);
         assert!(h.trace().iter().all(|r| r.choice == 0));
     }
 
     #[test]
     fn unary_points_are_not_recorded() {
-        let h = OracleHandle::canonical();
+        let h = OracleHandle::new(Box::new(Canonical));
         assert_eq!(h.choose(ChoicePoint::EventTie { time: 0, n: 1 }), 0);
         assert_eq!(h.choose(ChoicePoint::EventTie { time: 0, n: 0 }), 0);
-        assert_eq!(h.decisions(), 0);
+        assert!(h.trace().is_empty());
     }
 
     #[test]
@@ -363,7 +341,7 @@ mod tests {
             arity: 3,
             choice: 2,
         }]);
+        // The script says choice 2 of 3; the point has 5: answered canonically.
         assert_eq!(r.choose(ChoicePoint::EventTie { time: 0, n: 5 }), 0);
-        assert_eq!(r.mismatches(), 1);
     }
 }

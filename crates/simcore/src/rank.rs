@@ -133,11 +133,6 @@ impl RankCtx {
         self.log.record(start, end, Activity::LibraryWait);
     }
 
-    /// Ground-truth log recorded so far (read-only).
-    pub fn activity(&self) -> &ActivityLog {
-        &self.log
-    }
-
     pub(crate) fn take_log(&mut self) -> ActivityLog {
         std::mem::take(&mut self.log)
     }

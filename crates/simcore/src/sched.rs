@@ -92,19 +92,10 @@ impl<T> TimingWheel<T> {
         }
     }
 
-    /// Number of pending entries.
+    /// Number of pending entries. (No `is_empty`: nothing outside asks.)
+    #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.len
-    }
-
-    /// True when nothing is pending.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The current time floor (time of the most recently popped entry).
-    pub fn now(&self) -> u64 {
-        self.now
     }
 
     /// Insert an entry. `seq` must be unique; pop order is `(time, seq)`
@@ -151,7 +142,7 @@ impl<T> TimingWheel<T> {
     /// [`TimingWheel::pop`] yields exactly the set of same-time ties. The
     /// schedule explorer uses this to collect tie candidates for its oracle
     /// without disturbing the time floor.
-    pub fn pop_current(&mut self) -> Option<(u64, u64, T)> {
+    pub(crate) fn pop_current(&mut self) -> Option<(u64, u64, T)> {
         let (seq, item) = self.cur.pop_front()?;
         self.len -= 1;
         Some((self.now, seq, item))
@@ -281,7 +272,7 @@ mod tests {
         };
         for round in 0..200 {
             for _ in 0..(round % 7) {
-                let t = w.now() + rng() % 10_000;
+                let t = w.now + rng() % 10_000;
                 w.push(t, seq, ());
                 seq += 1;
                 pushed += 1;
@@ -326,14 +317,14 @@ mod tests {
     #[test]
     fn len_tracks_pending_entries() {
         let mut w = TimingWheel::new();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         w.push(5, 0, ());
         w.push(500_000, 1, ());
         assert_eq!(w.len(), 2);
         w.pop();
         assert_eq!(w.len(), 1);
         w.pop();
-        assert!(w.is_empty());
+        assert_eq!(w.len(), 0);
         assert_eq!(w.pop(), None);
     }
 }

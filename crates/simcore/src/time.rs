@@ -28,24 +28,6 @@ pub const fn ms(v: u64) -> Duration {
     v * 1_000_000
 }
 
-/// Convert a duration to fractional microseconds (for reporting).
-#[inline]
-pub fn to_us(d: Duration) -> f64 {
-    d as f64 / 1_000.0
-}
-
-/// Convert a duration to fractional milliseconds (for reporting).
-#[inline]
-pub fn to_ms(d: Duration) -> f64 {
-    d as f64 / 1_000_000.0
-}
-
-/// Convert fractional microseconds to a duration, rounding to nearest ns.
-#[inline]
-pub fn from_us_f64(v: f64) -> Duration {
-    (v * 1_000.0).round().max(0.0) as Duration
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -55,13 +37,5 @@ mod tests {
         assert_eq!(ns(7), 7);
         assert_eq!(us(3), 3_000);
         assert_eq!(ms(2), 2_000_000);
-    }
-
-    #[test]
-    fn round_trips() {
-        assert_eq!(to_us(us(5)), 5.0);
-        assert_eq!(to_ms(ms(9)), 9.0);
-        assert_eq!(from_us_f64(1.5), 1_500);
-        assert_eq!(from_us_f64(-1.0), 0);
     }
 }

@@ -28,13 +28,13 @@ pub struct ActivityLog {
 
 impl ActivityLog {
     /// Create an empty log.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Record an interval. Zero-length intervals are dropped. Intervals must
     /// be appended in non-decreasing start order (debug-asserted).
-    pub fn record(&mut self, start: Time, end: Time, kind: Activity) {
+    pub(crate) fn record(&mut self, start: Time, end: Time, kind: Activity) {
         if start >= end {
             return;
         }
@@ -63,7 +63,7 @@ impl ActivityLog {
     }
 
     /// The set of intervals attributed to `kind`.
-    pub fn intervals(&self, kind: Activity) -> IntervalSet {
+    pub(crate) fn intervals(&self, kind: Activity) -> IntervalSet {
         let mut set = IntervalSet::new();
         for &(s, e, k) in &self.entries {
             if k == kind {
@@ -77,11 +77,6 @@ impl ActivityLog {
     /// computation on this rank.
     pub fn compute_overlap_with(&self, start: Time, end: Time) -> u64 {
         self.intervals(Activity::Compute).overlap_with(start, end)
-    }
-
-    /// End of the last recorded interval (0 if empty).
-    pub fn end_time(&self) -> Time {
-        self.entries.last().map(|&(_, e, _)| e).unwrap_or(0)
     }
 }
 
@@ -97,7 +92,7 @@ mod tests {
         log.record(15, 20, Activity::Compute);
         assert_eq!(log.total(Activity::Compute), 15);
         assert_eq!(log.total(Activity::Library), 5);
-        assert_eq!(log.end_time(), 20);
+        assert_eq!(log.entries().last(), Some(&(15, 20, Activity::Compute)));
     }
 
     #[test]

@@ -47,7 +47,7 @@ fn canonical_oracle_matches_no_oracle_schedule() {
     assert_eq!(base_end, canon_end);
     // The ties existed (so the oracle was really consulted)…
     let orc = orc.unwrap();
-    assert!(orc.decisions() > 0, "workload produced no ties");
+    assert!(!orc.trace().is_empty(), "workload produced no ties");
     // …and every recorded canonical decision was choice 0.
     assert!(orc.trace().iter().all(|r| r.choice == 0));
 }

@@ -66,7 +66,7 @@ proptest! {
         for log in &out.activity {
             prop_assert_eq!(log.total(Activity::Compute), want_compute);
             prop_assert_eq!(log.total(Activity::Library), want_library);
-            prop_assert_eq!(log.end_time(), want_compute + want_library);
+            prop_assert_eq!(log.entries().last().map_or(0, |e| e.1), want_compute + want_library);
             let mut cursor = 0;
             for &(s, e, _) in log.entries() {
                 prop_assert!(s >= cursor, "entries overlap");

@@ -22,7 +22,7 @@ pub struct MpiRunOutcome {
     /// Ground-truth injected fault events (empty on a loss-free fabric).
     pub faults: Vec<FaultEvent>,
     /// Per-rank reliability-layer counters (all zero on a loss-free fabric).
-    pub rel_stats: Vec<crate::RelStats>,
+    pub rel_stats: Vec<crate::reliability::RelStats>,
     /// Per-rank time-resolved traces (empty unless `RecorderOpts::trace`
     /// was set; ordered by rank when present).
     pub traces: Vec<overlap_core::trace::RankTrace>,
@@ -49,16 +49,6 @@ impl MpiRunOutcome {
             .filter(|t| t.src == rank || t.dst == rank)
             .map(|t| t.duration().saturating_sub(table.lookup(t.bytes as u64)))
             .sum()
-    }
-
-    /// All ranks' metrics registries folded into one (counters add,
-    /// histograms merge per name).
-    pub fn metrics(&self) -> overlap_core::MetricsRegistry {
-        let mut m = overlap_core::MetricsRegistry::new();
-        for r in &self.reports {
-            m.merge(&r.metrics);
-        }
-        m
     }
 
     /// Write every rank's report to `dir` as `overlap.rank<N>.json` — the

@@ -41,14 +41,6 @@ impl CollResult {
             other => panic!("expected Blocks, got {other:?}"),
         }
     }
-
-    /// Unwrap reduced values.
-    pub fn into_vals(self) -> Vec<f64> {
-        match self {
-            CollResult::Vals(v) => v,
-            other => panic!("expected Vals, got {other:?}"),
-        }
-    }
 }
 
 pub(crate) struct ICollState {

@@ -48,7 +48,7 @@
 //!         mpi.send(1, 42, b"hello");
 //!     } else {
 //!         let st = mpi.recv(Src::Rank(0), TagSel::Is(42));
-//!         assert_eq!(&st.into_data()[..], b"hello");
+//!         assert_eq!(&st.data.unwrap()[..], b"hello");
 //!     }
 //! }).unwrap();
 //! assert_eq!(out.reports.len(), 2);
@@ -68,9 +68,7 @@ pub mod types;
 pub use bytes::Bytes;
 pub use config::{MpiConfig, ProgressModel, RndvMode};
 pub use harness::{default_xfer_table, run_mpi, run_mpi_with, MpiRunOutcome};
-pub use icoll::{CollHandle, CollResult};
 pub use mpi::Mpi;
-pub use reliability::RelStats;
 pub use types::{
     bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, Status, TagSel,
 };

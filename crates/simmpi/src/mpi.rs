@@ -28,7 +28,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
-use simcore::{Activity, Duration, RankCtx, RankDiag, Time};
+use simcore::{Activity, Duration, RankCtx, RankDiag};
 use simnet::{CausalEdge, Completion, NetConfig, Packet, Region, RegionId, SharedWorld, XferId};
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
@@ -148,9 +148,8 @@ impl Req {
 
 /// The per-rank MPI library endpoint.
 ///
-/// Created by [`crate::harness::run_mpi`] (or directly via [`Mpi::init`]);
-/// consumed by [`Mpi::finalize`], which returns the per-process
-/// [`OverlapReport`].
+/// Created and finalized by [`crate::harness::run_mpi`], which returns the
+/// per-process [`OverlapReport`]s.
 pub struct Mpi<'a> {
     ctx: &'a mut RankCtx,
     world: SharedWorld,
@@ -198,7 +197,7 @@ impl<'a> Mpi<'a> {
     /// the a-priori transfer-time table into the recorder and synchronizes
     /// all ranks with a barrier). Every argument after `ctx` is a per-run
     /// value whose clone is a refcount bump.
-    pub fn init(
+    pub(crate) fn init(
         ctx: &'a mut RankCtx,
         world: SharedWorld,
         cfg: Arc<MpiConfig>,
@@ -275,11 +274,6 @@ impl<'a> Mpi<'a> {
         self.nranks
     }
 
-    /// Current virtual time, ns.
-    pub fn now(&self) -> Time {
-        self.ctx.now()
-    }
-
     /// Perform user computation for `d` ns (outside the library — this is
     /// what the overlap bounds measure against).
     ///
@@ -349,7 +343,7 @@ impl<'a> Mpi<'a> {
     /// reliability-layer counters (final values: the teardown flush may still
     /// bump them) and, when `RecorderOpts::trace` was set on init, the
     /// time-resolved trace (`None` otherwise).
-    pub fn finalize(
+    pub(crate) fn finalize(
         mut self,
     ) -> (
         OverlapReport,

@@ -13,7 +13,7 @@ pub enum Src {
 
 impl Src {
     /// Does this selector match rank `r`?
-    pub fn matches(&self, r: usize) -> bool {
+    pub(crate) fn matches(&self, r: usize) -> bool {
         match self {
             Src::Any => true,
             Src::Rank(x) => *x == r,
@@ -32,7 +32,7 @@ pub enum TagSel {
 
 impl TagSel {
     /// Does this selector match tag `t`?
-    pub fn matches(&self, t: u64) -> bool {
+    pub(crate) fn matches(&self, t: u64) -> bool {
         match self {
             TagSel::Any => true,
             TagSel::Is(x) => *x == t,
@@ -57,7 +57,7 @@ pub struct Status {
 
 impl Status {
     /// The received payload; panics if this was not a receive.
-    pub fn into_data(self) -> Bytes {
+    pub(crate) fn into_data(self) -> Bytes {
         self.data.expect("status carries no data (send request?)")
     }
 }
@@ -124,7 +124,7 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Apply the operator elementwise: `acc[i] = op(acc[i], other[i])`.
-    pub fn apply(&self, acc: &mut [f64], other: &[f64]) {
+    pub(crate) fn apply(&self, acc: &mut [f64], other: &[f64]) {
         assert_eq!(acc.len(), other.len(), "reduce length mismatch");
         match self {
             ReduceOp::Sum => acc.iter_mut().zip(other).for_each(|(a, b)| *a += b),

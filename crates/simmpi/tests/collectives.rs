@@ -1,10 +1,11 @@
 //! Collective correctness against sequential references.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, Bytes, MpiConfig, ReduceOp};
+use simcore::Activity;
+use simmpi::{run_mpi, Bytes, MpiConfig, MpiRunOutcome, ReduceOp};
 use simnet::NetConfig;
 
-fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) {
+fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) -> MpiRunOutcome {
     run_mpi(
         nranks,
         NetConfig::default(),
@@ -12,18 +13,27 @@ fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) {
         RecorderOpts::default(),
         body,
     )
-    .expect("run failed");
+    .expect("run failed")
 }
 
 #[test]
 fn barrier_synchronizes_ranks() {
-    run(5, |mpi| {
+    let out = run(5, |mpi| {
         // Stagger arrival times; after the barrier, everyone must be past
         // the latest arriver.
         mpi.compute(1_000 * (mpi.rank() as u64 + 1) * 100);
         mpi.barrier();
-        assert!(mpi.now() >= 500_000, "rank {} left early", mpi.rank());
+        mpi.compute(1);
     });
+    for (r, log) in out.activity.iter().enumerate() {
+        let (after, ..) = log
+            .entries()
+            .iter()
+            .rev()
+            .find(|e| e.2 == Activity::Compute)
+            .unwrap();
+        assert!(*after >= 500_000, "rank {r} left early");
+    }
 }
 
 #[test]

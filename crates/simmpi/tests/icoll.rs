@@ -2,6 +2,7 @@
 //! progress engine.
 
 use overlap_core::RecorderOpts;
+use simmpi::icoll::CollResult;
 use simmpi::{run_mpi, Bytes, MpiConfig, MpiRunOutcome, ReduceOp, Src, TagSel};
 use simnet::NetConfig;
 
@@ -46,7 +47,9 @@ fn iallreduce_matches_blocking() {
             let mine: Vec<f64> = (0..10).map(|i| (mpi.rank() * 10 + i) as f64).collect();
             let h = mpi.iallreduce(&mine, ReduceOp::Sum);
             mpi.compute(20_000);
-            let nb = mpi.icoll_wait(h).into_vals();
+            let CollResult::Vals(nb) = mpi.icoll_wait(h) else {
+                panic!("iallreduce must complete with values");
+            };
             let blocking = mpi.allreduce(&mine, ReduceOp::Sum);
             assert_eq!(nb, blocking, "nranks {nranks}");
         });
@@ -99,7 +102,9 @@ fn mixed_icolls_in_flight_concurrently() {
         mpi.compute(100_000);
         // Complete in the opposite order of initiation.
         let a = mpi.icoll_wait(ha).into_blocks();
-        let r = mpi.icoll_wait(har).into_vals();
+        let CollResult::Vals(r) = mpi.icoll_wait(har) else {
+            panic!("iallreduce must complete with values");
+        };
         assert_eq!(r, vec![(0..n).map(|x| x as f64).sum::<f64>()]);
         for (src, b) in a.iter().enumerate() {
             assert_eq!(b, &vec![(src + me) as u8; 64]);

@@ -59,7 +59,7 @@ fn borrowed_buffer_may_be_overwritten_as_soon_as_isend_returns() {
                 buf.fill(0xEE);
                 mpi.wait(s);
             } else {
-                let got = mpi.recv(Src::Rank(0), TagSel::Is(0)).into_data();
+                let got = mpi.recv(Src::Rank(0), TagSel::Is(0)).data.unwrap();
                 assert!(got == pattern(1, len), "{name}: receiver saw the overwrite");
             }
         });
@@ -82,7 +82,7 @@ fn same_length_sends_each_deliver_their_own_contents() {
                 // Hold all three until the end: a later send must not reach
                 // back into a status already delivered.
                 let got: Vec<Bytes> = (0..3)
-                    .map(|t| mpi.recv(Src::Rank(0), TagSel::Is(t)).into_data())
+                    .map(|t| mpi.recv(Src::Rank(0), TagSel::Is(t)).data.unwrap())
                     .collect();
                 for (seed, data) in [10u8, 20, 30].into_iter().zip(&got) {
                     assert!(
@@ -112,7 +112,7 @@ fn owned_buffer_under_rendezvous_is_delivered_without_a_copy() {
                 if mpi.rank() == 0 {
                     mpi.send(1, tag, &msg);
                 } else {
-                    let got = mpi.recv(Src::Rank(0), TagSel::Is(tag)).into_data();
+                    let got = mpi.recv(Src::Rank(0), TagSel::Is(tag)).data.unwrap();
                     assert_eq!(
                         got.as_ptr(),
                         msg.as_ptr(),

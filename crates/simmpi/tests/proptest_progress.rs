@@ -97,7 +97,7 @@ fn run_model(rounds: &[Round], cfg: &MpiConfig, model: ProgressModel) -> MpiRunO
             let tag = i as u64;
             let payload = vec![(me * 37 + i) as u8; r.bytes];
             let check = |st: simmpi::Status| {
-                let got = st.into_data();
+                let got = st.data.unwrap();
                 let expect = (other * 37 + i) as u8;
                 // Plain asserts: a failure panics the rank, surfacing as a
                 // run error (prop_assert can't cross the closure).

@@ -60,7 +60,7 @@ proptest! {
                     let want = checksum(&payload(src, round, len));
                     let sr = mpi.isend(dst, round as u64, &data);
                     let st = mpi.recv(Src::Rank(src), TagSel::Is(round as u64));
-                    let got = st.into_data();
+                    let got = st.data.unwrap();
                     // Plain asserts: a failure panics the rank, which
                     // surfaces as a run error (prop_assert can't cross the
                     // closure boundary).

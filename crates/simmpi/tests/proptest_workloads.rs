@@ -89,7 +89,7 @@ proptest! {
                 }
                 mpi.compute(r.compute_ns);
                 let st = mpi.wait(rr);
-                let got = st.into_data();
+                let got = st.data.unwrap();
                 let expect = (other * 37 + i) as u8;
                 // Plain asserts: a failure panics the rank, which surfaces
                 // as a run error (prop_assert can't cross the closure).

@@ -27,7 +27,7 @@ fn roundtrip(cfg: MpiConfig, len: usize) -> MpiRunOutcome {
             mpi.send(1, 1, &msg);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&st.into_data()[..], &msg[..]);
+            assert_eq!(&st.data.unwrap()[..], &msg[..]);
         }
     })
 }
@@ -75,7 +75,7 @@ fn zero_byte_message_is_a_valid_transfer() {
             mpi.send(1, 5, &[]);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(5));
-            assert_eq!(st.into_data().len(), 0);
+            assert_eq!(st.data.unwrap().len(), 0);
         }
     });
     // Counted as a (zero-byte) user message, per MPI semantics.
@@ -93,7 +93,7 @@ fn wildcard_recv_matches_rendezvous() {
                 let st = mpi.recv(Src::Any, TagSel::Any);
                 assert_eq!(st.source, 0);
                 assert_eq!(st.tag, 77);
-                assert_eq!(st.into_data().len(), 700 << 10);
+                assert_eq!(st.data.unwrap().len(), 700 << 10);
             }
         });
     }
@@ -136,7 +136,7 @@ fn cache_disabled_mode_still_correct_under_concurrency() {
                 mpi.compute(500_000);
                 let expect = if mpi.rank() == 1 { 0x11 } else { 0x22 };
                 let st = mpi.recv(Src::Rank(0), TagSel::Is(mpi.rank() as u64));
-                assert!(st.into_data().iter().all(|&b| b == expect));
+                assert!(st.data.unwrap().iter().all(|&b| b == expect));
             }
         },
     );
@@ -157,14 +157,14 @@ fn many_small_messages_interleaved_with_one_huge() {
             }
         } else {
             for i in 0..5u8 {
-                assert_eq!(mpi.recv(Src::Rank(0), TagSel::Is(9)).into_data()[0], i);
+                assert_eq!(mpi.recv(Src::Rank(0), TagSel::Is(9)).data.unwrap()[0], i);
             }
             assert_eq!(
-                mpi.recv(Src::Rank(0), TagSel::Is(9)).into_data().len(),
+                mpi.recv(Src::Rank(0), TagSel::Is(9)).data.unwrap().len(),
                 900 << 10
             );
             for i in 5..10u8 {
-                assert_eq!(mpi.recv(Src::Rank(0), TagSel::Is(9)).into_data()[0], i);
+                assert_eq!(mpi.recv(Src::Rank(0), TagSel::Is(9)).data.unwrap()[0], i);
             }
         }
     });

@@ -32,10 +32,10 @@ fn eager_ping_pong_roundtrips_data() {
         if mpi.rank() == 0 {
             mpi.send(1, 42, &msg);
             let st = mpi.recv(Src::Rank(1), TagSel::Is(43));
-            assert_eq!(&st.into_data()[..], &msg[..]);
+            assert_eq!(&st.data.unwrap()[..], &msg[..]);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(42));
-            let got = st.into_data();
+            let got = st.data.unwrap();
             assert_eq!(&got[..], &msg[..]);
             mpi.send(0, 43, &got);
         }
@@ -53,7 +53,7 @@ fn rendezvous_direct_read_moves_large_messages() {
             mpi.send(1, 1, &msg);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&st.into_data()[..], &msg[..]);
+            assert_eq!(&st.data.unwrap()[..], &msg[..]);
         }
     });
     // One RDMA-read data transfer of 1 MiB.
@@ -76,7 +76,7 @@ fn rendezvous_pipelined_fragments_large_messages() {
             mpi.send(1, 1, &msg);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&st.into_data()[..], &msg[..]);
+            assert_eq!(&st.data.unwrap()[..], &msg[..]);
         }
     });
     // 1 MiB in 128 KiB fragments: 1 send (frag1) + 7 RDMA writes.
@@ -102,7 +102,7 @@ fn single_fragment_rendezvous_needs_no_cts() {
             mpi.send(1, 1, &msg);
         } else {
             let st = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&st.into_data()[..], &msg[..]);
+            assert_eq!(&st.data.unwrap()[..], &msg[..]);
         }
     });
     assert_eq!(out.transfers.len(), 1);
@@ -133,7 +133,7 @@ fn same_source_same_tag_is_fifo() {
         } else {
             for i in 0..10u8 {
                 let st = mpi.recv(Src::Rank(0), TagSel::Is(5));
-                assert_eq!(st.into_data()[0], i, "non-overtaking order violated");
+                assert_eq!(st.data.unwrap()[0], i, "non-overtaking order violated");
             }
         }
     });
@@ -150,8 +150,8 @@ fn unexpected_messages_are_buffered() {
             mpi.compute(1_000_000);
             let b = mpi.recv(Src::Rank(0), TagSel::Is(2));
             let a = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&a.into_data()[..], b"first");
-            assert_eq!(&b.into_data()[..], b"second");
+            assert_eq!(&a.data.unwrap()[..], b"first");
+            assert_eq!(&b.data.unwrap()[..], b"second");
         }
     });
 }
@@ -167,7 +167,7 @@ fn unexpected_rendezvous_completes_after_late_recv() {
             } else {
                 mpi.compute(2_000_000); // RTS arrives long before the recv
                 let st = mpi.recv(Src::Rank(0), TagSel::Is(9));
-                assert_eq!(&st.into_data()[..], &msg[..]);
+                assert_eq!(&st.data.unwrap()[..], &msg[..]);
             }
         });
     }
@@ -182,7 +182,7 @@ fn isend_irecv_waitall_crossing_pairs() {
         let s = mpi.isend(other, 7, &msg);
         let r = mpi.irecv(Src::Rank(other), TagSel::Is(7));
         let sts = mpi.waitall(&[s, r]);
-        let got = sts[1].clone().into_data();
+        let got = sts[1].clone().data.unwrap();
         assert_eq!(&got[..], &pattern(4096, other as u8)[..]);
     });
 }
@@ -195,7 +195,7 @@ fn sendrecv_pairwise_exchange() {
         let right = (me + 1) % n;
         let left = (me + n - 1) % n;
         let st = mpi.sendrecv(right, 3, &[me as u8; 32], Src::Rank(left), TagSel::Is(3));
-        assert_eq!(st.into_data()[0], left as u8);
+        assert_eq!(st.data.unwrap()[0], left as u8);
     });
 }
 
@@ -205,7 +205,7 @@ fn self_send_loopback() {
         let r = mpi.irecv(Src::Rank(0), TagSel::Is(1));
         mpi.send(0, 1, b"self");
         let st = mpi.wait(r);
-        assert_eq!(&st.into_data()[..], b"self");
+        assert_eq!(&st.data.unwrap()[..], b"self");
     });
 }
 
@@ -221,7 +221,7 @@ fn iprobe_sees_unexpected_only_when_present() {
             mpi.compute(2_000_000);
             assert!(mpi.iprobe(Src::Rank(0), TagSel::Is(8)));
             let st = mpi.recv(Src::Rank(0), TagSel::Is(8));
-            assert_eq!(&st.into_data()[..], b"probe me");
+            assert_eq!(&st.data.unwrap()[..], b"probe me");
         }
     });
 }
@@ -297,7 +297,7 @@ fn payload_checksums_across_all_protocol_regimes() {
                     mpi.send(1, i as u64, &msg);
                 } else {
                     let st = mpi.recv(Src::Rank(0), TagSel::Is(i as u64));
-                    assert_eq!(&st.into_data()[..], &msg[..], "len {len} corrupted");
+                    assert_eq!(&st.data.unwrap()[..], &msg[..], "len {len} corrupted");
                 }
             }
         });
@@ -323,7 +323,7 @@ fn concurrent_same_size_cached_sends_do_not_alias() {
             let tag = mpi.rank() as u64;
             let expect = if mpi.rank() == 1 { 0xAA } else { 0xBB };
             let st = mpi.recv(Src::Rank(0), TagSel::Is(tag));
-            let data = st.into_data();
+            let data = st.data.unwrap();
             assert!(
                 data.iter().all(|&b| b == expect),
                 "rank {} received aliased data",
@@ -335,14 +335,15 @@ fn concurrent_same_size_cached_sends_do_not_alias() {
 
 #[test]
 fn plain_send_does_not_block_on_late_receiver() {
-    run(2, MpiConfig::default(), |mpi| {
+    let out = run(2, MpiConfig::default(), |mpi| {
         if mpi.rank() == 0 {
-            let t0 = mpi.now();
             mpi.send(1, 1, &[1u8; 256]); // buffered semantics
-            assert!(mpi.now() - t0 < 1_000_000, "buffered send blocked");
         } else {
             mpi.compute(5_000_000);
             mpi.recv(Src::Rank(0), TagSel::Is(1));
         }
     });
+    let send = out.reports[0].calls["MPI_Send"];
+    assert_eq!(send.count, 1);
+    assert!(send.total_time < 1_000_000, "buffered send blocked");
 }

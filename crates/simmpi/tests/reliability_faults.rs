@@ -58,7 +58,7 @@ fn ring_exchange(net: NetConfig, sizes: &'static [usize]) -> simmpi::MpiRunOutco
                 let want = checksum(&payload(src, round, len));
                 let sr = mpi.isend(dst, round as u64, &data);
                 let st = mpi.recv(Src::Rank(src), TagSel::Is(round as u64));
-                let got = st.into_data();
+                let got = st.data.unwrap();
                 assert_eq!(got.len(), len, "length corrupted under faults");
                 assert_eq!(checksum(&got), want, "payload corrupted under faults");
                 mpi.wait(sr);

@@ -34,7 +34,7 @@ fn workload(mpi: &mut simmpi::Mpi, sizes: &[usize]) {
         let data = payload(me, round, len);
         let sr = mpi.isend(dst, round as u64, &data);
         let st = mpi.recv(Src::Rank(src), TagSel::Is(round as u64));
-        assert_eq!(st.into_data(), payload(src, round, len));
+        assert_eq!(st.data.unwrap(), payload(src, round, len));
         mpi.wait(sr);
         let _ = mpi.allreduce(&[len as f64 + me as f64], simmpi::ReduceOp::Sum);
     }

@@ -9,23 +9,9 @@
 
 /// A slab allocator handing out dense `usize` keys with O(1) insert/remove
 /// and slot reuse via an intrusive free list.
-///
-/// ```
-/// use simnet::arena::Slab;
-///
-/// let mut slab = Slab::new();
-/// let a = slab.insert("alpha");
-/// let b = slab.insert("beta");
-/// assert_eq!(slab.remove(a), "alpha");
-/// let c = slab.insert("gamma"); // reuses slot `a`
-/// assert_eq!(c, a);
-/// assert_eq!(slab.len(), 2);
-/// let _ = b;
-/// ```
-pub struct Slab<T> {
+pub(crate) struct Slab<T> {
     entries: Vec<Entry<T>>,
     free_head: usize,
-    len: usize,
 }
 
 enum Entry<T> {
@@ -34,41 +20,18 @@ enum Entry<T> {
     Vacant(usize),
 }
 
-impl<T> Default for Slab<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> Slab<T> {
     /// An empty slab.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Slab {
             entries: Vec::new(),
             free_head: usize::MAX,
-            len: 0,
         }
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no slots are occupied.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Total slots allocated (occupied + reusable).
-    pub fn capacity(&self) -> usize {
-        self.entries.len()
     }
 
     /// Store `value`, returning its key. Reuses a vacant slot when one
     /// exists; grows the backing vector otherwise.
-    pub fn insert(&mut self, value: T) -> usize {
-        self.len += 1;
+    pub(crate) fn insert(&mut self, value: T) -> usize {
         if self.free_head != usize::MAX {
             let key = self.free_head;
             match std::mem::replace(&mut self.entries[key], Entry::Occupied(value)) {
@@ -88,11 +51,10 @@ impl<T> Slab<T> {
     ///
     /// Panics if `key` is vacant or out of bounds — a token must be redeemed
     /// exactly once.
-    pub fn remove(&mut self, key: usize) -> T {
+    pub(crate) fn remove(&mut self, key: usize) -> T {
         match std::mem::replace(&mut self.entries[key], Entry::Vacant(self.free_head)) {
             Entry::Occupied(value) => {
                 self.free_head = key;
-                self.len -= 1;
                 value
             }
             Entry::Vacant(next) => {
@@ -102,19 +64,18 @@ impl<T> Slab<T> {
             }
         }
     }
-
-    /// Borrow the value at `key`, if occupied.
-    pub fn get(&self, key: usize) -> Option<&T> {
-        match self.entries.get(key) {
-            Some(Entry::Occupied(v)) => Some(v),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn occupied<T>(s: &Slab<T>) -> usize {
+        s.entries
+            .iter()
+            .filter(|e| matches!(e, Entry::Occupied(_)))
+            .count()
+    }
 
     #[test]
     fn insert_remove_roundtrip() {
@@ -122,11 +83,11 @@ mod tests {
         let k1 = s.insert(10);
         let k2 = s.insert(20);
         let k3 = s.insert(30);
-        assert_eq!(s.len(), 3);
+        assert_eq!(occupied(&s), 3);
         assert_eq!(s.remove(k2), 20);
         assert_eq!(s.remove(k1), 10);
-        assert_eq!(s.get(k3), Some(&30));
-        assert_eq!(s.len(), 1);
+        assert_eq!(occupied(&s), 1);
+        assert_eq!(s.remove(k3), 30);
     }
 
     #[test]
@@ -139,7 +100,7 @@ mod tests {
         // Most recently freed first.
         assert_eq!(s.insert("c"), k2);
         assert_eq!(s.insert("d"), k1);
-        assert_eq!(s.capacity(), 2, "no growth after reuse");
+        assert_eq!(s.entries.len(), 2, "no growth after reuse");
     }
 
     #[test]
@@ -152,8 +113,8 @@ mod tests {
             s.remove(k);
             s.remove(k2);
         }
-        assert_eq!(s.capacity(), 2);
-        assert!(s.is_empty());
+        assert_eq!(s.entries.len(), 2);
+        assert_eq!(occupied(&s), 0);
     }
 
     #[test]

@@ -101,24 +101,13 @@ impl NetConfig {
         }
     }
 
-    /// One-way latency between `src` and `dst` under the configured
-    /// topology.
-    pub fn latency_between(&self, src: usize, dst: usize) -> Duration {
-        if src == dst {
-            return self.loopback_latency;
-        }
-        match self.switch_radix {
-            Some(radix) if src / radix != dst / radix => {
-                self.wire_latency + self.inter_switch_extra
-            }
-            _ => self.wire_latency,
-        }
-    }
-
     /// Instantiate the configured topology for an `nnodes`-rank job. The
     /// spec is [`TopologySpec::fitted`] first, so a small spec grows to
     /// give every rank a port instead of panicking.
-    pub fn build_topology(&self, nnodes: usize) -> std::sync::Arc<dyn crate::topology::Topology> {
+    pub(crate) fn build_topology(
+        &self,
+        nnodes: usize,
+    ) -> std::sync::Arc<dyn crate::topology::Topology> {
         self.topology.fitted(nnodes).build(
             self.wire_latency,
             self.switch_radix,
@@ -128,7 +117,7 @@ impl NetConfig {
     }
 
     /// Time for the NIC to serialize `bytes` onto the wire, ns.
-    pub fn serialize(&self, bytes: usize) -> Duration {
+    pub(crate) fn serialize(&self, bytes: usize) -> Duration {
         (bytes as f64 / self.bandwidth_bytes_per_ns).ceil() as Duration
     }
 
@@ -175,18 +164,18 @@ mod tests {
     #[test]
     fn topology_latency() {
         let flat = NetConfig::infiniband_2006();
-        assert_eq!(flat.latency_between(0, 5), flat.wire_latency);
+        assert_eq!(flat.build_topology(8).path_latency(0, 5), flat.wire_latency);
         let tree = NetConfig {
             switch_radix: Some(4),
             ..NetConfig::infiniband_2006()
         };
         // Same leaf switch (0..3): base latency; across switches: extra hop.
-        assert_eq!(tree.latency_between(0, 3), tree.wire_latency);
+        let topo = tree.build_topology(8);
+        assert_eq!(topo.path_latency(0, 3), tree.wire_latency);
         assert_eq!(
-            tree.latency_between(0, 4),
+            topo.path_latency(0, 4),
             tree.wire_latency + tree.inter_switch_extra
         );
-        assert_eq!(tree.latency_between(2, 2), tree.loopback_latency);
     }
 
     #[test]

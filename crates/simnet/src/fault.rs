@@ -68,8 +68,9 @@ pub struct FaultPlan {
     pub nic_stalls: Vec<NicStall>,
     /// Width of the schedule-exploration jitter window, in ns. When nonzero
     /// *and* a schedule oracle is installed, the oracle may delay each
-    /// two-sided packet's arrival by one of [`FaultPlan::jitter_steps`]
-    /// discrete offsets in `[0, explore_jitter_ns]` — choice 0 (and every
+    /// two-sided packet's arrival by one of
+    /// [`explore_jitter_steps`](FaultPlan::explore_jitter_steps) discrete
+    /// offsets in `[0, explore_jitter_ns]` — choice 0 (and every
     /// run without an oracle, e.g. under the canonical engine) adds nothing.
     pub explore_jitter_ns: u64,
     /// Number of discrete jitter offsets, including the zero offset.
@@ -115,7 +116,7 @@ impl FaultPlan {
 
     /// Effective number of discrete jitter offsets the oracle chooses from
     /// (see [`FaultPlan::explore_jitter_ns`]).
-    pub fn jitter_steps(&self) -> u32 {
+    pub(crate) fn jitter_steps(&self) -> u32 {
         if self.explore_jitter_steps >= 2 {
             self.explore_jitter_steps
         } else {
@@ -125,14 +126,14 @@ impl FaultPlan {
 
     /// The extra delay for jitter step `step` (step 0 is always 0 ns; the
     /// last step is the full window).
-    pub fn jitter_delay(&self, step: u32) -> u64 {
+    pub(crate) fn jitter_delay(&self, step: u32) -> u64 {
         let steps = self.jitter_steps();
         (self.explore_jitter_ns * u64::from(step.min(steps - 1))) / u64::from(steps - 1)
     }
 
     /// Total extra delay the degradation windows add to a packet leaving
     /// `src` for `dst` at `when`.
-    pub fn degradation_delay(&self, src: usize, dst: usize, when: Time) -> u64 {
+    pub(crate) fn degradation_delay(&self, src: usize, dst: usize, when: Time) -> u64 {
         self.degraded_links
             .iter()
             .filter(|d| d.src == src && d.dst == dst && d.from <= when && when < d.until)
@@ -142,7 +143,7 @@ impl FaultPlan {
 
     /// Earliest time a packet arriving at `node` at `when` can actually be
     /// delivered, given the NIC stall windows (`when` if no stall covers it).
-    pub fn stall_release(&self, node: usize, when: Time) -> Time {
+    pub(crate) fn stall_release(&self, node: usize, when: Time) -> Time {
         self.nic_stalls
             .iter()
             .filter(|s| s.node == node && s.from <= when && when < s.until)

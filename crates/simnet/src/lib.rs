@@ -18,14 +18,14 @@
 //! Every data operation is recorded with its physical `[start, end)` interval
 //! so tests can compare the instrumentation's bounds against ground truth.
 
-pub mod arena;
-pub mod cluster;
-pub mod config;
-pub mod fault;
+mod arena;
+mod cluster;
+mod config;
+mod fault;
 pub mod memory;
-pub mod nic;
-pub mod packet;
-pub mod topology;
+mod nic;
+mod packet;
+mod topology;
 pub mod truth;
 pub mod world;
 
@@ -36,8 +36,7 @@ pub use memory::{Region, RegionId};
 pub use nic::{CausalEdge, Completion, WrId};
 pub use packet::Packet;
 pub use topology::{
-    BackgroundJob, BackgroundJobBuilder, Dragonfly, FatTree, FlatCrossbar, Hop, Topology,
-    TopologySpec, TrafficPattern, LINK_DEDICATED,
+    BackgroundJob, BackgroundJobBuilder, Hop, Topology, TopologySpec, TrafficPattern,
 };
 pub use truth::{TransferKind, TransferRecord};
-pub use world::{NicStats, SharedWorld, World, XferId};
+pub use world::{SharedWorld, World, XferId};

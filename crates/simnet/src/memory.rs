@@ -60,14 +60,6 @@ impl From<Vec<u8>> for Region {
 }
 
 impl Region {
-    fn len(&self) -> usize {
-        match self {
-            Region::ReadOnly(b) => b.len(),
-            Region::Writable(v) => v.len(),
-            Region::Landing { len, .. } => *len,
-        }
-    }
-
     /// The region's bytes in place. Nothing reads a landing region before
     /// its writes have tiled it, so one that has a gap panics.
     fn as_slice(&self) -> &[u8] {
@@ -93,7 +85,6 @@ fn zero_filled(run: &Bytes, len: usize) -> Vec<u8> {
 #[derive(Debug, Default)]
 pub struct NodeMemory {
     regions: HashMap<u64, Region>,
-    pinned_bytes: usize,
 }
 
 impl NodeMemory {
@@ -102,7 +93,6 @@ impl NodeMemory {
     }
 
     pub(crate) fn insert(&mut self, id: RegionId, data: Region) {
-        self.pinned_bytes += data.len();
         let prev = self.regions.insert(id.0, data);
         assert!(prev.is_none(), "region id reused");
     }
@@ -110,9 +100,7 @@ impl NodeMemory {
     /// Unpin a region and hand its contents over: free for every kind but
     /// a landing region its writes did not cover, which is zero-filled.
     pub(crate) fn remove(&mut self, id: RegionId) -> Option<Bytes> {
-        let data = self.regions.remove(&id.0)?;
-        self.pinned_bytes -= data.len();
-        Some(match data {
+        Some(match self.regions.remove(&id.0)? {
             Region::ReadOnly(b) => b,
             Region::Writable(v) => Bytes::from(v),
             Region::Landing { run, len } if run.len() == len => run,
@@ -137,7 +125,7 @@ impl NodeMemory {
     /// What an RDMA Read of `off..off + len` returns: a slice of the shared
     /// payload for a read-only or landing region, a snapshot copy for a
     /// writable one.
-    pub fn read(&self, id: RegionId, off: usize, len: usize) -> Option<Bytes> {
+    pub(crate) fn read(&self, id: RegionId, off: usize, len: usize) -> Option<Bytes> {
         Some(match self.regions.get(&id.0)? {
             Region::ReadOnly(b) | Region::Landing { run: b, .. } => b.slice(off..off + len),
             Region::Writable(v) => Bytes::copy_from_slice(&v[off..off + len]),
@@ -147,7 +135,7 @@ impl NodeMemory {
     /// Place an RDMA Write of `data` at `off` (see the module docs for what
     /// a landing region keeps by reference). Panics on a read-only region:
     /// nothing may change a payload that receivers hold by reference.
-    pub fn write(&mut self, id: RegionId, off: usize, data: &Bytes) {
+    pub(crate) fn write(&mut self, id: RegionId, off: usize, data: &Bytes) {
         let region = self
             .regions
             .get_mut(&id.0)
@@ -170,11 +158,6 @@ impl NodeMemory {
             ),
         }
     }
-
-    /// Total bytes currently pinned on this node.
-    pub fn pinned_bytes(&self) -> usize {
-        self.pinned_bytes
-    }
 }
 
 #[cfg(test)]
@@ -186,10 +169,8 @@ mod tests {
         let mut mem = NodeMemory::new();
         mem.insert(RegionId(1), vec![1, 2, 3].into());
         assert_eq!(mem.get(RegionId(1)), Some(&[1u8, 2, 3][..]));
-        assert_eq!(mem.pinned_bytes(), 3);
         let data = mem.remove(RegionId(1)).unwrap();
         assert_eq!(data, vec![1, 2, 3]);
-        assert_eq!(mem.pinned_bytes(), 0);
         assert!(mem.get(RegionId(1)).is_none());
     }
 
@@ -218,7 +199,6 @@ mod tests {
         assert_eq!(got.as_ptr(), payload[16..].as_ptr(), "no copy");
         let next = Bytes::from(vec![5u8; 64]);
         mem.replace(RegionId(2), next.clone());
-        assert_eq!(mem.pinned_bytes(), 64);
         assert_eq!(
             mem.read(RegionId(2), 0, 64).unwrap().as_ptr(),
             next.as_ptr()
@@ -263,13 +243,10 @@ mod tests {
                 len: 40,
             },
         );
-        assert_eq!(mem.pinned_bytes(), 40);
         for (off, data) in writes {
             mem.write(RegionId(5), *off, data);
         }
-        let out = mem.remove(RegionId(5)).unwrap();
-        assert_eq!(mem.pinned_bytes(), 0);
-        out
+        mem.remove(RegionId(5)).unwrap()
     }
 
     /// What today's zero-filled copy path gives for the same writes: a

@@ -181,7 +181,7 @@ impl Nic {
     }
 
     /// True if the host would observe anything on a poll.
-    pub fn has_host_events(&self) -> bool {
+    pub(crate) fn has_host_events(&self) -> bool {
         !self.cq.is_empty() || !self.rx.is_empty()
     }
 

@@ -82,7 +82,7 @@ impl Packet {
     }
 
     /// Payload length in bytes (0 if none).
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.data.as_ref().map_or(0, |d| d.len())
     }
 }

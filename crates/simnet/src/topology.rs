@@ -35,11 +35,12 @@ use simcore::Duration;
 /// by the NIC.
 pub const LINK_DEDICATED: u32 = u32::MAX;
 
-/// One hop of a route: a directed link (or [`LINK_DEDICATED`]) plus the
-/// propagation latency added by traversing it.
+/// One hop of a route: a directed link (or `u32::MAX` for a dedicated,
+/// never-contended hop) plus the propagation latency added by traversing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
-    /// Directed-link index in `0..Topology::links()`, or [`LINK_DEDICATED`].
+    /// Directed-link index in `0..Topology::links()`, or `u32::MAX`
+    /// (dedicated).
     pub link: u32,
     /// Propagation latency of this hop, ns.
     pub latency: Duration,
@@ -56,16 +57,17 @@ pub struct Hop {
 /// # Examples
 ///
 /// ```
-/// use simnet::topology::{FatTree, Topology, LINK_DEDICATED};
+/// use simnet::TopologySpec;
 ///
-/// let ft = FatTree::new(4, 1_000); // k=4: 16 hosts, 1 µs per hop
+/// // k=4: 16 hosts, 1 µs per hop (the crossbar arguments are unused here).
+/// let ft = TopologySpec::parse("fat-tree:k=4").unwrap().build(5_000, None, 0, 1_000);
 /// assert_eq!(ft.hosts(), 16);
-/// // Hosts 0 and 1 share an edge switch: two links, no ECMP.
+/// // Hosts 0 and 1 share an edge switch: two shared links, no ECMP.
 /// assert_eq!(ft.paths(0, 1), 1);
 /// let mut route = Vec::new();
 /// ft.route_into(0, 1, 0, &mut route);
 /// assert_eq!(route.len(), 2);
-/// assert!(route.iter().all(|h| h.link != LINK_DEDICATED));
+/// assert!(route.iter().all(|h| (h.link as usize) < ft.links()));
 /// // Crossing pods goes up to a core switch: (k/2)^2 = 4 candidates.
 /// assert_eq!(ft.paths(0, 15), 4);
 /// ft.route_into(0, 15, 0, &mut route);
@@ -115,7 +117,7 @@ pub struct FlatCrossbar {
 impl FlatCrossbar {
     /// Crossbar with the given one-way latency and optional two-level
     /// switch grouping (see `NetConfig::switch_radix`).
-    pub fn new(
+    pub(crate) fn new(
         wire_latency: Duration,
         switch_radix: Option<usize>,
         inter_switch_extra: Duration,
@@ -180,9 +182,9 @@ impl Topology for FlatCrossbar {
 /// # Examples
 ///
 /// ```
-/// use simnet::topology::{FatTree, Topology};
+/// use simnet::TopologySpec;
 ///
-/// let ft = FatTree::new(8, 1_000);
+/// let ft = TopologySpec::FatTree { k: 8 }.build(5_000, None, 0, 1_000);
 /// assert_eq!(ft.hosts(), 128); // k^3/4
 /// assert_eq!(ft.paths(0, 127), 16); // (k/2)^2 core switches
 /// // Equal-cost: every candidate has the same latency.
@@ -212,7 +214,7 @@ impl FatTree {
     ///
     /// # Panics
     /// Panics if `k` is odd or zero.
-    pub fn new(k: usize, hop_latency: Duration) -> Self {
+    pub(crate) fn new(k: usize, hop_latency: Duration) -> Self {
         assert!(
             k >= 2 && k.is_multiple_of(2),
             "fat-tree arity k must be even, got {k}"
@@ -400,7 +402,7 @@ impl Dragonfly {
     ///
     /// # Panics
     /// Panics if any of `a`, `p`, `h` is zero.
-    pub fn new(a: usize, p: usize, h: usize, hop_latency: Duration) -> Self {
+    pub(crate) fn new(a: usize, p: usize, h: usize, hop_latency: Duration) -> Self {
         assert!(
             a > 0 && p > 0 && h > 0,
             "dragonfly a, p, h must be positive"
@@ -415,7 +417,7 @@ impl Dragonfly {
     }
 
     /// Number of groups.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.a * self.h + 1
     }
 
@@ -628,6 +630,11 @@ pub(crate) fn mix64(mut x: u64) -> u64 {
     simcore::oracle::splitmix64(&mut x)
 }
 
+/// Most hosts a parsed spec may wire up: 64x the largest run measured
+/// (16 384 ranks). A larger spec is refused with a one-line error instead of
+/// aborting on its first allocation.
+const MAX_HOSTS: usize = 1 << 20;
+
 /// Parsed topology selection, storable in a `NetConfig` and buildable into
 /// a concrete [`Topology`]. `Flat` is the default and reproduces the
 /// pre-topology fabric byte-identically.
@@ -656,7 +663,8 @@ pub enum TopologySpec {
 impl TopologySpec {
     /// Parse a CLI spec: `flat`, `fat-tree:k=8`, or
     /// `dragonfly:a=4,p=2,h=2`. Returns a one-line error message on any
-    /// unknown family or malformed parameter.
+    /// unknown family, malformed parameter, or fabric of more than
+    /// 2^20 hosts.
     pub fn parse(s: &str) -> Result<Self, String> {
         let (family, params) = match s.split_once(':') {
             Some((f, p)) => (f, Some(p)),
@@ -676,12 +684,12 @@ impl TopologySpec {
                 })
                 .collect()
         };
-        match family {
+        let spec = match family {
             "flat" => {
                 if params.is_some() {
                     return Err("topology 'flat' takes no parameters".into());
                 }
-                Ok(TopologySpec::Flat)
+                TopologySpec::Flat
             }
             "fat-tree" => {
                 let params = kv(params.ok_or("fat-tree needs k, e.g. fat-tree:k=8")?)?;
@@ -694,7 +702,7 @@ impl TopologySpec {
                 if k < 2 || !k.is_multiple_of(2) {
                     return Err(format!("fat-tree k must be even and >= 2, got {k}"));
                 }
-                Ok(TopologySpec::FatTree { k })
+                TopologySpec::FatTree { k }
             }
             "dragonfly" => {
                 let params =
@@ -714,18 +722,25 @@ impl TopologySpec {
                 }
                 match (a, p, h) {
                     (Some(a), Some(p), Some(h)) if a > 0 && p > 0 && h > 0 => {
-                        Ok(TopologySpec::Dragonfly { a, p, h })
+                        TopologySpec::Dragonfly { a, p, h }
                     }
                     (Some(_), Some(_), Some(_)) => {
-                        Err("dragonfly a, p, h must all be positive".into())
+                        return Err("dragonfly a, p, h must all be positive".into())
                     }
-                    _ => Err("dragonfly needs all of a, p, h".into()),
+                    _ => return Err("dragonfly needs all of a, p, h".into()),
                 }
             }
-            other => Err(format!(
-                "unknown topology {other:?} (expected flat, fat-tree:k=N, or dragonfly:a=A,p=P,h=H)"
-            )),
+            other => {
+                let expected = "flat, fat-tree:k=N, or dragonfly:a=A,p=P,h=H";
+                return Err(format!("unknown topology {other:?} (expected {expected})"));
+            }
+        };
+        if spec != TopologySpec::Flat && spec.hosts().is_none_or(|n| n > MAX_HOSTS) {
+            return Err(format!(
+                "topology {s:?} wires up more than {MAX_HOSTS} hosts"
+            ));
         }
+        Ok(spec)
     }
 
     /// The spec in its canonical parseable form.
@@ -742,37 +757,37 @@ impl TopologySpec {
     /// `fat-tree:k=32`). Flat always fits. This is what lets one CLI spec
     /// apply across harnesses of very different scale without panicking.
     pub fn fitted(&self, nranks: usize) -> Self {
-        match *self {
-            TopologySpec::Flat => TopologySpec::Flat,
-            TopologySpec::FatTree { mut k } => {
-                while k * k * k / 4 < nranks {
-                    k += 2;
-                }
-                TopologySpec::FatTree { k }
-            }
-            TopologySpec::Dragonfly { a, p, mut h } => {
+        let mut spec = *self;
+        // A count past `usize` holds any job.
+        while spec.hosts().is_some_and(|n| n < nranks) {
+            match &mut spec {
+                TopologySpec::Flat => break,
+                TopologySpec::FatTree { k } => *k += 2,
                 // Grow the global-link count (group count scales with a*h).
-                while (a * h + 1) * a * p < nranks {
-                    h += 1;
-                }
-                TopologySpec::Dragonfly { a, p, h }
+                TopologySpec::Dragonfly { h, .. } => *h += 1,
             }
         }
+        spec
     }
 
-    /// Number of hosts the spec'd fabric wires up (`usize::MAX` for flat).
-    pub fn hosts(&self) -> usize {
+    /// Number of hosts the spec'd fabric wires up (`usize::MAX` for flat),
+    /// or `None` when that count overflows `usize`.
+    fn hosts(&self) -> Option<usize> {
         match *self {
-            TopologySpec::Flat => usize::MAX,
-            TopologySpec::FatTree { k } => k * k * k / 4,
-            TopologySpec::Dragonfly { a, p, h } => (a * h + 1) * a * p,
+            TopologySpec::Flat => Some(usize::MAX),
+            TopologySpec::FatTree { k } => Some(k.checked_mul(k)?.checked_mul(k)? / 4),
+            TopologySpec::Dragonfly { a, p, h } => a
+                .checked_mul(h)?
+                .checked_add(1)?
+                .checked_mul(a)?
+                .checked_mul(p),
         }
     }
 
     /// Instantiate the topology. `flat_latency`, `switch_radix`, and
-    /// `inter_switch_extra` configure the crossbar (they reproduce
-    /// `NetConfig::latency_between`); `hop_latency` is the per-hop
-    /// propagation of the hierarchical families.
+    /// `inter_switch_extra` set the crossbar's [`Topology::path_latency`];
+    /// `hop_latency` is the per-hop propagation of the hierarchical
+    /// families.
     pub fn build(
         &self,
         flat_latency: Duration,
@@ -809,17 +824,6 @@ pub enum TrafficPattern {
     Permutation,
 }
 
-impl TrafficPattern {
-    /// Stable lowercase label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            TrafficPattern::Uniform => "uniform",
-            TrafficPattern::Incast { .. } => "incast",
-            TrafficPattern::Permutation => "permutation",
-        }
-    }
-}
-
 /// A co-located tenant's traffic, modeled as fluid link occupancy: every
 /// source injects `msg_bytes` once per `period_ns` along the pattern's
 /// canonical routes (so per-source offered load is independent of job
@@ -836,14 +840,13 @@ impl TrafficPattern {
 /// # Examples
 ///
 /// ```
-/// use simnet::topology::{BackgroundJob, TrafficPattern};
+/// use simnet::{BackgroundJob, TrafficPattern};
 ///
 /// let job = BackgroundJob::builder(TrafficPattern::Uniform)
 ///     .msg_bytes(8 * 1024)
 ///     .period_ns(50_000)
-///     .seed(7)
 ///     .build();
-/// assert_eq!(job.pattern.label(), "uniform");
+/// assert_eq!(job.pattern, TrafficPattern::Uniform);
 /// assert_eq!(job.msg_bytes, 8 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -889,12 +892,6 @@ impl BackgroundJobBuilder {
     /// Injection period per flow, ns (smaller = heavier load).
     pub fn period_ns(mut self, ns: u64) -> Self {
         self.job.period_ns = ns.max(1);
-        self
-    }
-
-    /// Seed de-phasing the per-link schedules.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.job.seed = seed;
         self
     }
 
@@ -1071,6 +1068,9 @@ mod tests {
             assert_eq!(spec.label(), s);
         }
         for bad in [
+            "fat-tree:k=3000000",
+            "dragonfly:a=100000,p=100000,h=100000",
+            "fat-tree:k=100000",
             "bogus",
             "fat-tree",
             "fat-tree:k=7",
@@ -1091,7 +1091,7 @@ mod tests {
         assert_eq!(spec.fitted(129), TopologySpec::FatTree { k: 10 });
         assert_eq!(spec.fitted(4096), TopologySpec::FatTree { k: 26 });
         let df = TopologySpec::parse("dragonfly:a=4,p=2,h=2").unwrap();
-        assert!(df.fitted(500).hosts() >= 500);
+        assert!(df.fitted(500).hosts().unwrap() >= 500);
         assert_eq!(TopologySpec::Flat.fitted(1 << 20), TopologySpec::Flat);
     }
 

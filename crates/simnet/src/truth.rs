@@ -66,7 +66,19 @@ pub fn total_true_overlap(transfers: &[TransferRecord], rank: usize, log: &Activ
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simcore::Activity;
+    use simcore::{Activity, SimOpts, Simulation};
+
+    /// The ground-truth log of one rank that spends `steps` in order.
+    fn log_of(steps: &'static [(Activity, u64)]) -> ActivityLog {
+        let out = Simulation::new(1)
+            .run(SimOpts::default(), move |ctx| {
+                for &(kind, ns) in steps {
+                    ctx.busy(ns, kind);
+                }
+            })
+            .unwrap();
+        out.activity.into_iter().next().unwrap()
+    }
 
     fn rec(src: usize, dst: usize, s: Time, e: Time) -> TransferRecord {
         TransferRecord {
@@ -83,17 +95,14 @@ mod tests {
 
     #[test]
     fn true_overlap_intersects_compute() {
-        let mut log = ActivityLog::new();
-        log.record(0, 50, Activity::Compute);
-        log.record(50, 100, Activity::LibraryWait);
+        let log = log_of(&[(Activity::Compute, 50), (Activity::LibraryWait, 50)]);
         let t = rec(0, 1, 25, 75);
         assert_eq!(t.true_overlap(&log), 25);
     }
 
     #[test]
     fn total_filters_by_rank() {
-        let mut log = ActivityLog::new();
-        log.record(0, 100, Activity::Compute);
+        let log = log_of(&[(Activity::Compute, 100)]);
         let ts = vec![rec(0, 1, 0, 10), rec(2, 3, 0, 10), rec(4, 0, 20, 30)];
         assert_eq!(total_true_overlap(&ts, 0, &log), 20);
         assert_eq!(total_true_overlap(&ts, 3, &log), 10);

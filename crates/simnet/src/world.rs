@@ -179,7 +179,7 @@ impl World {
     /// simulation's token namespace — tokens are keys into its pending-work
     /// arena), so this must run before `Simulation::run` and nothing else on
     /// the same engine may call `set_token_handler`.
-    pub fn new_shared(cfg: NetConfig, handle: EngineHandle, nnodes: usize) -> SharedWorld {
+    pub(crate) fn new_shared(cfg: NetConfig, handle: EngineHandle, nnodes: usize) -> SharedWorld {
         let faulty = !cfg.faults.is_empty();
         let fault_rng = FaultRng::new(cfg.faults.seed);
         let topo = cfg.build_topology(nnodes);
@@ -345,7 +345,7 @@ impl World {
     }
 
     /// Current virtual time.
-    pub fn now(&self) -> Time {
+    pub(crate) fn now(&self) -> Time {
         self.handle.now()
     }
 
@@ -1069,18 +1069,13 @@ impl World {
         }
     }
 
-    /// Ground-truth transfer records so far.
-    pub fn transfers(&self) -> &[TransferRecord] {
-        &self.transfers
-    }
-
     /// Take ownership of the transfer records (e.g. at end of run).
-    pub fn take_transfers(&mut self) -> Vec<TransferRecord> {
+    pub(crate) fn take_transfers(&mut self) -> Vec<TransferRecord> {
         std::mem::take(&mut self.transfers)
     }
 
     /// Take ownership of the fault events (e.g. at end of run).
-    pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
+    pub(crate) fn take_fault_events(&mut self) -> Vec<FaultEvent> {
         std::mem::take(&mut self.fault_events)
     }
 }
@@ -1191,7 +1186,7 @@ mod tests {
             })
             .unwrap();
         assert!(out.end_time >= 5050);
-        assert_eq!(world.lock().transfers()[0].kind, TransferKind::RdmaWrite);
+        assert_eq!(world.lock().transfers[0].kind, TransferKind::RdmaWrite);
     }
 
     #[test]

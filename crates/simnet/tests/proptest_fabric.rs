@@ -144,7 +144,7 @@ proptest! {
         for t in &out.transfers {
             prop_assert_eq!(
                 t.duration(),
-                net.serialize(t.bytes + 64) + net.wire_latency,
+                net.transfer_time(t.bytes + 64),
                 "flat-crossbar flight time must be exact for {} bytes",
                 t.bytes
             );
@@ -174,10 +174,17 @@ proptest! {
             o.transfers.iter().map(|t| (t.phys_start, t.phys_end, t.bytes)).collect()
         };
         prop_assert_eq!(key(&a), key(&b), "same schedule must route and queue identically");
-        let topo = net.build_topology(2);
+        let topo = net.topology.fitted(2).build(
+            net.wire_latency,
+            net.switch_radix,
+            net.inter_switch_extra,
+            net.hop_latency,
+        );
         let floor = topo.path_latency(0, 1);
         for t in &a.transfers {
-            prop_assert!(t.duration() >= net.serialize(t.bytes + 64) + floor);
+            // Serialization: the idle-fabric time less the crossbar's wire.
+            let serialize = net.transfer_time(t.bytes + 64) - net.wire_latency;
+            prop_assert!(t.duration() >= serialize + floor);
         }
     }
 
@@ -215,14 +222,15 @@ proptest! {
             }
         }).unwrap();
         for t in &out.transfers {
-            let min_duration = net.serialize(t.bytes + 64) + net.wire_latency;
+            let min_duration = net.transfer_time(t.bytes + 64);
             prop_assert!(t.duration() >= min_duration,
                 "transfer of {} bytes took {} < {}", t.bytes, t.duration(), min_duration);
         }
         // Back-to-back posts serialize on the DMA engine: starts are
         // non-decreasing and non-overlapping in serialization time.
         for w in out.transfers.windows(2) {
-            prop_assert!(w[1].phys_start >= w[0].phys_start + net.serialize(w[0].bytes + 64));
+            let serialize = net.transfer_time(w[0].bytes + 64) - net.wire_latency;
+            prop_assert!(w[1].phys_start >= w[0].phys_start + serialize);
         }
     }
 }
