@@ -574,7 +574,7 @@ pub fn ablation_faults() -> Series {
 /// end-to-end runtime — the flat rows reproduce the exclusive-use model
 /// exactly.
 pub fn ablation_topology() -> Series {
-    use simnet::{BackgroundJob, TopologySpec, TrafficPattern};
+    use simnet::{BackgroundJob, TopologySpec};
     let topos = [
         TopologySpec::Flat,
         TopologySpec::FatTree { k: 8 },
@@ -596,11 +596,9 @@ pub fn ablation_topology() -> Series {
         let net = NetConfig {
             model_ingress_contention: true,
             topology: spec,
-            background: period.map(|p| {
-                BackgroundJob::builder(TrafficPattern::Uniform)
-                    .msg_bytes(16 << 10)
-                    .period_ns(p)
-                    .build()
+            background: period.map(|p| BackgroundJob {
+                msg_bytes: 16 << 10,
+                period_ns: p,
             }),
             ..NetConfig::infiniband_2006()
         };
@@ -655,7 +653,7 @@ pub fn ablation_topology() -> Series {
 /// contention the fabric attributed.
 pub fn halo_4k() -> Series {
     use overlap_core::attribution;
-    use simnet::{BackgroundJob, TopologySpec, TrafficPattern};
+    use simnet::{BackgroundJob, TopologySpec};
     let side = 64usize; // 64 x 64 torus = 4096 ranks
     let n = side * side;
     let bytes = 16 << 10; // above the eager threshold: direct-read rendezvous
@@ -663,12 +661,10 @@ pub fn halo_4k() -> Series {
         model_ingress_contention: true,
         // fat-tree:k=8 has 128 hosts; `fitted` grows it to k=26 (4394 hosts).
         topology: TopologySpec::FatTree { k: 8 },
-        background: Some(
-            BackgroundJob::builder(TrafficPattern::Uniform)
-                .msg_bytes(8 << 10)
-                .period_ns(200_000)
-                .build(),
-        ),
+        background: Some(BackgroundJob {
+            msg_bytes: 8 << 10,
+            period_ns: 200_000,
+        }),
         ..NetConfig::infiniband_2006()
     };
     let rec = RecorderOpts {

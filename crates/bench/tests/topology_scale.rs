@@ -12,7 +12,7 @@
 
 use overlap_core::RecorderOpts;
 use simmpi::{run_mpi, MpiConfig, Src, TagSel};
-use simnet::{BackgroundJob, NetConfig, TopologySpec, TrafficPattern};
+use simnet::{BackgroundJob, NetConfig, TopologySpec};
 
 #[global_allocator]
 static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
@@ -26,12 +26,10 @@ fn ring_run(ranks: usize, iters: u64) -> (u64, u64) {
         model_ingress_contention: true,
         // 128 hosts as specced; `fitted` grows it to k=26 (4394 hosts).
         topology: TopologySpec::FatTree { k: 8 },
-        background: Some(
-            BackgroundJob::builder(TrafficPattern::Uniform)
-                .msg_bytes(4096)
-                .period_ns(200_000)
-                .build(),
-        ),
+        background: Some(BackgroundJob {
+            msg_bytes: 4096,
+            period_ns: 200_000,
+        }),
         ..NetConfig::infiniband_2006()
     };
     let a0 = bench::alloc::snapshot();

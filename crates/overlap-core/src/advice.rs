@@ -33,28 +33,14 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Analyzer thresholds.
-#[derive(Debug, Clone)]
-pub struct AdviceOpts {
-    /// Fraction of elapsed time above which non-overlapped communication is
-    /// flagged as a major cost.
-    pub major_cost_fraction: f64,
-    /// Overlap-percentage gap (max − min) above which the estimate is
-    /// called too loose to act on.
-    pub loose_bounds_gap: f64,
-    /// Minimum transfers in a bin before it is reported.
-    pub min_bin_transfers: u64,
-}
-
-impl Default for AdviceOpts {
-    fn default() -> Self {
-        AdviceOpts {
-            major_cost_fraction: 0.10,
-            loose_bounds_gap: 40.0,
-            min_bin_transfers: 3,
-        }
-    }
-}
+/// Fraction of elapsed time above which non-overlapped communication is
+/// flagged as a major cost.
+const MAJOR_COST_FRACTION: f64 = 0.10;
+/// Overlap-percentage gap (max − min) above which the estimate is called
+/// too loose to act on.
+const LOOSE_BOUNDS_GAP: f64 = 40.0;
+/// Minimum transfers in a bin before it is reported.
+const MIN_BIN_TRANSFERS: u64 = 3;
 
 fn pct_of(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -65,7 +51,7 @@ fn pct_of(part: u64, whole: u64) -> f64 {
 }
 
 /// Analyze a report and return findings, most severe first.
-pub fn analyze(report: &OverlapReport, opts: &AdviceOpts) -> Vec<Finding> {
+pub fn analyze(report: &OverlapReport) -> Vec<Finding> {
     let mut findings = Vec::new();
     let t = &report.total;
     if t.transfers == 0 {
@@ -81,7 +67,7 @@ pub fn analyze(report: &OverlapReport, opts: &AdviceOpts) -> Vec<Finding> {
     // floor on communication that was NOT hidden.
     let non_overlapped = t.nonoverlapped_min();
     let frac = non_overlapped as f64 / report.elapsed.max(1) as f64;
-    if frac > opts.major_cost_fraction {
+    if frac > MAJOR_COST_FRACTION {
         findings.push(Finding {
             severity: Severity::Warning,
             rule: "non-overlapped-major-cost",
@@ -99,7 +85,7 @@ pub fn analyze(report: &OverlapReport, opts: &AdviceOpts) -> Vec<Finding> {
         .bin_labels
         .iter()
         .zip(&report.by_bin)
-        .filter(|(_, b)| b.transfers >= opts.min_bin_transfers)
+        .filter(|(_, b)| b.transfers >= MIN_BIN_TRANSFERS)
         .max_by_key(|(_, b)| b.nonoverlapped_min())
     {
         if bin.nonoverlapped_min() > 0 {
@@ -138,7 +124,7 @@ pub fn analyze(report: &OverlapReport, opts: &AdviceOpts) -> Vec<Finding> {
     // healthy but min is ~zero — the window existed but the library could
     // not prove any progress happened during it (the paper's SP case; fixed
     // by driving the progress engine, e.g. MPI_Iprobe).
-    if t.case_split_calls > 0 && t.max_pct() - t.min_pct() > opts.loose_bounds_gap {
+    if t.case_split_calls > 0 && t.max_pct() - t.min_pct() > LOOSE_BOUNDS_GAP {
         findings.push(Finding {
             severity: Severity::Notice,
             rule: "progress-starvation-suspected",
@@ -169,8 +155,7 @@ pub fn analyze(report: &OverlapReport, opts: &AdviceOpts) -> Vec<Finding> {
 
     // Per-section drill-down: sections markedly worse than the whole run.
     for (name, sec) in &report.sections {
-        if sec.total.transfers >= opts.min_bin_transfers && sec.total.max_pct() + 20.0 < t.max_pct()
-        {
+        if sec.total.transfers >= MIN_BIN_TRANSFERS && sec.total.max_pct() + 20.0 < t.max_pct() {
             findings.push(Finding {
                 severity: Severity::Notice,
                 rule: "section-below-baseline",
@@ -235,7 +220,7 @@ mod tests {
 
     #[test]
     fn empty_report_yields_no_transfers_info() {
-        let f = analyze(&base_report(), &AdviceOpts::default());
+        let f = analyze(&base_report());
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "no-transfers");
     }
@@ -245,7 +230,7 @@ mod tests {
         let mut r = base_report();
         add(&mut r.total, 10, 3_000_000, OverlapBounds::same_call());
         add(&mut r.by_bin[1], 10, 3_000_000, OverlapBounds::same_call());
-        let f = analyze(&r, &AdviceOpts::default());
+        let f = analyze(&r);
         assert!(f.iter().any(|x| x.rule == "blocking-call-structure"));
         assert!(f.iter().any(|x| x.rule == "non-overlapped-major-cost"));
         // Most severe first.
@@ -261,7 +246,7 @@ mod tests {
         assert_eq!(b.max, 1_000_000);
         add(&mut r.total, 5, 1_000_000, b);
         add(&mut r.by_bin[1], 5, 1_000_000, b);
-        let f = analyze(&r, &AdviceOpts::default());
+        let f = analyze(&r);
         assert!(f.iter().any(|x| x.rule == "progress-starvation-suspected"));
     }
 
@@ -271,7 +256,7 @@ mod tests {
         let b = OverlapBounds::split_calls(1_000_000, 5_000_000, 10_000);
         add(&mut r.total, 5, 1_000_000, b);
         add(&mut r.by_bin[0], 5, 1_000_000, b);
-        let f = analyze(&r, &AdviceOpts::default());
+        let f = analyze(&r);
         assert!(f.iter().any(|x| x.rule == "proven-overlap"));
         assert!(!f.iter().any(|x| x.rule == "blocking-call-structure"));
     }
@@ -285,7 +270,7 @@ mod tests {
         let mut sec = SectionReport::default();
         add(&mut sec.total, 5, 1_000_000, OverlapBounds::same_call());
         r.sections.insert("copy_faces".into(), sec);
-        let f = analyze(&r, &AdviceOpts::default());
+        let f = analyze(&r);
         let hit = f
             .iter()
             .find(|x| x.rule == "section-below-baseline")
@@ -314,7 +299,7 @@ mod tests {
         add(&mut r.total, 6, 1_000, good);
         add(&mut r.by_bin[0], 6, 1_000, good);
         add(&mut r.by_bin[1], 6, 2_000_000, bad);
-        let f = analyze(&r, &AdviceOpts::default());
+        let f = analyze(&r);
         let hit = f.iter().find(|x| x.rule == "worst-size-bin").unwrap();
         assert!(hit.message.contains(">=1K"), "{}", hit.message);
     }

@@ -168,8 +168,7 @@ pub struct AttributionArtifact {
 
 /// Per-scope windowed series. `width` of `None` picks each scope's default
 /// (1/16th of its span, min 1 ns). A `width` that would split some scope's
-/// span into more than [`crate::trace::MAX_WINDOWS`] rows is refused; the
-/// default never is.
+/// span into more than 2^16 rows is refused; the default never is.
 pub fn series(
     views: &[ScopeView<'_>],
     width: Option<u64>,

@@ -200,13 +200,13 @@ pub struct CauseRecord {
 #[derive(Debug, Clone, Default)]
 pub struct RankAttribution {
     /// Rank the records describe.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// One record per closed transfer, in close order.
     pub records: Vec<CauseRecord>,
     /// Σ attributed ns by cause label, over all records.
     pub totals: BTreeMap<&'static str, u64>,
     /// Number of wait intervals the library recorded.
-    pub wait_intervals: usize,
+    pub(crate) wait_intervals: usize,
 }
 
 impl RankAttribution {

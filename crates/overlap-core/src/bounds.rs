@@ -45,7 +45,7 @@ pub enum XferCase {
 /// assert_eq!((total.min_overlap, total.max_overlap), (80, 100));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct OverlapBounds {
+pub(crate) struct OverlapBounds {
     /// Lower bound on overlapped transfer time, ns.
     pub min: u64,
     /// Upper bound on overlapped transfer time, ns.

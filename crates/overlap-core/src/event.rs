@@ -15,7 +15,7 @@ pub struct Event {
     /// Time-stamp, ns.
     pub t: u64,
     /// What happened.
-    pub kind: EventKind,
+    pub(crate) kind: EventKind,
 }
 
 /// Event discriminator.

@@ -14,9 +14,9 @@ use crate::report::{OverlapReport, OverlapStats};
 pub struct Violation {
     /// Short machine-readable name of the failed check
     /// (e.g. `"min_le_max"`, `"confidence_range"`).
-    pub check: String,
+    check: String,
     /// Human-readable detail: where the numbers disagreed and by how much.
-    pub detail: String,
+    detail: String,
 }
 
 impl std::fmt::Display for Violation {
@@ -71,7 +71,7 @@ fn check_stats(scope: &str, s: &OverlapStats, out: &mut Vec<Violation>) {
 
 /// Check every schedule-independent invariant of one per-rank report (the
 /// list is on [`check_reports`]).
-pub(crate) fn check_report(r: &OverlapReport) -> Vec<Violation> {
+fn check_report(r: &OverlapReport) -> Vec<Violation> {
     let mut out = Vec::new();
     check_stats(&format!("rank {} total", r.rank), &r.total, &mut out);
     let mut bin_sum = OverlapStats::default();

@@ -106,7 +106,7 @@ pub mod stream;
 pub mod trace;
 mod xfer_table;
 
-pub use advice::{analyze, AdviceOpts, Finding};
+pub use advice::{analyze, Finding};
 pub use attribution::{attribute, WaitCause, WaitInterval};
 pub use bins::SizeBins;
 pub use bounds::XferCase;

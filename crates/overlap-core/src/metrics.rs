@@ -75,7 +75,7 @@ impl Histogram {
 
     /// Exponential bucket ladder: `n` edges starting at `start`, each
     /// `factor`× the previous (`start`, `start*factor`, ...).
-    pub(crate) fn exponential(start: u64, factor: u64, n: usize) -> Self {
+    fn exponential(start: u64, factor: u64, n: usize) -> Self {
         assert!(start > 0 && factor > 1 && n > 0);
         let mut edges = Vec::with_capacity(n);
         let mut e = start;
@@ -109,7 +109,7 @@ impl Histogram {
 
     /// Fold another histogram with the *same bucket layout* into this one.
     /// Panics if the layouts differ.
-    pub(crate) fn merge(&mut self, o: &Histogram) {
+    fn merge(&mut self, o: &Histogram) {
         assert_eq!(self.edges, o.edges, "histogram bucket layouts differ");
         for (a, b) in self.counts.iter_mut().zip(&o.counts) {
             *a += b;

@@ -17,11 +17,11 @@ use crate::event::Event;
 /// rejected event back so the caller can fold it after draining — the ring
 /// itself never allocates past its bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RingFull(pub Event);
+pub(crate) struct RingFull(pub Event);
 
 /// Bounded event ring.
 #[derive(Debug)]
-pub struct EventRing {
+pub(crate) struct EventRing {
     /// Grown on demand; `buf.capacity() <= capacity` always.
     buf: Vec<Event>,
     capacity: usize,
@@ -38,7 +38,7 @@ impl EventRing {
     }
 
     /// True if the next push would overflow.
-    pub(crate) fn is_full(&self) -> bool {
+    fn is_full(&self) -> bool {
         self.buf.len() == self.capacity
     }
 

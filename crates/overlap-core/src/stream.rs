@@ -105,8 +105,8 @@ fn intern_name(name: &str, line: &str) -> Result<&'static str, StreamError> {
 pub enum StreamError {
     /// The stream did not open with a schema header line.
     MissingHeader,
-    /// The stream's `schema_version` differs from this reader's
-    /// [`SCHEMA_VERSION`].
+    /// The stream's `schema_version` differs from the one this reader
+    /// writes and accepts (1).
     SchemaMismatch {
         /// The version the stream declared.
         found: u64,

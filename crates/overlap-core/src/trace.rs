@@ -21,12 +21,12 @@
 //!   time-resolved series merged into machine-readable run reports. The
 //!   stream fold serves its live series from the same fold, and both get
 //!   their call spans from `fold::CallSpans`; a series is capped at
-//!   [`MAX_WINDOWS`] rows.
+//!   2^16 rows (`MAX_WINDOWS`).
 //!
 //! All output is a pure function of the captured traces: byte-identical
 //! across runs and across worker counts.
 //!
-//! Both exports are stamped with [`SCHEMA_VERSION`]: the JSONL stream opens
+//! Both exports are stamped with schema version 1: the JSONL stream opens
 //! with a `{"ev":"header","schema_version":N}` line and the Chrome-trace
 //! object carries a top-level `schemaVersion` member, so stream consumers
 //! (notably the `overlapd` ingest reader, [`crate::stream`]) can refuse
@@ -44,7 +44,7 @@ use crate::event::{Event, EventKind};
 /// metadata). Bumped whenever a line shape changes incompatibly; the
 /// streaming reader ([`crate::stream`]) rejects mismatches with a one-line
 /// error.
-pub const SCHEMA_VERSION: u32 = 1;
+pub(crate) const SCHEMA_VERSION: u32 = 1;
 
 /// One derived record per closed transfer: the inputs and outputs of the
 /// bound computation, time-stamped so offline tools can re-derive or audit
@@ -149,7 +149,7 @@ impl TraceBundle {
 }
 
 /// Stable short label for a bound case.
-pub(crate) fn case_label(c: XferCase) -> &'static str {
+fn case_label(c: XferCase) -> &'static str {
     match c {
         XferCase::SameCall => "same_call",
         XferCase::SplitCalls => "split_calls",
@@ -396,9 +396,9 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
 /// Serialize bundles as JSON lines: one self-describing object per record.
 ///
 /// The first line is always `{"ev":"header","schema_version":N}` (see
-/// [`SCHEMA_VERSION`]). After it, lines are grouped (per scope: each rank's
-/// raw events in time order, then its bound records, then its wait
-/// intervals, then the fabric extras), not globally time-sorted; every
+/// `SCHEMA_VERSION`, currently 1). After it, lines are grouped (per scope:
+/// each rank's raw events in time order, then its bound records, then its
+/// wait intervals, then the fabric extras), not globally time-sorted; every
 /// record line carries `scope`, and rank lines carry `rank`, so offline
 /// tools can regroup freely.
 pub fn jsonl(bundles: &[TraceBundle]) -> String {
@@ -487,15 +487,15 @@ pub struct WindowRow {
 /// served series are built under the session lock, and both the span (any
 /// `t` a client sends) and the width (any `window_ns` it asks for) come from
 /// outside the program.
-pub const MAX_WINDOWS: u64 = 1 << 16;
+pub(crate) const MAX_WINDOWS: u64 = 1 << 16;
 
 /// A window width too narrow for the span it was asked to split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TooManyWindows {
     /// Length of the covered span, ns.
-    pub span_ns: u64,
+    pub(crate) span_ns: u64,
     /// The refused width, ns.
-    pub window_ns: u64,
+    pub(crate) window_ns: u64,
 }
 
 impl std::fmt::Display for TooManyWindows {
@@ -581,7 +581,7 @@ pub(crate) fn windows_of(
 /// # Panics
 ///
 /// When `width` would split the bundle's span into more than
-/// [`MAX_WINDOWS`] rows; [`default_window_width`] never does.
+/// 2^16 rows (`MAX_WINDOWS`); [`default_window_width`] never does.
 pub fn windowed(bundle: &TraceBundle, width: u64) -> Vec<WindowRow> {
     windows_of(&ScopeView::of(&bundle.scope, bundle), width).unwrap_or_else(|e| panic!("{e}"))
 }

@@ -17,14 +17,14 @@ const MAX_LINE: usize = 8 << 10;
 
 /// One parsed request head; the body, if any, is still on the stream.
 #[derive(Debug, Clone)]
-pub struct Head {
+pub(crate) struct Head {
     /// Request method, uppercased (`GET`, `POST`, ...).
-    pub method: String,
+    pub(crate) method: String,
     /// Path component, query string stripped.
-    pub path: String,
+    pub(crate) path: String,
     /// Decoded query parameters (`k=v`, no percent-decoding — the API uses
     /// plain tokens only).
-    pub query: BTreeMap<String, String>,
+    pub(crate) query: BTreeMap<String, String>,
     /// How the body is framed: chunked wins over a length.
     content_length: Option<u64>,
     chunked: bool,

@@ -26,7 +26,7 @@
 //! the fold the in-process recorder drives.
 //!
 //! **Memory.** What is bounded: per connection, one socket buffer and one
-//! partial line (no line may exceed [`server::MAX_FRAME`]) on every
+//! partial line (no line may exceed the server's 1 MiB frame limit) on every
 //! transport — no buffer grows with upload size; per (session, scope,
 //! rank), a fixed-size fold, and raw events are never retained. What is
 //! not, yet: the derived records (bounds, call spans, waits) the served

@@ -30,7 +30,7 @@ use crate::service::Service;
 /// Largest accepted ingest frame and longest accepted line, bytes. Bounds
 /// per-connection buffering on every transport; clients split at line
 /// boundaries well below this.
-pub const MAX_FRAME: usize = 1 << 20;
+const MAX_FRAME: usize = 1 << 20;
 
 /// Longest the server waits on one read from, or one write to, a peer.
 const IO_TIMEOUT: Duration = Duration::from_secs(60);

@@ -19,7 +19,7 @@ pub struct Service {
 
 /// One row of the `/v1/sessions` listing.
 #[derive(Debug, Clone, Serialize)]
-pub struct SessionInfo {
+pub(crate) struct SessionInfo {
     /// Session name (client-chosen; `repro push` defaults to the file stem).
     pub name: String,
     /// Non-empty lines accepted so far.

@@ -13,6 +13,9 @@ use overlap_core::trace::{jsonl, BoundRecord, ExtraEvent, RankTrace, TraceBundle
 use overlap_core::{Event, EventKind};
 use overlapd::{push_text, PushError, Server, Service};
 
+/// The trace-export schema version a header line must carry.
+const SCHEMA_VERSION: u32 = 1;
+
 fn ev(t: u64, kind: EventKind) -> Event {
     Event::new(t, kind)
 }
@@ -277,7 +280,7 @@ fn refusals_are_one_line_and_leave_no_session_state() {
     let hostile = format!(
         "{{\"ev\":\"header\",\"schema_version\":{}}}\n\
          {{\"ev\":\"call_enter\",\"scope\":\"x\",\"rank\":0,\"t\":0,\"name\":\"{}\"}}\n",
-        overlap_core::trace::SCHEMA_VERSION,
+        SCHEMA_VERSION,
         "n".repeat(257)
     );
     match push_text(&addr, "s3", &hostile).unwrap_err() {
@@ -292,7 +295,7 @@ fn refusals_are_one_line_and_leave_no_session_state() {
     // recursive parser: one refused line, and the process is still there.
     let deep = format!(
         "{{\"ev\":\"header\",\"schema_version\":{}}}\n{}\n",
-        overlap_core::trace::SCHEMA_VERSION,
+        SCHEMA_VERSION,
         "[".repeat(200_000)
     );
     match push_text(&addr, "s4", &deep).unwrap_err() {

@@ -33,7 +33,7 @@ pub struct NbHandle(u64);
 pub struct GlobalMem {
     regions: Vec<RegionId>,
     /// Per-rank segment size in bytes.
-    pub seg_len: usize,
+    seg_len: usize,
 }
 
 struct HandleState {

@@ -14,7 +14,7 @@ pub struct ArmciRunOutcome {
     /// Ground-truth transfer records.
     pub transfers: Vec<TransferRecord>,
     /// Ground-truth activity logs.
-    pub activity: Vec<ActivityLog>,
+    activity: Vec<ActivityLog>,
     /// Per-rank time-resolved traces (empty unless `RecorderOpts::trace`
     /// was set; ordered by rank when present).
     pub traces: Vec<overlap_core::trace::RankTrace>,

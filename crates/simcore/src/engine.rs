@@ -56,13 +56,13 @@ type TokenHandler = Arc<dyn Fn(&EngineHandle, u64) + Send + Sync>;
 /// rank on that rank's continuation.
 type RankBody = Arc<dyn Fn(&mut RankCtx) + Send + Sync>;
 
-pub(crate) enum Action {
+enum Action {
     WakeRank(usize),
     Call(Callback),
     Token(u64),
 }
 
-pub(crate) struct Entry {
+struct Entry {
     time: Time,
     seq: u64,
     action: Action,
@@ -234,8 +234,6 @@ pub enum RankRuntime {
 /// Resource limits for a simulation run.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SimOpts {
-    /// Abort with [`SimError::TimeLimitExceeded`] if virtual time passes this.
-    pub max_time: Option<Time>,
     /// Abort with [`SimError::EventLimitExceeded`] after this many entries.
     pub max_events: Option<u64>,
     /// How to host rank continuations (performance-only knob; see
@@ -539,7 +537,7 @@ impl Simulation {
     /// host refused it, exercising the partial-fleet teardown path. Both
     /// runtimes honor it.
     #[cfg(test)]
-    pub(crate) fn inject_spawn_failure(&mut self, rank: usize) {
+    fn inject_spawn_failure(&mut self, rank: usize) {
         self.fail_spawn = Some(rank);
     }
 
@@ -642,11 +640,6 @@ impl Simulation {
                     break Err(SimError::EventLimitExceeded { limit });
                 }
             }
-            if let Some(limit) = opts.max_time {
-                if time > limit {
-                    break Err(SimError::TimeLimitExceeded { limit });
-                }
-            }
             debug_assert!(time >= handle.now(), "time went backwards");
             self.shared.now.store(time, AtomicOrdering::Relaxed);
 
@@ -725,7 +718,7 @@ impl Simulation {
 /// let the oracle pick one, and re-insert the rest (they keep their seq, so
 /// the canonical order among them is restored inside the wheel).
 ///
-/// With the [`crate::oracle::Canonical`] oracle choice `0` — the lowest
+/// With an oracle that always answers `0` — the lowest
 /// sequence number — is always taken, which is exactly what a plain
 /// [`TimingWheel::pop`] returns, so the schedule is byte-identical to the
 /// no-oracle fast path.
@@ -901,23 +894,6 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, SimError::EventLimitExceeded { .. }));
-    }
-
-    #[test]
-    fn time_limit_enforced() {
-        let sim = Simulation::new(1);
-        let err = sim
-            .run(
-                SimOpts {
-                    max_time: Some(1_000),
-                    ..Default::default()
-                },
-                |ctx| {
-                    ctx.compute(10_000);
-                },
-            )
-            .unwrap_err();
-        assert!(matches!(err, SimError::TimeLimitExceeded { .. }));
     }
 
     #[test]

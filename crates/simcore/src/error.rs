@@ -34,7 +34,7 @@ pub struct RankDiag {
 /// Returns `None` when the diagnostics carry no cycle — e.g. the library
 /// never reported structured edges, or a rank waits on a peer that is still
 /// making progress.
-pub(crate) fn deadlock_cycle(diags: &[RankDiag]) -> Option<Vec<usize>> {
+fn deadlock_cycle(diags: &[RankDiag]) -> Option<Vec<usize>> {
     use std::collections::BTreeMap;
     let edges: BTreeMap<usize, usize> = diags
         .iter()
@@ -110,11 +110,6 @@ pub enum SimError {
         rank: usize,
         /// Stringified panic payload.
         message: String,
-    },
-    /// Virtual time exceeded [`crate::SimOpts::max_time`].
-    TimeLimitExceeded {
-        /// The configured limit, ns.
-        limit: crate::Time,
     },
     /// More events were processed than [`crate::SimOpts::max_events`] allows
     /// (guards against livelock in buggy protocols).
@@ -202,9 +197,6 @@ impl fmt::Display for SimError {
             }
             SimError::RankPanic { rank, message } => {
                 write!(f, "rank {} panicked: {}", rank, message)
-            }
-            SimError::TimeLimitExceeded { limit } => {
-                write!(f, "virtual time limit exceeded ({}ns)", limit)
             }
             SimError::EventLimitExceeded { limit } => {
                 write!(f, "event limit exceeded ({} events)", limit)

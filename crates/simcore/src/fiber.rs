@@ -50,12 +50,12 @@ const PAGE: usize = 4096;
 mod sys {
     use std::ffi::{c_int, c_void};
 
-    pub const PROT_NONE: c_int = 0;
-    pub const PROT_READ: c_int = 1;
-    pub const PROT_WRITE: c_int = 2;
-    pub const MAP_PRIVATE: c_int = 0x2;
-    pub const MAP_ANONYMOUS: c_int = 0x20;
-    pub const MAP_STACK: c_int = 0x20000;
+    pub(crate) const PROT_NONE: c_int = 0;
+    pub(crate) const PROT_READ: c_int = 1;
+    pub(crate) const PROT_WRITE: c_int = 2;
+    pub(crate) const MAP_PRIVATE: c_int = 0x2;
+    pub(crate) const MAP_ANONYMOUS: c_int = 0x20;
+    pub(crate) const MAP_STACK: c_int = 0x20000;
 
     extern "C" {
         pub(super) fn mmap(
@@ -241,7 +241,7 @@ impl Fiber {
     /// body (so destructors on the fiber stack run), the unwind is caught at
     /// the entry point, and the fiber finishes. No-op for new/finished
     /// fibers.
-    pub(crate) fn abort(&mut self) {
+    fn abort(&mut self) {
         // SAFETY: engine side runs; sole access to the cell.
         unsafe {
             if !(*self.data).started || (*self.data).finished {

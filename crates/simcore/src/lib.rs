@@ -81,7 +81,7 @@ mod truth;
 pub use engine::{EngineHandle, RankRuntime, SimOpts, SimOutcome, Simulation};
 pub use error::{RankDiag, SimError};
 pub use oracle::{
-    Canonical, ChoicePoint, ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle,
+    ChoicePoint, ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle,
 };
 pub use rank::RankCtx;
 pub use time::{ms, ns, us, Duration, Time};

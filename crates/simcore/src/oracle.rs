@@ -33,8 +33,8 @@
 //!
 //! Every decision is recorded by the [`OracleHandle`] wrapper as a
 //! [`ChoiceRec`], so any explored schedule can be replayed exactly with
-//! [`ReplayOracle`] and shrunk to a minimal divergent prefix. The
-//! [`Canonical`] oracle always picks choice `0` and reproduces the default
+//! [`ReplayOracle`] and shrunk to a minimal divergent prefix. Replaying the
+//! empty script picks choice `0` everywhere and reproduces the default
 //! schedule byte-identically.
 
 use std::sync::Arc;
@@ -100,7 +100,7 @@ pub enum ChoicePoint {
 
 impl ChoicePoint {
     /// Number of legal alternatives at this point.
-    pub(crate) fn arity(&self) -> usize {
+    fn arity(&self) -> usize {
         match *self {
             ChoicePoint::EventTie { n, .. }
             | ChoicePoint::ProgressPoll { n, .. }
@@ -145,17 +145,6 @@ pub struct ChoiceRec {
 pub trait ScheduleOracle: Send {
     /// Answer `point` with an index in `0..point.arity()`.
     fn choose(&mut self, point: ChoicePoint) -> usize;
-}
-
-/// The identity oracle: always picks choice `0`, reproducing the engine's
-/// canonical fixed-policy schedule byte-identically.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Canonical;
-
-impl ScheduleOracle for Canonical {
-    fn choose(&mut self, _point: ChoicePoint) -> usize {
-        0
-    }
 }
 
 /// Seeded random-permutation oracle: answers every point uniformly at
@@ -283,7 +272,7 @@ mod tests {
 
     #[test]
     fn canonical_always_picks_zero() {
-        let h = OracleHandle::new(Box::new(Canonical));
+        let h = OracleHandle::new(Box::new(ReplayOracle::new(Vec::new())));
         for n in 2..6 {
             assert_eq!(h.choose(ChoicePoint::EventTie { time: 7, n }), 0);
         }
@@ -293,7 +282,7 @@ mod tests {
 
     #[test]
     fn unary_points_are_not_recorded() {
-        let h = OracleHandle::new(Box::new(Canonical));
+        let h = OracleHandle::new(Box::new(ReplayOracle::new(Vec::new())));
         assert_eq!(h.choose(ChoicePoint::EventTie { time: 0, n: 1 }), 0);
         assert_eq!(h.choose(ChoicePoint::EventTie { time: 0, n: 0 }), 0);
         assert!(h.trace().is_empty());

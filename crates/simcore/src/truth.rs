@@ -63,7 +63,7 @@ impl ActivityLog {
     }
 
     /// The set of intervals attributed to `kind`.
-    pub(crate) fn intervals(&self, kind: Activity) -> IntervalSet {
+    fn intervals(&self, kind: Activity) -> IntervalSet {
         let mut set = IntervalSet::new();
         for &(s, e, k) in &self.entries {
             if k == kind {

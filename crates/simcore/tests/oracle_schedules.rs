@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simcore::{Canonical, OracleHandle, RandomOracle, ReplayOracle, SimOpts, Simulation};
+use simcore::{OracleHandle, RandomOracle, ReplayOracle, SimOpts, Simulation};
 
 /// A small workload with plenty of same-time ties: 3 ranks ping events at
 /// each other through callbacks, and several callbacks land on the same
@@ -41,8 +41,10 @@ fn run_tied_workload(oracle: Option<OracleHandle>) -> (Vec<u32>, u64, Option<Ora
 #[test]
 fn canonical_oracle_matches_no_oracle_schedule() {
     let (base_order, base_end, _) = run_tied_workload(None);
-    let (canon_order, canon_end, orc) =
-        run_tied_workload(Some(OracleHandle::new(Box::new(Canonical))));
+    // An empty script replays choice 0 at every point: the canonical oracle.
+    let (canon_order, canon_end, orc) = run_tied_workload(Some(OracleHandle::new(Box::new(
+        ReplayOracle::new(Vec::new()),
+    ))));
     assert_eq!(base_order, canon_order);
     assert_eq!(base_end, canon_end);
     // The ties existed (so the oracle was really consulted)…

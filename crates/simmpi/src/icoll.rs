@@ -44,7 +44,7 @@ impl CollResult {
 }
 
 pub(crate) struct ICollState {
-    pub(crate) done: bool,
+    done: bool,
     result: Option<CollResult>,
     kind: Kind,
 }

@@ -22,42 +22,42 @@
 //! is recovered by the sender's retransmission timeout.
 
 /// Eager data packet (short messages).
-pub const PT_EAGER: u16 = 1;
+pub(crate) const PT_EAGER: u16 = 1;
 /// Rendezvous request-to-send, direct RDMA-Read mode.
-pub const PT_RTS_READ: u16 = 2;
+pub(crate) const PT_RTS_READ: u16 = 2;
 /// Rendezvous request-to-send carrying fragment 1, pipelined mode.
-pub const PT_RTS_PIPE: u16 = 3;
+pub(crate) const PT_RTS_PIPE: u16 = 3;
 /// Receiver clear-to-send (ACK) naming its registered buffer.
-pub const PT_CTS: u16 = 4;
+pub(crate) const PT_CTS: u16 = 4;
 /// Transfer-complete notification to the sender (direct-read mode).
-pub const PT_FIN_READ: u16 = 5;
+pub(crate) const PT_FIN_READ: u16 = 5;
 /// Transfer-complete notification to the receiver (pipelined mode; rides
 /// with the last fragment).
-pub const PT_FIN_PIPE: u16 = 6;
+pub(crate) const PT_FIN_PIPE: u16 = 6;
 /// Zero-payload synchronization packet (barrier and friends); matched like a
 /// normal message but never counted as a data transfer.
-pub const PT_BARRIER: u16 = 7;
+pub(crate) const PT_BARRIER: u16 = 7;
 /// Reliability-layer cumulative acknowledgment: h\[0\] = next sequence number
 /// the receiver expects from this sender (everything below is delivered).
-pub const PT_ACK: u16 = 9;
+pub(crate) const PT_ACK: u16 = 9;
 /// Reliability-layer negative acknowledgment: h\[0\] = first missing sequence
 /// number (a gap was observed; the sender should retransmit immediately).
-pub const PT_NACK: u16 = 10;
+pub(crate) const PT_NACK: u16 = 10;
 
 /// Correlation-word kinds for completion-queue entries (`Completion::user`
 /// high byte).
 pub mod wr_kind {
     /// Completion of a control packet; no action beyond dropping it.
-    pub const IGNORE: u64 = 0;
+    pub(crate) const IGNORE: u64 = 0;
     /// Local completion of an eager send.
-    pub const EAGER_SEND: u64 = 1;
+    pub(crate) const EAGER_SEND: u64 = 1;
     /// Completion of one pipelined RDMA-Write fragment.
-    pub const FRAG_WRITE: u64 = 2;
+    pub(crate) const FRAG_WRITE: u64 = 2;
     /// Completion of a rendezvous RDMA Read (data attached).
-    pub const RDMA_READ: u64 = 3;
+    pub(crate) const RDMA_READ: u64 = 3;
     /// Completion of a NIC-matched receive (hw-tag progress model): matched
     /// payload attached, `(src, tag, xfer word)` in the immediate data.
-    pub const HW_RECV: u64 = 4;
+    pub(crate) const HW_RECV: u64 = 4;
 }
 
 /// Pack a completion correlation word: kind in the top byte, request id in

@@ -22,7 +22,7 @@
 //!   un-parks a blocked rank when a deadline passes so retransmissions
 //!   happen even while the rank sits in a wait.
 //!
-//! Retransmissions are posted with [`wr_kind::IGNORE`]: the original post's
+//! Retransmissions are posted with `wr_kind::IGNORE`: the original post's
 //! local completion already fired (a dropped packet still leaves the source
 //! NIC), so a second completion must not re-drive the request state machine.
 //!
@@ -47,14 +47,6 @@ const MAX_BACKOFF_SHIFT: u32 = 6;
 pub struct RelStats {
     /// Packets re-posted after a timeout or NACK.
     pub retransmissions: u64,
-    /// Retransmission deadlines that expired (first causes of re-posts).
-    pub timeouts: u64,
-    /// Cumulative ACK packets sent.
-    pub acks_sent: u64,
-    /// Gap NACK packets sent.
-    pub nacks_sent: u64,
-    /// Received sequenced packets dropped as duplicates.
-    pub duplicates_dropped: u64,
     /// Packets abandoned after exhausting the retry budget. A nonzero count
     /// means delivery was given up on: the protocol above may wedge, but it
     /// wedges into the engine's *detectable* quiescent deadlock instead of
@@ -229,7 +221,6 @@ impl Reliability {
                     abandoned.push(seq);
                     continue;
                 }
-                self.stats.timeouts += 1;
                 self.stats.retransmissions += 1;
                 if p.backoff == 0 {
                     if let Some(x) = p.xfer {
@@ -310,7 +301,6 @@ impl Reliability {
         if seq < peer.next_expected {
             // Duplicate (fabric duplication or spurious retransmit): drop,
             // but re-ACK so the sender stops resending it.
-            self.stats.duplicates_dropped += 1;
             let next_expected = peer.next_expected;
             self.send_ack(w, src, next_expected);
             return Vec::new();
@@ -319,9 +309,7 @@ impl Reliability {
             // Gap: buffer and ask for the missing packet right away instead
             // of waiting out the sender's timeout.
             let first_missing = peer.next_expected;
-            if peer.reorder.insert(seq, p).is_some() {
-                self.stats.duplicates_dropped += 1;
-            }
+            peer.reorder.insert(seq, p);
             self.send_nack(w, src, first_missing);
             return Vec::new();
         }
@@ -336,8 +324,7 @@ impl Reliability {
         out
     }
 
-    fn send_ack(&mut self, w: &mut World, dst: usize, next_expected: u64) {
-        self.stats.acks_sent += 1;
+    fn send_ack(&self, w: &mut World, dst: usize, next_expected: u64) {
         let ack = Packet::control(
             self.rank,
             self.ctrl_bytes,
@@ -354,8 +341,7 @@ impl Reliability {
         );
     }
 
-    fn send_nack(&mut self, w: &mut World, dst: usize, missing: u64) {
-        self.stats.nacks_sent += 1;
+    fn send_nack(&self, w: &mut World, dst: usize, missing: u64) {
         let nack = Packet::control(
             self.rank,
             self.ctrl_bytes,

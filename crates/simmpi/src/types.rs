@@ -116,10 +116,6 @@ impl<const N: usize> IntoPayload for &[u8; N] {
 pub enum ReduceOp {
     /// Elementwise sum.
     Sum,
-    /// Elementwise maximum.
-    Max,
-    /// Elementwise minimum.
-    Min,
 }
 
 impl ReduceOp {
@@ -128,8 +124,6 @@ impl ReduceOp {
         assert_eq!(acc.len(), other.len(), "reduce length mismatch");
         match self {
             ReduceOp::Sum => acc.iter_mut().zip(other).for_each(|(a, b)| *a += b),
-            ReduceOp::Max => acc.iter_mut().zip(other).for_each(|(a, b)| *a = a.max(*b)),
-            ReduceOp::Min => acc.iter_mut().zip(other).for_each(|(a, b)| *a = a.min(*b)),
         }
     }
 }
@@ -176,9 +170,5 @@ mod tests {
         let mut a = vec![1.0, 5.0];
         ReduceOp::Sum.apply(&mut a, &[2.0, 2.0]);
         assert_eq!(a, vec![3.0, 7.0]);
-        ReduceOp::Max.apply(&mut a, &[10.0, 0.0]);
-        assert_eq!(a, vec![10.0, 7.0]);
-        ReduceOp::Min.apply(&mut a, &[0.5, 100.0]);
-        assert_eq!(a, vec![0.5, 7.0]);
     }
 }

@@ -73,19 +73,6 @@ fn reduce_sums_to_root() {
 }
 
 #[test]
-fn reduce_max_and_min() {
-    run(4, |mpi| {
-        let mine = vec![mpi.rank() as f64, -(mpi.rank() as f64)];
-        let mx = mpi.reduce(0, &mine, ReduceOp::Max);
-        let mn = mpi.reduce(0, &mine, ReduceOp::Min);
-        if mpi.rank() == 0 {
-            assert_eq!(mx.unwrap(), vec![3.0, 0.0]);
-            assert_eq!(mn.unwrap(), vec![0.0, -3.0]);
-        }
-    });
-}
-
-#[test]
 fn allreduce_agrees_everywhere() {
     for nranks in [2, 3, 5, 8] {
         run(nranks, move |mpi| {

@@ -5,6 +5,17 @@ use simcore::{us, Duration};
 use crate::fault::FaultPlan;
 use crate::topology::{BackgroundJob, TopologySpec};
 
+/// Loopback latency for self-sends, ns.
+pub(crate) const LOOPBACK_LATENCY: Duration = us(1) / 2;
+/// Host memcpy throughput for bounce-buffer copies, bytes per ns.
+const COPY_BYTES_PER_NS: f64 = 3.0;
+/// Base cost of registering (pinning) a memory region, ns.
+const REG_BASE: Duration = us(10);
+/// Additional registration cost per page, ns.
+const REG_PER_PAGE: Duration = 250;
+/// Page size used for registration accounting, bytes.
+const PAGE_SIZE: usize = 4096;
+
 /// Parameters of the simulated interconnect and host interface.
 ///
 /// The defaults approximate the paper's test platform: an 8 Gbit/s InfiniBand
@@ -14,8 +25,6 @@ use crate::topology::{BackgroundJob, TopologySpec};
 pub struct NetConfig {
     /// One-way wire latency between any two distinct nodes, ns.
     pub wire_latency: Duration,
-    /// Loopback latency for self-sends, ns.
-    pub loopback_latency: Duration,
     /// Egress DMA bandwidth, bytes per nanosecond (1.0 ≈ 8 Gbit/s).
     pub bandwidth_bytes_per_ns: f64,
     /// Wire size of a control packet (RTS/CTS/FIN/headers), bytes.
@@ -24,14 +33,6 @@ pub struct NetConfig {
     pub post_cost: Duration,
     /// Host cost of one completion-queue / rx-queue poll, ns.
     pub poll_cost: Duration,
-    /// Host memcpy throughput for bounce-buffer copies, bytes per ns.
-    pub copy_bytes_per_ns: f64,
-    /// Base cost of registering (pinning) a memory region, ns.
-    pub reg_base: Duration,
-    /// Additional registration cost per page, ns.
-    pub reg_per_page: Duration,
-    /// Page size used for registration accounting, bytes.
-    pub page_size: usize,
     /// Model receiver-side (ingress) serialization: concurrent transfers
     /// into one node queue on its ingress engine (switch-port / incast
     /// contention). Off by default — the paper's microbenchmarks are
@@ -73,15 +74,10 @@ impl NetConfig {
     pub fn infiniband_2006() -> Self {
         NetConfig {
             wire_latency: us(5),
-            loopback_latency: us(1) / 2,
             bandwidth_bytes_per_ns: 1.0,
             ctrl_packet_bytes: 64,
             post_cost: 200,
             poll_cost: 100,
-            copy_bytes_per_ns: 3.0,
-            reg_base: us(10),
-            reg_per_page: 250,
-            page_size: 4096,
             model_ingress_contention: false,
             switch_radix: None,
             inter_switch_extra: us(2),
@@ -107,8 +103,8 @@ impl NetConfig {
     pub(crate) fn build_topology(
         &self,
         nnodes: usize,
-    ) -> std::sync::Arc<dyn crate::topology::Topology> {
-        self.topology.fitted(nnodes).build(
+    ) -> std::sync::Arc<dyn crate::topology::Fabric> {
+        self.topology.fitted(nnodes).build_fabric(
             self.wire_latency,
             self.switch_radix,
             self.inter_switch_extra,
@@ -123,13 +119,13 @@ impl NetConfig {
 
     /// Host cost of copying `bytes` through a bounce buffer, ns.
     pub fn copy_cost(&self, bytes: usize) -> Duration {
-        (bytes as f64 / self.copy_bytes_per_ns).ceil() as Duration
+        (bytes as f64 / COPY_BYTES_PER_NS).ceil() as Duration
     }
 
     /// Host cost of registering a `bytes`-sized region, ns.
     pub fn reg_cost(&self, bytes: usize) -> Duration {
-        let pages = bytes.div_ceil(self.page_size) as u64;
-        self.reg_base + pages * self.reg_per_page
+        let pages = bytes.div_ceil(PAGE_SIZE) as u64;
+        REG_BASE + pages * REG_PER_PAGE
     }
 
     /// End-to-end one-way time for a `bytes`-sized data transfer on an idle
@@ -157,8 +153,8 @@ mod tests {
         let cfg = NetConfig::infiniband_2006();
         let one_page = cfg.reg_cost(1);
         let two_pages = cfg.reg_cost(4097);
-        assert_eq!(two_pages - one_page, cfg.reg_per_page);
-        assert!(one_page >= cfg.reg_base);
+        assert_eq!(two_pages - one_page, REG_PER_PAGE);
+        assert!(one_page >= REG_BASE);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`FaultPlan`] describes, ahead of time, how the fabric misbehaves:
 //! random packet drops / duplications / extra delays (seeded, so runs are
-//! bit-reproducible), transient per-link degradation windows, and NIC stall
-//! intervals. The plan lives in [`crate::NetConfig`] and is applied by
+//! bit-reproducible) and an oracle-chosen jitter window for schedule
+//! exploration. The plan lives in [`crate::NetConfig`] and is applied by
 //! [`crate::World`] at the packet-delivery point of two-sided sends — the
 //! operations a software reliability layer must protect. One-sided RDMA
 //! operations model hardware-reliable channels and are not perturbed.
@@ -13,35 +13,6 @@
 //! without this module.
 
 use simcore::Time;
-
-/// A transient window during which one directed link is degraded: every
-/// packet leaving `src` for `dst` with a DMA start inside `[from, until)`
-/// arrives `extra_delay` ns later than the healthy cost model predicts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkDegradation {
-    /// Source node of the affected directed link.
-    pub src: usize,
-    /// Destination node of the affected directed link.
-    pub dst: usize,
-    /// Start of the degradation window (inclusive, virtual ns).
-    pub from: Time,
-    /// End of the degradation window (exclusive, virtual ns).
-    pub until: Time,
-    /// Extra one-way delay added while the window is active.
-    pub extra_delay: u64,
-}
-
-/// A window during which one node's NIC stalls: packets that would arrive
-/// inside `[from, until)` are held and delivered at `until` instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NicStall {
-    /// The stalled node.
-    pub node: usize,
-    /// Start of the stall (inclusive, virtual ns).
-    pub from: Time,
-    /// End of the stall (exclusive, virtual ns); held packets land here.
-    pub until: Time,
-}
 
 /// A seeded, declarative description of fabric misbehavior for one run.
 ///
@@ -62,10 +33,6 @@ pub struct FaultPlan {
     pub delay_prob: f64,
     /// Upper bound (inclusive) on the random extra delay, in ns.
     pub max_extra_delay: u64,
-    /// Transient per-link degradation windows.
-    pub degraded_links: Vec<LinkDegradation>,
-    /// NIC stall intervals.
-    pub nic_stalls: Vec<NicStall>,
     /// Width of the schedule-exploration jitter window, in ns. When nonzero
     /// *and* a schedule oracle is installed, the oracle may delay each
     /// two-sided packet's arrival by one of
@@ -87,8 +54,6 @@ impl FaultPlan {
             duplicate_prob: 0.0,
             delay_prob: 0.0,
             max_extra_delay: 0,
-            degraded_links: Vec::new(),
-            nic_stalls: Vec::new(),
             explore_jitter_ns: 0,
             explore_jitter_steps: 0,
         }
@@ -109,8 +74,6 @@ impl FaultPlan {
         self.drop_prob == 0.0
             && self.duplicate_prob == 0.0
             && self.delay_prob == 0.0
-            && self.degraded_links.is_empty()
-            && self.nic_stalls.is_empty()
             && self.explore_jitter_ns == 0
     }
 
@@ -129,26 +92,6 @@ impl FaultPlan {
     pub(crate) fn jitter_delay(&self, step: u32) -> u64 {
         let steps = self.jitter_steps();
         (self.explore_jitter_ns * u64::from(step.min(steps - 1))) / u64::from(steps - 1)
-    }
-
-    /// Total extra delay the degradation windows add to a packet leaving
-    /// `src` for `dst` at `when`.
-    pub(crate) fn degradation_delay(&self, src: usize, dst: usize, when: Time) -> u64 {
-        self.degraded_links
-            .iter()
-            .filter(|d| d.src == src && d.dst == dst && d.from <= when && when < d.until)
-            .map(|d| d.extra_delay)
-            .sum()
-    }
-
-    /// Earliest time a packet arriving at `node` at `when` can actually be
-    /// delivered, given the NIC stall windows (`when` if no stall covers it).
-    pub(crate) fn stall_release(&self, node: usize, when: Time) -> Time {
-        self.nic_stalls
-            .iter()
-            .filter(|s| s.node == node && s.from <= when && when < s.until)
-            .map(|s| s.until)
-            .fold(when, Time::max)
     }
 }
 
@@ -173,16 +116,6 @@ pub enum FaultKind {
         /// The extra delay, in ns.
         extra: u64,
     },
-    /// A degradation window on the link added deterministic extra delay.
-    LinkDegraded {
-        /// The extra delay, in ns.
-        extra: u64,
-    },
-    /// The destination NIC was stalled; delivery slipped to the window end.
-    NicStalled {
-        /// When the packet was actually delivered.
-        released_at: Time,
-    },
 }
 
 impl FaultKind {
@@ -192,8 +125,6 @@ impl FaultKind {
             FaultKind::Dropped => "dropped",
             FaultKind::Duplicated => "duplicated",
             FaultKind::Delayed { .. } => "delayed",
-            FaultKind::LinkDegraded { .. } => "link_degraded",
-            FaultKind::NicStalled { .. } => "nic_stalled",
         }
     }
 }
@@ -203,10 +134,7 @@ impl FaultEvent {
     /// fault parameters (used as the `detail` of trace fault markers).
     pub fn describe(&self) -> String {
         let extra = match self.kind {
-            FaultKind::Delayed { extra } | FaultKind::LinkDegraded { extra } => {
-                format!(" extra {extra} ns")
-            }
-            FaultKind::NicStalled { released_at } => format!(" released at {released_at} ns"),
+            FaultKind::Delayed { extra } => format!(" extra {extra} ns"),
             _ => String::new(),
         };
         format!("{} -> {} ty {}{extra}", self.src, self.dst, self.packet_ty)
@@ -219,11 +147,11 @@ pub struct FaultEvent {
     /// Virtual time of the posting that triggered the decision.
     pub at: Time,
     /// Source node of the affected packet.
-    pub src: usize,
+    pub(crate) src: usize,
     /// Destination node of the affected packet.
-    pub dst: usize,
+    pub(crate) dst: usize,
     /// Library packet-type discriminator of the affected packet.
-    pub packet_ty: u16,
+    pub(crate) packet_ty: u16,
     /// What happened.
     pub kind: FaultKind,
 }
@@ -254,12 +182,13 @@ impl FaultRng {
         unit < p
     }
 
-    /// Uniform draw from `0..=max`.
+    /// Uniform draw from `0..=max` (`u64::MAX` is the full range).
     pub(crate) fn below_inclusive(&mut self, max: u64) -> u64 {
-        if max == 0 {
-            return 0;
+        match max.checked_add(1) {
+            Some(1) => 0,
+            Some(span) => self.next_u64() % span,
+            None => self.next_u64(),
         }
-        self.next_u64() % (max + 1)
     }
 }
 
@@ -272,49 +201,6 @@ mod tests {
         assert!(FaultPlan::none().is_empty());
         assert!(FaultPlan::default().is_empty());
         assert!(!FaultPlan::uniform_loss(1, 0.01).is_empty());
-        // A plan with only a stall window still counts as faulty.
-        let plan = FaultPlan {
-            nic_stalls: vec![NicStall {
-                node: 0,
-                from: 0,
-                until: 10,
-            }],
-            ..FaultPlan::none()
-        };
-        assert!(!plan.is_empty());
-    }
-
-    #[test]
-    fn degradation_windows_filter_by_link_and_time() {
-        let plan = FaultPlan {
-            degraded_links: vec![LinkDegradation {
-                src: 0,
-                dst: 1,
-                from: 100,
-                until: 200,
-                extra_delay: 50,
-            }],
-            ..FaultPlan::none()
-        };
-        assert_eq!(plan.degradation_delay(0, 1, 150), 50);
-        assert_eq!(plan.degradation_delay(0, 1, 200), 0); // exclusive end
-        assert_eq!(plan.degradation_delay(0, 1, 99), 0);
-        assert_eq!(plan.degradation_delay(1, 0, 150), 0); // directed
-    }
-
-    #[test]
-    fn stall_release_pushes_past_window() {
-        let plan = FaultPlan {
-            nic_stalls: vec![NicStall {
-                node: 2,
-                from: 1_000,
-                until: 5_000,
-            }],
-            ..FaultPlan::none()
-        };
-        assert_eq!(plan.stall_release(2, 3_000), 5_000);
-        assert_eq!(plan.stall_release(2, 5_000), 5_000); // exclusive end
-        assert_eq!(plan.stall_release(1, 3_000), 3_000);
     }
 
     #[test]
@@ -337,6 +223,12 @@ mod tests {
         assert_eq!(FaultRng::new(0).below_inclusive(0), 0);
         let d = FaultRng::new(3).below_inclusive(10);
         assert!(d <= 10);
+    }
+
+    #[test]
+    fn full_range_delay_draw_does_not_overflow() {
+        let raw = FaultRng::new(5).next_u64();
+        assert_eq!(FaultRng::new(5).below_inclusive(u64::MAX), raw);
     }
 
     #[test]

@@ -31,12 +31,10 @@ pub mod world;
 
 pub use cluster::{Cluster, ClusterOutcome};
 pub use config::NetConfig;
-pub use fault::{FaultEvent, FaultKind, FaultPlan, LinkDegradation, NicStall};
+pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use memory::{Region, RegionId};
-pub use nic::{CausalEdge, Completion, WrId};
+pub use nic::{CausalEdge, Completion};
 pub use packet::Packet;
-pub use topology::{
-    BackgroundJob, BackgroundJobBuilder, Hop, Topology, TopologySpec, TrafficPattern,
-};
+pub use topology::{BackgroundJob, Hop, Topology, TopologySpec};
 pub use truth::{TransferKind, TransferRecord};
 pub use world::{SharedWorld, World, XferId};

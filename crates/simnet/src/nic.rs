@@ -8,33 +8,28 @@ use simcore::Time;
 use crate::memory::RegionId;
 use crate::packet::Packet;
 
-/// Identifier of a posted work request, returned by the `post_*` calls and
-/// echoed in the matching [`Completion`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WrId(pub u64);
-
 /// Causal breakdown of where a fabric operation's time went before it
-/// completed: every completion (and ground-truth transfer record) carries
-/// one, so wait-state analysis can say what a blocked host was actually
-/// waiting *on* — queueing, the wire, or fault recovery.
+/// completed: every completion carries one, so wait-state analysis can say
+/// what a blocked host was actually waiting *on* — queueing, the wire, or
+/// fault recovery.
 ///
 /// The components are disjoint: `serialize_ns` is pure wire occupancy for
 /// this packet, the queue fields are time spent waiting behind *other*
 /// packets' occupancy, and `fault_extra_ns` is injected disturbance
-/// (retransmission delay, link degradation, NIC stall holds).
+/// (random extra delay, exploration jitter).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CausalEdge {
     /// Waited behind earlier packets for the egress DMA engine, ns.
-    pub dma_queue_ns: u64,
+    pub(crate) dma_queue_ns: u64,
     /// Wire/DMA serialization of this packet itself, ns.
-    pub serialize_ns: u64,
+    pub(crate) serialize_ns: u64,
     /// Waited behind earlier packets for the ingress engine, ns.
-    pub ingress_queue_ns: u64,
+    pub(crate) ingress_queue_ns: u64,
     /// Waited behind other flows on shared fabric links along the route
     /// (per-hop queuing under a hierarchical topology), ns.
-    pub hop_queue_ns: u64,
-    /// Fault-injected extra latency (delay, degradation, stall holds), ns.
-    pub fault_extra_ns: u64,
+    pub(crate) hop_queue_ns: u64,
+    /// Fault-injected extra latency (delay, jitter), ns.
+    pub(crate) fault_extra_ns: u64,
 }
 
 impl CausalEdge {
@@ -50,8 +45,6 @@ impl CausalEdge {
 /// A completion-queue entry: the NIC finished a posted work request.
 #[derive(Debug, Clone)]
 pub struct Completion {
-    /// The work request this completes.
-    pub wr_id: WrId,
     /// Library-defined correlation word (set at post time).
     pub user: u64,
     /// For RDMA Read completions, the fetched bytes.
@@ -112,20 +105,16 @@ impl HwUnexpected {
 /// NIC state for one node. All mutation happens inside the world lock; hosts
 /// observe `cq` and `rx` only through polls.
 #[derive(Debug, Default)]
-pub struct Nic {
+pub(crate) struct Nic {
     /// Virtual time at which the egress DMA engine becomes free.
-    pub(crate) dma_free_at: Time,
+    dma_free_at: Time,
     /// Virtual time at which the ingress engine becomes free (only used
     /// when ingress contention is modeled).
-    pub(crate) ingress_free_at: Time,
+    ingress_free_at: Time,
     /// Completion queue, drained by host polls.
     pub(crate) cq: VecDeque<Completion>,
     /// Received packets, drained by host polls.
     pub(crate) rx: VecDeque<Packet>,
-    /// Statistics: total completions generated.
-    pub(crate) completions_generated: u64,
-    /// Statistics: total packets delivered.
-    pub(crate) packets_delivered: u64,
     /// Hardware tag-matching table: posted receive descriptors, searched in
     /// post order (MPI non-overtaking).
     pub(crate) hw_posted: VecDeque<HwPosted>,
@@ -155,29 +144,25 @@ impl Nic {
         start + busy
     }
 
-    /// Queue a completion for the host and count it.
+    /// Queue a completion for the host.
     pub(crate) fn complete(
         &mut self,
-        wr_id: WrId,
         user: u64,
         data: Option<Bytes>,
         imm: [u64; 3],
         edge: CausalEdge,
     ) {
         self.cq.push_back(Completion {
-            wr_id,
             user,
             data,
             imm,
             edge,
         });
-        self.completions_generated += 1;
     }
 
-    /// Queue a received packet for the host and count it.
+    /// Queue a received packet for the host.
     pub(crate) fn deliver(&mut self, packet: Packet) {
         self.rx.push_back(packet);
-        self.packets_delivered += 1;
     }
 
     /// True if the host would observe anything on a poll.

@@ -15,7 +15,7 @@ pub struct Packet {
     /// Originating node.
     pub src: usize,
     /// Total wire size (headers + payload), used only for cost accounting.
-    pub wire_bytes: usize,
+    pub(crate) wire_bytes: usize,
     /// Library-defined packet type discriminator.
     pub ty: u16,
     /// Library-defined header words (tags, sequence numbers, region ids...).
@@ -25,7 +25,7 @@ pub struct Packet {
     /// Rides a protected virtual channel: exempt from fault injection
     /// (used for reliability-layer ACK/NACK traffic, which must not itself
     /// require acknowledgment or the protocol could never terminate).
-    pub protected: bool,
+    pub(crate) protected: bool,
     /// Causal breakdown of the packet's journey, stamped by the fabric at
     /// delivery (zeroed until then). Lets *receivers* learn how much of a
     /// message's flight time was fabric contention.
@@ -37,15 +37,15 @@ pub struct Packet {
 /// hardware tag-matching engine at delivery time — they never reach the
 /// host receive queue. Libraries must keep their own `ty` values below the
 /// base.
-pub mod hw {
+pub(crate) mod hw {
     /// First reserved type value.
-    pub const TY_BASE: u16 = 0xFF00;
+    pub(crate) const TY_BASE: u16 = 0xFF00;
     /// NIC-matched eager data.
     /// `h = [tag, xfer word, 0, 0, 0, 0]`, payload in `data`.
-    pub const EAGER: u16 = 0xFF01;
+    pub(crate) const EAGER: u16 = 0xFF01;
     /// NIC-matched rendezvous request-to-send.
     /// `h = [tag, len, region, xfer, fin meta id, 0]`.
-    pub const RTS: u16 = 0xFF02;
+    pub(crate) const RTS: u16 = 0xFF02;
 }
 
 impl Packet {

@@ -33,26 +33,25 @@ use simcore::Duration;
 /// abstraction, also used for the final NIC-to-host leg of hierarchical
 /// routes where the only contention is the ingress engine already modeled
 /// by the NIC.
-pub const LINK_DEDICATED: u32 = u32::MAX;
+pub(crate) const LINK_DEDICATED: u32 = u32::MAX;
 
 /// One hop of a route: a directed link (or `u32::MAX` for a dedicated,
 /// never-contended hop) plus the propagation latency added by traversing it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Hop {
-    /// Directed-link index in `0..Topology::links()`, or `u32::MAX`
+    /// Directed-link index in `0..Fabric::links()`, or `u32::MAX`
     /// (dedicated).
-    pub link: u32,
+    pub(crate) link: u32,
     /// Propagation latency of this hop, ns.
-    pub latency: Duration,
+    pub(crate) latency: Duration,
 }
 
 /// A fabric topology: routes node pairs over (possibly shared) links.
 ///
 /// Implementations must be pure: the same `(src, dst, choice)` always yields
-/// the same route, and `path_latency` must equal the summed hop latency of
-/// candidate `0` (the canonical route). Fat-tree ECMP candidates are all
-/// equal-cost; a dragonfly's non-minimal (Valiant) candidates are longer —
-/// exactly the trade adaptive routing makes.
+/// the same route. Fat-tree ECMP candidates are all equal-cost; a
+/// dragonfly's non-minimal (Valiant) candidates are longer — exactly the
+/// trade adaptive routing makes.
 ///
 /// # Examples
 ///
@@ -61,19 +60,25 @@ pub struct Hop {
 ///
 /// // k=4: 16 hosts, 1 µs per hop (the crossbar arguments are unused here).
 /// let ft = TopologySpec::parse("fat-tree:k=4").unwrap().build(5_000, None, 0, 1_000);
-/// assert_eq!(ft.hosts(), 16);
-/// // Hosts 0 and 1 share an edge switch: two shared links, no ECMP.
-/// assert_eq!(ft.paths(0, 1), 1);
 /// let mut route = Vec::new();
+/// // Hosts 0 and 1 share an edge switch: up and down, two shared links.
 /// ft.route_into(0, 1, 0, &mut route);
 /// assert_eq!(route.len(), 2);
-/// assert!(route.iter().all(|h| (h.link as usize) < ft.links()));
-/// // Crossing pods goes up to a core switch: (k/2)^2 = 4 candidates.
-/// assert_eq!(ft.paths(0, 15), 4);
+/// // Crossing pods goes up to a core switch and back down.
 /// ft.route_into(0, 15, 0, &mut route);
 /// assert_eq!(route.len(), 6);
 /// ```
 pub trait Topology: Send + Sync {
+    /// Write candidate route `choice` (`0..paths(src, dst)`) for
+    /// `src → dst` into `out`, clearing it first. Reuses the caller's
+    /// buffer so steady-state routing allocates nothing.
+    fn route_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<Hop>);
+}
+
+/// The rest of a topology's shape, which only the fabric model asks about.
+/// `path_latency` must equal the summed hop latency of candidate `0` (the
+/// canonical route).
+pub(crate) trait Fabric: Topology {
     /// Number of host endpoints the fabric wires up.
     fn hosts(&self) -> usize;
 
@@ -85,11 +90,6 @@ pub trait Topology: Send + Sync {
     /// loopback special case and never reaches the topology).
     fn paths(&self, src: usize, dst: usize) -> usize;
 
-    /// Write candidate route `choice` (`0..self.paths(src, dst)`) for
-    /// `src → dst` into `out`, clearing it first. Reuses the caller's
-    /// buffer so steady-state routing allocates nothing.
-    fn route_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<Hop>);
-
     /// Total propagation latency of the canonical (choice `0`) route for
     /// `src → dst`, ns.
     fn path_latency(&self, src: usize, dst: usize) -> Duration;
@@ -97,10 +97,8 @@ pub trait Topology: Send + Sync {
     /// Endpoints `(from_switch_or_host, to_switch_or_host)` of a directed
     /// link, in a topology-private numbering — used by tests to validate
     /// route contiguity.
+    #[cfg(test)]
     fn link_ends(&self, link: u32) -> (usize, usize);
-
-    /// Human-readable spec label, e.g. `"fat-tree:k=8"`.
-    fn label(&self) -> String;
 }
 
 /// The ideal single-crossbar fabric: every pair has a dedicated path, so no
@@ -108,7 +106,7 @@ pub trait Topology: Send + Sync {
 /// pre-topology cost model byte-identically (including the optional
 /// two-level `switch_radix` latency penalty it absorbed).
 #[derive(Debug, Clone)]
-pub struct FlatCrossbar {
+struct FlatCrossbar {
     wire_latency: Duration,
     switch_radix: Option<usize>,
     inter_switch_extra: Duration,
@@ -131,6 +129,16 @@ impl FlatCrossbar {
 }
 
 impl Topology for FlatCrossbar {
+    fn route_into(&self, src: usize, dst: usize, _choice: usize, out: &mut Vec<Hop>) {
+        out.clear();
+        out.push(Hop {
+            link: LINK_DEDICATED,
+            latency: self.path_latency(src, dst),
+        });
+    }
+}
+
+impl Fabric for FlatCrossbar {
     fn hosts(&self) -> usize {
         usize::MAX // any number of hosts fits a crossbar
     }
@@ -143,14 +151,6 @@ impl Topology for FlatCrossbar {
         1
     }
 
-    fn route_into(&self, src: usize, dst: usize, _choice: usize, out: &mut Vec<Hop>) {
-        out.clear();
-        out.push(Hop {
-            link: LINK_DEDICATED,
-            latency: self.path_latency(src, dst),
-        });
-    }
-
     fn path_latency(&self, src: usize, dst: usize) -> Duration {
         match self.switch_radix {
             Some(radix) if src / radix != dst / radix => {
@@ -160,12 +160,9 @@ impl Topology for FlatCrossbar {
         }
     }
 
+    #[cfg(test)]
     fn link_ends(&self, _link: u32) -> (usize, usize) {
         (0, 0)
-    }
-
-    fn label(&self) -> String {
-        "flat".into()
     }
 }
 
@@ -176,7 +173,7 @@ impl Topology for FlatCrossbar {
 ///
 /// All switch-to-switch and host-to-switch links are shared, directed, and
 /// individually contended. Route tables are flat precomputed `Vec`s indexed
-/// by host/switch, shared across all ranks via the `Arc<dyn Topology>` the
+/// by host/switch, shared across all ranks via the `Arc<dyn Fabric>` the
 /// world holds — per-rank routing state is just one reused hop buffer.
 ///
 /// # Examples
@@ -185,13 +182,15 @@ impl Topology for FlatCrossbar {
 /// use simnet::TopologySpec;
 ///
 /// let ft = TopologySpec::FatTree { k: 8 }.build(5_000, None, 0, 1_000);
-/// assert_eq!(ft.hosts(), 128); // k^3/4
-/// assert_eq!(ft.paths(0, 127), 16); // (k/2)^2 core switches
-/// // Equal-cost: every candidate has the same latency.
-/// assert_eq!(ft.path_latency(0, 127), 6 * 1_000); // 6 hops, 1 µs each
+/// let mut route = Vec::new();
+/// // Equal-cost: each of the (k/2)^2 = 16 core-switch candidates is 6 hops.
+/// for choice in 0..16 {
+///     ft.route_into(0, 127, choice, &mut route);
+///     assert_eq!(route.len(), 6);
+/// }
 /// ```
 #[derive(Debug, Clone)]
-pub struct FatTree {
+struct FatTree {
     k: usize,
     hop_latency: Duration,
     /// Directed links, laid out in blocks (see `link index layout` below).
@@ -275,24 +274,6 @@ impl FatTree {
 }
 
 impl Topology for FatTree {
-    fn hosts(&self) -> usize {
-        self.k * self.k * self.k / 4
-    }
-
-    fn links(&self) -> usize {
-        self.nlinks
-    }
-
-    fn paths(&self, src: usize, dst: usize) -> usize {
-        if self.edge_of(src) == self.edge_of(dst) {
-            1
-        } else if self.pod(src) == self.pod(dst) {
-            self.half() // one candidate per aggregation switch in the pod
-        } else {
-            self.half() * self.half() // one per core switch
-        }
-    }
-
     fn route_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<Hop>) {
         out.clear();
         let h = self.half();
@@ -320,6 +301,26 @@ impl Topology for FatTree {
         }
         out.push(self.hop(self.l_host_down(dst)));
     }
+}
+
+impl Fabric for FatTree {
+    fn hosts(&self) -> usize {
+        self.k * self.k * self.k / 4
+    }
+
+    fn links(&self) -> usize {
+        self.nlinks
+    }
+
+    fn paths(&self, src: usize, dst: usize) -> usize {
+        if self.edge_of(src) == self.edge_of(dst) {
+            1
+        } else if self.pod(src) == self.pod(dst) {
+            self.half() // one candidate per aggregation switch in the pod
+        } else {
+            self.half() * self.half() // one per core switch
+        }
+    }
 
     fn path_latency(&self, src: usize, dst: usize) -> Duration {
         let hops = if self.edge_of(src) == self.edge_of(dst) {
@@ -332,6 +333,7 @@ impl Topology for FatTree {
         hops * self.hop_latency
     }
 
+    #[cfg(test)]
     fn link_ends(&self, link: u32) -> (usize, usize) {
         // Topology-private node numbering: hosts, then edge switches,
         // then aggregation switches, then core switches.
@@ -364,10 +366,6 @@ impl Topology for FatTree {
             (core0 + (agg % h) * h + j, agg0 + agg)
         }
     }
-
-    fn label(&self) -> String {
-        format!("fat-tree:k={}", self.k)
-    }
 }
 
 /// A dragonfly: `g = a*h + 1` groups of `a` routers, `p` hosts per router,
@@ -379,7 +377,7 @@ impl Topology for FatTree {
 /// hops to dodge contended global links — the trade the schedule oracle
 /// gets to explore.
 #[derive(Debug, Clone)]
-pub struct Dragonfly {
+struct Dragonfly {
     a: usize,
     p: usize,
     h: usize,
@@ -417,7 +415,7 @@ impl Dragonfly {
     }
 
     /// Number of groups.
-    pub(crate) fn groups(&self) -> usize {
+    fn groups(&self) -> usize {
         self.a * self.h + 1
     }
 
@@ -449,6 +447,7 @@ impl Dragonfly {
     }
 
     /// Peer group of `group`'s global channel `gc` (consecutive arrangement).
+    #[cfg(test)]
     fn peer_group(&self, group: usize, gc: usize) -> usize {
         (group + gc + 1) % self.groups()
     }
@@ -519,6 +518,25 @@ impl Dragonfly {
 }
 
 impl Topology for Dragonfly {
+    fn route_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<Hop>) {
+        out.clear();
+        let (sr, dr) = (self.router_of(src), self.router_of(dst));
+        let (sg, dg) = (self.group_of_router(sr), self.group_of_router(dr));
+        out.push(self.hop(self.l_host_up(src)));
+        if sg == dg {
+            self.finish_local(sr, dst, out);
+            return;
+        }
+        let mut at = sr;
+        if choice > 0 {
+            at = self.cross_groups(at, self.valiant_group(sg, dg, choice), out);
+        }
+        at = self.cross_groups(at, dg, out);
+        self.finish_local(at, dst, out);
+    }
+}
+
+impl Fabric for Dragonfly {
     fn hosts(&self) -> usize {
         self.groups() * self.a * self.p
     }
@@ -541,23 +559,6 @@ impl Topology for Dragonfly {
         }
     }
 
-    fn route_into(&self, src: usize, dst: usize, choice: usize, out: &mut Vec<Hop>) {
-        out.clear();
-        let (sr, dr) = (self.router_of(src), self.router_of(dst));
-        let (sg, dg) = (self.group_of_router(sr), self.group_of_router(dr));
-        out.push(self.hop(self.l_host_up(src)));
-        if sg == dg {
-            self.finish_local(sr, dst, out);
-            return;
-        }
-        let mut at = sr;
-        if choice > 0 {
-            at = self.cross_groups(at, self.valiant_group(sg, dg, choice), out);
-        }
-        at = self.cross_groups(at, dg, out);
-        self.finish_local(at, dst, out);
-    }
-
     fn path_latency(&self, src: usize, dst: usize) -> Duration {
         let (sr, dr) = (self.router_of(src), self.router_of(dst));
         let (sg, dg) = (self.group_of_router(sr), self.group_of_router(dr));
@@ -575,6 +576,7 @@ impl Topology for Dragonfly {
         (3 + locals) * self.hop_latency + self.global_extra
     }
 
+    #[cfg(test)]
     fn link_ends(&self, link: u32) -> (usize, usize) {
         // Private numbering: hosts, then routers.
         let l = link as usize;
@@ -603,10 +605,6 @@ impl Topology for Dragonfly {
                 r0 + peer * self.a + back / self.h,
             )
         }
-    }
-
-    fn label(&self) -> String {
-        format!("dragonfly:a={},p={},h={}", self.a, self.p, self.h)
     }
 }
 
@@ -785,9 +783,8 @@ impl TopologySpec {
     }
 
     /// Instantiate the topology. `flat_latency`, `switch_radix`, and
-    /// `inter_switch_extra` set the crossbar's [`Topology::path_latency`];
-    /// `hop_latency` is the per-hop propagation of the hierarchical
-    /// families.
+    /// `inter_switch_extra` set the crossbar's latency; `hop_latency` is the
+    /// per-hop propagation of the hierarchical families.
     pub fn build(
         &self,
         flat_latency: Duration,
@@ -795,6 +792,18 @@ impl TopologySpec {
         inter_switch_extra: Duration,
         hop_latency: Duration,
     ) -> std::sync::Arc<dyn Topology> {
+        self.build_fabric(flat_latency, switch_radix, inter_switch_extra, hop_latency)
+    }
+
+    /// [`TopologySpec::build`], with the shape queries the fabric model
+    /// needs.
+    pub(crate) fn build_fabric(
+        &self,
+        flat_latency: Duration,
+        switch_radix: Option<usize>,
+        inter_switch_extra: Duration,
+        hop_latency: Duration,
+    ) -> std::sync::Arc<dyn Fabric> {
         match *self {
             TopologySpec::Flat => std::sync::Arc::new(FlatCrossbar::new(
                 flat_latency,
@@ -809,26 +818,12 @@ impl TopologySpec {
     }
 }
 
-/// Spatial pattern of a background tenant's traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TrafficPattern {
-    /// Every rank injects at unit rate to uniformly spread destinations.
-    Uniform,
-    /// Every rank sends to one victim rank (switch-port hotspot).
-    Incast {
-        /// The hotspot destination rank.
-        victim: usize,
-    },
-    /// Rank `i` sends to rank `(i + n/2) mod n` (bisection-stressing
-    /// shift permutation).
-    Permutation,
-}
-
 /// A co-located tenant's traffic, modeled as fluid link occupancy: every
-/// source injects `msg_bytes` once per `period_ns` along the pattern's
-/// canonical routes (so per-source offered load is independent of job
-/// size), and every shared link a flow crosses replays those injections
-/// lazily — O(1) state per link, no simulated ranks, fully deterministic.
+/// source injects `msg_bytes` once per `period_ns` to uniformly spread
+/// destinations along their canonical routes (so per-source offered load
+/// is independent of job size), and every shared link a flow crosses
+/// replays those injections lazily — O(1) state per link, no simulated
+/// ranks, fully deterministic.
 /// The measured job's messages queue behind the background occupancy
 /// exactly as they queue behind each other; a finite per-link buffer drops
 /// tenant injections past a bounded backlog, so an oversubscribing tenant
@@ -840,65 +835,21 @@ pub enum TrafficPattern {
 /// # Examples
 ///
 /// ```
-/// use simnet::{BackgroundJob, TrafficPattern};
+/// use simnet::BackgroundJob;
 ///
-/// let job = BackgroundJob::builder(TrafficPattern::Uniform)
-///     .msg_bytes(8 * 1024)
-///     .period_ns(50_000)
-///     .build();
-/// assert_eq!(job.pattern, TrafficPattern::Uniform);
+/// let job = BackgroundJob {
+///     msg_bytes: 8 * 1024,
+///     period_ns: 50_000,
+/// };
 /// assert_eq!(job.msg_bytes, 8 * 1024);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackgroundJob {
-    /// Who sends to whom.
-    pub pattern: TrafficPattern,
     /// Bytes per injected message.
     pub msg_bytes: usize,
-    /// Injection period per flow, ns.
+    /// Injection period per flow, ns (smaller = heavier load; 0 counts
+    /// as 1).
     pub period_ns: u64,
-    /// Seed de-phasing the per-link injection schedules.
-    pub seed: u64,
-}
-
-impl BackgroundJob {
-    /// Start building a background job with the given pattern. Defaults:
-    /// 4 KiB messages every 100 µs per flow, seed 1.
-    pub fn builder(pattern: TrafficPattern) -> BackgroundJobBuilder {
-        BackgroundJobBuilder {
-            job: BackgroundJob {
-                pattern,
-                msg_bytes: 4096,
-                period_ns: 100_000,
-                seed: 1,
-            },
-        }
-    }
-}
-
-/// Builder for [`BackgroundJob`] (see [`BackgroundJob::builder`]).
-#[derive(Debug, Clone)]
-pub struct BackgroundJobBuilder {
-    job: BackgroundJob,
-}
-
-impl BackgroundJobBuilder {
-    /// Bytes per injected message.
-    pub fn msg_bytes(mut self, bytes: usize) -> Self {
-        self.job.msg_bytes = bytes;
-        self
-    }
-
-    /// Injection period per flow, ns (smaller = heavier load).
-    pub fn period_ns(mut self, ns: u64) -> Self {
-        self.job.period_ns = ns.max(1);
-        self
-    }
-
-    /// Finish the builder.
-    pub fn build(self) -> BackgroundJob {
-        self.job
-    }
 }
 
 #[cfg(test)]
@@ -908,7 +859,7 @@ mod tests {
     /// Every hop of every candidate route must form a contiguous walk from
     /// src to dst in the topology's private node numbering, and the
     /// canonical candidate must cost exactly `path_latency`.
-    fn check_routes(topo: &dyn Topology, nhosts: usize) {
+    fn check_routes(topo: &dyn Fabric, nhosts: usize) {
         let mut route = Vec::new();
         for src in 0..nhosts {
             for dst in 0..nhosts {

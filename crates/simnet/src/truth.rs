@@ -2,8 +2,6 @@
 
 use simcore::{ActivityLog, Time};
 
-use crate::nic::CausalEdge;
-
 /// What kind of fabric operation moved the data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TransferKind {
@@ -35,9 +33,6 @@ pub struct TransferRecord {
     pub phys_end: Time,
     /// Operation kind.
     pub kind: TransferKind,
-    /// Causal breakdown of the transfer's latency (queueing, serialization,
-    /// fault-injected extra time).
-    pub edge: CausalEdge,
 }
 
 impl TransferRecord {
@@ -89,7 +84,6 @@ mod tests {
             phys_start: s,
             phys_end: e,
             kind: TransferKind::Send,
-            edge: CausalEdge::default(),
         }
     }
 

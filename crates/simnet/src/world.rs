@@ -18,12 +18,12 @@ use parking_lot::Mutex;
 use simcore::{EngineHandle, Time};
 
 use crate::arena::Slab;
-use crate::config::NetConfig;
+use crate::config::{NetConfig, LOOPBACK_LATENCY};
 use crate::fault::{FaultEvent, FaultKind, FaultRng};
 use crate::memory::{NodeMemory, Region, RegionId};
-use crate::nic::{CausalEdge, Completion, HwPosted, HwUnexpected, Nic, WrId};
+use crate::nic::{CausalEdge, Completion, HwPosted, HwUnexpected, Nic};
 use crate::packet::Packet;
-use crate::topology::{Hop, Topology, TrafficPattern, LINK_DEDICATED};
+use crate::topology::{Fabric, Hop, LINK_DEDICATED};
 use crate::truth::{TransferKind, TransferRecord};
 
 /// Fabric-assigned id for one data transfer operation. The instrumentation
@@ -35,15 +35,9 @@ pub struct XferId(pub u64);
 /// Shared handle to the fabric.
 pub type SharedWorld = Arc<Mutex<World>>;
 
-/// Snapshot of one NIC's counters.
+/// Snapshot of one NIC's host-visible backlogs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NicStats {
-    /// Packets delivered into this NIC's receive queue.
-    pub packets_delivered: u64,
-    /// Completions pushed to this NIC's CQ.
-    pub completions_generated: u64,
-    /// Virtual time until which the egress DMA engine is reserved.
-    pub dma_busy_until: Time,
     /// Packets awaiting a host poll.
     pub rx_backlog: usize,
     /// Completions awaiting a host poll.
@@ -60,7 +54,6 @@ enum Pending {
     SendDeliver {
         src: usize,
         dst: usize,
-        wr: WrId,
         user: u64,
         packet: Packet,
         edge: CausalEdge,
@@ -69,7 +62,6 @@ enum Pending {
     /// completion fires (the NIC just saw the bytes leave).
     SendDropComplete {
         src: usize,
-        wr: WrId,
         user: u64,
         edge: CausalEdge,
     },
@@ -83,7 +75,6 @@ enum Pending {
         region: RegionId,
         off: usize,
         data: Bytes,
-        wr: WrId,
         user: u64,
         notify: Option<Packet>,
         edge: CausalEdge,
@@ -96,7 +87,6 @@ enum Pending {
         region: RegionId,
         off: usize,
         len: usize,
-        wr: WrId,
         user: u64,
         imm: [u64; 3],
         notify: Option<Packet>,
@@ -107,7 +97,6 @@ enum Pending {
     ReadReply {
         initiator: usize,
         target: usize,
-        wr: WrId,
         user: u64,
         imm: [u64; 3],
         snapshot: Bytes,
@@ -148,14 +137,13 @@ pub struct World {
     handle: EngineHandle,
     nics: Vec<Nic>,
     mem: Vec<NodeMemory>,
-    next_wr: u64,
     next_region: u64,
     next_xfer: u64,
     transfers: Vec<TransferRecord>,
     /// Free-list arena of in-flight operations, keyed by scheduling token.
     pending: Slab<Pending>,
     /// The fabric topology, shared (`Arc`) so per-rank state stays lean.
-    topo: Arc<dyn Topology>,
+    topo: Arc<dyn Fabric>,
     /// Per-shared-link occupancy channels, indexed by topology link id.
     chans: Vec<LinkChan>,
     /// Reused hop buffer — steady-state routing allocates nothing.
@@ -189,7 +177,6 @@ impl World {
             handle: handle.clone(),
             nics: (0..nnodes).map(|_| Nic::new()).collect(),
             mem: (0..nnodes).map(|_| NodeMemory::new()).collect(),
-            next_wr: 0,
             next_region: 0,
             next_xfer: 0,
             transfers: Vec::new(),
@@ -223,7 +210,6 @@ impl World {
             Pending::SendDeliver {
                 src,
                 dst,
-                wr,
                 user,
                 mut packet,
                 edge,
@@ -236,18 +222,13 @@ impl World {
                 } else {
                     w.nics[dst].deliver(packet);
                 }
-                w.nics[src].complete(wr, user, None, [0; 3], edge);
+                w.nics[src].complete(user, None, [0; 3], edge);
                 drop(w);
                 h.wake_rank(dst);
                 h.wake_rank(src);
             }
-            Pending::SendDropComplete {
-                src,
-                wr,
-                user,
-                edge,
-            } => {
-                w.nics[src].complete(wr, user, None, [0; 3], edge);
+            Pending::SendDropComplete { src, user, edge } => {
+                w.nics[src].complete(user, None, [0; 3], edge);
                 drop(w);
                 h.wake_rank(src);
             }
@@ -262,13 +243,12 @@ impl World {
                 region,
                 off,
                 data,
-                wr,
                 user,
                 notify,
                 edge,
             } => {
                 w.mem[dst].write(region, off, &data);
-                w.nics[src].complete(wr, user, None, [0; 3], edge);
+                w.nics[src].complete(user, None, [0; 3], edge);
                 let wake_dst = w.deliver_notify(dst, notify, edge);
                 drop(w);
                 h.wake_rank(src);
@@ -282,7 +262,6 @@ impl World {
                 region,
                 off,
                 len,
-                wr,
                 user,
                 imm,
                 notify,
@@ -300,7 +279,6 @@ impl World {
                     Pending::ReadReply {
                         initiator,
                         target,
-                        wr,
                         user,
                         imm,
                         snapshot,
@@ -312,14 +290,13 @@ impl World {
             Pending::ReadReply {
                 initiator,
                 target,
-                wr,
                 user,
                 imm,
                 snapshot,
                 notify,
                 edge,
             } => {
-                w.nics[initiator].complete(wr, user, Some(snapshot), imm, edge);
+                w.nics[initiator].complete(user, Some(snapshot), imm, edge);
                 let wake_target = w.deliver_notify(target, notify, edge);
                 drop(w);
                 h.wake_rank(initiator);
@@ -356,12 +333,6 @@ impl World {
         id
     }
 
-    fn alloc_wr(&mut self) -> WrId {
-        let id = WrId(self.next_wr);
-        self.next_wr += 1;
-        id
-    }
-
     /// Register (pin) a memory region on `node`: a `Vec<u8>` becomes a
     /// writable window, a `Bytes` a read-only payload served by reference,
     /// a [`Region::Landing`] a receive buffer (see [`crate::memory`]). The *host cost* of pinning
@@ -395,7 +366,7 @@ impl World {
     /// packets are small enough that the model treats them as fluid.
     fn latency(&self, src: usize, dst: usize) -> u64 {
         if src == dst {
-            self.cfg.loopback_latency
+            LOOPBACK_LATENCY
         } else {
             self.topo.path_latency(src, dst)
         }
@@ -405,7 +376,7 @@ impl World {
     /// schedules: walk every background flow's canonical route once and
     /// turn the per-link flow count into a periodic occupancy replay (see
     /// [`crate::topology::BackgroundJob`] for the fluid model).
-    fn init_link_chans(cfg: &NetConfig, topo: &dyn Topology, nnodes: usize) -> Vec<LinkChan> {
+    fn init_link_chans(cfg: &NetConfig, topo: &dyn Fabric, nnodes: usize) -> Vec<LinkChan> {
         let mut chans = vec![LinkChan::default(); topo.links()];
         let Some(job) = cfg.background else {
             return chans;
@@ -413,48 +384,26 @@ impl World {
         if chans.is_empty() || nnodes < 2 {
             return chans; // crossbar or single rank: nothing to share
         }
-        // Per-link flow weight in 1/SCALE flow units (uniform sampling
-        // makes a few routes stand in for many flows).
+        // Each src injects one message per period to a uniform destination;
+        // a few sampled routes stand in for the destination spread, splitting
+        // the src's unit rate. Per-link flow weight is in 1/SCALE flow units.
         const SCALE: u64 = 64;
+        // De-phases the per-link injection schedules.
+        const BG_SEED: u64 = 1;
+        let n = nnodes;
+        let samples = (n - 1).min(8);
+        let w = (SCALE / samples as u64).max(1);
         let mut weight = vec![0u64; topo.links()];
         let mut route = Vec::new();
-        let mut flows: Vec<(usize, usize, u64)> = Vec::new();
-        let n = nnodes;
-        match job.pattern {
-            TrafficPattern::Uniform => {
-                // Each src injects one message per period to a uniform
-                // destination; a few sampled routes stand in for the
-                // destination spread, splitting the src's unit rate.
-                let samples = (n - 1).min(8);
-                let w = (SCALE / samples as u64).max(1);
-                for src in 0..n {
-                    for k in 0..samples {
-                        let r = crate::topology::mix64(job.seed ^ ((src as u64) << 20) ^ k as u64);
-                        let dst = (src + 1 + (r % (n as u64 - 1)) as usize) % n;
-                        flows.push((src, dst, w));
+        for src in 0..n {
+            for k in 0..samples {
+                let r = crate::topology::mix64(BG_SEED ^ ((src as u64) << 20) ^ k as u64);
+                let dst = (src + 1 + (r % (n as u64 - 1)) as usize) % n;
+                topo.route_into(src, dst, 0, &mut route);
+                for hop in &route {
+                    if hop.link != LINK_DEDICATED {
+                        weight[hop.link as usize] += w;
                     }
-                }
-            }
-            TrafficPattern::Incast { victim } => {
-                let v = victim % n;
-                for src in (0..n).filter(|&s| s != v) {
-                    flows.push((src, v, SCALE));
-                }
-            }
-            TrafficPattern::Permutation => {
-                for src in 0..n {
-                    let dst = (src + n / 2) % n;
-                    if dst != src {
-                        flows.push((src, dst, SCALE));
-                    }
-                }
-            }
-        }
-        for (src, dst, w) in flows {
-            topo.route_into(src, dst, 0, &mut route);
-            for hop in &route {
-                if hop.link != LINK_DEDICATED {
-                    weight[hop.link as usize] += w;
                 }
             }
         }
@@ -468,7 +417,7 @@ impl World {
             let gap = (job.period_ns.max(1).saturating_mul(SCALE) / w).max(1);
             chans[l] = LinkChan {
                 free_at: 0,
-                bg_next: crate::topology::mix64(job.seed ^ 0x6261_636b ^ l as u64) % gap,
+                bg_next: crate::topology::mix64(BG_SEED ^ 0x6261_636b ^ l as u64) % gap,
                 bg_period: gap,
                 bg_busy: busy,
             };
@@ -548,7 +497,7 @@ impl World {
             ..CausalEdge::default()
         };
         if src == dst {
-            let arrival = dma_start + busy + self.cfg.loopback_latency;
+            let arrival = dma_start + busy + LOOPBACK_LATENCY;
             return Launch {
                 dma_start,
                 arrival,
@@ -601,7 +550,6 @@ impl World {
                 phys_start: l.dma_start,
                 phys_end: l.arrival,
                 kind,
-                edge: l.edge,
             });
         }
     }
@@ -633,8 +581,7 @@ impl World {
         packet: Packet,
         user: u64,
         xfer: Option<XferId>,
-    ) -> WrId {
-        let wr = self.alloc_wr();
+    ) {
         let now = self.now();
         let mut l = self.launch(src, dst, packet.wire_bytes);
         let mut deliver = true;
@@ -682,15 +629,6 @@ impl World {
                         }
                     }
                 }
-                let deg = plan.degradation_delay(src, dst, l.dma_start);
-                if deg > 0 {
-                    inject(&mut l.arrival, deg, FaultKind::LinkDegraded { extra: deg });
-                }
-                let released_at = plan.stall_release(dst, l.arrival);
-                if released_at > l.arrival {
-                    let stall = released_at - l.arrival;
-                    inject(&mut l.arrival, stall, FaultKind::NicStalled { released_at });
-                }
                 if self.fault_rng.chance(plan.duplicate_prob) {
                     // The copy trails the original by one serialization slot.
                     dup_arrival = Some(l.arrival + l.edge.serialize_ns.max(1));
@@ -711,7 +649,6 @@ impl World {
                 Pending::SendDeliver {
                     src,
                     dst,
-                    wr,
                     user,
                     packet,
                     edge: l.edge,
@@ -723,13 +660,11 @@ impl World {
                 l.arrival,
                 Pending::SendDropComplete {
                     src,
-                    wr,
                     user,
                     edge: l.edge,
                 },
             );
         }
-        wr
     }
 
     /// Post a one-sided RDMA Write of `data` into `(dst, dst_region)` at
@@ -749,8 +684,7 @@ impl World {
         user: u64,
         notify: Option<Packet>,
         xfer: Option<XferId>,
-    ) -> WrId {
-        let wr = self.alloc_wr();
+    ) {
         let len = data.len();
         let l = self.launch(src, dst, len);
         self.record_transfer(xfer, TransferKind::RdmaWrite, src, dst, len, &l);
@@ -762,13 +696,11 @@ impl World {
                 region: dst_region,
                 off: dst_off,
                 data,
-                wr,
                 user,
                 notify,
                 edge: l.edge,
             },
         );
-        wr
     }
 
     /// Post a one-sided RDMA Read of `len` bytes from `(target, region)` at
@@ -788,7 +720,7 @@ impl World {
         user: u64,
         notify_target: Option<Packet>,
         xfer: Option<XferId>,
-    ) -> WrId {
+    ) {
         self.rdma_read_imm(
             initiator,
             target,
@@ -817,8 +749,7 @@ impl World {
         imm: [u64; 3],
         notify_target: Option<Packet>,
         xfer: Option<XferId>,
-    ) -> WrId {
-        let wr = self.alloc_wr();
+    ) {
         let now = self.now();
         let request_at = now + self.latency(initiator, target);
         self.schedule_pending(
@@ -829,14 +760,12 @@ impl World {
                 region,
                 off,
                 len,
-                wr,
                 user,
                 imm,
                 notify: notify_target,
                 xfer,
             },
         );
-        wr
     }
 
     // ---- hardware tag matching (hw-tag progress model) -------------------
@@ -861,7 +790,7 @@ impl World {
         xfer_word: u64,
         wire_user: u64,
         xfer: Option<XferId>,
-    ) -> WrId {
+    ) {
         let pkt = Packet::with_data(
             src,
             wire_bytes,
@@ -891,7 +820,7 @@ impl World {
         xfer: XferId,
         rts_user: u64,
         fin: Packet,
-    ) -> WrId {
+    ) {
         let meta = self.next_hw_meta;
         self.next_hw_meta += 1;
         self.hw_fin_meta.insert(meta, fin);
@@ -956,7 +885,6 @@ impl World {
     fn hw_deliver(&mut self, dst: usize, packet: Packet) {
         let src = packet.src;
         let edge = packet.edge;
-        self.nics[dst].packets_delivered += 1;
         match packet.ty {
             t if t == crate::packet::hw::EAGER => {
                 let tag = packet.h[0];
@@ -1011,8 +939,7 @@ impl World {
         edge: CausalEdge,
         imm: [u64; 3],
     ) {
-        let wr = self.alloc_wr();
-        self.nics[node].complete(wr, user, Some(data), imm, edge);
+        self.nics[node].complete(user, Some(data), imm, edge);
     }
 
     /// Start the NIC-initiated rendezvous pull for a matched RTS.
@@ -1057,13 +984,10 @@ impl World {
         self.nics[node].has_host_events()
     }
 
-    /// Counters for one NIC (diagnostics / utilization studies).
+    /// Backlogs of one NIC (what a poll would still find).
     pub fn nic_stats(&self, node: usize) -> NicStats {
         let nic = &self.nics[node];
         NicStats {
-            packets_delivered: nic.packets_delivered,
-            completions_generated: nic.completions_generated,
-            dma_busy_until: nic.dma_free_at,
             rx_backlog: nic.rx.len(),
             cq_backlog: nic.cq.len(),
         }
@@ -1528,10 +1452,7 @@ mod stats_tests {
         let w = world.lock();
         let s0 = w.nic_stats(0);
         let s1 = w.nic_stats(1);
-        assert_eq!(s0.completions_generated, 3);
         assert_eq!(s0.cq_backlog, 0);
-        assert_eq!(s1.packets_delivered, 3);
         assert_eq!(s1.rx_backlog, 1, "one packet intentionally unpolled");
-        assert!(s0.dma_busy_until > 0);
     }
 }

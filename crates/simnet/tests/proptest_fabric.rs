@@ -160,12 +160,10 @@ proptest! {
         let net = NetConfig {
             topology: simnet::TopologySpec::FatTree { k: 4 },
             hop_latency: 1_000,
-            background: Some(
-                simnet::BackgroundJob::builder(simnet::TrafficPattern::Uniform)
-                    .msg_bytes(4096)
-                    .period_ns(100_000)
-                    .build(),
-            ),
+            background: Some(simnet::BackgroundJob {
+                msg_bytes: 4096,
+                period_ns: 100_000,
+            }),
             ..NetConfig::default()
         };
         let a = run_sender_schedule(&sends, net.clone());
@@ -180,7 +178,10 @@ proptest! {
             net.inter_switch_extra,
             net.hop_latency,
         );
-        let floor = topo.path_latency(0, 1);
+        // Hosts 0 and 1 share an edge switch: two hops of `hop_latency`.
+        let mut route = Vec::new();
+        topo.route_into(0, 1, 0, &mut route);
+        let floor = route.len() as u64 * net.hop_latency;
         for t in &a.transfers {
             // Serialization: the idle-fabric time less the crossbar's wire.
             let serialize = net.transfer_time(t.bytes + 64) - net.wire_latency;

@@ -6,7 +6,7 @@
 //! cargo run --release --example overlap_doctor
 //! ```
 
-use overlap_core::{analyze, AdviceOpts};
+use overlap_core::analyze;
 use overlap_suite::prelude::*;
 
 /// A problematic app: rendezvous-sized halo pushes with an overlap attempt
@@ -77,10 +77,7 @@ fn main() {
             r.total.max_pct(),
             r.comm_call_time as f64 / 1e6,
         );
-        println!(
-            "{}",
-            overlap_core::advice::render(&analyze(r, &AdviceOpts::default()))
-        );
+        println!("{}", overlap_core::advice::render(&analyze(r)));
         r.clone()
     };
 
