@@ -129,8 +129,10 @@ fn cross_rank_merge_is_deterministic_across_worker_counts() {
         .find(|(k, _)| k.starts_with("attr_ns_hist/"))
         .map(|(_, h)| h)
         .expect("attribution histograms should be populated");
-    assert_eq!(
-        serde_json::to_value(hist)["edges"],
-        serde_json::to_value(&Histogram::latency_default())["edges"]
-    );
+    let edges = |h: &Histogram| -> serde_json::Value {
+        let text = serde_json::to_string(h).expect("histogram serializes");
+        let v: serde_json::Value = serde_json::from_str(&text).expect("histogram parses");
+        v["edges"].clone()
+    };
+    assert_eq!(edges(hist), edges(&Histogram::latency_default()));
 }

@@ -1,0 +1,102 @@
+//! Allocation budget of the served read path.
+//!
+//! `/report` and `/attribution.json` print what a `SessionFold` builds.
+//! `Serialize` writes its text member by member, so printing an attribution
+//! artifact allocates only as the output string grows, whatever the number
+//! of transfers; and a report allocates each metric key once, not once per
+//! cause slice. A JSON tree built before printing, or a key formatted per
+//! slice, costs thousands of calls here; this test keeps both out,
+//! independently of the (frozen) `benchmark/` ledger.
+//!
+//! One `#[test]` only: the counters are process-wide, and tests of one binary
+//! run concurrently.
+
+use overlap_core::trace::{jsonl, TraceBundle};
+use overlap_core::{
+    Clock, ManualClock, Recorder, RecorderOpts, SessionFold, WaitCause, XferTimeTable,
+};
+
+#[global_allocator]
+static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
+
+const RANKS: usize = 2;
+
+/// A fold of one scope where each of `RANKS` ranks runs `xfers`
+/// isend/compute/wait cycles over every size bin, each wait split between a
+/// late receiver pinned on the transfer and an unpinned sync, so every
+/// transfer leaves a record with several cause slices.
+fn fold(xfers: u64) -> SessionFold {
+    let mut bundle = TraceBundle {
+        scope: "budget".into(),
+        ranks: Vec::new(),
+        extras: Vec::new(),
+    };
+    for rank in 0..RANKS {
+        let clock = ManualClock::new();
+        let mut rec = Recorder::new(
+            rank,
+            Box::new(clock.clone()),
+            XferTimeTable::sample(1, 8 << 20, |b| 2_000 + b / 4),
+            RecorderOpts {
+                trace: true,
+                ..RecorderOpts::default()
+            },
+        );
+        for id in 0..xfers {
+            let bytes = 512 << (id % 7);
+            rec.call_enter("MPI_Isend");
+            rec.xfer_begin(id, bytes);
+            clock.advance(10);
+            rec.call_exit();
+            clock.advance(300);
+            rec.call_enter("MPI_Wait");
+            let t = clock.now();
+            clock.advance(5_000);
+            rec.wait_state(t, t + 3_000, WaitCause::LateReceiver, Some(id));
+            rec.wait_state(t + 3_000, t + 4_000, WaitCause::Sync, None);
+            rec.xfer_end(id, bytes);
+            rec.call_exit();
+        }
+        let (_, trace) = rec.finish_traced();
+        bundle.ranks.push(trace.expect("recorder was traced"));
+    }
+    let mut fold = SessionFold::default();
+    fold.push_text(&jsonl(&[bundle])).expect("stream folds");
+    fold
+}
+
+/// Allocator calls `f` makes.
+fn calls(f: impl FnOnce()) -> u64 {
+    let a0 = bench::alloc::snapshot();
+    f();
+    bench::alloc::region(a0, bench::alloc::snapshot()).0
+}
+
+#[test]
+fn served_artifacts_stay_inside_their_allocation_budget() {
+    for per_rank in [500, 2_000] {
+        let transfers = per_rank * RANKS as u64;
+        let fold = fold(per_rank);
+
+        let artifact = fold.attribution("budget");
+        let printed = calls(|| {
+            let text = serde_json::to_string_pretty(&artifact).expect("artifact serializes");
+            std::hint::black_box(text);
+        });
+        assert!(
+            printed <= 64,
+            "{transfers} transfers: printing the attribution artifact made {printed} \
+             allocator calls (budget 64, output growth only) — a tree is back"
+        );
+
+        let reported = calls(|| {
+            std::hint::black_box(fold.report());
+        });
+        let per_transfer = reported as f64 / transfers as f64;
+        assert!(
+            per_transfer < 10.0,
+            "{transfers} transfers: the report made {per_transfer:.1} allocator calls \
+             per transfer (budget 10) — per-slice metric keys are back"
+        );
+    }
+}

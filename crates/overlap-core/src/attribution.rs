@@ -53,8 +53,10 @@ use crate::trace::RankTrace;
 /// Why a rank was not overlapping a transfer at some moment.
 ///
 /// The first group is produced by the instrumented library at block time;
-/// the last two only by [`attribute`], closing the reconciliation sum.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+/// the last two only by [`attribute`], closing the reconciliation sum. A
+/// cause serializes as its `label()`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize)]
+#[serde(rename_all = "snake_case")]
 pub enum WaitCause {
     /// Receiver blocked before the matching send arrived (unmatched recv).
     LateSender,
@@ -139,13 +141,6 @@ impl WaitCause {
             .iter()
             .position(|&c| c == self)
             .expect("cause listed in ALL")
-    }
-}
-
-/// A cause serializes as its stable lowercase label (`late_sender`, ...).
-impl Serialize for WaitCause {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Str(self.label().to_string())
     }
 }
 
@@ -402,19 +397,29 @@ fn attribute_over<'a>(
 /// * counter `attr_xfers/<cause>` — transfers with a nonzero slice,
 /// * histogram `attr_ns_hist/<cause>` — per-transfer slice sizes on the
 ///   default latency ladder.
+///
+/// Keys are formatted into one reused buffer; the registry allocates a key
+/// only the first time it sees it.
 pub(crate) fn fold_metrics(attr: &RankAttribution, bins: &SizeBins, reg: &mut MetricsRegistry) {
+    let labels = bins.labels();
+    let mut key = String::new();
     for r in &attr.records {
-        let bin = bins.label(bins.index(r.bytes));
+        let bin = &labels[bins.index(r.bytes)];
         for s in &r.breakdown {
-            reg.inc(&format!("attr_ns/{}/{}", s.cause.label(), bin), s.ns);
-            reg.inc(&format!("attr_xfers/{}", s.cause.label()), 1);
-            reg.observe(
-                &format!("attr_ns_hist/{}", s.cause.label()),
-                s.ns,
-                Histogram::latency_default,
-            );
+            let cause = s.cause.label();
+            reg.inc(keyed(&mut key, format_args!("attr_ns/{cause}/{bin}")), s.ns);
+            reg.inc(keyed(&mut key, format_args!("attr_xfers/{cause}")), 1);
+            let hist = keyed(&mut key, format_args!("attr_ns_hist/{cause}"));
+            reg.observe(hist, s.ns, Histogram::latency_default);
         }
     }
+}
+
+/// `key`, rewritten to hold `args`.
+fn keyed<'k>(key: &'k mut String, args: std::fmt::Arguments<'_>) -> &'k str {
+    key.clear();
+    let _ = std::fmt::Write::write_fmt(key, args);
+    key
 }
 
 #[cfg(test)]
@@ -624,6 +629,14 @@ mod tests {
             s,
             "t/x;rank 0;MPI_Recv;late_sender 80\nt/x;rank 0;MPI_Wait;late_receiver 50\n"
         );
+    }
+
+    #[test]
+    fn a_cause_serializes_as_its_label() {
+        for c in WaitCause::ALL {
+            let text = serde_json::to_string(&c).unwrap();
+            assert_eq!(text, format!("\"{}\"", c.label()), "{c:?}");
+        }
     }
 
     #[test]

@@ -144,32 +144,33 @@ impl MetricsRegistry {
 
     /// Add `by` to counter `name` (creating it at 0).
     pub fn inc(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        *entry(&mut self.counters, name, || 0) += by;
     }
 
     /// Record `v` into histogram `name`, creating it with `mk` on first use.
     pub fn observe(&mut self, name: &str, v: u64, mk: impl FnOnce() -> Histogram) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(mk)
-            .observe(v);
+        entry(&mut self.histograms, name, mk).observe(v);
     }
 
     /// Fold another registry into this one: counters add, histograms merge
     /// (same-layout requirement applies per name).
     pub fn merge(&mut self, o: &MetricsRegistry) {
-        for (k, v) in &o.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &o.counters {
+            self.inc(k, v);
         }
         for (k, h) in &o.histograms {
-            match self.histograms.entry(k.clone()) {
-                std::collections::btree_map::Entry::Vacant(e) => {
-                    e.insert(h.clone());
-                }
-                std::collections::btree_map::Entry::Occupied(mut e) => e.get_mut().merge(h),
-            }
+            entry(&mut self.histograms, k, || Histogram::new(h.edges.clone())).merge(h);
         }
     }
+}
+
+/// `map[name]`, inserted as `mk()` when absent. The key is allocated only
+/// then: a fold hits the same few keys once per transfer.
+fn entry<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, mk: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), mk());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 #[cfg(test)]

@@ -187,7 +187,9 @@ fn concurrent_pushes_then_live_endpoints_match_local_fold() {
             }
         }
     }
-    assert_eq!(fleet.field("total"), &serde_json::to_value(&total));
+    let total: serde_json::Value =
+        serde_json::from_str(&serde_json::to_string(&total).unwrap()).unwrap();
+    assert_eq!(fleet.field("total"), &total);
 
     let (st, _) = http(&addr, "GET", "/v1/sessions/nope/report", b"");
     assert_eq!(st, 404);
