@@ -14,59 +14,42 @@ use crate::class::Class;
 use crate::grid::grid2;
 use crate::model::{flops_ns, CG_MATVEC_FLOPS, CG_VECTOR_FLOPS};
 
-/// CG workload parameters.
-#[derive(Debug, Clone)]
-pub struct CgParams {
-    /// Problem class.
-    pub class: Class,
-    /// Outer iterations (scaled from NPB's 15/75).
-    pub iterations: usize,
-    /// Inner CG iterations per outer step (NPB uses 25).
-    pub inner: usize,
+/// Outer iterations (scaled from NPB's 15/75).
+const ITERATIONS: usize = 2;
+/// Inner CG iterations per outer step (NPB uses 25).
+const INNER: usize = 10;
+
+/// Matrix dimension `na` (NPB 3.x).
+fn na(class: Class) -> usize {
+    match class {
+        Class::S => 1400,
+        Class::W => 7000,
+        Class::A => 14000,
+        Class::B => 75000,
+    }
 }
 
-impl CgParams {
-    /// CG at the given class with scaled iterations.
-    pub fn new(class: Class) -> Self {
-        CgParams {
-            class,
-            iterations: 2,
-            inner: 10,
-        }
-    }
-
-    /// Matrix dimension `na` (NPB 3.x).
-    pub fn na(&self) -> usize {
-        match self.class {
-            Class::S => 1400,
-            Class::W => 7000,
-            Class::A => 14000,
-            Class::B => 75000,
-        }
-    }
-
-    /// Nonzeros per row (NPB `nonzer`+1 band estimate).
-    pub fn nonzer(&self) -> usize {
-        match self.class {
-            Class::S => 7,
-            Class::W => 8,
-            Class::A => 11,
-            Class::B => 13,
-        }
+/// Nonzeros per row (NPB `nonzer`+1 band estimate).
+fn nonzer(class: Class) -> usize {
+    match class {
+        Class::S => 7,
+        Class::W => 8,
+        Class::A => 11,
+        Class::B => 13,
     }
 }
 
 /// Run CG on the given MPI endpoint. `mpi.nranks()` must be a power of two.
-pub fn run_cg(mpi: &mut Mpi, p: &CgParams) {
+pub(crate) fn run_cg(mpi: &mut Mpi, class: Class) {
     let np = mpi.nranks();
     let (nrows, ncols) = grid2(np);
     let me = mpi.rank();
     let (my_row, my_col) = (me / ncols, me % ncols);
-    let na = p.na();
+    let (na, nonzer) = (na(class), nonzer(class));
 
     // Local vector slice and nonzero share.
     let vec_elems = na / ncols; // elements exchanged in the transpose step
-    let nnz_local = (na * p.nonzer() * (p.nonzer() + 1)) / np;
+    let nnz_local = (na * nonzer * (nonzer + 1)) / np;
     let matvec_ns = flops_ns(nnz_local as f64 * CG_MATVEC_FLOPS);
     let vector_ns = flops_ns((na / nrows) as f64 * CG_VECTOR_FLOPS);
 
@@ -82,9 +65,9 @@ pub fn run_cg(mpi: &mut Mpi, p: &CgParams) {
     // The halving rounds send ever shorter prefixes of this one buffer.
     let halving = Bytes::from(vec![3u8; exch_bytes.max(8)]);
 
-    for outer in 0..p.iterations {
-        for inner in 0..p.inner {
-            let tag = ((outer * p.inner + inner) as u64) << 8;
+    for outer in 0..ITERATIONS {
+        for inner in 0..INNER {
+            let tag = ((outer * INNER + inner) as u64) << 8;
             // Sparse matvec on the local block.
             mpi.compute(matvec_ns);
             // Row-wise sum reduction of the result vector: recursive
@@ -137,5 +120,18 @@ pub fn run_cg(mpi: &mut Mpi, p: &CgParams) {
         }
         // Residual norm across all ranks.
         mpi.allreduce(&[outer as f64], simmpi::ReduceOp::Sum);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cg_sizes_match_npb() {
+        assert_eq!(na(Class::A), 14000);
+        assert_eq!(nonzer(Class::A), 11);
+        assert_eq!(na(Class::B), 75000);
+        assert_eq!(nonzer(Class::B), 13);
     }
 }

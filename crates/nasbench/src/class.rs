@@ -1,10 +1,8 @@
 //! NPB problem classes.
 
-use serde::{Deserialize, Serialize};
-
 /// NAS problem class. Geometry per benchmark follows the NPB 3.x tables;
 /// see each kernel module for its sizes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Class {
     /// Sample (tiny) size.
     S,
@@ -16,26 +14,15 @@ pub enum Class {
     B,
 }
 
-impl Class {
-    /// One-letter label.
-    pub fn letter(&self) -> char {
-        match self {
+impl std::fmt::Display for Class {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let letter = match self {
             Class::S => 'S',
             Class::W => 'W',
             Class::A => 'A',
             Class::B => 'B',
-        }
-    }
-
-    /// All classes, smallest first.
-    pub fn all() -> [Class; 4] {
-        [Class::S, Class::W, Class::A, Class::B]
-    }
-}
-
-impl std::fmt::Display for Class {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.letter())
+        };
+        write!(f, "{letter}")
     }
 }
 
@@ -45,8 +32,7 @@ mod tests {
 
     #[test]
     fn letters() {
-        assert_eq!(Class::A.letter(), 'A');
+        assert_eq!(Class::A.to_string(), "A");
         assert_eq!(format!("{}", Class::B), "B");
-        assert_eq!(Class::all().len(), 4);
     }
 }

@@ -11,36 +11,23 @@ use simmpi::{Mpi, ReduceOp};
 use crate::class::Class;
 use crate::model::{flops_ns, EP_PAIR_FLOPS};
 
-/// EP workload parameters.
-#[derive(Debug, Clone)]
-pub struct EpParams {
-    /// Problem class (2^m random pairs).
-    pub class: Class,
-    /// Scale divisor on the pair count (the full 2^28 would be minutes of
-    /// virtual time to no benefit).
-    pub scale: usize,
-}
+/// Scale divisor on the pair count (the full 2^28 would be minutes of
+/// virtual time to no benefit).
+const SCALE: u64 = 64;
 
-impl EpParams {
-    /// EP at the given class.
-    pub fn new(class: Class) -> Self {
-        EpParams { class, scale: 64 }
-    }
-
-    /// log2 of the pair count (NPB 3.x).
-    pub fn m(&self) -> u32 {
-        match self.class {
-            Class::S => 24,
-            Class::W => 25,
-            Class::A => 28,
-            Class::B => 30,
-        }
+/// log2 of the pair count (NPB 3.x).
+pub(crate) fn m(class: Class) -> u32 {
+    match class {
+        Class::S => 24,
+        Class::W => 25,
+        Class::A => 28,
+        Class::B => 30,
     }
 }
 
 /// Run EP on the given MPI endpoint.
-pub fn run_ep(mpi: &mut Mpi, p: &EpParams) {
-    let pairs = (1u64 << p.m()) / (p.scale as u64 * mpi.nranks() as u64);
+pub(crate) fn run_ep(mpi: &mut Mpi, class: Class) {
+    let pairs = (1u64 << m(class)) / (SCALE * mpi.nranks() as u64);
     // Generate pairs in chunks (NPB batches by 2^16).
     let chunks = 16u64;
     for _ in 0..chunks {

@@ -20,72 +20,40 @@ use simmpi::{Bytes, Mpi, ReduceOp};
 use crate::class::Class;
 use crate::model::{flops_ns, FT_EVOLVE_FLOPS, FT_FFT_FLOPS_PER_POINT};
 
-/// FT workload parameters.
-#[derive(Debug, Clone)]
-pub struct FtParams {
-    /// Problem class.
-    pub class: Class,
-    /// Iterations (NPB: 6 for A, 20 for B; scaled).
-    pub iterations: usize,
-    /// Volume divisor applied to *message payloads only*.
-    pub vol_scale: usize,
-    /// Use the non-blocking transpose (`MPI_Ialltoall` overlapped with the
-    /// local FFT passes) — the fix the paper's FT analysis motivates.
-    pub nonblocking: bool,
+/// Iterations (NPB: 6 for A, 20 for B; scaled).
+const ITERATIONS: usize = 3;
+
+/// Grid points `nx·ny·nz` (NPB 3.x dimensions).
+fn points(class: Class) -> usize {
+    let (nx, ny, nz) = match class {
+        Class::S => (64, 64, 64),
+        Class::W => (128, 128, 32),
+        Class::A => (256, 256, 128),
+        Class::B => (512, 256, 256),
+    };
+    nx * ny * nz
 }
 
-impl FtParams {
-    /// FT at the given class with scaled iterations and a memory-safe
-    /// payload scale.
-    pub fn new(class: Class) -> Self {
-        let vol_scale = match class {
-            Class::S | Class::W => 1,
-            Class::A => 4,
-            Class::B => 8,
-        };
-        FtParams {
-            class,
-            iterations: 3,
-            vol_scale,
-            nonblocking: false,
-        }
-    }
-
-    /// The non-blocking-transpose variant.
-    pub fn nonblocking(class: Class) -> Self {
-        FtParams {
-            nonblocking: true,
-            ..FtParams::new(class)
-        }
-    }
-
-    /// Grid dimensions `(nx, ny, nz)` (NPB 3.x).
-    pub fn dims(&self) -> (usize, usize, usize) {
-        match self.class {
-            Class::S => (64, 64, 64),
-            Class::W => (128, 128, 32),
-            Class::A => (256, 256, 128),
-            Class::B => (512, 256, 256),
-        }
-    }
-
-    /// Total grid points.
-    pub fn points(&self) -> usize {
-        let (x, y, z) = self.dims();
-        x * y * z
-    }
+/// Alltoall block: the local slab re-split across all `np` ranks, complex
+/// f64 (16 B per point), divided by the class's memory-safe `vol_scale`.
+fn block_bytes(class: Class, np: usize) -> usize {
+    let vol_scale = match class {
+        Class::S | Class::W => 1,
+        Class::A => 4,
+        Class::B => 8,
+    };
+    (points(class) * 16) / (np * np * vol_scale)
 }
 
-/// Run FT on the given MPI endpoint.
-pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
+/// Run FT on the given MPI endpoint; `nonblocking` selects the
+/// non-blocking transpose (`MPI_Ialltoall` overlapped with the local FFT
+/// passes) — the fix the paper's FT analysis motivates.
+pub(crate) fn run_ft(mpi: &mut Mpi, class: Class, nonblocking: bool) {
     let np = mpi.nranks();
     let me = mpi.rank();
-    let points = p.points();
-    let local_points = points / np;
+    let local_points = points(class) / np;
 
-    // Alltoall block: the local slab re-split across all ranks, complex f64
-    // (16 B per point), payload-scaled.
-    let block_bytes = (points * 16) / (np * np * p.vol_scale);
+    let block_bytes = block_bytes(class, np);
     let fft_ns = flops_ns(local_points as f64 * FT_FFT_FLOPS_PER_POINT);
     let evolve_ns = flops_ns(local_points as f64 * FT_EVOLVE_FLOPS);
 
@@ -99,13 +67,13 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         .map(|d| Bytes::from(vec![(me * np + d) as u8; block_bytes]))
         .collect();
 
-    for _ in 0..p.iterations {
+    for _ in 0..ITERATIONS {
         // evolve: pointwise exponential factors.
         mpi.compute(evolve_ns);
         // Local FFT passes over the owned slab.
         mpi.compute(fft_ns);
         // Global transpose.
-        let got = if p.nonblocking {
+        let got = if nonblocking {
             // Initiate the transpose, overlap the next FFT pass against it
             // (probing to drive the progress engine), then complete.
             let h = mpi.ialltoall(&blocks);
@@ -127,7 +95,7 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         }
         // Second local FFT pass after the transpose (already spent in the
         // non-blocking variant, which folds it into the overlap window).
-        if !p.nonblocking {
+        if !nonblocking {
             mpi.compute(fft_ns);
         }
         // Checksum: short reduction + broadcast of the verification value.
@@ -135,5 +103,18 @@ pub fn run_ft(mpi: &mut Mpi, p: &FtParams) {
         let mut chk = Bytes::from(sum.map_or_else(Vec::new, |s| s[0].to_le_bytes().to_vec()));
         mpi.bcast(0, &mut chk);
         assert_eq!(chk.len(), 8);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ft_dims_and_scaling() {
+        assert_eq!(points(Class::A), 256 * 256 * 128);
+        assert_eq!(points(Class::B), 512 * 256 * 256);
+        // Payload scaling preserves the class ordering of message sizes.
+        assert!(block_bytes(Class::B, 4) > block_bytes(Class::A, 4));
     }
 }

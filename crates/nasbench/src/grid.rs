@@ -2,7 +2,7 @@
 
 /// Side of the square process grid required by BT/SP. Panics if `np` is not
 /// a perfect square (matching NPB's requirement).
-pub fn square_side(np: usize) -> usize {
+pub(crate) fn square_side(np: usize) -> usize {
     try_square_side(np).unwrap_or_else(|| panic!("BT/SP require a square process count, got {np}"))
 }
 
@@ -14,7 +14,7 @@ pub(crate) fn try_square_side(np: usize) -> Option<usize> {
 
 /// Near-square 2-D factorization for power-of-two counts (CG/LU style):
 /// returns `(rows, cols)` with `cols == rows` or `cols == 2 * rows`.
-pub fn grid2(np: usize) -> (usize, usize) {
+pub(crate) fn grid2(np: usize) -> (usize, usize) {
     assert!(
         np.is_power_of_two(),
         "CG/LU require a power-of-two count, got {np}"
@@ -26,7 +26,7 @@ pub fn grid2(np: usize) -> (usize, usize) {
 
 /// 3-D factorization for power-of-two counts (MG style): splits factors of
 /// two across dimensions round-robin; returns `(px, py, pz)`.
-pub fn grid3(np: usize) -> (usize, usize, usize) {
+pub(crate) fn grid3(np: usize) -> (usize, usize, usize) {
     assert!(
         np.is_power_of_two(),
         "MG requires a power-of-two count, got {np}"
@@ -43,20 +43,25 @@ pub fn grid3(np: usize) -> (usize, usize, usize) {
 }
 
 /// Coordinates of `rank` in a `(px, py, pz)` grid, x fastest.
-pub fn coords3(rank: usize, dims: (usize, usize, usize)) -> (usize, usize, usize) {
+fn coords3(rank: usize, dims: (usize, usize, usize)) -> (usize, usize, usize) {
     let (px, py, _) = dims;
     (rank % px, (rank / px) % py, rank / (px * py))
 }
 
 /// Rank of `(x, y, z)` in a `(px, py, pz)` grid, x fastest.
-pub fn rank3(c: (usize, usize, usize), dims: (usize, usize, usize)) -> usize {
+fn rank3(c: (usize, usize, usize), dims: (usize, usize, usize)) -> usize {
     let (px, py, _) = dims;
     c.0 + c.1 * px + c.2 * px * py
 }
 
 /// Neighbor of `rank` along `axis` (0..3) in direction `dir` (±1), with
 /// periodic wrap.
-pub fn neighbor3(rank: usize, dims: (usize, usize, usize), axis: usize, dir: isize) -> usize {
+pub(crate) fn neighbor3(
+    rank: usize,
+    dims: (usize, usize, usize),
+    axis: usize,
+    dir: isize,
+) -> usize {
     let mut c = [0usize; 3];
     let (cx, cy, cz) = coords3(rank, dims);
     c[0] = cx;

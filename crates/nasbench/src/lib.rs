@@ -18,30 +18,29 @@
 //!
 //! Iteration counts are scaled down from the NPB defaults (virtual-time
 //! results are per-iteration steady state, so overlap percentages are
-//! insensitive to the count); the `*Params::iterations` fields hold the
-//! scaled defaults and can be raised.
+//! insensitive to the count); each kernel module states its count.
 //!
-//! The SP kernel has the paper's two variants: the **original** (Irecv +
-//! monolithic compute + Wait in the solve sweeps) and the **modified** one
-//! with `MPI_Iprobe` calls sprinkled through the overlap-section computation
-//! (Sec. 4.3). MG has three variants: MPI, ARMCI blocking, and ARMCI
-//! non-blocking (Sec. 4.4).
+//! SP has the paper's two variants: the **original** (Irecv + monolithic
+//! compute + Wait in the solve sweeps) and the **modified** one with
+//! `MPI_Iprobe` calls sprinkled through the overlap-section computation
+//! (Sec. 4.3). BT is SP's multipartition sweep with BT's block sizes and
+//! without the overlap attempt: each stage receives, then computes. MG runs
+//! over MPI and in two ARMCI variants, blocking and non-blocking
+//! (Sec. 4.4).
 
-pub mod bt;
-pub mod cg;
-pub mod class;
-pub mod ep;
-pub mod ft;
-pub mod grid;
-pub mod is;
-pub mod lu;
-pub mod mg;
-pub mod model;
+mod cg;
+mod class;
+mod ep;
+mod ft;
+mod grid;
+mod is;
+mod lu;
+mod mg;
+mod model;
 pub mod runner;
 pub mod sp;
 
 pub use class::Class;
-pub use runner::{NasSummary, SectionSummary};
 
 /// True when every byte of a received block is `v`. No early exit, so the
 /// loop vectorises: this check is most of what FT and IS cost the host.

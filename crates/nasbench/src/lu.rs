@@ -15,38 +15,22 @@ use crate::class::Class;
 use crate::grid::grid2;
 use crate::model::{flops_ns, LU_PLANE_FLOPS, LU_RHS_FLOPS};
 
-/// LU workload parameters.
-#[derive(Debug, Clone)]
-pub struct LuParams {
-    /// Problem class (grid is `n³`).
-    pub class: Class,
-    /// SSOR iterations (scaled from NPB's 250).
-    pub iterations: usize,
-}
+/// SSOR iterations (scaled from NPB's 250).
+const ITERATIONS: usize = 2;
 
-impl LuParams {
-    /// LU at the given class with scaled iterations.
-    pub fn new(class: Class) -> Self {
-        LuParams {
-            class,
-            iterations: 2,
-        }
-    }
-
-    /// Grid points per side.
-    pub fn n(&self) -> usize {
-        match self.class {
-            Class::S => 12,
-            Class::W => 33,
-            Class::A => 64,
-            Class::B => 102,
-        }
+/// Grid points per side.
+fn n(class: Class) -> usize {
+    match class {
+        Class::S => 12,
+        Class::W => 33,
+        Class::A => 64,
+        Class::B => 102,
     }
 }
 
 /// Run LU on the given MPI endpoint. `mpi.nranks()` must be a power of two.
-pub fn run_lu(mpi: &mut Mpi, p: &LuParams) {
-    let n = p.n();
+pub(crate) fn run_lu(mpi: &mut Mpi, class: Class) {
+    let n = n(class);
     let np = mpi.nranks();
     let (py, px) = grid2(np);
     let me = mpi.rank();
@@ -68,7 +52,7 @@ pub fn run_lu(mpi: &mut Mpi, p: &LuParams) {
     let west = (my_x > 0).then(|| my_y * px + my_x - 1);
     let east = (my_x + 1 < px).then(|| my_y * px + my_x + 1);
 
-    for iter in 0..p.iterations {
+    for iter in 0..ITERATIONS {
         let tag_base = (iter as u64) << 32;
 
         // rhs evaluation with full-face halo exchanges (exchange_3): larger
@@ -127,5 +111,16 @@ pub fn run_lu(mpi: &mut Mpi, p: &LuParams) {
 
         // Residual norms.
         mpi.allreduce(&[1.0, 2.0, 3.0, 4.0, 5.0], simmpi::ReduceOp::Sum);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn lu_class_geometry_matches_npb() {
+        assert_eq!(n(Class::W), 33);
+        assert_eq!(n(Class::A), 64);
     }
 }

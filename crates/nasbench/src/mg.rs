@@ -1,4 +1,4 @@
-//! NAS MG (multigrid), in three communication variants (paper Sec. 4.4).
+//! NAS MG (multigrid), over MPI and in two ARMCI variants (paper Sec. 4.4).
 //!
 //! V-cycle over an `n³` grid, 3-D process decomposition. Every level visit
 //! smooths/restricts/prolongates locally and exchanges ghost faces with the
@@ -6,9 +6,9 @@
 //! so MG produces a *geometric ladder* of message sizes.
 //!
 //! Variants:
-//! * [`MgVariant::Mpi`] — NPB 2.4-style `Irecv`/`Send`/`Wait` per axis,
-//! * [`MgVariant::ArmciBlocking`] — `ARMCI_Put` per face, host-blocked,
-//! * [`MgVariant::ArmciNonBlocking`] — `ARMCI_NbPut` issued for the next
+//! * `run_mg_mpi` — NPB 2.4-style `Irecv`/`Send`/`Wait` per axis,
+//! * `MgVariant::ArmciBlocking` — `ARMCI_Put` per face, host-blocked,
+//! * `MgVariant::ArmciNonBlocking` — `ARMCI_NbPut` issued for the next
 //!   axis before working on the current axis's data (the optimization of
 //!   Tipparaju et al. \[29\] whose overlap the paper quantifies at ~99 %).
 
@@ -19,49 +19,31 @@ use crate::class::Class;
 use crate::grid::{grid3, neighbor3};
 use crate::model::{flops_ns, MG_POINT_FLOPS};
 
-/// Which communication system MG runs on.
+/// V-cycle iterations (NPB: 4 for A, 20 for B; scaled).
+const ITERATIONS: usize = 2;
+
+/// Which one-sided discipline the ARMCI variant uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MgVariant {
-    /// Two-sided message passing.
-    Mpi,
+pub(crate) enum MgVariant {
     /// One-sided blocking puts.
     ArmciBlocking,
     /// One-sided non-blocking puts issued a dimension ahead.
     ArmciNonBlocking,
 }
 
-/// MG workload parameters.
-#[derive(Debug, Clone)]
-pub struct MgParams {
-    /// Problem class (grid is `n³`).
-    pub class: Class,
-    /// V-cycle iterations (NPB: 4 for A, 20 for B; scaled).
-    pub iterations: usize,
+/// Grid points per side.
+fn n(class: Class) -> usize {
+    match class {
+        Class::S => 32,
+        Class::W => 128,
+        Class::A => 256,
+        Class::B => 256,
+    }
 }
 
-impl MgParams {
-    /// MG at the given class with scaled iterations.
-    pub fn new(class: Class) -> Self {
-        MgParams {
-            class,
-            iterations: 2,
-        }
-    }
-
-    /// Grid points per side.
-    pub fn n(&self) -> usize {
-        match self.class {
-            Class::S => 32,
-            Class::W => 128,
-            Class::A => 256,
-            Class::B => 256,
-        }
-    }
-
-    /// Number of multigrid levels (down to a 4³ global grid).
-    pub fn levels(&self) -> usize {
-        (self.n().trailing_zeros() as usize).saturating_sub(1)
-    }
+/// Number of multigrid levels (down to a 4³ global grid).
+fn levels(class: Class) -> usize {
+    (n(class).trailing_zeros() as usize).saturating_sub(1)
 }
 
 struct MgGeometry {
@@ -72,15 +54,15 @@ struct MgGeometry {
     point_ns_finest: u64,
 }
 
-fn geometry(np: usize, p: &MgParams) -> MgGeometry {
-    let n = p.n();
+fn geometry(np: usize, class: Class) -> MgGeometry {
+    let n = n(class);
     let dims = grid3(np);
     let local = [n / dims.0, n / dims.1, n / dims.2];
     let local_points = (local[0] * local[1] * local[2]) as f64;
     MgGeometry {
         dims,
         local,
-        levels: p.levels(),
+        levels: levels(class),
         point_ns_finest: flops_ns(local_points * MG_POINT_FLOPS),
     }
 }
@@ -106,10 +88,10 @@ fn v_cycle(levels: usize) -> Vec<usize> {
 }
 
 /// Run the MPI variant.
-pub fn run_mg_mpi(mpi: &mut Mpi, p: &MgParams) {
-    let g = geometry(mpi.nranks(), p);
+pub(crate) fn run_mg_mpi(mpi: &mut Mpi, class: Class) {
+    let g = geometry(mpi.nranks(), class);
     let me = mpi.rank();
-    for iter in 0..p.iterations {
+    for iter in 0..ITERATIONS {
         for (visit, level) in v_cycle(g.levels).into_iter().enumerate() {
             let tag_base = ((iter * 1000 + visit) as u64) << 16;
             // comm3: exchange both faces along each axis, then smooth.
@@ -134,39 +116,21 @@ pub fn run_mg_mpi(mpi: &mut Mpi, p: &MgParams) {
     }
 }
 
-/// Offsets into the shared segment for ghost faces: each (axis, direction)
-/// pair gets a disjoint slot sized for the finest face; coarser levels
-/// reuse their slot (ghost writes of different levels never coexist within
-/// a V-cycle step).
-fn ghost_offset(g: &MgGeometry, axis: usize, dir: usize, _level: usize) -> usize {
-    let slot = axis * 2 + dir;
-    let finest = face_bytes(g, 0, 0)
-        .max(face_bytes(g, 1, 0))
-        .max(face_bytes(g, 2, 0));
-    slot * finest
-}
-
-/// Segment size needed for the ghost slots.
-fn segment_len(g: &MgGeometry) -> usize {
-    let finest = face_bytes(g, 0, 0)
-        .max(face_bytes(g, 1, 0))
-        .max(face_bytes(g, 2, 0));
-    6 * finest
-}
-
-/// Run an ARMCI variant (blocking or non-blocking).
-pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
-    assert_ne!(
-        variant,
-        MgVariant::Mpi,
-        "use run_mg_mpi for the MPI variant"
-    );
-    let g = geometry(a.nranks(), p);
+/// Run an ARMCI variant.
+pub(crate) fn run_mg_armci(a: &mut Armci, class: Class, variant: MgVariant) {
+    let g = geometry(a.nranks(), class);
     let me = a.rank();
-    let mem = a.malloc(segment_len(&g));
+    // Each (axis, direction) pair owns a disjoint ghost slot of the shared
+    // segment, sized for the finest face: slot `2 * axis + dir`. Coarser
+    // levels reuse their slot (ghost writes of different levels never
+    // coexist within a V-cycle step).
+    let slot = face_bytes(&g, 0, 0)
+        .max(face_bytes(&g, 1, 0))
+        .max(face_bytes(&g, 2, 0));
+    let mem = a.malloc(6 * slot);
     a.barrier();
 
-    for _ in 0..p.iterations {
+    for _ in 0..ITERATIONS {
         for level in v_cycle(g.levels) {
             let compute = level_compute_ns(&g, level);
             match variant {
@@ -180,8 +144,8 @@ pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
                         }
                         let bytes = face_bytes(&g, axis, level);
                         let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
-                        a.put(&mem, plus, ghost_offset(&g, axis, 0, level), &buf);
-                        a.put(&mem, minus, ghost_offset(&g, axis, 1, level), &buf);
+                        a.put(&mem, plus, 2 * axis * slot, &buf);
+                        a.put(&mem, minus, (2 * axis + 1) * slot, &buf);
                         a.barrier();
                         a.compute(compute / 3);
                     }
@@ -189,25 +153,15 @@ pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
                 MgVariant::ArmciNonBlocking => {
                     // Issue the next dimension's update *before* working on
                     // the current dimension's data (Tipparaju et al.).
-                    let mut pending: Vec<simarmci::NbHandle> = Vec::new();
+                    let mut pending = Vec::new();
                     for axis in 0..3 {
                         let minus = neighbor3(me, g.dims, axis, -1);
                         let plus = neighbor3(me, g.dims, axis, 1);
                         if plus != me {
                             let bytes = face_bytes(&g, axis, level);
                             let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
-                            pending.push(a.nb_put(
-                                &mem,
-                                plus,
-                                ghost_offset(&g, axis, 0, level),
-                                &buf,
-                            ));
-                            pending.push(a.nb_put(
-                                &mem,
-                                minus,
-                                ghost_offset(&g, axis, 1, level),
-                                &buf,
-                            ));
+                            pending.push(a.nb_put(&mem, plus, 2 * axis * slot, &buf));
+                            pending.push(a.nb_put(&mem, minus, (2 * axis + 1) * slot, &buf));
                         }
                         // Work on the *previous* dimension's data while the
                         // puts fly.
@@ -218,9 +172,21 @@ pub fn run_mg_armci(a: &mut Armci, p: &MgParams, variant: MgVariant) {
                     }
                     a.barrier();
                 }
-                MgVariant::Mpi => unreachable!(),
             }
         }
         a.allreduce_sum(&[1.0]);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn mg_levels_reach_coarse_grid() {
+        assert_eq!(n(Class::A), 256);
+        assert_eq!(levels(Class::A), 7); // 256 -> 4 in factor-of-two steps
+        assert_eq!(n(Class::S), 32);
+        assert_eq!(levels(Class::S), 4);
     }
 }

@@ -58,8 +58,8 @@ impl NasBenchmark {
     }
 
     /// Whether `np` ranks can run this benchmark: at least one, and of the
-    /// shape its decomposition in [`crate::grid`] asserts. The error names
-    /// the requirement in one line.
+    /// shape its process-grid decomposition asserts. The error names the
+    /// requirement in one line.
     pub fn check_np(&self, np: usize) -> Result<(), String> {
         use NasBenchmark::*;
         let name = self.name();
@@ -159,50 +159,30 @@ pub fn run_benchmark_cfg(
     mpi_cfg: MpiConfig,
     rec: RecorderOpts,
 ) -> Result<RunArtifacts, SimError> {
-    use crate::{bt, cg, ep, ft, is, lu, mg, sp};
-    let body = match bench {
-        NasBenchmark::Bt => mpi_body(bt::BtParams::new(class), bt::run_bt),
-        NasBenchmark::Cg => mpi_body(cg::CgParams::new(class), cg::run_cg),
-        NasBenchmark::Lu => mpi_body(lu::LuParams::new(class), lu::run_lu),
-        NasBenchmark::Ft => mpi_body(ft::FtParams::new(class), ft::run_ft),
-        NasBenchmark::FtNb => mpi_body(ft::FtParams::nonblocking(class), ft::run_ft),
-        NasBenchmark::Sp => mpi_body(sp::SpParams::original(class), sp::run_sp),
-        NasBenchmark::SpModified => mpi_body(sp::SpParams::modified(class), sp::run_sp),
-        NasBenchmark::MgMpi => mpi_body(mg::MgParams::new(class), mg::run_mg_mpi),
+    use crate::{cg, ep, ft, is, lu, mg, sp};
+    let body: Box<dyn Fn(&mut Mpi) + Send + Sync> = match bench {
+        NasBenchmark::Bt => Box::new(move |mpi| sp::run_bt(mpi, class)),
+        NasBenchmark::Cg => Box::new(move |mpi| cg::run_cg(mpi, class)),
+        NasBenchmark::Lu => Box::new(move |mpi| lu::run_lu(mpi, class)),
+        NasBenchmark::Ft => Box::new(move |mpi| ft::run_ft(mpi, class, false)),
+        NasBenchmark::FtNb => Box::new(move |mpi| ft::run_ft(mpi, class, true)),
+        NasBenchmark::Sp => Box::new(move |mpi| sp::run_sp(mpi, class, 0)),
+        NasBenchmark::SpModified => {
+            Box::new(move |mpi| sp::run_sp(mpi, class, sp::MODIFIED_IPROBES))
+        }
+        NasBenchmark::MgMpi => Box::new(move |mpi| mg::run_mg_mpi(mpi, class)),
         NasBenchmark::MgArmciBlocking | NasBenchmark::MgArmciNonBlocking => {
-            let p = mg::MgParams::new(class);
             let variant = match bench {
                 NasBenchmark::MgArmciBlocking => MgVariant::ArmciBlocking,
                 _ => MgVariant::ArmciNonBlocking,
             };
-            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, &p, variant))
+            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, class, variant))
                 .map(RunArtifacts::Armci);
         }
-        NasBenchmark::Ep => mpi_body(ep::EpParams::new(class), ep::run_ep),
-        NasBenchmark::Is => mpi_body(is::IsParams::new(class), is::run_is),
+        NasBenchmark::Ep => Box::new(move |mpi| ep::run_ep(mpi, class)),
+        NasBenchmark::Is => Box::new(move |mpi| is::run_is(mpi, class)),
     };
     run_mpi(np, net, mpi_cfg, rec, body).map(RunArtifacts::Mpi)
-}
-
-/// A kernel bound to its parameters, as the rank body [`run_mpi`] takes.
-fn mpi_body<P: Send + Sync + 'static>(
-    p: P,
-    kernel: fn(&mut Mpi, &P),
-) -> Box<dyn Fn(&mut Mpi) + Send + Sync> {
-    Box::new(move |mpi| kernel(mpi, &p))
-}
-
-/// Summary of one monitored section for process 0.
-#[derive(Debug, Clone)]
-pub struct SectionSummary {
-    /// Section name.
-    pub name: String,
-    /// Minimum overlap percentage.
-    pub min_pct: f64,
-    /// Maximum overlap percentage.
-    pub max_pct: f64,
-    /// Transfers attributed to the section.
-    pub transfers: u64,
 }
 
 /// Headline numbers for one benchmark run (process 0, as the paper
@@ -223,14 +203,10 @@ pub struct NasSummary {
     pub data_transfer_ms: f64,
     /// Aggregate communication call time ("MPI time"), ms.
     pub comm_call_ms: f64,
-    /// Aggregate user computation time, ms.
-    pub compute_ms: f64,
     /// Elapsed virtual time, ms.
     pub elapsed_ms: f64,
     /// Data transfers counted.
     pub transfers: u64,
-    /// Monitored sections.
-    pub sections: Vec<SectionSummary>,
 }
 
 /// Summarize process 0 of a run.
@@ -244,18 +220,7 @@ pub fn summarize(bench: NasBenchmark, class: Class, np: usize, art: &RunArtifact
         max_pct: r.total.max_pct(),
         data_transfer_ms: r.total.data_transfer_time as f64 / 1e6,
         comm_call_ms: r.comm_call_time as f64 / 1e6,
-        compute_ms: r.user_compute_time as f64 / 1e6,
         elapsed_ms: r.elapsed as f64 / 1e6,
         transfers: r.total.transfers,
-        sections: r
-            .sections
-            .iter()
-            .map(|(name, s)| SectionSummary {
-                name: name.clone(),
-                min_pct: s.total.min_pct(),
-                max_pct: s.total.max_pct(),
-                transfers: s.total.transfers,
-            })
-            .collect(),
     }
 }

@@ -109,24 +109,15 @@ fn cg_overlaps_more_than_bt() {
 
 #[test]
 fn sp_modification_improves_overlap_section() {
-    let orig = summarize(
-        NasBenchmark::Sp,
-        Class::A,
-        9,
-        &run(NasBenchmark::Sp, Class::A, 9),
-    );
-    let modified = summarize(
-        NasBenchmark::SpModified,
-        Class::A,
-        9,
-        &run(NasBenchmark::SpModified, Class::A, 9),
-    );
-    let sec = |s: &nasbench::NasSummary| {
-        s.sections
-            .iter()
-            .find(|x| x.name == nasbench::sp::SP_OVERLAP_SECTION)
+    let orig = run(NasBenchmark::Sp, Class::A, 9);
+    let modified = run(NasBenchmark::SpModified, Class::A, 9);
+    let sec = |art: &RunArtifacts| {
+        art.reports()[0]
+            .sections
+            .get(nasbench::sp::SP_OVERLAP_SECTION)
             .expect("overlap section monitored")
-            .max_pct
+            .total
+            .max_pct()
     };
     let (o, m) = (sec(&orig), sec(&modified));
     assert!(
@@ -135,11 +126,12 @@ fn sp_modification_improves_overlap_section() {
     );
     assert!(m > 80.0, "modified section overlap should be high, got {m}");
     // The whole-code MPI time must drop too (paper Fig. 18).
+    let (orig, modified) = (&orig.reports()[0], &modified.reports()[0]);
     assert!(
-        modified.comm_call_ms < orig.comm_call_ms,
+        modified.comm_call_time < orig.comm_call_time,
         "MPI time should drop: {} -> {}",
-        orig.comm_call_ms,
-        modified.comm_call_ms
+        orig.comm_call_time,
+        modified.comm_call_time
     );
 }
 

@@ -1,85 +1,39 @@
-//! Kernel parameter and geometry unit tests (class tables, decompositions,
-//! variant wiring).
+//! Benchmark wiring through the public API: the paper's environments,
+//! unique report names, and the one difference between the SP variants.
 
-use nasbench::bt::BtParams;
-use nasbench::cg::CgParams;
-use nasbench::ep::EpParams;
-use nasbench::ft::FtParams;
-use nasbench::is::IsParams;
-use nasbench::lu::LuParams;
-use nasbench::mg::MgParams;
-use nasbench::runner::NasBenchmark;
-use nasbench::sp::SpParams;
+use nasbench::runner::{run_benchmark, NasBenchmark};
 use nasbench::Class;
+use overlap_core::{OverlapReport, RecorderOpts};
 use simmpi::RndvMode;
-
-#[test]
-fn sp_class_geometry_matches_npb() {
-    assert_eq!(SpParams::original(Class::S).n(), 12);
-    assert_eq!(SpParams::original(Class::W).n(), 36);
-    assert_eq!(SpParams::original(Class::A).n(), 64);
-    assert_eq!(SpParams::original(Class::B).n(), 102);
-}
+use simnet::NetConfig;
 
 #[test]
 fn sp_variants_differ_only_in_probes() {
-    let o = SpParams::original(Class::A);
-    let m = SpParams::modified(Class::A);
-    assert_eq!(o.iprobes, 0);
-    assert!(m.iprobes > 0);
-    assert_eq!(o.n(), m.n());
-    assert_eq!(o.iterations, m.iterations);
-}
-
-#[test]
-fn bt_class_geometry_matches_npb() {
-    assert_eq!(BtParams::new(Class::A).n(), 64);
-    assert_eq!(BtParams::new(Class::B).n(), 102);
-}
-
-#[test]
-fn cg_sizes_match_npb() {
-    let a = CgParams::new(Class::A);
-    assert_eq!(a.na(), 14000);
-    assert_eq!(a.nonzer(), 11);
-    let b = CgParams::new(Class::B);
-    assert_eq!(b.na(), 75000);
-    assert_eq!(b.nonzer(), 13);
-}
-
-#[test]
-fn lu_class_geometry_matches_npb() {
-    assert_eq!(LuParams::new(Class::W).n(), 33);
-    assert_eq!(LuParams::new(Class::A).n(), 64);
-}
-
-#[test]
-fn ft_dims_and_scaling() {
-    let a = FtParams::new(Class::A);
-    assert_eq!(a.dims(), (256, 256, 128));
-    assert_eq!(a.points(), 256 * 256 * 128);
-    let b = FtParams::new(Class::B);
-    assert_eq!(b.dims(), (512, 256, 256));
-    // Payload scaling preserves the class ordering of message sizes.
-    let block = |p: &FtParams, np: usize| (p.points() * 16) / (np * np * p.vol_scale);
-    assert!(block(&b, 4) > block(&a, 4));
-}
-
-#[test]
-fn mg_levels_reach_coarse_grid() {
-    let a = MgParams::new(Class::A);
-    assert_eq!(a.n(), 256);
-    assert_eq!(a.levels(), 7); // 256 -> 4 in factor-of-two steps
-    let s = MgParams::new(Class::S);
-    assert_eq!(s.n(), 32);
-    assert_eq!(s.levels(), 4);
-}
-
-#[test]
-fn ep_and_is_key_counts() {
-    assert_eq!(EpParams::new(Class::A).m(), 28);
-    assert_eq!(IsParams::new(Class::A).m(), 23);
-    assert_eq!(IsParams::new(Class::B).m(), 25);
+    // Same transfers and the same monitored section; the modified variant
+    // adds `MPI_Iprobe` calls and no other call.
+    let run = |b| {
+        run_benchmark(
+            b,
+            Class::S,
+            4,
+            NetConfig::default(),
+            RecorderOpts::default(),
+        )
+    };
+    let (orig, modified) = (run(NasBenchmark::Sp), run(NasBenchmark::SpModified));
+    let (o, m) = (&orig.reports()[0], &modified.reports()[0]);
+    assert_eq!(o.total.transfers, m.total.transfers);
+    assert!(o.sections.keys().eq(m.sections.keys()));
+    let other_calls = |r: &OverlapReport| -> Vec<(String, u64)> {
+        r.calls
+            .iter()
+            .filter(|(name, _)| *name != "MPI_Iprobe")
+            .map(|(name, c)| (name.clone(), c.count))
+            .collect()
+    };
+    assert_eq!(other_calls(o), other_calls(m));
+    assert!(!o.calls.contains_key("MPI_Iprobe"));
+    assert!(m.calls["MPI_Iprobe"].count > 0);
 }
 
 #[test]

@@ -5,7 +5,8 @@ use std::collections::{HashMap, VecDeque};
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx};
-use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload};
+use simmpi::proto::{pack_user, unpack_user};
+use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp};
 use simnet::{Completion, NetConfig, Packet, RegionId, SharedWorld};
 
 /// Internal message packet (setup / sync / tiny collectives).
@@ -15,13 +16,6 @@ const PT_MSG: u16 = 20;
 const WK_IGNORE: u64 = 0;
 const WK_PUT: u64 = 1;
 const WK_GET: u64 = 2;
-
-fn pack(kind: u64, h: u64) -> u64 {
-    (kind << 56) | h
-}
-fn unpack(user: u64) -> (u64, u64) {
-    (user >> 56, user & ((1 << 56) - 1))
-}
 
 /// Handle to a non-blocking one-sided operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -210,6 +204,7 @@ impl<'a> Armci<'a> {
     }
 
     /// Small global sum over the message layer (MG's norm reductions).
+    /// Every rank must pass the same number of values.
     pub fn allreduce_sum(&mut self, vals: &[f64]) -> Vec<f64> {
         self.rec.call_enter("armci_msg_dgop");
         let n = self.nranks;
@@ -224,7 +219,7 @@ impl<'a> Armci<'a> {
                     let src = me | mask;
                     if src < n {
                         let other = bytes_to_f64s(&self.msg_recv_tag(tag).2);
-                        acc.iter_mut().zip(&other).for_each(|(a, b)| *a += b);
+                        ReduceOp::Sum.apply(&mut acc, &other);
                     }
                 } else {
                     let dst = me & !mask;
@@ -290,7 +285,7 @@ impl<'a> Armci<'a> {
                 mem.regions[dst],
                 off,
                 data,
-                pack(WK_PUT, h),
+                pack_user(WK_PUT, h),
                 None,
                 Some(x),
             );
@@ -314,7 +309,7 @@ impl<'a> Armci<'a> {
                 mem.regions[src],
                 off,
                 len,
-                pack(WK_GET, h),
+                pack_user(WK_GET, h),
                 None,
                 Some(x),
             );
@@ -370,7 +365,7 @@ impl<'a> Armci<'a> {
             match item {
                 None => break,
                 Some(Item::C(c)) => {
-                    let (kind, h) = unpack(c.user);
+                    let (kind, h) = unpack_user(c.user);
                     match kind {
                         WK_IGNORE => {}
                         WK_PUT | WK_GET => {
@@ -409,7 +404,7 @@ impl<'a> Armci<'a> {
             [tag, 0, 0, 0, 0, 0],
             data,
         );
-        w.post_send(self.rank, dst, pkt, pack(WK_IGNORE, 0), None);
+        w.post_send(self.rank, dst, pkt, pack_user(WK_IGNORE, 0), None);
     }
 
     fn msg_recv_tag(&mut self, tag: u64) -> (usize, u64, Bytes) {

@@ -174,3 +174,14 @@ fn malloc_segments_are_independent_per_rank() {
         }
     });
 }
+
+#[test]
+fn allreduce_refuses_mismatched_lengths() {
+    let err = run_armci(2, NetConfig::default(), RecorderOpts::default(), |a| {
+        let vals = vec![1.0; 2 + a.rank()];
+        a.allreduce_sum(&vals);
+    })
+    .expect_err("ranks passing different lengths must fail the run");
+    let line = err.one_line();
+    assert!(line.contains("reduce length mismatch"), "{line}");
+}

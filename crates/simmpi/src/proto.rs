@@ -62,13 +62,13 @@ pub mod wr_kind {
 
 /// Pack a completion correlation word: kind in the top byte, request id in
 /// the low 56 bits.
-pub(crate) fn pack_user(kind: u64, req: u64) -> u64 {
+pub fn pack_user(kind: u64, req: u64) -> u64 {
     debug_assert!(req < (1 << 56), "request id overflow");
     (kind << 56) | req
 }
 
 /// Unpack a correlation word into `(kind, request id)`.
-pub(crate) fn unpack_user(user: u64) -> (u64, u64) {
+pub fn unpack_user(user: u64) -> (u64, u64) {
     (user >> 56, user & ((1 << 56) - 1))
 }
 

@@ -191,11 +191,7 @@ impl Reliability {
                 xfer: xfer.map(|x| x.0),
             },
         );
-        // Make sure the rank re-enters its progress loop when the deadline
-        // passes, even if it is parked in a wait by then.
-        let rank = self.rank;
-        self.handle
-            .schedule_at(deadline, move |h| h.wake_rank(rank));
+        self.wake_at(deadline);
         w.post_send(self.rank, dst, pkt, user, xfer);
     }
 
@@ -210,44 +206,20 @@ impl Reliability {
     /// with the wait-for diagnostics) rather than retransmitting forever.
     pub(crate) fn check_timeouts(&mut self, w: &mut World) -> Vec<u64> {
         let now = self.handle.now();
-        let mut flagged = Vec::new();
-        for (&dst, peer) in self.tx.iter_mut() {
-            let mut abandoned: Vec<u64> = Vec::new();
-            for (&seq, p) in peer.pending.iter_mut() {
-                if p.deadline > now {
-                    continue;
-                }
-                if p.retries >= self.max_retries {
-                    abandoned.push(seq);
-                    continue;
-                }
-                self.stats.retransmissions += 1;
-                if p.backoff == 0 {
-                    if let Some(x) = p.xfer {
-                        flagged.push(x);
-                    }
-                }
-                w.post_send(
-                    self.rank,
-                    dst,
-                    p.packet.clone(),
-                    proto::pack_user(wr_kind::IGNORE, 0),
-                    p.xfer.map(XferId),
-                );
-                p.backoff = (p.backoff + 1).min(MAX_BACKOFF_SHIFT);
-                p.retries += 1;
-                p.deadline = now + (self.timeout << p.backoff);
-                let rank = self.rank;
-                let deadline = p.deadline;
-                self.handle
-                    .schedule_at(deadline, move |h| h.wake_rank(rank));
-            }
-            for seq in abandoned {
-                peer.pending.remove(&seq);
-                self.stats.abandoned += 1;
-            }
-        }
-        flagged
+        let overdue: Vec<(usize, u64)> = self
+            .tx
+            .iter()
+            .flat_map(|(&dst, peer)| {
+                peer.pending
+                    .iter()
+                    .filter(move |(_, p)| p.deadline <= now)
+                    .map(move |(&seq, _)| (dst, seq))
+            })
+            .collect();
+        overdue
+            .into_iter()
+            .filter_map(|(dst, seq)| self.resend(w, dst, seq))
+            .collect()
     }
 
     /// Handle a cumulative ACK from `src`: everything below `next_expected`
@@ -262,20 +234,26 @@ impl Reliability {
     /// is still pending. Returns the transfer id to flag, if this was the
     /// packet's first retransmission.
     pub(crate) fn on_nack(&mut self, w: &mut World, src: usize, missing: u64) -> Option<u64> {
-        let peer = self.tx.get_mut(&src)?;
-        if peer.pending.get(&missing)?.retries >= self.max_retries {
-            // Retry budget spent: abandon rather than resend (see
-            // `check_timeouts`).
-            peer.pending.remove(&missing);
+        self.resend(w, src, missing)
+    }
+
+    /// Re-post pending packet `seq` to `dst` with a doubled deadline — or,
+    /// once the retry budget that timeouts and NACKs share is spent, abandon
+    /// it. Returns the transfer id to flag if this was the packet's first
+    /// retransmission.
+    fn resend(&mut self, w: &mut World, dst: usize, seq: u64) -> Option<u64> {
+        let peer = self.tx.get_mut(&dst)?;
+        let p = peer.pending.get_mut(&seq)?;
+        if p.retries >= self.max_retries {
+            peer.pending.remove(&seq);
             self.stats.abandoned += 1;
             return None;
         }
-        let p = peer.pending.get_mut(&missing)?;
         self.stats.retransmissions += 1;
         let flag = (p.backoff == 0).then_some(p.xfer).flatten();
         w.post_send(
             self.rank,
-            src,
+            dst,
             p.packet.clone(),
             proto::pack_user(wr_kind::IGNORE, 0),
             p.xfer.map(XferId),
@@ -283,11 +261,17 @@ impl Reliability {
         p.backoff = (p.backoff + 1).min(MAX_BACKOFF_SHIFT);
         p.retries += 1;
         p.deadline = self.handle.now() + (self.timeout << p.backoff);
-        let rank = self.rank;
         let deadline = p.deadline;
+        self.wake_at(deadline);
+        flag
+    }
+
+    /// Make sure the rank re-enters its progress loop when `deadline`
+    /// passes, even if it is parked in a wait by then.
+    fn wake_at(&self, deadline: Time) {
+        let rank = self.rank;
         self.handle
             .schedule_at(deadline, move |h| h.wake_rank(rank));
-        flag
     }
 
     /// Filter an incoming sequenced packet (`h[5] != 0`). Returns the
@@ -302,7 +286,7 @@ impl Reliability {
             // Duplicate (fabric duplication or spurious retransmit): drop,
             // but re-ACK so the sender stops resending it.
             let next_expected = peer.next_expected;
-            self.send_ack(w, src, next_expected);
+            self.send_control(w, src, proto::PT_ACK, next_expected);
             return Vec::new();
         }
         if seq > peer.next_expected {
@@ -310,7 +294,7 @@ impl Reliability {
             // of waiting out the sender's timeout.
             let first_missing = peer.next_expected;
             peer.reorder.insert(seq, p);
-            self.send_nack(w, src, first_missing);
+            self.send_control(w, src, proto::PT_NACK, first_missing);
             return Vec::new();
         }
         let mut out = vec![p];
@@ -320,41 +304,125 @@ impl Reliability {
             peer.next_expected += 1;
         }
         let next_expected = peer.next_expected;
-        self.send_ack(w, src, next_expected);
+        self.send_control(w, src, proto::PT_ACK, next_expected);
         out
     }
 
-    fn send_ack(&self, w: &mut World, dst: usize, next_expected: u64) {
-        let ack = Packet::control(
-            self.rank,
-            self.ctrl_bytes,
-            proto::PT_ACK,
-            [next_expected, 0, 0, 0, 0, 0],
-        )
-        .protect();
+    /// Post an ACK or NACK (`ty`) carrying `word` in `h[0]` on the
+    /// protected channel.
+    fn send_control(&self, w: &mut World, dst: usize, ty: u16, word: u64) {
+        let pkt = Packet::control(self.rank, self.ctrl_bytes, ty, [word, 0, 0, 0, 0, 0]).protect();
         w.post_send(
             self.rank,
             dst,
-            ack,
+            pkt,
             proto::pack_user(wr_kind::IGNORE, 0),
             None,
         );
     }
+}
 
-    fn send_nack(&self, w: &mut World, dst: usize, missing: u64) {
-        let nack = Packet::control(
-            self.rank,
-            self.ctrl_bytes,
-            proto::PT_NACK,
-            [missing, 0, 0, 0, 0, 0],
-        )
-        .protect();
-        w.post_send(
-            self.rank,
-            dst,
-            nack,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use simcore::{RankCtx, SimOpts};
+    use simnet::{Cluster, NetConfig, SharedWorld};
+
+    const TIMEOUT: Duration = 1_000;
+
+    /// Run `body` on rank 0 of a two-node cluster with an active layer
+    /// whose peer (rank 1) never acknowledges anything.
+    fn on_rank0(
+        max_retries: u32,
+        body: impl Fn(&mut Reliability, &mut RankCtx, &SharedWorld) + Send + Sync + 'static,
+    ) {
+        Cluster::new(2, NetConfig::default())
+            .run(SimOpts::default(), move |ctx, world| {
+                if ctx.rank() == 0 {
+                    let mut rel = Reliability::new(true, 0, TIMEOUT, max_retries, 64, ctx.handle());
+                    body(&mut rel, ctx, world);
+                }
+            })
+            .expect("run completes");
+    }
+
+    /// Post one sequenced packet to rank 1, recorded as a transfer; returns
+    /// its transfer id.
+    fn post(rel: &mut Reliability, world: &SharedWorld) -> u64 {
+        let mut w = world.lock();
+        let x = w.alloc_xfer_id();
+        let pkt = Packet::control(0, 64, proto::PT_EAGER, [0; 6]);
+        rel.post(
+            &mut w,
+            1,
+            pkt,
             proto::pack_user(wr_kind::IGNORE, 0),
-            None,
+            Some(x),
         );
+        x.0
+    }
+
+    #[test]
+    fn deadlines_double_per_retransmission_up_to_the_cap() {
+        on_rank0(10, |rel, ctx, world| {
+            post(rel, world);
+            for k in 1..=8u32 {
+                let deadline = rel.tx[&1].pending[&0].deadline;
+                ctx.compute(deadline - ctx.now());
+                rel.check_timeouts(&mut world.lock());
+                let shift = k.min(MAX_BACKOFF_SHIFT);
+                assert_eq!(
+                    rel.tx[&1].pending[&0].deadline,
+                    ctx.now() + (TIMEOUT << shift),
+                    "after retransmission {k}"
+                );
+            }
+            assert_eq!(rel.stats().retransmissions, 8);
+        });
+    }
+
+    #[test]
+    fn a_transfer_is_flagged_on_its_first_retransmission_only() {
+        on_rank0(10, |rel, ctx, world| {
+            // Timeout first, then a NACK.
+            let a = post(rel, world);
+            ctx.compute(TIMEOUT);
+            assert_eq!(rel.check_timeouts(&mut world.lock()), vec![a]);
+            assert_eq!(rel.on_nack(&mut world.lock(), 1, 0), None);
+            // NACK first, then a timeout (which resends both, flagging none).
+            let b = post(rel, world);
+            assert_eq!(rel.on_nack(&mut world.lock(), 1, 1), Some(b));
+            ctx.compute(TIMEOUT << MAX_BACKOFF_SHIFT);
+            assert!(rel.check_timeouts(&mut world.lock()).is_empty());
+            assert_eq!(rel.stats().retransmissions, 5);
+        });
+    }
+
+    #[test]
+    fn timeouts_and_nacks_share_one_retry_budget() {
+        on_rank0(3, |rel, ctx, world| {
+            post(rel, world);
+            post(rel, world);
+            // Three resends of each, mixing NACKs and one timeout.
+            rel.on_nack(&mut world.lock(), 1, 0);
+            ctx.compute(TIMEOUT << MAX_BACKOFF_SHIFT);
+            rel.check_timeouts(&mut world.lock());
+            for seq in [1, 0, 1] {
+                rel.on_nack(&mut world.lock(), 1, seq);
+            }
+            let stats = |retransmissions, abandoned| RelStats {
+                retransmissions,
+                abandoned,
+            };
+            assert_eq!(rel.stats(), stats(6, 0));
+            // The fourth of either kind abandons instead of resending.
+            assert_eq!(rel.on_nack(&mut world.lock(), 1, 0), None);
+            assert_eq!(rel.stats(), stats(6, 1));
+            assert!(rel.has_pending());
+            ctx.compute(TIMEOUT << MAX_BACKOFF_SHIFT);
+            assert!(rel.check_timeouts(&mut world.lock()).is_empty());
+            assert_eq!(rel.stats(), stats(6, 2));
+            assert!(!rel.has_pending());
+        });
     }
 }

@@ -120,7 +120,8 @@ pub enum ReduceOp {
 
 impl ReduceOp {
     /// Apply the operator elementwise: `acc[i] = op(acc[i], other[i])`.
-    pub(crate) fn apply(&self, acc: &mut [f64], other: &[f64]) {
+    /// Panics with "reduce length mismatch" when the lengths differ.
+    pub fn apply(&self, acc: &mut [f64], other: &[f64]) {
         assert_eq!(acc.len(), other.len(), "reduce length mismatch");
         match self {
             ReduceOp::Sum => acc.iter_mut().zip(other).for_each(|(a, b)| *a += b),

@@ -159,17 +159,22 @@ mod tests {
 
     #[test]
     fn topology_latency() {
+        // Summed hop latency of the canonical route.
+        let latency = |cfg: &NetConfig, src, dst| {
+            let mut route = Vec::new();
+            cfg.build_topology(8).route_into(src, dst, 0, &mut route);
+            route.iter().map(|h| h.latency).sum::<Duration>()
+        };
         let flat = NetConfig::infiniband_2006();
-        assert_eq!(flat.build_topology(8).path_latency(0, 5), flat.wire_latency);
+        assert_eq!(latency(&flat, 0, 5), flat.wire_latency);
         let tree = NetConfig {
             switch_radix: Some(4),
             ..NetConfig::infiniband_2006()
         };
         // Same leaf switch (0..3): base latency; across switches: extra hop.
-        let topo = tree.build_topology(8);
-        assert_eq!(topo.path_latency(0, 3), tree.wire_latency);
+        assert_eq!(latency(&tree, 0, 3), tree.wire_latency);
         assert_eq!(
-            topo.path_latency(0, 4),
+            latency(&tree, 0, 4),
             tree.wire_latency + tree.inter_switch_extra
         );
     }

@@ -76,8 +76,6 @@ pub trait Topology: Send + Sync {
 }
 
 /// The rest of a topology's shape, which only the fabric model asks about.
-/// `path_latency` must equal the summed hop latency of candidate `0` (the
-/// canonical route).
 pub(crate) trait Fabric: Topology {
     /// Number of host endpoints the fabric wires up.
     fn hosts(&self) -> usize;
@@ -89,10 +87,6 @@ pub(crate) trait Fabric: Topology {
     /// distinct in-range pairs; routing `src == dst` is the caller's
     /// loopback special case and never reaches the topology).
     fn paths(&self, src: usize, dst: usize) -> usize;
-
-    /// Total propagation latency of the canonical (choice `0`) route for
-    /// `src → dst`, ns.
-    fn path_latency(&self, src: usize, dst: usize) -> Duration;
 
     /// Endpoints `(from_switch_or_host, to_switch_or_host)` of a directed
     /// link, in a topology-private numbering — used by tests to validate
@@ -130,10 +124,16 @@ impl FlatCrossbar {
 
 impl Topology for FlatCrossbar {
     fn route_into(&self, src: usize, dst: usize, _choice: usize, out: &mut Vec<Hop>) {
+        let latency = match self.switch_radix {
+            Some(radix) if src / radix != dst / radix => {
+                self.wire_latency + self.inter_switch_extra
+            }
+            _ => self.wire_latency,
+        };
         out.clear();
         out.push(Hop {
             link: LINK_DEDICATED,
-            latency: self.path_latency(src, dst),
+            latency,
         });
     }
 }
@@ -149,15 +149,6 @@ impl Fabric for FlatCrossbar {
 
     fn paths(&self, _src: usize, _dst: usize) -> usize {
         1
-    }
-
-    fn path_latency(&self, src: usize, dst: usize) -> Duration {
-        match self.switch_radix {
-            Some(radix) if src / radix != dst / radix => {
-                self.wire_latency + self.inter_switch_extra
-            }
-            _ => self.wire_latency,
-        }
     }
 
     #[cfg(test)]
@@ -320,17 +311,6 @@ impl Fabric for FatTree {
         } else {
             self.half() * self.half() // one per core switch
         }
-    }
-
-    fn path_latency(&self, src: usize, dst: usize) -> Duration {
-        let hops = if self.edge_of(src) == self.edge_of(dst) {
-            2
-        } else if self.pod(src) == self.pod(dst) {
-            4
-        } else {
-            6
-        };
-        hops * self.hop_latency
     }
 
     #[cfg(test)]
@@ -557,23 +537,6 @@ impl Fabric for Dragonfly {
             // escape paths), bounded by the groups available to detour via.
             1 + self.groups().saturating_sub(2).min(3)
         }
-    }
-
-    fn path_latency(&self, src: usize, dst: usize) -> Duration {
-        let (sr, dr) = (self.router_of(src), self.router_of(dst));
-        let (sg, dg) = (self.group_of_router(sr), self.group_of_router(dr));
-        if sg == dg {
-            let local = if sr == dr { 0 } else { 1 };
-            return (2 + local) * self.hop_latency;
-        }
-        // Mirror the minimal (choice-0) route: host up, optional local to
-        // the channel owner, the global hop (2x), optional local to the
-        // destination router, host down.
-        let gc = self.channel_to(sg, dg);
-        let owner = sg * self.a + gc / self.h;
-        let arrival = dg * self.a + self.channel_to(dg, sg) / self.h;
-        let locals = (owner != sr) as u64 + (arrival != dr) as u64;
-        (3 + locals) * self.hop_latency + self.global_extra
     }
 
     #[cfg(test)]
@@ -856,9 +819,16 @@ pub struct BackgroundJob {
 mod tests {
     use super::*;
 
+    /// Summed hop latency of the canonical (choice `0`) route.
+    fn canonical_latency<T: Topology + ?Sized>(topo: &T, src: usize, dst: usize) -> Duration {
+        let mut route = Vec::new();
+        topo.route_into(src, dst, 0, &mut route);
+        route.iter().map(|h| h.latency).sum()
+    }
+
     /// Every hop of every candidate route must form a contiguous walk from
-    /// src to dst in the topology's private node numbering, and the
-    /// canonical candidate must cost exactly `path_latency`.
+    /// src to dst in the topology's private node numbering, and no
+    /// candidate may undercut the canonical one.
     fn check_routes(topo: &dyn Fabric, nhosts: usize) {
         let mut route = Vec::new();
         for src in 0..nhosts {
@@ -866,19 +836,15 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let lat = topo.path_latency(src, dst);
+                let lat = canonical_latency(topo, src, dst);
                 for c in 0..topo.paths(src, dst) {
                     topo.route_into(src, dst, c, &mut route);
                     assert!(!route.is_empty());
                     let total: u64 = route.iter().map(|h| h.latency).sum();
-                    if c == 0 {
-                        assert_eq!(total, lat, "canonical {src}->{dst} != path_latency");
-                    } else {
-                        assert!(
-                            total >= lat,
-                            "candidate {c} of {src}->{dst} undercuts minimal"
-                        );
-                    }
+                    assert!(
+                        total >= lat,
+                        "candidate {c} of {src}->{dst} undercuts minimal"
+                    );
                     let mut at = src;
                     for hop in &route {
                         assert!(
@@ -931,9 +897,9 @@ mod tests {
     #[test]
     fn fat_tree_hop_counts() {
         let ft = FatTree::new(4, 500);
-        assert_eq!(ft.path_latency(0, 1), 2 * 500); // same edge
-        assert_eq!(ft.path_latency(0, 2), 4 * 500); // same pod
-        assert_eq!(ft.path_latency(0, 4), 6 * 500); // inter-pod
+        assert_eq!(canonical_latency(&ft, 0, 1), 2 * 500); // same edge
+        assert_eq!(canonical_latency(&ft, 0, 2), 4 * 500); // same pod
+        assert_eq!(canonical_latency(&ft, 0, 4), 6 * 500); // inter-pod
         assert_eq!(ft.paths(0, 1), 1);
         assert_eq!(ft.paths(0, 2), 2);
         assert_eq!(ft.paths(0, 4), 4);
@@ -1002,14 +968,13 @@ mod tests {
     #[test]
     fn flat_crossbar_reproduces_latency_between() {
         let flat = FlatCrossbar::new(5000, Some(4), 2000);
-        assert_eq!(flat.path_latency(0, 3), 5000);
-        assert_eq!(flat.path_latency(0, 4), 7000);
+        assert_eq!(canonical_latency(&flat, 0, 3), 5000);
+        assert_eq!(canonical_latency(&flat, 0, 4), 7000);
         assert_eq!(flat.paths(0, 9), 1);
         let mut route = Vec::new();
         flat.route_into(0, 4, 0, &mut route);
         assert_eq!(route.len(), 1);
         assert_eq!(route[0].link, LINK_DEDICATED);
-        assert_eq!(route[0].latency, 7000);
     }
 
     #[test]

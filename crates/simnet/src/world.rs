@@ -362,14 +362,18 @@ impl World {
     }
 
     /// One-way propagation latency for control legs (requests, replies): the
-    /// canonical route's latency, with no link occupancy charged — control
-    /// packets are small enough that the model treats them as fluid.
-    fn latency(&self, src: usize, dst: usize) -> u64 {
+    /// canonical route's summed hop latency, with no link occupancy charged
+    /// — control packets are small enough that the model treats them as
+    /// fluid.
+    fn latency(&mut self, src: usize, dst: usize) -> u64 {
         if src == dst {
-            LOOPBACK_LATENCY
-        } else {
-            self.topo.path_latency(src, dst)
+            return LOOPBACK_LATENCY;
         }
+        let mut route = std::mem::take(&mut self.route_buf);
+        self.topo.route_into(src, dst, 0, &mut route);
+        let latency = route.iter().map(|h| h.latency).sum();
+        self.route_buf = route;
+        latency
     }
 
     /// Build per-link channels, seeding the background tenant's injection
