@@ -652,7 +652,7 @@ pub fn ablation_topology() -> Series {
 /// *exactly* against its non-overlapped time, and reports the aggregate
 /// contention the fabric attributed.
 pub fn halo_4k() -> Series {
-    use overlap_core::attribution;
+    use overlap_core::{attribution, WaitCause};
     use simnet::{BackgroundJob, TopologySpec};
     let side = 64usize; // 64 x 64 torus = 4096 ranks
     let n = side * side;
@@ -709,7 +709,7 @@ pub fn halo_4k() -> Series {
     let mut mismatches = 0usize;
     for tr in &out.traces {
         let attr = attribution::attribute(tr);
-        contention_ns += attr.totals.get("contention").copied().unwrap_or(0);
+        contention_ns += attr.totals.get(WaitCause::Contention);
         for rec in &attr.records {
             transfers += 1;
             nonoverlap_ns += rec.nonoverlap;

@@ -1,12 +1,15 @@
 //! Allocation budget of the served read path.
 //!
-//! `/report` and `/attribution.json` print what a `SessionFold` builds.
-//! `Serialize` writes its text member by member, so printing an attribution
-//! artifact allocates only as the output string grows, whatever the number
-//! of transfers; and a report allocates each metric key once, not once per
-//! cause slice. A JSON tree built before printing, or a key formatted per
-//! slice, costs thousands of calls here; this test keeps both out,
-//! independently of the (frozen) `benchmark/` ledger.
+//! `/report`, `/waits`, `/attribution.json` and `/critpath.folded` print what
+//! a `SessionFold` builds. Building each allocates in proportion to its
+//! output, not to the transfers or waits folded: the attribution walk keeps a
+//! cause breakdown in a fixed array, the collapsed stacks aggregate by key and
+//! format a line once, and the report and wait states consume the walk
+//! without collecting it. `Serialize` writes its text member by member, so
+//! printing an attribution artifact allocates only as the output string
+//! grows. A per-record, per-wait or per-slice allocation costs thousands of
+//! calls here; this test keeps all of them out, independently of the
+//! (frozen) `benchmark/` ledger.
 //!
 //! One `#[test]` only: the counters are process-wide, and tests of one binary
 //! run concurrently.
@@ -72,11 +75,27 @@ fn calls(f: impl FnOnce()) -> u64 {
     bench::alloc::region(a0, bench::alloc::snapshot()).0
 }
 
+/// At most this many allocator calls per built artifact, whatever the size.
+const CEILING: u64 = 300;
+/// At 4× the transfers, at most this many calls more than at 1×.
+const GROWTH: u64 = 16;
+
 #[test]
 fn served_artifacts_stay_inside_their_allocation_budget() {
-    for per_rank in [500, 2_000] {
+    // Allocator calls at 1 000 and at 4 000 transfers, per artifact.
+    let mut counts: Vec<(&str, [u64; 2])> =
+        ["collapsed()", "attribution()", "wait_states()", "report()"]
+            .into_iter()
+            .map(|name| (name, [0; 2]))
+            .collect();
+    for (at, per_rank) in [500, 2_000].into_iter().enumerate() {
         let transfers = per_rank * RANKS as u64;
         let fold = fold(per_rank);
+
+        counts[0].1[at] = calls(|| drop(std::hint::black_box(fold.collapsed())));
+        counts[1].1[at] = calls(|| drop(std::hint::black_box(fold.attribution("budget"))));
+        counts[2].1[at] = calls(|| drop(std::hint::black_box(fold.wait_states())));
+        counts[3].1[at] = calls(|| drop(std::hint::black_box(fold.report())));
 
         let artifact = fold.attribution("budget");
         let printed = calls(|| {
@@ -88,15 +107,13 @@ fn served_artifacts_stay_inside_their_allocation_budget() {
             "{transfers} transfers: printing the attribution artifact made {printed} \
              allocator calls (budget 64, output growth only) — a tree is back"
         );
-
-        let reported = calls(|| {
-            std::hint::black_box(fold.report());
-        });
-        let per_transfer = reported as f64 / transfers as f64;
+    }
+    for (name, [small, large]) in counts {
         assert!(
-            per_transfer < 10.0,
-            "{transfers} transfers: the report made {per_transfer:.1} allocator calls \
-             per transfer (budget 10) — per-slice metric keys are back"
+            large <= small + GROWTH && large <= CEILING,
+            "{name} made {small} allocator calls at 1 000 transfers and {large} at 4 000 \
+             (budget: at most {GROWTH} more, never above {CEILING}) — a per-transfer or \
+             per-wait allocation is back"
         );
     }
 }

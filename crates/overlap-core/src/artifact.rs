@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 
 use serde::Serialize;
 
-use crate::attribution::{self, CauseRecord, CauseSlice, RankAttribution, WaitCause, WaitInterval};
+use crate::attribution::{self, Breakdown, CauseRecord, ExtentIndex, WaitCause, WaitInterval};
 use crate::fold::CallSpans;
 use crate::trace::{
     default_width, windows_of, BoundRecord, RankTrace, TooManyWindows, TraceBundle, WindowRow,
@@ -100,9 +100,8 @@ pub struct RankWaitStates {
     /// Σ provably-non-overlapped transfer time, ns (`xfer_time −
     /// max_overlap` over all transfers).
     pub nonoverlap_ns: u64,
-    /// Per-cause attributed totals in canonical cause order, zero causes
-    /// omitted. Sums to `nonoverlap_ns`.
-    pub causes: Vec<CauseSlice>,
+    /// Per-cause attributed totals. Sums to `nonoverlap_ns`.
+    pub causes: Breakdown,
 }
 
 /// Per-rank wait-state breakdown of one traced scope, as merged into the
@@ -192,27 +191,19 @@ pub fn wait_states(views: &[ScopeView<'_>]) -> Vec<ScopeWaitStates> {
         .iter()
         .map(|v| ScopeWaitStates {
             scope: v.scope.to_string(),
-            ranks: v
-                .ranks
-                .iter()
-                .map(|r| rank_wait_states(&attribution::attribute_view(r)))
-                .collect(),
+            ranks: v.ranks.iter().map(rank_wait_states).collect(),
         })
         .collect()
 }
 
-fn rank_wait_states(attr: &RankAttribution) -> RankWaitStates {
-    let causes = WaitCause::ALL
-        .iter()
-        .filter_map(|&cause| {
-            let ns = *attr.totals.get(cause.label())?;
-            Some(CauseSlice { cause, ns })
-        })
-        .collect();
+/// One rank's totals, from the attribution walk with no record kept.
+fn rank_wait_states(r: &RankView<'_>) -> RankWaitStates {
+    let mut nonoverlap_ns = 0;
+    let causes = attribution::each_record(r, |rec| nonoverlap_ns += rec.nonoverlap);
     RankWaitStates {
-        rank: attr.rank,
-        wait_intervals: attr.wait_intervals,
-        nonoverlap_ns: attr.total_nonoverlap(),
+        rank: r.rank,
+        wait_intervals: r.waits.len(),
+        nonoverlap_ns,
         causes,
     }
 }
@@ -233,11 +224,11 @@ pub fn attribution_artifact(id: &str, views: &[ScopeView<'_>]) -> AttributionArt
                     overhead.ranks += 1;
                     overhead.events += r.events;
                     overhead.bound_records += attr.records.len() as u64;
-                    overhead.wait_intervals += attr.wait_intervals as u64;
+                    overhead.wait_intervals += r.waits.len() as u64;
                     overhead.attributed_ns += attr.total_nonoverlap();
                     RankAttributionJson {
-                        rank: attr.rank,
-                        wait_intervals: attr.wait_intervals,
+                        rank: r.rank,
+                        wait_intervals: r.waits.len(),
                         transfers: attr.records,
                     }
                 })
@@ -264,19 +255,32 @@ pub fn attribution_artifact(id: &str, views: &[ScopeView<'_>]) -> AttributionArt
 pub fn collapsed(views: &[ScopeView<'_>]) -> String {
     let mut out = String::new();
     for v in views {
-        let mut weights: BTreeMap<String, u64> = BTreeMap::new();
+        // Aggregated by key, not by line: a line's text is injective in
+        // `(rank, call, cause)`, since the cause label is its last
+        // `;`-separated segment and holds no `;`.
+        let mut weights: BTreeMap<(usize, &str, WaitCause), u64> = BTreeMap::new();
         for r in &v.ranks {
+            let spans = r.calls.spans(r.calls.last_t()).collect();
+            let calls = ExtentIndex::new(spans, |&(s, e, _)| (s, e));
             for w in r.waits.iter().filter(|w| w.end > w.start) {
-                let call = r
-                    .calls
-                    .spans(r.calls.last_t())
-                    .find(|&(s, e, _)| s <= w.start && w.start < e)
-                    .map_or("(outside-call)", |(_, _, name)| name);
-                let key = format!("{};rank {};{};{}", v.scope, r.rank, call, w.cause.label());
-                *weights.entry(key).or_insert(0) += w.end - w.start;
+                let call = calls
+                    .meeting(w.start, w.start + 1)
+                    .iter()
+                    .find(|&&(s, e, _)| s <= w.start && w.start < e)
+                    .map_or("(outside-call)", |&(_, _, name)| name);
+                *weights.entry((r.rank, call, w.cause)).or_insert(0) += w.end - w.start;
             }
         }
-        for (k, ns) in &weights {
+        // Each key formatted once; the lines sort by those bytes.
+        let mut lines: Vec<(String, u64)> = weights
+            .into_iter()
+            .map(|((rank, call, cause), ns)| {
+                let key = format!("{};rank {rank};{call};{}", v.scope, cause.label());
+                (key, ns)
+            })
+            .collect();
+        lines.sort_unstable();
+        for (k, ns) in &lines {
             let _ = writeln!(out, "{k} {ns}");
         }
     }

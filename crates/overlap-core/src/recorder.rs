@@ -8,6 +8,7 @@
 //! `enabled = false` every operation is a branch-and-return, which is how the
 //! instrumentation-overhead experiment (paper Figure 20) compares runs.
 
+use crate::artifact::RankView;
 use crate::attribution::{self, WaitCause, WaitInterval};
 use crate::bins::SizeBins;
 use crate::clock::Clock;
@@ -236,8 +237,7 @@ impl Recorder {
                 .finish_traced(end, self.rank, self.events, self.flushes);
         let trace = trace.map(|mut tr| {
             tr.waits = std::mem::take(&mut self.waits);
-            let attr = attribution::attribute(&tr);
-            attribution::fold_metrics(&attr, &self.bins, &mut report.metrics);
+            attribution::fold_metrics(&RankView::of(&tr), &self.bins, &mut report.metrics);
             tr
         });
         (report, trace)

@@ -777,11 +777,7 @@ impl RankState {
     fn report(&self, rank: usize) -> OverlapReport {
         let end = self.calls.last_t().max(self.bounds_hi);
         let mut report = self.fold.report(rank, end, self.events);
-        attribution::fold_metrics(
-            &attribution::attribute_view(&self.view(rank)),
-            self.fold.bins(),
-            &mut report.metrics,
-        );
+        attribution::fold_metrics(&self.view(rank), self.fold.bins(), &mut report.metrics);
         report
     }
 }
