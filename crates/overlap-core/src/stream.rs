@@ -52,7 +52,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Mutex;
 
-use serde::Serialize;
+use serde::{Number, Reader, Serialize, SyntaxError, Token};
 
 use crate::artifact::{self, AttributionArtifact, RankView, ScopeView, ScopeWaitStates};
 use crate::attribution::{self, WaitCause, WaitInterval};
@@ -199,298 +199,11 @@ pub enum StreamLine<'a> {
     },
 }
 
-/// Deepest array/object nesting the reader follows inside one line (the
-/// refusal past it spells the number out). The schema has none; this bounds
-/// the work spent skipping an unknown member or refusing a hostile one.
+/// Deepest array/object nesting the reader follows inside one line's own
+/// value (the refusal past it spells the number out). The schema has none;
+/// this bounds the work spent skipping an unknown member or refusing a
+/// hostile one.
 const MAX_NESTING: u32 = 32;
-
-/// A JSON syntax error: what was wrong and at which byte of the line.
-struct Syntax {
-    what: &'static str,
-    at: usize,
-}
-
-type Scan<T> = Result<T, Syntax>;
-
-/// The four hex digits of a `\u` escape.
-fn hex4(digits: Option<&[u8]>) -> Option<u32> {
-    digits?
-        .iter()
-        .try_fold(0, |acc, &d| Some(acc << 4 | (d as char).to_digit(16)?))
-}
-
-/// The character a `\u` escape at the start of `esc` stands for, and the
-/// escape's length: one escape, or a high and a low surrogate escape that
-/// form a pair. A lone surrogate is not a character.
-fn unicode_escape(esc: &[u8]) -> Option<(char, usize)> {
-    let code = hex4(esc.get(2..6))?;
-    if (0xd800..0xdc00).contains(&code) && esc.get(6..8) == Some(b"\\u".as_slice()) {
-        if let Some(lo @ 0xdc00..0xe000) = hex4(esc.get(8..12)) {
-            let pair = 0x1_0000 + ((code - 0xd800) << 10 | (lo - 0xdc00));
-            return Some((char::from_u32(pair)?, 12));
-        }
-    }
-    Some((char::from_u32(code)?, 6))
-}
-
-/// A scanned string literal: what stood between its quotes, escapes checked
-/// but not yet replaced.
-struct RawStr<'a> {
-    raw: &'a str,
-    escaped: bool,
-}
-
-impl<'a> RawStr<'a> {
-    /// The string's value: the line's own bytes unless an escape forces a
-    /// copy.
-    fn decode(self) -> Cow<'a, str> {
-        if !self.escaped {
-            return Cow::Borrowed(self.raw);
-        }
-        let mut out = String::with_capacity(self.raw.len());
-        let mut rest = self.raw;
-        while let Some(i) = rest.find('\\') {
-            out.push_str(&rest[..i]);
-            let bytes = rest.as_bytes();
-            let (c, len) = match bytes[i + 1] {
-                b'n' => ('\n', 2),
-                b't' => ('\t', 2),
-                b'r' => ('\r', 2),
-                b'b' => ('\u{8}', 2),
-                b'f' => ('\u{c}', 2),
-                b'u' => unicode_escape(&bytes[i..]).expect("escape checked by the scan"),
-                // `"`, `\` and `/` stand for themselves.
-                other => (other as char, 2),
-            };
-            out.push(c);
-            rest = &rest[i + len..];
-        }
-        out.push_str(rest);
-        Cow::Owned(out)
-    }
-}
-
-/// One member value as far as the line schema cares: scalars typed, strings
-/// still raw, anything nested only syntax-checked.
-enum Val<'a> {
-    Null,
-    Bool(bool),
-    U64(u64),
-    /// A well-formed number that is negative or not an integer.
-    OtherNumber,
-    Str(RawStr<'a>),
-    Nested,
-}
-
-/// Single-pass scanner over one line's bytes. Every byte is visited a bounded
-/// number of times and nothing recurses, so a line costs time linear in its
-/// length whatever it holds.
-struct Scanner<'a> {
-    line: &'a str,
-    pos: usize,
-}
-
-impl<'a> Scanner<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.line.as_bytes().get(self.pos).copied()
-    }
-
-    fn err<T>(&self, what: &'static str) -> Scan<T> {
-        Err(Syntax { what, at: self.pos })
-    }
-
-    fn skip_ws(&mut self) {
-        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8, what: &'static str) -> Scan<()> {
-        if self.peek() != Some(b) {
-            return self.err(what);
-        }
-        self.pos += 1;
-        Ok(())
-    }
-
-    /// A string literal, `pos` at its opening quote.
-    fn string(&mut self) -> Scan<RawStr<'a>> {
-        self.eat(b'"', "expected '\"'")?;
-        let bytes = self.line.as_bytes();
-        let start = self.pos;
-        let mut escaped = false;
-        loop {
-            match bytes.get(self.pos) {
-                None => return self.err("unterminated string"),
-                Some(b'"') => {
-                    let raw = &self.line[start..self.pos];
-                    self.pos += 1;
-                    return Ok(RawStr { raw, escaped });
-                }
-                Some(b'\\') => {
-                    escaped = true;
-                    self.pos += match bytes.get(self.pos + 1) {
-                        Some(b'"' | b'\\' | b'/' | b'n' | b't' | b'r' | b'b' | b'f') => 2,
-                        Some(b'u') => match unicode_escape(&bytes[self.pos..]) {
-                            Some((_, len)) => len,
-                            None => return self.err("bad \\u escape"),
-                        },
-                        _ => return self.err("bad escape"),
-                    };
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    /// A number token: `-`? then digits, or whatever `f64` parses. An integer
-    /// must fit `u64` (`i64` when negative).
-    fn number(&mut self) -> Scan<Val<'a>> {
-        let start = self.pos;
-        let negative = self.peek() == Some(b'-');
-        if negative {
-            self.pos += 1;
-        }
-        let mut integer = true;
-        let mut value = Some(0u64);
-        while let Some(b) = self.peek() {
-            match b {
-                b'0'..=b'9' => {
-                    value = value
-                        .and_then(|v| v.checked_mul(10))
-                        .and_then(|v| v.checked_add(u64::from(b - b'0')));
-                }
-                b'.' | b'e' | b'E' | b'+' | b'-' => integer = false,
-                _ => break,
-            }
-            self.pos += 1;
-        }
-        let text = &self.line[start..self.pos];
-        let val = if !integer {
-            text.parse::<f64>().ok().map(|_| Val::OtherNumber)
-        } else if negative {
-            value
-                .filter(|&v| text.len() > 1 && v <= i64::MIN.unsigned_abs())
-                .map(|_| Val::OtherNumber)
-        } else {
-            value.map(Val::U64)
-        };
-        val.ok_or(Syntax {
-            what: "bad number",
-            at: start,
-        })
-    }
-
-    fn keyword(&mut self, word: &'static str, val: Val<'a>) -> Scan<Val<'a>> {
-        if !self.line.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
-            return self.err("invalid keyword");
-        }
-        self.pos += word.len();
-        Ok(val)
-    }
-
-    /// Any value, `pos` at its first byte.
-    fn value(&mut self) -> Scan<Val<'a>> {
-        match self.peek() {
-            Some(b'"') => self.string().map(Val::Str),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(b'[' | b'{') => self.skip_nested().map(|()| Val::Nested),
-            Some(b't') => self.keyword("true", Val::Bool(true)),
-            Some(b'f') => self.keyword("false", Val::Bool(false)),
-            Some(b'n') => self.keyword("null", Val::Null),
-            Some(_) => self.err("unexpected character"),
-            None => self.err("unexpected end of line"),
-        }
-    }
-
-    /// Syntax-check an array or object, `pos` at its opener, building
-    /// nothing. A stack of at most [`MAX_NESTING`] bits (set = object) stands
-    /// in for recursion.
-    fn skip_nested(&mut self) -> Scan<()> {
-        let mut objects = 0u32;
-        let mut depth = 0u32;
-        loop {
-            // `pos` is at an opener.
-            if depth == MAX_NESTING {
-                return self.err("nesting deeper than 32");
-            }
-            objects = objects << 1 | u32::from(self.peek() == Some(b'{'));
-            depth += 1;
-            self.pos += 1;
-            self.skip_ws();
-            // Walk the innermost open container until a member opens another.
-            let mut after_value = false;
-            loop {
-                let object = objects & 1 == 1;
-                let closer = if object { b'}' } else { b']' };
-                let closes = if after_value {
-                    self.skip_ws();
-                    match self.peek() {
-                        Some(b',') => {
-                            self.pos += 1;
-                            self.skip_ws();
-                            false
-                        }
-                        Some(b) if b == closer => true,
-                        _ if object => return self.err("bad object"),
-                        _ => return self.err("bad array"),
-                    }
-                } else {
-                    self.peek() == Some(closer)
-                };
-                after_value = true;
-                if closes {
-                    self.pos += 1;
-                    objects >>= 1;
-                    depth -= 1;
-                    if depth == 0 {
-                        return Ok(());
-                    }
-                    continue;
-                }
-                if object {
-                    self.string()?;
-                    self.skip_ws();
-                    self.eat(b':', "expected ':'")?;
-                    self.skip_ws();
-                }
-                if let Some(b'[' | b'{') = self.peek() {
-                    break;
-                }
-                self.value()?;
-            }
-        }
-    }
-
-    /// The line's own object, `pos` at its `{`: every member's value goes to
-    /// the slot its key names, if any.
-    fn members(&mut self, fields: &mut Fields<'a>) -> Scan<()> {
-        self.pos += 1;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.eat(b':', "expected ':'")?;
-            self.skip_ws();
-            let val = self.value()?;
-            fields.put(&key.decode(), val);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return self.err("bad object"),
-            }
-        }
-    }
-}
 
 /// What a line said about one schema key. The first occurrence of a key
 /// decides; later duplicates are syntax-checked and dropped.
@@ -505,46 +218,46 @@ enum Slot<T> {
 }
 
 /// How a slot's type reads a scanned value.
-trait FromVal<'a>: Sized {
-    fn from_val(val: Val<'a>) -> Option<Self>;
+trait FromToken<'a>: Sized {
+    fn from_token(token: Token<'a>) -> Option<Self>;
 }
 
-impl<'a> FromVal<'a> for u64 {
-    fn from_val(val: Val<'a>) -> Option<u64> {
-        match val {
-            Val::U64(v) => Some(v),
+impl<'a> FromToken<'a> for u64 {
+    fn from_token(token: Token<'a>) -> Option<u64> {
+        match token {
+            Token::Num(Number::PosInt(v)) => Some(v),
             _ => None,
         }
     }
 }
 
-impl<'a> FromVal<'a> for bool {
-    fn from_val(val: Val<'a>) -> Option<bool> {
-        match val {
-            Val::Bool(v) => Some(v),
+impl<'a> FromToken<'a> for bool {
+    fn from_token(token: Token<'a>) -> Option<bool> {
+        match token {
+            Token::Bool(v) => Some(v),
             _ => None,
         }
     }
 }
 
-impl<'a> FromVal<'a> for Cow<'a, str> {
-    fn from_val(val: Val<'a>) -> Option<Cow<'a, str>> {
-        match val {
-            Val::Str(s) => Some(s.decode()),
+impl<'a> FromToken<'a> for Cow<'a, str> {
+    fn from_token(token: Token<'a>) -> Option<Cow<'a, str>> {
+        match token {
+            Token::Str(s) => Some(s.decode()),
             _ => None,
         }
     }
 }
 
 impl<T> Slot<T> {
-    fn put<'a>(&mut self, val: Val<'a>)
+    fn put<'a>(&mut self, token: Token<'a>)
     where
-        T: FromVal<'a>,
+        T: FromToken<'a>,
     {
         if let Slot::Absent = self {
-            *self = match val {
-                Val::Null => Slot::Null,
-                val => T::from_val(val).map_or(Slot::Mistyped, Slot::Is),
+            *self = match token {
+                Token::Null => Slot::Null,
+                token => T::from_token(token).map_or(Slot::Mistyped, Slot::Is),
             };
         }
     }
@@ -593,7 +306,7 @@ struct Fields<'a> {
 }
 
 impl<'a> Fields<'a> {
-    fn put(&mut self, key: &str, val: Val<'a>) {
+    fn put(&mut self, key: &str, val: Token<'a>) {
         match key {
             "scope" => self.scope.put(val),
             "rank" => self.rank.put(val),
@@ -703,27 +416,31 @@ impl<'a> Fields<'a> {
 /// [`StreamError`].
 pub fn parse_line(line: &str) -> Result<StreamLine<'_>, StreamError> {
     scan_line(line)
-        .map_err(|e| bad(line, &format!("not JSON ({} at byte {})", e.what, e.at)))?
+        .map_err(|e| bad(line, &format!("not JSON ({e})")))?
         .build(line)
 }
 
 /// The scanning half of [`parse_line`]: the whole line checked as JSON, its
-/// schema members in their slots.
-fn scan_line(line: &str) -> Scan<Fields<'_>> {
-    let mut scan = Scanner { line, pos: 0 };
+/// own object's members in the slots their keys name. Any other JSON value
+/// is well-formed, and has no `ev`.
+fn scan_line(line: &str) -> Result<Fields<'_>, SyntaxError> {
+    let mut reader = Reader::new(line, MAX_NESTING);
     let mut fields = Fields::default();
-    scan.skip_ws();
-    match scan.peek() {
-        Some(b'{') => scan.members(&mut fields)?,
-        // Any other JSON value is well-formed, and has no `ev`.
-        _ => {
-            scan.value()?;
+    match reader.token()? {
+        Token::Object => {
+            // Members up to the object's `End`.
+            while let Token::Key(key) = reader.token()? {
+                let val = reader.token()?;
+                if let Token::Array | Token::Object = val {
+                    reader.skip()?;
+                }
+                fields.put(&key.decode(), val);
+            }
         }
+        Token::Array => reader.skip()?,
+        _ => {}
     }
-    scan.skip_ws();
-    if scan.pos != line.len() {
-        return scan.err("trailing characters");
-    }
+    reader.finish()?;
     Ok(fields)
 }
 

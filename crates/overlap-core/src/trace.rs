@@ -34,7 +34,7 @@
 
 use std::fmt::{self, Write as _};
 
-use serde::Serialize;
+use serde::{Escaped, Serialize};
 
 use crate::artifact::ScopeView;
 use crate::bounds::XferCase;
@@ -167,34 +167,6 @@ pub(crate) fn case_from_label(s: &str) -> Option<XferCase> {
     }
 }
 
-/// A string as the inside of a JSON string literal, escaped as it is
-/// written.
-struct Esc<'a>(&'a str);
-
-impl fmt::Display for Esc<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Everything escaped is one ASCII byte; the runs between are copied
-        // whole.
-        let mut plain = 0;
-        for (i, b) in self.0.bytes().enumerate() {
-            if !matches!(b, b'"' | b'\\' | 0..=0x1f) {
-                continue;
-            }
-            f.write_str(&self.0[plain..i])?;
-            match b {
-                b'"' => f.write_str("\\\""),
-                b'\\' => f.write_str("\\\\"),
-                b'\n' => f.write_str("\\n"),
-                b'\r' => f.write_str("\\r"),
-                b'\t' => f.write_str("\\t"),
-                _ => write!(f, "\\u{b:04x}"),
-            }?;
-            plain = i + 1;
-        }
-        f.write_str(&self.0[plain..])
-    }
-}
-
 /// An optional id as JSON: the number, or `null`.
 struct OrNull(Option<u64>);
 
@@ -212,7 +184,7 @@ impl fmt::Display for OrNull {
 fn event_body(out: &mut impl fmt::Write, kind: &EventKind) -> fmt::Result {
     match *kind {
         EventKind::CallEnter { name } => {
-            write!(out, r#""ev":"call_enter","name":"{}""#, Esc(name))
+            write!(out, r#""ev":"call_enter","name":"{}""#, Escaped(name))
         }
         EventKind::CallExit => out.write_str(r#""ev":"call_exit""#),
         EventKind::XferBegin { id, bytes } => {
@@ -222,7 +194,7 @@ fn event_body(out: &mut impl fmt::Write, kind: &EventKind) -> fmt::Result {
             write!(out, r#""ev":"xfer_end","id":{id},"bytes":{bytes}"#)
         }
         EventKind::SectionBegin { name } => {
-            write!(out, r#""ev":"section_begin","name":"{}""#, Esc(name))
+            write!(out, r#""ev":"section_begin","name":"{}""#, Escaped(name))
         }
         EventKind::SectionEnd => out.write_str(r#""ev":"section_end""#),
         EventKind::XferFlag { id } => write!(out, r#""ev":"xfer_flag","id":{id}"#),
@@ -260,7 +232,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
             &mut out,
             format!(
                 r#"{{"ph":"M","pid":{pid},"tid":0,"name":"process_name","args":{{"name":"{}"}}}}"#,
-                Esc(&b.scope)
+                Escaped(&b.scope)
             ),
         );
         let fabric_tid = 2 * b.ranks.len();
@@ -292,7 +264,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                             format!(
                                 r#"{{"ph":"B","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"call","name":"{}"}}"#,
                                 ts_us(e.t),
-                                Esc(name)
+                                Escaped(name)
                             ),
                         );
                     }
@@ -303,7 +275,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                             format!(
                                 r#"{{"ph":"B","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"section","name":"{}"}}"#,
                                 ts_us(e.t),
-                                Esc(name)
+                                Escaped(name)
                             ),
                         );
                     }
@@ -314,7 +286,7 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                                 format!(
                                     r#"{{"ph":"E","pid":{pid},"tid":{calls_tid},"ts":{},"cat":"{cat}","name":"{}"}}"#,
                                     ts_us(e.t),
-                                    Esc(name)
+                                    Escaped(name)
                                 ),
                             );
                         }
@@ -382,8 +354,8 @@ pub fn chrome_json(bundles: &[TraceBundle]) -> String {
                     format!(
                         r#"{{"ph":"i","s":"p","pid":{pid},"tid":{fabric_tid},"ts":{},"cat":"fault","name":"{}","args":{{"detail":"{}"}}}}"#,
                         ts_us(x.t),
-                        Esc(&x.name),
-                        Esc(&x.detail)
+                        Escaped(&x.name),
+                        Escaped(&x.detail)
                     ),
                 );
             }
@@ -408,7 +380,7 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
         r#"{{"ev":"header","schema_version":{SCHEMA_VERSION}}}"#
     );
     for b in bundles {
-        let scope = Esc(&b.scope).to_string();
+        let scope = Escaped(&b.scope).to_string();
         for r in &b.ranks {
             for e in &r.events {
                 let _ = write!(out, r#"{{"scope":"{scope}","rank":{},"t":{},"#, r.rank, e.t);
@@ -449,8 +421,8 @@ pub fn jsonl(bundles: &[TraceBundle]) -> String {
                 out,
                 r#"{{"scope":"{scope}","t":{},"ev":"fault","name":"{}","detail":"{}"}}"#,
                 x.t,
-                Esc(&x.name),
-                Esc(&x.detail)
+                Escaped(&x.name),
+                Escaped(&x.detail)
             );
         }
     }
@@ -731,7 +703,7 @@ mod tests {
         let mut b = sample_bundle();
         b.scope = "we\"ird\\sc\u{f6}pe\n\r\t\u{1}".to_string();
         assert_eq!(
-            Esc(&b.scope).to_string(),
+            Escaped(&b.scope).to_string(),
             "we\\\"ird\\\\sc\u{f6}pe\\n\\r\\t\\u0001"
         );
         for text in [chrome_json(&[b.clone()]), jsonl(std::slice::from_ref(&b))] {
