@@ -159,12 +159,12 @@ pub fn ablation_table_resolution() -> Series {
     type TableOf = fn(&NetConfig) -> XferTimeTable;
     let sparse: TableOf = |net| {
         XferTimeTable::from_points(vec![
-            (1, net.transfer_time(1)),
-            (1 << 20, net.transfer_time(1 << 20)),
+            (1, net.nearest_transfer_time(1)),
+            (1 << 20, net.nearest_transfer_time(1 << 20)),
         ])
     };
     let constant: TableOf =
-        |net| XferTimeTable::from_points(vec![(1, net.transfer_time(64 << 10))]);
+        |net| XferTimeTable::from_points(vec![(1, net.nearest_transfer_time(64 << 10))]);
     let mut rows = Vec::new();
     for (name, table) in [
         ("dense", default_xfer_table as TableOf),

@@ -4,8 +4,11 @@
 //! data transfer times for various message sizes"; the resulting
 //! disk-resident file is read into memory at `MPI_Init`. This binary is the
 //! suite's equivalent: it *measures* transfer times on the simulated fabric
-//! with raw RDMA writes (no library protocol overhead) and writes the table
-//! as JSON.
+//! with raw RDMA writes (no library protocol overhead, through
+//! [`bench::micro::measure_xfer_times`]) and writes the table as JSON. The
+//! simulated runs do not read the file: they build the same table from their
+//! `NetConfig` with `simmpi::default_xfer_table`, which `tests/system.rs`
+//! checks against this measurement on every topology.
 //!
 //! ```text
 //! cargo run -p bench --bin perf_main -- [output.json] [--jobs N]
@@ -16,51 +19,9 @@
 //! simulations and run concurrently on the `--jobs` worker pool (default:
 //! available cores). The resulting table is identical for any worker count.
 
+use bench::micro::measure_xfer_times;
 use overlap_core::XferTimeTable;
-use simcore::SimOpts;
-use simnet::{Cluster, NetConfig, RegionId};
-
-fn measure(net: NetConfig, sizes: Vec<usize>) -> Vec<(u64, u64)> {
-    let cluster = Cluster::new(2, net);
-    let (_, mut per_rank) = cluster
-        .run_collect(SimOpts::default(), move |ctx, world| {
-            let mut results = Vec::new();
-            if ctx.rank() == 1 {
-                let mut w = world.lock();
-                for &sz in &sizes {
-                    w.register(1, vec![0u8; sz]);
-                }
-                return results;
-            }
-            ctx.compute(1_000_000); // let the target register its regions
-            for (i, &sz) in sizes.iter().enumerate() {
-                let t0 = ctx.now();
-                {
-                    let mut w = world.lock();
-                    w.post_rdma_write(
-                        0,
-                        1,
-                        RegionId(i as u64),
-                        0,
-                        bytes::Bytes::from(vec![0u8; sz]),
-                        0,
-                        None,
-                        None,
-                    );
-                }
-                loop {
-                    if world.lock().poll_cq(0).is_some() {
-                        break;
-                    }
-                    ctx.park();
-                }
-                results.push((sz as u64, ctx.now() - t0));
-            }
-            results
-        })
-        .expect("measurement run failed");
-    per_rank.swap_remove(0) // rank 0 measured; rank 1 only registered
-}
+use simnet::NetConfig;
 
 fn main() {
     let mut out_path = "xfer_table.json".to_string();
@@ -97,8 +58,9 @@ fn main() {
     }
     // One independent idle-fabric measurement per size; results land in
     // size order whatever the worker count.
-    let points: Vec<(u64, u64)> =
-        bench::runner::par_map(&sizes, |&sz| measure(NetConfig::default(), vec![sz])[0]);
+    let points: Vec<(u64, u64)> = bench::runner::par_map(&sizes, |&sz| {
+        measure_xfer_times(NetConfig::default(), vec![sz])[0]
+    });
     println!("{:>10}  {:>12}", "bytes", "xfer_ns");
     for &(sz, t) in &points {
         println!("{sz:>10}  {t:>12}");

@@ -6,8 +6,50 @@
 
 use bytes::Bytes;
 use overlap_core::RecorderOpts;
+use simcore::SimOpts;
 use simmpi::{MpiConfig, Src, TagSel};
-use simnet::NetConfig;
+use simnet::{Cluster, NetConfig, RegionId};
+
+/// The paper's `perf_main` measurement: on an idle two-node fabric (the
+/// nearest pair of any topology), node 0 RDMA-writes each of `sizes` into a
+/// region node 1 registered, one after another, and times each from post to
+/// local completion. Raw writes, so no library protocol overhead enters.
+/// Returns `(bytes, ns)` in `sizes` order.
+pub fn measure_xfer_times(net: NetConfig, sizes: Vec<usize>) -> Vec<(u64, u64)> {
+    let cluster = Cluster::new(2, net);
+    let (_, mut per_rank) = cluster
+        .run_collect(SimOpts::default(), move |ctx, world| {
+            let mut results = Vec::new();
+            if ctx.rank() == 1 {
+                let mut w = world.lock();
+                for &sz in &sizes {
+                    w.register(1, vec![0u8; sz]);
+                }
+                return results;
+            }
+            ctx.compute(1_000_000); // let the target register its regions
+            for (i, &sz) in sizes.iter().enumerate() {
+                let t0 = ctx.now();
+                world.lock().post_rdma_write(
+                    0,
+                    1,
+                    RegionId(i as u64),
+                    0,
+                    Bytes::from(vec![0u8; sz]),
+                    0,
+                    None,
+                    None,
+                );
+                while world.lock().poll_cq(0).is_none() {
+                    ctx.park();
+                }
+                results.push((sz as u64, ctx.now() - t0));
+            }
+            results
+        })
+        .expect("measurement run failed");
+    per_rank.swap_remove(0) // rank 0 measured; rank 1 only registered
+}
 
 /// Which call combination the two processes use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

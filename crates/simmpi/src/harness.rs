@@ -67,9 +67,11 @@ impl MpiRunOutcome {
 
 /// The a-priori transfer-time table for a fabric — what the paper measured
 /// once with `perf_main` and stored on disk. Sampled at power-of-two sizes
-/// up to 8 MiB from the fabric's idle one-way transfer time.
+/// up to 8 MiB from the idle one-way time to the nearest peer
+/// ([`NetConfig::nearest_transfer_time`]), so the table never overstates a
+/// transfer on any route of any topology.
 pub fn default_xfer_table(net: &NetConfig) -> XferTimeTable {
-    XferTimeTable::sample(1, 8 << 20, |b| net.transfer_time(b as usize))
+    XferTimeTable::sample(1, 8 << 20, |b| net.nearest_transfer_time(b as usize))
 }
 
 /// Run `body` as an MPI program on `nranks` simulated nodes.

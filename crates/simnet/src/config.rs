@@ -129,10 +129,24 @@ impl NetConfig {
     }
 
     /// End-to-end one-way time for a `bytes`-sized data transfer on an idle
-    /// fabric: serialization plus wire latency. This is what a ping-pong
-    /// microbenchmark (the paper's `perf_main`) observes per direction.
+    /// crossbar: serialization plus wire latency.
     pub fn transfer_time(&self, bytes: usize) -> Duration {
         self.serialize(bytes) + self.wire_latency
+    }
+
+    /// One-way time for a `bytes`-sized transfer to the nearest peer on an
+    /// idle fabric, which is what a ping-pong microbenchmark (the paper's
+    /// `perf_main`) observes per direction: serialization plus the fastest
+    /// route's latency, a same-switch pair's. No transfer between two nodes
+    /// is faster; contention, faults and longer routes only stretch it.
+    pub fn nearest_transfer_time(&self, bytes: usize) -> Duration {
+        let route = match self.topology {
+            TopologySpec::Flat => self.wire_latency,
+            // Up to a shared edge switch or router and down again. A fabric
+            // with no such pair has only longer routes.
+            TopologySpec::FatTree { .. } | TopologySpec::Dragonfly { .. } => 2 * self.hop_latency,
+        };
+        self.serialize(bytes) + route
     }
 }
 

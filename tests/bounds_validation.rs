@@ -159,6 +159,54 @@ fn bounds_hold_on_a_faster_fabric() {
     validate(&out, &net);
 }
 
+/// Off the flat crossbar: the `ablation-topology` exchange (32 ranks,
+/// 64 KiB direct-read rendezvous) on a fat-tree and a dragonfly, with no
+/// tenant and with a heavy one. The table is the fastest route's, so the
+/// lower bound needs no slack on any route.
+#[test]
+fn bounds_hold_on_hierarchical_fabrics() {
+    use simnet::{BackgroundJob, TopologySpec};
+    let heavy = BackgroundJob {
+        msg_bytes: 16 << 10,
+        period_ns: 50_000,
+    };
+    for topology in [
+        TopologySpec::FatTree { k: 8 },
+        TopologySpec::Dragonfly { a: 4, p: 2, h: 2 },
+    ] {
+        for background in [None, Some(heavy)] {
+            let net = NetConfig {
+                model_ingress_contention: true,
+                topology,
+                background,
+                ..NetConfig::infiniband_2006()
+            };
+            let cfg = MpiConfig::open_mpi_leave_pinned();
+            let out = run_mpi(32, net.clone(), cfg, RecorderOpts::default(), |mpi| {
+                let (me, n) = (mpi.rank(), mpi.nranks());
+                let msg = vec![1u8; 64 << 10];
+                for i in 0..6u64 {
+                    let r = mpi.irecv(Src::Rank((me + n - n / 4) % n), TagSel::Is(i));
+                    let s = mpi.isend((me + n / 4) % n, i, &msg);
+                    mpi.compute(200_000);
+                    mpi.wait(s);
+                    mpi.wait(r);
+                }
+            })
+            .unwrap();
+            let over: Vec<usize> = (0..32)
+                .filter(|&rank| out.reports[rank].total.min_overlap > out.true_overlap(rank))
+                .collect();
+            assert!(
+                over.is_empty(),
+                "{} with tenant {background:?}: min > truth on ranks {over:?}",
+                topology.label()
+            );
+            validate(&out, &net);
+        }
+    }
+}
+
 #[test]
 fn per_rank_time_accounting_is_exact() {
     let out = run_mpi(

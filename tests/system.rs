@@ -5,75 +5,34 @@ use overlap_suite::prelude::*;
 use simcore::SimOpts;
 
 /// The paper measures the a-priori `xfer_time` table with a ping-pong
-/// microbenchmark (`perf_main`). Reproduce that: measure one-way transfer
-/// times in the simulator via ping-pong halving and compare with the
-/// analytic table the harness uses — they must agree closely, validating
-/// the methodology end to end.
+/// microbenchmark (`perf_main`). Reproduce that on an idle two-node fabric of
+/// each topology — two nodes are the nearest pair — and compare with the
+/// table the harness builds: they must agree closely, validating the
+/// methodology end to end.
 #[test]
 fn measured_ping_pong_matches_analytic_table() {
-    use std::sync::{Arc, Mutex};
-    let net = NetConfig::default();
-    let analytic = default_xfer_table(&net);
-    let measured: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-    let measured_in = Arc::clone(&measured);
-    // Use raw RDMA writes (what perf_main exercises), not the MPI layer, so
-    // no protocol overhead pollutes the measurement.
-    let cluster = simnet::Cluster::new(2, net.clone());
-    cluster
-        .run(SimOpts::default(), move |ctx, world| {
-            if ctx.rank() != 0 {
-                // Passive target: register landing regions up front.
-                let mut w = world.lock();
-                for (i, &sz) in [1usize << 10, 16 << 10, 128 << 10, 1 << 20]
-                    .iter()
-                    .enumerate()
-                {
-                    let r = w.register(1, vec![0u8; sz]);
-                    assert_eq!(r.0, i as u64, "deterministic region ids");
-                }
-                return;
-            }
-            ctx.compute(1_000_000); // let the target register
-            for (i, &sz) in [1usize << 10, 16 << 10, 128 << 10, 1 << 20]
-                .iter()
-                .enumerate()
-            {
-                let t0 = ctx.now();
-                {
-                    let mut w = world.lock();
-                    w.post_rdma_write(
-                        0,
-                        1,
-                        simnet::RegionId(i as u64),
-                        0,
-                        bytes::Bytes::from(vec![1u8; sz]),
-                        0,
-                        None,
-                        None,
-                    );
-                }
-                // Wait for the local completion (placement time).
-                loop {
-                    if world.lock().poll_cq(0).is_some() {
-                        break;
-                    }
-                    ctx.park();
-                }
-                measured_in
-                    .lock()
-                    .unwrap()
-                    .push((sz as u64, ctx.now() - t0));
-            }
-        })
-        .unwrap();
-    for (sz, t) in measured.lock().unwrap().iter() {
-        let a = analytic.lookup(*sz);
-        let rel = (*t as f64 - a as f64).abs() / a as f64;
-        assert!(
-            rel < 0.02,
-            "size {sz}: measured {t} vs analytic {a} ({:.1}% off)",
-            rel * 100.0
-        );
+    use simnet::TopologySpec;
+    for topology in [
+        TopologySpec::Flat,
+        TopologySpec::FatTree { k: 8 },
+        TopologySpec::Dragonfly { a: 4, p: 2, h: 2 },
+    ] {
+        let net = NetConfig {
+            topology,
+            ..NetConfig::default()
+        };
+        let analytic = default_xfer_table(&net);
+        let sizes = vec![1 << 10, 16 << 10, 128 << 10, 1 << 20];
+        for (sz, t) in bench::micro::measure_xfer_times(net, sizes) {
+            let a = analytic.lookup(sz);
+            let rel = (t as f64 - a as f64).abs() / a as f64;
+            assert!(
+                rel < 0.02,
+                "{}, size {sz}: measured {t} vs analytic {a} ({:.1}% off)",
+                topology.label(),
+                rel * 100.0
+            );
+        }
     }
 }
 
