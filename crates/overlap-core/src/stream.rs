@@ -40,12 +40,14 @@
 //! [`StreamError`] before any state is touched.
 //!
 //! **Line grammar.** [`parse_line`] takes any JSON object: members in any
-//! order, whitespace between tokens, escapes in strings and keys, the first
-//! occurrence of a repeated key deciding. Members the schema does not name
-//! are syntax-checked and skipped, nested at most 32 deep. It is one scan of
-//! the line's bytes into a fixed set of typed slots — no JSON tree, no
-//! recursion, time linear in the line's length — and allocates only for a
-//! string written with an escape and for a `name` not seen before.
+//! order, whitespace between tokens, escapes in strings and keys (surrogate
+//! pairs included), the first occurrence of a repeated key deciding. Members
+//! the schema does not name are syntax-checked and skipped, nested at most 32
+//! deep. The tokens come from `serde::Reader`, the one JSON reader
+//! `serde_json::from_str` also drives; this module keeps only the schema: one
+//! pass of the reader over the line fills a fixed set of typed slots — no
+//! JSON tree, no recursion, time linear in the line's length — and allocates
+//! only for a string written with an escape and for a `name` not seen before.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
