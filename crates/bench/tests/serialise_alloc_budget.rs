@@ -9,11 +9,13 @@
 //! printing an attribution artifact allocates only as the output string
 //! grows. A per-record, per-wait or per-slice allocation costs thousands of
 //! calls here; this test keeps all of them out, independently of the
-//! (frozen) `benchmark/` ledger.
+//! (frozen) `benchmark/` ledger. On the way in, decoding a stream line that
+//! has no escape and no name not seen before allocates nothing.
 //!
 //! One `#[test]` only: the counters are process-wide, and tests of one binary
 //! run concurrently.
 
+use overlap_core::stream::parse_line;
 use overlap_core::trace::{jsonl, TraceBundle};
 use overlap_core::{
     Clock, ManualClock, Recorder, RecorderOpts, SessionFold, WaitCause, XferTimeTable,
@@ -24,11 +26,11 @@ static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
 const RANKS: usize = 2;
 
-/// A fold of one scope where each of `RANKS` ranks runs `xfers`
-/// isend/compute/wait cycles over every size bin, each wait split between a
-/// late receiver pinned on the transfer and an unpinned sync, so every
-/// transfer leaves a record with several cause slices.
-fn fold(xfers: u64) -> SessionFold {
+/// The exported stream of one scope where each of `RANKS` ranks runs
+/// `xfers` isend/compute/wait cycles over every size bin, each wait split
+/// between a late receiver pinned on the transfer and an unpinned sync, so
+/// every transfer leaves a record with several cause slices.
+fn stream(xfers: u64) -> String {
     let mut bundle = TraceBundle {
         scope: "budget".into(),
         ranks: Vec::new(),
@@ -63,9 +65,7 @@ fn fold(xfers: u64) -> SessionFold {
         let (_, trace) = rec.finish_traced();
         bundle.ranks.push(trace.expect("recorder was traced"));
     }
-    let mut fold = SessionFold::default();
-    fold.push_text(&jsonl(&[bundle])).expect("stream folds");
-    fold
+    jsonl(&[bundle])
 }
 
 /// Allocator calls `f` makes.
@@ -90,7 +90,19 @@ fn served_artifacts_stay_inside_their_allocation_budget() {
             .collect();
     for (at, per_rank) in [500, 2_000].into_iter().enumerate() {
         let transfers = per_rank * RANKS as u64;
-        let fold = fold(per_rank);
+        let text = stream(per_rank);
+        let mut fold = SessionFold::default();
+        fold.push_text(&text).expect("stream folds");
+        // Every name is pooled by now, and no line has an escape.
+        let decoded = calls(|| {
+            for line in text.lines() {
+                std::hint::black_box(parse_line(line).expect("line decodes"));
+            }
+        });
+        assert_eq!(
+            decoded, 0,
+            "decoding {transfers} transfers' lines made {decoded} allocator calls"
+        );
 
         counts[0].1[at] = calls(|| drop(std::hint::black_box(fold.collapsed())));
         counts[1].1[at] = calls(|| drop(std::hint::black_box(fold.attribution("budget"))));
