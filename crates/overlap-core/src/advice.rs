@@ -201,7 +201,7 @@ mod tests {
             user_compute_time: 80_000_000,
             comm_call_time: 20_000_000,
             total: Stats::default(),
-            bin_labels: vec!["<1K".into(), ">=1K".into()],
+            bin_labels: ["<1K".into(), ">=1K".into()].into(),
             by_bin: vec![Stats::default(), Stats::default()],
             sections: Default::default(),
             calls: Default::default(),

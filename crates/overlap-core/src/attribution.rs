@@ -135,7 +135,7 @@ impl WaitCause {
 
     /// Index of this cause in [`WaitCause::ALL`], which lists the variants
     /// in declaration order.
-    fn idx(self) -> usize {
+    pub(crate) fn idx(self) -> usize {
         self as usize
     }
 }
@@ -421,28 +421,19 @@ fn attribute_over<'a>(
 /// * histogram `attr_ns_hist/<cause>` — per-transfer slice sizes on the
 ///   default latency ladder.
 ///
-/// Keys are formatted into one reused buffer; the registry allocates a key
-/// only the first time it sees it, and no record is kept.
+/// The keys are the ones `bins` shares, so the registry allocates none, and
+/// no record is kept.
 pub(crate) fn fold_metrics(view: &RankView<'_>, bins: &SizeBins, reg: &mut MetricsRegistry) {
-    let labels = bins.labels();
-    let mut key = String::new();
+    let names = bins.attr_names();
     each_record(view, |r| {
-        let bin = &labels[bins.index(r.bytes)];
+        let bin = bins.index(r.bytes);
         for s in r.breakdown.iter() {
-            let cause = s.cause.label();
-            reg.inc(keyed(&mut key, format_args!("attr_ns/{cause}/{bin}")), s.ns);
-            reg.inc(keyed(&mut key, format_args!("attr_xfers/{cause}")), 1);
-            let hist = keyed(&mut key, format_args!("attr_ns_hist/{cause}"));
-            reg.observe(hist, s.ns, Histogram::latency_default);
+            let n = &names[s.cause.idx()];
+            reg.inc(n.ns[bin].clone(), s.ns);
+            reg.inc(n.xfers.clone(), 1);
+            reg.observe(n.hist.clone(), s.ns, Histogram::latency_default);
         }
     });
-}
-
-/// `key`, rewritten to hold `args`.
-fn keyed<'k>(key: &'k mut String, args: std::fmt::Arguments<'_>) -> &'k str {
-    key.clear();
-    let _ = std::fmt::Write::write_fmt(key, args);
-    key
 }
 
 #[cfg(test)]

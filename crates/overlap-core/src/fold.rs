@@ -29,7 +29,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use crate::bins::SizeBins;
+use crate::bins::{FoldNames, SizeBins};
 use crate::bounds::OverlapBounds;
 use crate::event::{Event, EventKind};
 use crate::metrics::{Histogram, MetricsRegistry};
@@ -95,59 +95,52 @@ pub(crate) struct Window {
 }
 
 /// The registry entries the fold maintains itself, held as direct fields so
-/// closing a transfer does no key allocation and no map lookup.
-/// [`BuiltinMetrics::emit`] writes them into a [`MetricsRegistry`] under
-/// their names, and only those that fired.
+/// closing a transfer does no key allocation and no map lookup. A histogram
+/// is created on its first sample. [`BuiltinMetrics::emit`] writes them into
+/// a [`MetricsRegistry`] under the names the bins share, and only those that
+/// fired.
+#[derive(Default)]
 struct BuiltinMetrics {
     xfers_closed: u64,
     xfers_flagged: u64,
     xfers_clamped: u64,
     calls_completed: u64,
-    xfer_apriori_ns: Histogram,
-    xfer_wall_ns: Histogram,
-    call_latency_ns: Histogram,
-    /// `(overlap_min_ns, overlap_max_ns)` histograms per size bin.
-    by_bin: Vec<(Histogram, Histogram)>,
+    xfer_apriori_ns: Option<Histogram>,
+    xfer_wall_ns: Option<Histogram>,
+    call_latency_ns: Option<Histogram>,
+    /// `[overlap_min_ns, overlap_max_ns]` histograms per size bin; empty
+    /// until the first transfer closes.
+    by_bin: Vec<[Option<Histogram>; 2]>,
+}
+
+/// Record `v` into `h`, creating it on the default ladder first.
+fn observe(h: &mut Option<Histogram>, v: u64) {
+    h.get_or_insert_with(Histogram::latency_default).observe(v);
 }
 
 impl BuiltinMetrics {
-    fn new(nbins: usize) -> Self {
-        BuiltinMetrics {
-            xfers_closed: 0,
-            xfers_flagged: 0,
-            xfers_clamped: 0,
-            calls_completed: 0,
-            xfer_apriori_ns: Histogram::latency_default(),
-            xfer_wall_ns: Histogram::latency_default(),
-            call_latency_ns: Histogram::latency_default(),
-            by_bin: (0..nbins)
-                .map(|_| (Histogram::latency_default(), Histogram::latency_default()))
-                .collect(),
-        }
-    }
-
-    fn emit(&self, bin_labels: &[String], reg: &mut MetricsRegistry) {
-        for (name, v) in [
-            ("xfers_closed", self.xfers_closed),
-            ("xfers_flagged", self.xfers_flagged),
-            ("xfers_clamped", self.xfers_clamped),
-            ("calls_completed", self.calls_completed),
-        ] {
+    fn emit(&self, names: &FoldNames, reg: &mut MetricsRegistry) {
+        let counters = [
+            self.xfers_closed,
+            self.xfers_flagged,
+            self.xfers_clamped,
+            self.calls_completed,
+        ];
+        for (key, v) in names.counters.iter().zip(counters) {
             if v > 0 {
-                reg.inc(name, v);
+                reg.counters.insert(key.clone(), v);
             }
         }
-        let mut put = |name: String, h: &Histogram| {
-            if h.count() > 0 {
-                reg.histograms.insert(name, h.clone());
+        let fixed = [
+            &self.xfer_apriori_ns,
+            &self.xfer_wall_ns,
+            &self.call_latency_ns,
+        ];
+        let hists = fixed.into_iter().chain(self.by_bin.iter().flatten());
+        for (key, h) in names.histograms.iter().zip(hists) {
+            if let Some(h) = h {
+                reg.histograms.insert(key.clone(), h.clone());
             }
-        };
-        put("xfer_apriori_ns".to_string(), &self.xfer_apriori_ns);
-        put("xfer_wall_ns".to_string(), &self.xfer_wall_ns);
-        put("call_latency_ns".to_string(), &self.call_latency_ns);
-        for ((min_h, max_h), label) in self.by_bin.iter().zip(bin_labels) {
-            put(format!("overlap_min_ns/{label}"), min_h);
-            put(format!("overlap_max_ns/{label}"), max_h);
         }
     }
 }
@@ -205,7 +198,7 @@ impl RankFold {
             anomalies: Anomalies::default(),
             total: OverlapStats::default(),
             by_bin: vec![OverlapStats::default(); nbins],
-            builtin: BuiltinMetrics::new(nbins),
+            builtin: BuiltinMetrics::default(),
         }
     }
 
@@ -270,7 +263,7 @@ impl RankFold {
                         let dt = e.t.saturating_sub(t0);
                         c.total_time += dt;
                         self.builtin.calls_completed += 1;
-                        self.builtin.call_latency_ns.observe(dt);
+                        observe(&mut self.builtin.call_latency_ns, dt);
                     }
                 }
                 None
@@ -370,15 +363,17 @@ impl RankFold {
         if rec.clamped {
             self.builtin.xfers_clamped += 1;
         }
-        self.builtin.xfer_apriori_ns.observe(rec.xfer_time);
+        observe(&mut self.builtin.xfer_apriori_ns, rec.xfer_time);
         if let Some(t0) = rec.begin_t {
-            self.builtin
-                .xfer_wall_ns
-                .observe(rec.end_t.saturating_sub(t0));
+            observe(&mut self.builtin.xfer_wall_ns, rec.end_t.saturating_sub(t0));
         }
-        let (min_hist, max_hist) = &mut self.builtin.by_bin[bin];
-        min_hist.observe(rec.min);
-        max_hist.observe(rec.max);
+        let by_bin = &mut self.builtin.by_bin;
+        if by_bin.is_empty() {
+            by_bin.resize_with(self.bins.count(), Default::default);
+        }
+        let [min_hist, max_hist] = &mut by_bin[bin];
+        observe(min_hist, rec.min);
+        observe(max_hist, rec.max);
     }
 
     /// The rank's report as of `end_time`. The interval from the cursor to
@@ -395,16 +390,15 @@ impl RankFold {
                 comm_call_time += dt;
             }
         }
-        let bin_labels = self.bins.labels();
         let mut metrics = MetricsRegistry::new();
-        self.builtin.emit(&bin_labels, &mut metrics);
+        self.builtin.emit(self.bins.fold_names(), &mut metrics);
         OverlapReport {
             rank,
             elapsed: end_time.saturating_sub(self.first_event.unwrap_or(end_time)),
             user_compute_time,
             comm_call_time,
             total: self.total,
-            bin_labels,
+            bin_labels: self.bins.labels().clone(),
             by_bin: self.by_bin.clone(),
             sections: BTreeMap::new(),
             calls: self

@@ -169,7 +169,7 @@ mod tests {
             user_compute_time: 4_000,
             comm_call_time: 1_000,
             total: clean_stats(),
-            bin_labels: vec!["0-4K".into()],
+            bin_labels: ["0-4K".into()].into(),
             by_bin: vec![clean_stats()],
             sections: Default::default(),
             calls: Default::default(),

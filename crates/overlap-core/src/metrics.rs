@@ -9,9 +9,16 @@
 //! histogram never allocates after construction, preserving the framework's
 //! constant-memory property.
 
+use std::borrow::{Borrow, Cow};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+
+use crate::bins::check_edges;
+
+/// The default latency ladder: decades from 100 ns to 100 ms.
+const LATENCY_EDGES: &[u64] = &[100, 1000, 10000, 100000, 1000000, 10000000, 100000000];
 
 /// A fixed-bucket histogram over `u64` samples (nanoseconds, usually).
 ///
@@ -37,10 +44,11 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert_eq!(a, both);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Histogram {
-    /// Bucket boundaries, strictly increasing.
-    edges: Vec<u64>,
+    /// Bucket boundaries, strictly increasing. The default ladder is
+    /// borrowed, not copied into every histogram.
+    edges: Cow<'static, [u64]>,
     /// Per-bucket sample counts (`edges.len() + 1` entries).
     counts: Vec<u64>,
     /// Total samples observed.
@@ -54,14 +62,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Create a histogram with the given bucket `edges` (strictly
-    /// increasing, non-empty).
-    pub(crate) fn new(edges: Vec<u64>) -> Self {
-        assert!(!edges.is_empty(), "histogram needs at least one edge");
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]),
-            "histogram edges must be strictly increasing"
-        );
+    /// An empty histogram over well-formed `edges`.
+    fn with_edges(edges: Cow<'static, [u64]>) -> Self {
         let n = edges.len() + 1;
         Histogram {
             edges,
@@ -73,23 +75,10 @@ impl Histogram {
         }
     }
 
-    /// Exponential bucket ladder: `n` edges starting at `start`, each
-    /// `factor`× the previous (`start`, `start*factor`, ...).
-    fn exponential(start: u64, factor: u64, n: usize) -> Self {
-        assert!(start > 0 && factor > 1 && n > 0);
-        let mut edges = Vec::with_capacity(n);
-        let mut e = start;
-        for _ in 0..n {
-            edges.push(e);
-            e = e.saturating_mul(factor);
-        }
-        Histogram::new(edges)
-    }
-
     /// The default latency ladder used by the built-in metrics: decades from
     /// 100 ns to 100 ms.
     pub fn latency_default() -> Self {
-        Histogram::exponential(100, 10, 7)
+        Histogram::with_edges(Cow::Borrowed(LATENCY_EDGES))
     }
 
     /// Record one sample.
@@ -100,11 +89,6 @@ impl Histogram {
         self.sum = self.sum.saturating_add(v);
         self.min = self.min.min(v);
         self.max = self.max.max(v);
-    }
-
-    /// Total samples observed.
-    pub(crate) fn count(&self) -> u64 {
-        self.count
     }
 
     /// Fold another histogram with the *same bucket layout* into this one.
@@ -121,19 +105,47 @@ impl Histogram {
     }
 }
 
+/// A histogram whose edges are malformed or whose counts do not match them
+/// is refused here: `observe` would index past the end, and `merge` would
+/// drop counts.
+impl Deserialize for Histogram {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let n = |name| u64::from_value(v.field(name));
+        let h = Histogram {
+            edges: Deserialize::from_value(v.field("edges"))?,
+            counts: Deserialize::from_value(v.field("counts"))?,
+            count: n("count")?,
+            sum: n("sum")?,
+            min: n("min")?,
+            max: n("max")?,
+        };
+        check_edges(&h.edges).map_err(|e| DeError(format!("histogram: {e}")))?;
+        let (counts, edges) = (h.counts.len(), h.edges.len());
+        if counts != edges + 1 {
+            let e = format!(
+                "histogram: {counts} counts for {edges} edges, expected {}",
+                edges + 1
+            );
+            return Err(DeError(e));
+        }
+        Ok(h)
+    }
+}
+
 /// A named collection of counters and histograms, one per process.
 ///
 /// Keys are stable strings (e.g. `"call_latency_ns"`,
 /// `"overlap_max_ns/<1K"`); `BTreeMap` keeps serialization order
-/// deterministic. Built-in metrics are populated by the processor; user code
-/// may add its own through [`MetricsRegistry::inc`] /
+/// deterministic. Built-in metrics are populated by the processor under the
+/// names their [`crate::SizeBins`] shares, so inserting one is a refcount
+/// bump; user code may add its own through [`MetricsRegistry::inc`] /
 /// [`MetricsRegistry::observe`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsRegistry {
     /// Monotonic named counters.
-    pub counters: BTreeMap<String, u64>,
+    pub counters: BTreeMap<Arc<str>, u64>,
     /// Named fixed-bucket histograms.
-    pub histograms: BTreeMap<String, Histogram>,
+    pub histograms: BTreeMap<Arc<str>, Histogram>,
 }
 
 impl MetricsRegistry {
@@ -143,12 +155,17 @@ impl MetricsRegistry {
     }
 
     /// Add `by` to counter `name` (creating it at 0).
-    pub fn inc(&mut self, name: &str, by: u64) {
+    pub fn inc(&mut self, name: impl Borrow<str> + Into<Arc<str>>, by: u64) {
         *entry(&mut self.counters, name, || 0) += by;
     }
 
     /// Record `v` into histogram `name`, creating it with `mk` on first use.
-    pub fn observe(&mut self, name: &str, v: u64, mk: impl FnOnce() -> Histogram) {
+    pub fn observe(
+        &mut self,
+        name: impl Borrow<str> + Into<Arc<str>>,
+        v: u64,
+        mk: impl FnOnce() -> Histogram,
+    ) {
         entry(&mut self.histograms, name, mk).observe(v);
     }
 
@@ -156,26 +173,48 @@ impl MetricsRegistry {
     /// (same-layout requirement applies per name).
     pub fn merge(&mut self, o: &MetricsRegistry) {
         for (k, &v) in &o.counters {
-            self.inc(k, v);
+            self.inc(k.clone(), v);
         }
         for (k, h) in &o.histograms {
-            entry(&mut self.histograms, k, || Histogram::new(h.edges.clone())).merge(h);
+            entry(&mut self.histograms, k.clone(), || {
+                Histogram::with_edges(h.edges.clone())
+            })
+            .merge(h);
         }
     }
 }
 
-/// `map[name]`, inserted as `mk()` when absent. The key is allocated only
-/// then: a fold hits the same few keys once per transfer.
-fn entry<'m, V>(map: &'m mut BTreeMap<String, V>, name: &str, mk: impl FnOnce() -> V) -> &'m mut V {
-    if !map.contains_key(name) {
-        map.insert(name.to_string(), mk());
+/// `map[name]`, inserted as `mk()` when absent. Only then does `name`
+/// become a key: a `&str` is allocated, a shared `Arc<str>` is a refcount
+/// bump.
+fn entry<V>(
+    map: &mut BTreeMap<Arc<str>, V>,
+    name: impl Borrow<str> + Into<Arc<str>>,
+    mk: impl FnOnce() -> V,
+) -> &mut V {
+    if map.contains_key(name.borrow()) {
+        return map.get_mut(name.borrow()).expect("checked above");
     }
-    map.get_mut(name).expect("inserted above")
+    map.entry(name.into()).or_insert_with(mk)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Histogram {
+        fn new(edges: Vec<u64>) -> Self {
+            if let Err(e) = check_edges(&edges) {
+                panic!("histogram {e}");
+            }
+            Histogram::with_edges(edges.into())
+        }
+
+        /// Total samples observed.
+        pub(crate) fn count(&self) -> u64 {
+            self.count
+        }
+    }
 
     #[test]
     fn bucketing_edge_values() {
@@ -213,9 +252,21 @@ mod tests {
 
     #[test]
     fn exponential_ladder() {
-        let h = Histogram::exponential(100, 10, 4);
-        assert_eq!(h.edges, [100, 1_000, 10_000, 100_000]);
-        assert_eq!(h.counts.len(), 5);
+        let h = Histogram::latency_default();
+        assert!(matches!(h.edges, Cow::Borrowed(_)), "the ladder is shared");
+        assert_eq!(
+            *h.edges,
+            [
+                100,
+                1_000,
+                10_000,
+                100_000,
+                1_000_000,
+                10_000_000,
+                100_000_000
+            ]
+        );
+        assert_eq!(h.counts.len(), 8);
     }
 
     #[test]

@@ -219,7 +219,7 @@ mod tests {
     }
 
     fn run(events: Vec<Event>, end: u64, table: XferTimeTable) -> OverlapReport {
-        let mut p = Processor::new(table, SizeBins::log_default());
+        let mut p = Processor::new(table, SizeBins::default());
         for e in events {
             p.process(e);
         }
@@ -624,8 +624,8 @@ mod tests {
             30,
             table,
         );
-        let small_bin = SizeBins::log_default().index(512);
-        let large_bin = SizeBins::log_default().index(2 << 20);
+        let small_bin = SizeBins::default().index(512);
+        let large_bin = SizeBins::default().index(2 << 20);
         assert_eq!(r.by_bin[small_bin].transfers, 1);
         assert_eq!(r.by_bin[large_bin].transfers, 1);
         assert_ne!(small_bin, large_bin);

@@ -2,6 +2,7 @@
 //! overlap numbers" the framework writes when the application terminates.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -195,8 +196,9 @@ pub struct OverlapReport {
     pub comm_call_time: u64,
     /// Overall overlap measures.
     pub total: OverlapStats,
-    /// Labels of the size bins, in order.
-    pub bin_labels: Vec<String>,
+    /// Labels of the size bins, in order; shared with the bins that made
+    /// them.
+    pub bin_labels: Arc<[String]>,
     /// Per-size-bin overlap measures.
     pub by_bin: Vec<OverlapStats>,
     /// Per-monitored-section measures.
@@ -327,7 +329,7 @@ pub struct ClusterSummary {
     /// Sum of all processes' overlap measures.
     pub total: OverlapStats,
     /// Bin labels (taken from the first report; all must agree).
-    pub bin_labels: Vec<String>,
+    pub bin_labels: Arc<[String]>,
     /// Per-bin sums across processes.
     pub by_bin: Vec<OverlapStats>,
     /// Smallest per-rank maximum-overlap percentage (the laggard).

@@ -32,7 +32,9 @@
 //! [`ScopeView`]s.
 //!
 //! **Size bins.** Ranks fold with [`SizeBins::default`], which is the layout
-//! every instrumented process in this repository uses.
+//! every instrumented process in this repository uses. A scope builds it
+//! once and every rank of the scope shares it, so the bin labels and the
+//! metric names keyed by them are formatted once per scope, not per rank.
 //!
 //! **Schema guard.** A stream must open with the
 //! `{"ev":"header","schema_version":N}` line written by the exporter; a
@@ -460,9 +462,9 @@ struct RankState {
 }
 
 impl RankState {
-    fn new() -> Self {
+    fn new(bins: SizeBins) -> Self {
         RankState {
-            fold: RankFold::new(SizeBins::default()),
+            fold: RankFold::new(bins),
             calls: CallSpans::default(),
             events: 0,
             bounds: Vec::new(),
@@ -510,6 +512,9 @@ impl RankState {
 /// fabric extras the windowed series needs.
 #[derive(Default)]
 struct ScopeFold {
+    /// The layout every rank of the scope folds with, labels and metric
+    /// names included.
+    bins: SizeBins,
     ranks: BTreeMap<usize, RankState>,
     extras_t: Vec<u64>,
     /// `[first, last]` stamp covered, as [`crate::trace::TraceBundle::span`]
@@ -525,7 +530,9 @@ impl ScopeFold {
     }
 
     fn rank_mut(&mut self, rank: usize) -> &mut RankState {
-        self.ranks.entry(rank).or_insert_with(RankState::new)
+        self.ranks
+            .entry(rank)
+            .or_insert_with(|| RankState::new(self.bins.clone()))
     }
 }
 

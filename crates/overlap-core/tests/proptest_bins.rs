@@ -1,9 +1,10 @@
 //! Bin-partition property tests: every size lands in exactly one bin, labels
 //! are consistent, and custom edges behave. A bin is observed the way a
 //! report reader sees it: one transfer recorded, then the report's per-bin
-//! breakdown says where it landed.
+//! breakdown says where it landed. A malformed ladder, or a histogram whose
+//! counts do not fit its edges, is refused when it is read.
 
-use overlap_core::{ManualClock, Recorder, RecorderOpts, SizeBins, XferTimeTable};
+use overlap_core::{Histogram, ManualClock, Recorder, RecorderOpts, SizeBins, XferTimeTable};
 use proptest::prelude::*;
 
 /// The bin a `bytes`-sized transfer is reported in, and the report's bin
@@ -34,6 +35,71 @@ fn bin_of(bins: &SizeBins, bytes: u64) -> (usize, usize) {
 /// them.
 fn bins_with(edges: &[u64]) -> SizeBins {
     serde_json::from_str(&format!("{{\"edges\":{edges:?}}}")).unwrap()
+}
+
+/// The one-line error reading `text` as a `T` gives.
+fn refusal<T: serde::Deserialize + std::fmt::Debug>(text: &str) -> String {
+    let err = serde_json::from_str::<T>(text).unwrap_err().to_string();
+    assert!(!err.contains('\n'), "{err}");
+    err
+}
+
+#[test]
+fn malformed_ladders_are_refused_when_read() {
+    for (edges, why) in [
+        ("[]", "size bins: needs at least one edge"),
+        (
+            "[5,3]",
+            "size bins: edges must be strictly increasing, found 5 then 3",
+        ),
+        (
+            "[1,4,4]",
+            "size bins: edges must be strictly increasing, found 4 then 4",
+        ),
+    ] {
+        let err = refusal::<SizeBins>(&format!("{{\"edges\":{edges}}}"));
+        assert_eq!(err, why, "edges {edges}");
+    }
+    // A well-formed ladder reads back as the bins that print it.
+    let b = bins_with(&[5, 3 << 10]);
+    assert_eq!(serde_json::to_string(&b).unwrap(), r#"{"edges":[5,3072]}"#);
+    assert_eq!(bin_of(&b, 4), (0, 3));
+}
+
+#[test]
+fn histograms_whose_counts_do_not_fit_their_edges_are_refused() {
+    let hist = |edges: &str, counts: &str| {
+        format!(r#"{{"edges":{edges},"counts":{counts},"count":1,"sum":7,"min":7,"max":7}}"#)
+    };
+    let ok: Histogram = serde_json::from_str(&hist("[10,100]", "[1,0,0]")).unwrap();
+    assert_eq!(
+        serde_json::to_string(&ok).unwrap(),
+        hist("[10,100]", "[1,0,0]")
+    );
+    for (edges, counts, why) in [
+        (
+            "[10,100]",
+            "[1,0]",
+            "histogram: 2 counts for 2 edges, expected 3",
+        ),
+        (
+            "[10,100]",
+            "[1,0,0,0]",
+            "histogram: 4 counts for 2 edges, expected 3",
+        ),
+        (
+            "[100,10]",
+            "[1,0,0]",
+            "histogram: edges must be strictly increasing, found 100 then 10",
+        ),
+        ("[]", "[1]", "histogram: needs at least one edge"),
+    ] {
+        assert_eq!(
+            refusal::<Histogram>(&hist(edges, counts)),
+            why,
+            "{edges} {counts}"
+        );
+    }
 }
 
 proptest! {

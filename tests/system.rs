@@ -65,10 +65,13 @@ fn reports_roundtrip_through_json_files() {
         let path = dir.join(format!("overlap.rank{}.json", r.rank));
         r.save_json(&path).unwrap();
         let loaded = OverlapReport::load_json(&path).unwrap();
-        assert_eq!(loaded.rank, r.rank);
-        assert_eq!(loaded.total, r.total);
-        assert_eq!(loaded.sections.len(), r.sections.len());
-        assert_eq!(loaded.calls["MPI_Init"], r.calls["MPI_Init"]);
+        // Every field reads back as it was written, shared labels and
+        // metric keys and borrowed histogram ladders included.
+        assert_eq!(
+            serde_json::to_string(&loaded).unwrap(),
+            serde_json::to_string(r).unwrap()
+        );
+        assert!(loaded.metrics.counters["xfers_closed"] > 0);
         // Text rendering works on the loaded report.
         let text = loaded.render_text();
         assert!(text.contains("overlap report"));
