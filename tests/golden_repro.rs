@@ -6,7 +6,8 @@
 //! refactor to byte-for-byte equivalence:
 //!
 //! * one micro-benchmark figure (`fig03`), one ablation (`ablation-eager`),
-//!   and one NAS-kernel figure (`fig14`) rendered-series snapshot,
+//!   and one NAS-kernel figure (`fig14`) rendered-series snapshot, plus
+//!   `ablation-progress`, the one harness that runs every progress model,
 //! * FNV-1a-64 checksums + byte lengths of fig03's exported trace files
 //!   (`fig03.trace.fnv` — the raw exports are several MB, so the golden
 //!   stores digests; re-blessed when the export schema intentionally
@@ -73,6 +74,16 @@ fn fig14_nas_series_matches_golden() {
 fn ablation_eager_series_matches_golden() {
     let _g = global_lock();
     assert_golden("ablation-eager", include_str!("goldens/ablation-eager.txt"));
+}
+
+/// The only default-run harness that drives `early-bird` and `hw-tag`.
+#[test]
+fn ablation_progress_series_matches_golden() {
+    let _g = global_lock();
+    assert_golden(
+        "ablation-progress",
+        include_str!("goldens/ablation-progress.txt"),
+    );
 }
 
 #[test]
