@@ -29,7 +29,10 @@ use std::sync::Arc;
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, RankDiag};
-use simnet::{CausalEdge, Completion, NetConfig, Packet, Region, RegionId, SharedWorld, XferId};
+use simnet::{
+    CausalEdge, Completion, HwMsg, Matcher, NetConfig, Packet, Region, RegionId, SharedWorld,
+    XferId,
+};
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
 use crate::proto::{self, wr_kind};
@@ -43,16 +46,10 @@ const NO_XFER: u64 = u64::MAX;
 /// ids.
 const LOCAL_XFER_BIT: u64 = 1 << 63;
 
-struct Posted {
-    req: u64,
-    src: Src,
-    tag: TagSel,
-}
-
+/// An arrival the host matched or parked; its `(src, tag)` envelope sits
+/// beside it in the [`Matcher`].
 enum Arrival {
     Eager {
-        src: usize,
-        tag: u64,
         xfer: u64,
         data: Bytes,
         /// Payload already copied out of the bounce buffer (early-bird
@@ -60,30 +57,16 @@ enum Arrival {
         copied: bool,
     },
     RtsRead {
-        src: usize,
-        tag: u64,
         len: usize,
         region: RegionId,
         xfer: u64,
         sender_req: u64,
     },
     RtsPipe {
-        src: usize,
-        tag: u64,
         total_len: usize,
         frag1: Bytes,
         sender_req: u64,
     },
-}
-
-impl Arrival {
-    fn envelope(&self) -> (usize, u64) {
-        match self {
-            Arrival::Eager { src, tag, .. }
-            | Arrival::RtsRead { src, tag, .. }
-            | Arrival::RtsPipe { src, tag, .. } => (*src, *tag),
-        }
-    }
 }
 
 struct PipeRecv {
@@ -111,13 +94,10 @@ enum Req {
         tag: u64,
     },
     SendRdvPipe {
-        done: bool,
         data: Bytes,
         frag1_len: usize,
         /// (xfer id, len) per posted-but-uncompleted fragment, in post order.
         frags: VecDeque<(u64, u64)>,
-        /// Completions still outstanding.
-        remaining: usize,
         /// True once every fragment has been posted (CTS received or
         /// single-fragment message).
         all_posted: bool,
@@ -125,7 +105,6 @@ enum Req {
         tag: u64,
     },
     Recv {
-        done: bool,
         result: Option<Status>,
         /// Direct-read in flight: (xfer id, len).
         reading: Option<(u64, u64)>,
@@ -138,10 +117,11 @@ enum Req {
 impl Req {
     fn is_done(&self) -> bool {
         match self {
-            Req::SendEager { done, .. }
-            | Req::SendRdvRead { done, .. }
-            | Req::SendRdvPipe { done, .. }
-            | Req::Recv { done, .. } => *done,
+            Req::SendEager { done, .. } | Req::SendRdvRead { done, .. } => *done,
+            Req::SendRdvPipe {
+                frags, all_posted, ..
+            } => *all_posted && frags.is_empty(),
+            Req::Recv { result, .. } => result.is_some(),
         }
     }
 }
@@ -161,8 +141,9 @@ pub struct Mpi<'a> {
     reqs: HashMap<u64, Req>,
     next_req: u64,
     next_local_xfer: u64,
-    posted: Vec<Posted>,
-    unexpected: VecDeque<Arrival>,
+    /// Host-side matching (every progress model but `hw-tag`, where the
+    /// NIC matches).
+    matcher: Matcher<Arrival>,
     /// MRU registration cache for rendezvous send buffers, keyed by length.
     /// `busy` entries back an in-flight send and must not be reused or
     /// evicted until its FIN arrives (reusing one would overwrite data the
@@ -246,8 +227,7 @@ impl<'a> Mpi<'a> {
             reqs: HashMap::new(),
             next_req: 0,
             next_local_xfer: 0,
-            posted: Vec::new(),
-            unexpected: VecDeque::new(),
+            matcher: Matcher::default(),
             send_reg_cache: VecDeque::new(),
             recv_pin_cache: VecDeque::new(),
             coll_seq: 0,
@@ -456,13 +436,11 @@ impl<'a> Mpi<'a> {
         self.progress();
         // The host unexpected queue under software matching, the NIC's
         // under `hw-tag`.
+        let (s, t) = selector(src, tag);
         let found = if self.cfg.progress == ProgressModel::HwTag {
-            let (s, t) = hw_selector(src, tag);
             self.world.lock().hw_probe(self.rank, s, t)
         } else {
-            self.unexpected
-                .iter()
-                .any(|a| envelope_matches(a.envelope(), src, tag))
+            self.matcher.probe(s, t)
         };
         self.rec.call_exit();
         found
@@ -562,7 +540,6 @@ impl<'a> Mpi<'a> {
         } else {
             self.lib_busy(self.net.post_cost);
         }
-        let wire = len + self.net.ctrl_packet_bytes;
         let xfer;
         {
             let mut w = self.world.lock();
@@ -578,7 +555,12 @@ impl<'a> Mpi<'a> {
                 // alike — goes through the hardware matching engine, so
                 // there is a single matching domain and the host never
                 // handles envelopes.
-                w.hw_send(self.rank, dst, tag, payload, wire, xfer, done_user, xfer_id);
+                let msg = HwMsg::Eager {
+                    xfer,
+                    data: payload,
+                    edge: CausalEdge::default(),
+                };
+                w.hw_send(self.rank, dst, tag, msg, done_user, xfer_id);
             } else {
                 let ty = if counted {
                     proto::PT_EAGER
@@ -586,6 +568,7 @@ impl<'a> Mpi<'a> {
                     proto::PT_BARRIER
                 };
                 let meta = [tag, xfer, 0, 0, 0, 0];
+                let wire = len + self.net.ctrl_packet_bytes;
                 let pkt = Packet::with_data(self.rank, wire, ty, meta, payload);
                 self.rel.post(&mut w, dst, pkt, done_user, xfer_id);
             }
@@ -662,7 +645,13 @@ impl<'a> Mpi<'a> {
                     proto::PT_FIN_READ,
                     [req_id, xfer, len as u64, 0, 0, 0],
                 );
-                w.hw_send_rndv(self.rank, dst, tag, len, region, XferId(xfer), user, fin);
+                let msg = HwMsg::Rndv {
+                    len,
+                    region,
+                    xfer,
+                    fin,
+                };
+                w.hw_send(self.rank, dst, tag, msg, user, None);
             } else {
                 let rts = Packet::control(
                     self.rank,
@@ -717,11 +706,9 @@ impl<'a> Mpi<'a> {
         self.reqs.insert(
             req_id,
             Req::SendRdvPipe {
-                done: false,
                 data,
                 frag1_len,
                 frags,
-                remaining: 1,
                 all_posted: frag1_len == len,
                 peer: dst,
                 tag,
@@ -740,54 +727,30 @@ impl<'a> Mpi<'a> {
         self.reqs.insert(
             req_id,
             Req::Recv {
-                done: false,
                 result: None,
                 reading: None,
                 matched: None,
                 pipe: None,
             },
         );
+        let (s, t) = selector(src, tag);
         if self.cfg.progress == ProgressModel::HwTag {
             // Post the receive descriptor into the NIC matching table; the
             // host pays the post, the NIC does everything else. Matching
             // results come back as `HW_RECV` completions.
             self.lib_busy(self.net.post_cost);
-            let (s, t) = hw_selector(src, tag);
-            self.world.lock().hw_post_recv(
-                self.rank,
-                s,
-                t,
-                proto::pack_user(wr_kind::HW_RECV, req_id),
-            );
-            return Request(req_id);
-        }
-        if let Some(pos) = self
-            .unexpected
-            .iter()
-            .position(|a| envelope_matches(a.envelope(), src, tag))
-        {
-            let arrival = self.unexpected.remove(pos).unwrap();
-            self.deliver(req_id, arrival);
-        } else {
-            self.posted.push(Posted {
-                req: req_id,
-                src,
-                tag,
-            });
+            let user = proto::pack_user(wr_kind::HW_RECV, req_id);
+            self.world.lock().hw_post_recv(self.rank, s, t, user);
+        } else if let Some((src, tag, arrival)) = self.matcher.post(s, t, req_id) {
+            self.deliver(req_id, src, tag, arrival);
         }
         Request(req_id)
     }
 
     /// Route a matched arrival into the protocol continuation.
-    fn deliver(&mut self, req_id: u64, arrival: Arrival) {
+    fn deliver(&mut self, req_id: u64, src: usize, tag: u64, arrival: Arrival) {
         match arrival {
-            Arrival::Eager {
-                src,
-                tag,
-                xfer,
-                data,
-                copied,
-            } => {
+            Arrival::Eager { xfer, data, copied } => {
                 if xfer != NO_XFER && !copied {
                     // Copy out of the library bounce buffer.
                     self.lib_busy(self.net.copy_cost(data.len()));
@@ -795,8 +758,6 @@ impl<'a> Mpi<'a> {
                 self.complete_recv(req_id, src, tag, data);
             }
             Arrival::RtsRead {
-                src,
-                tag,
                 len,
                 region,
                 xfer,
@@ -805,8 +766,6 @@ impl<'a> Mpi<'a> {
                 self.start_read(req_id, src, tag, len, region, xfer, sender_req);
             }
             Arrival::RtsPipe {
-                src,
-                tag,
                 total_len,
                 frag1,
                 sender_req,
@@ -817,10 +776,9 @@ impl<'a> Mpi<'a> {
     }
 
     fn complete_recv(&mut self, req_id: u64, src: usize, tag: u64, data: Bytes) {
-        let Some(Req::Recv { done, result, .. }) = self.reqs.get_mut(&req_id) else {
+        let Some(Req::Recv { result, .. }) = self.reqs.get_mut(&req_id) else {
             unreachable!("completing a request that is not a receive");
         };
-        *done = true;
         *result = Some(Status {
             source: src,
             tag,
@@ -1028,20 +986,8 @@ impl<'a> Mpi<'a> {
             }
             wr_kind::FRAG_WRITE => {
                 let mut finish: Option<(u64, u64)> = None;
-                if let Some(Req::SendRdvPipe {
-                    done,
-                    frags,
-                    remaining,
-                    all_posted,
-                    ..
-                }) = self.reqs.get_mut(&req_id)
-                {
-                    let (xfer, len) = frags.pop_front().expect("fragment completion underflow");
-                    finish = Some((xfer, len));
-                    *remaining -= 1;
-                    if *remaining == 0 && *all_posted {
-                        *done = true;
-                    }
+                if let Some(Req::SendRdvPipe { frags, .. }) = self.reqs.get_mut(&req_id) {
+                    finish = Some(frags.pop_front().expect("fragment completion underflow"));
                 }
                 if let Some((xfer, len)) = finish {
                     self.end_xfer(xfer, len, &c.edge);
@@ -1119,30 +1065,25 @@ impl<'a> Mpi<'a> {
 
     /// Protocol packet handling proper (post-reliability).
     fn handle_packet_inner(&mut self, p: Packet) {
-        let arrival = match p.ty {
+        let (src, tag) = (p.src, p.h[0]);
+        let mut arrival = match p.ty {
             proto::PT_EAGER => {
                 let xfer = p.h[1];
                 let data = p.data.expect("eager packet without payload");
                 // End-only stamp: the receiver never saw the initiation.
                 self.end_xfer(xfer, data.len() as u64, &p.edge);
                 Arrival::Eager {
-                    src: p.src,
-                    tag: p.h[0],
                     xfer,
                     data,
                     copied: false,
                 }
             }
             proto::PT_BARRIER => Arrival::Eager {
-                src: p.src,
-                tag: p.h[0],
                 xfer: NO_XFER,
                 data: p.data.unwrap_or_default(),
                 copied: false,
             },
             proto::PT_RTS_READ => Arrival::RtsRead {
-                src: p.src,
-                tag: p.h[0],
                 len: p.h[1] as usize,
                 region: RegionId(p.h[2]),
                 xfer: p.h[3],
@@ -1153,8 +1094,6 @@ impl<'a> Mpi<'a> {
                 // Fragment 1 is observable only on arrival: end-only stamp.
                 self.end_xfer(p.h[2], frag1.len() as u64, &p.edge);
                 Arrival::RtsPipe {
-                    src: p.src,
-                    tag: p.h[0],
                     total_len: p.h[1] as usize,
                     frag1,
                     sender_req: p.h[3],
@@ -1206,15 +1145,8 @@ impl<'a> Mpi<'a> {
             other => panic!("unknown packet type {other}"),
         };
         // Match against posted receives, else queue as unexpected.
-        let mut arrival = arrival;
-        let env = arrival.envelope();
-        if let Some(pos) = self
-            .posted
-            .iter()
-            .position(|p| envelope_matches(env, p.src, p.tag))
-        {
-            let posted = self.posted.remove(pos);
-            self.deliver(posted.req, arrival);
+        if let Some(req_id) = self.matcher.take_posted(src, tag) {
+            self.deliver(req_id, src, tag, arrival);
         } else {
             if self.cfg.progress == ProgressModel::EarlyBird {
                 // Early-bird delivery: pay the bounce-buffer copy while
@@ -1232,7 +1164,7 @@ impl<'a> Mpi<'a> {
                     }
                 }
             }
-            self.unexpected.push_back(arrival);
+            self.matcher.park(src, tag, arrival);
         }
     }
 
@@ -1287,16 +1219,10 @@ impl<'a> Mpi<'a> {
             self.rec.xfer_begin(xfer, len);
         }
         if let Some(Req::SendRdvPipe {
-            frags,
-            remaining,
-            all_posted,
-            ..
+            frags, all_posted, ..
         }) = self.reqs.get_mut(&sender_req)
         {
-            for f in new_frags {
-                frags.push_back(f);
-            }
-            *remaining += nfrags;
+            frags.extend(new_frags);
             *all_posted = true;
         }
     }
@@ -1389,15 +1315,16 @@ impl<'a> Mpi<'a> {
         self.ctx.park_with(|| {
             let nic = self.world.lock().nic_stats(self.rank);
             let (waits_on_rank, waits_on_req) =
-                Self::blocking_edge(&self.reqs, &self.posted, &self.rel);
+                Self::blocking_edge(&self.reqs, &self.matcher, &self.rel);
+            let (posted, unexpected) = self.matcher.lens();
             RankDiag {
                 rank: self.rank,
                 blocked_on: Some(format!(
                     "{} incomplete requests ({} posted recvs, {} unexpected arrivals, \
                      {} un-ACKed sends); NIC backlog rx={} cq={}",
                     self.reqs.values().filter(|r| !r.is_done()).count(),
-                    self.posted.len(),
-                    self.unexpected.len(),
+                    posted,
+                    unexpected,
                     self.rel.pending_packets(),
                     nic.rx_backlog,
                     nic.cq_backlog,
@@ -1431,11 +1358,9 @@ impl<'a> Mpi<'a> {
                 continue;
             }
             let (prio, cause, xfer) = match req {
-                _ if self.req_retransmitted(req) => (
-                    0,
-                    WaitCause::AckRetransmit,
-                    self.req_retrans_xfer(req).or_else(|| self.req_xfer(req)),
-                ),
+                _ if let Some(x) = self.req_retrans_xfer(req) => {
+                    (0, WaitCause::AckRetransmit, Some(x))
+                }
                 Req::Recv {
                     matched: None,
                     reading: None,
@@ -1478,7 +1403,7 @@ impl<'a> Mpi<'a> {
     /// reliability layer's first un-ACKed peer.
     fn blocking_edge(
         reqs: &HashMap<u64, Req>,
-        posted: &[Posted],
+        matcher: &Matcher<Arrival>,
         rel: &Reliability,
     ) -> (Option<usize>, Option<u64>) {
         let mut best: Option<(u64, Option<usize>)> = None;
@@ -1497,15 +1422,7 @@ impl<'a> Mpi<'a> {
                     matched: Some((src, _)),
                     ..
                 } => Some(*src),
-                Req::Recv { .. } => {
-                    posted
-                        .iter()
-                        .find(|p| p.req == req_id)
-                        .and_then(|p| match p.src {
-                            Src::Rank(r) => Some(r),
-                            Src::Any => None,
-                        })
-                }
+                Req::Recv { .. } => matcher.posted_sel(req_id).and_then(|(src, _)| src),
             };
             best = Some((req_id, peer));
         }
@@ -1513,11 +1430,6 @@ impl<'a> Mpi<'a> {
             Some((id, peer)) => (peer, Some(id)),
             None => (rel.first_pending_peer(), None),
         }
-    }
-
-    /// True when the request's transfer is known to have been retransmitted.
-    fn req_retransmitted(&self, req: &Req) -> bool {
-        self.req_retrans_xfer(req).is_some()
     }
 
     /// The retransmitted wire transfer a request is still waiting on, if
@@ -1549,12 +1461,8 @@ impl<'a> Mpi<'a> {
     }
 }
 
-fn envelope_matches(env: (usize, u64), src: Src, tag: TagSel) -> bool {
-    src.matches(env.0) && tag.matches(env.1)
-}
-
-/// Translate a receive selector into the NIC matching table's wildcard form.
-fn hw_selector(src: Src, tag: TagSel) -> (Option<usize>, Option<u64>) {
+/// Translate a receive selector into the [`Matcher`]'s wildcard form.
+fn selector(src: Src, tag: TagSel) -> (Option<usize>, Option<u64>) {
     let s = match src {
         Src::Rank(r) => Some(r),
         Src::Any => None,

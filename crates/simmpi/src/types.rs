@@ -11,16 +11,6 @@ pub enum Src {
     Rank(usize),
 }
 
-impl Src {
-    /// Does this selector match rank `r`?
-    pub(crate) fn matches(&self, r: usize) -> bool {
-        match self {
-            Src::Any => true,
-            Src::Rank(x) => *x == r,
-        }
-    }
-}
-
 /// Tag selector for receives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TagSel {
@@ -28,16 +18,6 @@ pub enum TagSel {
     Any,
     /// Match only this tag.
     Is(u64),
-}
-
-impl TagSel {
-    /// Does this selector match tag `t`?
-    pub(crate) fn matches(&self, t: u64) -> bool {
-        match self {
-            TagSel::Any => true,
-            TagSel::Is(x) => *x == t,
-        }
-    }
 }
 
 /// Handle to an outstanding non-blocking operation.
@@ -149,16 +129,6 @@ pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn selectors_match() {
-        assert!(Src::Any.matches(5));
-        assert!(Src::Rank(3).matches(3));
-        assert!(!Src::Rank(3).matches(4));
-        assert!(TagSel::Any.matches(7));
-        assert!(TagSel::Is(7).matches(7));
-        assert!(!TagSel::Is(7).matches(8));
-    }
 
     #[test]
     fn f64_roundtrip() {

@@ -1,7 +1,7 @@
 //! Point-to-point semantics: data integrity, matching, ordering, protocols.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, ProgressModel, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
@@ -17,6 +17,15 @@ fn run(
         body,
     )
     .expect("run failed")
+}
+
+/// The defaults with matching offloaded to the NIC: the matching tests run
+/// under both matchers.
+fn hw_tag() -> MpiConfig {
+    MpiConfig {
+        progress: ProgressModel::HwTag,
+        ..MpiConfig::default()
+    }
 }
 
 fn pattern(len: usize, seed: u8) -> Vec<u8> {
@@ -111,54 +120,64 @@ fn single_fragment_rendezvous_needs_no_cts() {
 
 #[test]
 fn wildcard_source_and_tag_match() {
-    run(3, MpiConfig::default(), |mpi| match mpi.rank() {
-        0 => {
-            let a = mpi.recv(Src::Any, TagSel::Any);
-            let b = mpi.recv(Src::Any, TagSel::Any);
-            let mut sources = vec![a.source, b.source];
-            sources.sort_unstable();
-            assert_eq!(sources, vec![1, 2]);
-        }
-        r => mpi.send(0, 100 + r as u64, pattern(64, r as u8)),
-    });
+    for cfg in [MpiConfig::default(), hw_tag()] {
+        run(3, cfg, |mpi| match mpi.rank() {
+            0 => {
+                let a = mpi.recv(Src::Any, TagSel::Any);
+                let b = mpi.recv(Src::Any, TagSel::Any);
+                let mut sources = vec![a.source, b.source];
+                sources.sort_unstable();
+                assert_eq!(sources, vec![1, 2]);
+            }
+            r => mpi.send(0, 100 + r as u64, pattern(64, r as u8)),
+        });
+    }
 }
 
 #[test]
 fn same_source_same_tag_is_fifo() {
-    run(2, MpiConfig::default(), |mpi| {
-        if mpi.rank() == 0 {
-            for i in 0..10u8 {
-                mpi.send(1, 5, &[i; 16]);
+    for cfg in [MpiConfig::default(), hw_tag()] {
+        run(2, cfg, |mpi| {
+            if mpi.rank() == 0 {
+                for i in 0..10u8 {
+                    mpi.send(1, 5, &[i; 16]);
+                }
+            } else {
+                for i in 0..10u8 {
+                    let st = mpi.recv(Src::Rank(0), TagSel::Is(5));
+                    assert_eq!(st.data.unwrap()[0], i, "non-overtaking order violated");
+                }
             }
-        } else {
-            for i in 0..10u8 {
-                let st = mpi.recv(Src::Rank(0), TagSel::Is(5));
-                assert_eq!(st.data.unwrap()[0], i, "non-overtaking order violated");
-            }
-        }
-    });
+        });
+    }
 }
 
 #[test]
 fn unexpected_messages_are_buffered() {
-    run(2, MpiConfig::default(), |mpi| {
-        if mpi.rank() == 0 {
-            mpi.send(1, 1, b"first");
-            mpi.send(1, 2, b"second");
-        } else {
-            // Let both arrive unexpected, then receive in reverse tag order.
-            mpi.compute(1_000_000);
-            let b = mpi.recv(Src::Rank(0), TagSel::Is(2));
-            let a = mpi.recv(Src::Rank(0), TagSel::Is(1));
-            assert_eq!(&a.data.unwrap()[..], b"first");
-            assert_eq!(&b.data.unwrap()[..], b"second");
-        }
-    });
+    for cfg in [MpiConfig::default(), hw_tag()] {
+        run(2, cfg, |mpi| {
+            if mpi.rank() == 0 {
+                mpi.send(1, 1, b"first");
+                mpi.send(1, 2, b"second");
+            } else {
+                // Let both arrive unexpected, then receive in reverse tag order.
+                mpi.compute(1_000_000);
+                let b = mpi.recv(Src::Rank(0), TagSel::Is(2));
+                let a = mpi.recv(Src::Rank(0), TagSel::Is(1));
+                assert_eq!(&a.data.unwrap()[..], b"first");
+                assert_eq!(&b.data.unwrap()[..], b"second");
+            }
+        });
+    }
 }
 
 #[test]
 fn unexpected_rendezvous_completes_after_late_recv() {
-    for cfg in [MpiConfig::mvapich2(), MpiConfig::open_mpi_pipelined()] {
+    for cfg in [
+        MpiConfig::mvapich2(),
+        MpiConfig::open_mpi_pipelined(),
+        hw_tag(),
+    ] {
         run(2, cfg, |mpi| {
             let msg = pattern(512 << 10, 1);
             if mpi.rank() == 0 {
@@ -211,19 +230,21 @@ fn self_send_loopback() {
 
 #[test]
 fn iprobe_sees_unexpected_only_when_present() {
-    run(2, MpiConfig::default(), |mpi| {
-        if mpi.rank() == 0 {
-            mpi.compute(500_000);
-            mpi.send(1, 8, b"probe me");
-        } else {
-            assert!(!mpi.iprobe(Src::Rank(0), TagSel::Is(8)));
-            // Wait long enough for the eager message to arrive.
-            mpi.compute(2_000_000);
-            assert!(mpi.iprobe(Src::Rank(0), TagSel::Is(8)));
-            let st = mpi.recv(Src::Rank(0), TagSel::Is(8));
-            assert_eq!(&st.data.unwrap()[..], b"probe me");
-        }
-    });
+    for cfg in [MpiConfig::default(), hw_tag()] {
+        run(2, cfg, |mpi| {
+            if mpi.rank() == 0 {
+                mpi.compute(500_000);
+                mpi.send(1, 8, b"probe me");
+            } else {
+                assert!(!mpi.iprobe(Src::Rank(0), TagSel::Is(8)));
+                // Wait long enough for the eager message to arrive.
+                mpi.compute(2_000_000);
+                assert!(mpi.iprobe(Src::Rank(0), TagSel::Is(8)));
+                let st = mpi.recv(Src::Rank(0), TagSel::Is(8));
+                assert_eq!(&st.data.unwrap()[..], b"probe me");
+            }
+        });
+    }
 }
 
 #[test]

@@ -33,7 +33,7 @@ pub use cluster::{Cluster, ClusterOutcome};
 pub use config::NetConfig;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use memory::{Region, RegionId};
-pub use nic::{CausalEdge, Completion};
+pub use nic::{CausalEdge, Completion, HwMsg, Matcher};
 pub use packet::Packet;
 pub use topology::{BackgroundJob, Hop, Topology, TopologySpec};
 pub use truth::{TransferKind, TransferRecord};

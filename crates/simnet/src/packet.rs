@@ -32,22 +32,6 @@ pub struct Packet {
     pub edge: CausalEdge,
 }
 
-/// Reserved packet-type range for NIC-offload traffic. Packets whose `ty`
-/// is at or above [`hw::TY_BASE`] are consumed by the *receiving NIC's*
-/// hardware tag-matching engine at delivery time — they never reach the
-/// host receive queue. Libraries must keep their own `ty` values below the
-/// base.
-pub(crate) mod hw {
-    /// First reserved type value.
-    pub(crate) const TY_BASE: u16 = 0xFF00;
-    /// NIC-matched eager data.
-    /// `h = [tag, xfer word, 0, 0, 0, 0]`, payload in `data`.
-    pub(crate) const EAGER: u16 = 0xFF01;
-    /// NIC-matched rendezvous request-to-send.
-    /// `h = [tag, len, region, xfer, fin meta id, 0]`.
-    pub(crate) const RTS: u16 = 0xFF02;
-}
-
 impl Packet {
     /// A control packet with no payload.
     pub fn control(src: usize, wire_bytes: usize, ty: u16, h: [u64; 6]) -> Self {

@@ -21,7 +21,7 @@ use crate::arena::Slab;
 use crate::config::{NetConfig, LOOPBACK_LATENCY};
 use crate::fault::{FaultEvent, FaultKind, FaultRng};
 use crate::memory::{NodeMemory, Region, RegionId};
-use crate::nic::{CausalEdge, Completion, HwPosted, HwUnexpected, Nic};
+use crate::nic::{CausalEdge, Completion, HwMsg, Nic};
 use crate::packet::Packet;
 use crate::topology::{Fabric, Hop, LINK_DEDICATED};
 use crate::truth::{TransferKind, TransferRecord};
@@ -67,6 +67,16 @@ enum Pending {
     },
     /// Fault-injected duplicate copy trailing the original delivery.
     DupDeliver { dst: usize, packet: Packet },
+    /// Offload message reaching `dst`'s tag matcher: matched or parked
+    /// there, local completion into `src`'s CQ.
+    HwDeliver {
+        src: usize,
+        dst: usize,
+        tag: u64,
+        msg: HwMsg,
+        user: u64,
+        edge: CausalEdge,
+    },
     /// RDMA Write placement: bytes into `dst`'s registered memory, local
     /// completion, optional notify packet after the data.
     WriteApply {
@@ -153,11 +163,6 @@ pub struct World {
     faulty: bool,
     fault_rng: FaultRng,
     fault_events: Vec<FaultEvent>,
-    /// FIN templates for in-flight hw rendezvous RTS packets, keyed by the
-    /// meta id the RTS carries (the template cannot ride in the packet's
-    /// fixed header words).
-    hw_fin_meta: std::collections::HashMap<u64, Packet>,
-    next_hw_meta: u64,
 }
 
 impl World {
@@ -187,8 +192,6 @@ impl World {
             faulty,
             fault_rng,
             fault_events: Vec::new(),
-            hw_fin_meta: std::collections::HashMap::new(),
-            next_hw_meta: 0,
         }));
         // Weak capture: a strong one would cycle (World holds the engine
         // handle, the engine holds the handler).
@@ -215,12 +218,26 @@ impl World {
                 edge,
             } => {
                 packet.edge = edge;
-                if packet.ty >= crate::packet::hw::TY_BASE {
-                    // NIC-offload traffic: consumed by the receiving NIC's
-                    // matching engine, never surfaced to the host rx queue.
-                    w.hw_deliver(dst, packet);
-                } else {
-                    w.nics[dst].deliver(packet);
+                w.nics[dst].deliver(packet);
+                w.nics[src].complete(user, None, [0; 3], edge);
+                drop(w);
+                h.wake_rank(dst);
+                h.wake_rank(src);
+            }
+            Pending::HwDeliver {
+                src,
+                dst,
+                tag,
+                mut msg,
+                user,
+                edge,
+            } => {
+                if let HwMsg::Eager { edge: e, .. } = &mut msg {
+                    *e = edge;
+                }
+                match w.nics[dst].hw.take_posted(src, tag) {
+                    Some(recv) => w.hw_resolve(dst, recv, src, tag, msg),
+                    None => w.nics[dst].hw.park(src, tag, msg),
                 }
                 w.nics[src].complete(user, None, [0; 3], edge);
                 drop(w);
@@ -774,104 +791,50 @@ impl World {
 
     // ---- hardware tag matching (hw-tag progress model) -------------------
 
-    /// Post an eager send resolved by the *receiving NIC's* tag matcher: the
-    /// payload travels like any two-sided send (DMA, fabric, optional
-    /// ground-truth record under `xfer`), but at arrival the NIC matches it
-    /// against [`World::hw_post_recv`] descriptors and completes the matched
-    /// receive directly — the destination host never sees a packet. The
-    /// local wire completion carries `wire_user`.
+    /// Post `msg` to `dst`'s tag matcher (the `hw-tag` offload). It travels
+    /// like a two-sided send — DMA, fabric, ground-truth record under
+    /// `xfer` — but at arrival the receiving NIC matches it against
+    /// [`World::hw_post_recv`] descriptors and resolves it itself: the
+    /// destination host never sees a packet. The local wire completion
+    /// carries `user`.
     ///
     /// Offload traffic rides the fabric's reliable transport: it is exempt
     /// from fault injection, like reliability-layer control traffic.
-    #[allow(clippy::too_many_arguments)]
     pub fn hw_send(
         &mut self,
         src: usize,
         dst: usize,
         tag: u64,
-        data: Bytes,
-        wire_bytes: usize,
-        xfer_word: u64,
-        wire_user: u64,
+        msg: HwMsg,
+        user: u64,
         xfer: Option<XferId>,
     ) {
-        let pkt = Packet::with_data(
-            src,
-            wire_bytes,
-            crate::packet::hw::EAGER,
-            [tag, xfer_word, 0, 0, 0, 0],
-            data,
-        )
-        .protect();
-        self.post_send(src, dst, pkt, wire_user, xfer)
-    }
-
-    /// Post a rendezvous send resolved by the receiving NIC: an RTS control
-    /// packet advertises `(tag, len, region)`; when the remote NIC matches
-    /// it, the NIC itself pulls the region with an RDMA Read (recorded as
-    /// transfer `xfer`) and delivers `fin` back to this node after the pull
-    /// — zero involvement from either host past the post. The matched
-    /// receive completes with the pulled bytes and `(src, tag, xfer)`
-    /// immediate data.
-    #[allow(clippy::too_many_arguments)]
-    pub fn hw_send_rndv(
-        &mut self,
-        src: usize,
-        dst: usize,
-        tag: u64,
-        len: usize,
-        region: RegionId,
-        xfer: XferId,
-        rts_user: u64,
-        fin: Packet,
-    ) {
-        let meta = self.next_hw_meta;
-        self.next_hw_meta += 1;
-        self.hw_fin_meta.insert(meta, fin);
-        let pkt = Packet::control(
-            src,
-            self.cfg.ctrl_packet_bytes,
-            crate::packet::hw::RTS,
-            [tag, len as u64, region.0, xfer.0, meta, 0],
-        )
-        .protect();
-        self.post_send(src, dst, pkt, rts_user, None)
+        let payload = match &msg {
+            HwMsg::Eager { data, .. } => data.len(),
+            HwMsg::Rndv { .. } => 0,
+        };
+        let l = self.launch(src, dst, payload + self.cfg.ctrl_packet_bytes);
+        self.record_transfer(xfer, TransferKind::Send, src, dst, payload, &l);
+        self.schedule_pending(
+            l.arrival,
+            Pending::HwDeliver {
+                src,
+                dst,
+                tag,
+                msg,
+                user,
+                edge: l.edge,
+            },
+        );
     }
 
     /// Post a receive descriptor into `node`'s NIC matching table (`None`
     /// selectors are wildcards). If a parked unexpected arrival already
-    /// matches, the NIC resolves it immediately: eager payloads complete
-    /// right away, rendezvous RTSs start their pull. The eventual completion
-    /// echoes `user` and carries `(src, tag, xfer word)` immediate data.
+    /// matches, the NIC resolves it at once. The eventual completion echoes
+    /// `user` and carries `(src, tag, xfer word)` immediate data.
     pub fn hw_post_recv(&mut self, node: usize, src: Option<usize>, tag: Option<u64>, user: u64) {
-        let pos = self.nics[node]
-            .hw_unexpected
-            .iter()
-            .position(|u| u.matches(src, tag));
-        let Some(pos) = pos else {
-            self.nics[node]
-                .hw_posted
-                .push_back(HwPosted { src, tag, user });
-            return;
-        };
-        match self.nics[node].hw_unexpected.remove(pos).unwrap() {
-            HwUnexpected::Eager {
-                src: s,
-                tag: t,
-                xfer,
-                data,
-                edge,
-            } => self.hw_complete_recv(node, user, data, edge, [s as u64, t, xfer]),
-            HwUnexpected::Rndv {
-                src: s,
-                tag: t,
-                len,
-                region,
-                xfer,
-                fin,
-            } => {
-                self.hw_start_pull(node, s, region, len, xfer, t, user, fin);
-            }
+        if let Some((s, t, msg)) = self.nics[node].hw.post(src, tag, user) {
+            self.hw_resolve(node, user, s, t, msg);
         }
     }
 
@@ -879,97 +842,34 @@ impl World {
     /// (the hw analogue of scanning the host-side unexpected queue for
     /// `MPI_Iprobe`)?
     pub fn hw_probe(&self, node: usize, src: Option<usize>, tag: Option<u64>) -> bool {
-        self.nics[node]
-            .hw_unexpected
-            .iter()
-            .any(|u| u.matches(src, tag))
+        self.nics[node].hw.probe(src, tag)
     }
 
-    /// NIC-side resolution of an offload packet at delivery time.
-    fn hw_deliver(&mut self, dst: usize, packet: Packet) {
-        let src = packet.src;
-        let edge = packet.edge;
-        match packet.ty {
-            t if t == crate::packet::hw::EAGER => {
-                let tag = packet.h[0];
-                let xfer_word = packet.h[1];
-                let data = packet.data.unwrap_or_default();
-                if let Some(pos) = self.nics[dst].hw_match(src, tag) {
-                    let e = self.nics[dst].hw_posted.remove(pos).unwrap();
-                    self.hw_complete_recv(dst, e.user, data, edge, [src as u64, tag, xfer_word]);
-                } else {
-                    self.nics[dst].hw_unexpected.push_back(HwUnexpected::Eager {
-                        src,
-                        tag,
-                        xfer: xfer_word,
-                        data,
-                        edge,
-                    });
-                }
+    /// Resolve a matched offload message for receive `user` on `node`: an
+    /// eager payload completes at once, a rendezvous starts the NIC's pull
+    /// (the FIN rides behind it to the sender).
+    fn hw_resolve(&mut self, node: usize, user: u64, src: usize, tag: u64, msg: HwMsg) {
+        match msg {
+            HwMsg::Eager { xfer, data, edge } => {
+                self.nics[node].complete(user, Some(data), [src as u64, tag, xfer], edge)
             }
-            t if t == crate::packet::hw::RTS => {
-                let tag = packet.h[0];
-                let len = packet.h[1] as usize;
-                let region = RegionId(packet.h[2]);
-                let xfer = packet.h[3];
-                let fin = self
-                    .hw_fin_meta
-                    .remove(&packet.h[4])
-                    .expect("hw RTS without FIN template");
-                if let Some(pos) = self.nics[dst].hw_match(src, tag) {
-                    let e = self.nics[dst].hw_posted.remove(pos).unwrap();
-                    self.hw_start_pull(dst, src, region, len, xfer, tag, e.user, fin);
-                } else {
-                    self.nics[dst].hw_unexpected.push_back(HwUnexpected::Rndv {
-                        src,
-                        tag,
-                        len,
-                        region,
-                        xfer,
-                        fin,
-                    });
-                }
-            }
-            other => panic!("unknown hw packet type {other}"),
+            HwMsg::Rndv {
+                len,
+                region,
+                xfer,
+                fin,
+            } => self.rdma_read_imm(
+                node,
+                src,
+                region,
+                0,
+                len,
+                user,
+                [src as u64, tag, xfer],
+                Some(fin),
+                Some(XferId(xfer)),
+            ),
         }
-    }
-
-    /// Push a matched-receive completion into `node`'s CQ.
-    fn hw_complete_recv(
-        &mut self,
-        node: usize,
-        user: u64,
-        data: Bytes,
-        edge: CausalEdge,
-        imm: [u64; 3],
-    ) {
-        self.nics[node].complete(user, Some(data), imm, edge);
-    }
-
-    /// Start the NIC-initiated rendezvous pull for a matched RTS.
-    #[allow(clippy::too_many_arguments)]
-    fn hw_start_pull(
-        &mut self,
-        dst: usize,
-        src: usize,
-        region: RegionId,
-        len: usize,
-        xfer: u64,
-        tag: u64,
-        user: u64,
-        fin: Packet,
-    ) {
-        self.rdma_read_imm(
-            dst,
-            src,
-            region,
-            0,
-            len,
-            user,
-            [src as u64, tag, xfer],
-            Some(fin),
-            Some(XferId(xfer)),
-        );
     }
 
     /// Drain one completion from `node`'s CQ, if any. The *host cost* of the
