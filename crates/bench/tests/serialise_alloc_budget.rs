@@ -10,13 +10,14 @@
 //! grows. A per-record, per-wait or per-slice allocation costs thousands of
 //! calls here; this test keeps all of them out, independently of the
 //! (frozen) `benchmark/` ledger. On the way in, decoding a stream line that
-//! has no escape and no name not seen before allocates nothing.
+//! has no escape and no name not seen before allocates nothing; before
+//! that, both trace exporters write every event into their output.
 //!
 //! One `#[test]` only: the counters are process-wide, and tests of one binary
 //! run concurrently.
 
 use overlap_core::stream::parse_line;
-use overlap_core::trace::{jsonl, TraceBundle};
+use overlap_core::trace::{chrome_json, jsonl, TraceBundle};
 use overlap_core::{
     Clock, ManualClock, Recorder, RecorderOpts, SessionFold, WaitCause, XferTimeTable,
 };
@@ -26,11 +27,11 @@ static ALLOC: bench::alloc::CountingAlloc = bench::alloc::CountingAlloc;
 
 const RANKS: usize = 2;
 
-/// The exported stream of one scope where each of `RANKS` ranks runs
-/// `xfers` isend/compute/wait cycles over every size bin, each wait split
-/// between a late receiver pinned on the transfer and an unpinned sync, so
-/// every transfer leaves a record with several cause slices.
-fn stream(xfers: u64) -> String {
+/// The trace of one scope where each of `RANKS` ranks runs `xfers`
+/// isend/compute/wait cycles over every size bin, each wait split between a
+/// late receiver pinned on the transfer and an unpinned sync, so every
+/// transfer leaves a record with several cause slices.
+fn bundle(xfers: u64) -> TraceBundle {
     let mut bundle = TraceBundle {
         scope: "budget".into(),
         ranks: Vec::new(),
@@ -65,7 +66,7 @@ fn stream(xfers: u64) -> String {
         let (_, trace) = rec.finish_traced();
         bundle.ranks.push(trace.expect("recorder was traced"));
     }
-    jsonl(&[bundle])
+    bundle
 }
 
 /// Allocator calls `f` makes.
@@ -90,7 +91,20 @@ fn served_artifacts_stay_inside_their_allocation_budget() {
             .collect();
     for (at, per_rank) in [500, 2_000].into_iter().enumerate() {
         let transfers = per_rank * RANKS as u64;
-        let text = stream(per_rank);
+        let bundles = [bundle(per_rank)];
+        // Both trace exporters write each event into their output.
+        for (name, export) in [
+            ("chrome_json", chrome_json as fn(&[TraceBundle]) -> String),
+            ("jsonl", jsonl),
+        ] {
+            let made = calls(|| drop(std::hint::black_box(export(&bundles))));
+            assert!(
+                made <= 64,
+                "{transfers} transfers: {name} made {made} allocator calls \
+                 (budget 64, output growth only) — a per-event allocation is back"
+            );
+        }
+        let text = jsonl(&bundles);
         let mut fold = SessionFold::default();
         fold.push_text(&text).expect("stream folds");
         // Every name is pooled by now, and no line has an escape.
