@@ -29,6 +29,9 @@
 //! thread-hosted ranks unwinding in parallel at teardown — is what the
 //! mutex is for. Global `(time, seq)` order is restored inside the wheel,
 //! because sequence numbers are allocated in program order at push time.
+//! The wheel keeps every entry not yet due in one node arena that reuses
+//! popped nodes, so a run allocates for its high-water mark of pending
+//! entries, not per event and not per wheel slot.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtomicOrdering};
@@ -714,36 +717,16 @@ impl Simulation {
     }
 }
 
-/// Oracle-driven pop: collect every entry tied at the earliest due time,
-/// let the oracle pick one, and re-insert the rest (they keep their seq, so
-/// the canonical order among them is restored inside the wheel).
-///
-/// With an oracle that always answers `0` — the lowest
-/// sequence number — is always taken, which is exactly what a plain
-/// [`TimingWheel::pop`] returns, so the schedule is byte-identical to the
-/// no-oracle fast path.
+/// Oracle-driven pop: the oracle picks among the wheel's due batch — the
+/// entries tied at the earliest time; [`OracleHandle::choose`] answers a
+/// batch of one without asking. An oracle that always answers `0` takes
+/// the lowest sequence number, as [`TimingWheel::pop`] does, so the
+/// schedule is byte-identical to the no-oracle fast path.
 fn pop_with_oracle(
     wheel: &mut TimingWheel<Action>,
     orc: &OracleHandle,
 ) -> Option<(Time, u64, Action)> {
-    let (time, seq0, a0) = wheel.pop()?;
-    let mut cands = vec![(seq0, a0)];
-    while let Some((_, s, a)) = wheel.pop_current() {
-        cands.push((s, a));
-    }
-    let pick = if cands.len() > 1 {
-        orc.choose(ChoicePoint::EventTie {
-            time,
-            n: cands.len(),
-        })
-    } else {
-        0
-    };
-    let (seq, action) = cands.swap_remove(pick);
-    for (s, a) in cands {
-        wheel.push(time, s, a);
-    }
-    Some((time, seq, action))
+    wheel.pop_tie(|time, n| orc.choose(ChoicePoint::EventTie { time, n }))
 }
 
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {

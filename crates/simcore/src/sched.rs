@@ -11,6 +11,10 @@
 //! heap would produce — `tests/proptest_scheduler.rs` holds that heap as
 //! the reference model and asserts the equivalence.
 //!
+//! Every entry not yet due is a node in one arena, and a slot is only the
+//! head of a list through it: a cascade relinks nodes, a pop frees one for
+//! the next push, and the wheel holds its high-water mark of pending entries.
+//!
 //! The wheel is not internally synchronized: the engine owns it on the run
 //! loop's stack and feeds it from its insertion buffer (see `engine.rs`),
 //! taking no lock on the pop path at all.
@@ -23,20 +27,16 @@ const BITS: u32 = 6;
 const SLOTS: usize = 1 << BITS;
 /// Levels: `11 * 6 = 66` bits, enough to cover any `u64` deadline.
 const LEVELS: usize = 11;
+/// The arena index that ends a list: a slot's, or the free list.
+const NIL: u32 = u32::MAX;
 
-struct Level<T> {
-    /// Bitmask of non-empty slots.
-    occupied: u64,
-    slots: Box<[Vec<(u64, u64, T)>]>,
-}
-
-impl<T> Level<T> {
-    fn new() -> Self {
-        Level {
-            occupied: 0,
-            slots: (0..SLOTS).map(|_| Vec::new()).collect(),
-        }
-    }
+/// An entry not yet due, linked into its slot's list; or a free node
+/// (`item` is `None`) linked into the free list.
+struct Node<T> {
+    time: u64,
+    seq: u64,
+    next: u32,
+    item: Option<T>,
 }
 
 /// Hierarchical timing wheel popping entries in `(time, seq)` order.
@@ -60,17 +60,17 @@ impl<T> Level<T> {
 /// assert_eq!(w.pop(), None);
 /// ```
 pub struct TimingWheel<T> {
-    levels: Box<[Level<T>]>,
+    /// The node arena, and the head of its free list.
+    nodes: Vec<Node<T>>,
+    free: u32,
+    /// Each slot's list head, and each level's bitmask of non-empty slots.
+    heads: [[u32; SLOTS]; LEVELS],
+    occupied: [u64; LEVELS],
     /// Virtual-time floor: the time of the last popped entry. Entries with
     /// `time <= now` are due.
     now: u64,
     /// Due entries (`time <= now`), ordered by `seq`; popped from the front.
     cur: VecDeque<(u64, T)>,
-    /// Spare buffer swapped against slot vectors during [`advance`], so a
-    /// cascade never discards a slot's capacity: allocations happen only
-    /// while the wheel grows past its historical high-water mark, keeping
-    /// the steady-state pop/push cycle allocation-free.
-    scratch: Vec<(u64, u64, T)>,
     len: usize,
 }
 
@@ -84,10 +84,12 @@ impl<T> TimingWheel<T> {
     /// An empty wheel with its time floor at 0.
     pub fn new() -> Self {
         TimingWheel {
-            levels: (0..LEVELS).map(|_| Level::new()).collect(),
+            nodes: Vec::new(),
+            free: NIL,
+            heads: [[NIL; SLOTS]; LEVELS],
+            occupied: [0; LEVELS],
             now: 0,
             cur: VecDeque::new(),
-            scratch: Vec::new(),
             len: 0,
         }
     }
@@ -102,48 +104,61 @@ impl<T> TimingWheel<T> {
     /// with `time` clamped to the current floor.
     pub fn push(&mut self, time: u64, seq: u64, item: T) {
         self.len += 1;
-        self.insert(time, seq, item);
-    }
-
-    fn insert(&mut self, time: u64, seq: u64, item: T) {
         if time <= self.now {
-            // Due immediately: merge into the current batch at its
-            // seq-sorted position (almost always the back, since the engine
-            // hands out increasing sequence numbers).
+            // Due immediately: merge into `cur` at its seq position (almost
+            // always the back: the engine hands out increasing seqs).
             let pos = self.cur.partition_point(|&(s, _)| s < seq);
             self.cur.insert(pos, (seq, item));
             return;
         }
-        let level = ((63 - (time ^ self.now).leading_zeros()) / BITS) as usize;
-        let slot = ((time >> (level as u32 * BITS)) & (SLOTS as u64 - 1)) as usize;
-        let l = &mut self.levels[level];
-        l.slots[slot].push((time, seq, item));
-        l.occupied |= 1 << slot;
+        let idx = self.free;
+        if idx == NIL {
+            let n = u32::try_from(self.nodes.len() + 1)
+                .expect("timing wheel: more than u32::MAX pending entries");
+            self.nodes.push(Node {
+                time,
+                seq,
+                next: NIL,
+                item: Some(item),
+            });
+            self.link(n - 1);
+        } else {
+            let node = &mut self.nodes[idx as usize];
+            self.free = node.next;
+            node.time = time;
+            node.seq = seq;
+            node.item = Some(item);
+            self.link(idx);
+        }
+    }
+
+    /// Link node `idx`, due after the floor, into the slot its time maps to.
+    fn link(&mut self, idx: u32) {
+        let node = &mut self.nodes[idx as usize];
+        let level = ((63 - (node.time ^ self.now).leading_zeros()) / BITS) as usize;
+        let slot = ((node.time >> (level as u32 * BITS)) & (SLOTS as u64 - 1)) as usize;
+        node.next = std::mem::replace(&mut self.heads[level][slot], idx);
+        self.occupied[level] |= 1 << slot;
     }
 
     /// Remove and return the entry with the smallest `(time, seq)`.
     pub fn pop(&mut self) -> Option<(u64, u64, T)> {
-        loop {
-            if let Some((seq, item)) = self.cur.pop_front() {
-                self.len -= 1;
-                return Some((self.now, seq, item));
-            }
-            self.advance()?;
-        }
+        self.pop_tie(|_, _| 0)
     }
 
-    /// Remove and return the next entry of the batch due at the current time
-    /// floor, without ever advancing the wheel. Returns `None` once the
-    /// current batch is exhausted, even if later entries are pending.
-    ///
-    /// Entries only ever enter the wheel with `time >= now`, so whenever an
-    /// entry at time `t` has been popped, every remaining entry due at `t`
-    /// is already in the current batch: draining with `pop_current` after a
-    /// [`TimingWheel::pop`] yields exactly the set of same-time ties. The
-    /// schedule explorer uses this to collect tie candidates for its oracle
-    /// without disturbing the time floor.
-    pub(crate) fn pop_current(&mut self) -> Option<(u64, u64, T)> {
-        let (seq, item) = self.cur.pop_front()?;
+    /// Remove one entry of the batch due next: advance until entries are
+    /// due, then remove the one at the index `choose(time, n)` returns, in
+    /// `seq` order. The batch is exactly the `n` entries tied at the earliest
+    /// `time`, among which the schedule explorer lets its oracle pick.
+    pub(crate) fn pop_tie(
+        &mut self,
+        choose: impl FnOnce(u64, usize) -> usize,
+    ) -> Option<(u64, u64, T)> {
+        while self.cur.is_empty() {
+            self.advance()?;
+        }
+        let pick = choose(self.now, self.cur.len());
+        let (seq, item) = self.cur.remove(pick).expect("tie pick within the batch");
         self.len -= 1;
         Some((self.now, seq, item))
     }
@@ -158,17 +173,13 @@ impl<T> TimingWheel<T> {
             // Slots earlier in the rotation than `now`'s own index belong to
             // later wrap-arounds and are reachable only through a higher
             // level, so only indices >= cur_slot are candidates here.
-            let cand = self.levels[level].occupied & (!0u64 << cur_slot);
+            let cand = self.occupied[level] & (!0u64 << cur_slot);
             if cand == 0 {
                 continue;
             }
             let slot = cand.trailing_zeros() as usize;
-            // Swap the slot's contents out through the scratch buffer: the
-            // slot inherits scratch's (empty) storage and the drained buffer
-            // goes back to scratch below, so no capacity is ever dropped.
-            let mut entries = std::mem::take(&mut self.scratch);
-            std::mem::swap(&mut self.levels[level].slots[slot], &mut entries);
-            self.levels[level].occupied &= !(1u64 << slot);
+            let mut idx = std::mem::replace(&mut self.heads[level][slot], NIL);
+            self.occupied[level] &= !(1u64 << slot);
             // Advance the floor to the slot's base time (higher bits kept).
             let above = shift + BITS;
             let high = if above >= 64 {
@@ -177,25 +188,25 @@ impl<T> TimingWheel<T> {
                 self.now >> above << above
             };
             self.now = high | ((slot as u64) << shift);
-            if level == 0 {
-                // A level-0 slot spans exactly one tick: every entry is due
-                // at `self.now`; order the batch by seq and serve it. `cur`
-                // is empty here (advance runs only once it drains), so its
-                // storage is reused batch after batch.
-                debug_assert!(entries.iter().all(|&(t, ..)| t == self.now));
-                debug_assert!(self.cur.is_empty());
-                self.cur.extend(entries.drain(..).map(|(_, s, it)| (s, it)));
-                self.cur.make_contiguous().sort_unstable_by_key(|&(s, _)| s);
-            } else {
-                // A multi-tick slot: redistribute its entries, which now map
-                // strictly below this level (or into `cur` if due) — never
-                // back into the slot just vacated, so handing `entries` to
-                // `scratch` afterwards is safe.
-                for (t, s, it) in entries.drain(..) {
-                    self.insert(t, s, it);
+            // A level-0 slot's nodes are all due now; a multi-tick slot's are
+            // due now or map strictly below this level. Due nodes move to the
+            // empty `cur` and onto the free list; the rest are relinked. A
+            // list runs newest first, so pushing to the front leaves the batch
+            // in push order, which the engine's rising seqs make sorted.
+            debug_assert!(self.cur.is_empty());
+            while idx != NIL {
+                let node = &mut self.nodes[idx as usize];
+                let next = node.next;
+                if node.time <= self.now {
+                    node.next = std::mem::replace(&mut self.free, idx);
+                    let item = node.item.take().expect("a linked node holds an item");
+                    self.cur.push_front((node.seq, item));
+                } else {
+                    self.link(idx);
                 }
+                idx = next;
             }
-            self.scratch = entries;
+            self.cur.make_contiguous().sort_unstable_by_key(|&(s, _)| s);
             return Some(());
         }
         debug_assert_eq!(self.len, 0);
@@ -256,20 +267,23 @@ mod tests {
         assert_eq!(n, 11);
     }
 
+    /// Deterministic LCG for the workloads below.
+    fn lcg(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
     #[test]
     fn interleaved_push_pop_stays_ordered() {
         let mut w = TimingWheel::new();
         let mut seq = 0u64;
         let mut pushed = 0usize;
         let mut popped = Vec::new();
-        // Deterministic LCG workload.
-        let mut state = 0xdeadbeefu64;
-        let mut rng = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
+        let mut rng = lcg(0xdeadbeef);
         for round in 0..200 {
             for _ in 0..(round % 7) {
                 let t = w.now + rng() % 10_000;
@@ -293,25 +307,64 @@ mod tests {
     }
 
     #[test]
-    fn pop_current_drains_only_the_due_batch() {
+    fn pop_tie_offers_exactly_the_due_batch() {
         let mut w = TimingWheel::new();
         w.push(10, 0, "a");
         w.push(10, 2, "c");
         w.push(10, 1, "b");
         w.push(20, 3, "d");
-        assert_eq!(w.pop(), Some((10, 0, "a")));
-        assert_eq!(w.pop_current(), Some((10, 1, "b")));
-        assert_eq!(w.pop_current(), Some((10, 2, "c")));
-        // The batch at t=10 is exhausted; t=20 must not be touched.
-        assert_eq!(w.pop_current(), None);
+        // The three entries tied at t=10, in seq order; t=20 is not offered.
+        let pick = |want: usize| {
+            move |t: u64, n: usize| {
+                assert_eq!((t, n), (10, want + 1));
+                want
+            }
+        };
+        assert_eq!(w.pop_tie(pick(2)), Some((10, 2, "c")));
+        assert_eq!(w.pop_tie(pick(1)), Some((10, 1, "b")));
+        assert_eq!(w.pop_tie(pick(0)), Some((10, 0, "a")));
         assert_eq!(w.len(), 1);
-        // Re-inserting at the floor merges back in seq order.
-        w.push(10, 1, "b");
-        w.push(10, 2, "c");
-        assert_eq!(w.pop(), Some((10, 1, "b")));
-        assert_eq!(w.pop(), Some((10, 2, "c")));
-        assert_eq!(w.pop(), Some((20, 3, "d")));
-        assert_eq!(w.pop(), None);
+        // A lone entry is a batch of one.
+        let lone = w.pop_tie(|t, n| {
+            assert_eq!((t, n), (20, 1));
+            0
+        });
+        assert_eq!(lone, Some((20, 3, "d")));
+        assert_eq!(
+            w.pop_tie(|_, _| unreachable!("empty wheel asks nothing")),
+            None
+        );
+    }
+
+    #[test]
+    fn arena_holds_only_the_pending_high_water_mark() {
+        const K: usize = 1_000;
+        const SPREAD: u64 = 10_000;
+        let mut w = TimingWheel::new();
+        let mut rng = lcg(0x5eed);
+        let mut seq = 0u64;
+        let mut push = |w: &mut TimingWheel<()>, after: u64| {
+            w.push(after + 1 + rng() % SPREAD, seq, ());
+            seq += 1;
+        };
+        for _ in 0..K {
+            push(&mut w, 0);
+        }
+        assert_eq!(w.nodes.len(), K);
+        // Hold model: every pop is followed by one push.
+        for _ in 0..100_000 {
+            let (t, ..) = w.pop().expect("the hold population never empties");
+            push(&mut w, t);
+            assert!(w.nodes.len() <= K, "arena grew to {}", w.nodes.len());
+        }
+        // Drained to empty and refilled, the wheel reuses its nodes.
+        while w.pop().is_some() {}
+        assert_eq!(w.len(), 0);
+        for _ in 0..K {
+            let now = w.now;
+            push(&mut w, now);
+        }
+        assert_eq!(w.nodes.len(), K);
     }
 
     #[test]
