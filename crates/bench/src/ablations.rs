@@ -713,8 +713,7 @@ pub fn halo_4k() -> Series {
         for rec in &attr.records {
             transfers += 1;
             nonoverlap_ns += rec.nonoverlap;
-            let sum: u64 = rec.breakdown.iter().map(|s| s.ns).sum();
-            if sum != rec.nonoverlap {
+            if !rec.reconciles() {
                 mismatches += 1;
             }
         }
@@ -871,8 +870,7 @@ pub fn ablation_progress() -> Series {
             let attr = overlap_core::attribution::attribute(tr);
             for rec in &attr.records {
                 transfers += 1;
-                let sum: u64 = rec.breakdown.iter().map(|s| s.ns).sum();
-                if sum != rec.nonoverlap {
+                if !rec.reconciles() {
                     mismatches += 1;
                 }
             }

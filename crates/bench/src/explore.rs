@@ -5,9 +5,10 @@
 //! the [`simcore::ScheduleOracle`] machinery to search that space: every
 //! engine tie-break (same-time event order), progress-poll drain order and
 //! fault-timing jitter step becomes an explicit choice, each explored
-//! schedule is checked against the framework's schedule-independent
-//! invariants ([`overlap_core::invariant`], activity-log monotonicity,
-//! exact wait-state reconciliation), and any failing schedule is shrunk to
+//! schedule is checked by the repo's one soundness check
+//! ([`simmpi::MpiRunOutcome::check`]: report invariants, activity-log
+//! monotonicity, exact wait-state reconciliation and the per-transfer
+//! bounds against ground truth), and any failing schedule is shrunk to
 //! a minimal divergent choice prefix written as a replayable
 //! `<scenario>.counterexample.json` token.
 //!
@@ -35,9 +36,7 @@ use simcore::oracle::splitmix64;
 use simcore::{
     ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle, SimError, SimOpts,
 };
-use simmpi::{
-    default_xfer_table, run_mpi_with, Mpi, MpiConfig, MpiRunOutcome, ProgressModel, Src, TagSel,
-};
+use simmpi::{default_xfer_table, run_mpi_with, Mpi, MpiConfig, ProgressModel, Src, TagSel};
 use simnet::{FaultPlan, NetConfig};
 
 use crate::runner::{split_eq_flags, value};
@@ -296,46 +295,6 @@ pub struct ScheduleRun {
     pub choices: Vec<ChoiceRec>,
 }
 
-/// Invariant checks that run on every completed schedule, beyond the report
-/// checks in [`overlap_core::invariant`]: ground-truth activity logs must be
-/// time-ordered with non-negative spans, and the wait-state attribution must
-/// reconcile exactly against the overlap bounds on every transfer.
-fn check_run(out: &MpiRunOutcome) -> Vec<String> {
-    let mut v: Vec<String> = overlap_core::check_reports(&out.reports)
-        .into_iter()
-        .map(|v| v.to_string())
-        .collect();
-    for (rank, log) in out.activity.iter().enumerate() {
-        let mut last = 0u64;
-        for &(from, until, kind) in log.entries() {
-            if until < from {
-                v.push(format!(
-                    "activity_span: rank {rank} {kind:?} interval [{from}, {until}) runs backwards"
-                ));
-            }
-            if from < last {
-                v.push(format!(
-                    "activity_order: rank {rank} {kind:?} interval starts at {from} before previous start {last}"
-                ));
-            }
-            last = from;
-        }
-    }
-    for tr in &out.traces {
-        let attr = overlap_core::attribute(tr);
-        for rec in &attr.records {
-            let explained: u64 = rec.breakdown.iter().map(|s| s.ns).sum();
-            if explained != rec.nonoverlap || rec.nonoverlap != rec.xfer_time - rec.max_overlap {
-                v.push(format!(
-                    "attribution_reconcile: rank {} transfer {:?} breakdown {} vs nonoverlap {} (xfer {} max {})",
-                    tr.rank, rec.id, explained, rec.nonoverlap, rec.xfer_time, rec.max_overlap
-                ));
-            }
-        }
-    }
-    v
-}
-
 /// Run one schedule of `sc` under `oracle` and classify the result.
 pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleRun {
     let handle = OracleHandle::new(oracle);
@@ -361,7 +320,7 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
     );
     let outcome = match res {
         Ok(out) => {
-            let violations = check_run(&out);
+            let violations: Vec<String> = out.check().iter().map(|v| v.to_string()).collect();
             if violations.is_empty() {
                 let min_sum = out.reports.iter().map(|r| r.total.min_overlap).sum();
                 let max_sum = out.reports.iter().map(|r| r.total.max_overlap).sum();

@@ -187,6 +187,16 @@ pub struct CauseRecord {
     pub breakdown: Breakdown,
 }
 
+impl CauseRecord {
+    /// The exact reconciliation this module promises:
+    /// `Σ breakdown == nonoverlap == xfer_time − max_overlap`.
+    pub fn reconciles(&self) -> bool {
+        let explained: u64 = self.breakdown.0.iter().sum();
+        explained == self.nonoverlap
+            && self.xfer_time.checked_sub(self.max_overlap) == Some(self.nonoverlap)
+    }
+}
+
 /// Attributed nanoseconds per cause, held as one fixed array indexed like
 /// [`WaitCause::ALL`], so a record or a total allocates nothing. Serializes as
 /// its nonzero [`CauseSlice`]s in that order.
@@ -231,7 +241,7 @@ pub struct RankAttribution {
 impl RankAttribution {
     /// Σ `nonoverlap` over all records — equals the rank report's
     /// `total.nonoverlapped_min()` when the trace covers the whole run.
-    pub fn total_nonoverlap(&self) -> u64 {
+    pub(crate) fn total_nonoverlap(&self) -> u64 {
         self.records.iter().map(|r| r.nonoverlap).sum()
     }
 }
@@ -567,8 +577,7 @@ mod tests {
         let attr = attribute(&trace);
         let r = &attr.records[0];
         assert_eq!(r.nonoverlap, 700);
-        let sum: u64 = r.breakdown.iter().map(|s| s.ns).sum();
-        assert_eq!(sum, r.nonoverlap, "breakdown must reconcile exactly");
+        assert!(r.reconciles(), "breakdown must reconcile exactly");
         // Latest-first consumption: 810..750 overhead (60), 750..150 wait
         // (600), then 40 more overhead from 150..110.
         assert_eq!(r.breakdown.get(WaitCause::LateSender), 600);
@@ -599,8 +608,7 @@ mod tests {
         let attr = attribute(&trace);
         let r = &attr.records[0];
         assert_eq!(r.nonoverlap, 150);
-        let sum: u64 = r.breakdown.iter().map(|s| s.ns).sum();
-        assert_eq!(sum, 150);
+        assert!(r.reconciles());
         // Window holds 100 ns of in-call time; 50 ns cannot be hosted.
         assert_eq!(r.breakdown.get(WaitCause::TableExcess), 50);
         assert_eq!(attr.totals.get(WaitCause::EagerCopy), 70);

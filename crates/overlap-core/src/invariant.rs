@@ -1,15 +1,15 @@
 //! Schedule-independent invariants of the overlap framework.
 //!
-//! The schedule explorer (`bench repro explore`) perturbs event ordering,
-//! progress-poll drain order and fault timing, then checks every explored
-//! schedule against these invariants: properties that must hold for *any*
-//! legal interleaving. A violation means the instrumentation produced an
-//! unsound report on that schedule — the explorer shrinks the offending
-//! choice sequence to a minimal counterexample.
+//! These are the report-only part of the soundness check every traced
+//! simulated run goes through (`simmpi::check_run`, which adds the
+//! ground-truth join): properties that must hold for *any* legal
+//! interleaving. The schedule explorer (`bench repro explore`) perturbs
+//! event ordering, progress-poll drain order and fault timing and shrinks a
+//! schedule that violates one to a minimal counterexample.
 
 use crate::report::{OverlapReport, OverlapStats};
 
-/// One failed invariant check on an explored schedule.
+/// One failed invariant check on a run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Violation {
     /// Short machine-readable name of the failed check
@@ -17,6 +17,16 @@ pub struct Violation {
     check: String,
     /// Human-readable detail: where the numbers disagreed and by how much.
     detail: String,
+}
+
+impl Violation {
+    /// A failed `check` (its short name) with its `detail`.
+    pub fn new(check: &str, detail: String) -> Self {
+        Violation {
+            check: check.into(),
+            detail,
+        }
+    }
 }
 
 impl std::fmt::Display for Violation {
@@ -27,45 +37,45 @@ impl std::fmt::Display for Violation {
 
 fn check_stats(scope: &str, s: &OverlapStats, out: &mut Vec<Violation>) {
     if s.min_overlap > s.max_overlap {
-        out.push(Violation {
-            check: "min_le_max".into(),
-            detail: format!(
+        out.push(Violation::new(
+            "min_le_max",
+            format!(
                 "{scope}: min_overlap {} > max_overlap {}",
                 s.min_overlap, s.max_overlap
             ),
-        });
+        ));
     }
     if s.max_overlap > s.data_transfer_time {
-        out.push(Violation {
-            check: "max_le_xfer".into(),
-            detail: format!(
+        out.push(Violation::new(
+            "max_le_xfer",
+            format!(
                 "{scope}: max_overlap {} > data_transfer_time {}",
                 s.max_overlap, s.data_transfer_time
             ),
-        });
+        ));
     }
     let cases = s.case_same_call + s.case_split_calls + s.case_single_stamp;
     if cases != s.transfers {
-        out.push(Violation {
-            check: "case_partition".into(),
-            detail: format!(
+        out.push(Violation::new(
+            "case_partition",
+            format!(
                 "{scope}: case counts {cases} ({} + {} + {}) != transfers {}",
                 s.case_same_call, s.case_split_calls, s.case_single_stamp, s.transfers
             ),
-        });
+        ));
     }
     if s.flagged > s.transfers {
-        out.push(Violation {
-            check: "flagged_le_transfers".into(),
-            detail: format!("{scope}: flagged {} > transfers {}", s.flagged, s.transfers),
-        });
+        out.push(Violation::new(
+            "flagged_le_transfers",
+            format!("{scope}: flagged {} > transfers {}", s.flagged, s.transfers),
+        ));
     }
     let c = s.confidence();
     if !c.is_finite() || !(0.0..=1.0).contains(&c) {
-        out.push(Violation {
-            check: "confidence_range".into(),
-            detail: format!("{scope}: confidence {c} outside [0, 1]"),
-        });
+        out.push(Violation::new(
+            "confidence_range",
+            format!("{scope}: confidence {c} outside [0, 1]"),
+        ));
     }
 }
 
@@ -97,33 +107,33 @@ fn check_report(r: &OverlapReport) -> Vec<Violation> {
             ("max_overlap", bin_sum.max_overlap, r.total.max_overlap),
         ] {
             if got != want {
-                out.push(Violation {
-                    check: "bin_sum".into(),
-                    detail: format!(
+                out.push(Violation::new(
+                    "bin_sum",
+                    format!(
                         "rank {}: Σ bins {name} = {got} but total {name} = {want}",
                         r.rank
                     ),
-                });
+                ));
             }
         }
     }
     if r.user_compute_time > r.elapsed {
-        out.push(Violation {
-            check: "compute_le_elapsed".into(),
-            detail: format!(
+        out.push(Violation::new(
+            "compute_le_elapsed",
+            format!(
                 "rank {}: user_compute_time {} > elapsed {}",
                 r.rank, r.user_compute_time, r.elapsed
             ),
-        });
+        ));
     }
     if r.comm_call_time > r.elapsed {
-        out.push(Violation {
-            check: "call_le_elapsed".into(),
-            detail: format!(
+        out.push(Violation::new(
+            "call_le_elapsed",
+            format!(
                 "rank {}: comm_call_time {} > elapsed {}",
                 r.rank, r.comm_call_time, r.elapsed
             ),
-        });
+        ));
     }
     out
 }

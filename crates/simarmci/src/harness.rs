@@ -1,6 +1,6 @@
 //! Harness for ARMCI programs on the simulated cluster.
 
-use overlap_core::{OverlapReport, RecorderOpts, XferTimeTable};
+use overlap_core::{OverlapReport, RecorderOpts, Violation};
 use simcore::{ActivityLog, SimError, SimOpts, Time};
 use simnet::{Cluster, NetConfig, TransferRecord};
 
@@ -23,35 +23,18 @@ pub struct ArmciRunOutcome {
 }
 
 impl ArmciRunOutcome {
-    /// Ground-truth overlap for `rank`, restricted to transfers **this rank
-    /// initiated**. One-sided communication leaves the target host passive —
-    /// its library sees no events for incoming puts/gets, so the per-process
-    /// report (and therefore the comparable truth) covers only issued
-    /// operations. Puts are initiated by the data source, gets by the data
-    /// destination.
-    pub fn true_overlap(&self, rank: usize) -> u64 {
-        self.transfers
-            .iter()
-            .filter(|t| initiated_by(t, rank))
-            .map(|t| t.true_overlap(&self.activity[rank]))
-            .sum()
-    }
-
-    /// Congestion slack for the initiated transfers of `rank` (see
-    /// `simmpi::MpiRunOutcome::congestion_excess`).
-    pub fn congestion_excess(&self, rank: usize, table: &XferTimeTable) -> u64 {
-        self.transfers
-            .iter()
-            .filter(|t| initiated_by(t, rank))
-            .map(|t| t.duration().saturating_sub(table.lookup(t.bytes as u64)))
-            .sum()
-    }
-}
-
-fn initiated_by(t: &TransferRecord, rank: usize) -> bool {
-    match t.kind {
-        simnet::TransferKind::Send | simnet::TransferKind::RdmaWrite => t.src == rank,
-        simnet::TransferKind::RdmaRead => t.dst == rank,
+    /// Every claim the repo makes about this run (see [`simmpi::check_run`]).
+    /// One-sided communication leaves the target passive, so only the
+    /// initiator records a transfer; each record joins its fabric transfer
+    /// by id all the same.
+    pub fn check(&self) -> Vec<Violation> {
+        simmpi::check_run(
+            &self.reports,
+            &self.transfers,
+            &self.activity,
+            &self.traces,
+            &[],
+        )
     }
 }
 

@@ -1,9 +1,11 @@
 //! Top-level harness: run an MPI program on a simulated cluster and collect
 //! per-rank overlap reports plus fabric ground truth.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use overlap_core::{OverlapReport, RecorderOpts, XferTimeTable};
+use overlap_core::trace::RankTrace;
+use overlap_core::{OverlapReport, RecorderOpts, Violation, XferTimeTable};
 use simcore::{ActivityLog, SimError, SimOpts, Time};
 use simnet::{Cluster, FaultEvent, NetConfig, TransferRecord};
 
@@ -25,14 +27,29 @@ pub struct MpiRunOutcome {
     pub rel_stats: Vec<crate::reliability::RelStats>,
     /// Per-rank time-resolved traces (empty unless `RecorderOpts::trace`
     /// was set; ordered by rank when present).
-    pub traces: Vec<overlap_core::trace::RankTrace>,
+    pub traces: Vec<RankTrace>,
     /// Virtual end time of the run.
     pub end_time: Time,
     /// Engine queue entries processed.
     pub events_processed: u64,
+    /// `(rank, rest id, first fragment id, fragment count)` per pipelined
+    /// receive of a traced run: the fabric transfers behind the receiver's
+    /// "rest of message" record, which has no fabric id of its own.
+    pipe_rests: Vec<(usize, u64, u64, u64)>,
 }
 
 impl MpiRunOutcome {
+    /// Every claim the repo makes about this run (see [`check_run`]).
+    pub fn check(&self) -> Vec<Violation> {
+        check_run(
+            &self.reports,
+            &self.transfers,
+            &self.activity,
+            &self.traces,
+            &self.pipe_rests,
+        )
+    }
+
     /// Ground-truth overlap for `rank`: Σ over transfers touching the rank of
     /// the intersection between the physical transfer interval and the rank's
     /// compute intervals.
@@ -63,6 +80,106 @@ impl MpiRunOutcome {
         }
         Ok(paths)
     }
+}
+
+/// Check every claim the repo makes about a traced run; empty = sound.
+///
+/// * [`overlap_core::check_reports`] on every report;
+/// * `activity_span` / `activity_order`: ground-truth activity logs run
+///   forwards and in time order;
+/// * `attribution_reconcile`: every transfer's wait-state breakdown
+///   reconciles exactly;
+/// * per bound record, joined by id to the fabric transfers that moved its
+///   bytes (a pipelined rest record to the fragments `pipe_rests` names as
+///   `(rank, rest id, first fragment id, count)`): `min_le_truth` (no slack),
+///   `truth_le_max` (slack: how far the transfers' summed duration exceeds
+///   the record's table time), `unjoined` (no such fabric transfer);
+/// * `untraced`: the reports count transfers but there is no trace to join.
+pub fn check_run(
+    reports: &[OverlapReport],
+    transfers: &[TransferRecord],
+    activity: &[ActivityLog],
+    traces: &[RankTrace],
+    pipe_rests: &[(usize, u64, u64, u64)],
+) -> Vec<Violation> {
+    let mut v = overlap_core::check_reports(reports);
+    let mut fail = |check: &str, detail: String| v.push(Violation::new(check, detail));
+    for (rank, log) in activity.iter().enumerate() {
+        let mut last = 0u64;
+        for &(from, until, kind) in log.entries() {
+            if until < from {
+                fail(
+                    "activity_span",
+                    format!("rank {rank} {kind:?} interval [{from}, {until}) runs backwards"),
+                );
+            }
+            if from < last {
+                fail("activity_order", format!("rank {rank} {kind:?} interval starts at {from} before previous start {last}"));
+            }
+            last = from;
+        }
+    }
+    // The join, built once: fabric transfers sorted by id, so the ones behind
+    // a record are one contiguous run found by binary search.
+    let mut by_id: Vec<(u64, &TransferRecord)> = transfers.iter().map(|t| (t.xfer_id, t)).collect();
+    by_id.sort_unstable_by_key(|&(id, _)| id);
+    let rests: HashMap<(usize, u64), (u64, u64)> = pipe_rests
+        .iter()
+        .map(|&(rank, rest, first, n)| ((rank, rest), (first, first + n)))
+        .collect();
+    for tr in traces {
+        for rec in overlap_core::attribute(tr).records {
+            if !rec.reconciles() {
+                let explained: u64 = rec.breakdown.iter().map(|s| s.ns).sum();
+                fail(
+                    "attribution_reconcile",
+                    format!(
+                        "rank {} transfer {:?} breakdown {} vs nonoverlap {} (xfer {} max {})",
+                        tr.rank, rec.id, explained, rec.nonoverlap, rec.xfer_time, rec.max_overlap
+                    ),
+                );
+            }
+        }
+        for b in &tr.bounds {
+            let (lo, hi) = b.id.map_or((0, 0), |id| {
+                rests.get(&(tr.rank, id)).copied().unwrap_or((id, id + 1))
+            });
+            let phys =
+                &by_id[by_id.partition_point(|e| e.0 < lo)..by_id.partition_point(|e| e.0 < hi)];
+            let (truth, duration) = phys.iter().fold((0, 0), |(t, d), (_, x)| {
+                (t + x.true_overlap(&activity[tr.rank]), d + x.duration())
+            });
+            let slack = duration.saturating_sub(b.xfer_time);
+            let (rank, id) = (tr.rank, b.id);
+            if phys.is_empty() {
+                fail(
+                    "unjoined",
+                    format!("rank {rank} xfer {id:?}: no fabric transfer"),
+                );
+            } else if b.min > truth {
+                fail(
+                    "min_le_truth",
+                    format!("rank {rank} xfer {id:?}: min {} > truth {truth}", b.min),
+                );
+            } else if truth > b.max + slack {
+                fail(
+                    "truth_le_max",
+                    format!(
+                        "rank {rank} xfer {id:?}: truth {truth} > max {} + slack {slack}",
+                        b.max
+                    ),
+                );
+            }
+        }
+    }
+    let counted: u64 = reports.iter().map(|r| r.total.transfers).sum();
+    if traces.is_empty() && counted > 0 {
+        fail(
+            "untraced",
+            format!("{counted} transfers reported but no trace to join"),
+        );
+    }
+    v
 }
 
 /// The a-priori transfer-time table for a fabric — what the paper measured
@@ -130,10 +247,16 @@ where
     let mut reports = Vec::with_capacity(nranks);
     let mut rel_stats = Vec::with_capacity(nranks);
     let mut traces = Vec::new();
-    for (report, stats, trace) in per_rank {
+    let mut pipe_rests = Vec::new();
+    for (rank, (report, stats, trace, rests)) in per_rank.into_iter().enumerate() {
         reports.push(report);
         rel_stats.push(stats);
         traces.extend(trace);
+        pipe_rests.extend(
+            rests
+                .into_iter()
+                .map(|(rest, first, n)| (rank, rest, first, n)),
+        );
     }
     Ok(MpiRunOutcome {
         reports,
@@ -144,5 +267,6 @@ where
         traces,
         end_time: out.end_time,
         events_processed: out.events_processed,
+        pipe_rests,
     })
 }

@@ -46,6 +46,11 @@ const NO_XFER: u64 = u64::MAX;
 /// ids.
 const LOCAL_XFER_BIT: u64 = 1 << 63;
 
+/// `(rest id, first fragment id, fragment count)` of each pipelined receive,
+/// so the soundness check can join the receiver's "rest of message" record
+/// to the fabric's fragments.
+type PipeRests = Vec<(u64, u64, u64)>;
+
 /// An arrival the host matched or parked; its `(src, tag)` envelope sits
 /// beside it in the [`Matcher`].
 enum Arrival {
@@ -141,6 +146,8 @@ pub struct Mpi<'a> {
     reqs: HashMap<u64, Req>,
     next_req: u64,
     next_local_xfer: u64,
+    /// Only filled while wait tracing is on.
+    pipe_rests: PipeRests,
     /// Host-side matching (every progress model but `hw-tag`, where the
     /// NIC matches).
     matcher: Matcher<Arrival>,
@@ -227,6 +234,7 @@ impl<'a> Mpi<'a> {
             reqs: HashMap::new(),
             next_req: 0,
             next_local_xfer: 0,
+            pipe_rests: Vec::new(),
             matcher: Matcher::default(),
             send_reg_cache: VecDeque::new(),
             recv_pin_cache: VecDeque::new(),
@@ -322,13 +330,15 @@ impl<'a> Mpi<'a> {
     /// Shut down: synchronize, then emit this process's overlap report, the
     /// reliability-layer counters (final values: the teardown flush may still
     /// bump them) and, when `RecorderOpts::trace` was set on init, the
-    /// time-resolved trace (`None` otherwise).
+    /// time-resolved trace (`None` otherwise) and the pipelined receives'
+    /// fragment ranges.
     pub(crate) fn finalize(
         mut self,
     ) -> (
         OverlapReport,
         RelStats,
         Option<overlap_core::trace::RankTrace>,
+        PipeRests,
     ) {
         self.call_enter("MPI_Finalize");
         self.barrier_inner();
@@ -344,7 +354,7 @@ impl<'a> Mpi<'a> {
         self.rec.call_exit();
         let stats = self.rel.stats();
         let (report, trace) = self.rec.finish_traced();
-        (report, stats, trace)
+        (report, stats, trace, self.pipe_rests)
     }
 
     // ---- public point-to-point API ------------------------------------
@@ -1136,6 +1146,9 @@ impl<'a> Mpi<'a> {
                 // The FIN rides as the final fragment's delivery notice, so
                 // its edge carries that fragment's fabric contention.
                 self.end_xfer(pipe.rest_xfer, pipe.rest_len, &p.edge);
+                if self.rec.wait_tracing() {
+                    self.pipe_rests.push((pipe.rest_xfer, p.h[1], p.h[2]));
+                }
                 // The landing region becomes the receive status as is: the
                 // sender's buffer itself when its fragments tiled it.
                 let data = self.world.lock().deregister(self.rank, pipe.region);
@@ -1193,12 +1206,15 @@ impl<'a> Mpi<'a> {
                 let end = (off + frag_size).min(total);
                 let x = w.alloc_xfer_id();
                 let is_last = end == total;
+                // The ids are consecutive: allocated in this loop under one
+                // world lock.
+                let first = new_frags.first().map_or(x.0, |f| f.0);
                 let fin = is_last.then(|| {
                     Packet::control(
                         self.rank,
                         self.net.ctrl_packet_bytes,
                         proto::PT_FIN_PIPE,
-                        [recv_req, 0, 0, 0, 0, 0],
+                        [recv_req, first, nfrags as u64, 0, 0, 0],
                     )
                 });
                 w.post_rdma_write(

@@ -9,7 +9,7 @@
 //! | `RTS_PIPE` | tag | total len | frag1 xfer | sender req | — | fragment 1 |
 //! | `CTS` | sender req | recv region | — | — | — | — |
 //! | `FIN_READ` | sender req | xfer id | total len | — | — | — |
-//! | `FIN_PIPE` | recv req | — | — | — | — | — |
+//! | `FIN_PIPE` | recv req | first frag xfer | frag count | — | — | — |
 //! | `BARRIER` | tag | — | — | — | — | — |
 //! | `ACK` | next expected seq | — | — | — | — | — |
 //! | `NACK` | first missing seq | — | — | — | — | — |

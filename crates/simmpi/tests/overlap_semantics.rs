@@ -1,16 +1,11 @@
 //! The paper's microbenchmark phenomenology (Sec. 3) and the bound-vs-truth
-//! validation the original authors could not perform on real hardware.
-//!
-//! Bound/truth relationship in this simulator (see `DESIGN.md`):
-//! * `min_overlap <= true_overlap` always — the a-priori table is the *idle*
-//!   transfer time, a lower bound on the physical duration, and the physical
-//!   interval always lies within the stamp window;
-//! * `true_overlap <= max_overlap + congestion_excess` — the upper bound can
-//!   only be exceeded by the amount the physical duration outran the table
-//!   (DMA queueing under contention).
+//! validation the original authors could not perform on real hardware:
+//! every run is traced and passes `MpiRunOutcome::check`, which joins each
+//! bound record to the fabric transfers behind it (`min <= truth <= max +
+//! slack` per transfer; see `DESIGN.md`).
 
 use overlap_core::RecorderOpts;
-use simmpi::{default_xfer_table, run_mpi, MpiConfig, MpiRunOutcome, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
@@ -18,38 +13,11 @@ fn run(
     cfg: MpiConfig,
     body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static,
 ) -> MpiRunOutcome {
-    run_mpi(
-        nranks,
-        NetConfig::default(),
-        cfg,
-        RecorderOpts::default(),
-        body,
-    )
-    .expect("run failed")
-}
-
-fn assert_bounds_valid(out: &MpiRunOutcome, net: &NetConfig) {
-    let table = default_xfer_table(net);
-    for rank in 0..out.reports.len() {
-        let r = &out.reports[rank];
-        let truth = out.true_overlap(rank);
-        let slack = out.congestion_excess(rank, &table);
-        assert!(
-            r.total.min_overlap <= truth,
-            "rank {rank}: min bound {} exceeds true overlap {}",
-            r.total.min_overlap,
-            truth
-        );
-        assert!(
-            truth <= r.total.max_overlap + slack,
-            "rank {rank}: true overlap {} exceeds max bound {} + slack {}",
-            truth,
-            r.total.max_overlap,
-            slack
-        );
-        assert!(r.total.min_overlap <= r.total.max_overlap);
-        assert!(r.total.max_overlap <= r.total.data_transfer_time);
-    }
+    let rec = RecorderOpts {
+        trace: true,
+        ..RecorderOpts::default()
+    };
+    run_mpi(nranks, NetConfig::default(), cfg, rec, body).expect("run failed")
 }
 
 /// One microbenchmark iteration: sender Isend + compute + Wait; receiver
@@ -84,7 +52,7 @@ fn eager_sender_overlap_grows_with_computation() {
             "sender max overlap should not drop with more compute: {max_pct} < {prev_max}"
         );
         prev_max = max_pct;
-        assert_bounds_valid(&out, &NetConfig::default());
+        assert_eq!(out.check(), []);
     }
     // With ample computation the sender overlaps (nearly) fully.
     assert!(
@@ -148,8 +116,8 @@ fn direct_read_isend_recv_sender_overlap_grows_and_wait_shrinks() {
         l_wait < s_wait / 2.0,
         "wait should shrink: {s_wait} -> {l_wait}"
     );
-    assert_bounds_valid(&small, &NetConfig::default());
-    assert_bounds_valid(&large, &NetConfig::default());
+    assert_eq!(small.check(), []);
+    assert_eq!(large.check(), []);
 }
 
 #[test]
@@ -185,7 +153,7 @@ fn pipelined_isend_recv_overlap_is_flat_and_first_fragment_only() {
         (10.0..20.0).contains(&l_max),
         "pipelined max overlap should be the first-fragment share: {l_max}"
     );
-    assert_bounds_valid(&large, &NetConfig::default());
+    assert_eq!(large.check(), []);
 }
 
 #[test]
@@ -210,7 +178,7 @@ fn direct_read_send_irecv_receiver_has_zero_overlap() {
         "direct-read late receiver must be case 1"
     );
     assert_eq!(recv.total.case_same_call, recv.total.transfers);
-    assert_bounds_valid(&out, &NetConfig::default());
+    assert_eq!(out.check(), []);
 }
 
 #[test]
@@ -248,7 +216,7 @@ fn iprobe_during_compute_recovers_receiver_overlap() {
     );
     // And the receiver actually finishes sooner.
     assert!(with.reports[1].comm_call_time < without.reports[1].comm_call_time);
-    assert_bounds_valid(&with, &NetConfig::default());
+    assert_eq!(with.check(), []);
 }
 
 #[test]
@@ -271,7 +239,7 @@ fn blocking_send_recv_has_zero_overlap_everywhere() {
         // receiver's read completes inside MPI_Recv (case 1).
         assert_eq!(r.total.max_overlap, 0);
     }
-    assert_bounds_valid(&out, &NetConfig::default());
+    assert_eq!(out.check(), []);
 }
 
 #[test]
@@ -295,7 +263,7 @@ fn buffered_eager_send_overlaps_following_computation() {
         "buffered eager sends should overlap: min {}%",
         sender.total.min_pct()
     );
-    assert_bounds_valid(&out, &NetConfig::default());
+    assert_eq!(out.check(), []);
 }
 
 #[test]
@@ -323,7 +291,7 @@ fn bounds_bracket_truth_across_random_mixed_workloads() {
                     mpi.wait(r);
                 }
             });
-            assert_bounds_valid(&out, &NetConfig::default());
+            assert_eq!(out.check(), []);
         }
     }
 }

@@ -7,16 +7,15 @@
 //! * keep `polling` byte-identical to a config that never mentions the
 //!   progress field (the golden-pinning property, checked here differentially
 //!   and against the committed goldens elsewhere),
-//! * produce reports that pass every [`overlap_core::invariant`] check,
-//! * reconcile wait-cause attribution *exactly* (Σ breakdown == nonoverlap)
-//!   on every transfer record,
+//! * pass `MpiRunOutcome::check`: the report invariants, exact wait-cause
+//!   reconciliation, and `min ≤ truth ≤ max + slack` on every transfer,
 //! * on fault-free runs, achieve at least the polling model's overlap upper
 //!   bound once the modeled progress-steal cost is added back
 //!   (`max_overlap(model) + steal(model) ≥ max_overlap(polling)`).
 
 use proptest::prelude::*;
 
-use overlap_core::{attribution, invariant, RecorderOpts};
+use overlap_core::RecorderOpts;
 use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, ProgressModel, RndvMode, Src, TagSel};
 use simnet::NetConfig;
 
@@ -184,8 +183,8 @@ proptest! {
         }
     }
 
-    /// (b) report invariants and (c) exact attribution reconciliation hold
-    /// under every model.
+    /// (b) report invariants, (c) exact attribution reconciliation and the
+    /// per-transfer bounds against ground truth hold under every model.
     #[test]
     fn invariants_and_reconciliation_hold_under_every_model(
         rounds in prop::collection::vec(arb_round(), 1..6),
@@ -193,22 +192,7 @@ proptest! {
     ) {
         for model in all_models() {
             let out = run_model(&rounds, &cfg, model);
-            let violations = invariant::check_reports(&out.reports);
-            prop_assert!(
-                violations.is_empty(),
-                "{}: invariant violations: {violations:?}", model.label()
-            );
-            for tr in &out.traces {
-                let attr = attribution::attribute(tr);
-                for rec in &attr.records {
-                    let sum: u64 = rec.breakdown.iter().map(|s| s.ns).sum();
-                    prop_assert_eq!(
-                        sum, rec.nonoverlap,
-                        "{}: transfer {:?} breakdown Σ {} != nonoverlap {}",
-                        model.label(), rec.id, sum, rec.nonoverlap
-                    );
-                }
-            }
+            prop_assert_eq!(out.check(), [], "{}", model.label());
         }
     }
 

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 
 use overlap_core::RecorderOpts;
-use simmpi::{default_xfer_table, run_mpi, MpiConfig, ProgressModel, RndvMode, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, ProgressModel, RndvMode, Src, TagSel};
 use simnet::NetConfig;
 
 /// One round of a generated two-rank program. Both ranks execute the same
@@ -68,9 +68,9 @@ proptest! {
         rounds in prop::collection::vec(arb_round(), 1..12),
         cfg in arb_cfg(),
     ) {
-        let net = NetConfig::default();
         let rounds_in = rounds.clone();
-        let out = run_mpi(2, net.clone(), cfg, RecorderOpts::default(), move |mpi| {
+        let rec = RecorderOpts { trace: true, ..RecorderOpts::default() };
+        let out = run_mpi(2, NetConfig::default(), cfg, rec, move |mpi| {
             let me = mpi.rank();
             let other = 1 - me;
             for (i, r) in rounds_in.iter().enumerate() {
@@ -98,19 +98,11 @@ proptest! {
             }
         }).expect("run failed");
 
-        let table = default_xfer_table(&net);
-        for rank in 0..2 {
-            let rep = &out.reports[rank].total;
-            let truth = out.true_overlap(rank);
-            let slack = out.congestion_excess(rank, &table);
-            prop_assert!(rep.min_overlap <= truth,
-                "rank {rank}: min {} > truth {}", rep.min_overlap, truth);
-            prop_assert!(truth <= rep.max_overlap + slack,
-                "rank {rank}: truth {} > max {} + slack {}", truth, rep.max_overlap, slack);
-            prop_assert!(rep.min_overlap <= rep.max_overlap);
+        prop_assert_eq!(out.check(), []);
+        for rep in &out.reports {
             // Every generated round moves one message per direction; the
             // pipelined mode may split one message into several transfers.
-            prop_assert!(rep.transfers as usize >= rounds.len());
+            prop_assert!(rep.total.transfers as usize >= rounds.len());
         }
     }
 
