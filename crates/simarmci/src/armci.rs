@@ -4,7 +4,7 @@ use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
 use overlap_core::{OverlapReport, Recorder, RecorderOpts, XferTimeTable};
-use simcore::{Activity, Duration, RankCtx};
+use simcore::{Activity, Duration, RankCtx, RankDiag};
 use simmpi::proto::{pack_user, unpack_user};
 use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp};
 use simnet::{Completion, NetConfig, Packet, RegionId, SharedWorld};
@@ -130,7 +130,7 @@ impl<'a> Armci<'a> {
         let mut regions = vec![RegionId(0); self.nranks];
         regions[self.rank] = my_region;
         for _ in 0..self.nranks - 1 {
-            let (src, _, data) = self.msg_recv_tag(tag);
+            let (src, _, data) = self.msg_recv(None, tag);
             regions[src] = RegionId(u64::from_le_bytes(data[..8].try_into().unwrap()));
         }
         self.rec.call_exit();
@@ -218,7 +218,7 @@ impl<'a> Armci<'a> {
                 if me & mask == 0 {
                     let src = me | mask;
                     if src < n {
-                        let other = bytes_to_f64s(&self.msg_recv_tag(tag).2);
+                        let other = bytes_to_f64s(&self.msg_recv(None, tag).2);
                         ReduceOp::Sum.apply(&mut acc, &other);
                     }
                 } else {
@@ -233,7 +233,7 @@ impl<'a> Armci<'a> {
             let mut mask = 1usize;
             while mask < n {
                 if me & mask != 0 {
-                    acc = bytes_to_f64s(&self.msg_recv_tag(tag2).2);
+                    acc = bytes_to_f64s(&self.msg_recv(None, tag2).2);
                     break;
                 }
                 mask <<= 1;
@@ -331,24 +331,42 @@ impl<'a> Armci<'a> {
     }
 
     fn wait_inner(&mut self, h: NbHandle) -> Option<Bytes> {
-        loop {
-            self.progress();
-            if self.handles.get(&h.0).expect("unknown handle").done {
-                return self.handles.remove(&h.0).unwrap().data;
-            }
-            self.wait_for_event();
-        }
+        self.progress_until(|a| a.handles.get(&h.0).expect("unknown handle").done);
+        self.handles.remove(&h.0).unwrap().data
     }
 
-    fn wait_for_event(&mut self) {
-        let has = self.world.lock().has_host_events(self.rank);
-        if !has {
-            self.ctx.park();
+    /// The body of every blocking call: poll and drain until `done` holds,
+    /// parked between polls until the NIC has something for this rank. When
+    /// the entry poll can find nothing unless a delivery rings during it —
+    /// the NIC is idle and `done` does not hold yet — the poll and the park
+    /// after it are one [`RankCtx::wait`].
+    fn progress_until(&mut self, done: impl Fn(&Self) -> bool) {
+        let poll = self.net.poll_cost;
+        if !done(self) && !self.world.lock().has_host_events(self.rank) {
+            self.ctx.wait(poll, poll, RankDiag::default);
+        } else {
+            self.lib_busy(poll);
+        }
+        loop {
+            self.drain();
+            if done(self) {
+                return;
+            }
+            if self.world.lock().has_host_events(self.rank) {
+                self.lib_busy(poll);
+            } else {
+                self.ctx.wait(0, poll, RankDiag::default);
+            }
         }
     }
 
     fn progress(&mut self) {
         self.lib_busy(self.net.poll_cost);
+        self.drain();
+    }
+
+    /// Drain completions and packets until quiescent; costs no virtual time.
+    fn drain(&mut self) {
         loop {
             enum Item {
                 C(Completion),
@@ -407,14 +425,17 @@ impl<'a> Armci<'a> {
         w.post_send(self.rank, dst, pkt, pack_user(WK_IGNORE, 0), None);
     }
 
-    fn msg_recv_tag(&mut self, tag: u64) -> (usize, u64, Bytes) {
-        loop {
-            self.progress();
-            if let Some(pos) = self.msgs.iter().position(|&(_, t, _)| t == tag) {
-                return self.msgs.remove(pos).unwrap();
-            }
-            self.wait_for_event();
-        }
+    /// Take the first buffered message tagged `tag` (and from `from`, if
+    /// given), progressing until one is there.
+    fn msg_recv(&mut self, from: Option<usize>, tag: u64) -> (usize, u64, Bytes) {
+        let find = |a: &Self| {
+            a.msgs
+                .iter()
+                .position(|&(s, t, _)| t == tag && from.is_none_or(|f| f == s))
+        };
+        self.progress_until(|a| find(a).is_some());
+        let pos = find(self).expect("progress_until returned without the message");
+        self.msgs.remove(pos).unwrap()
     }
 
     fn barrier_inner(&mut self) {
@@ -429,18 +450,7 @@ impl<'a> Armci<'a> {
             let to = (self.rank + dist) % n;
             let from = (self.rank + n - dist) % n;
             self.msg_send(to, base + (round << 32), Bytes::new());
-            loop {
-                self.progress();
-                if let Some(pos) = self
-                    .msgs
-                    .iter()
-                    .position(|&(s, t, _)| s == from && t == base + (round << 32))
-                {
-                    self.msgs.remove(pos);
-                    break;
-                }
-                self.wait_for_event();
-            }
+            self.msg_recv(Some(from), base + (round << 32));
             dist *= 2;
             round += 1;
         }

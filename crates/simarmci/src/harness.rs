@@ -20,6 +20,8 @@ pub struct ArmciRunOutcome {
     pub traces: Vec<overlap_core::trace::RankTrace>,
     /// Virtual end time.
     pub end_time: Time,
+    /// Times the engine handed control to a rank.
+    pub resumes: u64,
 }
 
 impl ArmciRunOutcome {
@@ -62,5 +64,6 @@ where
         activity: out.activity,
         traces: traces.into_iter().flatten().collect(),
         end_time: out.end_time,
+        resumes: out.resumes,
     })
 }

@@ -32,6 +32,31 @@
 //! The wheel keeps every entry not yet due in one node arena that reuses
 //! popped nodes, so a run allocates for its high-water mark of pending
 //! entries, not per event and not per wheel slot.
+//!
+//! # Waits the engine finishes itself
+//!
+//! A library waiting for its NIC runs the same three steps over and over:
+//! poll for `poll_cost` ns, park if the poll found nothing, and poll again
+//! when woken. Two of the rank's resumes in that cycle change nothing any
+//! other party can observe, so [`RankCtx::wait`] hands them to the run loop,
+//! which makes them at the pop where it would have resumed the rank:
+//!
+//! * **The end of an idle poll** (`PH_POLLING`). While the poll runs,
+//!   [`EngineHandle::wake_rank`] is the doorbell: it pushes nothing (a
+//!   sleeping rank's wake-up pushes nothing either) and only notes that a
+//!   host-visible delivery arrived. Every delivery the fabric makes calls it,
+//!   so at the poll's end a silent doorbell means the poll drained nothing,
+//!   and the rank parks as its own park would have — no seq drawn.
+//! * **The wake-up** (`PH_PARKED` with a charge). The rank would record its
+//!   wait and at once sleep for the charge. The loop pushes that sleep's
+//!   wake-up with the very `next_seq()` the rank's own `Sleep` would have
+//!   drawn, and resumes the rank only when the charge is served
+//!   (`PH_CHARGING`).
+//!
+//! Between the wake-up and the charge the rank draws no seq and reads no
+//! shared state, so the `(time, seq)` entry stream, the entry count, every
+//! activity log and every oracle choice are those of the unfused sequence,
+//! under both [`RankRuntime`]s; only [`SimOutcome::resumes`] falls.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtomicOrdering};
@@ -44,7 +69,7 @@ use crate::error::{RankDiag, SimError};
 use crate::oracle::{ChoicePoint, OracleHandle};
 use crate::rank::{RankCtx, YieldPort};
 use crate::sched::TimingWheel;
-use crate::time::Time;
+use crate::time::{Duration, Time};
 use crate::truth::ActivityLog;
 
 /// A scheduled callback: runs at its time with access to the engine handle so
@@ -77,14 +102,23 @@ const PH_RUNNING: u8 = 1;
 const PH_SLEEPING: u8 = 2;
 const PH_PARKED: u8 = 3;
 const PH_DONE: u8 = 4;
+/// In the poll of a [`RankCtx::wait`]: its end is queued, and
+/// [`EngineHandle::wake_rank`] only rings the doorbell.
+const PH_POLLING: u8 = 5;
+/// Woken from a wait and serving its charge: the charge's end is queued.
+const PH_CHARGING: u8 = 6;
 
 /// Per-rank scheduling state. Plain atomics with relaxed ordering because
 /// the strict engine↔rank handoff already serializes every access (in
 /// threaded mode the rendezvous channel provides the happens-before edge).
 struct RankCell {
     phase: AtomicU8,
-    /// True while a wake-up entry for this rank is in flight (idempotence).
+    /// True while a wake-up entry for this parked rank is in flight
+    /// (idempotence), or once the doorbell rang during a poll
+    /// (`PH_POLLING`).
     wake_pending: AtomicBool,
+    /// Library time the current wait charges when it wakes up.
+    charge: AtomicU64,
 }
 
 impl RankCell {
@@ -92,6 +126,7 @@ impl RankCell {
         RankCell {
             phase: AtomicU8::new(PH_NOT_STARTED),
             wake_pending: AtomicBool::new(false),
+            charge: AtomicU64::new(0),
         }
     }
 }
@@ -203,14 +238,17 @@ impl EngineHandle {
     /// Wake rank `r` if it is parked. No-op for running, sleeping (a rank
     /// that is mid-`compute` is uninterruptible — it discovers new state at
     /// its next library call), or finished ranks. Idempotent: at most one
-    /// wake-up entry is outstanding per parked rank.
+    /// wake-up entry is outstanding per parked rank. A rank in the poll of a
+    /// [`RankCtx::wait`] is not woken either, but the call is noted: it is
+    /// the doorbell that keeps the rank from parking when the poll ends.
     pub fn wake_rank(&self, r: usize) {
         let cell = &self.shared.cells[r];
-        if cell.phase.load(AtomicOrdering::Relaxed) != PH_PARKED {
-            return;
-        }
-        if !cell.wake_pending.swap(true, AtomicOrdering::Relaxed) {
-            self.shared.push(self.now(), Action::WakeRank(r));
+        match cell.phase.load(AtomicOrdering::Relaxed) {
+            PH_PARKED if !cell.wake_pending.swap(true, AtomicOrdering::Relaxed) => {
+                self.shared.push(self.now(), Action::WakeRank(r));
+            }
+            PH_POLLING => cell.wake_pending.store(true, AtomicOrdering::Relaxed),
+            _ => {}
         }
     }
 }
@@ -253,12 +291,21 @@ pub struct SimOutcome {
     pub activity: Vec<ActivityLog>,
     /// Number of queue entries processed (events + wake-ups).
     pub events_processed: u64,
+    /// Number of times the run loop handed control to a rank. Unlike
+    /// `events_processed` this depends on how much of each wait the engine
+    /// finished itself (see [`RankCtx::wait`]), never on the runtime.
+    pub resumes: u64,
 }
 
 #[derive(Debug)]
 pub(crate) enum YieldMsg {
     Sleep(Time),
-    Park,
+    /// [`RankCtx::wait`]: poll for `after` ns (0: park at once), park
+    /// unless the doorbell rang, and serve `charge` on the wake-up.
+    Wait {
+        after: Duration,
+        charge: Duration,
+    },
     Done(ActivityLog),
     Panicked(String),
     /// The answer to a [`Resume::Explain`]: the rank stays parked.
@@ -269,10 +316,13 @@ pub(crate) enum YieldMsg {
 /// reads after every yield.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Resume {
-    /// Carry on: the sleep is over, or a wake-up arrived.
+    /// Carry on: the sleep is over, or a wait's poll ended with the doorbell
+    /// rung.
     Run,
+    /// A wait parked, was woken, and its charge is served.
+    Woke,
     /// The wheel drained with this rank still parked: say what it is blocked
-    /// on (see [`RankCtx::park_with`]) and park again.
+    /// on (see [`RankCtx::wait`]) and park again.
     Explain,
     /// The run is over: unwind out of the rank body so its destructors run.
     Abort,
@@ -559,6 +609,7 @@ impl Simulation {
         for cell in self.shared.cells.iter() {
             cell.phase.store(PH_DONE, AtomicOrdering::Relaxed);
             cell.wake_pending.store(false, AtomicOrdering::Relaxed);
+            cell.charge.store(0, AtomicOrdering::Relaxed);
         }
     }
 
@@ -595,6 +646,7 @@ impl Simulation {
         let handle = self.handle();
         let mut logs: Vec<Option<ActivityLog>> = (0..n).map(|_| None).collect();
         let mut events: u64 = 0;
+        let mut resumes: u64 = 0;
         let result = 'main: loop {
             // Adopt everything produced since the last entry ran. Ranks only
             // execute while the engine is suspended in `resume`, so by this
@@ -659,19 +711,34 @@ impl Simulation {
                 }
                 Action::WakeRank(r) => {
                     let cell = &self.shared.cells[r];
-                    cell.wake_pending.store(false, AtomicOrdering::Relaxed);
-                    let should_run = match cell.phase.load(AtomicOrdering::Relaxed) {
-                        PH_NOT_STARTED | PH_SLEEPING | PH_PARKED => {
-                            cell.phase.store(PH_RUNNING, AtomicOrdering::Relaxed);
-                            true
+                    let rang = cell.wake_pending.swap(false, AtomicOrdering::Relaxed);
+                    let why = match cell.phase.load(AtomicOrdering::Relaxed) {
+                        PH_NOT_STARTED | PH_SLEEPING => Resume::Run,
+                        PH_POLLING if rang => Resume::Run,
+                        // The poll drained nothing: park where the rank's
+                        // own park would have put it.
+                        PH_POLLING => {
+                            cell.phase.store(PH_PARKED, AtomicOrdering::Relaxed);
+                            continue;
                         }
-                        PH_DONE => false,
+                        // Woken: serve the charge first, drawing the seq the
+                        // rank's own `Sleep` would have.
+                        PH_PARKED => match cell.charge.load(AtomicOrdering::Relaxed) {
+                            0 => Resume::Woke,
+                            charge => {
+                                let seq = self.shared.next_seq();
+                                wheel.push(time.saturating_add(charge), seq, Action::WakeRank(r));
+                                cell.phase.store(PH_CHARGING, AtomicOrdering::Relaxed);
+                                continue;
+                            }
+                        },
+                        PH_CHARGING => Resume::Woke,
+                        PH_DONE => continue,
                         _ => unreachable!("rank {r} woken while running"),
                     };
-                    if !should_run {
-                        continue;
-                    }
-                    match driver.resume(r, Resume::Run) {
+                    cell.phase.store(PH_RUNNING, AtomicOrdering::Relaxed);
+                    resumes += 1;
+                    match driver.resume(r, why) {
                         Ok(YieldMsg::Sleep(t)) => {
                             cell.phase.store(PH_SLEEPING, AtomicOrdering::Relaxed);
                             // Engine-local: straight into the wheel, skipping
@@ -679,8 +746,15 @@ impl Simulation {
                             let seq = self.shared.next_seq();
                             wheel.push(t.max(handle.now()), seq, Action::WakeRank(r));
                         }
-                        Ok(YieldMsg::Park) => {
-                            cell.phase.store(PH_PARKED, AtomicOrdering::Relaxed);
+                        Ok(YieldMsg::Wait { after, charge }) => {
+                            cell.charge.store(charge, AtomicOrdering::Relaxed);
+                            if after == 0 {
+                                cell.phase.store(PH_PARKED, AtomicOrdering::Relaxed);
+                            } else {
+                                cell.phase.store(PH_POLLING, AtomicOrdering::Relaxed);
+                                let seq = self.shared.next_seq();
+                                wheel.push(time.saturating_add(after), seq, Action::WakeRank(r));
+                            }
                         }
                         Ok(YieldMsg::Done(log)) => {
                             cell.phase.store(PH_DONE, AtomicOrdering::Relaxed);
@@ -713,6 +787,7 @@ impl Simulation {
             end_time: handle.now(),
             activity,
             events_processed: events,
+            resumes,
         })
     }
 }

@@ -6,11 +6,11 @@ use std::fmt;
 ///
 /// Built at that moment, not before: the engine asks each stuck rank once,
 /// and the library running on it answers through the closure it parked with
-/// ([`crate::RankCtx::park_with`]). A rank parked with plain
+/// ([`crate::RankCtx::wait`]). A rank parked with plain
 /// [`crate::RankCtx::park`] reports `None` everywhere.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct RankDiag {
-    /// The stuck rank (filled in by [`crate::RankCtx::park_with`]).
+    /// The stuck rank (filled in by [`crate::RankCtx::wait`]).
     pub rank: usize,
     /// What the rank says it is blocked on.
     pub blocked_on: Option<String>,

@@ -397,7 +397,10 @@ mod tests {
             loop {
                 // SAFETY: running on the fiber; strict handoff.
                 unsafe {
-                    (*data).msg = Some(YieldMsg::Park);
+                    (*data).msg = Some(YieldMsg::Wait {
+                        after: 0,
+                        charge: 0,
+                    });
                     yield_to_engine(data);
                     if (*data).resume == Resume::Abort {
                         std::panic::resume_unwind(Box::new(()));
@@ -406,7 +409,13 @@ mod tests {
             }
         }))
         .unwrap();
-        assert!(matches!(f.resume(Resume::Run), Some(YieldMsg::Park)));
+        assert!(matches!(
+            f.resume(Resume::Run),
+            Some(YieldMsg::Wait {
+                after: 0,
+                charge: 0
+            })
+        ));
         assert!(!dropped.load(std::sync::atomic::Ordering::SeqCst));
         f.abort();
         assert!(dropped.load(std::sync::atomic::Ordering::SeqCst));

@@ -19,9 +19,10 @@
 //!   computation, in-library processing, ...),
 //! * [`RankCtx::park`] blocks the rank until some event handler calls
 //!   [`EngineHandle::wake_rank`] — this is how polling progress engines sleep
-//!   until "the next event that touches my NIC"; [`RankCtx::park_with`] also
-//!   takes a closure the engine runs only if the simulation deadlocks with
-//!   the rank still parked, to say what it was blocked on,
+//!   until "the next event that touches my NIC"; [`RankCtx::wait`] folds the
+//!   poll before the park and the poll after the wake-up into the same call,
+//!   and takes a closure the engine runs only if the simulation deadlocks
+//!   with the rank still parked, to say what it was blocked on,
 //! * [`EngineHandle::schedule_at`] schedules a state-mutating callback at a
 //!   future virtual time (used by the network model for packet deliveries and
 //!   DMA completions).

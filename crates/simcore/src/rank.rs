@@ -107,21 +107,45 @@ impl RankCtx {
     /// this rank. The blocked interval is attributed to
     /// [`Activity::LibraryWait`] in the ground-truth log. A rank stuck here
     /// when the simulation deadlocks reports no note; a library that can say
-    /// what it is blocked on parks with [`RankCtx::park_with`].
+    /// what it is blocked on waits with [`RankCtx::wait`].
     pub fn park(&mut self) {
-        self.park_with(RankDiag::default);
+        self.wait(0, 0, RankDiag::default);
     }
 
-    /// [`RankCtx::park`], able to say what the rank is blocked on. `explain`
-    /// runs only if the event queue drains with this rank still parked — at
-    /// most once, on this rank's own stack, before the run is torn down —
-    /// and its answer (with `rank` filled in here) becomes this rank's entry
-    /// in [`crate::SimError::Deadlock`]. A run that completes never calls
-    /// it, so it may render whatever it likes from the state it borrows:
-    /// nothing the rank owns can change while the rank is parked.
-    pub fn park_with(&mut self, mut explain: impl FnMut() -> RankDiag) {
-        let start = self.now();
-        let mut why = self.yield_to_engine(YieldMsg::Park);
+    /// The waiting primitive of a polling library: poll for `after` ns of
+    /// [`Activity::Library`] time, park at the poll's end unless
+    /// [`EngineHandle::wake_rank`] rang for this rank during it, and once
+    /// woken spend `charge` ns of [`Activity::Library`] time before
+    /// returning. `after == 0` parks at once. Returns `None` when the
+    /// doorbell rang — the rank is back at the poll's end without having
+    /// parked, nothing charged — and otherwise `Some((parked_at, woke))`,
+    /// with the charge served (`now() == woke + charge`).
+    ///
+    /// Observably this is `busy(after, Library)`, a check of a mailbox that
+    /// every `wake_rank` during the poll fills, `park`, `busy(charge,
+    /// Library)`: the same end time, entry stream, activity log and oracle
+    /// choices. The engine runs the two middle transitions at the pops where
+    /// it would have resumed the rank (module docs of `engine.rs`), which
+    /// is sound because neither draws a seq nor reads shared state — the
+    /// caller's part of the bargain is to pass `after > 0` only when the
+    /// poll would find nothing unless a delivery rang, since `wake_rank` is
+    /// the only signal the engine sees.
+    ///
+    /// `explain` runs only if the event queue drains with this rank still
+    /// parked — at most once, on this rank's own stack, before the run is
+    /// torn down — and its answer (with `rank` filled in here) becomes this
+    /// rank's entry in [`crate::SimError::Deadlock`]. A run that completes
+    /// never calls it, so it may render whatever it likes from the state it
+    /// borrows: nothing the rank owns can change while the rank is parked.
+    pub fn wait(
+        &mut self,
+        after: Duration,
+        charge: Duration,
+        mut explain: impl FnMut() -> RankDiag,
+    ) -> Option<(Time, Time)> {
+        let parked_at = self.now().saturating_add(after);
+        self.log.record(self.now(), parked_at, Activity::Library);
+        let mut why = self.yield_to_engine(YieldMsg::Wait { after, charge });
         while why == Resume::Explain {
             let diag = RankDiag {
                 rank: self.rank,
@@ -129,8 +153,14 @@ impl RankCtx {
             };
             why = self.yield_to_engine(YieldMsg::Explained(Box::new(diag)));
         }
+        if why == Resume::Run {
+            return None;
+        }
         let end = self.now();
-        self.log.record(start, end, Activity::LibraryWait);
+        let woke = end - charge;
+        self.log.record(parked_at, woke, Activity::LibraryWait);
+        self.log.record(woke, end, Activity::Library);
+        Some((parked_at, woke))
     }
 
     pub(crate) fn take_log(&mut self) -> ActivityLog {

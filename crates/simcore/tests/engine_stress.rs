@@ -270,7 +270,7 @@ fn explain_is_not_run_on_a_clean_run(runtime: RankRuntime) {
                 for _ in 0..100 {
                     let h = ctx.handle();
                     h.schedule_at(h.now() + (me as u64 % 7 + 1) * 10, move |h| h.wake_rank(me));
-                    ctx.park_with(|| {
+                    ctx.wait(0, 0, || {
                         explained2.fetch_add(1, Ordering::Relaxed);
                         RankDiag::default()
                     });
@@ -325,7 +325,7 @@ fn explain_runs_once_per_stuck_rank(runtime: RankRuntime) {
                                 h.schedule_at(h.now() + 5, move |h| h.wake_rank(me));
                             }
                             let handle = ctx.handle();
-                            ctx.park_with(|| {
+                            ctx.wait(0, 0, || {
                                 explained2.lock().unwrap().push((me, handle.now()));
                                 RankDiag {
                                     blocked_on: Some(format!("token {me} after {parks} parks")),

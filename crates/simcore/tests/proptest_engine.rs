@@ -1,11 +1,13 @@
 //! Engine scheduling property tests: time-order execution, determinism,
 //! and activity-log integrity under random schedules.
 
+mod common;
+
 use std::sync::Arc;
 
 use parking_lot::Mutex;
 use proptest::prelude::*;
-use simcore::{Activity, SimOpts, Simulation};
+use simcore::{Activity, RankRuntime, SimOpts, Simulation};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -105,5 +107,46 @@ proptest! {
         let b = run(times, ranks);
         prop_assert_eq!(a.end_time, b.end_time);
         prop_assert_eq!(a.events_processed, b.events_processed);
+    }
+
+    /// Waits the engine finishes itself leave each rank's timeline as the
+    /// unfused sequence does, and it adds up: the logs never overlap, and
+    /// each wait accounts for its poll as library time, its park as
+    /// library wait and, when it parked, its charge as library time.
+    #[test]
+    fn fused_waits_partition_time_like_the_unfused_sequence(
+        programs in prop::collection::vec(common::program(), 1..5),
+        deliveries in common::deliveries(),
+    ) {
+        let (fused, _) = common::run(RankRuntime::Coroutine, true, &programs, &deliveries, None);
+        let (unfused, _) = common::run(RankRuntime::Coroutine, false, &programs, &deliveries, None);
+        prop_assert_eq!(&fused, &unfused);
+        for (r, program) in programs.iter().enumerate() {
+            let (mut compute, mut library, mut wait) = (0, 0, 0);
+            let mut waits = fused.waits[r].iter();
+            for step in program {
+                match *step {
+                    common::Step::Compute(d) => compute += d,
+                    common::Step::Wait { after, charge, .. } => {
+                        library += after;
+                        if let Some(&Some((parked_at, woke))) = waits.next() {
+                            wait += woke - parked_at;
+                            library += charge;
+                        }
+                    }
+                }
+            }
+            let total = |kind| {
+                fused.activity[r].iter().filter(|e| e.2 == kind).map(|e| e.1 - e.0).sum::<u64>()
+            };
+            prop_assert_eq!(total(Activity::Compute), compute);
+            prop_assert_eq!(total(Activity::Library), library);
+            prop_assert_eq!(total(Activity::LibraryWait), wait);
+            let mut cursor = 0;
+            for &(s, e, _) in &fused.activity[r] {
+                prop_assert!(s >= cursor && s < e, "entries overlap");
+                cursor = e;
+            }
+        }
     }
 }

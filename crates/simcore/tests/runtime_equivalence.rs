@@ -7,8 +7,11 @@
 //! token dispatch order, and oracle-permuted schedules all have to agree
 //! between the two runtimes, down to the recorded choice traces.
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{Ring, Step};
 use parking_lot::Mutex;
 use proptest::prelude::*;
 use simcore::{
@@ -172,4 +175,75 @@ proptest! {
             "expected ProgressWake consultations in the trace");
         prop_assert_eq!(a, b);
     }
+
+    /// `RankCtx::wait` — a poll the engine ends, a park it makes, a charge
+    /// it serves — against the unfused `busy`, mailbox check, `park`,
+    /// `busy`, with deliveries before, at (on either side of the seq tie)
+    /// and after each poll's end, with and without an oracle permuting ties:
+    /// all four combinations of fused/unfused and fibers/threads agree on
+    /// the end time, the entry count, every activity log, what each wait
+    /// returned and the choice trace. Only the fused runs save resumes.
+    #[test]
+    fn fused_waits_match_the_unfused_sequence_on_both_runtimes(
+        programs in prop::collection::vec(common::program(), 1..4),
+        deliveries in common::deliveries(),
+        seed in prop::option::of(any::<u64>()),
+    ) {
+        let (fibers, fiber_resumes) =
+            common::run(RankRuntime::Coroutine, true, &programs, &deliveries, seed);
+        let (threads, thread_resumes) =
+            common::run(RankRuntime::OsThreads, true, &programs, &deliveries, seed);
+        let (unfused, unfused_resumes) =
+            common::run(RankRuntime::Coroutine, false, &programs, &deliveries, seed);
+        let (unfused_threads, _) =
+            common::run(RankRuntime::OsThreads, false, &programs, &deliveries, seed);
+        prop_assert_eq!(&fibers, &unfused);
+        prop_assert_eq!(&threads, &unfused_threads);
+        prop_assert_eq!(&fibers, &threads);
+        prop_assert_eq!(fiber_resumes, thread_resumes);
+        prop_assert!(fiber_resumes <= unfused_resumes);
+    }
+}
+
+/// One wait per rank, `after` = 20 ns, each rank's own delivery landing at a
+/// different point of its poll: before the end, at the end with a lower seq
+/// (it counts: no park) or a higher seq (parks, and is woken at once), after
+/// it, or never (woken by the heartbeat at 50); and one `after` = 0 wait.
+#[test]
+fn wait_outcomes_at_the_poll_end_ties() {
+    let wait = |after, ring| {
+        vec![Step::Wait {
+            after,
+            charge: 10,
+            ring,
+        }]
+    };
+    let programs = [
+        wait(20, Ring::Before(10)),
+        wait(20, Ring::Before(20)),
+        wait(20, Ring::After(20)),
+        wait(20, Ring::Before(30)),
+        wait(20, Ring::Never),
+        wait(0, Ring::Before(0)),
+    ];
+    let want = vec![
+        vec![None],
+        vec![None],
+        vec![Some((20, 20))],
+        vec![Some((20, 30))],
+        vec![Some((20, 50))],
+        vec![Some((0, 0))],
+    ];
+    let mut resumes = Vec::new();
+    for runtime in [RankRuntime::Coroutine, RankRuntime::OsThreads] {
+        for fused in [true, false] {
+            let (run, n) = common::run(runtime, fused, &programs, &[], None);
+            assert_eq!(run.waits, want, "{runtime:?}, fused {fused}");
+            resumes.push(n);
+        }
+    }
+    // Fused, each rank is resumed to start and to finish (12). Unfused, each
+    // of the three poll ends that park and each of the four wake-ups resumes
+    // a rank once more (19).
+    assert_eq!(resumes, [12, 19, 12, 19]);
 }

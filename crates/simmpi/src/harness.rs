@@ -32,6 +32,8 @@ pub struct MpiRunOutcome {
     pub end_time: Time,
     /// Engine queue entries processed.
     pub events_processed: u64,
+    /// Times the engine handed control to a rank.
+    pub resumes: u64,
     /// `(rank, rest id, first fragment id, fragment count)` per pipelined
     /// receive of a traced run: the fabric transfers behind the receiver's
     /// "rest of message" record, which has no fabric id of its own.
@@ -267,6 +269,7 @@ where
         traces,
         end_time: out.end_time,
         events_processed: out.events_processed,
+        resumes: out.resumes,
         pipe_rests,
     })
 }

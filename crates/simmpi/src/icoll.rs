@@ -142,13 +142,7 @@ impl Mpi<'_> {
     /// Complete a non-blocking collective and return its result.
     pub fn icoll_wait(&mut self, h: CollHandle) -> CollResult {
         self.rec.call_enter("MPI_Wait");
-        loop {
-            self.progress();
-            if self.icolls.get(&h.0).is_none_or(|s| s.done) {
-                break;
-            }
-            self.wait_for_event();
-        }
+        self.progress_until(|m| m.icolls.get(&h.0).is_none_or(|s| s.done));
         let result = self
             .icolls
             .remove(&h.0)
@@ -166,6 +160,11 @@ impl Mpi<'_> {
     }
 
     // ---- machine advancement (called from `progress`) ---------------------
+
+    /// Would [`Mpi::advance_collectives`] have anything to advance?
+    pub(crate) fn collectives_live(&self) -> bool {
+        self.icolls.values().any(|s| !s.done)
+    }
 
     pub(crate) fn advance_collectives(&mut self) {
         let mut next = 0;

@@ -347,10 +347,7 @@ impl<'a> Mpi<'a> {
         // that only this rank's progress engine can produce. The deadline
         // wake-ups scheduled per pending packet guarantee the park below is
         // always bounded.
-        while self.rel.enabled && self.rel.has_pending() {
-            self.wait_for_event();
-            self.progress();
-        }
+        self.wait_until(|m| !m.rel.has_pending());
         self.rec.call_exit();
         let stats = self.rel.stats();
         let (report, trace) = self.rec.finish_traced();
@@ -904,11 +901,18 @@ impl<'a> Mpi<'a> {
 
     // ---- progress engine ------------------------------------------------
 
-    /// Drive the protocol: drain completions and packets until quiescent.
-    /// Called from *every* library entry point — progress only happens while
-    /// the application is inside the library (polling semantics).
+    /// Drive the protocol: charge a poll, then [`Mpi::drain`]. Called from
+    /// *every* library entry point — progress only happens while the
+    /// application is inside the library (polling semantics).
     pub(crate) fn progress(&mut self) {
         self.lib_busy(self.net.poll_cost);
+        self.drain();
+    }
+
+    /// Drain completions and packets until quiescent, then let the
+    /// reliability layer and the non-blocking collectives act on what came
+    /// in. Costs no virtual time itself.
+    fn drain(&mut self) {
         loop {
             enum Item {
                 C(Completion),
@@ -1246,12 +1250,41 @@ impl<'a> Mpi<'a> {
     // ---- waiting ----------------------------------------------------------
 
     pub(crate) fn wait_inner(&mut self, req: Request) -> Status {
-        loop {
-            self.progress();
-            if let Some(st) = self.try_take(req) {
-                return st;
+        self.progress_until(|m| m.req_done(req));
+        self.take_status(req)
+    }
+
+    /// The body of every blocking call: poll and drain, then
+    /// [`Mpi::wait_until`] `done`. When the entry poll can find nothing
+    /// unless a delivery rings during it — nothing is pending on the NIC, no
+    /// non-blocking collective is live, no un-ACKed packet has a deadline
+    /// that may have passed unseen while the rank computed, and `done` does
+    /// not hold yet — the poll and the park that would follow it are one
+    /// [`RankCtx::wait`].
+    pub(crate) fn progress_until(&mut self, done: impl Fn(&Self) -> bool) {
+        let idle = !done(self)
+            && !self.world.lock().has_host_events(self.rank)
+            && !self.collectives_live()
+            && !self.rel.has_pending();
+        if idle {
+            self.park_and_poll(self.net.poll_cost);
+        } else {
+            self.lib_busy(self.net.poll_cost);
+        }
+        self.drain();
+        self.wait_until(done);
+    }
+
+    /// Until `done` holds: wait for the NIC to have something for this rank
+    /// (unless it already does), poll, drain.
+    fn wait_until(&mut self, done: impl Fn(&Self) -> bool) {
+        while !done(self) {
+            if self.world.lock().has_host_events(self.rank) {
+                self.lib_busy(self.net.poll_cost);
+            } else {
+                self.park_and_poll(0);
             }
-            self.wait_for_event();
+            self.drain();
         }
     }
 
@@ -1294,62 +1327,61 @@ impl<'a> Mpi<'a> {
         self.last_call = Some(name);
     }
 
-    /// Park until the NIC has something for us (unless it already does).
-    pub(crate) fn wait_for_event(&mut self) {
-        let has = self.world.lock().has_host_events(self.rank);
-        if !has {
+    /// Park until woken, then charge the poll that wakes up to it; with
+    /// `after > 0`, poll for `after` ns first and park only if no delivery
+    /// rang meanwhile ([`RankCtx::wait`]). A traced run records the parked
+    /// interval as a wait state, classified from the open-request state,
+    /// which the rank alone changes and only when it drains.
+    fn park_and_poll(&mut self, after: Duration) {
+        let waited = self.ctx.wait(after, self.net.poll_cost, || {
+            Self::diag(
+                &self.world,
+                &self.reqs,
+                &self.matcher,
+                &self.rel,
+                self.last_call,
+                self.rank,
+            )
+        });
+        if let Some((parked_at, woke)) = waited {
             if self.rec.wait_tracing() {
-                // Classify *before* parking: the open-request state at block
-                // time is what explains the wait. Recording adds zero
-                // virtual time, so traced runs stay time-identical.
-                let (mut cause, xfer) = self.classify_block();
-                let t0 = self.ctx.now();
-                self.park();
-                let t1 = self.ctx.now();
-                // The reliability layer runs while the rank is parked: if the
-                // very transfer this wait was pinned on got retransmitted in
-                // the meantime, loss recovery — not the pre-park protocol
-                // state — is what the wait was spent on.
-                if let Some(x) = xfer {
-                    if cause != WaitCause::AckRetransmit && self.retrans_xfers.contains(&x) {
-                        cause = WaitCause::AckRetransmit;
-                    }
-                }
-                self.rec.wait_state(t0, t1, cause, xfer);
-            } else {
-                self.park();
+                let (cause, xfer) = self.classify_block();
+                self.rec.wait_state(parked_at, woke, cause, xfer);
             }
         }
     }
 
-    /// Park, ready to tell a deadlock dump what this rank is waiting for.
-    /// The diagnostic is rendered only if the run wedges with this rank
-    /// parked here, from state that cannot change while it is: a summary of
-    /// the pending communication state, the last call entered, and the
-    /// wait-for edge of [`Mpi::blocking_edge`].
-    fn park(&mut self) {
-        self.ctx.park_with(|| {
-            let nic = self.world.lock().nic_stats(self.rank);
-            let (waits_on_rank, waits_on_req) =
-                Self::blocking_edge(&self.reqs, &self.matcher, &self.rel);
-            let (posted, unexpected) = self.matcher.lens();
-            RankDiag {
-                rank: self.rank,
-                blocked_on: Some(format!(
-                    "{} incomplete requests ({} posted recvs, {} unexpected arrivals, \
-                     {} un-ACKed sends); NIC backlog rx={} cq={}",
-                    self.reqs.values().filter(|r| !r.is_done()).count(),
-                    posted,
-                    unexpected,
-                    self.rel.pending_packets(),
-                    nic.rx_backlog,
-                    nic.cq_backlog,
-                )),
-                last_call: self.last_call.map(str::to_string),
-                waits_on_rank,
-                waits_on_req,
-            }
-        });
+    /// What a rank parked in [`Mpi::park_and_poll`] tells a deadlock dump:
+    /// a summary of the pending communication state, the last call entered,
+    /// and the wait-for edge of [`Mpi::blocking_edge`]. Takes the fields it
+    /// reads because the rank's context is borrowed by the wait it explains.
+    fn diag(
+        world: &SharedWorld,
+        reqs: &HashMap<u64, Req>,
+        matcher: &Matcher<Arrival>,
+        rel: &Reliability,
+        last_call: Option<&'static str>,
+        rank: usize,
+    ) -> RankDiag {
+        let nic = world.lock().nic_stats(rank);
+        let (waits_on_rank, waits_on_req) = Self::blocking_edge(reqs, matcher, rel);
+        let (posted, unexpected) = matcher.lens();
+        RankDiag {
+            rank,
+            blocked_on: Some(format!(
+                "{} incomplete requests ({} posted recvs, {} unexpected arrivals, \
+                 {} un-ACKed sends); NIC backlog rx={} cq={}",
+                reqs.values().filter(|r| !r.is_done()).count(),
+                posted,
+                unexpected,
+                rel.pending_packets(),
+                nic.rx_backlog,
+                nic.cq_backlog,
+            )),
+            last_call: last_call.map(str::to_string),
+            waits_on_rank,
+            waits_on_req,
+        }
     }
 
     /// Classify why this rank is about to block, from its open-request

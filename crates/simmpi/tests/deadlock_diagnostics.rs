@@ -91,3 +91,48 @@ fn head_to_head_blocking_sends_name_the_send_call() {
         );
     }
 }
+
+/// Each rank computes, then receives from the other, which never sends. The
+/// receive's wait starts with nothing on the NIC, so the engine parks the
+/// rank at the end of that idle poll without resuming it, and the deadlock
+/// asks it there. It says what a rank that parks at once says: with no poll
+/// cost the same program parks on the rank's own yield.
+#[test]
+fn a_rank_parked_at_the_end_of_an_idle_poll_explains_itself() {
+    let diags = |poll_cost| {
+        let err = simmpi::run_mpi(
+            2,
+            NetConfig {
+                poll_cost,
+                ..NetConfig::default()
+            },
+            MpiConfig::default(),
+            RecorderOpts::default(),
+            |mpi| {
+                mpi.compute(10_000 * (mpi.rank() as u64 + 1));
+                let _ = mpi.recv(Src::Rank(1 - mpi.rank()), TagSel::Is(77));
+            },
+        )
+        .unwrap_err();
+        let SimError::Deadlock { diags, .. } = err else {
+            panic!("expected deadlock, got {err}");
+        };
+        diags
+            .into_iter()
+            .map(|d| (d.rank, d.blocked_on, d.last_call, d.waits_on_rank))
+            .collect::<Vec<_>>()
+    };
+    let idle_poll = diags(NetConfig::default().poll_cost);
+    assert!(NetConfig::default().poll_cost > 0);
+    assert_eq!(idle_poll, diags(0));
+    let (_, blocked_on, last_call, waits_on_rank) = &idle_poll[0];
+    assert_eq!(last_call.as_deref(), Some("MPI_Recv"));
+    assert_eq!(*waits_on_rank, Some(1));
+    assert!(
+        blocked_on
+            .as_deref()
+            .unwrap()
+            .starts_with("1 incomplete requests (1 posted recvs"),
+        "{blocked_on:?}"
+    );
+}

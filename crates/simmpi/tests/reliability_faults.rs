@@ -224,3 +224,41 @@ fn retransmissions_to_several_peers_repeat_byte_for_byte() {
         assert!(run() == first, "run {again} diverged from the first");
     }
 }
+
+/// A retransmission deadline that passes while the sender computes is acted
+/// on by the first poll of its next wait. Nothing is on the NIC then, but
+/// the poll is not idle: it resends, so the rank must not park through it.
+/// On seeds where rank 0's message is lost, parking there wedges the run.
+#[test]
+fn a_deadline_missed_in_compute_resends_at_the_next_poll() {
+    let mut resent = 0;
+    for seed in 0..16u64 {
+        let net = NetConfig {
+            faults: FaultPlan::uniform_loss(seed, 0.3),
+            ..NetConfig::default()
+        };
+        let out = run_mpi(
+            2,
+            net,
+            MpiConfig::default(),
+            RecorderOpts::default(),
+            |mpi| {
+                if mpi.rank() == 0 {
+                    let s = mpi.isend(1, 0, vec![1u8; 64]);
+                    let r = mpi.irecv(Src::Rank(1), TagSel::Is(1));
+                    // Reap the send's local completion: the NIC is empty
+                    // when the compute ends.
+                    mpi.wait(s);
+                    mpi.compute(1_000_000);
+                    mpi.wait(r);
+                } else {
+                    let _ = mpi.recv(Src::Rank(0), TagSel::Is(0));
+                    mpi.send(0, 1, vec![2u8; 64]);
+                }
+            },
+        )
+        .unwrap_or_else(|e| panic!("seed {seed}: {}", e.one_line()));
+        resent += out.rel_stats[0].retransmissions;
+    }
+    assert!(resent > 0, "no seed made rank 0 retransmit");
+}

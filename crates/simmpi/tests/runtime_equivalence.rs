@@ -119,9 +119,10 @@ fn deadlock_text_agrees(cfg: MpiConfig, body: fn(&mut simmpi::Mpi), expect: &str
     assert!(fibers.0.contains("NIC backlog rx=0 cq=0"), "{}", fibers.0);
 }
 
-/// The two programs of `deadlock_diagnostics.rs`: a receive nobody sends to
-/// (no cycle: rank 1 is stuck in the finalize barrier), and head-to-head
-/// blocking rendezvous sends (a two-rank cycle).
+/// Three programs of `deadlock_diagnostics.rs`: a receive nobody sends to
+/// (no cycle: rank 1 is stuck in the finalize barrier), head-to-head
+/// blocking rendezvous sends (a two-rank cycle), and receives nobody sends
+/// to, entered after a compute.
 #[test]
 fn deadlock_diagnostics_agree_between_runtimes() {
     deadlock_text_agrees(
@@ -141,6 +142,16 @@ fn deadlock_diagnostics_agree_between_runtimes() {
             let _ = mpi.recv(Src::Rank(other), TagSel::Is(1));
         },
         "wait-for cycle: rank 0 -> ",
+    );
+    // Both ranks enter a receive nobody sends to right after a compute, so
+    // each is parked by the engine at the end of an idle poll.
+    deadlock_text_agrees(
+        MpiConfig::default(),
+        |mpi| {
+            mpi.compute(10_000 * (mpi.rank() as u64 + 1));
+            let _ = mpi.recv(Src::Rank(1 - mpi.rank()), TagSel::Is(77));
+        },
+        "last call MPI_Recv",
     );
 }
 

@@ -29,6 +29,8 @@ pub struct ClusterOutcome {
     pub faults: Vec<FaultEvent>,
     /// Queue entries processed by the engine.
     pub events_processed: u64,
+    /// Times the engine handed control to a rank.
+    pub resumes: u64,
 }
 
 impl Cluster {
@@ -68,6 +70,7 @@ impl Cluster {
             transfers,
             faults,
             events_processed: out.events_processed,
+            resumes: out.resumes,
         })
     }
 
