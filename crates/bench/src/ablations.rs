@@ -400,7 +400,7 @@ pub fn extra_nas_bins() -> Series {
         NasBenchmark::Sp,
     ] {
         let art = sim::nas(None, bench, Class::A, 4, RecorderOpts::default());
-        let r = &art.reports()[0];
+        let r = &art.reports[0];
         for (label, b) in r.bin_labels.iter().zip(&r.by_bin) {
             if b.transfers == 0 {
                 continue;
@@ -535,7 +535,7 @@ pub fn ablation_faults() -> Series {
         // Application payload delivered per wall time (bytes/ns == GB/s):
         // retransmitted wire bytes don't count, so goodput falls as the
         // loss rate climbs.
-        let goodput = (size * rounds * 4) as f64 / out.end_time as f64;
+        let goodput = (size * rounds * 4) as f64 / out.end_time() as f64;
         vec![
             loss_pct.to_string(),
             (size >> 10).to_string(),
@@ -631,7 +631,7 @@ pub fn ablation_topology() -> Series {
             bg_label.to_string(),
             pct(r.min_pct()),
             pct(r.max_pct()),
-            format!("{:.2}", out.end_time as f64 / 1e6),
+            format!("{:.2}", out.end_time() as f64 / 1e6),
         ]
     });
     Series {
@@ -721,7 +721,7 @@ pub fn halo_4k() -> Series {
     let rows = vec![vec![
         n.to_string(),
         transfers.to_string(),
-        format!("{:.2}", out.end_time as f64 / 1e6),
+        format!("{:.2}", out.end_time() as f64 / 1e6),
         format!("{:.2}", nonoverlap_ns as f64 / 1e6),
         format!("{:.2}", contention_ns as f64 / 1e6),
         mismatches.to_string(),
@@ -902,7 +902,7 @@ pub fn ablation_progress() -> Series {
             format!("{:.1}", max as f64 / 1e3),
             format!("{:.1}", steal as f64 / 1e3),
             format!("{:.1}", irecv as f64 / 1e3),
-            format!("{:.2}", out.end_time as f64 / 1e6),
+            format!("{:.2}", out.end_time() as f64 / 1e6),
             mismatches.to_string(),
         ]
     });

@@ -6,7 +6,7 @@
 //! engine tie-break (same-time event order), progress-poll drain order and
 //! fault-timing jitter step becomes an explicit choice, each explored
 //! schedule is checked by the repo's one soundness check
-//! ([`simmpi::MpiRunOutcome::check`]: report invariants, activity-log
+//! ([`simmpi::RunOutcome::check`]: report invariants, activity-log
 //! monotonicity, exact wait-state reconciliation and the per-transfer
 //! bounds against ground truth), and any failing schedule is shrunk to
 //! a minimal divergent choice prefix written as a replayable
@@ -59,7 +59,6 @@ const MAX_EVENTS_PER_SCHEDULE: u64 = 4_000_000;
 // ---------------------------------------------------------------------------
 
 /// A fixed, fully seeded workload the explorer perturbs.
-#[derive(Clone, Copy)]
 pub struct Scenario {
     /// Scenario identifier (`repro explore <id>`).
     pub id: &'static str,
@@ -67,16 +66,11 @@ pub struct Scenario {
     pub about: &'static str,
     /// Ranks the workload spins up.
     pub nranks: usize,
-    /// Seed of the scenario's fault plan (0 when fault-free); echoed into
+    /// The fabric; its fault-plan seed (0 when fault-free) is echoed into
     /// counterexample tokens so a replay can assert the same configuration.
-    pub fault_seed: u64,
-    net: fn() -> NetConfig,
-    mpi: fn() -> MpiConfig,
+    pub net: NetConfig,
+    mpi: MpiConfig,
     body: fn(&mut Mpi),
-}
-
-fn eager2_mpi() -> MpiConfig {
-    MpiConfig::open_mpi_pipelined()
 }
 
 /// Two ranks exchange two small eager messages with overlap windows — the
@@ -92,25 +86,6 @@ fn eager2_body(mpi: &mut Mpi) {
         mpi.wait(s);
         mpi.wait(r);
     }
-}
-
-fn fig03ish_net() -> NetConfig {
-    // No loss: the reliability layer runs (sequencing + ACKs) and the
-    // oracle may jitter every packet's arrival within a 300 ns window,
-    // but every schedule must still complete cleanly.
-    NetConfig {
-        faults: FaultPlan {
-            seed: 11,
-            explore_jitter_ns: 300,
-            explore_jitter_steps: 3,
-            ..FaultPlan::none()
-        },
-        ..NetConfig::default()
-    }
-}
-
-fn fig03ish_mpi() -> MpiConfig {
-    MpiConfig::open_mpi_pipelined()
 }
 
 /// The Fig. 3 microbenchmark shape (10 KB eager Isend–Irecv with inserted
@@ -131,18 +106,6 @@ fn fig03ish_body(mpi: &mut Mpi) {
     }
 }
 
-fn asyncrank2_mpi() -> MpiConfig {
-    MpiConfig {
-        // A short poll interval packs several progress-fiber wakes into
-        // each compute window below, so the schedule space is dominated by
-        // kind-4 `ProgressWake` drain-now/defer decisions.
-        progress: ProgressModel::AsyncRank {
-            poll_interval: 2_000,
-        },
-        ..MpiConfig::open_mpi_pipelined()
-    }
-}
-
 /// The eager2 exchange under the async progress rank: arrivals land while
 /// both ranks compute, so every poll boundary with pending host events is a
 /// `ProgressWake` choice point the oracle can flip between draining
@@ -156,31 +119,6 @@ fn asyncrank2_body(mpi: &mut Mpi) {
         mpi.compute(9_000);
         mpi.wait(s);
         mpi.wait(r);
-    }
-}
-
-fn deadlock_net() -> NetConfig {
-    // Total loss: every two-sided packet (including the rendezvous RTS and
-    // all its retransmissions) is dropped.
-    NetConfig {
-        faults: FaultPlan {
-            seed: 42,
-            drop_prob: 1.0,
-            explore_jitter_ns: 200,
-            explore_jitter_steps: 3,
-            ..FaultPlan::none()
-        },
-        ..NetConfig::default()
-    }
-}
-
-fn deadlock_mpi() -> MpiConfig {
-    MpiConfig {
-        // A tiny retry budget so the reliability layer abandons quickly and
-        // the run quiesces into the engine's detectable deadlock instead of
-        // retransmitting forever.
-        max_retries: 2,
-        ..MpiConfig::open_mpi_pipelined()
     }
 }
 
@@ -206,36 +144,69 @@ pub fn scenarios() -> Vec<Scenario> {
             id: "eager2",
             about: "2-rank eager exchange, fault-free (bounded-exhaustive target)",
             nranks: 2,
-            fault_seed: 0,
-            net: NetConfig::default,
-            mpi: eager2_mpi,
+            net: NetConfig::default(),
+            mpi: MpiConfig::open_mpi_pipelined(),
             body: eager2_body,
         },
         Scenario {
             id: "fig03ish",
             about: "Fig. 3 shape (10 KB eager) under 300 ns arrival jitter",
             nranks: 2,
-            fault_seed: 11,
-            net: fig03ish_net,
-            mpi: fig03ish_mpi,
+            // No loss: the reliability layer runs (sequencing + ACKs) and
+            // the oracle may jitter every packet's arrival within a 300 ns
+            // window, but every schedule must still complete cleanly.
+            net: NetConfig {
+                faults: FaultPlan {
+                    seed: 11,
+                    explore_jitter_ns: 300,
+                    explore_jitter_steps: 3,
+                    ..FaultPlan::none()
+                },
+                ..NetConfig::default()
+            },
+            mpi: MpiConfig::open_mpi_pipelined(),
             body: fig03ish_body,
         },
         Scenario {
             id: "asyncrank2",
             about: "eager2 shape under the async progress rank (ProgressWake interleavings)",
             nranks: 2,
-            fault_seed: 0,
-            net: NetConfig::default,
-            mpi: asyncrank2_mpi,
+            net: NetConfig::default(),
+            mpi: MpiConfig {
+                // A short poll interval packs several progress-fiber wakes
+                // into each compute window, so the schedule space is
+                // dominated by kind-4 `ProgressWake` drain-now/defer
+                // decisions.
+                progress: ProgressModel::AsyncRank {
+                    poll_interval: 2_000,
+                },
+                ..MpiConfig::open_mpi_pipelined()
+            },
             body: asyncrank2_body,
         },
         Scenario {
             id: "deadlock",
             about: "rendezvous send with control traffic dropped past the retry budget",
             nranks: 2,
-            fault_seed: 42,
-            net: deadlock_net,
-            mpi: deadlock_mpi,
+            // Total loss: every two-sided packet (including the rendezvous
+            // RTS and all its retransmissions) is dropped.
+            net: NetConfig {
+                faults: FaultPlan {
+                    seed: 42,
+                    drop_prob: 1.0,
+                    explore_jitter_ns: 200,
+                    explore_jitter_steps: 3,
+                    ..FaultPlan::none()
+                },
+                ..NetConfig::default()
+            },
+            mpi: MpiConfig {
+                // A tiny retry budget so the reliability layer abandons
+                // quickly and the run quiesces into the engine's detectable
+                // deadlock instead of retransmitting forever.
+                max_retries: 2,
+                ..MpiConfig::open_mpi_pipelined()
+            },
             body: deadlock_body,
         },
     ]
@@ -298,8 +269,7 @@ pub struct ScheduleRun {
 /// Run one schedule of `sc` under `oracle` and classify the result.
 pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleRun {
     let handle = OracleHandle::new(oracle);
-    let net = (sc.net)();
-    let table = default_xfer_table(&net);
+    let table = default_xfer_table(&sc.net);
     let opts = SimOpts {
         max_events: Some(MAX_EVENTS_PER_SCHEDULE),
         ..SimOpts::default()
@@ -310,8 +280,8 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
     };
     let res = run_mpi_with(
         sc.nranks,
-        net,
-        (sc.mpi)(),
+        sc.net.clone(),
+        sc.mpi.clone(),
         rec,
         table,
         opts,
@@ -325,7 +295,7 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
                 let min_sum = out.reports.iter().map(|r| r.total.min_overlap).sum();
                 let max_sum = out.reports.iter().map(|r| r.total.max_overlap).sum();
                 Outcome::Clean {
-                    end_time: out.end_time,
+                    end_time: out.end_time(),
                     min_sum,
                     max_sum,
                 }
@@ -634,7 +604,7 @@ impl Counterexample {
             strategy: strategy.to_string(),
             category: f.category.to_string(),
             description: f.description.clone(),
-            fault_seed: sc.fault_seed,
+            fault_seed: sc.net.faults.seed,
             oracle_seed,
             choices: f
                 .choices
@@ -681,10 +651,10 @@ impl Counterexample {
         }
         let sc = find_scenario(&self.scenario)
             .ok_or_else(|| format!("unknown scenario {:?}", self.scenario))?;
-        if sc.fault_seed != self.fault_seed {
+        if sc.net.faults.seed != self.fault_seed {
             return Err(format!(
                 "fault seed {} but scenario {} now uses {}: configuration changed",
-                self.fault_seed, sc.id, sc.fault_seed
+                self.fault_seed, sc.id, sc.net.faults.seed
             ));
         }
         let run = run_schedule(&sc, Box::new(ReplayOracle::new(self.choice_recs())));
@@ -907,7 +877,7 @@ pub fn cli_main(args: &[String]) -> i32 {
             strategy: strategy.clone(),
             budget,
             oracle_seed: seed,
-            fault_seed: sc.fault_seed,
+            fault_seed: sc.net.faults.seed,
             schedules: stats.schedules,
             complete: stats.complete,
             clean: stats.clean,

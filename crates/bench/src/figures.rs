@@ -6,7 +6,7 @@ use nasbench::runner::{summarize, NasBenchmark};
 use nasbench::sp::SP_OVERLAP_SECTION;
 use nasbench::Class;
 use overlap_core::RecorderOpts;
-use simmpi::MpiConfig;
+use simmpi::{MpiConfig, RunOutcome};
 
 use crate::micro::{overlap_sweep_scoped, MicroPoint, Pairing};
 use crate::{f_ms, f_us, pct, sim, Series};
@@ -284,8 +284,8 @@ fn sp_compare(id: &'static str, title: &str, class: Class, whole_code: bool) -> 
         };
         let orig = run(NasBenchmark::Sp, "orig");
         let modi = run(NasBenchmark::SpModified, "mod");
-        let stats = |art: &nasbench::runner::RunArtifacts| {
-            let r = &art.reports()[0];
+        let stats = |art: &RunOutcome| {
+            let r = &art.reports[0];
             if whole_code {
                 (r.total.min_pct(), r.total.max_pct())
             } else {
@@ -360,8 +360,8 @@ pub fn fig18() -> Series {
         };
         let orig = run(NasBenchmark::Sp, "orig");
         let modi = run(NasBenchmark::SpModified, "mod");
-        let o = orig.reports()[0].comm_call_time as f64 / 1e6;
-        let m = modi.reports()[0].comm_call_time as f64 / 1e6;
+        let o = orig.reports[0].comm_call_time as f64 / 1e6;
+        let m = modi.reports[0].comm_call_time as f64 / 1e6;
         vec![
             class.to_string(),
             np.to_string(),
@@ -390,8 +390,8 @@ pub fn fig19() -> Series {
         };
         let bl = run(NasBenchmark::MgArmciBlocking, "blocking");
         let nb = run(NasBenchmark::MgArmciNonBlocking, "nonblocking");
-        let b = &bl.reports()[0].total;
-        let n = &nb.reports()[0].total;
+        let b = &bl.reports[0].total;
+        let n = &nb.reports[0].total;
         vec![
             np.to_string(),
             pct(b.min_pct()),

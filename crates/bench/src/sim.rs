@@ -16,11 +16,11 @@
 
 use std::sync::OnceLock;
 
-use nasbench::runner::{run_benchmark_cfg, NasBenchmark, RunArtifacts};
+use nasbench::runner::{run_benchmark_cfg, NasBenchmark};
 use nasbench::Class;
 use overlap_core::{RecorderOpts, XferTimeTable};
 use simcore::{SimError, SimOpts};
-use simmpi::{default_xfer_table, run_mpi_with, Mpi, MpiConfig, MpiRunOutcome, ProgressModel};
+use simmpi::{default_xfer_table, run_mpi_with, Mpi, MpiConfig, ProgressModel, RunOutcome};
 use simnet::{NetConfig, TopologySpec};
 
 static TOPOLOGY: OnceLock<TopologySpec> = OnceLock::new();
@@ -104,7 +104,7 @@ pub fn mpi<F>(
     cfg: impl Into<Dim<MpiConfig>>,
     rec: RecorderOpts,
     body: F,
-) -> MpiRunOutcome
+) -> RunOutcome
 where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
@@ -121,7 +121,7 @@ pub fn mpi_with_table<F>(
     rec: RecorderOpts,
     table: impl FnOnce(&NetConfig) -> XferTimeTable,
     body: F,
-) -> MpiRunOutcome
+) -> RunOutcome
 where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
@@ -143,7 +143,7 @@ pub fn nas(
     class: Class,
     np: usize,
     rec: RecorderOpts,
-) -> RunArtifacts {
+) -> RunOutcome {
     let (net, cfg, rec) = resolve(
         scope.is_some(),
         NetConfig::default().into(),
@@ -152,7 +152,7 @@ pub fn nas(
     );
     let art = or_die(run_benchmark_cfg(bench, class, np, net, cfg, rec));
     if let Some(scope) = scope {
-        crate::tracecap::record(scope, art.traces().to_vec(), art.faults());
+        crate::tracecap::record(scope, art.traces.clone(), &art.faults);
     }
     art
 }

@@ -68,7 +68,7 @@ fn deadlock_scenario_is_found_shrunk_and_replayable() {
     let text = std::fs::read_to_string(&path).expect("token readable");
     let back: Counterexample = serde_json::from_str(&text).expect("token parses");
     assert_eq!(back.schema_version, explore::SCHEMA_VERSION);
-    assert_eq!(back.fault_seed, sc.fault_seed);
+    assert_eq!(back.fault_seed, sc.net.faults.seed);
     match back.replay().expect("replay reproduces the deadlock") {
         Outcome::Deadlock(msg) => assert!(msg.contains("wait-for cycle"), "{msg}"),
         other => panic!("replay produced {other:?}"),

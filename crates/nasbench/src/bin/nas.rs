@@ -89,7 +89,7 @@ fn main() {
         "{} class {} np {}: elapsed {:.2} ms | overlap min {:.1}% max {:.1}%\n",
         s.name, s.class, s.np, s.elapsed_ms, s.min_pct, s.max_pct
     );
-    print!("{}", art.reports()[0].render_text());
+    print!("{}", art.reports[0].render_text());
     println!();
-    print!("{}", ClusterSummary::merge(art.reports()).render_text());
+    print!("{}", ClusterSummary::merge(&art.reports).render_text());
 }

@@ -1,9 +1,9 @@
 //! Unified benchmark runner and result summaries.
 
-use overlap_core::{OverlapReport, RecorderOpts};
-use simarmci::{run_armci, ArmciRunOutcome};
+use overlap_core::RecorderOpts;
+use simarmci::run_armci;
 use simcore::SimError;
-use simmpi::{run_mpi, Mpi, MpiConfig, MpiRunOutcome};
+use simmpi::{run_mpi, Mpi, MpiConfig, RunOutcome};
 use simnet::NetConfig;
 
 use crate::class::Class;
@@ -91,50 +91,6 @@ impl NasBenchmark {
     }
 }
 
-/// Result artifacts from either library.
-pub enum RunArtifacts {
-    /// MPI-based benchmark output.
-    Mpi(MpiRunOutcome),
-    /// ARMCI-based benchmark output.
-    Armci(ArmciRunOutcome),
-}
-
-impl RunArtifacts {
-    /// Per-rank overlap reports.
-    pub fn reports(&self) -> &[OverlapReport] {
-        match self {
-            RunArtifacts::Mpi(o) => &o.reports,
-            RunArtifacts::Armci(o) => &o.reports,
-        }
-    }
-
-    /// Virtual end time of the run, ns.
-    pub fn end_time(&self) -> u64 {
-        match self {
-            RunArtifacts::Mpi(o) => o.end_time,
-            RunArtifacts::Armci(o) => o.end_time,
-        }
-    }
-
-    /// Per-rank time-resolved traces (empty unless `RecorderOpts::trace`
-    /// was set on the run).
-    pub fn traces(&self) -> &[overlap_core::trace::RankTrace] {
-        match self {
-            RunArtifacts::Mpi(o) => &o.traces,
-            RunArtifacts::Armci(o) => &o.traces,
-        }
-    }
-
-    /// Ground-truth injected fabric faults (always empty for ARMCI runs:
-    /// one-sided RDMA channels are not perturbed by the fault layer).
-    pub fn faults(&self) -> &[simnet::FaultEvent] {
-        match self {
-            RunArtifacts::Mpi(o) => &o.faults,
-            RunArtifacts::Armci(_) => &[],
-        }
-    }
-}
-
 /// Run a benchmark in its paper environment.
 pub fn run_benchmark(
     bench: NasBenchmark,
@@ -142,7 +98,7 @@ pub fn run_benchmark(
     np: usize,
     net: NetConfig,
     rec: RecorderOpts,
-) -> RunArtifacts {
+) -> RunOutcome {
     run_benchmark_cfg(bench, class, np, net, bench.paper_env(), rec)
         .unwrap_or_else(|e| panic!("{} run failed: {e:?}", bench.name()))
 }
@@ -158,7 +114,7 @@ pub fn run_benchmark_cfg(
     net: NetConfig,
     mpi_cfg: MpiConfig,
     rec: RecorderOpts,
-) -> Result<RunArtifacts, SimError> {
+) -> Result<RunOutcome, SimError> {
     use crate::{cg, ep, ft, is, lu, mg, sp};
     let body: Box<dyn Fn(&mut Mpi) + Send + Sync> = match bench {
         NasBenchmark::Bt => Box::new(move |mpi| sp::run_bt(mpi, class)),
@@ -176,13 +132,12 @@ pub fn run_benchmark_cfg(
                 NasBenchmark::MgArmciBlocking => MgVariant::ArmciBlocking,
                 _ => MgVariant::ArmciNonBlocking,
             };
-            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, class, variant))
-                .map(RunArtifacts::Armci);
+            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, class, variant));
         }
         NasBenchmark::Ep => Box::new(move |mpi| ep::run_ep(mpi, class)),
         NasBenchmark::Is => Box::new(move |mpi| is::run_is(mpi, class)),
     };
-    run_mpi(np, net, mpi_cfg, rec, body).map(RunArtifacts::Mpi)
+    run_mpi(np, net, mpi_cfg, rec, body)
 }
 
 /// Headline numbers for one benchmark run (process 0, as the paper
@@ -210,8 +165,8 @@ pub struct NasSummary {
 }
 
 /// Summarize process 0 of a run.
-pub fn summarize(bench: NasBenchmark, class: Class, np: usize, art: &RunArtifacts) -> NasSummary {
-    let r = &art.reports()[0];
+pub fn summarize(bench: NasBenchmark, class: Class, np: usize, art: &RunOutcome) -> NasSummary {
+    let r = &art.reports[0];
     NasSummary {
         name: bench.name().to_string(),
         class,

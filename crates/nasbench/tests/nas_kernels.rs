@@ -1,12 +1,13 @@
 //! NAS kernels: all run to completion, payloads verify, and the overlap
 //! characteristics match the paper's qualitative findings (Sec. 4).
 
-use nasbench::runner::{run_benchmark, summarize, NasBenchmark, RunArtifacts};
+use nasbench::runner::{run_benchmark, summarize, NasBenchmark};
 use nasbench::Class;
 use overlap_core::RecorderOpts;
+use simmpi::RunOutcome;
 use simnet::NetConfig;
 
-fn run(bench: NasBenchmark, class: Class, np: usize) -> RunArtifacts {
+fn run(bench: NasBenchmark, class: Class, np: usize) -> RunOutcome {
     run_benchmark(
         bench,
         class,
@@ -111,8 +112,8 @@ fn cg_overlaps_more_than_bt() {
 fn sp_modification_improves_overlap_section() {
     let orig = run(NasBenchmark::Sp, Class::A, 9);
     let modified = run(NasBenchmark::SpModified, Class::A, 9);
-    let sec = |art: &RunArtifacts| {
-        art.reports()[0]
+    let sec = |art: &RunOutcome| {
+        art.reports[0]
             .sections
             .get(nasbench::sp::SP_OVERLAP_SECTION)
             .expect("overlap section monitored")
@@ -126,7 +127,7 @@ fn sp_modification_improves_overlap_section() {
     );
     assert!(m > 80.0, "modified section overlap should be high, got {m}");
     // The whole-code MPI time must drop too (paper Fig. 18).
-    let (orig, modified) = (&orig.reports()[0], &modified.reports()[0]);
+    let (orig, modified) = (&orig.reports[0], &modified.reports[0]);
     assert!(
         modified.comm_call_time < orig.comm_call_time,
         "MPI time should drop: {} -> {}",
@@ -168,7 +169,7 @@ fn instrumentation_can_be_disabled() {
         ..Default::default()
     };
     let art = run_benchmark(NasBenchmark::Cg, Class::S, 4, NetConfig::default(), rec);
-    let r = &art.reports()[0];
+    let r = &art.reports[0];
     assert_eq!(r.events_recorded, 0);
     assert_eq!(r.total.transfers, 0);
 }

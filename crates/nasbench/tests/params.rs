@@ -21,7 +21,7 @@ fn sp_variants_differ_only_in_probes() {
         )
     };
     let (orig, modified) = (run(NasBenchmark::Sp), run(NasBenchmark::SpModified));
-    let (o, m) = (&orig.reports()[0], &modified.reports()[0]);
+    let (o, m) = (&orig.reports[0], &modified.reports[0]);
     assert_eq!(o.total.transfers, m.total.transfers);
     assert!(o.sections.keys().eq(m.sections.keys()));
     let other_calls = |r: &OverlapReport| -> Vec<(String, u64)> {

@@ -1,7 +1,7 @@
 //! Schedule-independent invariants of the overlap framework.
 //!
 //! These are the report-only part of the soundness check every traced
-//! simulated run goes through (`simmpi::check_run`, which adds the
+//! simulated run goes through (`simmpi::RunOutcome::check`, which adds the
 //! ground-truth join): properties that must hold for *any* legal
 //! interleaving. The schedule explorer (`bench repro explore`) perturbs
 //! event ordering, progress-poll drain order and fault timing and shrinks a

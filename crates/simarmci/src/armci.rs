@@ -3,10 +3,10 @@
 use std::collections::{HashMap, VecDeque};
 
 use bytes::Bytes;
-use overlap_core::{OverlapReport, Recorder, RecorderOpts, XferTimeTable};
+use overlap_core::{Recorder, RecorderOpts, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, RankDiag};
 use simmpi::proto::{pack_user, unpack_user};
-use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp};
+use simmpi::{bytes_to_f64s, f64s_to_bytes, IntoPayload, RankOutcome, ReduceOp};
 use simnet::{Completion, NetConfig, Packet, RegionId, SharedWorld};
 
 /// Internal message packet (setup / sync / tiny collectives).
@@ -103,11 +103,12 @@ impl<'a> Armci<'a> {
     /// Shut down and emit the per-process overlap report and, when
     /// `RecorderOpts::trace` was set on init, the time-resolved trace
     /// (`None` otherwise).
-    pub(crate) fn finalize(mut self) -> (OverlapReport, Option<overlap_core::trace::RankTrace>) {
+    pub(crate) fn finalize(mut self) -> RankOutcome {
         self.rec.call_enter("ARMCI_Finalize");
         self.barrier_inner();
         self.rec.call_exit();
-        self.rec.finish_traced()
+        let (report, trace) = self.rec.finish_traced();
+        RankOutcome::new(report, trace)
     }
 
     /// Collectively allocate `seg_len` bytes of global memory on every rank

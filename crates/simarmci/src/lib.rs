@@ -46,4 +46,4 @@ pub mod armci;
 pub mod harness;
 
 pub use armci::{Armci, NbHandle};
-pub use harness::{run_armci, ArmciRunOutcome};
+pub use harness::run_armci;

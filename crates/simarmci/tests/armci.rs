@@ -2,13 +2,11 @@
 //! blocking-vs-nonblocking overlap contrast of paper Figure 19.
 
 use overlap_core::RecorderOpts;
-use simarmci::{run_armci, ArmciRunOutcome};
+use simarmci::run_armci;
+use simmpi::RunOutcome;
 use simnet::NetConfig;
 
-fn run(
-    nranks: usize,
-    body: impl Fn(&mut simarmci::Armci) + Send + Sync + 'static,
-) -> ArmciRunOutcome {
+fn run(nranks: usize, body: impl Fn(&mut simarmci::Armci) + Send + Sync + 'static) -> RunOutcome {
     let rec = RecorderOpts {
         trace: true,
         ..RecorderOpts::default()

@@ -27,7 +27,7 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use overlap_core::{OverlapReport, Recorder, RecorderOpts, WaitCause, XferTimeTable};
+use overlap_core::{Recorder, RecorderOpts, WaitCause, XferTimeTable};
 use simcore::{Activity, Duration, RankCtx, RankDiag};
 use simnet::{
     CausalEdge, Completion, HwMsg, Matcher, NetConfig, Packet, Region, RegionId, SharedWorld,
@@ -35,8 +35,9 @@ use simnet::{
 };
 
 use crate::config::{MpiConfig, ProgressModel, RndvMode};
+use crate::harness::RankOutcome;
 use crate::proto::{self, wr_kind};
-use crate::reliability::{RelStats, Reliability};
+use crate::reliability::Reliability;
 use crate::types::{IntoPayload, Request, Src, Status, TagSel};
 
 /// Sentinel meaning "this message is not a data transfer" (zero-payload
@@ -49,7 +50,7 @@ const LOCAL_XFER_BIT: u64 = 1 << 63;
 /// `(rest id, first fragment id, fragment count)` of each pipelined receive,
 /// so the soundness check can join the receiver's "rest of message" record
 /// to the fabric's fragments.
-type PipeRests = Vec<(u64, u64, u64)>;
+pub(crate) type PipeRests = Vec<(u64, u64, u64)>;
 
 /// An arrival the host matched or parked; its `(src, tag)` envelope sits
 /// beside it in the [`Matcher`].
@@ -134,7 +135,7 @@ impl Req {
 /// The per-rank MPI library endpoint.
 ///
 /// Created and finalized by [`crate::harness::run_mpi`], which returns the
-/// per-process [`OverlapReport`]s.
+/// per-process [`overlap_core::OverlapReport`]s.
 pub struct Mpi<'a> {
     ctx: &'a mut RankCtx,
     world: SharedWorld,
@@ -332,14 +333,7 @@ impl<'a> Mpi<'a> {
     /// bump them) and, when `RecorderOpts::trace` was set on init, the
     /// time-resolved trace (`None` otherwise) and the pipelined receives'
     /// fragment ranges.
-    pub(crate) fn finalize(
-        mut self,
-    ) -> (
-        OverlapReport,
-        RelStats,
-        Option<overlap_core::trace::RankTrace>,
-        PipeRests,
-    ) {
+    pub(crate) fn finalize(mut self) -> RankOutcome {
         self.call_enter("MPI_Finalize");
         self.barrier_inner();
         // Reliability flush: a rank must not tear down while any of its
@@ -349,9 +343,14 @@ impl<'a> Mpi<'a> {
         // always bounded.
         self.wait_until(|m| !m.rel.has_pending());
         self.rec.call_exit();
-        let stats = self.rel.stats();
+        let rel_stats = self.rel.stats();
         let (report, trace) = self.rec.finish_traced();
-        (report, stats, trace, self.pipe_rests)
+        RankOutcome {
+            report,
+            trace,
+            rel_stats,
+            pipe_rests: self.pipe_rests,
+        }
     }
 
     // ---- public point-to-point API ------------------------------------

@@ -2,10 +2,10 @@
 
 use overlap_core::RecorderOpts;
 use simcore::Activity;
-use simmpi::{run_mpi, Bytes, MpiConfig, MpiRunOutcome, ReduceOp};
+use simmpi::{run_mpi, Bytes, MpiConfig, ReduceOp, RunOutcome};
 use simnet::NetConfig;
 
-fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) -> MpiRunOutcome {
+fn run(nranks: usize, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) -> RunOutcome {
     run_mpi(
         nranks,
         NetConfig::default(),
@@ -25,7 +25,7 @@ fn barrier_synchronizes_ranks() {
         mpi.barrier();
         mpi.compute(1);
     });
-    for (r, log) in out.activity.iter().enumerate() {
+    for (r, log) in out.sim.activity.iter().enumerate() {
         let (after, ..) = log
             .entries()
             .iter()

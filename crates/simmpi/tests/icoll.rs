@@ -3,14 +3,14 @@
 
 use overlap_core::RecorderOpts;
 use simmpi::icoll::CollResult;
-use simmpi::{run_mpi, Bytes, MpiConfig, MpiRunOutcome, ReduceOp, Src, TagSel};
+use simmpi::{run_mpi, Bytes, MpiConfig, ReduceOp, RunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
     nranks: usize,
     cfg: MpiConfig,
     body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static,
-) -> MpiRunOutcome {
+) -> RunOutcome {
     let rec = RecorderOpts {
         trace: true,
         ..RecorderOpts::default()
@@ -83,7 +83,7 @@ fn ialltoall_overlaps_what_alltoall_cannot() {
     assert!(b < 10.0, "blocking alltoall should not overlap: {b}");
     assert!(n > 60.0, "ialltoall should overlap substantially: {n}");
     // And it is faster end to end.
-    assert!(nonblocking.end_time < blocking.end_time);
+    assert!(nonblocking.end_time() < blocking.end_time());
 }
 
 #[test]

@@ -1,18 +1,18 @@
 //! The paper's microbenchmark phenomenology (Sec. 3) and the bound-vs-truth
 //! validation the original authors could not perform on real hardware:
-//! every run is traced and passes `MpiRunOutcome::check`, which joins each
+//! every run is traced and passes `RunOutcome::check`, which joins each
 //! bound record to the fabric transfers behind it (`min <= truth <= max +
 //! slack` per transfer; see `DESIGN.md`).
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, RunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
     nranks: usize,
     cfg: MpiConfig,
     body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static,
-) -> MpiRunOutcome {
+) -> RunOutcome {
     let rec = RecorderOpts {
         trace: true,
         ..RecorderOpts::default()

@@ -7,7 +7,7 @@
 //! * keep `polling` byte-identical to a config that never mentions the
 //!   progress field (the golden-pinning property, checked here differentially
 //!   and against the committed goldens elsewhere),
-//! * pass `MpiRunOutcome::check`: the report invariants, exact wait-cause
+//! * pass `RunOutcome::check`: the report invariants, exact wait-cause
 //!   reconciliation, and `min ≤ truth ≤ max + slack` on every transfer,
 //! * on fault-free runs, achieve at least the polling model's overlap upper
 //!   bound once the modeled progress-steal cost is added back
@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, ProgressModel, RndvMode, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, ProgressModel, RndvMode, RunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 /// One round of a generated two-rank symmetric exchange (deadlock-free).
@@ -77,7 +77,7 @@ fn all_models() -> [ProgressModel; 4] {
 
 /// Run the symmetric exchange under `model`, tracing enabled so attribution
 /// can be reconciled. Payload integrity is asserted inside the rank body.
-fn run_model(rounds: &[Round], cfg: &MpiConfig, model: ProgressModel) -> MpiRunOutcome {
+fn run_model(rounds: &[Round], cfg: &MpiConfig, model: ProgressModel) -> RunOutcome {
     let mut cfg = cfg.clone();
     cfg.progress = model;
     let rounds = rounds.to_vec();
@@ -139,17 +139,21 @@ fn run_model(rounds: &[Round], cfg: &MpiConfig, model: ProgressModel) -> MpiRunO
 }
 
 /// A byte-stable fingerprint of everything a run reports.
-fn fingerprint(out: &MpiRunOutcome) -> String {
+fn fingerprint(out: &RunOutcome) -> String {
     format!(
         "end={} events={} reports={:?} transfers={:?} traces={:?}",
-        out.end_time, out.events_processed, out.reports, out.transfers, out.traces
+        out.end_time(),
+        out.sim.events_processed,
+        out.reports,
+        out.transfers,
+        out.traces
     )
 }
 
 /// Σ over ranks of the time spent inside the async progress fiber's
 /// `MPI_Progress` spans — the modeled steal cost (zero for every other
 /// model, which never enters that call).
-fn steal_ns(out: &MpiRunOutcome) -> u64 {
+fn steal_ns(out: &RunOutcome) -> u64 {
     out.reports
         .iter()
         .filter_map(|r| r.calls.get("MPI_Progress"))

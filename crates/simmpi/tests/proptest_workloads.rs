@@ -127,8 +127,8 @@ proptest! {
         };
         let a = run(rounds.clone(), cfg.clone());
         let b = run(rounds, cfg);
-        prop_assert_eq!(a.end_time, b.end_time);
-        prop_assert_eq!(a.events_processed, b.events_processed);
+        prop_assert_eq!(a.end_time(), b.end_time());
+        prop_assert_eq!(a.sim.events_processed, b.sim.events_processed);
         prop_assert_eq!(&a.reports[0].total, &b.reports[0].total);
         prop_assert_eq!(&a.reports[1].total, &b.reports[1].total);
     }

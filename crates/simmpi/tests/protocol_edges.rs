@@ -2,14 +2,14 @@
 //! boundaries, zero-byte messages, wildcard rendezvous, waitsome.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, RunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
     nranks: usize,
     cfg: MpiConfig,
     body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static,
-) -> MpiRunOutcome {
+) -> RunOutcome {
     run_mpi(
         nranks,
         NetConfig::default(),
@@ -20,7 +20,7 @@ fn run(
     .expect("run failed")
 }
 
-fn roundtrip(cfg: MpiConfig, len: usize) -> MpiRunOutcome {
+fn roundtrip(cfg: MpiConfig, len: usize) -> RunOutcome {
     run(2, cfg, move |mpi| {
         let msg: Vec<u8> = (0..len).map(|i| i as u8).collect();
         if mpi.rank() == 0 {

@@ -1,14 +1,14 @@
 //! Point-to-point semantics: data integrity, matching, ordering, protocols.
 
 use overlap_core::RecorderOpts;
-use simmpi::{run_mpi, MpiConfig, MpiRunOutcome, ProgressModel, Src, TagSel};
+use simmpi::{run_mpi, MpiConfig, ProgressModel, RunOutcome, Src, TagSel};
 use simnet::NetConfig;
 
 fn run(
     nranks: usize,
     cfg: MpiConfig,
     body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static,
-) -> MpiRunOutcome {
+) -> RunOutcome {
     run_mpi(
         nranks,
         NetConfig::default(),
@@ -296,10 +296,10 @@ fn registration_cache_reduces_reuse_cost() {
         body,
     );
     assert!(
-        cached.end_time < uncached.end_time,
+        cached.end_time() < uncached.end_time(),
         "cache should save time: {} vs {}",
-        cached.end_time,
-        uncached.end_time
+        cached.end_time(),
+        uncached.end_time()
     );
 }
 

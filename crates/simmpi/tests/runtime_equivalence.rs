@@ -6,7 +6,7 @@
 //! this one drives the whole stack — reliability layer retries under random
 //! [`FaultPlan`]s, collective trees, rendezvous handshakes, and
 //! [`RandomOracle`]-permuted schedules — and compares the complete
-//! [`MpiRunOutcome`] (reports, transfers, activity, faults, reliability
+//! [`RunOutcome`] (reports, transfers, activity, faults, reliability
 //! counters) plus the recorded choice trace between the two runtimes. A run
 //! that deadlocks must fail identically too: the diagnostics each stuck rank
 //! renders when asked are the same bytes on a fiber and on a thread.

@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use simcore::{ActivityLog, RankCtx, SimError, SimOpts, Simulation};
+use simcore::{RankCtx, SimError, SimOpts, SimOutcome, Simulation};
 
 use crate::config::NetConfig;
 use crate::fault::FaultEvent;
@@ -16,21 +16,16 @@ pub struct Cluster {
     world: SharedWorld,
 }
 
-/// Result of a cluster run: engine outcome plus fabric ground truth.
+/// Result of a cluster run: the engine's outcome, held as it came, plus
+/// fabric ground truth.
 #[derive(Debug)]
 pub struct ClusterOutcome {
-    /// Virtual end time of the run.
-    pub end_time: simcore::Time,
-    /// Per-rank ground-truth activity logs.
-    pub activity: Vec<ActivityLog>,
+    /// End time, activity logs and run-loop counters.
+    pub sim: SimOutcome,
     /// Ground-truth records of every data transfer.
     pub transfers: Vec<TransferRecord>,
     /// Ground-truth records of every injected fault (empty without a plan).
     pub faults: Vec<FaultEvent>,
-    /// Queue entries processed by the engine.
-    pub events_processed: u64,
-    /// Times the engine handed control to a rank.
-    pub resumes: u64,
 }
 
 impl Cluster {
@@ -59,18 +54,12 @@ impl Cluster {
     {
         let world = self.world.clone();
         let world_for_body = self.world.clone();
-        let out = self.sim.run(opts, move |ctx| body(ctx, &world_for_body))?;
-        let (transfers, faults) = {
-            let mut w = world.lock();
-            (w.take_transfers(), w.take_fault_events())
-        };
+        let sim = self.sim.run(opts, move |ctx| body(ctx, &world_for_body))?;
+        let mut w = world.lock();
         Ok(ClusterOutcome {
-            end_time: out.end_time,
-            activity: out.activity,
-            transfers,
-            faults,
-            events_processed: out.events_processed,
-            resumes: out.resumes,
+            sim,
+            transfers: w.take_transfers(),
+            faults: w.take_fault_events(),
         })
     }
 
@@ -137,6 +126,6 @@ mod tests {
             .unwrap();
         assert_eq!(out.transfers.len(), 1);
         assert_eq!(out.transfers[0].bytes, 5);
-        assert_eq!(out.activity.len(), 2);
+        assert_eq!(out.sim.activity.len(), 2);
     }
 }

@@ -33,14 +33,14 @@ fn main() {
             NetConfig::default(),
             RecorderOpts::default(),
         );
-        let section = |art: &nasbench::runner::RunArtifacts| {
-            let s = &art.reports()[0].sections[SP_OVERLAP_SECTION];
+        let section = |art: &RunOutcome| {
+            let s = &art.reports[0].sections[SP_OVERLAP_SECTION];
             (s.total.min_pct(), s.total.max_pct())
         };
         let (omin, omax) = section(&orig);
         let (mmin, mmax) = section(&modi);
-        let o_mpi = orig.reports()[0].comm_call_time as f64 / 1e6;
-        let m_mpi = modi.reports()[0].comm_call_time as f64 / 1e6;
+        let o_mpi = orig.reports[0].comm_call_time as f64 / 1e6;
+        let m_mpi = modi.reports[0].comm_call_time as f64 / 1e6;
         println!(
             "{np:>3} | {:>10.1} / {:>10.1} | {:>10.1} / {:>10.1} | {:>6.2} -> {:>6.2} ms",
             omin, omax, mmin, mmax, o_mpi, m_mpi
@@ -55,5 +55,5 @@ fn main() {
         NetConfig::default(),
         RecorderOpts::default(),
     );
-    print!("{}", art.reports()[0].render_text());
+    print!("{}", art.reports[0].render_text());
 }

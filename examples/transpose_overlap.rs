@@ -50,7 +50,7 @@ fn main() {
         let r = &out.reports[0];
         println!(
             "{name:>12}: elapsed {:6.2} ms | overlap min {:5.1}% max {:5.1}% | comm {:6.2} ms",
-            out.end_time as f64 / 1e6,
+            out.end_time() as f64 / 1e6,
             r.total.min_pct(),
             r.total.max_pct(),
             r.comm_call_time as f64 / 1e6,
@@ -67,7 +67,7 @@ fn main() {
     let n = run("ialltoall", nonblocking);
     println!(
         "\nspeedup from overlapping the transpose: {:.2}x",
-        b.end_time as f64 / n.end_time as f64
+        b.end_time() as f64 / n.end_time() as f64
     );
 
     // The per-process output files (paper Sec. 2.4).

@@ -62,7 +62,7 @@ pub mod prelude {
     pub use simarmci::{run_armci, Armci};
     pub use simcore::{ms, ns, us};
     pub use simmpi::{
-        default_xfer_table, run_mpi, Mpi, MpiConfig, MpiRunOutcome, ReduceOp, RndvMode, Src, TagSel,
+        default_xfer_table, run_mpi, Mpi, MpiConfig, ReduceOp, RndvMode, RunOutcome, Src, TagSel,
     };
     pub use simnet::NetConfig;
 }

@@ -19,23 +19,24 @@ fn traced() -> RecorderOpts {
 
 #[test]
 fn bounds_hold_for_all_nas_benchmarks() {
-    use nasbench::runner::{run_benchmark, NasBenchmark, RunArtifacts};
+    use nasbench::runner::{run_benchmark, NasBenchmark};
     let net = NetConfig::default();
     for bench in [
         NasBenchmark::Bt,
         NasBenchmark::Cg,
         NasBenchmark::Lu,
         NasBenchmark::Ft,
+        NasBenchmark::FtNb,
         NasBenchmark::Sp,
         NasBenchmark::SpModified,
         NasBenchmark::MgMpi,
+        NasBenchmark::MgArmciBlocking,
+        NasBenchmark::MgArmciNonBlocking,
         NasBenchmark::Ep,
         NasBenchmark::Is,
     ] {
-        let art = run_benchmark(bench, Class::S, 4, net.clone(), traced());
-        if let RunArtifacts::Mpi(out) = art {
-            assert_eq!(out.check(), []);
-        }
+        let out = run_benchmark(bench, Class::S, 4, net.clone(), traced());
+        assert_eq!(out.check(), [], "{}", bench.name());
     }
 }
 
@@ -237,7 +238,7 @@ fn per_rank_time_accounting_is_exact() {
         // `compute`.
         assert_eq!(
             r.user_compute_time,
-            out.activity[r.rank].total(simcore::Activity::Compute),
+            out.sim.activity[r.rank].total(simcore::Activity::Compute),
             "rank {}",
             r.rank
         );

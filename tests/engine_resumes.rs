@@ -11,7 +11,7 @@
 use bytes::Bytes;
 use overlap_core::RecorderOpts;
 use simcore::{RankRuntime, SimOpts};
-use simmpi::{default_xfer_table, run_mpi_with, MpiConfig, MpiRunOutcome, Src, TagSel};
+use simmpi::{default_xfer_table, run_mpi_with, MpiConfig, RunOutcome, Src, TagSel};
 use simnet::{BackgroundJob, NetConfig, TopologySpec};
 
 const SIDE: usize = 16;
@@ -23,7 +23,7 @@ const EVENTS: u64 = 65_138;
 /// rank; with the engine finishing the idle ones it takes 37 791.
 const RESUMES_BEFORE: u64 = 54_898;
 
-fn halo(runtime: RankRuntime) -> MpiRunOutcome {
+fn halo(runtime: RankRuntime) -> RunOutcome {
     let net = NetConfig {
         model_ingress_contention: true,
         topology: TopologySpec::FatTree { k: 8 },
@@ -82,11 +82,11 @@ fn halo(runtime: RankRuntime) -> MpiRunOutcome {
 #[test]
 fn idle_wait_steps_do_not_resume_the_rank() {
     let out = halo(RankRuntime::Coroutine);
-    assert_eq!(out.events_processed, EVENTS);
+    assert_eq!(out.sim.events_processed, EVENTS);
     assert!(
-        out.resumes * 4 <= RESUMES_BEFORE * 3,
+        out.sim.resumes * 4 <= RESUMES_BEFORE * 3,
         "{} resumes, more than 75 % of {RESUMES_BEFORE}",
-        out.resumes
+        out.sim.resumes
     );
 }
 
@@ -94,8 +94,8 @@ fn idle_wait_steps_do_not_resume_the_rank() {
 fn thread_hosted_ranks_resume_as_often() {
     let fibers = halo(RankRuntime::Coroutine);
     let threads = halo(RankRuntime::OsThreads);
-    assert_eq!(fibers.end_time, threads.end_time);
-    assert_eq!(fibers.resumes, threads.resumes);
+    assert_eq!(fibers.end_time(), threads.end_time());
+    assert_eq!(fibers.sim.resumes, threads.sim.resumes);
     assert_eq!(
         format!("{:?}", fibers.reports),
         format!("{:?}", threads.reports)

@@ -115,8 +115,8 @@ fn sp_tuning_story_holds_everywhere() {
             NetConfig::default(),
             RecorderOpts::default(),
         );
-        let o = &orig.reports()[0];
-        let m = &modi.reports()[0];
+        let o = &orig.reports[0];
+        let m = &modi.reports[0];
         // Section overlap improves...
         let osec = &o.sections[nasbench::sp::SP_OVERLAP_SECTION];
         let msec = &m.sections[nasbench::sp::SP_OVERLAP_SECTION];
@@ -152,8 +152,8 @@ fn fig19_story_armci_blocking_vs_nonblocking() {
         NetConfig::default(),
         RecorderOpts::default(),
     );
-    assert!(bl.reports()[0].total.max_pct() < 5.0);
-    assert!(nb.reports()[0].total.max_pct() > 90.0);
+    assert!(bl.reports[0].total.max_pct() < 5.0);
+    assert!(nb.reports[0].total.max_pct() > 90.0);
     // And the non-blocking variant genuinely runs faster (the improvement
     // attributed to overlap in the paper's predecessor study [29]).
     assert!(nb.end_time() < bl.end_time());

@@ -134,8 +134,8 @@ fn identical_runs_are_bit_identical() {
     };
     let a = run_once();
     let b = run_once();
-    assert_eq!(a.end_time, b.end_time);
-    assert_eq!(a.events_processed, b.events_processed);
+    assert_eq!(a.end_time(), b.end_time());
+    assert_eq!(a.sim.events_processed, b.sim.events_processed);
     for (ra, rb) in a.reports.iter().zip(&b.reports) {
         assert_eq!(ra.total, rb.total);
         assert_eq!(ra.user_compute_time, rb.user_compute_time);
