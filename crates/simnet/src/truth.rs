@@ -33,6 +33,9 @@ pub struct TransferRecord {
     pub phys_end: Time,
     /// Operation kind.
     pub kind: TransferKind,
+    /// The fabric dropped this attempt: its bytes left `src` but never
+    /// reached `dst`. A retransmission follows under the same `xfer_id`.
+    pub lost: bool,
 }
 
 impl TransferRecord {
@@ -46,14 +49,21 @@ impl TransferRecord {
     pub fn duration(&self) -> u64 {
         self.phys_end - self.phys_start
     }
+
+    /// Whether this attempt is part of `rank`'s side of the transfer: every
+    /// attempt is, except a lost one on the receiver that never saw it.
+    pub fn seen_by(&self, rank: usize) -> bool {
+        !self.lost || self.src == rank
+    }
 }
 
 /// Sum of ground-truth overlaps for every transfer touching `rank` (as source
-/// or destination), against that rank's activity log.
+/// or destination) and [seen by](TransferRecord::seen_by) it, against that
+/// rank's activity log.
 pub fn total_true_overlap(transfers: &[TransferRecord], rank: usize, log: &ActivityLog) -> u64 {
     transfers
         .iter()
-        .filter(|t| t.src == rank || t.dst == rank)
+        .filter(|t| (t.src == rank || t.dst == rank) && t.seen_by(rank))
         .map(|t| t.true_overlap(log))
         .sum()
 }
@@ -84,7 +94,20 @@ mod tests {
             phys_start: s,
             phys_end: e,
             kind: TransferKind::Send,
+            lost: false,
         }
+    }
+
+    #[test]
+    fn a_lost_attempt_is_the_senders_alone() {
+        let lost = TransferRecord {
+            lost: true,
+            ..rec(0, 1, 0, 50)
+        };
+        assert!(lost.seen_by(0) && !lost.seen_by(1));
+        assert!(rec(0, 1, 0, 50).seen_by(1));
+        let log = log_of(&[(Activity::Compute, 100)]);
+        assert_eq!(total_true_overlap(&[lost, rec(0, 1, 50, 75)], 1, &log), 25);
     }
 
     #[test]
