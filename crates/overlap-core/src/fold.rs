@@ -37,7 +37,7 @@ use crate::report::{Anomalies, CallStats, OverlapReport, OverlapStats};
 use crate::trace::BoundRecord;
 
 /// A transfer whose `XFER_BEGIN` has been seen and whose `XFER_END` has not.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OpenXfer {
     bytes: u64,
     /// Top-level call sequence number at `XFER_BEGIN`, if it was stamped
@@ -99,7 +99,7 @@ pub(crate) struct Window {
 /// is created on its first sample. [`BuiltinMetrics::emit`] writes them into
 /// a [`MetricsRegistry`] under the names the bins share, and only those that
 /// fired.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct BuiltinMetrics {
     xfers_closed: u64,
     xfers_flagged: u64,
@@ -162,6 +162,7 @@ pub(crate) fn add_record(stats: &mut OverlapStats, rec: &BoundRecord) {
 }
 
 /// One rank's running fold. See the module docs.
+#[derive(Clone)]
 pub(crate) struct RankFold {
     bins: SizeBins,
     depth: u32,

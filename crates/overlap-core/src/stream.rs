@@ -29,7 +29,9 @@
 //! top-level call, one interval per recorded wait — linear in transfers,
 //! not bounded, for the life of the session. Reads take `&self` and lend
 //! those parts to the builders in [`crate::artifact`] as
-//! [`ScopeView`]s.
+//! [`ScopeView`]s. A clone of a session is a snapshot that shares each
+//! rank's state with the original and copies each scope's fault stamps; a
+//! push to a rank while a snapshot still holds it copies that rank first.
 //!
 //! **Size bins.** Ranks fold with [`SizeBins::default`], which is the layout
 //! every instrumented process in this repository uses. A scope builds it
@@ -54,7 +56,7 @@
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 use serde::{Number, Reader, Serialize, SyntaxError, Token};
 
@@ -450,6 +452,7 @@ fn scan_line(line: &str) -> Result<Fields<'_>, SyntaxError> {
 
 /// One rank's stream state: the shared fold plus the derived records the
 /// read endpoints need.
+#[derive(Clone)]
 struct RankState {
     fold: RankFold,
     calls: CallSpans,
@@ -510,12 +513,12 @@ impl RankState {
 
 /// One scope's streaming fold: per-rank states plus the scope-level span and
 /// fabric extras the windowed series needs.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct ScopeFold {
     /// The layout every rank of the scope folds with, labels and metric
     /// names included.
     bins: SizeBins,
-    ranks: BTreeMap<usize, RankState>,
+    ranks: BTreeMap<usize, Arc<RankState>>,
     extras_t: Vec<u64>,
     /// `[first, last]` stamp covered, as [`crate::trace::TraceBundle::span`]
     /// computes it: event stamps, bound close/begin stamps, and extras — not
@@ -530,9 +533,11 @@ impl ScopeFold {
     }
 
     fn rank_mut(&mut self, rank: usize) -> &mut RankState {
-        self.ranks
+        let state = self
+            .ranks
             .entry(rank)
-            .or_insert_with(|| RankState::new(self.bins.clone()))
+            .or_insert_with(|| Arc::new(RankState::new(self.bins.clone())));
+        Arc::make_mut(state)
     }
 }
 
@@ -549,8 +554,9 @@ pub struct ScopeReport {
 
 /// A streaming session: one pushed event stream (one or more scopes), folded
 /// incrementally. See the module docs for the memory model and the
-/// batch/stream equivalence guarantee.
-#[derive(Default)]
+/// batch/stream equivalence guarantee. A clone, O(scopes + ranks + fault
+/// stamps), is a snapshot that later pushes to either side do not reach.
+#[derive(Clone, Default)]
 pub struct SessionFold {
     header_seen: bool,
     scope_order: Vec<String>,

@@ -419,10 +419,10 @@ pub struct WindowRow {
 }
 
 /// Most rows one windowed series may have. A width that would need more is
-/// refused ([`TooManyWindows`]) before anything is allocated: the rows of a
-/// served series are built under the session lock, and both the span (any
-/// `t` a client sends) and the width (any `window_ns` it asks for) come from
-/// outside the program.
+/// refused ([`TooManyWindows`]) before anything is allocated: the server
+/// builds every row of a served series, and both the span (any `t` a client
+/// sends) and the width (any `window_ns` it asks for) come from outside the
+/// program.
 pub(crate) const MAX_WINDOWS: u64 = 1 << 16;
 
 /// A window width too narrow for the span it was asked to split.

@@ -15,6 +15,10 @@ use std::io::{self, BufRead, Read, Write};
 /// chunk-size line, the `OVLP1` greeting.
 const MAX_LINE: usize = 8 << 10;
 
+/// Most lines accepted in a header or trailer section, the blank line that
+/// ends it not counted: a peer cannot keep a connection reading forever.
+const MAX_FIELDS: usize = 100;
+
 /// One parsed request head; the body, if any, is still on the stream.
 #[derive(Debug, Clone)]
 pub(crate) struct Head {
@@ -100,7 +104,7 @@ pub(crate) fn read_head<R: BufRead>(r: &mut R) -> io::Result<Option<Head>> {
 
     let mut content_length: Option<u64> = None;
     let mut chunked = false;
-    loop {
+    for n in 0.. {
         let h = read_line(r)?;
         if h.is_empty() {
             return Err(bad("connection closed mid-headers"));
@@ -108,6 +112,9 @@ pub(crate) fn read_head<R: BufRead>(r: &mut R) -> io::Result<Option<Head>> {
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        if n == MAX_FIELDS {
+            return Err(bad(format!("more than {MAX_FIELDS} header lines")));
         }
         if let Some((name, value)) = h.split_once(':') {
             let value = value.trim();
@@ -157,8 +164,12 @@ impl Head {
             total += size;
             if size == 0 {
                 // Trailer section: read lines until the blank terminator.
-                while !read_line(r)?.trim_end().is_empty() {}
-                return Ok(());
+                for _ in 0..=MAX_FIELDS {
+                    if read_line(r)?.trim_end().is_empty() {
+                        return Ok(());
+                    }
+                }
+                return Err(bad(format!("more than {MAX_FIELDS} header lines")));
             }
             copy_n(r, size, sink)?;
             read_line(r)?; // the line end after the chunk data
@@ -285,6 +296,30 @@ mod tests {
                 consumed <= prefix.len() + MAX_LINE + 1 + r.capacity(),
                 "{consumed}"
             );
+        }
+    }
+
+    #[test]
+    fn endless_header_lines_are_refused_at_the_cap() {
+        let fields = |n: usize| "X-Pad: y\r\n".repeat(n);
+        let chunked = "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n";
+        let most = format!("GET / HTTP/1.1\r\n{}\r\n", fields(MAX_FIELDS));
+        assert!(body_of(most.as_bytes()).is_ok());
+        let trailed = format!("{chunked}{}\r\n", fields(MAX_FIELDS));
+        assert_eq!(body_of(trailed.as_bytes()).unwrap(), b"hello");
+
+        let endless = fields(1 << 16);
+        for prefix in ["GET / HTTP/1.1\r\n", chunked] {
+            let raw = [prefix.as_bytes(), endless.as_bytes()].concat();
+            let mut r = BufReader::new(Counting(&raw, 0));
+            let err = read_head(&mut r)
+                .and_then(|h| h.expect("a head").read_body(&mut r, &mut |_| Ok(())))
+                .unwrap_err()
+                .to_string();
+            assert_eq!(err, format!("more than {MAX_FIELDS} header lines"));
+            let consumed = r.get_ref().1;
+            let cap = prefix.len() + (MAX_FIELDS + 1) * "X-Pad: y\r\n".len() + r.capacity();
+            assert!(consumed <= cap, "{consumed}");
         }
     }
 }

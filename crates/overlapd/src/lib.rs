@@ -34,7 +34,7 @@
 //! connections are uncapped. Ingest folds under the session lock before
 //! the next read, so TCP flow control is the backpressure: a fast client
 //! blocks on a busy session instead of growing a queue. The lock guards the
-//! fold and the build of a read's artifact, never I/O.
+//! fold and a read's snapshot of it, never a build and never I/O.
 
 mod client;
 mod http;

@@ -14,7 +14,7 @@
 //!
 //! Whatever the transport, received bytes reach a session through `ingest`
 //! and leave it through `serve_read`; the session lock is held to fold or to
-//! build, never across I/O.
+//! take a snapshot, never to build and never across I/O.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -252,17 +252,20 @@ fn json<W: Write, T: serde::Serialize>(writer: &mut W, value: &T) -> io::Result<
     http::respond(writer, 200, None, body.as_bytes())
 }
 
-/// The one way out of a session: `build` the owned artifact under the
-/// session lock and nothing else; `send` serialises and writes it after the
-/// lock is released. Lock hold time is build time, and a client that stops
-/// reading parks its own connection thread only.
+/// The one way out of a session: snapshot the fold under the session lock
+/// and nothing else, `build` the owned artifact from the snapshot, drop the
+/// snapshot, and `send` serialises and writes the artifact. Lock hold time
+/// is snapshot time, so neither a slow build nor a client that stops
+/// reading holds up a push.
 fn serve_read<W: Write, T>(
     session: &Mutex<SessionFold>,
     writer: &mut W,
     build: impl FnOnce(&SessionFold) -> Result<T, String>,
     send: impl FnOnce(&mut W, &T) -> io::Result<()>,
 ) -> io::Result<()> {
-    let built = build(&lock(session)); // the guard lives for this statement
+    let snapshot = lock(session).clone(); // the guard lives for this statement
+    let built = build(&snapshot);
+    drop(snapshot);
     match built {
         Ok(artifact) => send(writer, &artifact),
         Err(reason) => text(writer, 400, &reason),
@@ -648,6 +651,48 @@ mod tests {
                 .expect("reader thread")
                 .expect("response written");
         });
+    }
+
+    #[test]
+    fn a_build_in_progress_does_not_block_a_push() {
+        let service = Service::default();
+        let text = jsonl(&[bundle("a/p0", 0, 3)]);
+        talk(&service, &framed("s", &[text.as_bytes()]), 8192);
+        let session = service.get("s").expect("session");
+        let before = serde_json::to_string(&lock(&session).report()).unwrap();
+
+        let (entered, has_entered) = mpsc::channel();
+        let (go_on, release) = mpsc::channel::<()>();
+        let (acked, has_acked) = mpsc::channel();
+        let more = jsonl(&[bundle("a/p1", 9_000, 2)]);
+        let (service, session, more) = (&service, &session, &more);
+        let (ack, served) = std::thread::scope(|sc| {
+            let reader = sc.spawn(move || {
+                let mut reply = Vec::new();
+                let build = |s: &SessionFold| {
+                    entered.send(()).expect("the test waits for the build");
+                    release.recv().expect("the test releases the build");
+                    Ok(s.report())
+                };
+                serve_read(session, &mut reply, build, json).expect("in-memory I/O");
+                reply
+            });
+            has_entered.recv().expect("the build starts");
+            sc.spawn(move || {
+                let reply = talk(service, &framed("s", &[more.as_bytes()]), 8192);
+                acked.send(reply).expect("the test waits for the ack");
+            });
+            // Released whatever happened, so a push stuck behind the build
+            // fails the test instead of hanging it.
+            let ack = has_acked.recv_timeout(Duration::from_secs(10));
+            go_on.send(()).expect("the build is parked");
+            (ack, reader.join().expect("reader thread"))
+        });
+        assert_eq!(
+            ack.expect("the push is acknowledged mid-build"),
+            b"ok events=24\n"
+        );
+        assert_eq!(parsed(&served), (200, before));
     }
 
     /// A writer whose first write panics.

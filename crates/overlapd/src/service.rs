@@ -89,8 +89,9 @@ impl Service {
     }
 
     /// Build the merged fleet view. Snapshots each session in turn (name
-    /// order), so it is consistent per session, not across sessions — the
-    /// right trade for a live endpoint.
+    /// order) and builds from the snapshot after its lock is released, so it
+    /// is consistent per session, not across sessions — the right trade for
+    /// a live endpoint.
     pub fn fleet(&self) -> FleetView {
         let mut view = FleetView {
             sessions: Vec::new(),
@@ -102,8 +103,8 @@ impl Service {
         };
         for (name, s) in self.sessions() {
             view.sessions.push(name);
-            let s = s.lock().unwrap_or_else(|e| e.into_inner());
-            for scope in s.report() {
+            let snapshot = s.lock().unwrap_or_else(|e| e.into_inner()).clone();
+            for scope in snapshot.report() {
                 view.scopes += 1;
                 for rank in &scope.ranks {
                     view.ranks += 1;

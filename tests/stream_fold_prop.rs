@@ -222,4 +222,36 @@ proptest! {
         }
         prop_assert_eq!(json!(&polled.report()), json!(&fold(&text).report()));
     }
+
+    #[test]
+    fn a_clone_is_a_snapshot_that_later_pushes_do_not_reach(
+        scope in arb_scope(),
+        cut in any::<usize>(),
+    ) {
+        let (_, bundle) = record(&scope);
+        let text = jsonl(std::slice::from_ref(&bundle));
+        let lines: Vec<&str> = text.lines().collect();
+        let (head, tail) = lines.split_at(cut % (lines.len() + 1));
+
+        let mut live = SessionFold::default();
+        for line in head {
+            live.push_line(line).expect("exported line folds");
+        }
+        let snapshot = live.clone();
+        for line in tail {
+            live.push_line(line).expect("exported line folds");
+        }
+
+        let views = |s: &SessionFold| {
+            (
+                json!(&s.report()),
+                json!(&s.series(None)),
+                json!(&s.attribution("prop")),
+                s.collapsed(),
+            )
+        };
+        let prefix: String = head.iter().map(|l| format!("{l}\n")).collect();
+        prop_assert_eq!(views(&snapshot), views(&fold(&prefix)));
+        prop_assert_eq!(views(&live), views(&fold(&text)));
+    }
 }
