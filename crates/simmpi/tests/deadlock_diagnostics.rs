@@ -136,3 +136,60 @@ fn a_rank_parked_at_the_end_of_an_idle_poll_explains_itself() {
         "{blocked_on:?}"
     );
 }
+
+/// Rank 0 parks with two open requests: a direct-read send to rank 1, which
+/// waits on a tag rank 0 never sends, and a receive from rank 2, which waits
+/// on rank 0 in turn. The edge names the open request with the lowest id,
+/// the send, so the cycle runs through rank 1.
+#[test]
+fn a_rank_with_two_open_requests_names_the_lowest_id() {
+    let err = simmpi::run_mpi(
+        3,
+        NetConfig::default(),
+        MpiConfig::open_mpi_leave_pinned(),
+        RecorderOpts::default(),
+        |mpi| match mpi.rank() {
+            0 => {
+                let _send = mpi.isend(1, 5, vec![7u8; 64 << 10]);
+                let _ = mpi.recv(Src::Rank(2), TagSel::Is(6));
+            }
+            1 => {
+                let _ = mpi.recv(Src::Rank(0), TagSel::Is(99));
+            }
+            _ => {
+                let _ = mpi.recv(Src::Rank(0), TagSel::Is(6));
+            }
+        },
+    )
+    .unwrap_err();
+    let SimError::Deadlock { diags, .. } = &err else {
+        panic!("expected deadlock, got {err}");
+    };
+    let edges: Vec<_> = diags
+        .iter()
+        .map(|d| (d.rank, d.waits_on_rank, d.waits_on_req))
+        .collect();
+    assert_eq!(
+        edges,
+        [
+            (0, Some(1), Some(4)),
+            (1, Some(0), Some(4)),
+            (2, Some(0), Some(4)),
+        ],
+        "{err}"
+    );
+    assert!(
+        diags[0]
+            .blocked_on
+            .as_deref()
+            .unwrap()
+            .starts_with("2 incomplete requests (1 posted recvs"),
+        "{:?}",
+        diags[0].blocked_on
+    );
+    assert_eq!(
+        err.one_line(),
+        "simulated deadlock at t=30592ns: wait-for cycle \
+         rank 0 -> req 4 -> rank 1 -> req 4 -> rank 0"
+    );
+}

@@ -17,7 +17,11 @@
 //!   stream tests share the builders, so only a digest notices a reordered
 //!   field),
 //! * job-count invariance: the concatenated `--jobs 4` output equals the
-//!   serial goldens.
+//!   serial goldens,
+//! * FNV-1a-64 checksums of the attribution artifact and collapsed stacks
+//!   of traced runs that reach every receive state and every blocking cause
+//!   (`waits.attribution.fnv`): eager, pipelined and direct-read exchanges
+//!   under each progress model, plus one lossy run.
 //!
 //! Trace capture and the worker budget are process-global, so every test
 //! takes one shared lock.
@@ -25,7 +29,11 @@
 use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use overlap_core::attribution::WaitCause;
 use overlap_core::trace::{chrome_json, jsonl, TraceBundle};
+use overlap_suite::prelude::*;
+use simmpi::ProgressModel;
+use simnet::FaultPlan;
 
 /// Serialize tests: `tracecap` and the runner's job budget are global.
 fn global_lock() -> MutexGuard<'static, ()> {
@@ -178,5 +186,141 @@ fn fig03_trace_exports_match_golden_checksums() {
     assert_eq!(
         checked, 5,
         "golden checksum file should list all five exports"
+    );
+}
+
+/// Check `contents` against one `<name> <fnv> <len>` golden line per entry.
+fn assert_digests(golden: &str, contents: &[(&str, String)]) {
+    assert_eq!(golden.lines().count(), contents.len(), "golden entry count");
+    for (line, (name, text)) in golden.lines().zip(contents) {
+        let got = format!("{name} {:016x} {}", fnv1a64(text.as_bytes()), text.len());
+        assert_eq!(got, line, "{name}: exported contents changed");
+    }
+}
+
+/// Two ranks trade `size`-byte messages three ways: rank 1 receives before
+/// rank 0 sends (a late sender), rank 1 sends before rank 0 receives (a late
+/// receiver, or a rendezvous handshake when pipelined), then both exchange
+/// at once.
+fn exchange(size: usize) -> impl Fn(&mut Mpi) + Send + Sync + 'static {
+    move |mpi| {
+        let me = mpi.rank();
+        let peer = 1 - me;
+        for round in 0..2u64 {
+            if me == 0 {
+                mpi.compute(20_000);
+                let s = mpi.isend(1, round, vec![1u8; size]);
+                mpi.compute(2_000);
+                mpi.wait(s);
+                mpi.compute(20_000);
+                mpi.recv(Src::Rank(1), TagSel::Is(10 + round));
+            } else {
+                mpi.recv(Src::Rank(0), TagSel::Is(round));
+                let s = mpi.isend(0, 10 + round, vec![2u8; size]);
+                mpi.wait(s);
+            }
+        }
+        let r = mpi.irecv(Src::Rank(peer), TagSel::Is(20));
+        let s = mpi.isend(peer, 20, vec![3u8; size]);
+        mpi.waitall(&[s, r]);
+    }
+}
+
+fn traced() -> RecorderOpts {
+    RecorderOpts {
+        trace: true,
+        ..Default::default()
+    }
+}
+
+/// Every request shape the progress engine can block on, under every
+/// progress model, and loss recovery: the attribution artifact and the
+/// collapsed stacks stay byte-identical to `goldens/waits.attribution.fnv`.
+#[test]
+fn blocking_causes_match_golden_checksums() {
+    let transfers = [
+        ("eager", 4usize << 10, MpiConfig::default()),
+        ("pipelined", 384 << 10, MpiConfig::default()),
+        ("direct", 64 << 10, MpiConfig::open_mpi_leave_pinned()),
+    ];
+    let models = [
+        ProgressModel::Polling,
+        ProgressModel::AsyncRank {
+            poll_interval: ProgressModel::DEFAULT_POLL_INTERVAL,
+        },
+        ProgressModel::EarlyBird,
+        ProgressModel::HwTag,
+    ];
+    let mut bundles = Vec::new();
+    for (name, size, cfg) in &transfers {
+        for model in models {
+            let cfg = MpiConfig {
+                progress: model,
+                ..cfg.clone()
+            };
+            let out = run_mpi(2, NetConfig::default(), cfg, traced(), exchange(*size))
+                .expect("exchange completes");
+            let scope = format!("waits/{name}/{}", model.label());
+            bundles.push((scope, out.traces));
+        }
+    }
+    let lossy = NetConfig {
+        faults: FaultPlan {
+            seed: 23,
+            drop_prob: 0.05,
+            ..FaultPlan::none()
+        },
+        ..NetConfig::default()
+    };
+    let out = run_mpi(2, lossy, MpiConfig::default(), traced(), exchange(64 << 10))
+        .expect("lossy exchange completes");
+    bundles.push(("waits/lossy/polling".to_string(), out.traces));
+
+    // The runs reach every cause a park can be classified as, and both
+    // in-flight receive states: a direct read (a fabric transfer id) and
+    // landing fragments (a receiver-local id, top bit set).
+    let waits: Vec<_> = bundles
+        .iter()
+        .flat_map(|(_, traces)| traces)
+        .flat_map(|tr| &tr.waits)
+        .collect();
+    for cause in [
+        WaitCause::AckRetransmit,
+        WaitCause::LateSender,
+        WaitCause::RendezvousHandshake,
+        WaitCause::LateReceiver,
+        WaitCause::WireDrain,
+        WaitCause::EagerCopy,
+    ] {
+        assert!(waits.iter().any(|w| w.cause == cause), "no {cause:?} wait");
+    }
+    let drains = |local: bool| {
+        waits.iter().any(|w| {
+            matches!(w.cause, WaitCause::WireDrain | WaitCause::Contention)
+                && w.xfer.is_some_and(|x| (x >> 63 == 1) == local)
+        })
+    };
+    assert!(drains(false), "no wait on a direct read");
+    assert!(drains(true), "no wait on landing fragments");
+
+    let bundles: Vec<TraceBundle> = bundles
+        .into_iter()
+        .map(|(scope, ranks)| TraceBundle {
+            scope,
+            ranks,
+            extras: Vec::new(),
+        })
+        .collect();
+    let scoped: Vec<(String, &TraceBundle)> =
+        bundles.iter().map(|b| (b.scope.clone(), b)).collect();
+    let attribution =
+        serde_json::to_string_pretty(&bench::critpath::attribution_artifact("waits", &scoped))
+            .expect("attribution artifact serializes");
+    assert_digests(
+        include_str!("goldens/waits.attribution.fnv"),
+        &[
+            ("waits.attribution.json", attribution),
+            ("waits.critpath.folded", bench::critpath::collapsed(&scoped)),
+        ],
     );
 }
