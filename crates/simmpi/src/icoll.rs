@@ -44,7 +44,6 @@ impl CollResult {
 }
 
 pub(crate) struct ICollState {
-    done: bool,
     result: Option<CollResult>,
     kind: Kind,
 }
@@ -96,7 +95,6 @@ impl Mpi<'_> {
             sends.push(self.isend_raw(to, tag + k as u64, blocks[to].clone(), true));
         }
         let state = ICollState {
-            done: n <= 1,
             result: (n <= 1).then(|| CollResult::Blocks(vec![blocks[0].clone()])),
             kind: Kind::Alltoall { recvs, sends, out },
         };
@@ -122,7 +120,6 @@ impl Mpi<'_> {
             })
             .collect();
         let state = ICollState {
-            done: n <= 1,
             result: (n <= 1).then(|| CollResult::Vals(vals.to_vec())),
             kind: Kind::Allreduce {
                 tag,
@@ -142,7 +139,7 @@ impl Mpi<'_> {
     /// Complete a non-blocking collective and return its result.
     pub fn icoll_wait(&mut self, h: CollHandle) -> CollResult {
         self.rec.call_enter("MPI_Wait");
-        self.progress_until(|m| m.icolls.get(&h.0).is_none_or(|s| s.done));
+        self.progress_until(|m| m.icolls.get(&h.0).is_none_or(|s| s.result.is_some()));
         let result = self
             .icolls
             .remove(&h.0)
@@ -163,14 +160,14 @@ impl Mpi<'_> {
 
     /// Would [`Mpi::advance_collectives`] have anything to advance?
     pub(crate) fn collectives_live(&self) -> bool {
-        self.icolls.values().any(|s| !s.done)
+        self.icolls.values().any(|s| s.result.is_none())
     }
 
     pub(crate) fn advance_collectives(&mut self) {
         let mut next = 0;
         while let Some((&id, st)) = self.icolls.range(next..).next() {
             next = id + 1;
-            if st.done {
+            if st.result.is_some() {
                 continue;
             }
             // Out of the map while it advances: `advance_one` needs `&mut self`.
@@ -201,7 +198,6 @@ impl Mpi<'_> {
                     }
                 });
                 if recvs.is_empty() && sends.is_empty() {
-                    st.done = true;
                     st.result = Some(CollResult::Blocks(
                         out.iter_mut().map(|o| o.take().unwrap()).collect(),
                     ));
@@ -240,7 +236,6 @@ impl Mpi<'_> {
                         }
                     }
                     if *phase >= 2 {
-                        st.done = true;
                         st.result = Some(CollResult::Vals(chunks.concat()));
                         return;
                     }

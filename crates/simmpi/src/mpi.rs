@@ -75,10 +75,34 @@ enum Arrival {
     },
 }
 
+#[derive(Clone, Copy)]
 struct PipeRecv {
     region: RegionId,
     rest_xfer: u64,
     rest_len: u64,
+}
+
+/// Where a posted receive stands. Matching records the envelope together
+/// with the state it moves to.
+enum Recv {
+    /// Not matched by the host yet; under `hw-tag` the NIC matches it and
+    /// the host learns the envelope only from the completion.
+    Posted,
+    /// A direct-read rendezvous: the RDMA Read `xfer` of `len` bytes is in
+    /// flight.
+    Reading {
+        src: usize,
+        tag: u64,
+        xfer: u64,
+        len: u64,
+    },
+    /// A pipelined rendezvous: the fragments after the first are landing.
+    Landing {
+        src: usize,
+        tag: u64,
+        pipe: PipeRecv,
+    },
+    Done(Status),
 }
 
 enum Req {
@@ -110,14 +134,7 @@ enum Req {
         peer: usize,
         tag: u64,
     },
-    Recv {
-        result: Option<Status>,
-        /// Direct-read in flight: (xfer id, len).
-        reading: Option<(u64, u64)>,
-        /// Resolved envelope once matched.
-        matched: Option<(usize, u64)>,
-        pipe: Option<PipeRecv>,
-    },
+    Recv(Recv),
 }
 
 impl Req {
@@ -127,7 +144,7 @@ impl Req {
             Req::SendRdvPipe {
                 frags, all_posted, ..
             } => *all_posted && frags.is_empty(),
-            Req::Recv { result, .. } => result.is_some(),
+            Req::Recv(recv) => matches!(recv, Recv::Done(_)),
         }
     }
 }
@@ -730,15 +747,7 @@ impl<'a> Mpi<'a> {
     /// Post a receive without invoking the progress engine.
     pub(crate) fn irecv_raw(&mut self, src: Src, tag: TagSel) -> Request {
         let req_id = self.alloc_req();
-        self.reqs.insert(
-            req_id,
-            Req::Recv {
-                result: None,
-                reading: None,
-                matched: None,
-                pipe: None,
-            },
-        );
+        self.reqs.insert(req_id, Req::Recv(Recv::Posted));
         let (s, t) = selector(src, tag);
         if self.cfg.progress == ProgressModel::HwTag {
             // Post the receive descriptor into the NIC matching table; the
@@ -781,15 +790,17 @@ impl<'a> Mpi<'a> {
         }
     }
 
-    fn complete_recv(&mut self, req_id: u64, src: usize, tag: u64, data: Bytes) {
-        let Some(Req::Recv { result, .. }) = self.reqs.get_mut(&req_id) else {
-            unreachable!("completing a request that is not a receive");
+    fn complete_recv(&mut self, req_id: u64, source: usize, tag: u64, data: Bytes) {
+        let data = Some(data);
+        self.set_recv(req_id, Recv::Done(Status { source, tag, data }));
+    }
+
+    /// Move receive `req_id` to `state`.
+    fn set_recv(&mut self, req_id: u64, state: Recv) {
+        let Some(Req::Recv(recv)) = self.reqs.get_mut(&req_id) else {
+            unreachable!("request {req_id} is not a receive");
         };
-        *result = Some(Status {
-            source: src,
-            tag,
-            data: Some(data),
-        });
+        *recv = state;
     }
 
     /// Direct-read rendezvous: the receiver pulls the advertised buffer.
@@ -834,15 +845,16 @@ impl<'a> Mpi<'a> {
             );
         }
         self.rec.xfer_begin(xfer, len as u64);
-        if let Some(Req::Recv {
-            reading, matched, ..
-        }) = self.reqs.get_mut(&req_id)
-        {
-            *reading = Some((xfer, len as u64));
-            *matched = Some((src, tag));
-        } else {
-            unreachable!("start_read on non-recv request");
-        }
+        let len = len as u64;
+        self.set_recv(
+            req_id,
+            Recv::Reading {
+                src,
+                tag,
+                xfer,
+                len,
+            },
+        );
     }
 
     /// Pipelined rendezvous: place fragment 1, CTS back the receive buffer.
@@ -867,7 +879,7 @@ impl<'a> Mpi<'a> {
         self.lib_busy(self.net.post_cost);
         let rest_len = (total_len - frag1_len) as u64;
         let rest_xfer = self.alloc_local_xfer();
-        {
+        let region = {
             let mut w = self.world.lock();
             // Fragment 1 now; the sender's whole buffer once the RDMA
             // Writes have tiled it in order.
@@ -884,17 +896,14 @@ impl<'a> Mpi<'a> {
             );
             self.rel
                 .post(&mut w, src, cts, proto::pack_user(wr_kind::IGNORE, 0), None);
-            if let Some(Req::Recv { pipe, matched, .. }) = self.reqs.get_mut(&req_id) {
-                *pipe = Some(PipeRecv {
-                    region,
-                    rest_xfer,
-                    rest_len,
-                });
-                *matched = Some((src, tag));
-            } else {
-                unreachable!("start_pipe_recv on non-recv request");
-            }
-        }
+            region
+        };
+        let pipe = PipeRecv {
+            region,
+            rest_xfer,
+            rest_len,
+        };
+        self.set_recv(req_id, Recv::Landing { src, tag, pipe });
         self.rec.xfer_begin(rest_xfer, rest_len);
     }
 
@@ -1009,16 +1018,15 @@ impl<'a> Mpi<'a> {
             wr_kind::RDMA_READ => {
                 // The sender's own buffer, by reference (see `simnet::memory`).
                 let data = c.data.expect("RDMA read completion without data");
-                let Some(Req::Recv {
-                    reading, matched, ..
-                }) = self.reqs.get_mut(&req_id)
+                let Some(&Req::Recv(Recv::Reading {
+                    src,
+                    tag,
+                    xfer,
+                    len,
+                })) = self.reqs.get(&req_id)
                 else {
-                    panic!("read completion for a non-receive request");
+                    panic!("read completion for a receive that is not reading");
                 };
-                let (xfer, len) = reading
-                    .take()
-                    .expect("read completion without reading state");
-                let (src, tag) = matched.expect("read completion on unmatched recv");
                 self.end_xfer(xfer, len, &c.edge);
                 self.complete_recv(req_id, src, tag, data);
             }
@@ -1141,11 +1149,10 @@ impl<'a> Mpi<'a> {
             }
             proto::PT_FIN_PIPE => {
                 let recv_req = p.h[0];
-                let Some(Req::Recv { pipe, matched, .. }) = self.reqs.get_mut(&recv_req) else {
-                    panic!("FIN_PIPE for a non-receive request");
+                let Some(&Req::Recv(Recv::Landing { src, tag, pipe })) = self.reqs.get(&recv_req)
+                else {
+                    panic!("FIN_PIPE for a receive that is not landing");
                 };
-                let pipe = pipe.take().expect("FIN_PIPE without pipe state");
-                let (src, tag) = matched.expect("FIN_PIPE on unmatched recv");
                 // The FIN rides as the final fragment's delivery notice, so
                 // its edge carries that fragment's fabric contention.
                 self.end_xfer(pipe.rest_xfer, pipe.rest_len, &p.edge);
@@ -1292,23 +1299,16 @@ impl<'a> Mpi<'a> {
         self.reqs.get(&req.0).map(Req::is_done).unwrap_or(true)
     }
 
-    /// Consume a completed request's status (panics if incomplete).
+    /// Consume a completed request's status (panics if it is unknown or
+    /// incomplete).
     pub(crate) fn take_status(&mut self, req: Request) -> Status {
-        self.try_take(req).expect("request not complete")
-    }
-
-    fn try_take(&mut self, req: Request) -> Option<Status> {
-        if !self
-            .reqs
-            .get(&req.0)
-            .map(Req::is_done)
-            .unwrap_or_else(|| panic!("wait on unknown request {:?}", req))
-        {
-            return None;
-        }
-        let r = self.reqs.remove(&req.0).unwrap();
-        Some(match r {
-            Req::Recv { result, .. } => result.expect("done recv without status"),
+        let Some(r) = self.reqs.remove(&req.0) else {
+            panic!("wait on unknown request {req:?}");
+        };
+        assert!(r.is_done(), "request not complete");
+        match r {
+            Req::Recv(Recv::Done(status)) => status,
+            Req::Recv(_) => unreachable!("a done receive holds its status"),
             Req::SendEager { peer, tag, .. }
             | Req::SendRdvRead { peer, tag, .. }
             | Req::SendRdvPipe { peer, tag, .. } => Status {
@@ -1316,7 +1316,7 @@ impl<'a> Mpi<'a> {
                 tag,
                 data: None,
             },
-        })
+        }
     }
 
     /// Record a library-call entry in the overlap event stream, and keep its
@@ -1338,6 +1338,7 @@ impl<'a> Mpi<'a> {
                 &self.reqs,
                 &self.matcher,
                 &self.rel,
+                &self.retrans_xfers,
                 self.last_call,
                 self.rank,
             )
@@ -1359,11 +1360,12 @@ impl<'a> Mpi<'a> {
         reqs: &HashMap<u64, Req>,
         matcher: &Matcher<Arrival>,
         rel: &Reliability,
+        retrans: &HashSet<u64>,
         last_call: Option<&'static str>,
         rank: usize,
     ) -> RankDiag {
         let nic = world.lock().nic_stats(rank);
-        let (waits_on_rank, waits_on_req) = Self::blocking_edge(reqs, matcher, rel);
+        let (waits_on_rank, waits_on_req) = Self::blocking_edge(reqs, matcher, rel, retrans);
         let (posted, unexpected) = matcher.lens();
         RankDiag {
             rank,
@@ -1385,7 +1387,7 @@ impl<'a> Mpi<'a> {
 
     /// Classify why this rank is about to block, from its open-request
     /// state. When several requests are open the most *actionable* cause
-    /// wins (lowest priority number); ties break on request id, so the
+    /// wins (lowest [`waits_on`] priority); ties break on request id, so the
     /// result is independent of `HashMap` iteration order.
     fn classify_block(&self) -> (WaitCause, Option<u64>) {
         // Loss recovery trumps protocol state: once a payload has been
@@ -1397,43 +1399,15 @@ impl<'a> Mpi<'a> {
         if let Some(x) = self.rel.retrans_pending_xfer() {
             return (WaitCause::AckRetransmit, Some(x));
         }
-        // (priority, req_id) -> (cause, xfer)
-        type Ranked = ((u8, u64), (WaitCause, Option<u64>));
-        let mut best: Option<Ranked> = None;
-        for (&req_id, req) in &self.reqs {
-            if req.is_done() {
-                continue;
-            }
-            let (prio, cause, xfer) = match req {
-                _ if let Some(x) = self.req_retrans_xfer(req) => {
-                    (0, WaitCause::AckRetransmit, Some(x))
-                }
-                Req::Recv {
-                    matched: None,
-                    reading: None,
-                    pipe: None,
-                    ..
-                } => (1, WaitCause::LateSender, None),
-                Req::SendRdvPipe {
-                    all_posted: false, ..
-                } => (2, WaitCause::RendezvousHandshake, None),
-                Req::SendRdvRead { xfer, .. } => (3, WaitCause::LateReceiver, Some(*xfer)),
-                Req::Recv {
-                    reading: Some((xfer, _)),
-                    ..
-                } => (4, WaitCause::WireDrain, Some(*xfer)),
-                Req::Recv { pipe: Some(pr), .. } => (4, WaitCause::WireDrain, Some(pr.rest_xfer)),
-                Req::SendRdvPipe { .. } => (5, WaitCause::WireDrain, None),
-                Req::SendEager { xfer, .. } => (6, WaitCause::EagerCopy, Some(*xfer)),
-                Req::Recv { .. } => (4, WaitCause::WireDrain, None),
-            };
-            let key = (prio, req_id);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, (cause, xfer)));
-            }
-        }
+        let open = self.reqs.iter().filter(|(_, req)| !req.is_done());
+        let best = open
+            .map(|(&id, req)| {
+                let (prio, cause, xfer, _) = waits_on(id, req, &self.matcher, &self.retrans_xfers);
+                ((prio, id), cause, xfer)
+            })
+            .min_by_key(|&(key, ..)| key);
         match best {
-            Some((_, hit)) => hit,
+            Some((_, cause, xfer)) => (cause, xfer),
             // No open data request: blocked on the reliability layer's
             // outstanding ACKs, or on pure synchronization traffic.
             None if self.rel.pending_packets() > 0 => (WaitCause::AckRetransmit, None),
@@ -1441,70 +1415,71 @@ impl<'a> Mpi<'a> {
         }
     }
 
-    /// The structured wait-for edge for deadlock cycle reports: the peer
-    /// rank whose action must come first, and the open request id this rank
-    /// is blocked in. Picks the open request with the lowest id (matching
-    /// the deterministic tie-break of [`Mpi::classify_block`]); a receive
-    /// names its matched or posted-source peer, `MPI_ANY_SOURCE` receives
-    /// name none. With no open data request the edge falls back to the
-    /// reliability layer's first un-ACKed peer.
+    /// The structured wait-for edge for deadlock cycle reports: the open
+    /// request with the lowest id and the peer [`waits_on`] names for it.
+    /// The pick is by id alone, not by [`Mpi::classify_block`]'s priority:
+    /// which open request the rank is blocked in is not tracked. With no
+    /// open data request the edge falls back to the reliability layer's
+    /// first un-ACKed peer.
     fn blocking_edge(
         reqs: &HashMap<u64, Req>,
         matcher: &Matcher<Arrival>,
         rel: &Reliability,
+        retrans: &HashSet<u64>,
     ) -> (Option<usize>, Option<u64>) {
-        let mut best: Option<(u64, Option<usize>)> = None;
-        for (&req_id, req) in reqs {
-            if req.is_done() {
-                continue;
-            }
-            if best.is_some_and(|(id, _)| id <= req_id) {
-                continue;
-            }
-            let peer = match req {
-                Req::SendEager { peer, .. }
-                | Req::SendRdvRead { peer, .. }
-                | Req::SendRdvPipe { peer, .. } => Some(*peer),
-                Req::Recv {
-                    matched: Some((src, _)),
-                    ..
-                } => Some(*src),
-                Req::Recv { .. } => matcher.posted_sel(req_id).and_then(|(src, _)| src),
-            };
-            best = Some((req_id, peer));
-        }
-        match best {
-            Some((id, peer)) => (peer, Some(id)),
+        let open = reqs.iter().filter(|(_, req)| !req.is_done());
+        match open.min_by_key(|&(&id, _)| id) {
+            Some((&id, req)) => (waits_on(id, req, matcher, retrans).3, Some(id)),
             None => (rel.first_pending_peer(), None),
         }
     }
+}
 
-    /// The retransmitted wire transfer a request is still waiting on, if
-    /// any. A pipelined send scans every outstanding fragment — the lost
-    /// one is rarely the front of the queue.
-    fn req_retrans_xfer(&self, req: &Req) -> Option<u64> {
-        if let Req::SendRdvPipe { frags, .. } = req {
-            return frags
-                .iter()
-                .map(|&(x, _)| x)
-                .find(|x| self.retrans_xfers.contains(x));
+/// What open request `id` waits on: its priority (the most actionable cause
+/// is lowest), the cause, the wire transfer when one is identifiable, and
+/// the peer whose action must come first (none for an `MPI_ANY_SOURCE`
+/// receive). A request whose transfer the reliability layer had to send
+/// again (`retrans`) waits on loss recovery before anything else; a
+/// pipelined send names only such a fragment, scanning all of them, since
+/// the lost one is rarely the front of the queue.
+fn waits_on(
+    id: u64,
+    req: &Req,
+    matcher: &Matcher<Arrival>,
+    retrans: &HashSet<u64>,
+) -> (u8, WaitCause, Option<u64>, Option<usize>) {
+    let (prio, cause, xfer, peer) = match req {
+        Req::Recv(Recv::Posted) => {
+            let src = matcher.posted_sel(id).and_then(|(src, _)| src);
+            (1, WaitCause::LateSender, None, src)
         }
-        self.req_xfer(req)
-            .filter(|x| self.retrans_xfers.contains(x))
-    }
-
-    /// The single wire transfer a request is waiting on, when identifiable.
-    fn req_xfer(&self, req: &Req) -> Option<u64> {
-        match req {
-            Req::SendEager { xfer, .. } | Req::SendRdvRead { xfer, .. } => Some(*xfer),
-            Req::SendRdvPipe { frags, .. } => frags.front().map(|&(x, _)| x),
-            Req::Recv {
-                reading: Some((x, _)),
-                ..
-            } => Some(*x),
-            Req::Recv { pipe: Some(pr), .. } => Some(pr.rest_xfer),
-            Req::Recv { .. } => None,
+        Req::SendRdvPipe {
+            frags,
+            all_posted,
+            peer,
+            ..
+        } => {
+            let lost = frags.iter().map(|&(x, _)| x).find(|x| retrans.contains(x));
+            match all_posted {
+                false => (2, WaitCause::RendezvousHandshake, lost, Some(*peer)),
+                true => (5, WaitCause::WireDrain, lost, Some(*peer)),
+            }
         }
+        Req::SendRdvRead { xfer, peer, .. } => {
+            (3, WaitCause::LateReceiver, Some(*xfer), Some(*peer))
+        }
+        Req::Recv(Recv::Reading { src, xfer, .. }) => {
+            (4, WaitCause::WireDrain, Some(*xfer), Some(*src))
+        }
+        Req::Recv(Recv::Landing { src, pipe, .. }) => {
+            (4, WaitCause::WireDrain, Some(pipe.rest_xfer), Some(*src))
+        }
+        Req::SendEager { xfer, peer, .. } => (6, WaitCause::EagerCopy, Some(*xfer), Some(*peer)),
+        Req::Recv(Recv::Done(_)) => unreachable!("a completed receive waits on nothing"),
+    };
+    match xfer {
+        Some(x) if retrans.contains(&x) => (0, WaitCause::AckRetransmit, xfer, peer),
+        _ => (prio, cause, xfer, peer),
     }
 }
 
