@@ -89,10 +89,23 @@ fn acquire_workers(want: usize) -> Workers {
     got
 }
 
+/// Run one item with its panic caught: a failing item must not stop its
+/// worker, and `std::thread::scope` would replace its message with "a scoped
+/// thread panicked". [`settle`] raises it again, in input order.
+fn caught<R>(f: impl FnOnce() -> R) -> std::thread::Result<R> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+}
+
+/// A [`caught`] result, or its panic raised again on this thread.
+fn settle<R>(res: std::thread::Result<R>) -> R {
+    res.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+}
+
 /// Order-preserving parallel map: apply `f` to every item, using up to the
 /// remaining `--jobs` budget worth of extra worker threads (the calling
 /// thread always participates). Results come back in input order, so output
 /// is identical to a serial `items.iter().map(f)` — only wall-clock changes.
+/// Once the workers stop, the first item panic in input order is raised.
 pub fn par_map<T, R, F>(items: &[T], f: F) -> Vec<R>
 where
     T: Sync,
@@ -108,13 +121,13 @@ where
         return items.iter().map(&f).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<_>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let work = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= n {
             break;
         }
-        let r = f(&items[i]);
+        let r = caught(|| f(&items[i]));
         *slots[i].lock().unwrap() = Some(r);
     };
     std::thread::scope(|s| {
@@ -125,7 +138,7 @@ where
     });
     slots
         .into_iter()
-        .map(|m| m.into_inner().unwrap().expect("par_map slot filled"))
+        .map(|m| settle(m.into_inner().unwrap().expect("par_map slot filled")))
         .collect()
 }
 
@@ -203,7 +216,7 @@ pub fn run_harnesses(
             break;
         }
         let h = harnesses[i];
-        let res = std::panic::catch_unwind(move || {
+        let res = caught(move || {
             let a0 = crate::alloc::snapshot();
             let t0 = Instant::now();
             let series = (h.run)();
@@ -236,13 +249,9 @@ pub fn run_harnesses(
             }
             let res = g[i].take().expect("slot ready");
             drop(g);
-            match res {
-                Ok(run) => {
-                    on_done(&run);
-                    out.push(run);
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
+            let run = settle(res);
+            on_done(&run);
+            out.push(run);
             g = done.lock().unwrap();
         }
         drop(g);

@@ -1,10 +1,12 @@
-//! A panic unwinding through the runner must hand its worker permits back.
+//! A panic unwinding through the runner must hand its worker permits back,
+//! and keep its message.
 //!
 //! In its own file (its own process): the budget is process-global and the
-//! tests in `runner_determinism.rs` call `set_jobs` unguarded.
+//! tests in `runner_determinism.rs` call `set_jobs` unguarded. The tests here
+//! take one lock for the same reason.
 
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use bench::{runner, Harness, HarnessKind, Series};
@@ -20,6 +22,11 @@ fn quiet() -> Series {
 
 fn boom() -> Series {
     panic!("boom")
+}
+
+fn budget() -> MutexGuard<'static, ()> {
+    static BUDGET: Mutex<()> = Mutex::new(());
+    BUDGET.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Distinct threads a 4-item `par_map` runs on. Each item holds its thread
@@ -39,6 +46,7 @@ fn par_map_threads() -> usize {
 
 #[test]
 fn panics_return_worker_permits() {
+    let _g = budget();
     // A budget of 2 is what the two-harness selection takes whole: leaking it
     // leaves nothing, and every later `par_map` runs inline.
     runner::set_jobs(2);
@@ -58,4 +66,32 @@ fn panics_return_worker_permits() {
     });
     assert!(caught.is_err(), "the item panic must propagate");
     assert!(par_map_threads() > 1, "par_map leaked its permits on panic");
+}
+
+/// A grid point that deadlocks on a worker thread must reach the caller with
+/// its message: `repro` exits 3 on "simulated deadlock", not 101.
+#[test]
+fn a_worker_panic_keeps_its_message() {
+    let _g = budget();
+    runner::set_jobs(4);
+    let caller = std::thread::current().id();
+    let caught = std::panic::catch_unwind(|| {
+        runner::par_map(&[(); 8], |_| {
+            if std::thread::current().id() == caller {
+                std::thread::sleep(Duration::from_millis(20));
+            } else {
+                panic!("simulated deadlock at t=0ns: on a worker");
+            }
+        })
+    });
+    let payload = caught.expect_err("the worker panic must propagate");
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or("");
+    assert!(
+        msg.starts_with("simulated deadlock"),
+        "payload lost: {msg:?}"
+    );
 }
