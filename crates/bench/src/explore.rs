@@ -504,12 +504,16 @@ pub fn explore_guided(sc: &Scenario, budget: usize, seed: u64) -> ExploreStats {
 // Shrinking and counterexamples
 // ---------------------------------------------------------------------------
 
-/// Does replaying `prefix` (canonical tail implied) reproduce `category`?
+/// Does replaying `prefix` (canonical tail implied) take every decision it
+/// names and reproduce `category`? The same test as [`Counterexample::replay`].
 fn reproduces(sc: &Scenario, prefix: &[ChoiceRec], category: &str) -> bool {
-    run_schedule(sc, Box::new(ReplayOracle::new(prefix.to_vec())))
-        .outcome
-        .category()
-        == category
+    let run = run_schedule(sc, Box::new(ReplayOracle::new(prefix.to_vec())));
+    run.outcome.category() == category && diverges(prefix, &run.choices).is_none()
+}
+
+/// The first index at which a run's recorded decisions `run` leave `prefix`.
+fn diverges(prefix: &[ChoiceRec], run: &[ChoiceRec]) -> Option<usize> {
+    (0..prefix.len()).find(|&i| run.get(i) != Some(&prefix[i]))
 }
 
 /// Shrink a failing decision sequence to a minimal divergent prefix that
@@ -614,17 +618,19 @@ impl Counterexample {
         }
     }
 
-    /// The choice prefix as oracle records.
-    pub fn choice_recs(&self) -> Vec<ChoiceRec> {
-        self.choices
-            .iter()
-            .filter(|t| t.len() == 3)
-            .map(|t| ChoiceRec {
-                kind: t[0] as u8,
-                arity: t[1] as u32,
-                choice: t[2] as u32,
-            })
-            .collect()
+    /// The choice prefix as oracle records, or which triple is malformed: a
+    /// `[kind, arity, choice]` needs one of the five `simcore::ChoicePoint`
+    /// kinds, an arity from 2 to `u32::MAX` and a choice below it.
+    pub fn choice_recs(&self) -> Result<Vec<ChoiceRec>, String> {
+        let rec = |(i, t): (usize, &Vec<u64>)| match **t {
+            [kind @ 0..=4, arity @ 2..=0xffff_ffff, choice] if choice < arity => Ok(ChoiceRec {
+                kind: kind as u8,
+                arity: arity as u32,
+                choice: choice as u32,
+            }),
+            _ => Err(format!("choices[{i}] {t:?} is malformed")),
+        };
+        self.choices.iter().enumerate().map(rec).collect()
     }
 
     /// Write the token under `dir` as `<scenario>.counterexample.json`.
@@ -639,9 +645,10 @@ impl Counterexample {
     /// Replay the token against the current scenario registry.
     ///
     /// Fails (with a message) when the schema version or fault seed no
-    /// longer match — the token describes a different configuration — or
-    /// when the replayed schedule does not reproduce the recorded outcome
-    /// category.
+    /// longer match — the token describes a different configuration — when
+    /// a choice triple is malformed, when the replayed schedule's decisions
+    /// do not begin with the token's, or when it does not reproduce the
+    /// recorded outcome category.
     pub fn replay(&self) -> Result<Outcome, String> {
         if self.schema_version != SCHEMA_VERSION {
             return Err(format!(
@@ -657,7 +664,11 @@ impl Counterexample {
                 self.fault_seed, sc.id, sc.net.faults.seed
             ));
         }
-        let run = run_schedule(&sc, Box::new(ReplayOracle::new(self.choice_recs())));
+        let prefix = self.choice_recs()?;
+        let run = run_schedule(&sc, Box::new(ReplayOracle::new(prefix.clone())));
+        if let Some(i) = diverges(&prefix, &run.choices) {
+            return Err(format!("the replay left the token's choices at index {i}"));
+        }
         if run.outcome.category() == self.category {
             Ok(run.outcome)
         } else {
@@ -789,6 +800,10 @@ pub fn cli_main(args: &[String]) -> i32 {
                 return 2;
             }
         };
+        if let Err(msg) = token.choice_recs() {
+            eprintln!("repro explore: {}: {msg}", path.display());
+            return 2;
+        }
         return match token.replay() {
             Ok(outcome) => {
                 println!(

@@ -6,7 +6,8 @@
 //!   minimal divergent prefix, and the written counterexample token
 //!   replays the deadlock deterministically,
 //! * replay refuses tokens whose schema version or fault seed no longer
-//!   match the current configuration.
+//!   match the current configuration, whose choice triples are malformed,
+//!   or whose choices the replayed run does not take.
 
 use bench::explore::{self, Counterexample, Outcome};
 use simcore::{RandomOracle, ReplayOracle};
@@ -211,4 +212,61 @@ fn cli_accepts_the_equals_form_of_value_flags() {
     assert_eq!(explore::cli_main(&args(&["list", "--budget", "5"])), 0);
     assert_eq!(explore::cli_main(&args(&["list", "--budget=x"])), 2);
     assert_eq!(explore::cli_main(&args(&["list", "--budget"])), 2);
+}
+
+/// A token for `scenario` under its current fault seed.
+fn token_text(scenario: &str, category: &str, choices: &str) -> String {
+    let sc = explore::find_scenario(scenario).expect("scenario registered");
+    format!(
+        r#"{{"schema_version": {}, "scenario": "{scenario}", "strategy": "random",
+            "category": "{category}", "description": "", "fault_seed": {},
+            "oracle_seed": 1, "choices": {choices}}}"#,
+        explore::SCHEMA_VERSION,
+        sc.net.faults.seed
+    )
+}
+
+/// `repro explore --replay` of `text`, written to a scratch file.
+fn replay_exit(name: &str, text: &str) -> i32 {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    std::fs::write(&path, text).expect("token written");
+    explore::cli_main(&["--replay".to_string(), path.display().to_string()])
+}
+
+/// A triple with the wrong length, a kind past the five choice kinds, an
+/// arity below 2, a choice at or past its arity, or a value past `u32` is
+/// refused as a usage error, naming the first bad index.
+#[test]
+fn replay_refuses_malformed_choice_triples() {
+    let text = token_text("deadlock", "deadlock", "[[9,2,1],[0,2],[300,5,4]]");
+    assert_eq!(replay_exit("malformed.counterexample.json", &text), 2);
+    for (choices, index) in [
+        ("[[9,2,1]]", 0),
+        ("[[4,2,1],[0,2]]", 1),
+        ("[[0,1,0]]", 0),
+        ("[[0,2,2]]", 0),
+        ("[[0,2,0],[1,4294967296,0]]", 1),
+    ] {
+        let token: Counterexample =
+            serde_json::from_str(&token_text("deadlock", "deadlock", choices)).expect("parses");
+        let err = token.choice_recs().expect_err(choices);
+        assert!(
+            err.starts_with(&format!("choices[{index}] ")),
+            "{choices}: {err}"
+        );
+        assert_eq!(token.replay().expect_err(choices), err);
+    }
+}
+
+/// A replay whose run does not take the token's decisions fails, naming
+/// where it left them: a flat fabric never consults a Route point (kind 3).
+#[test]
+fn replay_fails_when_the_run_leaves_the_token() {
+    let text = token_text("fig03ish", "clean", "[[3,4,3],[3,4,3],[1,2,1]]");
+    assert_eq!(replay_exit("route.counterexample.json", &text), 1);
+    let token: Counterexample = serde_json::from_str(&text).expect("parses");
+    let err = token
+        .replay()
+        .expect_err("the run never reaches a Route point");
+    assert!(err.contains("at index 0"), "{err}");
 }
