@@ -6,6 +6,7 @@
 //! take one lock for the same reason.
 
 use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -75,12 +76,17 @@ fn a_worker_panic_keeps_its_message() {
     let _g = budget();
     runner::set_jobs(4);
     let caller = std::thread::current().id();
+    let worker_ran = AtomicBool::new(false);
+    let deadline = Instant::now() + Duration::from_secs(2);
     let caught = std::panic::catch_unwind(|| {
         runner::par_map(&[(); 8], |_| {
-            if std::thread::current().id() == caller {
-                std::thread::sleep(Duration::from_millis(20));
-            } else {
+            if std::thread::current().id() != caller {
+                worker_ran.store(true, Ordering::SeqCst);
                 panic!("simulated deadlock at t=0ns: on a worker");
+            }
+            // Hold the calling thread until a worker has taken an item.
+            while !worker_ran.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
             }
         })
     });
