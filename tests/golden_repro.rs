@@ -145,47 +145,25 @@ fn fig03_trace_exports_match_golden_checksums() {
     let scoped: Vec<(String, &TraceBundle)> =
         bundles.iter().map(|b| (b.scope.clone(), b)).collect();
 
-    let golden = include_str!("goldens/fig03.trace.fnv");
-    let mut checked = 0;
-    for line in golden.lines() {
-        let mut parts = line.split_whitespace();
-        let (name, hash, len) = (
-            parts.next().expect("golden line: file name"),
-            parts.next().expect("golden line: fnv hash"),
-            parts.next().expect("golden line: byte length"),
-        );
-        let contents = match name {
-            "fig03.trace.json" => chrome_json(bundles),
-            "fig03.events.jsonl" => jsonl(bundles),
-            "fig03.attribution.json" => serde_json::to_string_pretty(
-                &bench::critpath::attribution_artifact("fig03", &scoped),
-            )
-            .expect("attribution artifact serializes"),
-            "fig03.critpath.folded" => bench::critpath::collapsed(&scoped),
-            "fig03.wait_states.json" => {
-                let waits: Vec<_> = scoped
-                    .iter()
-                    .map(|(scope, b)| bench::critpath::wait_states(scope, b))
-                    .collect();
-                serde_json::to_string(&waits).expect("wait states serialize")
-            }
-            other => panic!("unexpected golden entry {other}"),
-        };
-        assert_eq!(
-            contents.len().to_string(),
-            len,
-            "{name}: exported byte length changed"
-        );
-        assert_eq!(
-            format!("{:016x}", fnv1a64(contents.as_bytes())),
-            hash,
-            "{name}: exported contents changed"
-        );
-        checked += 1;
-    }
-    assert_eq!(
-        checked, 5,
-        "golden checksum file should list all five exports"
+    let waits: Vec<_> = scoped
+        .iter()
+        .map(|(scope, b)| bench::critpath::wait_states(scope, b))
+        .collect();
+    let attribution =
+        serde_json::to_string_pretty(&bench::critpath::attribution_artifact("fig03", &scoped))
+            .expect("attribution artifact serializes");
+    assert_digests(
+        include_str!("goldens/fig03.trace.fnv"),
+        &[
+            ("fig03.trace.json", chrome_json(bundles)),
+            ("fig03.events.jsonl", jsonl(bundles)),
+            ("fig03.attribution.json", attribution),
+            ("fig03.critpath.folded", bench::critpath::collapsed(&scoped)),
+            (
+                "fig03.wait_states.json",
+                serde_json::to_string(&waits).expect("wait states serialize"),
+            ),
+        ],
     );
 }
 
@@ -238,6 +216,7 @@ fn traced() -> RecorderOpts {
 /// collapsed stacks stay byte-identical to `goldens/waits.attribution.fnv`.
 #[test]
 fn blocking_causes_match_golden_checksums() {
+    let _g = global_lock();
     let transfers = [
         ("eager", 4usize << 10, MpiConfig::default()),
         ("pipelined", 384 << 10, MpiConfig::default()),
