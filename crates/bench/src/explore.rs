@@ -272,6 +272,7 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
     let table = default_xfer_table(&sc.net);
     let opts = SimOpts {
         max_events: Some(MAX_EVENTS_PER_SCHEDULE),
+        oracle: Some(handle.clone()),
         ..SimOpts::default()
     };
     let rec = RecorderOpts {
@@ -285,7 +286,6 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
         rec,
         table,
         opts,
-        Some(handle.clone()),
         sc.body,
     );
     let outcome = match res {

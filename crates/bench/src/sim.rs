@@ -128,7 +128,7 @@ where
     let (net, cfg, rec) = resolve(scope.is_some(), net.into(), cfg.into(), rec);
     let table = table(&net);
     let opts = SimOpts::default();
-    let out = or_die(run_mpi_with(nranks, net, cfg, rec, table, opts, None, body));
+    let out = or_die(run_mpi_with(nranks, net, cfg, rec, table, opts, body));
     if let Some(scope) = scope {
         crate::tracecap::record(scope, out.traces.clone(), &out.faults);
     }

@@ -220,17 +220,7 @@ impl EngineHandle {
         self.shared.push(t, Action::Token(token));
     }
 
-    /// Install a schedule oracle controlling the engine's nondeterminism
-    /// points (see [`crate::oracle`]). Like the token handler it must be
-    /// installed before [`crate::Simulation::run`], which snapshots it once
-    /// at startup; library layers query it per choice point via
-    /// [`EngineHandle::oracle`]. Without an oracle the engine takes its
-    /// original fixed-policy fast path.
-    pub fn set_oracle(&self, oracle: OracleHandle) {
-        *self.shared.oracle.lock() = Some(oracle);
-    }
-
-    /// The installed schedule oracle, if any.
+    /// The run's schedule oracle ([`SimOpts::oracle`]), if any.
     pub fn oracle(&self) -> Option<OracleHandle> {
         self.shared.oracle.lock().clone()
     }
@@ -272,14 +262,19 @@ pub enum RankRuntime {
     OsThreads,
 }
 
-/// Resource limits for a simulation run.
-#[derive(Debug, Clone, Copy, Default)]
+/// Resource limits and schedule control for a simulation run.
+#[derive(Clone, Default)]
 pub struct SimOpts {
     /// Abort with [`SimError::EventLimitExceeded`] after this many entries.
     pub max_events: Option<u64>,
     /// How to host rank continuations (performance-only knob; see
     /// [`RankRuntime`]).
     pub runtime: RankRuntime,
+    /// The schedule oracle controlling the engine's nondeterminism points
+    /// (see [`crate::oracle`]). Library layers query it per choice point
+    /// via [`EngineHandle::oracle`]. `None` takes the original fixed-policy
+    /// fast path.
+    pub oracle: Option<OracleHandle>,
 }
 
 /// Successful simulation result.
@@ -635,7 +630,8 @@ impl Simulation {
         // touching the registration mutex again.
         let mut wheel: TimingWheel<Action> = TimingWheel::new();
         let token_handler = self.shared.token_handler.lock().clone();
-        let oracle = self.shared.oracle.lock().clone();
+        let oracle = opts.oracle;
+        self.shared.oracle.lock().clone_from(&oracle);
 
         // Kick off every rank at t = 0.
         for r in 0..n {

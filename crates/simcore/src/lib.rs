@@ -43,7 +43,7 @@
 //!
 //! The fixed tie-break policy is one schedule out of many a real system
 //! could exhibit. Installing a [`ScheduleOracle`] (via
-//! [`EngineHandle::set_oracle`]) turns every tie-break into an explicit,
+//! [`SimOpts::oracle`]) turns every tie-break into an explicit,
 //! recorded choice point, so a model checker can enumerate, randomize, or
 //! replay schedules — see the [`oracle`] module.
 //!
@@ -72,7 +72,6 @@ mod engine;
 mod error;
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub(crate) mod fiber;
-mod intervals;
 pub mod oracle;
 mod rank;
 pub mod sched;

@@ -220,7 +220,7 @@ struct OracleCell {
 }
 
 /// Shared, recording wrapper around a [`ScheduleOracle`], installable into a
-/// simulation via [`crate::EngineHandle::set_oracle`].
+/// simulation via [`crate::SimOpts::oracle`].
 ///
 /// Every consulted point is appended to an internal trace of
 /// [`ChoiceRec`]s, so after a run the exact schedule can be read back with

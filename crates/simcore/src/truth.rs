@@ -5,7 +5,6 @@
 //! computation that physically overlapped each data transfer, which lets the
 //! test suite validate the instrumentation's min/max bounds.
 
-use crate::intervals::IntervalSet;
 use crate::time::Time;
 
 /// What a rank was doing during an interval of virtual time.
@@ -62,21 +61,20 @@ impl ActivityLog {
             .sum()
     }
 
-    /// The set of intervals attributed to `kind`.
-    fn intervals(&self, kind: Activity) -> IntervalSet {
-        let mut set = IntervalSet::new();
-        for &(s, e, k) in &self.entries {
-            if k == kind {
-                set.push(s, e);
-            }
-        }
-        set
-    }
-
     /// Ground-truth overlap: how much of `[start, end)` coincided with user
-    /// computation on this rank.
+    /// computation on this rank. The entries are sorted and disjoint, so a
+    /// binary search finds the first one that ends after `start`.
     pub fn compute_overlap_with(&self, start: Time, end: Time) -> u64 {
-        self.intervals(Activity::Compute).overlap_with(start, end)
+        if start >= end {
+            return 0;
+        }
+        let first = self.entries.partition_point(|&(_, e, _)| e <= start);
+        self.entries[first..]
+            .iter()
+            .take_while(|&&(s, _, _)| s < end)
+            .filter(|&&(_, _, k)| k == Activity::Compute)
+            .map(|&(s, e, _)| e.min(end) - s.max(start))
+            .sum()
     }
 }
 

@@ -88,9 +88,6 @@ pub fn run(
     let sim = Simulation::new(ranks);
     let handle = sim.handle();
     let oracle = oracle_seed.map(|seed| OracleHandle::new(Box::new(RandomOracle::new(seed))));
-    if let Some(orc) = &oracle {
-        handle.set_oracle(orc.clone());
-    }
     let mailbox: Arc<Vec<AtomicBool>> =
         Arc::new((0..ranks).map(|_| AtomicBool::new(false)).collect());
     for &(t, r) in deliveries {
@@ -106,6 +103,7 @@ pub fn run(
         .run(
             SimOpts {
                 runtime,
+                oracle: oracle.clone(),
                 ..SimOpts::default()
             },
             move |ctx| {

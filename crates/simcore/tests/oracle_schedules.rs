@@ -12,7 +12,6 @@ use simcore::{OracleHandle, RandomOracle, ReplayOracle, SimOpts, Simulation};
 fn run_tied_workload(oracle: Option<OracleHandle>) -> (Vec<u32>, u64, Option<OracleHandle>) {
     let sim = Simulation::new(3);
     let handle = sim.handle();
-    let installed = oracle.inspect(|o| handle.set_oracle(o.clone()));
     let seen: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
     for wave in 0..4u64 {
         for i in 0..5u32 {
@@ -29,13 +28,19 @@ fn run_tied_workload(oracle: Option<OracleHandle>) -> (Vec<u32>, u64, Option<Ora
         }
     }
     let out = sim
-        .run(SimOpts::default(), |ctx| {
-            ctx.compute(50 * (ctx.rank() as u64 + 1));
-            ctx.compute(350);
-        })
+        .run(
+            SimOpts {
+                oracle: oracle.clone(),
+                ..SimOpts::default()
+            },
+            |ctx| {
+                ctx.compute(50 * (ctx.rank() as u64 + 1));
+                ctx.compute(350);
+            },
+        )
         .unwrap();
     let order = seen.lock().clone();
-    (order, out.end_time, installed)
+    (order, out.end_time, oracle)
 }
 
 #[test]

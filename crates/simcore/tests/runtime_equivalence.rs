@@ -18,9 +18,10 @@ use simcore::{
     Activity, ChoiceRec, OracleHandle, RandomOracle, RankRuntime, SimOpts, Simulation, Time,
 };
 
-fn opts(runtime: RankRuntime) -> SimOpts {
+fn opts(runtime: RankRuntime, oracle: Option<OracleHandle>) -> SimOpts {
     SimOpts {
         runtime,
+        oracle,
         ..SimOpts::default()
     }
 }
@@ -53,9 +54,6 @@ fn run_workload(
         sink.lock().push(tok);
     });
     let oracle = oracle_seed.map(|seed| OracleHandle::new(Box::new(RandomOracle::new(seed))));
-    if let Some(orc) = &oracle {
-        handle.set_oracle(orc.clone());
-    }
     for &(t, tok) in events {
         handle.schedule_token(t, tok);
         // Every event also wakes rank 0, the only rank that parks, so the
@@ -66,7 +64,7 @@ fn run_workload(
     handle.schedule_at(max_t + 1, |h| h.wake_rank(0));
     let segs: Vec<(u64, bool)> = segments.to_vec();
     let out = sim
-        .run(opts(runtime), move |ctx| {
+        .run(opts(runtime, oracle.clone()), move |ctx| {
             if ctx.rank() == 0 {
                 ctx.park();
             }
@@ -146,14 +144,13 @@ proptest! {
                 sink.lock().push(tok);
             });
             let oracle = OracleHandle::new(Box::new(RandomOracle::new(seed)));
-            handle.set_oracle(oracle.clone());
             for &(t, tok) in &events {
                 handle.schedule_token(t, tok);
             }
             let slices = slices.clone();
             let orc = oracle.clone();
             let out = sim
-                .run(opts(runtime), move |ctx| {
+                .run(opts(runtime, Some(oracle.clone())), move |ctx| {
                     let rank = ctx.rank();
                     for (i, &d) in slices.iter().enumerate() {
                         ctx.compute(d);

@@ -250,16 +250,14 @@ where
 {
     let table = default_xfer_table(&net);
     let opts = SimOpts::default();
-    run_mpi_with(nranks, net, mpi_cfg, rec_opts, table, opts, None, body)
+    run_mpi_with(nranks, net, mpi_cfg, rec_opts, table, opts, body)
 }
 
-/// Full-control variant of [`run_mpi`]: custom transfer-time table, engine
-/// limits and an optional schedule oracle. When `oracle` is `Some`, every
-/// engine nondeterminism point (same-time event ties, progress-poll drain
-/// order, fault-timing jitter) is resolved by the oracle and recorded in its
-/// trace, so the schedule can be replayed or perturbed. `None` runs the
-/// untouched canonical path.
-#[allow(clippy::too_many_arguments)]
+/// Full-control variant of [`run_mpi`]: custom transfer-time table and
+/// engine options. With [`SimOpts::oracle`] set, every engine nondeterminism
+/// point (same-time event ties, progress-poll drain order, fault-timing
+/// jitter) is resolved by the oracle and recorded in its trace, so the
+/// schedule can be replayed or perturbed.
 pub fn run_mpi_with<F>(
     nranks: usize,
     net: NetConfig,
@@ -267,16 +265,12 @@ pub fn run_mpi_with<F>(
     rec_opts: RecorderOpts,
     table: XferTimeTable,
     opts: SimOpts,
-    oracle: Option<simcore::OracleHandle>,
     body: F,
 ) -> Result<RunOutcome, SimError>
 where
     F: Fn(&mut Mpi) + Send + Sync + 'static,
 {
     let cluster = Cluster::new(nranks, net);
-    if let Some(orc) = oracle {
-        cluster.handle().set_oracle(orc);
-    }
     // Per-run values, built once; each rank's clone is a refcount bump.
     let mpi_cfg = Arc::new(mpi_cfg);
     let (out, per_rank) = cluster.run_collect(opts, move |ctx, world| {

@@ -43,9 +43,9 @@ proptest! {
         let table = default_xfer_table(&net);
         let opts = SimOpts {
             max_events: Some(2_000_000),
+            oracle: Some(OracleHandle::new(Box::new(RandomOracle::new(seed)))),
             ..SimOpts::default()
         };
-        let oracle = OracleHandle::new(Box::new(RandomOracle::new(seed)));
         let out = run_mpi_with(
             2,
             net,
@@ -56,7 +56,6 @@ proptest! {
             },
             table,
             opts,
-            Some(oracle),
             |mpi| {
                 let msg = vec![0x42u8; 4 << 10];
                 for i in 0..REPS {

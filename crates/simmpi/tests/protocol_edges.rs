@@ -188,7 +188,6 @@ fn zero_poll_interval_is_refused_not_spun_on() {
             max_events: Some(200_000),
             ..Default::default()
         },
-        None,
         |mpi| mpi.compute(1_000),
     )
     .expect_err("a zero poll interval must be refused");

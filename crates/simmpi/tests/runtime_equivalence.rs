@@ -63,6 +63,7 @@ fn fingerprint_model(
     let oracle = oracle_seed.map(|seed| OracleHandle::new(Box::new(RandomOracle::new(seed))));
     let opts = SimOpts {
         runtime,
+        oracle: oracle.clone(),
         ..SimOpts::default()
     };
     let sizes: Vec<usize> = sizes.to_vec();
@@ -77,7 +78,6 @@ fn fingerprint_model(
         RecorderOpts::default(),
         default_xfer_table(net),
         opts,
-        oracle.clone(),
         move |mpi| workload(mpi, &sizes),
     )
     .expect("run completes under both runtimes");
@@ -102,7 +102,6 @@ fn deadlock_text(
             runtime,
             ..SimOpts::default()
         },
-        None,
         body,
     )
     .expect_err("the program deadlocks");

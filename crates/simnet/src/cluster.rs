@@ -41,12 +41,6 @@ impl Cluster {
         self.world.clone()
     }
 
-    /// The engine handle (e.g. to install a schedule oracle with
-    /// [`simcore::EngineHandle::set_oracle`] before [`Cluster::run`]).
-    pub fn handle(&self) -> simcore::EngineHandle {
-        self.sim.handle()
-    }
-
     /// Run `body` once per rank; returns outcome plus ground truth.
     pub fn run<F>(self, opts: SimOpts, body: F) -> Result<ClusterOutcome, SimError>
     where

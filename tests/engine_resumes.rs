@@ -49,7 +49,6 @@ fn halo(runtime: RankRuntime) -> RunOutcome {
         rec,
         table,
         opts,
-        None,
         |mpi| {
             let me = mpi.rank();
             let (x, y) = (me % SIDE, me / SIDE);

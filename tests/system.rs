@@ -93,7 +93,6 @@ fn xfer_table_roundtrips_through_disk_and_drives_bounds() {
         RecorderOpts::default(),
         loaded,
         SimOpts::default(),
-        None,
         |mpi| {
             if mpi.rank() == 0 {
                 let r = mpi.isend(1, 0, &[1u8; 10 << 10]);
