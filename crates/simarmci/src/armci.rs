@@ -14,10 +14,9 @@ const PT_MSG: u16 = 20;
 
 /// Completion correlation kinds.
 const WK_IGNORE: u64 = 0;
-const WK_PUT: u64 = 1;
-const WK_GET: u64 = 2;
+const WK_OP: u64 = 1;
 
-/// Handle to a non-blocking one-sided operation.
+/// Handle to a non-blocking one-sided operation: its fabric transfer id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NbHandle(u64);
 
@@ -30,12 +29,12 @@ pub struct GlobalMem {
     seg_len: usize,
 }
 
-struct HandleState {
-    done: bool,
-    /// (xfer id, len) for the END stamp at completion.
-    stamp: (u64, u64),
-    /// Fetched data for gets.
-    data: Option<Bytes>,
+/// A posted one-sided operation, keyed by its transfer id.
+enum Op {
+    /// Posted; its length for the END stamp at completion.
+    InFlight(u64),
+    /// Completed; a get's fetched data.
+    Done(Option<Bytes>),
 }
 
 /// The per-rank ARMCI library endpoint.
@@ -46,8 +45,7 @@ pub struct Armci<'a> {
     rec: Recorder,
     rank: usize,
     nranks: usize,
-    handles: HashMap<u64, HandleState>,
-    next_handle: u64,
+    ops: HashMap<u64, Op>,
     /// Internal message layer receive buffer.
     msgs: VecDeque<(usize, u64, Bytes)>,
     coll_seq: u64,
@@ -74,8 +72,7 @@ impl<'a> Armci<'a> {
             rec,
             rank,
             nranks,
-            handles: HashMap::new(),
-            next_handle: 0,
+            ops: HashMap::new(),
             msgs: VecDeque::new(),
             coll_seq: 0,
         };
@@ -257,12 +254,6 @@ impl<'a> Armci<'a> {
         self.ctx.busy(d, Activity::Library);
     }
 
-    fn alloc_handle(&mut self) -> u64 {
-        let h = self.next_handle;
-        self.next_handle += 1;
-        h
-    }
-
     fn alloc_coll_tag(&mut self) -> u64 {
         let t = self.coll_seq;
         self.coll_seq += 1;
@@ -274,66 +265,56 @@ impl<'a> Armci<'a> {
         let len = data.len() as u64;
         assert!(off + data.len() <= mem.seg_len, "put out of segment bounds");
         self.lib_busy(self.net.post_cost);
-        let h = self.alloc_handle();
-        let xfer;
-        {
-            let mut w = self.world.lock();
-            let x = w.alloc_xfer_id();
-            xfer = x.0;
-            w.post_rdma_write(
-                self.rank,
-                dst,
-                mem.regions[dst],
-                off,
-                data,
-                pack_user(WK_PUT, h),
-                None,
-                Some(x),
-            );
-        }
-        self.track(h, xfer, len)
+        let mut w = self.world.lock();
+        let x = w.alloc_xfer_id();
+        w.post_rdma_write(
+            self.rank,
+            dst,
+            mem.regions[dst],
+            off,
+            data,
+            pack_user(WK_OP, x.0),
+            None,
+            Some(x),
+        );
+        drop(w);
+        self.track(x.0, len)
     }
 
     fn get_inner(&mut self, mem: &GlobalMem, src: usize, off: usize, len: usize) -> NbHandle {
         self.progress();
         assert!(off + len <= mem.seg_len, "get out of segment bounds");
         self.lib_busy(self.net.post_cost);
-        let h = self.alloc_handle();
-        let xfer;
-        {
-            let mut w = self.world.lock();
-            let x = w.alloc_xfer_id();
-            xfer = x.0;
-            w.post_rdma_read(
-                self.rank,
-                src,
-                mem.regions[src],
-                off,
-                len,
-                pack_user(WK_GET, h),
-                None,
-                Some(x),
-            );
-        }
-        self.track(h, xfer, len as u64)
+        let mut w = self.world.lock();
+        let x = w.alloc_xfer_id();
+        w.post_rdma_read(
+            self.rank,
+            src,
+            mem.regions[src],
+            off,
+            len,
+            pack_user(WK_OP, x.0),
+            None,
+            Some(x),
+        );
+        drop(w);
+        self.track(x.0, len as u64)
     }
 
-    /// Start tracking posted operation `h`: stamp the transfer's BEGIN (its
-    /// END is stamped at completion).
-    fn track(&mut self, h: u64, xfer: u64, len: u64) -> NbHandle {
+    /// Start tracking the operation posted as transfer `xfer`: stamp its
+    /// BEGIN (its END is stamped at completion).
+    fn track(&mut self, xfer: u64, len: u64) -> NbHandle {
         self.rec.xfer_begin(xfer, len);
-        let state = HandleState {
-            done: false,
-            stamp: (xfer, len),
-            data: None,
-        };
-        self.handles.insert(h, state);
-        NbHandle(h)
+        self.ops.insert(xfer, Op::InFlight(len));
+        NbHandle(xfer)
     }
 
     fn wait_inner(&mut self, h: NbHandle) -> Option<Bytes> {
-        self.progress_until(|a| a.handles.get(&h.0).expect("unknown handle").done);
-        self.handles.remove(&h.0).unwrap().data
+        self.progress_until(|a| matches!(a.ops.get(&h.0).expect("unknown handle"), Op::Done(_)));
+        match self.ops.remove(&h.0) {
+            Some(Op::Done(data)) => data,
+            _ => unreachable!("progress_until returned before the operation completed"),
+        }
     }
 
     /// The body of every blocking call: poll and drain until `done` holds,
@@ -384,17 +365,18 @@ impl<'a> Armci<'a> {
             match item {
                 None => break,
                 Some(Item::C(c)) => {
-                    let (kind, h) = unpack_user(c.user);
+                    let (kind, xfer) = unpack_user(c.user);
                     match kind {
                         WK_IGNORE => {}
-                        WK_PUT | WK_GET => {
-                            let st = self
-                                .handles
-                                .get_mut(&h)
+                        WK_OP => {
+                            let op = self
+                                .ops
+                                .get_mut(&xfer)
                                 .expect("completion for unknown handle");
-                            st.done = true;
-                            st.data = c.data;
-                            let (xfer, len) = st.stamp;
+                            let Op::InFlight(len) = *op else {
+                                panic!("transfer {xfer} completed twice");
+                            };
+                            *op = Op::Done(c.data);
                             self.rec.xfer_end(xfer, len);
                         }
                         other => panic!("unknown ARMCI completion kind {other}"),
