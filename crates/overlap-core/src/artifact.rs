@@ -198,8 +198,10 @@ pub fn wait_states(views: &[ScopeView<'_>]) -> Vec<ScopeWaitStates> {
 
 /// One rank's totals, from the attribution walk with no record kept.
 fn rank_wait_states(r: &RankView<'_>) -> RankWaitStates {
-    let mut nonoverlap_ns = 0;
-    let causes = attribution::each_record(r, |rec| nonoverlap_ns += rec.nonoverlap);
+    let mut nonoverlap_ns = 0u64;
+    let causes = attribution::each_record(r, |rec| {
+        nonoverlap_ns = nonoverlap_ns.saturating_add(rec.nonoverlap);
+    });
     RankWaitStates {
         rank: r.rank,
         wait_intervals: r.waits.len(),
@@ -225,7 +227,9 @@ pub fn attribution_artifact(id: &str, views: &[ScopeView<'_>]) -> AttributionArt
                     overhead.events += r.events;
                     overhead.bound_records += attr.records.len() as u64;
                     overhead.wait_intervals += r.waits.len() as u64;
-                    overhead.attributed_ns += attr.total_nonoverlap();
+                    overhead.attributed_ns = overhead
+                        .attributed_ns
+                        .saturating_add(attr.total_nonoverlap());
                     RankAttributionJson {
                         rank: r.rank,
                         wait_intervals: r.waits.len(),
@@ -268,7 +272,8 @@ pub fn collapsed(views: &[ScopeView<'_>]) -> String {
                     .iter()
                     .find(|&&(s, e, _)| s <= w.start && w.start < e)
                     .map_or("(outside-call)", |&(_, _, name)| name);
-                *weights.entry((r.rank, call, w.cause)).or_insert(0) += w.end - w.start;
+                let ns = weights.entry((r.rank, call, w.cause)).or_insert(0);
+                *ns = ns.saturating_add(w.end - w.start);
             }
         }
         // Each key formatted once; the lines sort by those bytes.

@@ -242,7 +242,9 @@ impl RankAttribution {
     /// Σ `nonoverlap` over all records — equals the rank report's
     /// `total.nonoverlapped_min()` when the trace covers the whole run.
     pub(crate) fn total_nonoverlap(&self) -> u64 {
-        self.records.iter().map(|r| r.nonoverlap).sum()
+        self.records
+            .iter()
+            .fold(0, |acc: u64, r| acc.saturating_add(r.nonoverlap))
     }
 }
 
@@ -408,7 +410,7 @@ fn attribute_over<'a>(
             breakdown.0[WaitCause::TableExcess.idx()] += remaining;
         }
         for (total, ns) in totals.0.iter_mut().zip(breakdown.0) {
-            *total += ns;
+            *total = total.saturating_add(ns);
         }
         sink(CauseRecord {
             id: b.id,

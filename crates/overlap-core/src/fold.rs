@@ -262,7 +262,7 @@ impl RankFold {
                         let c = self.calls.entry(name).or_default();
                         c.count += 1;
                         let dt = e.t.saturating_sub(t0);
-                        c.total_time += dt;
+                        c.total_time = c.total_time.saturating_add(dt);
                         self.builtin.calls_completed += 1;
                         observe(&mut self.builtin.call_latency_ns, dt);
                     }

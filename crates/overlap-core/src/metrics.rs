@@ -96,9 +96,9 @@ impl Histogram {
     fn merge(&mut self, o: &Histogram) {
         assert_eq!(self.edges, o.edges, "histogram bucket layouts differ");
         for (a, b) in self.counts.iter_mut().zip(&o.counts) {
-            *a += b;
+            *a = a.saturating_add(*b);
         }
-        self.count += o.count;
+        self.count = self.count.saturating_add(o.count);
         self.sum = self.sum.saturating_add(o.sum);
         self.min = self.min.min(o.min);
         self.max = self.max.max(o.max);
@@ -154,9 +154,11 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Add `by` to counter `name` (creating it at 0).
+    /// Add `by` to counter `name` (creating it at 0), saturating at
+    /// `u64::MAX`.
     pub fn inc(&mut self, name: impl Borrow<str> + Into<Arc<str>>, by: u64) {
-        *entry(&mut self.counters, name, || 0) += by;
+        let c = entry(&mut self.counters, name, || 0);
+        *c = c.saturating_add(by);
     }
 
     /// Record `v` into histogram `name`, creating it with `mk` on first use.

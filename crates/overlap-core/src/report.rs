@@ -39,13 +39,14 @@ pub struct OverlapStats {
 }
 
 impl OverlapStats {
-    /// Fold one transfer's bounds into the aggregate.
+    /// Fold one transfer's bounds into the aggregate. Sums saturate at
+    /// `u64::MAX`: a streamed record can carry any `u64`.
     pub(crate) fn add_bounds(&mut self, bytes: u64, xfer_time: u64, b: OverlapBounds) {
         self.transfers += 1;
-        self.bytes += bytes;
-        self.data_transfer_time += xfer_time;
-        self.min_overlap += b.min;
-        self.max_overlap += b.max;
+        self.bytes = self.bytes.saturating_add(bytes);
+        self.data_transfer_time = self.data_transfer_time.saturating_add(xfer_time);
+        self.min_overlap = self.min_overlap.saturating_add(b.min);
+        self.max_overlap = self.max_overlap.saturating_add(b.max);
         match b.case {
             XferCase::SameCall => self.case_same_call += 1,
             XferCase::SplitCalls => self.case_split_calls += 1,
@@ -53,18 +54,18 @@ impl OverlapStats {
         }
     }
 
-    /// Merge another aggregate into this one.
+    /// Merge another aggregate into this one, every sum saturating.
     pub fn merge(&mut self, o: &OverlapStats) {
-        self.transfers += o.transfers;
-        self.bytes += o.bytes;
-        self.data_transfer_time += o.data_transfer_time;
-        self.min_overlap += o.min_overlap;
-        self.max_overlap += o.max_overlap;
-        self.case_same_call += o.case_same_call;
-        self.case_split_calls += o.case_split_calls;
-        self.case_single_stamp += o.case_single_stamp;
-        self.flagged += o.flagged;
-        self.clamped += o.clamped;
+        self.transfers = self.transfers.saturating_add(o.transfers);
+        self.bytes = self.bytes.saturating_add(o.bytes);
+        self.data_transfer_time = self.data_transfer_time.saturating_add(o.data_transfer_time);
+        self.min_overlap = self.min_overlap.saturating_add(o.min_overlap);
+        self.max_overlap = self.max_overlap.saturating_add(o.max_overlap);
+        self.case_same_call = self.case_same_call.saturating_add(o.case_same_call);
+        self.case_split_calls = self.case_split_calls.saturating_add(o.case_split_calls);
+        self.case_single_stamp = self.case_single_stamp.saturating_add(o.case_single_stamp);
+        self.flagged = self.flagged.saturating_add(o.flagged);
+        self.clamped = self.clamped.saturating_add(o.clamped);
     }
 
     /// Note that one of the folded transfers was flagged as fault-disturbed.

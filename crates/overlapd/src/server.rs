@@ -707,6 +707,27 @@ mod tests {
         }
     }
 
+    /// Two bound records of 2^63 ns each: the sums saturate, and both the
+    /// session's report and the fleet view still serve.
+    #[test]
+    fn bounds_at_the_top_of_u64_still_serve() {
+        let service = Service::default();
+        let bound = |id| {
+            let half = 1u64 << 63;
+            format!(
+                r#"{{"scope":"s","rank":0,"t":{half},"ev":"xfer_bounds","id":{id},"bytes":1,"begin_t":0,"xfer_time":{half},"min":0,"max":0,"case":"split_calls","flagged":false,"clamped":false}}"#
+            )
+        };
+        let body = format!("{HEADER}{}\n{}\n", bound(1), bound(2));
+        let (status, reply) = parsed(&talk(&service, &with_length("s", body.as_bytes()), 512));
+        assert_eq!((status, reply.as_str()), (200, "ok events=0\n"));
+        for path in ["/v1/sessions/s/report", "/v1/fleet"] {
+            let (status, reply) = get(&service, path);
+            assert_eq!(status, 200, "{path}: {reply}");
+            assert!(reply.contains(&u64::MAX.to_string()), "{path}: {reply}");
+        }
+    }
+
     #[test]
     fn a_panicking_handler_is_counted_out() {
         let service = Arc::new(Service::default());
