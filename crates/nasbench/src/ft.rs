@@ -8,12 +8,15 @@
 //! the little overlap it does report comes from the short `Reduce`/`Bcast`
 //! messages of the checksum step.
 //!
-//! Memory substitution: class payloads are generated once per run at
-//! `1/vol_scale` of the true volume (the true class-A array alone is 134 MB
-//! per transpose) and every transpose sends them by reference; the *compute
-//! model* uses the unscaled point counts. The scaled messages remain deep in
-//! the rendezvous regime, so the overlap behaviour is unchanged (see
-//! `DESIGN.md`).
+//! Memory substitution: class payloads are sized at `1/vol_scale` of the
+//! true volume (the true class-A array alone is 134 MB per transpose); the
+//! *compute model* uses the unscaled point counts. The scaled messages
+//! remain deep in the rendezvous regime, so the overlap behaviour is
+//! unchanged (see `DESIGN.md`). A rank's `np` blocks are slices of one ramp
+//! buffer built once per run (`ramp_blocks`), so it holds about `block + np`
+//! payload bytes rather than `np·block`; every transpose sends the slices by
+//! reference, and each received block is checked byte for byte against what
+//! its sender built.
 
 use simmpi::{Bytes, Mpi, ReduceOp};
 
@@ -63,9 +66,7 @@ pub(crate) fn run_ft(mpi: &mut Mpi, class: Class, nonblocking: bool) {
 
     // The transpose's blocks, built once per run; every alltoall sends them
     // by reference.
-    let blocks: Vec<Bytes> = (0..np)
-        .map(|d| Bytes::from(vec![(me * np + d) as u8; block_bytes]))
-        .collect();
+    let blocks = crate::ramp_blocks(me, np, block_bytes);
 
     for _ in 0..ITERATIONS {
         // evolve: pointwise exponential factors.
@@ -87,9 +88,8 @@ pub(crate) fn run_ft(mpi: &mut Mpi, class: Class, nonblocking: bool) {
             mpi.alltoall(&blocks)
         };
         for (src, b) in got.iter().enumerate() {
-            assert_eq!(b.len(), block_bytes);
             assert!(
-                crate::filled_with(b, (src * np + me) as u8),
+                crate::is_ramp_block(b, src, me, np, block_bytes),
                 "transpose corrupted"
             );
         }

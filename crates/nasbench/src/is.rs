@@ -6,6 +6,10 @@
 //! its figures because "it exhibits similar overlap behavior to FT" — long
 //! blocking collective transfers with no computation to hide them — which
 //! this kernel reproduces.
+//!
+//! The key blocks are built as FT's are (slices of one ramp buffer per rank),
+//! and each received block must be exactly the one its sender built for
+//! this rank, length and every byte.
 
 use simmpi::{Bytes, Mpi, ReduceOp};
 
@@ -38,9 +42,7 @@ pub(crate) fn run_is(mpi: &mut Mpi, class: Class) {
     let key_block = ((local_keys as usize / np) * 4) / vol_scale;
     // Both exchanges' blocks, built once per run and sent by reference.
     let size_blocks = vec![Bytes::from(vec![0u8; np * 4]); np];
-    let key_blocks: Vec<Bytes> = (0..np)
-        .map(|d| Bytes::from(vec![(me + d) as u8; key_block]))
-        .collect();
+    let key_blocks = crate::ramp_blocks(me, np, key_block);
 
     for _ in 0..ITERATIONS {
         // Local key counting/ranking.
@@ -50,7 +52,7 @@ pub(crate) fn run_is(mpi: &mut Mpi, class: Class) {
         // Key exchange: medium blocks.
         let got = mpi.alltoall(&key_blocks);
         for (src, b) in got.iter().enumerate() {
-            assert!(crate::filled_with(b, (src + me) as u8));
+            assert!(crate::is_ramp_block(b, src, me, np, key_block));
         }
         // Local re-ranking of received keys.
         mpi.compute(rank_ns / 2);
@@ -68,5 +70,18 @@ mod tests {
         assert_eq!(crate::ep::m(Class::A), 28);
         assert_eq!(m(Class::A), 23);
         assert_eq!(m(Class::B), 25);
+    }
+
+    #[test]
+    fn a_short_or_reflected_key_block_is_refused() {
+        let (np, me, src, len) = (4, 1, 3, 512);
+        let from_src = &crate::ramp_blocks(src, np, len)[me];
+        assert!(crate::is_ramp_block(from_src, src, me, np, len));
+        // The block this rank built for `src`, handed back as `src`'s.
+        let own = &crate::ramp_blocks(me, np, len)[src];
+        assert!(!crate::is_ramp_block(own, src, me, np, len), "reflected");
+        let short = &from_src[..len / 2];
+        assert!(!crate::is_ramp_block(short, src, me, np, len), "truncated");
+        assert!(!crate::is_ramp_block(&[], src, me, np, len), "empty");
     }
 }

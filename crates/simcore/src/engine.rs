@@ -60,7 +60,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering as AtomicOrdering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crossbeam::channel::{bounded, Receiver, Sender};
 use parking_lot::Mutex;
@@ -142,7 +142,8 @@ pub(crate) struct EngineShared {
     seq: AtomicU64,
     cells: Box<[RankCell]>,
     token_handler: Mutex<Option<TokenHandler>>,
-    oracle: Mutex<Option<OracleHandle>>,
+    /// Set once, by [`Simulation::run`] (which consumes the simulation).
+    oracle: OnceLock<OracleHandle>,
 }
 
 impl EngineShared {
@@ -221,8 +222,8 @@ impl EngineHandle {
     }
 
     /// The run's schedule oracle ([`SimOpts::oracle`]), if any.
-    pub fn oracle(&self) -> Option<OracleHandle> {
-        self.shared.oracle.lock().clone()
+    pub fn oracle(&self) -> Option<&OracleHandle> {
+        self.shared.oracle.get()
     }
 
     /// Wake rank `r` if it is parked. No-op for running, sleeping (a rank
@@ -562,7 +563,7 @@ impl Simulation {
                 seq: AtomicU64::new(0),
                 cells: (0..nranks).map(|_| RankCell::new()).collect(),
                 token_handler: Mutex::new(None),
-                oracle: Mutex::new(None),
+                oracle: OnceLock::new(),
             }),
             nranks,
             fail_spawn: None,
@@ -631,7 +632,9 @@ impl Simulation {
         let mut wheel: TimingWheel<Action> = TimingWheel::new();
         let token_handler = self.shared.token_handler.lock().clone();
         let oracle = opts.oracle;
-        self.shared.oracle.lock().clone_from(&oracle);
+        if let Some(orc) = &oracle {
+            let _ = self.shared.oracle.set(orc.clone());
+        }
 
         // Kick off every rank at t = 0.
         for r in 0..n {

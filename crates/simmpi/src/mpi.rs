@@ -240,7 +240,7 @@ impl<'a> Mpi<'a> {
             net.ctrl_packet_bytes,
             ctx.handle(),
         );
-        let oracle = ctx.handle().oracle();
+        let oracle = ctx.handle().oracle().cloned();
         let mut mpi = Mpi {
             ctx,
             world,
