@@ -391,30 +391,33 @@ pub fn ablation_bandwidth() -> Series {
 pub fn extra_nas_bins() -> Series {
     use nasbench::runner::NasBenchmark;
     use nasbench::Class;
-    let mut rows = Vec::new();
-    for bench in [
+    let benches = [
         NasBenchmark::Bt,
         NasBenchmark::Cg,
         NasBenchmark::Lu,
         NasBenchmark::Ft,
         NasBenchmark::Sp,
-    ] {
+    ];
+    let rows = crate::runner::par_map(&benches, |&bench| {
         let art = sim::nas(None, bench, Class::A, 4, RecorderOpts::default());
         let r = &art.reports[0];
-        for (label, b) in r.bin_labels.iter().zip(&r.by_bin) {
-            if b.transfers == 0 {
-                continue;
-            }
-            rows.push(vec![
-                bench.name().to_string(),
-                label.clone(),
-                b.transfers.to_string(),
-                pct(b.min_pct()),
-                pct(b.max_pct()),
-                format!("{:.2}", b.nonoverlapped_min() as f64 / 1e6),
-            ]);
-        }
-    }
+        r.bin_labels
+            .iter()
+            .zip(&r.by_bin)
+            .filter(|(_, b)| b.transfers > 0)
+            .map(|(label, b)| {
+                vec![
+                    bench.name().to_string(),
+                    label.clone(),
+                    b.transfers.to_string(),
+                    pct(b.min_pct()),
+                    pct(b.max_pct()),
+                    format!("{:.2}", b.nonoverlapped_min() as f64 / 1e6),
+                ]
+            })
+            .collect::<Vec<_>>()
+    })
+    .concat();
     Series {
         id: "extra-bins",
         title: "NAS per-message-size breakdown (class A, np=4, process 0)".to_string(),

@@ -159,7 +159,6 @@ pub fn scenarios() -> Vec<Scenario> {
                 faults: FaultPlan {
                     seed: 11,
                     explore_jitter_ns: 300,
-                    explore_jitter_steps: 3,
                     ..FaultPlan::none()
                 },
                 ..NetConfig::default()
@@ -195,7 +194,6 @@ pub fn scenarios() -> Vec<Scenario> {
                     seed: 42,
                     drop_prob: 1.0,
                     explore_jitter_ns: 200,
-                    explore_jitter_steps: 3,
                     ..FaultPlan::none()
                 },
                 ..NetConfig::default()

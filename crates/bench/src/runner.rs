@@ -40,6 +40,13 @@ pub fn default_jobs() -> usize {
 
 /// Set the global worker budget (clamped to at least 1). Call once, before
 /// running harnesses; nested [`par_map`] calls share the budget.
+///
+/// "One job" therefore means two things. A [`par_map`] called directly still
+/// gets the one permit, so it runs on two threads (the caller and one
+/// worker): this is how the benchmark's `suite` schedule runs. A harness run
+/// by [`run_harnesses`] holds that permit itself, so a [`par_map`] inside it
+/// runs inline on one thread: `repro --jobs 1` is serial, which the payload
+/// allocation gate relies on.
 pub fn set_jobs(n: usize) {
     let n = n.max(1);
     CONFIGURED_JOBS.store(n, Ordering::SeqCst);

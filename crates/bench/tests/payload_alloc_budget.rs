@@ -85,7 +85,7 @@ fn alltoall(cfg: MpiConfig) -> f64 {
 #[test]
 fn large_sends_stay_inside_their_allocation_budget() {
     let uncached = MpiConfig {
-        use_reg_cache: false,
+        reg_cache_entries: 0,
         ..MpiConfig::open_mpi_leave_pinned()
     };
     for (name, per_byte) in [

@@ -101,3 +101,28 @@ fn a_worker_panic_keeps_its_message() {
         "payload lost: {msg:?}"
     );
 }
+
+/// `set_jobs(1)` leaves one worker permit. A direct `par_map` takes it and
+/// runs on two threads (the benchmark's `suite` schedule); a harness under
+/// `run_harnesses` holds it, so its `par_map` runs inline (`repro --jobs 1`,
+/// which the payload allocation gate relies on).
+#[test]
+fn one_job_is_two_threads_direct_and_one_under_run_harnesses() {
+    static INSIDE: Mutex<usize> = Mutex::new(0);
+    fn probe() -> Series {
+        *INSIDE.lock().unwrap() = par_map_threads();
+        quiet()
+    }
+    let _g = budget();
+    runner::set_jobs(1);
+    assert_eq!(par_map_threads(), 2, "a direct par_map under one job");
+    runner::run_harnesses(
+        &[Harness::new("probe", HarnessKind::Figure, 1, probe)],
+        |_| {},
+    );
+    assert_eq!(
+        *INSIDE.lock().unwrap(),
+        1,
+        "a par_map inside a harness under one job"
+    );
+}

@@ -1,37 +1,36 @@
 //! The discrete-event engine and cooperative rank scheduler.
 //!
-//! The engine owns a time-ordered queue of entries, each either a
-//! state-mutating callback (used by the network model), a token delivery
-//! (a pre-registered handler applied to a `u64`, the allocation-free fast
-//! path), or a rank wake-up. Ranks execute as run-to-completion coroutines:
-//! on x86_64 Linux each rank is a stackful fiber (see `crate::fiber`)
-//! resumed and suspended by swapping stack pointers on the engine's own
-//! thread, so a park/wake handoff costs two register swaps instead of a
-//! futex round-trip. Elsewhere — and on demand via
-//! [`RankRuntime::OsThreads`], which doubles as the reference model for the
-//! runtime-equivalence tests — ranks fall back to dedicated OS threads
-//! rendezvousing over a channel pair. Either way the engine hands control
-//! to at most one rank at a time, so the whole simulation is logically
+//! The engine owns a time-ordered queue of entries, each either a token
+//! delivery (the one handler registered per simulation, applied to a `u64`:
+//! every fabric operation travels this way), a rank alarm (a timed
+//! [`EngineHandle::wake_rank`]), or a rank wake-up. Ranks execute as
+//! run-to-completion coroutines: on x86_64 Linux each rank is a stackful
+//! fiber (see `crate::fiber`) resumed and suspended by swapping stack
+//! pointers on the engine's own thread, so a park/wake handoff costs two
+//! register swaps instead of a futex round-trip. Elsewhere — and on demand
+//! via [`RankRuntime::OsThreads`], which doubles as the reference model for
+//! the runtime-equivalence tests — ranks fall back to dedicated OS threads
+//! rendezvousing over a channel pair. Either way the engine hands control to
+//! at most one rank at a time, so the whole simulation is logically
 //! single-threaded and deterministic: entries are ordered by
 //! `(time, sequence-number)`, and both drivers observe the identical entry
 //! stream, which is the determinism argument in one sentence.
 //!
 //! # Queue architecture
 //!
-//! The pending-event set lives in a hierarchical [`TimingWheel`] owned by
-//! the run loop itself — popping takes no lock. Producers (rank
-//! continuations and event callbacks) append to one mutex-guarded insertion
-//! buffer and raise its flag; before each pop the engine moves the buffer
-//! into the wheel, taking the lock once per batch rather than once per
-//! event and only reading the flag when nothing was produced. One buffer is
-//! enough because at most one producer runs at a time, so the lock is never
-//! contended during a run; the one moment several producers exist —
-//! thread-hosted ranks unwinding in parallel at teardown — is what the
-//! mutex is for. Global `(time, seq)` order is restored inside the wheel,
-//! because sequence numbers are allocated in program order at push time.
-//! The wheel keeps every entry not yet due in one node arena that reuses
-//! popped nodes, so a run allocates for its high-water mark of pending
-//! entries, not per event and not per wheel slot.
+//! The pending-event set lives in a hierarchical [`TimingWheel`] owned by the
+//! run loop itself — popping takes no lock. Producers (rank continuations and
+//! the token handler) append to one mutex-guarded insertion buffer and raise
+//! its flag; before each pop the engine moves the buffer into the wheel,
+//! taking the lock once per batch rather than once per event and only reading
+//! the flag when nothing was produced. One buffer is enough because at most
+//! one producer runs at a time, so the lock is never contended during a run;
+//! the one moment several producers exist — thread-hosted ranks unwinding in
+//! parallel at teardown — is what the mutex is for. Global `(time, seq)`
+//! order is restored inside the wheel, because sequence numbers are allocated
+//! in program order at push time. The wheel keeps every entry not yet due in
+//! one node arena that reuses popped nodes, so a run allocates for its
+//! high-water mark of pending entries, not per event and not per wheel slot.
 //!
 //! # Waits the engine finishes itself
 //!
@@ -72,13 +71,9 @@ use crate::sched::TimingWheel;
 use crate::time::{Duration, Time};
 use crate::truth::ActivityLog;
 
-/// A scheduled callback: runs at its time with access to the engine handle so
-/// it can schedule follow-up events and wake ranks.
-type Callback = Box<dyn FnOnce(&EngineHandle) + Send>;
-
 /// Handler for [`Action::Token`] entries, registered once per simulation via
 /// [`EngineHandle::set_token_handler`].
-type TokenHandler = Arc<dyn Fn(&EngineHandle, u64) + Send + Sync>;
+type TokenHandler = Box<dyn Fn(&EngineHandle, u64) + Send + Sync>;
 
 /// The rank body as the engine stores it: one shared closure, run once per
 /// rank on that rank's continuation.
@@ -86,7 +81,9 @@ type RankBody = Arc<dyn Fn(&mut RankCtx) + Send + Sync>;
 
 enum Action {
     WakeRank(usize),
-    Call(Callback),
+    /// [`EngineHandle::wake_rank_at`]: call [`EngineHandle::wake_rank`] on
+    /// the rank when popped.
+    Alarm(usize),
     Token(u64),
 }
 
@@ -141,7 +138,8 @@ pub(crate) struct EngineShared {
     now: AtomicU64,
     seq: AtomicU64,
     cells: Box<[RankCell]>,
-    token_handler: Mutex<Option<TokenHandler>>,
+    /// Set once, by [`EngineHandle::set_token_handler`].
+    token_handler: OnceLock<TokenHandler>,
     /// Set once, by [`Simulation::run`] (which consumes the simulation).
     oracle: OnceLock<OracleHandle>,
 }
@@ -178,8 +176,8 @@ impl EngineShared {
     }
 }
 
-/// Cloneable handle into a running (or not-yet-run) simulation. Event
-/// callbacks and library code use it to read the clock, schedule future
+/// Cloneable handle into a running (or not-yet-run) simulation. The token
+/// handler and library code use it to read the clock, schedule future
 /// events, and wake parked ranks.
 #[derive(Clone)]
 pub struct EngineHandle {
@@ -192,33 +190,33 @@ impl EngineHandle {
         self.shared.now()
     }
 
-    /// Schedule `f` to run at absolute virtual time `t` (clamped to `now`).
-    pub fn schedule_at<F>(&self, t: Time, f: F)
-    where
-        F: FnOnce(&EngineHandle) + Send + 'static,
-    {
-        let t = t.max(self.now());
-        self.shared.push(t, Action::Call(Box::new(f)));
-    }
-
     /// Register the handler invoked for every token scheduled with
-    /// [`EngineHandle::schedule_token`]. One handler per simulation (a later
-    /// call replaces the previous one); it must be installed before
-    /// [`crate::Simulation::run`], which snapshots it once at startup.
+    /// [`EngineHandle::schedule_token`]. One handler per simulation: it must
+    /// be installed before [`crate::Simulation::run`], and a second call
+    /// panics.
     pub fn set_token_handler<F>(&self, f: F)
     where
         F: Fn(&EngineHandle, u64) + Send + Sync + 'static,
     {
-        *self.shared.token_handler.lock() = Some(Arc::new(f));
+        let fresh = self.shared.token_handler.set(Box::new(f)).is_ok();
+        assert!(fresh, "the token handler is set once per simulation");
     }
 
     /// Schedule the registered token handler to run on `token` at absolute
-    /// virtual time `t` (clamped to `now`). Unlike [`EngineHandle::schedule_at`]
-    /// this allocates nothing: the token is a plain `u64`, typically an index
-    /// into a caller-owned arena describing the work.
+    /// virtual time `t` (clamped to `now`). This allocates nothing: the
+    /// token is a plain `u64`, typically an index into a caller-owned arena
+    /// describing the work.
     pub fn schedule_token(&self, t: Time, token: u64) {
         let t = t.max(self.now());
         self.shared.push(t, Action::Token(token));
+    }
+
+    /// Call [`EngineHandle::wake_rank`] on rank `r` at absolute virtual time
+    /// `t` (clamped to `now`): a rank's alarm clock, e.g. a retransmission
+    /// deadline that must get the rank back into its progress loop.
+    pub fn wake_rank_at(&self, t: Time, r: usize) {
+        let t = t.max(self.now());
+        self.shared.push(t, Action::Alarm(r));
     }
 
     /// The run's schedule oracle ([`SimOpts::oracle`]), if any.
@@ -562,7 +560,7 @@ impl Simulation {
                 now: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 cells: (0..nranks).map(|_| RankCell::new()).collect(),
-                token_handler: Mutex::new(None),
+                token_handler: OnceLock::new(),
                 oracle: OnceLock::new(),
             }),
             nranks,
@@ -593,10 +591,9 @@ impl Simulation {
     /// Drop every queued-but-undispatched entry and reset per-rank state.
     ///
     /// Runs on **every** exit from [`Simulation::run`] — success, error, and
-    /// the partial-spawn-failure path — so teardown is deterministic: a
-    /// callback scheduled before an aborted run cannot keep its captures
-    /// alive or leave a stale wake entry behind for a handle that
-    /// outlives the run.
+    /// the partial-spawn-failure path — so teardown is deterministic: an
+    /// entry scheduled before an aborted run cannot leave a stale wake-up
+    /// behind for a handle that outlives the run.
     fn drain_reset(&self) {
         self.shared.inbox.lock().clear();
         self.shared
@@ -626,11 +623,9 @@ impl Simulation {
             }
         };
 
-        // The pending-event set. Owned by this loop: pops never lock. The
-        // handler snapshot is taken once — tokens are dispatched without
-        // touching the registration mutex again.
+        // The pending-event set. Owned by this loop: pops never lock.
         let mut wheel: TimingWheel<Action> = TimingWheel::new();
-        let token_handler = self.shared.token_handler.lock().clone();
+        let token_handler = self.shared.token_handler.get();
         let oracle = opts.oracle;
         if let Some(orc) = &oracle {
             let _ = self.shared.oracle.set(orc.clone());
@@ -698,13 +693,13 @@ impl Simulation {
             self.shared.now.store(time, AtomicOrdering::Relaxed);
 
             match action {
-                Action::Call(f) => f(&handle),
+                Action::Alarm(r) => handle.wake_rank(r),
                 Action::Token(tok) => {
                     debug_assert!(
                         token_handler.is_some(),
                         "token {tok} scheduled without a registered handler"
                     );
-                    if let Some(h) = &token_handler {
+                    if let Some(h) = token_handler {
                         h(&handle, tok);
                     }
                 }
@@ -850,10 +845,10 @@ mod tests {
     }
 
     #[test]
-    fn callback_wakes_parked_rank() {
+    fn alarm_wakes_parked_rank() {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        handle.schedule_at(500, |h| h.wake_rank(0));
+        handle.wake_rank_at(500, 0);
         let out = sim
             .run(SimOpts::default(), |ctx| {
                 ctx.park();
@@ -867,7 +862,7 @@ mod tests {
     fn park_records_library_wait() {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        handle.schedule_at(200, |h| h.wake_rank(0));
+        handle.wake_rank_at(200, 0);
         let out = sim
             .run(SimOpts::default(), |ctx| {
                 ctx.park();
@@ -913,16 +908,18 @@ mod tests {
     }
 
     #[test]
-    fn chained_callbacks_keep_time_order() {
+    fn chained_tokens_keep_time_order() {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        handle.schedule_at(10, |h| {
-            assert_eq!(h.now(), 10);
-            h.schedule_at(h.now() + 5, |h2| {
-                assert_eq!(h2.now(), 15);
-                h2.wake_rank(0);
-            });
+        handle.set_token_handler(|h, tok| {
+            assert_eq!(h.now(), tok);
+            if tok == 10 {
+                h.schedule_token(h.now() + 5, 15);
+            } else {
+                h.wake_rank(0);
+            }
         });
+        handle.schedule_token(10, 10);
         let out = sim
             .run(SimOpts::default(), |ctx| {
                 ctx.park();
@@ -936,11 +933,9 @@ mod tests {
     fn event_limit_enforced() {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        // Self-perpetuating callback chain.
-        fn again(h: &EngineHandle) {
-            h.schedule_at(h.now() + 1, again);
-        }
-        handle.schedule_at(0, again);
+        // Self-perpetuating token chain.
+        handle.set_token_handler(|h, tok| h.schedule_token(h.now() + 1, tok));
+        handle.schedule_token(0, 0);
         let err = sim
             .run(
                 SimOpts {
@@ -957,10 +952,11 @@ mod tests {
     fn wake_is_idempotent_for_parked_rank() {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        handle.schedule_at(100, |h| {
+        handle.set_token_handler(|h, _tok| {
             h.wake_rank(0);
             h.wake_rank(0); // duplicate wake must not break anything
         });
+        handle.schedule_token(100, 0);
         let out = sim
             .run(SimOpts::default(), |ctx| {
                 ctx.park();
@@ -972,21 +968,30 @@ mod tests {
 
     #[test]
     fn deterministic_event_order_for_ties() {
-        // Two callbacks at the same time must run in scheduling order.
+        // Five tokens at the same time must run in scheduling order.
         let sim = Simulation::new(1);
         let handle = sim.handle();
         let seen = Arc::new(Mutex::new(Vec::new()));
+        let seen2 = Arc::clone(&seen);
+        handle.set_token_handler(move |h, tok| {
+            seen2.lock().push(tok);
+            if tok == 4 {
+                h.wake_rank(0);
+            }
+        });
         for i in 0..5 {
-            let seen = Arc::clone(&seen);
-            handle.schedule_at(42, move |h| {
-                seen.lock().push(i);
-                if i == 4 {
-                    h.wake_rank(0);
-                }
-            });
+            handle.schedule_token(42, i);
         }
         sim.run(SimOpts::default(), |ctx| ctx.park()).unwrap();
         assert_eq!(&*seen.lock(), &[0, 1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "set once")]
+    fn a_second_token_handler_panics() {
+        let handle = Simulation::new(1).handle();
+        handle.set_token_handler(|_h, _tok| {});
+        handle.set_token_handler(|_h, _tok| {});
     }
 
     #[test]
@@ -1008,36 +1013,11 @@ mod tests {
         assert_eq!(&*seen.lock(), &[(10, 3), (10, 4), (30, 7)]);
     }
 
-    #[test]
-    fn tokens_and_callbacks_interleave_by_schedule_order() {
-        let sim = Simulation::new(1);
-        let handle = sim.handle();
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let seen2 = Arc::clone(&seen);
-        handle.set_token_handler(move |_h, tok| seen2.lock().push(tok as i64));
-        let seen3 = Arc::clone(&seen);
-        handle.schedule_token(5, 1);
-        handle.schedule_at(5, move |h| {
-            seen3.lock().push(-1);
-            h.wake_rank(0);
-        });
-        handle.schedule_token(5, 2);
-        let err = sim.run(SimOpts::default(), |ctx| ctx.park());
-        // Token 2 runs after the callback that wakes rank 0; the rank then
-        // finishes, so the run completes cleanly.
-        err.unwrap();
-        assert_eq!(&*seen.lock(), &[1, -1, 2]);
-    }
-
     fn spawn_failure_drains(runtime: RankRuntime) {
         let mut sim = Simulation::new(4);
         sim.inject_spawn_failure(2);
         let handle = sim.handle();
-        let payload = Arc::new(());
-        let weak = Arc::downgrade(&payload);
-        handle.schedule_at(10, move |_h| {
-            let _keep = &payload;
-        });
+        handle.wake_rank_at(10, 0);
         let err = sim
             .run(
                 SimOpts {
@@ -1052,8 +1032,8 @@ mod tests {
             other => panic!("expected spawn failure, got {other}"),
         }
         assert!(
-            weak.upgrade().is_none(),
-            "pre-scheduled callback leaked through spawn-failure teardown"
+            handle.shared.inbox.lock().is_empty(),
+            "pre-scheduled alarm survived spawn-failure teardown"
         );
         // A handle that outlives the aborted run must see quiesced ranks:
         // waking one is a no-op, not a stale queue entry.

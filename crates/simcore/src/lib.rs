@@ -23,11 +23,12 @@
 //!   poll before the park and the poll after the wake-up into the same call,
 //!   and takes a closure the engine runs only if the simulation deadlocks
 //!   with the rank still parked, to say what it was blocked on,
-//! * [`EngineHandle::schedule_at`] schedules a state-mutating callback at a
-//!   future virtual time (used by the network model for packet deliveries and
-//!   DMA completions).
+//! * [`EngineHandle::schedule_token`] hands a `u64` to the one handler
+//!   registered with [`EngineHandle::set_token_handler`] at a future virtual
+//!   time (the network model's packet deliveries and DMA completions are
+//!   tokens), and [`EngineHandle::wake_rank_at`] wakes a rank at one.
 //!
-//! Exactly one rank or event callback executes at any moment; ties in the
+//! Exactly one rank or the token handler executes at any moment; ties in the
 //! event queue are broken by a monotonically increasing sequence number, so a
 //! simulation is a deterministic function of its inputs.
 //!
@@ -54,8 +55,8 @@
 //!
 //! let sim = Simulation::new(2);
 //! let handle = sim.handle();
-//! // An event at t = 500 ns wakes rank 1 from its park.
-//! handle.schedule_at(500, |h| h.wake_rank(1));
+//! // An alarm at t = 500 ns wakes rank 1 from its park.
+//! handle.wake_rank_at(500, 1);
 //! let out = sim
 //!     .run(SimOpts::default(), |ctx| {
 //!         if ctx.rank() == 0 {

@@ -15,7 +15,7 @@
 //!
 //! * **Event ties** — several queue entries are due at the same virtual
 //!   time; the oracle picks which runs next. Choice `0` is the canonical
-//!   `seq` order, so inbox drain order and token-vs-callback interleaving
+//!   `seq` order, so inbox drain order and token-vs-alarm interleaving
 //!   are all covered by this one point: any same-time permutation is
 //!   reachable.
 //! * **Progress polls** — a library progress engine has more than one event

@@ -20,7 +20,7 @@ pub enum Ring {
     /// Scheduled before the wait: at a tie with the poll's end it pops
     /// first.
     Before(u64),
-    /// Scheduled by a callback at the poll's start: at a tie with the poll's
+    /// Scheduled by a token at the poll's start: at a tie with the poll's
     /// end it pops second.
     After(u64),
 }
@@ -33,6 +33,11 @@ pub enum Step {
 
 /// Heartbeat period: every `BEAT` ns each unfinished rank gets a delivery.
 const BEAT: u64 = 50;
+
+/// The heartbeat's token. Every other token is a delivery to the rank in its
+/// low 16 bits, made when it pops if the bits above are 0, and scheduled
+/// `above - 1` ns later otherwise ([`Ring::After`]).
+const HEARTBEAT: u64 = u64::MAX;
 
 /// One rank program. Durations are multiples of 5 ns and deliveries land
 /// within 10 ns of the poll's end, so ties with it are common; a quarter of
@@ -90,12 +95,23 @@ pub fn run(
     let oracle = oracle_seed.map(|seed| OracleHandle::new(Box::new(RandomOracle::new(seed))));
     let mailbox: Arc<Vec<AtomicBool>> =
         Arc::new((0..ranks).map(|_| AtomicBool::new(false)).collect());
-    for &(t, r) in deliveries {
-        let mb = Arc::clone(&mailbox);
-        handle.schedule_at(t, move |h| deliver(h, &mb, r % ranks));
-    }
     let finished = Arc::new(AtomicUsize::new(0));
-    heartbeat(&handle, Arc::clone(&mailbox), Arc::clone(&finished));
+    let (mb, done) = (Arc::clone(&mailbox), Arc::clone(&finished));
+    handle.set_token_handler(move |h, tok| match tok {
+        HEARTBEAT if done.load(Ordering::SeqCst) == ranks => {}
+        HEARTBEAT => {
+            for r in 0..ranks {
+                deliver(h, &mb, r);
+            }
+            h.schedule_token(h.now() + BEAT, HEARTBEAT);
+        }
+        _ if tok >> 16 == 0 => deliver(h, &mb, tok as usize),
+        _ => h.schedule_token(h.now() + (tok >> 16) - 1, tok & 0xffff),
+    });
+    for &(t, r) in deliveries {
+        handle.schedule_token(t, (r % ranks) as u64);
+    }
+    handle.schedule_token(BEAT, HEARTBEAT);
     let waits = Arc::new(Mutex::new(vec![Vec::new(); ranks]));
     let sink = Arc::clone(&waits);
     let programs = programs.to_vec();
@@ -121,15 +137,10 @@ pub fn run(
                         } => (after, charge, ring),
                     };
                     let h = ctx.handle();
-                    let mb = Arc::clone(&mailbox);
                     match ring {
                         Ring::Never => {}
-                        Ring::Before(at) => {
-                            h.schedule_at(h.now() + at, move |h| deliver(h, &mb, r))
-                        }
-                        Ring::After(at) => h.schedule_at(h.now(), move |h| {
-                            h.schedule_at(h.now() + at, move |h| deliver(h, &mb, r))
-                        }),
+                        Ring::Before(at) => h.schedule_token(h.now() + at, r as u64),
+                        Ring::After(at) => h.schedule_token(h.now(), (at + 1) << 16 | r as u64),
                     }
                     let got = if fused {
                         ctx.wait(after, charge, RankDiag::default)
@@ -181,16 +192,4 @@ pub fn unfused(
 fn deliver(h: &EngineHandle, mailbox: &[AtomicBool], r: usize) {
     mailbox[r].store(true, Ordering::SeqCst);
     h.wake_rank(r);
-}
-
-fn heartbeat(h: &EngineHandle, mailbox: Arc<Vec<AtomicBool>>, finished: Arc<AtomicUsize>) {
-    h.schedule_at(h.now() + BEAT, move |h| {
-        if finished.load(Ordering::SeqCst) == mailbox.len() {
-            return;
-        }
-        for r in 0..mailbox.len() {
-            deliver(h, &mailbox, r);
-        }
-        heartbeat(h, mailbox, finished);
-    });
 }

@@ -1,8 +1,8 @@
 //! Engine stress and edge-case tests: many ranks, wake storms, chained
 //! event cascades, and scheduling corner cases.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier, Mutex, Weak};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Barrier, Mutex};
 
 use simcore::{Activity, EngineHandle, RankDiag, RankRuntime, SimError, SimOpts, Simulation};
 
@@ -28,17 +28,18 @@ fn many_ranks_interleave_deterministically() {
 
 #[test]
 fn wake_storm_on_one_rank_coalesces() {
-    // 1000 callbacks all waking the same parked rank at the same instant:
+    // 1000 tokens all waking the same parked rank at the same instant:
     // the wake-pending guard must coalesce them into one wake-up.
     let sim = Simulation::new(1);
     let handle = sim.handle();
     let fired = Arc::new(AtomicU64::new(0));
-    for _ in 0..1000 {
-        let fired = Arc::clone(&fired);
-        handle.schedule_at(100, move |h| {
-            fired.fetch_add(1, Ordering::Relaxed);
-            h.wake_rank(0);
-        });
+    let fired2 = Arc::clone(&fired);
+    handle.set_token_handler(move |h, _tok| {
+        fired2.fetch_add(1, Ordering::Relaxed);
+        h.wake_rank(0);
+    });
+    for tok in 0..1000 {
+        handle.schedule_token(100, tok);
     }
     let out = sim
         .run(SimOpts::default(), |ctx| {
@@ -57,17 +58,18 @@ fn wake_storm_on_one_rank_coalesces() {
 
 #[test]
 fn event_cascade_depth() {
-    // A 10_000-deep chain of immediate callbacks must not recurse or stall.
-    fn chain(h: &EngineHandle, remaining: u64) {
+    // A 10_000-deep chain of tokens, each scheduling the next, must not
+    // recurse or stall. The token is the number of links still to go.
+    let sim = Simulation::new(1);
+    let handle = sim.handle();
+    handle.set_token_handler(|h, remaining| {
         if remaining == 0 {
             h.wake_rank(0);
         } else {
-            h.schedule_at(h.now() + 1, move |h2| chain(h2, remaining - 1));
+            h.schedule_token(h.now() + 1, remaining - 1);
         }
-    }
-    let sim = Simulation::new(1);
-    let handle = sim.handle();
-    handle.schedule_at(0, |h| chain(h, 10_000));
+    });
+    handle.schedule_token(0, 10_000);
     let out = sim.run(SimOpts::default(), |ctx| ctx.park()).unwrap();
     assert_eq!(out.end_time, 10_000);
     assert!(out.events_processed > 10_000);
@@ -151,13 +153,16 @@ fn deadlock_reports_all_stuck_ranks() {
 fn schedule_in_the_past_clamps_to_now() {
     let sim = Simulation::new(1);
     let handle = sim.handle();
-    handle.schedule_at(50, |h| {
-        // Asking for t=10 when now=50 must fire "immediately" (at 50).
-        h.schedule_at(10, |h2| {
-            assert_eq!(h2.now(), 50);
-            h2.wake_rank(0);
-        });
+    handle.set_token_handler(|h, tok| {
+        if tok == 0 {
+            // Asking for t=10 when now=50 must fire "immediately" (at 50).
+            h.schedule_token(10, 1);
+        } else {
+            assert_eq!(h.now(), 50);
+            h.wake_rank(0);
+        }
     });
+    handle.schedule_token(50, 0);
     let out = sim.run(SimOpts::default(), |ctx| ctx.park()).unwrap();
     assert_eq!(out.end_time, 50);
 }
@@ -177,9 +182,8 @@ fn outcome_reports_event_counts() {
 
 /// Teardown is the one moment the engine has more than one producer: under
 /// `OsThreads`, `shutdown` releases every parked rank thread at once and they
-/// unwind in parallel. Each rank holds a guard whose `Drop` schedules a
-/// callback (capturing an `Arc`) and wakes its neighbour, i.e. pushes into
-/// the engine's insertion buffer; the barrier holds the parked ranks inside
+/// unwind in parallel. Each rank holds a guard whose `Drop` sets an alarm
+/// and wakes its neighbour, i.e. pushes into the engine's insertion buffer; the barrier holds the parked ranks inside
 /// `Drop` until all of them are there, so the pushes really are concurrent.
 /// (Fibers unwind one after another on the engine thread: no barrier.)
 fn teardown_producers_are_drained(runtime: RankRuntime) {
@@ -189,24 +193,22 @@ fn teardown_producers_are_drained(runtime: RankRuntime) {
         handle: EngineHandle,
         wake: usize,
         gate: Option<Arc<Barrier>>,
-        captured: Arc<Mutex<Vec<Weak<()>>>>,
+        dropped: Arc<AtomicUsize>,
     }
     impl Drop for Guard {
         fn drop(&mut self) {
             if let Some(gate) = &self.gate {
                 gate.wait();
             }
-            let payload = Arc::new(());
-            let weak = Arc::downgrade(&payload);
-            self.handle.schedule_at(1_000, move |_| drop(payload));
+            self.handle.wake_rank_at(1_000, self.wake);
             self.handle.wake_rank(self.wake);
-            self.captured.lock().unwrap().push(weak);
+            self.dropped.fetch_add(1, Ordering::SeqCst);
         }
     }
 
     let gate = (runtime == RankRuntime::OsThreads).then(|| Arc::new(Barrier::new(PARKED)));
-    let captured = Arc::new(Mutex::new(Vec::new()));
-    let captured2 = Arc::clone(&captured);
+    let dropped = Arc::new(AtomicUsize::new(0));
+    let dropped2 = Arc::clone(&dropped);
     let sim = Simulation::new(PARKED + 1);
     let err = sim
         .run(
@@ -220,7 +222,7 @@ fn teardown_producers_are_drained(runtime: RankRuntime) {
                     handle: ctx.handle(),
                     wake: (ctx.rank() + 1) % PARKED,
                     gate: if panics { None } else { gate.clone() },
-                    captured: Arc::clone(&captured2),
+                    dropped: Arc::clone(&dropped2),
                 };
                 if panics {
                     ctx.compute(5);
@@ -232,12 +234,11 @@ fn teardown_producers_are_drained(runtime: RankRuntime) {
         .unwrap_err();
     assert!(matches!(err, SimError::RankPanic { rank: PARKED, .. }));
     // `run` joins every rank thread before it returns, so all guards have
-    // dropped by now, and `drain_reset` has released what they scheduled.
-    let captured = captured.lock().unwrap();
-    assert_eq!(captured.len(), PARKED + 1, "a rank's guard never dropped");
-    assert!(
-        captured.iter().all(|w| w.upgrade().is_none()),
-        "a callback scheduled during teardown outlived the run"
+    // dropped by now.
+    assert_eq!(
+        dropped.load(Ordering::SeqCst),
+        PARKED + 1,
+        "a rank's guard never dropped"
     );
 }
 
@@ -269,7 +270,7 @@ fn explain_is_not_run_on_a_clean_run(runtime: RankRuntime) {
                 let me = ctx.rank();
                 for _ in 0..100 {
                     let h = ctx.handle();
-                    h.schedule_at(h.now() + (me as u64 % 7 + 1) * 10, move |h| h.wake_rank(me));
+                    h.wake_rank_at(h.now() + (me as u64 % 7 + 1) * 10, me);
                     ctx.wait(0, 0, || {
                         explained2.fetch_add(1, Ordering::Relaxed);
                         RankDiag::default()
@@ -322,7 +323,7 @@ fn explain_runs_once_per_stuck_rank(runtime: RankRuntime) {
                         for left in (0..parks).rev() {
                             if left > 0 {
                                 let h = ctx.handle();
-                                h.schedule_at(h.now() + 5, move |h| h.wake_rank(me));
+                                h.wake_rank_at(h.now() + 5, me);
                             }
                             let handle = ctx.handle();
                             ctx.wait(0, 0, || {

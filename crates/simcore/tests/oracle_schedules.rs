@@ -6,25 +6,30 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use simcore::{OracleHandle, RandomOracle, ReplayOracle, SimOpts, Simulation};
 
-/// A small workload with plenty of same-time ties: 3 ranks ping events at
-/// each other through callbacks, and several callbacks land on the same
+/// The token of the follow-up events, which record nothing.
+const FOLLOW_UP: u64 = u64::MAX;
+
+/// A small workload with plenty of same-time ties: 3 ranks compute while
+/// waves of tagged tokens, and follow-ups they schedule, land on the same
 /// virtual nanosecond. Returns the observed event order tags plus end time.
-fn run_tied_workload(oracle: Option<OracleHandle>) -> (Vec<u32>, u64, Option<OracleHandle>) {
+fn run_tied_workload(oracle: Option<OracleHandle>) -> (Vec<u64>, u64, Option<OracleHandle>) {
     let sim = Simulation::new(3);
     let handle = sim.handle();
-    let seen: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new(Vec::new()));
+    let seen: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&seen);
+    handle.set_token_handler(move |h, tag| {
+        if tag == FOLLOW_UP {
+            return;
+        }
+        sink.lock().push(tag);
+        // Chain a follow-up event that collides with the next wave.
+        if tag % 10 == 2 {
+            h.schedule_token(h.now() + 100, FOLLOW_UP);
+        }
+    });
     for wave in 0..4u64 {
-        for i in 0..5u32 {
-            let seen = Arc::clone(&seen);
-            let tag = wave as u32 * 10 + i;
-            handle.schedule_at(100 * (wave + 1), move |h| {
-                seen.lock().push(tag);
-                // Chain a follow-up event that collides with the next wave.
-                if i == 2 {
-                    let t = h.now() + 100;
-                    h.schedule_at(t, move |_| {});
-                }
-            });
+        for i in 0..5 {
+            handle.schedule_token(100 * (wave + 1), wave * 10 + i);
         }
     }
     let out = sim

@@ -12,28 +12,20 @@ use simcore::{Activity, RankRuntime, SimOpts, Simulation};
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Callbacks always execute in non-decreasing time order, with ties in
+    /// Tokens always dispatch in non-decreasing time order, with ties in
     /// scheduling order.
     #[test]
     fn events_fire_in_time_then_seq_order(times in prop::collection::vec(0u64..10_000, 1..60)) {
         let sim = Simulation::new(1);
         let handle = sim.handle();
-        let seen: Arc<Mutex<Vec<(u64, usize)>>> = Arc::new(Mutex::new(Vec::new()));
+        let seen: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&seen);
+        handle.set_token_handler(move |h, i| sink.lock().push((h.now(), i)));
         let n = times.len();
         for (i, &t) in times.iter().enumerate() {
-            let seen = Arc::clone(&seen);
-            handle.schedule_at(t, move |h| {
-                seen.lock().push((h.now(), i));
-            });
+            handle.schedule_token(t, i as u64);
         }
-        {
-            let seen = Arc::clone(&seen);
-            let max_t = *times.iter().max().unwrap();
-            handle.schedule_at(max_t + 1, move |h| {
-                let _ = &seen;
-                h.wake_rank(0);
-            });
-        }
+        handle.wake_rank_at(*times.iter().max().unwrap() + 1, 0);
         sim.run(SimOpts::default(), |ctx| ctx.park()).unwrap();
         let log = seen.lock();
         prop_assert_eq!(log.len(), n);
@@ -89,9 +81,7 @@ proptest! {
             let sim = Simulation::new(ranks);
             let handle = sim.handle();
             for &t in times.iter() {
-                handle.schedule_at(t, move |h| {
-                    h.wake_rank(0); // only rank 0 parks
-                });
+                handle.wake_rank_at(t, 0); // only rank 0 parks
             }
             sim.run(SimOpts::default(), |ctx| {
                 if ctx.rank() == 0 {

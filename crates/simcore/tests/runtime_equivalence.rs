@@ -58,10 +58,10 @@ fn run_workload(
         handle.schedule_token(t, tok);
         // Every event also wakes rank 0, the only rank that parks, so the
         // run can never wedge regardless of the random schedule.
-        handle.schedule_at(t, |h| h.wake_rank(0));
+        handle.wake_rank_at(t, 0);
     }
     let max_t = events.iter().map(|&(t, _)| t).max().unwrap_or(0);
-    handle.schedule_at(max_t + 1, |h| h.wake_rank(0));
+    handle.wake_rank_at(max_t + 1, 0);
     let segs: Vec<(u64, bool)> = segments.to_vec();
     let out = sim
         .run(opts(runtime, oracle.clone()), move |ctx| {

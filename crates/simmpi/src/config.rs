@@ -110,10 +110,10 @@ pub struct MpiConfig {
     pub rndv_mode: RndvMode,
     /// Fragment size of the pipelined RDMA-Write scheme.
     pub fragment_size: usize,
-    /// Cache registrations in an MRU list (`mpi_leave_pinned` behaviour):
-    /// repeat transfers from the same-shaped buffers skip pinning costs.
-    pub use_reg_cache: bool,
-    /// Capacity of the registration cache, in entries.
+    /// Capacity of the registration cache, in entries; 0 means no cache.
+    /// The cache keeps registrations in an MRU list (`mpi_leave_pinned`
+    /// behaviour): repeat transfers from the same-shaped buffers skip
+    /// pinning costs.
     pub reg_cache_entries: usize,
     /// Reliability-layer retransmission timeout, ns. `None` derives a value
     /// from the fabric config (a few round trips at the eager threshold).
@@ -145,8 +145,7 @@ impl MpiConfig {
             eager_threshold: 12 * 1024,
             rndv_mode: RndvMode::PipelinedWrite,
             fragment_size: 128 * 1024,
-            use_reg_cache: false,
-            reg_cache_entries: 16,
+            reg_cache_entries: 0,
             retrans_timeout: None,
             max_retries: 16,
             progress: ProgressModel::Polling,
@@ -158,7 +157,7 @@ impl MpiConfig {
     pub fn open_mpi_leave_pinned() -> Self {
         MpiConfig {
             rndv_mode: RndvMode::DirectRead,
-            use_reg_cache: true,
+            reg_cache_entries: 16,
             ..MpiConfig::open_mpi_pipelined()
         }
     }
@@ -171,7 +170,6 @@ impl MpiConfig {
             eager_threshold: 12 * 1024,
             rndv_mode: RndvMode::DirectRead,
             fragment_size: 128 * 1024,
-            use_reg_cache: true,
             reg_cache_entries: 32,
             retrans_timeout: None,
             max_retries: 16,

@@ -641,7 +641,7 @@ impl<'a> Mpi<'a> {
                 }
                 None => w.register(self.rank, data),
             };
-            if self.cfg.use_reg_cache {
+            if self.cfg.reg_cache_entries > 0 {
                 if hit.is_none() && self.send_reg_cache.len() >= self.cfg.reg_cache_entries {
                     // Make room: evict the least-recently-used *idle* entry;
                     // if all are busy the cache temporarily exceeds capacity.
@@ -816,10 +816,10 @@ impl<'a> Mpi<'a> {
         sender_req: u64,
     ) {
         // Receive-side pinning (cached after first use in cache mode).
-        let cached = self.cfg.use_reg_cache && self.recv_pin_cache.contains(&len);
+        let cached = self.cfg.reg_cache_entries > 0 && self.recv_pin_cache.contains(&len);
         if !cached {
             self.reg_busy(self.net.reg_cost(len));
-            if self.cfg.use_reg_cache {
+            if self.cfg.reg_cache_entries > 0 {
                 self.recv_pin_cache.push_front(len);
                 self.recv_pin_cache.truncate(self.cfg.reg_cache_entries);
             }

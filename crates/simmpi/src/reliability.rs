@@ -191,7 +191,7 @@ impl Reliability {
                 xfer: xfer.map(|x| x.0),
             },
         );
-        self.wake_at(deadline);
+        self.handle.wake_rank_at(deadline, self.rank);
         w.post_send(self.rank, dst, pkt, user, xfer);
     }
 
@@ -261,17 +261,8 @@ impl Reliability {
         p.backoff = (p.backoff + 1).min(MAX_BACKOFF_SHIFT);
         p.retries += 1;
         p.deadline = self.handle.now() + (self.timeout << p.backoff);
-        let deadline = p.deadline;
-        self.wake_at(deadline);
+        self.handle.wake_rank_at(p.deadline, self.rank);
         flag
-    }
-
-    /// Make sure the rank re-enters its progress loop when `deadline`
-    /// passes, even if it is parked in a wait by then.
-    fn wake_at(&self, deadline: Time) {
-        let rank = self.rank;
-        self.handle
-            .schedule_at(deadline, move |h| h.wake_rank(rank));
     }
 
     /// Filter an incoming sequenced packet (`h[5] != 0`). Returns the

@@ -18,9 +18,9 @@ fn run(cfg: MpiConfig, body: impl Fn(&mut simmpi::Mpi) + Send + Sync + 'static) 
         .unwrap_or_else(|e| panic!("{}", e.one_line()));
 }
 
-fn direct(use_reg_cache: bool) -> MpiConfig {
+fn direct(reg_cache_entries: usize) -> MpiConfig {
     MpiConfig {
-        use_reg_cache,
+        reg_cache_entries,
         ..MpiConfig::open_mpi_leave_pinned()
     }
 }
@@ -38,8 +38,8 @@ fn paths() -> Vec<(&'static str, MpiConfig, usize)> {
     vec![
         ("eager", MpiConfig::open_mpi_pipelined(), 4 << 10),
         ("pipelined", MpiConfig::open_mpi_pipelined(), LONG),
-        ("direct", direct(false), LONG),
-        ("direct + reg cache", direct(true), LONG),
+        ("direct", direct(0), LONG),
+        ("direct + reg cache", direct(16), LONG),
         ("hw-tag eager", hw_tag(), 4 << 10),
         ("hw-tag rendezvous", hw_tag(), LONG),
     ]
@@ -99,8 +99,8 @@ fn same_length_sends_each_deliver_their_own_contents() {
 fn owned_buffer_under_rendezvous_is_delivered_without_a_copy() {
     for (name, cfg) in [
         ("pipelined", MpiConfig::open_mpi_pipelined()),
-        ("direct", direct(false)),
-        ("direct + reg cache", direct(true)),
+        ("direct", direct(0)),
+        ("direct + reg cache", direct(16)),
         ("hw-tag rendezvous", hw_tag()),
     ] {
         // Both ranks' closures capture this one allocation (three
@@ -131,7 +131,7 @@ fn alltoall_blocks_are_the_senders_allocations() {
     for (name, cfg, len) in [
         ("eager", MpiConfig::open_mpi_pipelined(), 4 << 10),
         ("pipelined", MpiConfig::open_mpi_pipelined(), 300 << 10),
-        ("direct", direct(true), 256 << 10),
+        ("direct", direct(16), 256 << 10),
     ] {
         // Block `d` of rank `r` is `all[r][d]`; every rank's closure
         // captures all of them, so a receiver can tell whose allocation it

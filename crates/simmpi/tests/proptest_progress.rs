@@ -55,10 +55,10 @@ fn arb_cfg() -> impl Strategy<Value = MpiConfig> {
         prop_oneof![Just(4usize << 10), Just(12 << 10), Just(64 << 10)],
         any::<bool>(),
     )
-        .prop_map(|(rndv_mode, eager_threshold, use_reg_cache)| MpiConfig {
+        .prop_map(|(rndv_mode, eager_threshold, cached)| MpiConfig {
             rndv_mode,
             eager_threshold,
-            use_reg_cache,
+            reg_cache_entries: if cached { 16 } else { 0 },
             ..MpiConfig::default()
         })
 }

@@ -31,7 +31,6 @@ proptest! {
                 seed: 11,
                 drop_prob: 0.3,
                 explore_jitter_ns: 300,
-                explore_jitter_steps: 3,
                 ..FaultPlan::none()
             },
             ..NetConfig::default()

@@ -47,12 +47,11 @@ fn arb_cfg() -> impl Strategy<Value = MpiConfig> {
         any::<bool>(),
     )
         .prop_map(
-            |(rndv_mode, eager_threshold, fragment_size, use_reg_cache)| MpiConfig {
+            |(rndv_mode, eager_threshold, fragment_size, cached)| MpiConfig {
                 eager_threshold,
                 rndv_mode,
                 fragment_size,
-                use_reg_cache,
-                reg_cache_entries: 8,
+                reg_cache_entries: if cached { 8 } else { 0 },
                 retrans_timeout: None,
                 max_retries: 16,
                 progress: ProgressModel::Polling,

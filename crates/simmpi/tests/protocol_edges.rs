@@ -124,7 +124,7 @@ fn cache_disabled_mode_still_correct_under_concurrency() {
     run(
         3,
         MpiConfig {
-            use_reg_cache: false,
+            reg_cache_entries: 0,
             ..MpiConfig::open_mpi_leave_pinned()
         },
         |mpi| {

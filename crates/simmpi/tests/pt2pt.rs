@@ -290,7 +290,7 @@ fn registration_cache_reduces_reuse_cost() {
     let uncached = run(
         2,
         MpiConfig {
-            use_reg_cache: false,
+            reg_cache_entries: 0,
             ..MpiConfig::open_mpi_leave_pinned()
         },
         body,

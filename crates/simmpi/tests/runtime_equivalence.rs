@@ -193,7 +193,6 @@ proptest! {
     ) {
         let plan = FaultPlan {
             explore_jitter_ns: 2_000,
-            explore_jitter_steps: 4,
             ..plan
         };
         let net = NetConfig { faults: plan, ..NetConfig::default() };

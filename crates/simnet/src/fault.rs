@@ -14,6 +14,10 @@
 
 use simcore::Time;
 
+/// Number of discrete offsets in the schedule-exploration jitter window
+/// ([`FaultPlan::explore_jitter_ns`]), the zero offset included.
+pub(crate) const JITTER_STEPS: u32 = 3;
+
 /// A seeded, declarative description of fabric misbehavior for one run.
 ///
 /// Probabilities are evaluated per two-sided packet in posting order with a
@@ -35,14 +39,10 @@ pub struct FaultPlan {
     pub max_extra_delay: u64,
     /// Width of the schedule-exploration jitter window, in ns. When nonzero
     /// *and* a schedule oracle is installed, the oracle may delay each
-    /// two-sided packet's arrival by one of
-    /// [`explore_jitter_steps`](FaultPlan::explore_jitter_steps) discrete
-    /// offsets in `[0, explore_jitter_ns]` — choice 0 (and every
-    /// run without an oracle, e.g. under the canonical engine) adds nothing.
+    /// two-sided packet's arrival by one of three evenly spaced offsets in
+    /// `[0, explore_jitter_ns]` — choice 0 (and every run without an
+    /// oracle, e.g. under the canonical engine) adds nothing.
     pub explore_jitter_ns: u64,
-    /// Number of discrete jitter offsets, including the zero offset.
-    /// Values below 2 fall back to 4.
-    pub explore_jitter_steps: u32,
 }
 
 impl FaultPlan {
@@ -55,7 +55,6 @@ impl FaultPlan {
             delay_prob: 0.0,
             max_extra_delay: 0,
             explore_jitter_ns: 0,
-            explore_jitter_steps: 0,
         }
     }
 
@@ -77,21 +76,11 @@ impl FaultPlan {
             && self.explore_jitter_ns == 0
     }
 
-    /// Effective number of discrete jitter offsets the oracle chooses from
-    /// (see [`FaultPlan::explore_jitter_ns`]).
-    pub(crate) fn jitter_steps(&self) -> u32 {
-        if self.explore_jitter_steps >= 2 {
-            self.explore_jitter_steps
-        } else {
-            4
-        }
-    }
-
     /// The extra delay for jitter step `step` (step 0 is always 0 ns; the
     /// last step is the full window).
     pub(crate) fn jitter_delay(&self, step: u32) -> u64 {
-        let steps = self.jitter_steps();
-        (self.explore_jitter_ns * u64::from(step.min(steps - 1))) / u64::from(steps - 1)
+        let last = JITTER_STEPS - 1;
+        (self.explore_jitter_ns * u64::from(step.min(last))) / u64::from(last)
     }
 }
 
@@ -235,21 +224,12 @@ mod tests {
     fn jitter_steps_and_delays() {
         let plan = FaultPlan {
             explore_jitter_ns: 900,
-            explore_jitter_steps: 4,
             ..FaultPlan::none()
         };
         assert!(!plan.is_empty());
-        assert_eq!(plan.jitter_steps(), 4);
         assert_eq!(plan.jitter_delay(0), 0);
-        assert_eq!(plan.jitter_delay(1), 300);
-        assert_eq!(plan.jitter_delay(3), 900);
+        assert_eq!(plan.jitter_delay(1), 450);
+        assert_eq!(plan.jitter_delay(2), 900);
         assert_eq!(plan.jitter_delay(99), 900); // clamped
-                                                // steps < 2 falls back to 4
-        let p2 = FaultPlan {
-            explore_jitter_ns: 300,
-            ..FaultPlan::none()
-        };
-        assert_eq!(p2.jitter_steps(), 4);
-        assert_eq!(p2.jitter_delay(3), 300);
     }
 }

@@ -3,11 +3,11 @@
 //! # Locking invariant (critical)
 //!
 //! `World` lives behind `Arc<Mutex<_>>` ([`SharedWorld`]) and is mutated both
-//! by rank threads (posting work requests, polling) and by engine callbacks
-//! (deliveries, completions). Because the engine suspends a rank thread
+//! by rank threads (posting work requests, polling) and by the engine's token
+//! handler (deliveries, completions). Because the engine suspends a rank thread
 //! mid-call when it yields, **library code must never hold the world lock
 //! across `RankCtx::busy` / `RankCtx::park`** — the engine would then run a
-//! delivery callback that blocks on the lock forever. Every method here is a
+//! delivery token that blocks on the lock forever. Every method here is a
 //! short lock-scoped state transition; time costs are charged by the caller
 //! outside the lock.
 
@@ -19,7 +19,7 @@ use simcore::{EngineHandle, Time};
 
 use crate::arena::Slab;
 use crate::config::{NetConfig, LOOPBACK_LATENCY};
-use crate::fault::{FaultEvent, FaultKind, FaultRng};
+use crate::fault::{FaultEvent, FaultKind, FaultRng, JITTER_STEPS};
 use crate::memory::{NodeMemory, Region, RegionId};
 use crate::nic::{CausalEdge, Completion, HwMsg, Nic};
 use crate::packet::Packet;
@@ -170,10 +170,10 @@ pub struct World {
 impl World {
     /// Build the fabric for `nnodes` nodes on the given engine.
     ///
-    /// Registers itself as the engine's token handler (the fabric owns the
-    /// simulation's token namespace — tokens are keys into its pending-work
-    /// arena), so this must run before `Simulation::run` and nothing else on
-    /// the same engine may call `set_token_handler`.
+    /// Registers itself as the engine's one token handler (the fabric owns
+    /// the simulation's token namespace — tokens are keys into its
+    /// pending-work arena), so this must run before `Simulation::run`, once
+    /// per engine: a second registration panics.
     pub(crate) fn new_shared(cfg: NetConfig, handle: EngineHandle, nnodes: usize) -> SharedWorld {
         let faulty = !cfg.faults.is_empty();
         let fault_rng = FaultRng::new(cfg.faults.seed);
@@ -647,7 +647,7 @@ impl World {
                         let step = orc.choose(simcore::ChoicePoint::FaultJitter {
                             src,
                             dst,
-                            n: plan.jitter_steps() as usize,
+                            n: JITTER_STEPS as usize,
                         });
                         let extra = plan.jitter_delay(step as u32);
                         if extra > 0 {
