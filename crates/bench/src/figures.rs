@@ -6,7 +6,7 @@ use nasbench::runner::{summarize, NasBenchmark};
 use nasbench::sp::SP_OVERLAP_SECTION;
 use nasbench::Class;
 use overlap_core::RecorderOpts;
-use simmpi::{MpiConfig, RunOutcome};
+use simmpi::MpiConfig;
 
 use crate::micro::{overlap_sweep_scoped, MicroPoint, Pairing};
 use crate::{f_ms, f_us, pct, sim, Series};
@@ -275,28 +275,34 @@ pub fn fig13() -> Series {
     )
 }
 
+/// The original and modified SP codes, with their scope labels.
+const SP_VARIANTS: [(NasBenchmark, &str); 2] = [
+    (NasBenchmark::Sp, "orig"),
+    (NasBenchmark::SpModified, "mod"),
+];
+
 fn sp_compare(id: &'static str, title: &str, class: Class, whole_code: bool) -> Series {
-    let cases: Vec<usize> = vec![4, 9, 16];
-    let rows = crate::runner::par_map(&cases, |&np| {
-        let run = |bench, variant: &str| {
-            let scope = format!("{id}/np{np}/{variant}");
-            sim::nas(Some(scope), bench, class, np, RecorderOpts::default())
+    let nps = [4usize, 9, 16];
+    // One item per simulation, so a pair's two runs can take both cores.
+    let items: [_; 6] = std::array::from_fn(|i| (nps[i / 2], SP_VARIANTS[i % 2]));
+    let runs = crate::runner::par_map(&items, |&(np, (bench, variant))| {
+        let scope = format!("{id}/np{np}/{variant}");
+        let art = sim::nas(Some(scope), bench, class, np, RecorderOpts::default());
+        let r = &art.reports[0];
+        let total = if whole_code {
+            &r.total
+        } else {
+            &r.sections[SP_OVERLAP_SECTION].total
         };
-        let orig = run(NasBenchmark::Sp, "orig");
-        let modi = run(NasBenchmark::SpModified, "mod");
-        let stats = |art: &RunOutcome| {
-            let r = &art.reports[0];
-            if whole_code {
-                (r.total.min_pct(), r.total.max_pct())
-            } else {
-                let s = &r.sections[SP_OVERLAP_SECTION];
-                (s.total.min_pct(), s.total.max_pct())
-            }
-        };
-        let (omin, omax) = stats(&orig);
-        let (mmin, mmax) = stats(&modi);
-        vec![np.to_string(), pct(omin), pct(omax), pct(mmin), pct(mmax)]
+        (total.min_pct(), total.max_pct())
     });
+    let rows = nps
+        .iter()
+        .zip(runs.as_chunks().0)
+        .map(|(np, &[(omin, omax), (mmin, mmax)])| {
+            vec![np.to_string(), pct(omin), pct(omax), pct(mmin), pct(mmax)]
+        })
+        .collect();
     Series {
         id,
         title: title.to_string(),
@@ -349,27 +355,27 @@ pub fn fig17() -> Series {
 
 /// Fig. 18: SP total MPI time, original vs modified.
 pub fn fig18() -> Series {
-    let grid: Vec<(Class, usize)> = [Class::A, Class::B]
-        .iter()
-        .flat_map(|&class| [4usize, 9, 16].map(|np| (class, np)))
-        .collect();
-    let rows = crate::runner::par_map(&grid, |&(class, np)| {
-        let run = |bench, variant: &str| {
-            let scope = format!("fig18/{class}np{np}/{variant}");
-            sim::nas(Some(scope), bench, class, np, RecorderOpts::default())
-        };
-        let orig = run(NasBenchmark::Sp, "orig");
-        let modi = run(NasBenchmark::SpModified, "mod");
-        let o = orig.reports[0].comm_call_time as f64 / 1e6;
-        let m = modi.reports[0].comm_call_time as f64 / 1e6;
-        vec![
-            class.to_string(),
-            np.to_string(),
-            f_ms(o),
-            f_ms(m),
-            pct(100.0 * (o - m) / o),
-        ]
+    let grid: [(Class, usize); 6] =
+        std::array::from_fn(|i| ([Class::A, Class::B][i / 3], [4, 9, 16][i % 3]));
+    let items: [_; 12] = std::array::from_fn(|i| (grid[i / 2], SP_VARIANTS[i % 2]));
+    let runs = crate::runner::par_map(&items, |&((class, np), (bench, variant))| {
+        let scope = format!("fig18/{class}np{np}/{variant}");
+        let art = sim::nas(Some(scope), bench, class, np, RecorderOpts::default());
+        art.reports[0].comm_call_time as f64 / 1e6
     });
+    let rows = grid
+        .iter()
+        .zip(runs.as_chunks().0)
+        .map(|((class, np), &[o, m])| {
+            vec![
+                class.to_string(),
+                np.to_string(),
+                f_ms(o),
+                f_ms(m),
+                pct(100.0 * (o - m) / o),
+            ]
+        })
+        .collect();
     Series {
         id: "fig18",
         title: "SP total MPI time, original vs modified".to_string(),
@@ -382,24 +388,25 @@ pub fn fig18() -> Series {
 
 /// Fig. 19: MG over ARMCI, blocking vs non-blocking overlap, class B.
 pub fn fig19() -> Series {
-    let cases: Vec<usize> = vec![4, 8, 16];
-    let rows = crate::runner::par_map(&cases, |&np| {
-        let run = |bench, variant: &str| {
-            let scope = format!("fig19/np{np}/{variant}");
-            sim::nas(Some(scope), bench, Class::B, np, RecorderOpts::default())
-        };
-        let bl = run(NasBenchmark::MgArmciBlocking, "blocking");
-        let nb = run(NasBenchmark::MgArmciNonBlocking, "nonblocking");
-        let b = &bl.reports[0].total;
-        let n = &nb.reports[0].total;
-        vec![
-            np.to_string(),
-            pct(b.min_pct()),
-            pct(b.max_pct()),
-            pct(n.min_pct()),
-            pct(n.max_pct()),
-        ]
+    let nps = [4usize, 8, 16];
+    let variants = [
+        (NasBenchmark::MgArmciBlocking, "blocking"),
+        (NasBenchmark::MgArmciNonBlocking, "nonblocking"),
+    ];
+    let items: [_; 6] = std::array::from_fn(|i| (nps[i / 2], variants[i % 2]));
+    let runs = crate::runner::par_map(&items, |&(np, (bench, variant))| {
+        let scope = format!("fig19/np{np}/{variant}");
+        let art = sim::nas(Some(scope), bench, Class::B, np, RecorderOpts::default());
+        let t = &art.reports[0].total;
+        (t.min_pct(), t.max_pct())
     });
+    let rows = nps
+        .iter()
+        .zip(runs.as_chunks().0)
+        .map(|(np, &[(bmin, bmax), (nmin, nmax)])| {
+            vec![np.to_string(), pct(bmin), pct(bmax), pct(nmin), pct(nmax)]
+        })
+        .collect();
     Series {
         id: "fig19",
         title: "NAS MG over ARMCI, blocking vs non-blocking, class B".to_string(),

@@ -3,10 +3,12 @@
 //! V-cycle over an `n³` grid, 3-D process decomposition. Every level visit
 //! smooths/restricts/prolongates locally and exchanges ghost faces with the
 //! six axis neighbors (`comm3`); face areas quarter at every coarser level,
-//! so MG produces a *geometric ladder* of message sizes.
+//! so MG produces a *geometric ladder* of message sizes. A run builds one
+//! face buffer per axis at the finest level's size, shared by its ranks,
+//! and every visit sends a prefix of it by reference.
 //!
 //! Variants:
-//! * `run_mg_mpi` — NPB 2.4-style `Irecv`/`Send`/`Wait` per axis,
+//! * `mg_mpi` — NPB 2.4-style `Irecv`/`Send`/`Wait` per axis,
 //! * `MgVariant::ArmciBlocking` — `ARMCI_Put` per face, host-blocked,
 //! * `MgVariant::ArmciNonBlocking` — `ARMCI_NbPut` issued for the next
 //!   axis before working on the current axis's data (the optimization of
@@ -87,19 +89,42 @@ fn v_cycle(levels: usize) -> Vec<usize> {
     down.chain(up).collect()
 }
 
-/// Run the MPI variant.
-pub(crate) fn run_mg_mpi(mpi: &mut Mpi, class: Class) {
+/// One face buffer per axis, filled with `fill(axis)`, at the finest
+/// level's size, for every rank of an `np`-rank run: all ranks send the
+/// same bytes. `face_bytes` never grows with the level, so every visit
+/// sends a prefix of it by reference: `faces[axis].slice(..bytes)`.
+fn faces(np: usize, class: Class, fill: impl Fn(usize) -> u8) -> [Bytes; 3] {
+    let g = geometry(np, class);
+    std::array::from_fn(|axis| Bytes::from(vec![fill(axis); face_bytes(&g, axis, 0)]))
+}
+
+/// The MPI variant's rank body for an `np`-rank run.
+pub(crate) fn mg_mpi(np: usize, class: Class) -> impl Fn(&mut Mpi) + Send + Sync {
+    let faces = faces(np, class, |axis| axis as u8);
+    move |mpi| run_mg_mpi(mpi, class, &faces)
+}
+
+/// An ARMCI variant's rank body for an `np`-rank run.
+pub(crate) fn mg_armci(
+    np: usize,
+    class: Class,
+    variant: MgVariant,
+) -> impl Fn(&mut Armci) + Send + Sync {
+    let faces = faces(np, class, |axis| (axis + 1) as u8);
+    move |a| run_mg_armci(a, class, variant, &faces)
+}
+
+fn run_mg_mpi(mpi: &mut Mpi, class: Class, faces: &[Bytes; 3]) {
     let g = geometry(mpi.nranks(), class);
     let me = mpi.rank();
     for iter in 0..ITERATIONS {
         for (visit, level) in v_cycle(g.levels).into_iter().enumerate() {
             let tag_base = ((iter * 1000 + visit) as u64) << 16;
             // comm3: exchange both faces along each axis, then smooth.
-            for axis in 0..3 {
+            for (axis, face) in faces.iter().enumerate() {
                 let minus = neighbor3(me, g.dims, axis, -1);
                 let plus = neighbor3(me, g.dims, axis, 1);
-                let bytes = face_bytes(&g, axis, level);
-                let buf = Bytes::from(vec![axis as u8; bytes]);
+                let buf = face.slice(..face_bytes(&g, axis, level));
                 let tag = tag_base + axis as u64 * 2;
                 if plus == me {
                     continue; // single process along this axis
@@ -116,8 +141,7 @@ pub(crate) fn run_mg_mpi(mpi: &mut Mpi, class: Class) {
     }
 }
 
-/// Run an ARMCI variant.
-pub(crate) fn run_mg_armci(a: &mut Armci, class: Class, variant: MgVariant) {
+fn run_mg_armci(a: &mut Armci, class: Class, variant: MgVariant, faces: &[Bytes; 3]) {
     let g = geometry(a.nranks(), class);
     let me = a.rank();
     // Each (axis, direction) pair owns a disjoint ghost slot of the shared
@@ -136,14 +160,13 @@ pub(crate) fn run_mg_armci(a: &mut Armci, class: Class, variant: MgVariant) {
             match variant {
                 MgVariant::ArmciBlocking => {
                     // Update each dimension, then work on the data.
-                    for axis in 0..3 {
+                    for (axis, face) in faces.iter().enumerate() {
                         let minus = neighbor3(me, g.dims, axis, -1);
                         let plus = neighbor3(me, g.dims, axis, 1);
                         if plus == me {
                             continue;
                         }
-                        let bytes = face_bytes(&g, axis, level);
-                        let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
+                        let buf = face.slice(..face_bytes(&g, axis, level));
                         a.put(&mem, plus, 2 * axis * slot, &buf);
                         a.put(&mem, minus, (2 * axis + 1) * slot, &buf);
                         a.barrier();
@@ -154,12 +177,11 @@ pub(crate) fn run_mg_armci(a: &mut Armci, class: Class, variant: MgVariant) {
                     // Issue the next dimension's update *before* working on
                     // the current dimension's data (Tipparaju et al.).
                     let mut pending = Vec::new();
-                    for axis in 0..3 {
+                    for (axis, face) in faces.iter().enumerate() {
                         let minus = neighbor3(me, g.dims, axis, -1);
                         let plus = neighbor3(me, g.dims, axis, 1);
                         if plus != me {
-                            let bytes = face_bytes(&g, axis, level);
-                            let buf = Bytes::from(vec![(axis + 1) as u8; bytes]);
+                            let buf = face.slice(..face_bytes(&g, axis, level));
                             pending.push(a.nb_put(&mem, plus, 2 * axis * slot, &buf));
                             pending.push(a.nb_put(&mem, minus, (2 * axis + 1) * slot, &buf));
                         }

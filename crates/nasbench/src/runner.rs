@@ -126,13 +126,13 @@ pub fn run_benchmark_cfg(
         NasBenchmark::SpModified => {
             Box::new(move |mpi| sp::run_sp(mpi, class, sp::MODIFIED_IPROBES))
         }
-        NasBenchmark::MgMpi => Box::new(move |mpi| mg::run_mg_mpi(mpi, class)),
+        NasBenchmark::MgMpi => Box::new(mg::mg_mpi(np, class)),
         NasBenchmark::MgArmciBlocking | NasBenchmark::MgArmciNonBlocking => {
             let variant = match bench {
                 NasBenchmark::MgArmciBlocking => MgVariant::ArmciBlocking,
                 _ => MgVariant::ArmciNonBlocking,
             };
-            return run_armci(np, net, rec, move |a| mg::run_mg_armci(a, class, variant));
+            return run_armci(np, net, rec, mg::mg_armci(np, class, variant));
         }
         NasBenchmark::Ep => Box::new(move |mpi| ep::run_ep(mpi, class)),
         NasBenchmark::Is => Box::new(move |mpi| is::run_is(mpi, class)),

@@ -216,8 +216,7 @@ impl<'a> Armci<'a> {
                 if me & mask == 0 {
                     let src = me | mask;
                     if src < n {
-                        let other = bytes_to_f64s(&self.msg_recv(None, tag).2);
-                        ReduceOp::Sum.apply(&mut acc, &other);
+                        ReduceOp::Sum.fold_le(&mut acc, &self.msg_recv(None, tag).2);
                     }
                 } else {
                     let dst = me & !mask;

@@ -133,8 +133,7 @@ impl Mpi<'_> {
                     let src_v = vrank | mask;
                     if src_v < n {
                         let st = self.recv_internal(Src::Rank(unmap(src_v)), TagSel::Is(tag));
-                        let other = bytes_to_f64s(&st.into_data());
-                        op.apply(&mut acc, &other);
+                        op.fold_le(&mut acc, &st.into_data());
                     }
                 } else {
                     let dst = unmap(vrank & !mask);

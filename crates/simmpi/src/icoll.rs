@@ -12,13 +12,18 @@
 //! Implemented: [`Mpi::ialltoall`] and [`Mpi::iallreduce`] (ring algorithm:
 //! reduce-scatter + allgather).
 //!
+//! Payloads move by reference here too. The ring keeps one copy of the
+//! rank's values: a reduce-scatter step folds the received wire bytes into
+//! it and encodes only the chunk it sends next; an allgather step decodes
+//! the received chunk into it and forwards that same `Bytes`.
+//!
 //! Like blocking collectives, all ranks must initiate the same collectives
 //! in the same order.
 
 use bytes::Bytes;
 
 use crate::mpi::Mpi;
-use crate::types::{bytes_to_f64s, f64s_to_bytes, ReduceOp, Request, Src, TagSel};
+use crate::types::{f64s_to_bytes, le_f64s, ReduceOp, Request, Src, TagSel};
 
 /// Handle to an in-flight non-blocking collective.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -63,7 +68,13 @@ enum Kind {
     Allreduce {
         tag: u64,
         op: ReduceOp,
-        chunks: Vec<Vec<f64>>,
+        /// The rank's own values, in `n` chunks of `len.div_ceil(n)` (the
+        /// tail ones short or empty). Received chunks are folded or decoded
+        /// into it in place; at the end it is the result.
+        vals: Vec<f64>,
+        /// The chunk the allgather ring received last, forwarded as it
+        /// arrived at the next step.
+        carry: Option<Bytes>,
         /// 0 = reduce-scatter ring, 1 = allgather ring, 2 = finished.
         phase: u8,
         step: usize,
@@ -110,21 +121,14 @@ impl Mpi<'_> {
         self.rec.call_enter("MPI_Iallreduce");
         let n = self.nranks();
         let tag = self.coll_tag();
-        // Split into n chunks (possibly empty at the tail).
-        let per = vals.len().div_ceil(n.max(1)).max(1);
-        let chunks: Vec<Vec<f64>> = (0..n)
-            .map(|c| {
-                let lo = (c * per).min(vals.len());
-                let hi = ((c + 1) * per).min(vals.len());
-                vals[lo..hi].to_vec()
-            })
-            .collect();
+        let mut own = vals.to_vec();
         let state = ICollState {
-            result: (n <= 1).then(|| CollResult::Vals(vals.to_vec())),
+            result: (n <= 1).then(|| CollResult::Vals(std::mem::take(&mut own))),
             kind: Kind::Allreduce {
                 tag,
                 op,
-                chunks,
+                vals: own,
+                carry: None,
                 phase: 0,
                 step: 0,
                 inflight: None,
@@ -206,7 +210,8 @@ impl Mpi<'_> {
             Kind::Allreduce {
                 tag,
                 op,
-                chunks,
+                vals,
+                carry,
                 phase,
                 step,
                 inflight,
@@ -215,15 +220,21 @@ impl Mpi<'_> {
                 let me = self.rank();
                 let right = (me + 1) % n;
                 let left = (me + n - 1) % n;
+                let (len, per) = (vals.len(), vals.len().div_ceil(n).max(1));
+                let chunk = |c: usize| (c * per).min(len)..((c + 1) * per).min(len);
                 loop {
                     if let Some((s, r, recv_chunk)) = *inflight {
                         if self.req_done(s) && self.req_done(r) {
                             self.take_status(s);
-                            let incoming = bytes_to_f64s(&self.take_status(r).into_data());
+                            let incoming = self.take_status(r).into_data();
+                            let own = &mut vals[chunk(recv_chunk)];
                             if *phase == 0 {
-                                op.apply(&mut chunks[recv_chunk], &incoming);
+                                op.fold_le(own, &incoming);
                             } else {
-                                chunks[recv_chunk] = incoming;
+                                own.iter_mut()
+                                    .zip(le_f64s(&incoming))
+                                    .for_each(|(v, x)| *v = x);
+                                *carry = Some(incoming);
                             }
                             *inflight = None;
                             *step += 1;
@@ -236,7 +247,7 @@ impl Mpi<'_> {
                         }
                     }
                     if *phase >= 2 {
-                        st.result = Some(CollResult::Vals(chunks.concat()));
+                        st.result = Some(CollResult::Vals(std::mem::take(vals)));
                         return;
                     }
                     let (send_chunk, recv_chunk) = if *phase == 0 {
@@ -245,7 +256,11 @@ impl Mpi<'_> {
                         ((me + 1 + n - *step) % n, (me + n - *step) % n)
                     };
                     let t = *tag + (*phase as u64) * 1000 + *step as u64;
-                    let payload = f64s_to_bytes(&chunks[send_chunk]).into();
+                    // The reduce-scatter sends the chunk it folded last; the
+                    // allgather forwards the bytes it received, past step 0.
+                    let payload = carry
+                        .take()
+                        .unwrap_or_else(|| f64s_to_bytes(&vals[chunk(send_chunk)]).into());
                     let s = self.isend_raw(right, t, payload, true);
                     let r = self.irecv_raw(Src::Rank(left), TagSel::Is(t));
                     *inflight = Some((s, r, recv_chunk));

@@ -44,7 +44,9 @@ impl Status {
 
 /// A send buffer, converted once at the API boundary into the [`Bytes`] that
 /// travels — by reference, never copied again on the host — through the
-/// library and the fabric to the receiver's [`Status::data`].
+/// library and the fabric to the receiver's [`Status::data`]. The
+/// collectives forward what they receive the same way: a broadcast or an
+/// allgather ring step sends on the `Bytes` it was handed.
 ///
 /// `Bytes`, `&Bytes` and `Vec<u8>` convert without copying. A borrowed slice
 /// pays exactly one copy: the caller may reuse it once the send returns, and
@@ -99,14 +101,21 @@ pub enum ReduceOp {
 }
 
 impl ReduceOp {
-    /// Apply the operator elementwise: `acc[i] = op(acc[i], other[i])`.
-    /// Panics with "reduce length mismatch" when the lengths differ.
-    pub fn apply(&self, acc: &mut [f64], other: &[f64]) {
-        assert_eq!(acc.len(), other.len(), "reduce length mismatch");
+    /// Fold a little-endian payload into `acc` elementwise, `acc[i] =
+    /// op(acc[i], wire[i])`, with no decode buffer. Panics with "reduce
+    /// length mismatch" unless `wire` holds exactly `acc.len()` values.
+    pub fn fold_le(&self, acc: &mut [f64], wire: &[u8]) {
+        assert_eq!(acc.len() * 8, wire.len(), "reduce length mismatch");
         match self {
-            ReduceOp::Sum => acc.iter_mut().zip(other).for_each(|(a, b)| *a += b),
+            ReduceOp::Sum => acc.iter_mut().zip(le_f64s(wire)).for_each(|(a, b)| *a += b),
         }
     }
+}
+
+/// The `f64`s of a little-endian payload, decoded as they are read.
+pub(crate) fn le_f64s(b: &[u8]) -> impl Iterator<Item = f64> + '_ {
+    b.chunks_exact(8)
+        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
 }
 
 /// Serialize a slice of `f64` to little-endian bytes.
@@ -121,9 +130,7 @@ pub fn f64s_to_bytes(v: &[f64]) -> Vec<u8> {
 /// Deserialize little-endian bytes into `f64`s (length must be 8-aligned).
 pub fn bytes_to_f64s(b: &[u8]) -> Vec<f64> {
     assert!(b.len().is_multiple_of(8), "payload not f64-aligned");
-    b.chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect()
+    le_f64s(b).collect()
 }
 
 #[cfg(test)]
@@ -139,7 +146,7 @@ mod tests {
     #[test]
     fn reduce_ops_apply() {
         let mut a = vec![1.0, 5.0];
-        ReduceOp::Sum.apply(&mut a, &[2.0, 2.0]);
+        ReduceOp::Sum.fold_le(&mut a, &f64s_to_bytes(&[2.0, 2.0]));
         assert_eq!(a, vec![3.0, 7.0]);
     }
 }

@@ -37,20 +37,60 @@ fn ialltoall_permutes_blocks() {
     }
 }
 
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
 #[test]
 fn iallreduce_matches_blocking() {
+    // Lengths 0 and 1 leave the tail chunks empty; 10 and 1000 split
+    // unevenly over 3 and 8 ranks. Six collectives are in flight at once.
     for nranks in [2usize, 3, 4, 8] {
         run(nranks, MpiConfig::default(), move |mpi| {
-            let mine: Vec<f64> = (0..10).map(|i| (mpi.rank() * 10 + i) as f64).collect();
-            let h = mpi.iallreduce(&mine, ReduceOp::Sum);
-            mpi.compute(20_000);
-            let CollResult::Vals(nb) = mpi.icoll_wait(h) else {
-                panic!("iallreduce must complete with values");
-            };
-            let blocking = mpi.allreduce(&mine, ReduceOp::Sum);
-            assert_eq!(nb, blocking, "nranks {nranks}");
+            let me = mpi.rank();
+            for len in [0usize, 1, 10, 1000] {
+                let mine = |k: usize| -> Vec<f64> {
+                    (0..len).map(|i| (k * 7919 + me * len + i) as f64).collect()
+                };
+                let hs: Vec<_> = (0..6)
+                    .map(|k| mpi.iallreduce(&mine(k), ReduceOp::Sum))
+                    .collect();
+                mpi.compute(20_000);
+                for (k, h) in hs.into_iter().enumerate() {
+                    let CollResult::Vals(nb) = mpi.icoll_wait(h) else {
+                        panic!("iallreduce must complete with values");
+                    };
+                    let blocking = mpi.allreduce(&mine(k), ReduceOp::Sum);
+                    assert_eq!(bits(&nb), bits(&blocking), "nranks {nranks} len {len}");
+                }
+            }
         });
     }
+}
+
+#[test]
+fn iallreduce_sums_each_chunk_around_the_ring() {
+    // Inexact values make the association visible: chunk `c` starts at
+    // rank `c` and every later rank on the ring adds its own value to the
+    // partial sum it receives, so the result must match that order bit
+    // for bit.
+    let (nranks, len) = (5usize, 23usize);
+    let value = move |rank: usize, i: usize| 0.1 * (rank * len + i) as f64 + 1.0 / 3.0;
+    run(nranks, MpiConfig::default(), move |mpi| {
+        let mine: Vec<f64> = (0..len).map(|i| value(mpi.rank(), i)).collect();
+        let h = mpi.iallreduce(&mine, ReduceOp::Sum);
+        let CollResult::Vals(got) = mpi.icoll_wait(h) else {
+            panic!("iallreduce must complete with values");
+        };
+        let per = len.div_ceil(nranks);
+        let want: Vec<f64> = (0..len)
+            .map(|i| {
+                let c = i / per;
+                (1..nranks).fold(value(c, i), |acc, k| value((c + k) % nranks, i) + acc)
+            })
+            .collect();
+        assert_eq!(bits(&got), bits(&want));
+    });
 }
 
 #[test]
