@@ -2,10 +2,10 @@
 
 use bytes::Bytes;
 use overlap_core::{RecorderOpts, SizeBins, XferTimeTable};
-use simmpi::{default_xfer_table, MpiConfig, Src, TagSel};
+use simmpi::{default_xfer_table, Joined, MpiConfig, Src, TagSel};
 use simnet::NetConfig;
 
-use crate::sim::{self, Dim};
+use crate::sim::{self, traced, Dim};
 use crate::{pct, Series};
 
 /// Eager-threshold sweep: the *receiver-side* overlap cliff for a fixed
@@ -176,7 +176,7 @@ pub fn ablation_table_resolution() -> Series {
             2,
             NetConfig::default(),
             MpiConfig::open_mpi_leave_pinned(),
-            RecorderOpts::default(),
+            traced(),
             table,
             move |mpi| {
                 let mut shared = 1u64;
@@ -199,7 +199,7 @@ pub fn ablation_table_resolution() -> Series {
             },
         );
         let r = &out.reports[0].total;
-        let truth = out.true_overlap(0);
+        let truth: u64 = out.joined().filter(|j| j.rank == 0).map(|j| j.truth).sum();
         rows.push(vec![
             name.to_string(),
             pct(r.min_pct()),
@@ -266,8 +266,8 @@ pub fn ablation_queue_capacity() -> Series {
 
 /// Incast contention: `n` senders push to rank 0 simultaneously. With
 /// ingress contention modeled, physical durations stretch past the idle
-/// a-priori table — the `congestion_excess` slack that loosens the upper
-/// bound. Demonstrates the bound semantics under load.
+/// a-priori table — the senders' summed slack (`docs/BOUNDS.md`) that loosens
+/// the upper bound. Demonstrates the bound semantics under load.
 pub fn ablation_incast() -> Series {
     let grid: Vec<(bool, usize)> = [false, true]
         .iter()
@@ -278,15 +278,12 @@ pub fn ablation_incast() -> Series {
             model_ingress_contention: contention,
             ..NetConfig::infiniband_2006()
         };
-        // The idle table knows nothing of the topology, so the harness's own
-        // config gives the same one the run used under any `--topology`.
-        let table = default_xfer_table(&net);
         let out = sim::mpi(
             None,
             senders + 1,
             net,
             MpiConfig::mvapich2(),
-            RecorderOpts::default(),
+            traced(),
             move |mpi| {
                 if mpi.rank() == 0 {
                     let reqs: Vec<_> = (1..=senders)
@@ -300,9 +297,7 @@ pub fn ablation_incast() -> Series {
                 }
             },
         );
-        let slack: u64 = (1..=senders)
-            .map(|r| out.congestion_excess(r, &table))
-            .sum();
+        let slack: u64 = out.joined().filter(|j| j.rank > 0).map(Joined::slack).sum();
         let r1 = &out.reports[1];
         vec![
             if contention { "on" } else { "off" }.to_string(),
@@ -443,7 +438,7 @@ pub fn extra_nic_timestamps() -> Series {
             2,
             NetConfig::default(),
             MpiConfig::open_mpi_leave_pinned(),
-            RecorderOpts::default(),
+            traced(),
             move |mpi| {
                 let msg = Bytes::from(vec![1u8; 1 << 20]);
                 for i in 0..30 {
@@ -459,7 +454,7 @@ pub fn extra_nic_timestamps() -> Series {
             },
         );
         let r = &out.reports[0].total;
-        let truth = out.true_overlap(0);
+        let truth: u64 = out.joined().filter(|j| j.rank == 0).map(|j| j.truth).sum();
         let true_pct = 100.0 * truth as f64 / r.data_transfer_time as f64;
         rows.push(vec![
             compute_us.to_string(),
@@ -670,16 +665,12 @@ pub fn halo_4k() -> Series {
         }),
         ..NetConfig::infiniband_2006()
     };
-    let rec = RecorderOpts {
-        trace: true, // reconciliation is checked in-harness below
-        ..RecorderOpts::default()
-    };
     let out = sim::mpi(
         None,
         n,
         Dim::Pinned(net), // the fitted fat-tree is what this harness measures
         MpiConfig::open_mpi_leave_pinned(),
-        rec,
+        traced(), // reconciliation is checked in-harness below
         move |mpi| {
             let me = mpi.rank();
             let (x, y) = (me % side, me / side);
@@ -799,16 +790,12 @@ pub fn ablation_progress() -> Series {
             progress: model,
             ..MpiConfig::open_mpi_leave_pinned()
         };
-        let rec = RecorderOpts {
-            trace: true, // reconciliation is checked per cell below
-            ..RecorderOpts::default()
-        };
         let out = sim::mpi(
             None,
             n,
             NetConfig::default(),
             Dim::Pinned(cfg), // the progress model is this harness's swept variable
-            rec,
+            traced(),         // reconciliation is checked per cell below
             move |mpi| match workload {
                 "halo" => {
                     let me = mpi.rank();

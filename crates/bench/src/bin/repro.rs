@@ -105,13 +105,15 @@ fn main() {
     }
 
     runner::set_jobs(cli.jobs);
+    // Allocate stdout's buffer before any harness's allocation window opens.
+    let _ = std::io::stdout();
     let t0 = std::time::Instant::now();
     // A harness whose simulation deadlocks panics with the engine's
     // one-line diagnostic (including the wait-for cycle when known);
     // surface that as exit code 3 instead of a raw panic trace.
     let runs = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        runner::run_harnesses(&cli.selection, |run| {
-            print!("{}", run.series.render());
+        runner::run_harnesses(&cli.selection, |_, text| {
+            print!("{text}");
             println!();
         })
     })) {

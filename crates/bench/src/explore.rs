@@ -31,7 +31,6 @@
 
 use std::path::{Path, PathBuf};
 
-use overlap_core::RecorderOpts;
 use simcore::oracle::splitmix64;
 use simcore::{
     ChoiceRec, OracleHandle, RandomOracle, ReplayOracle, ScheduleOracle, SimError, SimOpts,
@@ -273,15 +272,11 @@ pub fn run_schedule(sc: &Scenario, oracle: Box<dyn ScheduleOracle>) -> ScheduleR
         oracle: Some(handle.clone()),
         ..SimOpts::default()
     };
-    let rec = RecorderOpts {
-        trace: true,
-        ..RecorderOpts::default()
-    };
     let res = run_mpi_with(
         sc.nranks,
         sc.net.clone(),
         sc.mpi.clone(),
-        rec,
+        crate::sim::traced(),
         table,
         opts,
         sc.body,

@@ -199,13 +199,13 @@ pub struct RunReport {
 /// the shape the streaming server serves as its live series.
 pub use overlap_core::stream::ScopeSeries as ScopeWindows;
 
-/// Run `harnesses` on the global worker budget, invoking `on_done` for each
-/// **in canonical (input) order** as soon as that harness and all its
-/// predecessors have finished. With the sink printing `render()`, stdout is
-/// byte-identical to a serial run regardless of `--jobs`.
+/// Run `harnesses` on the global worker budget, invoking `on_done` with each
+/// run and its rendered series **in canonical (input) order** as soon as it
+/// and all its predecessors have finished, so printed output is identical
+/// under any `--jobs`. Rendering happens after the run's allocation window.
 pub fn run_harnesses(
     harnesses: &[Harness],
-    mut on_done: impl FnMut(&HarnessRun),
+    mut on_done: impl FnMut(&HarnessRun, &str),
 ) -> Vec<HarnessRun> {
     let n = harnesses.len();
     if n == 0 {
@@ -213,7 +213,7 @@ pub fn run_harnesses(
     }
     let permits = acquire_workers(n);
     let workers = permits.0.max(1);
-    type Slot = Option<std::thread::Result<HarnessRun>>;
+    type Slot = Option<std::thread::Result<(HarnessRun, String)>>;
     let done: Mutex<Vec<Slot>> = Mutex::new((0..n).map(|_| None).collect());
     let cv = Condvar::new();
     let next = AtomicUsize::new(0);
@@ -229,7 +229,8 @@ pub fn run_harnesses(
             let series = (h.run)();
             let wall_s = t0.elapsed().as_secs_f64();
             let (alloc_calls, alloc_bytes) = crate::alloc::region(a0, crate::alloc::snapshot());
-            HarnessRun {
+            let text = series.render();
+            let run = HarnessRun {
                 id: h.id,
                 kind: h.kind,
                 ranks: h.ranks,
@@ -237,18 +238,19 @@ pub fn run_harnesses(
                 alloc_calls,
                 alloc_bytes,
                 series,
-            }
+            };
+            (run, text)
         });
         let mut g = done.lock().unwrap();
         g[i] = Some(res);
         cv.notify_all();
     };
+    let mut out = Vec::with_capacity(n);
     std::thread::scope(|s| {
         for _ in 0..workers {
             s.spawn(work);
         }
-        // This thread only reprints: wait for each slot in canonical order.
-        let mut out = Vec::with_capacity(n);
+        // This thread only prints: wait for each slot in canonical order.
         let mut g = done.lock().unwrap();
         for i in 0..n {
             while g[i].is_none() {
@@ -256,14 +258,13 @@ pub fn run_harnesses(
             }
             let res = g[i].take().expect("slot ready");
             drop(g);
-            let run = settle(res);
-            on_done(&run);
+            let (run, text) = settle(res);
+            on_done(&run, &text);
             out.push(run);
             g = done.lock().unwrap();
         }
-        drop(g);
-        out
-    })
+    });
+    out
 }
 
 /// Parsed `repro` command line.

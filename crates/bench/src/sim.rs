@@ -38,6 +38,14 @@ pub fn set_overrides(topology: Option<TopologySpec>, progress: Option<ProgressMo
     }
 }
 
+/// Recorder options of a run whose traces its harness reads itself.
+pub(crate) fn traced() -> RecorderOpts {
+    RecorderOpts {
+        trace: true,
+        ..RecorderOpts::default()
+    }
+}
+
 /// Where one run dimension (the fabric, or the MPI library configuration)
 /// comes from.
 #[derive(Debug)]

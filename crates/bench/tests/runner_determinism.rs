@@ -15,8 +15,8 @@ fn pick(ids: &[&str]) -> Vec<Harness> {
 fn render_all(selection: &[Harness], jobs: usize) -> String {
     runner::set_jobs(jobs);
     let mut out = String::new();
-    let runs = runner::run_harnesses(selection, |run| {
-        out.push_str(&run.series.render());
+    let runs = runner::run_harnesses(selection, |_, text| {
+        out.push_str(text);
         out.push('\n');
     });
     assert_eq!(runs.len(), selection.len());

@@ -55,7 +55,7 @@ fn panics_return_worker_permits() {
         Harness::new("quiet", HarnessKind::Figure, 1, quiet),
         Harness::new("boom", HarnessKind::Figure, 1, boom),
     ];
-    let caught = std::panic::catch_unwind(|| runner::run_harnesses(&selection, |_| {}));
+    let caught = std::panic::catch_unwind(|| runner::run_harnesses(&selection, |_, _| {}));
     assert!(caught.is_err(), "the harness panic must propagate");
     assert!(
         par_map_threads() > 1,
@@ -118,7 +118,7 @@ fn one_job_is_two_threads_direct_and_one_under_run_harnesses() {
     assert_eq!(par_map_threads(), 2, "a direct par_map under one job");
     runner::run_harnesses(
         &[Harness::new("probe", HarnessKind::Figure, 1, probe)],
-        |_| {},
+        |_, _| {},
     );
     assert_eq!(
         *INSIDE.lock().unwrap(),

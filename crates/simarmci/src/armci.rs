@@ -225,20 +225,25 @@ impl<'a> Armci<'a> {
                 }
                 mask <<= 1;
             }
-            // Binomial bcast from 0.
+            // Binomial bcast from 0 of the root's bytes, forwarded as received.
             let tag2 = self.alloc_coll_tag();
+            let mut wire = Bytes::new();
             let mut mask = 1usize;
             while mask < n {
                 if me & mask != 0 {
-                    acc = bytes_to_f64s(&self.msg_recv(None, tag2).2);
+                    wire = self.msg_recv(None, tag2).2;
+                    acc = bytes_to_f64s(&wire);
                     break;
                 }
                 mask <<= 1;
             }
+            if me == 0 {
+                wire = Bytes::from(f64s_to_bytes(&acc));
+            }
             mask >>= 1;
             while mask > 0 {
                 if me + mask < n {
-                    self.msg_send(me + mask, tag2, f64s_to_bytes(&acc));
+                    self.msg_send(me + mask, tag2, &wire);
                 }
                 mask >>= 1;
             }

@@ -66,10 +66,14 @@ fn nb_put_wait_and_fence() {
 
 #[test]
 fn allreduce_sums_across_ranks() {
-    run(4, |a| {
-        let out = a.allreduce_sum(&[1.0, a.rank() as f64]);
-        assert_eq!(out, vec![4.0, 6.0]);
-    });
+    // 3, 5 and 8 ranks: binomial trees whose rank count is not a power of
+    // two, and one that is.
+    for n in [3usize, 4, 5, 8] {
+        run(n, move |a| {
+            let out = a.allreduce_sum(&[1.0, a.rank() as f64]);
+            assert_eq!(out, vec![n as f64, (n * (n - 1) / 2) as f64], "{n} ranks");
+        });
+    }
 }
 
 #[test]

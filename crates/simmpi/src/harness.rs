@@ -4,7 +4,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use overlap_core::trace::RankTrace;
+use overlap_core::trace::{BoundRecord, RankTrace};
 use overlap_core::{OverlapReport, RecorderOpts, Violation, XferTimeTable};
 use simcore::{SimError, SimOpts, SimOutcome, Time};
 use simnet::{Cluster, ClusterOutcome, FaultEvent, NetConfig, TransferRecord};
@@ -59,6 +59,28 @@ pub struct RunOutcome {
     pipe_rests: Vec<(usize, u64, u64, u64)>,
 }
 
+/// A bound record and the fabric transfers behind it ([`RunOutcome::joined`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Joined<'a> {
+    /// The rank whose trace holds the record.
+    pub rank: usize,
+    /// The bound record.
+    pub record: &'a BoundRecord,
+    /// Σ ground-truth overlap of the transfers with the rank's computation.
+    pub truth: u64,
+    /// Σ physical duration of the transfers.
+    duration: u64,
+    /// Some fabric transfer carries the record's id.
+    pub joined: bool,
+}
+
+impl Joined<'_> {
+    /// Σ duration − table time, saturating: the upper bound's slack (`docs/BOUNDS.md`).
+    pub fn slack(self) -> u64 {
+        self.duration.saturating_sub(self.record.xfer_time)
+    }
+}
+
 impl RunOutcome {
     /// Assemble a run's outcome from the cluster's and each rank's, the
     /// latter ordered by rank.
@@ -90,6 +112,43 @@ impl RunOutcome {
         self.sim.end_time
     }
 
+    /// Every bound record of a traced run, in trace order, joined by id to the
+    /// fabric transfers that moved its bytes: a pipelined rest record to the
+    /// fragments `pipe_rests` names, a lost attempt only to the sender's
+    /// record. The one join of bounds to ground truth; `check()` filters it.
+    pub fn joined(&self) -> impl Iterator<Item = Joined<'_>> {
+        // Built once per call, then binary-searched: the transfers by id.
+        let mut by_id: Vec<&TransferRecord> = self.transfers.iter().collect();
+        by_id.sort_unstable_by_key(|t| t.xfer_id);
+        let rests: HashMap<(usize, u64), (u64, u64)> = self
+            .pipe_rests
+            .iter()
+            .map(|&(rank, rest, first, n)| ((rank, rest), (first, first + n)))
+            .collect();
+        self.traces
+            .iter()
+            .flat_map(|tr| tr.bounds.iter().map(move |b| (tr.rank, b)))
+            .map(move |(rank, record)| {
+                let (lo, hi) = record.id.map_or((0, 0), |id| {
+                    rests.get(&(rank, id)).copied().unwrap_or((id, id + 1))
+                });
+                let at = |id| by_id.partition_point(|t| t.xfer_id < id);
+                let phys = &by_id[at(lo)..at(hi)];
+                let log = &self.sim.activity[rank];
+                let seen = phys.iter().filter(|x| x.seen_by(rank));
+                let (truth, duration) = seen.fold((0, 0), |(t, d), x| {
+                    (t + x.true_overlap(log), d + x.duration())
+                });
+                Joined {
+                    rank,
+                    record,
+                    truth,
+                    duration,
+                    joined: !phys.is_empty(),
+                }
+            })
+    }
+
     /// Check every claim the repo makes about a traced run; empty = sound.
     ///
     /// * [`overlap_core::check_reports`] on every report;
@@ -97,12 +156,8 @@ impl RunOutcome {
     ///   forwards and in time order;
     /// * `attribution_reconcile`: every transfer's wait-state breakdown
     ///   reconciles exactly;
-    /// * per bound record, joined by id to the fabric transfers that moved its
-    ///   bytes (a pipelined rest record to the fragments `pipe_rests` names as
-    ///   `(rank, rest id, first fragment id, count)`; a lost attempt joins only
-    ///   the sender's record): `min_le_truth` (no slack),
-    ///   `truth_le_max` (slack: how far the transfers' summed duration exceeds
-    ///   the record's table time), `unjoined` (no such fabric transfer);
+    /// * per record of [`RunOutcome::joined`]: `unjoined` (no fabric transfer),
+    ///   `min_le_truth` (no slack), `truth_le_max` (with [`Joined::slack`]);
     /// * `untraced`: the reports count transfers but there is no trace to join.
     pub fn check(&self) -> Vec<Violation> {
         let mut v = overlap_core::check_reports(&self.reports);
@@ -122,16 +177,6 @@ impl RunOutcome {
                 last = from;
             }
         }
-        // The join, built once: fabric transfers sorted by id, so the ones behind
-        // a record are one contiguous run found by binary search.
-        let mut by_id: Vec<(u64, &TransferRecord)> =
-            self.transfers.iter().map(|t| (t.xfer_id, t)).collect();
-        by_id.sort_unstable_by_key(|&(id, _)| id);
-        let rests: HashMap<(usize, u64), (u64, u64)> = self
-            .pipe_rests
-            .iter()
-            .map(|&(rank, rest, first, n)| ((rank, rest), (first, first + n)))
-            .collect();
         for tr in &self.traces {
             for rec in overlap_core::attribute(tr).records {
                 if !rec.reconciles() {
@@ -150,40 +195,25 @@ impl RunOutcome {
                     );
                 }
             }
-            for b in &tr.bounds {
-                let (lo, hi) = b.id.map_or((0, 0), |id| {
-                    rests.get(&(tr.rank, id)).copied().unwrap_or((id, id + 1))
-                });
-                let phys = &by_id
-                    [by_id.partition_point(|e| e.0 < lo)..by_id.partition_point(|e| e.0 < hi)];
-                let seen = phys.iter().filter(|(_, x)| x.seen_by(tr.rank));
-                let (truth, duration) = seen.fold((0, 0), |(t, d), (_, x)| {
-                    (
-                        t + x.true_overlap(&self.sim.activity[tr.rank]),
-                        d + x.duration(),
-                    )
-                });
-                let slack = duration.saturating_sub(b.xfer_time);
-                let (rank, id) = (tr.rank, b.id);
-                if phys.is_empty() {
-                    fail(
-                        "unjoined",
-                        format!("rank {rank} xfer {id:?}: no fabric transfer"),
-                    );
-                } else if b.min > truth {
-                    fail(
-                        "min_le_truth",
-                        format!("rank {rank} xfer {id:?}: min {} > truth {truth}", b.min),
-                    );
-                } else if truth > b.max + slack {
-                    fail(
-                        "truth_le_max",
-                        format!(
-                            "rank {rank} xfer {id:?}: truth {truth} > max {} + slack {slack}",
-                            b.max
-                        ),
-                    );
-                }
+        }
+        for j in self.joined() {
+            let (rank, id, truth, slack) = (j.rank, j.record.id, j.truth, j.slack());
+            let (min, max) = (j.record.min, j.record.max);
+            if !j.joined {
+                fail(
+                    "unjoined",
+                    format!("rank {rank} xfer {id:?}: no fabric transfer"),
+                );
+            } else if min > truth {
+                fail(
+                    "min_le_truth",
+                    format!("rank {rank} xfer {id:?}: min {min} > truth {truth}"),
+                );
+            } else if truth > max + slack {
+                fail(
+                    "truth_le_max",
+                    format!("rank {rank} xfer {id:?}: truth {truth} > max {max} + slack {slack}"),
+                );
             }
         }
         let counted: u64 = self.reports.iter().map(|r| r.total.transfers).sum();
@@ -194,24 +224,6 @@ impl RunOutcome {
             );
         }
         v
-    }
-
-    /// Ground-truth overlap for `rank`: Σ over transfers touching the rank of
-    /// the intersection between the physical transfer interval and the rank's
-    /// compute intervals.
-    pub fn true_overlap(&self, rank: usize) -> u64 {
-        simnet::truth::total_true_overlap(&self.transfers, rank, &self.sim.activity[rank])
-    }
-
-    /// Σ over transfers touching `rank` of how much the physical duration
-    /// exceeded the a-priori table time — the congestion slack that loosens
-    /// the framework's *upper* bound (see `DESIGN.md`).
-    pub fn congestion_excess(&self, rank: usize, table: &XferTimeTable) -> u64 {
-        self.transfers
-            .iter()
-            .filter(|t| (t.src == rank || t.dst == rank) && t.seen_by(rank))
-            .map(|t| t.duration().saturating_sub(table.lookup(t.bytes as u64)))
-            .sum()
     }
 
     /// Write every rank's report to `dir` as `overlap.rank<N>.json` — the

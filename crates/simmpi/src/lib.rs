@@ -67,7 +67,7 @@ pub mod types;
 /// The payload type, re-exported for callers without a `bytes` dependency.
 pub use bytes::Bytes;
 pub use config::{MpiConfig, ProgressModel, RndvMode};
-pub use harness::{default_xfer_table, run_mpi, run_mpi_with, RankOutcome, RunOutcome};
+pub use harness::{default_xfer_table, run_mpi, run_mpi_with, Joined, RankOutcome, RunOutcome};
 pub use mpi::Mpi;
 pub use types::{
     bytes_to_f64s, f64s_to_bytes, IntoPayload, ReduceOp, Request, Src, Status, TagSel,

@@ -26,7 +26,7 @@ pub mod memory;
 mod nic;
 mod packet;
 mod topology;
-pub mod truth;
+mod truth;
 pub mod world;
 
 pub use cluster::{Cluster, ClusterOutcome};

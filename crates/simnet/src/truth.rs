@@ -57,17 +57,6 @@ impl TransferRecord {
     }
 }
 
-/// Sum of ground-truth overlaps for every transfer touching `rank` (as source
-/// or destination) and [seen by](TransferRecord::seen_by) it, against that
-/// rank's activity log.
-pub fn total_true_overlap(transfers: &[TransferRecord], rank: usize, log: &ActivityLog) -> u64 {
-    transfers
-        .iter()
-        .filter(|t| (t.src == rank || t.dst == rank) && t.seen_by(rank))
-        .map(|t| t.true_overlap(log))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,8 +95,6 @@ mod tests {
         };
         assert!(lost.seen_by(0) && !lost.seen_by(1));
         assert!(rec(0, 1, 0, 50).seen_by(1));
-        let log = log_of(&[(Activity::Compute, 100)]);
-        assert_eq!(total_true_overlap(&[lost, rec(0, 1, 50, 75)], 1, &log), 25);
     }
 
     #[test]
@@ -115,14 +102,5 @@ mod tests {
         let log = log_of(&[(Activity::Compute, 50), (Activity::LibraryWait, 50)]);
         let t = rec(0, 1, 25, 75);
         assert_eq!(t.true_overlap(&log), 25);
-    }
-
-    #[test]
-    fn total_filters_by_rank() {
-        let log = log_of(&[(Activity::Compute, 100)]);
-        let ts = vec![rec(0, 1, 0, 10), rec(2, 3, 0, 10), rec(4, 0, 20, 30)];
-        assert_eq!(total_true_overlap(&ts, 0, &log), 20);
-        assert_eq!(total_true_overlap(&ts, 3, &log), 10);
-        assert_eq!(total_true_overlap(&ts, 5, &log), 0);
     }
 }

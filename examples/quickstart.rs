@@ -44,12 +44,17 @@ fn main() {
         );
     }
 
-    // Full per-process report for the last configuration:
+    // Full per-process report for the last configuration, traced so the
+    // bounds can be joined to the fabric's ground truth below:
+    let traced = RecorderOpts {
+        trace: true,
+        ..RecorderOpts::default()
+    };
     let out = run_mpi(
         2,
         NetConfig::default(),
         MpiConfig::open_mpi_leave_pinned(),
-        RecorderOpts::default(),
+        traced,
         |mpi| {
             let msg = vec![42u8; 1 << 20];
             for i in 0..20 {
@@ -67,8 +72,8 @@ fn main() {
     println!("\n{}", out.reports[0].render_text());
 
     // The simulator also knows the ground truth — something real hardware
-    // could not tell the paper's authors:
-    let truth = out.true_overlap(0);
+    // could not tell the paper's authors, summed over rank 0's transfers:
+    let truth: u64 = out.joined().filter(|j| j.rank == 0).map(|j| j.truth).sum();
     println!(
         "ground truth overlap for rank 0: {:.3} ms (bounds: [{:.3}, {:.3}] ms)",
         truth as f64 / 1e6,

@@ -132,7 +132,10 @@ fn bounds_hold_on_a_faster_fabric() {
 /// Off the flat crossbar: the `ablation-topology` exchange (32 ranks,
 /// 64 KiB direct-read rendezvous) on a fat-tree and a dragonfly, with no
 /// tenant and with a heavy one. The table is the fastest route's, so the
-/// lower bound needs no slack on any route.
+/// lower bound needs no slack on any route. How loose each cell's bounds
+/// are is pinned from the join: every one of its 384 records joined, how
+/// many hold `truth <= max` only by the slack, how many have `min > truth`,
+/// and Σ(truth − min) in ns.
 #[test]
 fn bounds_hold_on_hierarchical_fabrics() {
     use simnet::{BackgroundJob, TopologySpec};
@@ -140,6 +143,7 @@ fn bounds_hold_on_hierarchical_fabrics() {
         msg_bytes: 16 << 10,
         period_ns: 50_000,
     };
+    let mut got = Vec::new();
     for topology in [
         TopologySpec::FatTree { k: 8 },
         TopologySpec::Dragonfly { a: 4, p: 2, h: 2 },
@@ -165,8 +169,27 @@ fn bounds_hold_on_hierarchical_fabrics() {
             })
             .unwrap();
             assert_eq!(out.check(), []);
+            let (mut joined, mut past_max, mut past_min, mut above_min) = (0, 0, 0, 0);
+            for j in out.joined() {
+                joined += j.joined as usize;
+                past_max += (j.truth > j.record.max) as usize;
+                past_min += (j.record.min > j.truth) as usize;
+                above_min += j.truth.saturating_sub(j.record.min);
+            }
+            let cell = format!("{topology:?} {}", background.map_or("idle", |_| "heavy"));
+            got.push((cell, joined, past_max, past_min, above_min));
         }
     }
+    let want = [
+        ("FatTree { k: 8 } idle", 384, 65, 0, 209_924),
+        ("FatTree { k: 8 } heavy", 384, 69, 0, 1_908_249),
+        ("Dragonfly { a: 4, p: 2, h: 2 } idle", 384, 4, 0, 1_071_388),
+        ("Dragonfly { a: 4, p: 2, h: 2 } heavy", 384, 7, 0, 1_127_607),
+    ]
+    .map(|(cell, joined, past_max, past_min, above_min)| {
+        (cell.to_string(), joined, past_max, past_min, above_min)
+    });
+    assert_eq!(got, want);
 }
 
 /// A send to one's own rank takes the fabric's 0.5 µs loopback, faster than

@@ -101,8 +101,8 @@ fn stdout_is_job_count_invariant() {
     let selection: Vec<bench::Harness> = ids.iter().map(|id| harness(id)).collect();
     bench::runner::set_jobs(4);
     let mut got = String::new();
-    bench::runner::run_harnesses(&selection, |run| {
-        got.push_str(&run.series.render());
+    bench::runner::run_harnesses(&selection, |_, text| {
+        got.push_str(text);
         got.push('\n');
     });
     bench::runner::set_jobs(1);
